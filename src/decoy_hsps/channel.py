@@ -6,6 +6,7 @@ the widely used GYS fiber-QKD experiment and are fully configurable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .sources import at_least_one_probability
@@ -36,6 +37,10 @@ class ChannelParams:
     e_0: float = 0.5
 
     def __post_init__(self):
+        for name in ("alpha_db_per_km", "distance_km", "eta_b", "d_b", "e_d", "e_0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha_db_per_km < 0:
             raise ValueError(f"alpha_db_per_km must be >= 0, got {self.alpha_db_per_km}")
         if self.distance_km < 0:

@@ -2,35 +2,68 @@
 
 The key rate at a fixed distance is a smooth, empirically unimodal
 function of the signal intensity mu', so the optimizer scans a coarse
-grid and then refines the best cell with a golden-section search. Every
-evaluation is a pure function of the inputs; identical configurations
-produce identical results bit for bit.
+grid and then refines the best cell with a golden-section search.
+
+A sweep searches all of its distances at once: the rate is evaluated as
+a 2-D array of distance rows by mu' columns, and every row runs the same
+coarse scan (with its sequential tie rule) and golden-section steps in
+lockstep, boolean masks standing in for the scalar branches. The arrays
+only pick mu'; every reported rate, observable and bound is then
+recomputed by the scalar evaluate_* / ideal_rate_* functions at that mu'.
+Every evaluation is a pure function of the inputs; identical
+configurations produce identical results bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .bounds import (
     KeyRatePoint,
     SecurityBounds,
     _rate_formula,
+    _y1_hsps_raw,
+    binary_entropy,
     compute_hsps_bounds,
     compute_wcs_bounds,
     ideal_rate_hsps,
     ideal_rate_wcs,
 )
-from .channel import ChannelParams
+from .channel import (
+    ChannelParams,
+    n_photon_click_probability,
+    n_photon_error_rate,
+    overall_transmittance,
+)
 from .observables import (
     ObservedStatistics,
+    _coincidence_sum,
     forecast_observables,
     forecast_wcs_observables,
+    simulate_qber,
+    simulate_rescaled_yield,
+    simulate_wcs_gain,
+    simulate_wcs_qber,
 )
+from .sources import HeraldedSourceParams
 
 SOURCE_KINDS = ("hsps", "wcs")
 
 # Two candidate rates closer than this are a tie; the smaller mu' wins.
 RATE_TIE_TOL = 1e-15
+
+# Grids with more points than this are refused before any is built.
+MAX_GRID_POINTS = 10**6
+
+# The coarse scan evaluates at most this many (distance, mu') cells per
+# call, in blocks of columns, and a search takes at most this many
+# distances, so peak memory does not grow with either grid. At 2^13 cells
+# a float64 temporary (64 KB) stays below glibc's default mmap threshold
+# and is reused: a pass of the three figures (181 x 95 cells per sweep)
+# peaked 1.9 MB above the imported package, against 3.1 MB with 2^16.
+_BLOCK_CELLS = 1 << 13
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,6 +93,13 @@ class SweepConfig:
     include_ideal: bool = True
 
     def __post_init__(self):
+        for name in (
+            "mu", "eta_a", "d_a", "f_ec", "mu_prime_min", "mu_prime_max",
+            "mu_prime_coarse_step", "dist_start_km", "dist_stop_km", "dist_step_km",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if not 0.0 < self.eta_a <= 1.0:
@@ -94,6 +134,25 @@ class SweepConfig:
         for kind in self.sources:
             if kind not in SOURCE_KINDS:
                 raise ValueError(f"unknown source kind {kind!r}")
+        _grid_count(
+            "mu_prime_coarse_step", self.mu_prime_max - self.mu_prime_min,
+            self.mu_prime_coarse_step,
+        )
+        _grid_count(
+            "dist_step_km", max(0.0, self.dist_stop_km - self.dist_start_km),
+            self.dist_step_km,
+        )
+
+
+def _grid_count(key: str, span: float, step: float) -> int:
+    """Points of the grid 0, step, ... up to span, refused above MAX_GRID_POINTS."""
+    cells = span / step + 1e-9
+    if not cells < MAX_GRID_POINTS:
+        raise ValueError(
+            f"{key} = {step!r} would make {cells:.3g} grid points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
+        )
+    return int(math.floor(cells)) + 1
 
 
 def distance_grid(cfg: SweepConfig) -> list[float]:
@@ -101,64 +160,95 @@ def distance_grid(cfg: SweepConfig) -> list[float]:
     if cfg.dist_stop_km < cfg.dist_start_km:
         return []
     span = cfg.dist_stop_km - cfg.dist_start_km
-    count = int(math.floor(span / cfg.dist_step_km + 1e-9)) + 1
+    count = _grid_count("dist_step_km", span, cfg.dist_step_km)
     return [cfg.dist_start_km + i * cfg.dist_step_km for i in range(count)]
 
 
 def mu_prime_candidates(cfg: SweepConfig) -> list[float]:
     """Coarse search grid over [mu_prime_min, mu_prime_max]."""
     lo, hi, step = cfg.mu_prime_min, cfg.mu_prime_max, cfg.mu_prime_coarse_step
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    count = _grid_count("mu_prime_coarse_step", hi - lo, step)
     cands = [lo + i * step for i in range(count)]
     if cands[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         cands.append(hi)
     return cands
 
 
-def golden_section_maximize(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Locate the maximum of a unimodal function on [a, b] to width tol."""
-    if b < a:
-        raise ValueError(f"invalid bracket [{a}, {b}]")
-    if b - a <= tol:
-        x = 0.5 * (a + b)
-        return x, fn(x)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
+def golden_section_maximize(fn, a, b, tol: float):
+    """Locate the maximum of a unimodal function on [a, b] to width tol.
+
+    a and b are floats, or equal-shape arrays of brackets that are all
+    searched in lockstep: fn then maps an array of points to an array of
+    values, each element takes exactly the steps of its own scalar search,
+    and an element whose bracket is narrower than tol stops moving.
+    """
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        x, fx = golden_section_maximize(
+            lambda v: np.array([fn(float(v[0]))]),
+            np.array([a], dtype=float), np.array([b], dtype=float), tol,
+        )
+        return float(x[0]), float(fx[0])
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    invalid = b < a
+    if invalid.any():
+        raise ValueError(f"invalid bracket [{a[invalid][0]}, {b[invalid][0]}]")
+    active = b - a > tol
+    if active.any():
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc, fd = fn(c), fn(d)
+        while active.any():
+            # fc >= fd keeps [a, d]: d takes c's place and a new c is probed;
+            # otherwise [c, b] is kept and a new d is probed.
+            left = fc >= fd
+            b = np.where(active & left, d, b)
+            a = np.where(active & ~left, c, a)
+            probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+            f_probe = fn(probe)
+            c, fc, d, fd = (
+                np.where(active, np.where(left, probe, d), c),
+                np.where(active, np.where(left, f_probe, fd), fc),
+                np.where(active, np.where(left, c, probe), d),
+                np.where(active, np.where(left, fc, f_probe), fd),
+            )
+            active = b - a > tol
     x = 0.5 * (a + b)
     return x, fn(x)
 
 
-def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4) -> tuple[float, float]:
-    """Coarse grid scan plus golden-section refinement of rate_fn(mu').
+def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4):
+    """Coarse grid scan plus golden-section refinement of every row's rate.
 
-    Ties within RATE_TIE_TOL resolve to the smaller mu'; the returned rate
-    is never below any coarse candidate that was examined.
+    rate_fn maps a 2-D array of mu' that broadcasts against (rows, 1) to
+    the rates of all rows at those mu', one row per distance. Every row
+    runs the scalar search in lockstep: ties within RATE_TIE_TOL resolve
+    to the smaller mu', and a row's rate is never below any coarse
+    candidate it examined. Returns the per-row mu' and rate arrays.
+    The first call, on the first candidate alone, tells the row count
+    that sizes the column blocks of the rest of the scan.
     """
-    cands = mu_prime_candidates(cfg)
-    best_x = cands[0]
-    best_f = rate_fn(best_x)
-    for x in cands[1:]:
-        fx = rate_fn(x)
-        if fx > best_f + RATE_TIE_TOL:
-            best_x, best_f = x, fx
-    a = max(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
-    b = min(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
-    if b - a > refine_tol:
-        xr, fr = golden_section_maximize(rate_fn, a, b, refine_tol)
-        if fr > best_f + RATE_TIE_TOL:
-            return xr, fr
-        if abs(fr - best_f) <= RATE_TIE_TOL and xr < best_x:
-            return xr, fr
+    cands = np.array(mu_prime_candidates(cfg))
+    best_f = rate_fn(cands[None, :1])[:, 0]
+    best_x = np.full(best_f.size, cands[0])
+    width = max(1, _BLOCK_CELLS // max(1, best_f.size))
+    for start in range(1, cands.size, width):
+        rates = rate_fn(cands[None, start:start + width])
+        for j in range(rates.shape[1]):
+            better = rates[:, j] > best_f + RATE_TIE_TOL
+            best_x = np.where(better, cands[start + j], best_x)
+            best_f = np.where(better, rates[:, j], best_f)
+    a = np.maximum(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
+    b = np.minimum(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
+    refine = b - a > refine_tol
+    if refine.any():
+        xr, fr = golden_section_maximize(lambda x: rate_fn(x[:, None])[:, 0], a, b, refine_tol)
+        take = refine & (
+            (fr > best_f + RATE_TIE_TOL)
+            | ((np.abs(fr - best_f) <= RATE_TIE_TOL) & (xr < best_x))
+        )
+        best_x = np.where(take, xr, best_x)
+        best_f = np.where(take, fr, best_f)
     return best_x, best_f
 
 
@@ -182,20 +272,162 @@ def evaluate_wcs(
     return obs, bounds, max(0.0, raw), bounds.feasible and raw >= 0.0
 
 
-def _rate_fn(cfg: SweepConfig, ch: ChannelParams, source_kind: str):
+def _evaluate(cfg: SweepConfig, ch: ChannelParams, source_kind: str, mu_prime: float):
     if source_kind == "hsps":
-        return lambda m: evaluate_hsps(cfg, ch, m)[2]
-    if source_kind == "wcs":
-        return lambda m: evaluate_wcs(cfg, ch, m)[2]
-    raise ValueError(f"unknown source kind {source_kind!r}")
+        return evaluate_hsps(cfg, ch, mu_prime)
+    return evaluate_wcs(cfg, ch, mu_prime)
 
 
-def _ideal_rate_fn(cfg: SweepConfig, ch: ChannelParams, source_kind: str):
+def _ideal_rate(cfg: SweepConfig, ch: ChannelParams, source_kind: str, mu_prime: float) -> float:
     if source_kind == "hsps":
-        return lambda m: ideal_rate_hsps(m, cfg.eta_a, cfg.d_a, ch, cfg.f_ec)
-    if source_kind == "wcs":
-        return lambda m: ideal_rate_wcs(m, ch, cfg.f_ec)
-    raise ValueError(f"unknown source kind {source_kind!r}")
+        return ideal_rate_hsps(mu_prime, cfg.eta_a, cfg.d_a, ch, cfg.f_ec)
+    return ideal_rate_wcs(mu_prime, ch, cfg.f_ec)
+
+
+# ---------------------------------------------------------------------------
+# array rates: one row per channel, mu' along the columns
+#
+# Each function below computes the mu'-independent terms of every row once,
+# with the scalar functions, and returns rate(mu_prime) over arrays that
+# broadcast against (rows, 1). The expressions mirror the scalar forecast,
+# bounds and rate formula operation for operation, so the search sees the
+# scalar rates up to the last-place rounding of numpy's exp/log/pow.
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _entropy(p):
+    h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
+
+
+def _clamped_rate(weight, e_signal, delta1, h_e1, f):
+    """max(0, _rate_formula) with the single-photon entropy already taken."""
+    raw = weight / 2.0 * (-f * _entropy(e_signal) + delta1 * (1.0 - h_e1))
+    return np.where(raw > 0.0, raw, 0.0)
+
+
+def _hsps_signal(cfg: SweepConfig, eta, mu_prime):
+    """Rescaled yield and QBER of triggered signal pulses."""
+    ch, eta_a, d_a = cfg.channel, cfg.eta_a, cfg.d_a
+    coincidences = _coincidence_sum(mu_prime, eta_a, eta)
+    ty = (
+        d_a * ch.d_b / (1.0 + mu_prime)
+        + ch.d_b * eta_a * mu_prime / (1.0 + eta_a * mu_prime)
+        + coincidences
+    )
+    p_post = d_a / (1.0 + mu_prime) + mu_prime * eta_a / (1.0 + mu_prime * eta_a)
+    return ty, (ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences) / ty
+
+
+def _wcs_signal(cfg: SweepConfig, eta, mu_prime):
+    """Gain and QBER of coherent signal pulses."""
+    ch = cfg.channel
+    lost = np.expm1(-eta * mu_prime)
+    q = ch.d_b - lost
+    return q, (ch.e_0 * ch.d_b - ch.e_d * lost) / q
+
+
+def _hsps_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+    mu, eta_a, d_a, e_0, y0 = cfg.mu, cfg.eta_a, cfg.d_a, cfg.channel.e_0, cfg.channel.d_b
+    decoy = HeraldedSourceParams(x=mu, eta_a=eta_a, d_a=d_a)
+    ty_mu = [simulate_rescaled_yield(decoy, ch) for ch in channels]
+    e_mu = [simulate_qber(decoy, ch) for ch in channels]
+    e1_mass = _column([
+        (1.0 + mu) ** 2 * e * ty - (1.0 + mu) * y0 * d_a * e_0 for e, ty in zip(e_mu, ty_mu)
+    ])
+    ty_mu = _column(ty_mu)
+    eta = _column([overall_transmittance(ch) for ch in channels])
+
+    def rate(mu_prime):
+        with np.errstate(all="ignore"):
+            ty, e = _hsps_signal(cfg, eta, mu_prime)
+            raw_y1 = _y1_hsps_raw(y0, ty_mu, ty, mu, mu_prime, eta_a, d_a)
+            y1 = np.minimum(raw_y1, 1.0)
+            delta1 = np.minimum(y1 * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
+            e1 = np.clip(e1_mass / (y1 * eta_a * mu), 0.0, 0.5)
+            r = _clamped_rate(ty, e, delta1, _entropy(e1), cfg.f_ec)
+            return np.where(raw_y1 > 0.0, r, 0.0)
+
+    return rate
+
+
+def _wcs_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+    mu, e_0, y0 = cfg.mu, cfg.channel.e_0, cfg.channel.d_b
+    q_mu = [simulate_wcs_gain(mu, ch) for ch in channels]
+    e_mu = [simulate_wcs_qber(mu, ch) for ch in channels]
+    c_mu = _column([q * math.exp(mu) for q in q_mu])
+    e1_mass = _column([e * q * math.exp(mu) - e_0 * y0 for e, q in zip(e_mu, q_mu)])
+    eta = _column([overall_transmittance(ch) for ch in channels])
+
+    def rate(mu_prime):
+        with np.errstate(all="ignore"):
+            q, e = _wcs_signal(cfg, eta, mu_prime)
+            num = mu_prime**2 * c_mu - mu**2 * (q * np.exp(mu_prime)) - y0 * (mu_prime**2 - mu**2)
+            raw_y1 = num / (mu * mu_prime * (mu_prime - mu))
+            y1 = np.minimum(raw_y1, 1.0)
+            delta1 = np.minimum(y1 * mu_prime * np.exp(-mu_prime) / q, 1.0)
+            e1 = np.clip(e1_mass / (y1 * mu), 0.0, 0.5)
+            r = _clamped_rate(q, e, delta1, _entropy(e1), cfg.f_ec)
+            return np.where(raw_y1 > 0.0, r, 0.0)
+
+    return rate
+
+
+def _ideal_single_photon(channels: list[ChannelParams]):
+    """True single-photon yield and entropy of its (capped) error rate, per row."""
+    y1 = _column([n_photon_click_probability(1, ch) for ch in channels])
+    h_e1 = _column([binary_entropy(min(0.5, n_photon_error_rate(1, ch))) for ch in channels])
+    return y1, h_e1
+
+
+def _hsps_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+    y1, h_e1 = _ideal_single_photon(channels)
+    eta = _column([overall_transmittance(ch) for ch in channels])
+
+    def rate(mu_prime):
+        with np.errstate(all="ignore"):
+            ty, e = _hsps_signal(cfg, eta, mu_prime)
+            delta1 = np.minimum(y1 * cfg.eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
+            return _clamped_rate(ty, e, delta1, h_e1, cfg.f_ec)
+
+    return rate
+
+
+def _wcs_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+    y1, h_e1 = _ideal_single_photon(channels)
+    eta = _column([overall_transmittance(ch) for ch in channels])
+
+    def rate(mu_prime):
+        with np.errstate(all="ignore"):
+            q, e = _wcs_signal(cfg, eta, mu_prime)
+            delta1 = np.minimum(y1 * mu_prime * np.exp(-mu_prime) / q, 1.0)
+            return _clamped_rate(q, e, delta1, h_e1, cfg.f_ec)
+
+    return rate
+
+
+_RATE_ARRAYS = {
+    ("hsps", False): _hsps_rate_array,
+    ("wcs", False): _wcs_rate_array,
+    ("hsps", True): _hsps_ideal_rate_array,
+    ("wcs", True): _wcs_ideal_rate_array,
+}
+
+
+def _optimal_mu_primes(
+    cfg: SweepConfig, channels: list[ChannelParams], source_kind: str, ideal: bool = False
+) -> list[float]:
+    """The searched mu' of every channel, bounded rate or ideal benchmark."""
+    if source_kind not in SOURCE_KINDS:
+        raise ValueError(f"unknown source kind {source_kind!r}")
+    make_rate = _RATE_ARRAYS[source_kind, ideal]
+    mu_primes = []
+    for start in range(0, len(channels), _BLOCK_CELLS):
+        best_x, _ = maximize_over_mu_prime(make_rate(cfg, channels[start:start + _BLOCK_CELLS]), cfg)
+        mu_primes.extend(best_x.tolist())
+    return mu_primes
 
 
 def optimize_mu_prime(
@@ -207,7 +439,8 @@ def optimize_mu_prime(
     smallest candidate with the rate pinned at 0.
     """
     ch = cfg.channel.at_distance(distance_km)
-    return maximize_over_mu_prime(_rate_fn(cfg, ch, source_kind), cfg)
+    (mu_prime,) = _optimal_mu_primes(cfg, [ch], source_kind)
+    return mu_prime, _evaluate(cfg, ch, source_kind, mu_prime)[2]
 
 
 def optimal_ideal_rate(
@@ -215,7 +448,8 @@ def optimal_ideal_rate(
 ) -> float:
     """Infinite-decoy benchmark rate, with its own mu' optimization."""
     ch = cfg.channel.at_distance(distance_km)
-    return maximize_over_mu_prime(_ideal_rate_fn(cfg, ch, source_kind), cfg)[1]
+    (mu_prime,) = _optimal_mu_primes(cfg, [ch], source_kind, ideal=True)
+    return _ideal_rate(cfg, ch, source_kind, mu_prime)
 
 
 def optimize_joint_intensities(
@@ -246,38 +480,45 @@ def optimize_joint_intensities(
     return best
 
 
+def _key_rate_points(
+    cfg: SweepConfig, distances: list[float], source_kind: str
+) -> list[KeyRatePoint]:
+    """Fully evaluated sweep samples of one source kind, one per distance."""
+    channels = [cfg.channel.at_distance(d) for d in distances]
+    mu_primes = _optimal_mu_primes(cfg, channels, source_kind)
+    if cfg.include_ideal:
+        ideal_mu_primes = _optimal_mu_primes(cfg, channels, source_kind, ideal=True)
+    points = []
+    for i, (distance, ch, mu_prime) in enumerate(zip(distances, channels, mu_primes)):
+        obs, bounds, rate, feasible = _evaluate(cfg, ch, source_kind, mu_prime)
+        if cfg.include_ideal:
+            ideal = _ideal_rate(cfg, ch, source_kind, ideal_mu_primes[i])
+        else:
+            ideal = float("nan")
+        points.append(KeyRatePoint(
+            distance_km=distance,
+            mu=cfg.mu,
+            mu_prime=mu_prime,
+            key_rate=rate,
+            ideal_rate=ideal,
+            source_kind=source_kind,
+            bounds=bounds,
+            observables=obs,
+            feasible=feasible,
+        ))
+    return points
+
+
 def key_rate_point(cfg: SweepConfig, distance_km: float, source_kind: str) -> KeyRatePoint:
     """Fully evaluated sweep sample at one distance for one source kind."""
-    ch = cfg.channel.at_distance(distance_km)
-    mu_prime, _ = maximize_over_mu_prime(_rate_fn(cfg, ch, source_kind), cfg)
-    if source_kind == "hsps":
-        obs, bounds, rate, feasible = evaluate_hsps(cfg, ch, mu_prime)
-    else:
-        obs, bounds, rate, feasible = evaluate_wcs(cfg, ch, mu_prime)
-    if cfg.include_ideal:
-        ideal = maximize_over_mu_prime(_ideal_rate_fn(cfg, ch, source_kind), cfg)[1]
-    else:
-        ideal = float("nan")
-    return KeyRatePoint(
-        distance_km=distance_km,
-        mu=cfg.mu,
-        mu_prime=mu_prime,
-        key_rate=rate,
-        ideal_rate=ideal,
-        source_kind=source_kind,
-        bounds=bounds,
-        observables=obs,
-        feasible=feasible,
-    )
+    return _key_rate_points(cfg, [distance_km], source_kind)[0]
 
 
 def sweep_distances(cfg: SweepConfig) -> list[KeyRatePoint]:
     """One KeyRatePoint per grid distance per requested source kind."""
-    points = []
-    for distance in distance_grid(cfg):
-        for kind in cfg.sources:
-            points.append(key_rate_point(cfg, distance, kind))
-    return points
+    distances = distance_grid(cfg)
+    per_kind = [_key_rate_points(cfg, distances, kind) for kind in cfg.sources]
+    return [p for at_distance in zip(*per_kind) for p in at_distance]
 
 
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:
@@ -287,14 +528,13 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     first zero grid points down to 0.1 km. Returns the grid end when the
     rate is still positive there.
     """
-
-    def rate_at(distance: float) -> float:
-        return optimize_mu_prime(cfg, distance, source_kind)[1]
-
+    grid = distance_grid(cfg)
+    channels = [cfg.channel.at_distance(d) for d in grid]
+    mu_primes = _optimal_mu_primes(cfg, channels, source_kind)
     last_positive = None
     first_zero_after = None
-    for distance in distance_grid(cfg):
-        if rate_at(distance) > 0.0:
+    for distance, ch, mu_prime in zip(grid, channels, mu_primes):
+        if _evaluate(cfg, ch, source_kind, mu_prime)[2] > 0.0:
             last_positive = distance
             first_zero_after = None
         elif last_positive is not None and first_zero_after is None:
@@ -306,7 +546,7 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     lo, hi = last_positive, first_zero_after
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
-        if rate_at(mid) > 0.0:
+        if optimize_mu_prime(cfg, mid, source_kind)[1] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -241,3 +241,26 @@ class TestExitCodes:
 
     def test_missing_subcommand(self):
         assert main([]) == 1
+
+    def test_nan_f_ec_rejected(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, "f_ec=nan", "f_ec")
+
+    def test_infinite_mu_prime_max_rejected(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, "mu_prime_max=inf", "mu_prime_max")
+
+    def test_nan_fiber_loss_rejected(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, "alpha_db_per_km=nan", "alpha_db_per_km")
+
+    def test_oversized_distance_grid_rejected(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, "dist_step_km=1e-9", "dist_step_km")
+
+    def test_oversized_mu_prime_grid_rejected(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, "mu_prime_coarse_step=1e-12", "mu_prime_coarse_step")
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, override, key):
+        out = tmp_path / "run"
+        assert main(["sweep", "--out", str(out), "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and key in err
+        assert not (out / "sweep.csv").exists()

@@ -1,16 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 
+from decoy_hsps.bounds import ideal_rate_hsps, ideal_rate_wcs
 from decoy_hsps.channel import ChannelParams
 from decoy_hsps.optimizer import (
+    MAX_GRID_POINTS,
+    RATE_TIE_TOL,
     SweepConfig,
+    _grid_count,
+    _optimal_mu_primes,
     distance_grid,
     evaluate_hsps,
     evaluate_wcs,
     golden_section_maximize,
     key_rate_point,
     max_secure_distance,
+    maximize_over_mu_prime,
     mu_prime_candidates,
     optimal_ideal_rate,
     optimize_joint_intensities,
@@ -46,6 +53,15 @@ class TestGrids:
         mu_prime, rate = optimize_mu_prime(cfg, 30.0, "hsps")
         assert mu_prime == 0.3
         assert rate == evaluate_hsps(cfg, cfg.channel.at_distance(30.0), 0.3)[2]
+
+    def test_grid_count_limit(self):
+        assert _grid_count("dist_step_km", MAX_GRID_POINTS - 1.0, 1.0) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="dist_step_km"):
+            _grid_count("dist_step_km", float(MAX_GRID_POINTS), 1.0)
+        with pytest.raises(ValueError, match="dist_step_km"):
+            _cfg(dist_step_km=1e-9)
+        with pytest.raises(ValueError, match="mu_prime_coarse_step"):
+            _cfg(mu_prime_coarse_step=1e-12)
 
 
 class TestGoldenSection:
@@ -213,3 +229,177 @@ def test_joint_intensity_grid_mode():
         assert rate >= optimize_mu_prime(cfg, 50.0, "hsps")[1] - 1e-15
     with pytest.raises(ValueError):
         optimize_joint_intensities(DEFAULT, 50.0, [], "hsps")
+
+
+# ---------------------------------------------------------------------------
+# lockstep search against the per-distance scalar search it replaces
+
+def _golden_reference(fn, a, b, tol):
+    """The scalar golden-section loop, one bracket at a time."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    if b - a <= tol:
+        x = 0.5 * (a + b)
+        return x, fn(x)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def _search_reference(rate, cfg, refine_tol=1e-4):
+    """Coarse scan with the tie rule, then the scalar golden section."""
+    cands = mu_prime_candidates(cfg)
+    best_x, best_f = cands[0], rate(cands[0])
+    for x in cands[1:]:
+        fx = rate(x)
+        if fx > best_f + RATE_TIE_TOL:
+            best_x, best_f = x, fx
+    a = max(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
+    b = min(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
+    if b - a > refine_tol:
+        xr, fr = _golden_reference(rate, a, b, refine_tol)
+        if fr > best_f + RATE_TIE_TOL or (abs(fr - best_f) <= RATE_TIE_TOL and xr < best_x):
+            return xr, fr
+    return best_x, best_f
+
+
+def _scalar_rate(cfg, ch, kind, ideal):
+    if ideal and kind == "hsps":
+        return lambda m: ideal_rate_hsps(m, cfg.eta_a, cfg.d_a, ch, cfg.f_ec)
+    if ideal:
+        return lambda m: ideal_rate_wcs(m, ch, cfg.f_ec)
+    evaluate = evaluate_hsps if kind == "hsps" else evaluate_wcs
+    return lambda m: evaluate(cfg, ch, m)[2]
+
+
+# Every 5th default distance, plus the cut-off region at 1 km.
+LOCKSTEP_DISTANCES = sorted(set(distance_grid(DEFAULT)[::5]) | {160.0 + i for i in range(11)})
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("kind", ["hsps", "wcs"])
+    @pytest.mark.parametrize("ideal", [False, True], ids=["bounded", "ideal"])
+    def test_mu_prime_identical_to_scalar_search(self, kind, ideal):
+        channels = [DEFAULT.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
+        lockstep = _optimal_mu_primes(DEFAULT, channels, kind, ideal)
+        for distance, ch, mu_prime in zip(LOCKSTEP_DISTANCES, channels, lockstep):
+            ref_x, ref_f = _search_reference(_scalar_rate(DEFAULT, ch, kind, ideal), DEFAULT)
+            assert mu_prime == ref_x, distance
+            if distance % 20 == 0:
+                # one-row calls report the scalar rate at the same mu'
+                if ideal:
+                    assert optimal_ideal_rate(DEFAULT, distance, kind) == ref_f
+                else:
+                    assert optimize_mu_prime(DEFAULT, distance, kind) == (ref_x, ref_f)
+
+    @pytest.mark.parametrize("kind", ["hsps", "wcs"])
+    @pytest.mark.parametrize("mu_range", [(0.06, 0.12), (0.5, 1.0), (0.3, 0.3)])
+    def test_clamped_and_degenerate_ranges_match_scalar_search(self, kind, mu_range):
+        # the optimum (~0.2-0.5) lies above, below, or on the whole range
+        cfg = _cfg(mu_prime_min=mu_range[0], mu_prime_max=mu_range[1])
+        distances = [0.0, 40.0, 80.0, 120.0, 165.0]
+        channels = [cfg.channel.at_distance(d) for d in distances]
+        lockstep = _optimal_mu_primes(cfg, channels, kind)
+        for ch, mu_prime in zip(channels, lockstep):
+            assert mu_prime == _search_reference(_scalar_rate(cfg, ch, kind, False), cfg)[0]
+            assert mu_range[0] <= mu_prime <= mu_range[1]
+
+    def test_brackets_clamped_at_both_ends(self):
+        # rows peak below the range, above it and inside it; the last row
+        # rises by less than RATE_TIE_TOL across the range, so it ties
+        cfg = _cfg(mu_prime_min=0.2, mu_prime_max=0.6, mu_prime_coarse_step=0.03)
+        peaks = np.array([0.05, 0.9, 0.4137, 0.0])
+        scale = np.array([1.0, 1.0, 1.0, 0.0])
+        tilt = np.array([0.0, 0.0, 0.0, 1e-17])
+
+        def toy(m, p, s, t):
+            return s * -((m - p) * (m - p)) + t * m
+
+        x, f = maximize_over_mu_prime(
+            lambda m: toy(m, peaks[:, None], scale[:, None], tilt[:, None]), cfg)
+        for i, row in enumerate(zip(peaks, scale, tilt)):
+            assert (x[i], f[i]) == _search_reference(lambda m: toy(m, *row), cfg)
+        assert x[0] == cfg.mu_prime_min and x[3] == cfg.mu_prime_min
+        assert abs(x[1] - cfg.mu_prime_max) < 1e-4
+        assert abs(x[2] - 0.4137) < 1e-4
+
+    def test_empty_and_single_row(self):
+        cfg = DEFAULT
+        rate = lambda m: np.zeros((0, 1)) * m
+        x, f = maximize_over_mu_prime(rate, cfg)
+        assert x.shape == f.shape == (0,)
+        assert _optimal_mu_primes(cfg, [], "hsps") == []
+        assert max_secure_distance(_cfg(dist_start_km=10.0, dist_stop_km=5.0), "hsps") is None
+        ch = cfg.channel.at_distance(50.0)
+        assert _optimal_mu_primes(cfg, [ch], "wcs") == [
+            _search_reference(_scalar_rate(cfg, ch, "wcs", False), cfg)[0]]
+
+    @pytest.mark.parametrize("block_cells", [3, 50, 3 * 95 + 94])
+    def test_blocks_bound_each_call_and_leave_mu_prime_unchanged(self, monkeypatch, block_cells):
+        channels = [DEFAULT.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
+        whole = _optimal_mu_primes(DEFAULT, channels, "hsps")
+        searches, cells = [], []
+
+        def spy(rate_fn, cfg):
+            def counted(mu_prime):
+                rates = rate_fn(mu_prime)
+                cells.append(rates.size)
+                return rates
+
+            x, f = maximize_over_mu_prime(counted, cfg)
+            searches.append(x.size)
+            return x, f
+
+        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
+        assert _optimal_mu_primes(DEFAULT, channels, "hsps") == whole
+        assert sum(searches) == len(channels) and max(searches) <= block_cells
+        assert max(cells) <= block_cells
+
+    def test_dead_channel_sweep_pins_every_row(self):
+        cfg = _cfg(channel=ChannelParams(eta_b=0.0), dist_start_km=0.0,
+                   dist_stop_km=40.0, dist_step_km=10.0)
+        points = sweep_distances(cfg)
+        assert len(points) == 10
+        for p in points:
+            assert p.mu_prime == cfg.mu_prime_min
+            assert p.key_rate == 0.0 and p.ideal_rate == 0.0
+
+    def test_sweep_matches_one_row_calls(self):
+        cfg = _cfg(dist_start_km=0.0, dist_stop_km=170.0, dist_step_km=17.0)
+        for p in sweep_distances(cfg):
+            assert (p.mu_prime, p.key_rate) == optimize_mu_prime(cfg, p.distance_km, p.source_kind)
+            assert p.ideal_rate == optimal_ideal_rate(cfg, p.distance_km, p.source_kind)
+
+
+class TestLockstepGoldenSection:
+    def test_array_brackets_equal_elementwise_scalar_calls(self):
+        # brackets from 4 wide down to 0; the last function is flat, so ties
+        peaks = np.array([0.3, 1.7, -0.5, 2.0, 0.9, 0.25, 0.5])
+        scale = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+        a = np.array([0.0, 1.0, -1.0, 2.0, 0.0, 0.2, 0.0])
+        b = np.array([1.0, 5.0, 0.0, 2.0, 0.95, 0.20005, 1.0])
+
+        def fn(x):
+            return scale * -((x - peaks) * (x - peaks))
+
+        x, fx = golden_section_maximize(fn, a, b, 1e-4)
+        for i in range(peaks.size):
+            scalar = lambda v, p=peaks[i], s=scale[i]: s * -((v - p) * (v - p))
+            expected = golden_section_maximize(scalar, float(a[i]), float(b[i]), 1e-4)
+            assert (x[i], fx[i]) == expected
+            assert expected == _golden_reference(scalar, float(a[i]), float(b[i]), 1e-4)
+
+    def test_invalid_array_bracket(self):
+        with pytest.raises(ValueError, match="invalid bracket"):
+            golden_section_maximize(lambda x: x, np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1e-4)
