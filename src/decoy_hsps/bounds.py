@@ -31,14 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, n_photon_click_probability, n_photon_error_rate
-from .observables import (
-    ObservedStatistics,
-    simulate_qber,
-    simulate_rescaled_yield,
-    simulate_wcs_gain,
-    simulate_wcs_qber,
+from .channel import (
+    ChannelParams,
+    n_photon_click_probability,
+    n_photon_error_rate,
+    overall_transmittance,
 )
+from .observables import ObservedStatistics, _coherent_terms, _triggered_terms
 from .sources import HeraldedSourceParams
 
 DEFAULT_F_EC = 1.2
@@ -227,7 +226,10 @@ def _y1_wcs_raw(
     y0: float, q_mu: float, q_mu_prime: float, mu: float, mu_prime: float
 ) -> float:
     c_mu = q_mu * math.exp(mu)
-    c_mu_prime = q_mu_prime * math.exp(mu_prime)
+    try:
+        c_mu_prime = q_mu_prime * math.exp(mu_prime)
+    except OverflowError:  # mu' above ~709: the signal term swamps the bound
+        c_mu_prime = math.inf
     num = mu_prime**2 * c_mu - mu**2 * c_mu_prime - y0 * (mu_prime**2 - mu**2)
     return num / (mu * mu_prime * (mu_prime - mu))
 
@@ -409,38 +411,40 @@ def key_rate_wcs(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEF
 # ---------------------------------------------------------------------------
 # infinite-decoy benchmarks (exact single-photon knowledge)
 
+def _ideal_hsps(
+    mu_prime: float, eta_a: float, d_a: float, ch: ChannelParams
+) -> tuple[float, float, float, float]:
+    """Signal rescaled yield and QBER, exact Delta1 and exact e1 of the benchmark."""
+    y1_true = n_photon_click_probability(1, ch)
+    HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)  # validates the source
+    _, ty, err = _triggered_terms(mu_prime, eta_a, d_a, ch, overall_transmittance(ch))
+    if ty <= 0:
+        raise ValueError("forecast rescaled yield is zero; benchmark undefined")
+    delta1 = min(1.0, y1_true * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2))
+    return ty, err / ty, delta1, n_photon_error_rate(1, ch)
+
+
 def ideal_bounds_hsps(
     mu_prime: float, eta_a: float, d_a: float, ch: ChannelParams
 ) -> tuple[float, float]:
     """Exact single-photon fraction and QBER for the benchmark curve."""
-    y1_true = n_photon_click_probability(1, ch)
-    src = HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)
-    ty = simulate_rescaled_yield(src, ch)
-    if ty <= 0:
-        raise ValueError("forecast rescaled yield is zero; benchmark undefined")
-    delta1 = min(1.0, y1_true * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2))
-    e1 = n_photon_error_rate(1, ch)
-    return delta1, e1
+    return _ideal_hsps(mu_prime, eta_a, d_a, ch)[2:]
 
 
 def ideal_rate_hsps(
     mu_prime: float, eta_a: float, d_a: float, ch: ChannelParams, f: float = DEFAULT_F_EC
 ) -> float:
     """Benchmark key rate with exactly known single-photon statistics."""
-    delta1, e1 = ideal_bounds_hsps(mu_prime, eta_a, d_a, ch)
-    src = HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)
-    ty = simulate_rescaled_yield(src, ch)
-    e_signal = simulate_qber(src, ch)
+    ty, e_signal, delta1, e1 = _ideal_hsps(mu_prime, eta_a, d_a, ch)
     return max(0.0, _rate_formula(ty, e_signal, delta1, min(0.5, e1), f))
 
 
 def ideal_rate_wcs(mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC) -> float:
     """Coherent-pulse benchmark key rate with exact single-photon knowledge."""
     y1_true = n_photon_click_probability(1, ch)
-    q = simulate_wcs_gain(mu_prime, ch)
+    q, e_signal = _coherent_terms(mu_prime, ch, overall_transmittance(ch))
     if q <= 0:
         raise ValueError("forecast gain is zero; benchmark undefined")
     delta1 = min(1.0, y1_true * mu_prime * math.exp(-mu_prime) / q)
     e1 = n_photon_error_rate(1, ch)
-    e_signal = simulate_wcs_qber(mu_prime, ch)
     return max(0.0, _rate_formula(q, e_signal, delta1, min(0.5, e1), f))

@@ -7,7 +7,7 @@ the widely used GYS fiber-QKD experiment and are fully configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .sources import at_least_one_probability
 
@@ -56,7 +56,9 @@ class ChannelParams:
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
         """Same channel evaluated at a different fiber length."""
-        return replace(self, distance_km=distance_km)
+        return ChannelParams(
+            self.alpha_db_per_km, distance_km, self.eta_b, self.d_b, self.e_d, self.e_0
+        )
 
 
 def fiber_transmittance(alpha_db_per_km: float, distance_km: float) -> float:

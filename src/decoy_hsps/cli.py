@@ -8,8 +8,8 @@ Subcommands:
   bounds     one-shot security-bound computation from observed counts
 
 Every run writes run_manifest.json recording the resolved configuration
-and the artifacts produced. Exit codes: 0 success, 1 validation error,
-2 I/O error.
+and the artifacts produced. Exit codes: 0 success, 1 validation or
+numerical error (one "error: ..." line on stderr), 2 I/O error.
 """
 from __future__ import annotations
 
@@ -21,12 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import (
-    compute_hsps_bounds,
-    key_rate_hsps,
-    single_photon_fraction,
-    y1_lower_bound_hsps,
-)
+from .bounds import compute_hsps_bounds, single_photon_fraction, y1_lower_bound_hsps
 from .config import (
     ConfigError,
     make_manifest,
@@ -36,7 +31,7 @@ from .config import (
     write_manifest,
 )
 from .observables import IntensityCounts, statistics_from_counts
-from .optimizer import SweepConfig, sweep_distances
+from .optimizer import SweepConfig, rate_and_feasibility, sweep_distances
 
 CSV_COLUMNS = (
     "distance_km",
@@ -59,38 +54,39 @@ CSV_COLUMNS = (
 _FIGURE1_MUS = (0.01, 0.05, 0.10)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    return format(float(value), ".17e")
+def _csv_line(cells) -> str:
+    return ",".join(cells) + "\n"
+
+
+# Every number is written as "%.17e", which round-trips a float64 and
+# never needs CSV quoting, so each row is one format operation; a missing
+# QBER is written as nan.
+_POINT_ROW = _csv_line(["%.17e", "%s"] + ["%.17e"] * 12 + ["%d"])
 
 
 def emit_csv(points, path: str | Path) -> None:
     """Write sweep points as CSV, one fixed-format row per point."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        fh.write(_csv_line(CSV_COLUMNS))
         for p in points:
             o, b = p.observables, p.bounds
-            writer.writerow(
-                [
-                    _fmt(p.distance_km),
-                    p.source_kind,
-                    _fmt(p.mu),
-                    _fmt(p.mu_prime),
-                    _fmt(o.y0),
-                    _fmt(o.y_mu),
-                    _fmt(o.y_mu_prime),
-                    _fmt(o.e_mu),
-                    _fmt(o.e_mu_prime),
-                    _fmt(b.y1_lower),
-                    _fmt(b.delta1),
-                    _fmt(b.e1_upper),
-                    _fmt(p.key_rate),
-                    _fmt(p.ideal_rate),
-                    "1" if p.feasible else "0",
-                ]
-            )
+            fh.write(_POINT_ROW % (
+                p.distance_km,
+                p.source_kind,
+                p.mu,
+                p.mu_prime,
+                o.y0,
+                o.y_mu,
+                o.y_mu_prime,
+                math.nan if o.e_mu is None else o.e_mu,
+                math.nan if o.e_mu_prime is None else o.e_mu_prime,
+                b.y1_lower,
+                b.delta1,
+                b.e1_upper,
+                p.key_rate,
+                p.ideal_rate,
+                p.feasible,
+            ))
 
 
 def read_points_csv(path: str | Path) -> list[dict]:
@@ -119,11 +115,11 @@ def _log10_or_neg_inf(rate: float) -> float:
 
 
 def _write_wide_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+    row_format = _csv_line(["%.17e"] * len(header))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(_csv_line(header))
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            fh.write(row_format % tuple(row))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,7 +328,7 @@ def _cmd_bounds(args) -> int:
         result["e1_upper"] = bounds.e1_upper
         result["feasible"] = bounds.feasible
         if stats.e_mu_prime is not None:
-            result["key_rate"] = key_rate_hsps(stats, bounds, cfg.f_ec)
+            result["key_rate"], result["feasible"] = rate_and_feasibility(stats, bounds, cfg.f_ec)
     else:
         y1 = y1_lower_bound_hsps(stats, mu, mu_prime, cfg.eta_a, cfg.d_a)
         result["y1_lower"] = y1
@@ -349,11 +345,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # overflow or division by zero in the numerics at extreme inputs
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -116,19 +116,27 @@ def _coincidence_series(x, eta_a, eta, tol=SERIES_TAIL_TOL, max_terms=SERIES_MAX
     return total
 
 
+def _triggered_terms(x, eta_a: float, d_a: float, ch: ChannelParams, eta):
+    """P_post, rescaled yield and QBER error mass of triggered pulses of intensity x.
+
+    eta is the channel's overall transmittance, computed once by the caller.
+    The QBER is the error mass over the rescaled yield; the division is
+    left to the caller, which decides what a zero yield means. Plain
+    arithmetic, so x and eta may also be broadcasting numpy arrays.
+    """
+    coincidences = _coincidence_sum(x, eta_a, eta)
+    ty = d_a * ch.d_b / (1.0 + x) + ch.d_b * eta_a * x / (1.0 + eta_a * x) + coincidences
+    p_post = d_a / (1.0 + x) + x * eta_a / (1.0 + x * eta_a)
+    return p_post, ty, ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences
+
+
 def simulate_rescaled_yield(src: HeraldedSourceParams, ch: ChannelParams) -> float:
     """Forecast clicks per emitted pulse of intensity x (no eavesdropper).
 
     Composed of double-dark coincidences, dark counts on triggered
     nonvacuum pulses, and genuine photon coincidences.
     """
-    x = src.x
-    eta = overall_transmittance(ch)
-    return (
-        src.d_a * ch.d_b / (1.0 + x)
-        + ch.d_b * src.eta_a * x / (1.0 + src.eta_a * x)
-        + _coincidence_sum(x, src.eta_a, eta)
-    )
+    return _triggered_terms(src.x, src.eta_a, src.d_a, ch, overall_transmittance(ch))[1]
 
 
 def simulate_rescaled_yield_series(
@@ -153,10 +161,10 @@ def simulate_rescaled_yield_series(
 
 def simulate_yield(src: HeraldedSourceParams, ch: ChannelParams) -> float:
     """Forecast clicks per triggered pulse of intensity x."""
-    p_post = post_selection_probability(src)
+    p_post, ty, _ = _triggered_terms(src.x, src.eta_a, src.d_a, ch, overall_transmittance(ch))
     if p_post == 0.0:
         raise ValueError("yield undefined: post-selection probability is zero")
-    return simulate_rescaled_yield(src, ch) / p_post
+    return ty / p_post
 
 
 def simulate_qber(src: HeraldedSourceParams, ch: ChannelParams) -> float:
@@ -166,12 +174,9 @@ def simulate_qber(src: HeraldedSourceParams, ch: ChannelParams) -> float:
     summing the per-photon-number error model term by term collapses to
     e_0*d_b*P_post + e_d*S over the total rescaled yield.
     """
-    ty = simulate_rescaled_yield(src, ch)
+    _, ty, err = _triggered_terms(src.x, src.eta_a, src.d_a, ch, overall_transmittance(ch))
     if ty == 0.0:
         raise ValueError("QBER undefined: forecast yield is zero")
-    eta = overall_transmittance(ch)
-    p_post = post_selection_probability(src)
-    err = ch.e_0 * ch.d_b * p_post + ch.e_d * _coincidence_sum(src.x, src.eta_a, eta)
     return err / ty
 
 
@@ -189,12 +194,26 @@ def simulate_qber_series(
     return err / ty
 
 
-def simulate_wcs_gain(mu: float, ch: ChannelParams) -> float:
-    """Forecast per-pulse gain of a weak coherent pulse: d_b + 1 - e^(-eta*mu)."""
+def _coherent_terms(mu: float, ch: ChannelParams, eta: float) -> tuple[float, float]:
+    """Gain and QBER of weak coherent pulses of intensity mu.
+
+    eta is the channel's overall transmittance, computed once by the
+    caller. The additive dark-count gain d_b + 1 - e^(-eta*mu) is capped at
+    1, as n_photon_click_probability caps it, so it stays a probability;
+    the QBER is the error share of the uncapped gain, NaN when no click
+    can occur.
+    """
     if mu < 0:
         raise ValueError(f"intensity mu must be >= 0, got {mu}")
-    eta = overall_transmittance(ch)
-    return ch.d_b - math.expm1(-eta * mu)
+    lost = math.expm1(-eta * mu)
+    q = ch.d_b - lost
+    qber = (ch.e_0 * ch.d_b - ch.e_d * lost) / q if q else math.nan
+    return min(1.0, q), qber
+
+
+def simulate_wcs_gain(mu: float, ch: ChannelParams) -> float:
+    """Forecast per-pulse gain of a weak coherent pulse: d_b + 1 - e^(-eta*mu), at most 1."""
+    return _coherent_terms(mu, ch, overall_transmittance(ch))[0]
 
 
 def simulate_wcs_gain_series(
@@ -215,11 +234,10 @@ def simulate_wcs_gain_series(
 
 def simulate_wcs_qber(mu: float, ch: ChannelParams) -> float:
     """Forecast QBER of weak coherent pulses of intensity mu."""
-    q = simulate_wcs_gain(mu, ch)
+    q, qber = _coherent_terms(mu, ch, overall_transmittance(ch))
     if q == 0.0:
         raise ValueError("QBER undefined: forecast gain is zero")
-    eta = overall_transmittance(ch)
-    return (ch.e_0 * ch.d_b - ch.e_d * math.expm1(-eta * mu)) / q
+    return qber
 
 
 def simulate_wcs_qber_series(
@@ -253,16 +271,22 @@ def forecast_observables(
     """
     if not 0 < mu < mu_prime:
         raise ValueError(f"intensities must satisfy 0 < mu < mu_prime, got {mu}, {mu_prime}")
-    decoy = HeraldedSourceParams(x=mu, eta_a=eta_a, d_a=d_a)
-    signal = HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)
+    HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)  # validates eta_a and d_a
+    eta = overall_transmittance(ch)
+    p_mu, ty_mu, err_mu = _triggered_terms(mu, eta_a, d_a, ch, eta)
+    p_mu_prime, ty_mu_prime, err_mu_prime = _triggered_terms(mu_prime, eta_a, d_a, ch, eta)
+    if p_mu == 0.0 or p_mu_prime == 0.0:
+        raise ValueError("yield undefined: post-selection probability is zero")
+    if ty_mu == 0.0 or ty_mu_prime == 0.0:
+        raise ValueError("QBER undefined: forecast yield is zero")
     return ObservedStatistics(
         y0=ch.d_b,
-        y_mu=simulate_yield(decoy, ch),
-        y_mu_prime=simulate_yield(signal, ch),
-        ty_mu=simulate_rescaled_yield(decoy, ch),
-        ty_mu_prime=simulate_rescaled_yield(signal, ch),
-        e_mu=simulate_qber(decoy, ch),
-        e_mu_prime=simulate_qber(signal, ch),
+        y_mu=ty_mu / p_mu,
+        y_mu_prime=ty_mu_prime / p_mu_prime,
+        ty_mu=ty_mu,
+        ty_mu_prime=ty_mu_prime,
+        e_mu=err_mu / ty_mu,
+        e_mu_prime=err_mu_prime / ty_mu_prime,
     )
 
 
@@ -274,16 +298,19 @@ def forecast_wcs_observables(mu: float, mu_prime: float, ch: ChannelParams) -> O
     """
     if not 0 < mu < mu_prime:
         raise ValueError(f"intensities must satisfy 0 < mu < mu_prime, got {mu}, {mu_prime}")
-    q_mu = simulate_wcs_gain(mu, ch)
-    q_mu_prime = simulate_wcs_gain(mu_prime, ch)
+    eta = overall_transmittance(ch)
+    q_mu, e_mu = _coherent_terms(mu, ch, eta)
+    q_mu_prime, e_mu_prime = _coherent_terms(mu_prime, ch, eta)
+    if q_mu == 0.0 or q_mu_prime == 0.0:
+        raise ValueError("QBER undefined: forecast gain is zero")
     return ObservedStatistics(
         y0=ch.d_b,
         y_mu=q_mu,
         y_mu_prime=q_mu_prime,
         ty_mu=q_mu,
         ty_mu_prime=q_mu_prime,
-        e_mu=simulate_wcs_qber(mu, ch),
-        e_mu_prime=simulate_wcs_qber(mu_prime, ch),
+        e_mu=e_mu,
+        e_mu_prime=e_mu_prime,
     )
 
 

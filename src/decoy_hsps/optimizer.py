@@ -4,12 +4,19 @@ The key rate at a fixed distance is a smooth, empirically unimodal
 function of the signal intensity mu', so the optimizer scans a coarse
 grid and then refines the best cell with a golden-section search.
 
-A sweep searches all of its distances at once: the rate is evaluated as
-a 2-D array of distance rows by mu' columns, and every row runs the same
-coarse scan (with its sequential tie rule) and golden-section steps in
-lockstep, boolean masks standing in for the scalar branches. The arrays
-only pick mu'; every reported rate, observable and bound is then
-recomputed by the scalar evaluate_* / ideal_rate_* functions at that mu'.
+A sweep makes one search for all of its distances, source kinds and
+ideal benchmarks at once: each (source kind, bounded or ideal) job adds
+one row per distance to a 2-D array of rows by mu' columns, and every
+row runs the same coarse scan (with its sequential tie rule) and
+golden-section steps in lockstep, boolean masks standing in for the
+scalar branches. A row's search never reads another row, so stacking
+jobs does not move any row's mu'.
+
+The arrays only pick mu'; every reported rate, observable and bound is
+then recomputed by the scalar evaluate_* / ideal_rate_* functions at
+that mu'. Reporting straight from the arrays would move CSV values in
+the last digits (numpy's exp/log/pow round differently from math's),
+and a one-row array call costs about ten times a scalar evaluation.
 Every evaluation is a pure function of the inputs; identical
 configurations produce identical results bit for bit.
 """
@@ -39,15 +46,11 @@ from .channel import (
 )
 from .observables import (
     ObservedStatistics,
-    _coincidence_sum,
+    _coherent_terms,
+    _triggered_terms,
     forecast_observables,
     forecast_wcs_observables,
-    simulate_qber,
-    simulate_rescaled_yield,
-    simulate_wcs_gain,
-    simulate_wcs_qber,
 )
-from .sources import HeraldedSourceParams
 
 SOURCE_KINDS = ("hsps", "wcs")
 
@@ -252,14 +255,26 @@ def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4):
     return best_x, best_f
 
 
+def rate_and_feasibility(
+    obs: ObservedStatistics, bounds: SecurityBounds, f_ec: float
+) -> tuple[float, bool]:
+    """Key rate clamped at 0, and whether the point is feasible.
+
+    A point is feasible when no bound had to be clamped and the raw rate
+    formula is not negative; sweeps, figures and the counts analysis all
+    report this one flag.
+    """
+    raw = _rate_formula(obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, f_ec)
+    return max(0.0, raw), bounds.feasible and raw >= 0.0
+
+
 def evaluate_hsps(
     cfg: SweepConfig, ch: ChannelParams, mu_prime: float
 ) -> tuple[ObservedStatistics, SecurityBounds, float, bool]:
     """Forecast, bound, and rate one triggered-source working point."""
     obs = forecast_observables(cfg.mu, mu_prime, cfg.eta_a, cfg.d_a, ch)
     bounds = compute_hsps_bounds(obs, cfg.mu, mu_prime, cfg.eta_a, cfg.d_a, e_0=ch.e_0)
-    raw = _rate_formula(obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, cfg.f_ec)
-    return obs, bounds, max(0.0, raw), bounds.feasible and raw >= 0.0
+    return (obs, bounds) + rate_and_feasibility(obs, bounds, cfg.f_ec)
 
 
 def evaluate_wcs(
@@ -268,8 +283,7 @@ def evaluate_wcs(
     """Forecast, bound, and rate one coherent-source working point."""
     obs = forecast_wcs_observables(cfg.mu, mu_prime, ch)
     bounds = compute_wcs_bounds(obs, cfg.mu, mu_prime, e_0=ch.e_0)
-    raw = _rate_formula(obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, cfg.f_ec)
-    return obs, bounds, max(0.0, raw), bounds.feasible and raw >= 0.0
+    return (obs, bounds) + rate_and_feasibility(obs, bounds, cfg.f_ec)
 
 
 def _evaluate(cfg: SweepConfig, ch: ChannelParams, source_kind: str, mu_prime: float):
@@ -287,11 +301,14 @@ def _ideal_rate(cfg: SweepConfig, ch: ChannelParams, source_kind: str, mu_prime:
 # ---------------------------------------------------------------------------
 # array rates: one row per channel, mu' along the columns
 #
-# Each function below computes the mu'-independent terms of every row once,
-# with the scalar functions, and returns rate(mu_prime) over arrays that
-# broadcast against (rows, 1). The expressions mirror the scalar forecast,
-# bounds and rate formula operation for operation, so the search sees the
-# scalar rates up to the last-place rounding of numpy's exp/log/pow.
+# Each builder below takes a block of channels and the column of their
+# overall transmittances, computes the mu'-independent terms of every row
+# once, and returns rate(mu_prime) over arrays that broadcast against
+# (rows, 1). The triggered-pulse terms come from the scalar forecast's own
+# _triggered_terms, which is plain arithmetic; everything else mirrors the
+# scalar forecast, bounds and rate formula operation for operation, so the
+# search sees the scalar rates up to the last-place rounding of numpy's
+# exp/log/pow.
 
 def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
@@ -308,41 +325,25 @@ def _clamped_rate(weight, e_signal, delta1, h_e1, f):
     return np.where(raw > 0.0, raw, 0.0)
 
 
-def _hsps_signal(cfg: SweepConfig, eta, mu_prime):
-    """Rescaled yield and QBER of triggered signal pulses."""
-    ch, eta_a, d_a = cfg.channel, cfg.eta_a, cfg.d_a
-    coincidences = _coincidence_sum(mu_prime, eta_a, eta)
-    ty = (
-        d_a * ch.d_b / (1.0 + mu_prime)
-        + ch.d_b * eta_a * mu_prime / (1.0 + eta_a * mu_prime)
-        + coincidences
-    )
-    p_post = d_a / (1.0 + mu_prime) + mu_prime * eta_a / (1.0 + mu_prime * eta_a)
-    return ty, (ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences) / ty
-
-
 def _wcs_signal(cfg: SweepConfig, eta, mu_prime):
-    """Gain and QBER of coherent signal pulses."""
+    """Gain, capped at 1 as in _coherent_terms, and QBER of coherent signal pulses."""
     ch = cfg.channel
     lost = np.expm1(-eta * mu_prime)
     q = ch.d_b - lost
-    return q, (ch.e_0 * ch.d_b - ch.e_d * lost) / q
+    return np.minimum(q, 1.0), (ch.e_0 * ch.d_b - ch.e_d * lost) / q
 
 
-def _hsps_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+def _hsps_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
     mu, eta_a, d_a, e_0, y0 = cfg.mu, cfg.eta_a, cfg.d_a, cfg.channel.e_0, cfg.channel.d_b
-    decoy = HeraldedSourceParams(x=mu, eta_a=eta_a, d_a=d_a)
-    ty_mu = [simulate_rescaled_yield(decoy, ch) for ch in channels]
-    e_mu = [simulate_qber(decoy, ch) for ch in channels]
-    e1_mass = _column([
-        (1.0 + mu) ** 2 * e * ty - (1.0 + mu) * y0 * d_a * e_0 for e, ty in zip(e_mu, ty_mu)
-    ])
-    ty_mu = _column(ty_mu)
-    eta = _column([overall_transmittance(ch) for ch in channels])
+    with np.errstate(all="ignore"):
+        _, ty_mu, err_mu = _triggered_terms(mu, eta_a, d_a, cfg.channel, eta)
+        # (1+mu)^2 * E_mu * tY_mu, in compute_hsps_bounds' order of operations
+        e1_mass = (1.0 + mu) ** 2 * (err_mu / ty_mu) * ty_mu - (1.0 + mu) * y0 * d_a * e_0
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
-            ty, e = _hsps_signal(cfg, eta, mu_prime)
+            _, ty, err = _triggered_terms(mu_prime, eta_a, d_a, cfg.channel, eta)
+            e = err / ty
             raw_y1 = _y1_hsps_raw(y0, ty_mu, ty, mu, mu_prime, eta_a, d_a)
             y1 = np.minimum(raw_y1, 1.0)
             delta1 = np.minimum(y1 * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
@@ -353,13 +354,11 @@ def _hsps_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
     return rate
 
 
-def _wcs_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+def _wcs_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
     mu, e_0, y0 = cfg.mu, cfg.channel.e_0, cfg.channel.d_b
-    q_mu = [simulate_wcs_gain(mu, ch) for ch in channels]
-    e_mu = [simulate_wcs_qber(mu, ch) for ch in channels]
-    c_mu = _column([q * math.exp(mu) for q in q_mu])
-    e1_mass = _column([e * q * math.exp(mu) - e_0 * y0 for e, q in zip(e_mu, q_mu)])
-    eta = _column([overall_transmittance(ch) for ch in channels])
+    decoy = [_coherent_terms(mu, cfg.channel, float(e)) for e in eta[:, 0]]
+    c_mu = _column([q * math.exp(mu) for q, _ in decoy])
+    e1_mass = _column([e * q * math.exp(mu) - e_0 * y0 for q, e in decoy])
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
@@ -382,22 +381,21 @@ def _ideal_single_photon(channels: list[ChannelParams]):
     return y1, h_e1
 
 
-def _hsps_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+def _hsps_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
     y1, h_e1 = _ideal_single_photon(channels)
-    eta = _column([overall_transmittance(ch) for ch in channels])
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
-            ty, e = _hsps_signal(cfg, eta, mu_prime)
+            _, ty, err = _triggered_terms(mu_prime, cfg.eta_a, cfg.d_a, cfg.channel, eta)
+            e = err / ty
             delta1 = np.minimum(y1 * cfg.eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
             return _clamped_rate(ty, e, delta1, h_e1, cfg.f_ec)
 
     return rate
 
 
-def _wcs_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams]):
+def _wcs_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
     y1, h_e1 = _ideal_single_photon(channels)
-    eta = _column([overall_transmittance(ch) for ch in channels])
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
@@ -416,18 +414,50 @@ _RATE_ARRAYS = {
 }
 
 
+def _stacked_rate(blocks):
+    """One rate callable over the rows of (first row, end row, rate) blocks."""
+    def rate(mu_prime):
+        per_row = mu_prime.shape[0] > 1
+        return np.concatenate([fn(mu_prime[lo:hi] if per_row else mu_prime) for lo, hi, fn in blocks])
+
+    return rate
+
+
+def _searched_mu_primes(
+    cfg: SweepConfig, channels: list[ChannelParams], jobs: list[tuple[str, bool]]
+) -> list[list[float]]:
+    """The searched mu' of every channel for every (source kind, ideal) job.
+
+    The rows of all jobs, job after job, go through one search, split into
+    chunks of at most _BLOCK_CELLS rows; each job's array builder rates its
+    own rows of a chunk. A row's search never looks at another row, so
+    every row picks the mu' it would pick alone.
+    """
+    for kind, _ in jobs:
+        if kind not in SOURCE_KINDS:
+            raise ValueError(f"unknown source kind {kind!r}")
+    n, total = len(channels), len(channels) * len(jobs)
+    eta = _column([overall_transmittance(ch) for ch in channels])
+    mu_primes: list[float] = []
+    for start in range(0, total, _BLOCK_CELLS):
+        stop = min(total, start + _BLOCK_CELLS)
+        blocks = []
+        for j, job in enumerate(jobs):
+            lo, hi = max(start - j * n, 0), min(stop - j * n, n)
+            if lo < hi:
+                make_rate = _RATE_ARRAYS[job]
+                blocks.append((j * n + lo - start, j * n + hi - start,
+                               make_rate(cfg, channels[lo:hi], eta[lo:hi])))
+        best_x, _ = maximize_over_mu_prime(_stacked_rate(blocks), cfg)
+        mu_primes.extend(best_x.tolist())
+    return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
+
+
 def _optimal_mu_primes(
     cfg: SweepConfig, channels: list[ChannelParams], source_kind: str, ideal: bool = False
 ) -> list[float]:
     """The searched mu' of every channel, bounded rate or ideal benchmark."""
-    if source_kind not in SOURCE_KINDS:
-        raise ValueError(f"unknown source kind {source_kind!r}")
-    make_rate = _RATE_ARRAYS[source_kind, ideal]
-    mu_primes = []
-    for start in range(0, len(channels), _BLOCK_CELLS):
-        best_x, _ = maximize_over_mu_prime(make_rate(cfg, channels[start:start + _BLOCK_CELLS]), cfg)
-        mu_primes.extend(best_x.tolist())
-    return mu_primes
+    return _searched_mu_primes(cfg, channels, [(source_kind, ideal)])[0]
 
 
 def optimize_mu_prime(
@@ -480,45 +510,50 @@ def optimize_joint_intensities(
     return best
 
 
-def _key_rate_points(
-    cfg: SweepConfig, distances: list[float], source_kind: str
+def _sweep_points(
+    cfg: SweepConfig, distances: list[float], kinds
 ) -> list[KeyRatePoint]:
-    """Fully evaluated sweep samples of one source kind, one per distance."""
+    """Fully evaluated samples, one per distance per source kind, distance-major.
+
+    One search picks every mu' (bounded and, when enabled, ideal); the
+    reported values are then evaluated by the scalar chain at those mu'.
+    """
     channels = [cfg.channel.at_distance(d) for d in distances]
-    mu_primes = _optimal_mu_primes(cfg, channels, source_kind)
+    jobs = [(kind, False) for kind in kinds]
     if cfg.include_ideal:
-        ideal_mu_primes = _optimal_mu_primes(cfg, channels, source_kind, ideal=True)
+        jobs += [(kind, True) for kind in kinds]
+    searched = _searched_mu_primes(cfg, channels, jobs)
     points = []
-    for i, (distance, ch, mu_prime) in enumerate(zip(distances, channels, mu_primes)):
-        obs, bounds, rate, feasible = _evaluate(cfg, ch, source_kind, mu_prime)
-        if cfg.include_ideal:
-            ideal = _ideal_rate(cfg, ch, source_kind, ideal_mu_primes[i])
-        else:
-            ideal = float("nan")
-        points.append(KeyRatePoint(
-            distance_km=distance,
-            mu=cfg.mu,
-            mu_prime=mu_prime,
-            key_rate=rate,
-            ideal_rate=ideal,
-            source_kind=source_kind,
-            bounds=bounds,
-            observables=obs,
-            feasible=feasible,
-        ))
+    for i, (distance, ch) in enumerate(zip(distances, channels)):
+        for k, kind in enumerate(kinds):
+            mu_prime = searched[k][i]
+            obs, bounds, rate, feasible = _evaluate(cfg, ch, kind, mu_prime)
+            if cfg.include_ideal:
+                ideal = _ideal_rate(cfg, ch, kind, searched[len(kinds) + k][i])
+            else:
+                ideal = float("nan")
+            points.append(KeyRatePoint(
+                distance_km=distance,
+                mu=cfg.mu,
+                mu_prime=mu_prime,
+                key_rate=rate,
+                ideal_rate=ideal,
+                source_kind=kind,
+                bounds=bounds,
+                observables=obs,
+                feasible=feasible,
+            ))
     return points
 
 
 def key_rate_point(cfg: SweepConfig, distance_km: float, source_kind: str) -> KeyRatePoint:
     """Fully evaluated sweep sample at one distance for one source kind."""
-    return _key_rate_points(cfg, [distance_km], source_kind)[0]
+    return _sweep_points(cfg, [distance_km], (source_kind,))[0]
 
 
 def sweep_distances(cfg: SweepConfig) -> list[KeyRatePoint]:
     """One KeyRatePoint per grid distance per requested source kind."""
-    distances = distance_grid(cfg)
-    per_kind = [_key_rate_points(cfg, distances, kind) for kind in cfg.sources]
-    return [p for at_distance in zip(*per_kind) for p in at_distance]
+    return _sweep_points(cfg, distance_grid(cfg), cfg.sources)
 
 
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:

@@ -1,8 +1,10 @@
 import csv
 import json
+import math
+from dataclasses import replace
 
 from decoy_hsps.channel import ChannelParams
-from decoy_hsps.cli import CSV_COLUMNS, emit_csv, main, read_points_csv
+from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main, read_points_csv
 from decoy_hsps.observables import forecast_observables
 from decoy_hsps.optimizer import SweepConfig, sweep_distances
 from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability
@@ -84,6 +86,46 @@ class TestCsvFormat:
             assert rec["ideal_rate"] == p.ideal_rate
             assert rec["feasible_flag"] == p.feasible
 
+    @staticmethod
+    def _reference(path, header, rows):
+        """The csv.writer layout the fixed-format writers reproduce."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def test_points_bytes_match_csv_writer(self, tmp_path):
+        grid = dict(dist_start_km=0.0, dist_stop_km=180.0, dist_step_km=45.0)
+        points = (sweep_distances(SweepConfig(**grid))
+                  + sweep_distances(SweepConfig(include_ideal=False, **grid)))
+        no_qber = replace(points[0].observables, e_mu=None, e_mu_prime=None)
+        points.append(replace(points[0], observables=no_qber))
+        assert any(math.isnan(p.ideal_rate) for p in points)
+        assert {p.feasible for p in points} == {True, False}
+
+        def fmt(v):
+            return format(float("nan") if v is None else v, ".17e")
+
+        rows = []
+        for p in points:
+            o, b = p.observables, p.bounds
+            numbers = (p.mu, p.mu_prime, o.y0, o.y_mu, o.y_mu_prime, o.e_mu, o.e_mu_prime,
+                       b.y1_lower, b.delta1, b.e1_upper, p.key_rate, p.ideal_rate)
+            rows.append([fmt(p.distance_km), p.source_kind] + [fmt(v) for v in numbers]
+                        + ["1" if p.feasible else "0"])
+        emit_csv(points, tmp_path / "points.csv")
+        self._reference(tmp_path / "ref.csv", CSV_COLUMNS, rows)
+        assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_wide_bytes_match_csv_writer(self, tmp_path):
+        header = ["distance_km", "log10_rate_hsps_ideal", "log10_rate_hsps"]
+        rows = [[0.0, -2.5, -3.25], [170.0, float("-inf"), float("-inf")],
+                [1e-300, float("nan"), -0.0]]
+        _write_wide_csv(tmp_path / "wide.csv", header, rows)
+        self._reference(tmp_path / "ref.csv", header,
+                        [[format(v, ".17e") for v in row] for row in rows])
+        assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestFigureCommand:
     def test_figure1_has_four_series_columns(self, tmp_path):
@@ -140,7 +182,8 @@ class TestFigureCommand:
 
 
 class TestBoundsCommand:
-    def _counts_args(self, distance=20.0, mu=0.05, mu_prime=0.3, eta_a=0.8, d_a=1e-5):
+    def _counts_args(self, distance=20.0, mu=0.05, mu_prime=0.3, eta_a=0.8, d_a=1e-5,
+                     e_signal=None):
         ch = ChannelParams().at_distance(distance)
         obs = forecast_observables(mu, mu_prime, eta_a, d_a, ch)
         pulses = 1.0
@@ -159,7 +202,8 @@ class TestBoundsCommand:
         return obs, [
             "--vacuum", fmt(0.0, obs.y0, None),
             "--decoy", fmt(mu, obs.y_mu, obs.e_mu),
-            "--signal", fmt(mu_prime, obs.y_mu_prime, obs.e_mu_prime),
+            "--signal", fmt(mu_prime, obs.y_mu_prime,
+                            obs.e_mu_prime if e_signal is None else e_signal),
             "--mu", repr(mu), "--mu-prime", repr(mu_prime),
         ]
 
@@ -176,6 +220,18 @@ class TestBoundsCommand:
         assert result["feasible"] is True
         saved = json.loads((out / "bounds.json").read_text())
         assert saved == result
+
+    def test_negative_rate_is_infeasible_without_clamped_bounds(self, tmp_path, capsys):
+        # a signal QBER of 0.3 drives the rate formula negative, while the
+        # bounds come from the decoy side and need no clamp
+        _, args = self._counts_args(e_signal=0.3)
+        assert main(["bounds", "--out", str(tmp_path / "bounds")] + args) == 0
+        printed = capsys.readouterr().out
+        result = json.loads(printed[: printed.index("wrote")])
+        assert 0 < result["y1_lower"] < 1 and 0 < result["delta1"] < 1
+        assert 0 < result["e1_upper"] < 0.5
+        assert result["key_rate"] == 0.0
+        assert result["feasible"] is False
 
     def test_without_error_counts_reports_partial(self, tmp_path, capsys):
         ch = ChannelParams().at_distance(20.0)
@@ -256,6 +312,18 @@ class TestExitCodes:
 
     def test_oversized_mu_prime_grid_rejected(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, "mu_prime_coarse_step=1e-12", "mu_prime_coarse_step")
+
+    def test_overflowing_signal_intensity_is_one_line_error(self, tmp_path, capsys):
+        # (1 + mu')^3 in the Y1 bound overflows a float
+        assert main([
+            "bounds", "--out", str(tmp_path),
+            "--vacuum", "10,5,1",
+            "--decoy", "10,5,1",
+            "--signal", "10,5,1",
+            "--mu-prime", "1e200",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: OverflowError")
 
     @staticmethod
     def _assert_rejected(tmp_path, capsys, override, key):

@@ -148,6 +148,16 @@ class TestWcs:
             simulate_wcs_qber_series(0.05, ch), rel=1e-12
         )
 
+    def test_gain_capped_at_one_when_every_pulse_clicks(self):
+        # d_b + 1 - e^(-eta*mu) passes 1 once e^(-eta*mu) < d_b
+        ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0)
+        assert simulate_wcs_gain(50.0, ch) == 1.0
+        assert simulate_wcs_qber(50.0, ch) == pytest.approx(
+            (ch.e_0 * ch.d_b + ch.e_d) / (1.0 + ch.d_b), rel=1e-12
+        )
+        obs = forecast_wcs_observables(0.05, 50.0, ch)
+        assert obs.y_mu_prime == obs.ty_mu_prime == 1.0
+
 
 class TestForecast:
     def test_vacuum_entry(self):

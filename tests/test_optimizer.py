@@ -10,7 +10,9 @@ from decoy_hsps.optimizer import (
     RATE_TIE_TOL,
     SweepConfig,
     _grid_count,
+    _ideal_rate,
     _optimal_mu_primes,
+    _searched_mu_primes,
     distance_grid,
     evaluate_hsps,
     evaluate_wcs,
@@ -380,6 +382,93 @@ class TestLockstepSearch:
         for p in sweep_distances(cfg):
             assert (p.mu_prime, p.key_rate) == optimize_mu_prime(cfg, p.distance_km, p.source_kind)
             assert p.ideal_rate == optimal_ideal_rate(cfg, p.distance_km, p.source_kind)
+
+
+# Every (source kind, bounded or ideal) job a sweep can stack.
+STACK_JOBS = [("hsps", False), ("wcs", False), ("hsps", True), ("wcs", True)]
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("cfg", [
+        DEFAULT,
+        _cfg(mu_prime_min=0.5, mu_prime_max=1.0),
+        _cfg(channel=ChannelParams(eta_b=0.0)),
+    ], ids=["default", "clamped range", "dead channel"])
+    def test_mu_prime_identical_to_per_kind_searches(self, cfg):
+        channels = [cfg.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
+        stacked = _searched_mu_primes(cfg, channels, STACK_JOBS)
+        assert stacked == [_optimal_mu_primes(cfg, channels, kind, ideal) for kind, ideal in STACK_JOBS]
+
+    @pytest.mark.parametrize("sources, include_ideal", [
+        (("hsps", "wcs"), True),
+        (("hsps", "wcs"), False),
+        (("wcs",), True),
+        (("hsps",), False),
+    ])
+    def test_sweep_makes_one_search_with_per_kind_mu_prime(self, monkeypatch, sources, include_ideal):
+        cfg = _cfg(dist_start_km=0.0, dist_stop_km=170.0, dist_step_km=17.0,
+                   sources=sources, include_ideal=include_ideal)
+        searches = []
+
+        def spy(rate_fn, cfg):
+            searches.append(1)
+            return maximize_over_mu_prime(rate_fn, cfg)
+
+        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
+        points = sweep_distances(cfg)
+        assert len(searches) == 1
+        channels = [cfg.channel.at_distance(d) for d in distance_grid(cfg)]
+        for kind in sources:
+            mine = [p for p in points if p.source_kind == kind]
+            assert [p.mu_prime for p in mine] == _optimal_mu_primes(cfg, channels, kind)
+            if include_ideal:
+                ideal_mu_primes = _optimal_mu_primes(cfg, channels, kind, ideal=True)
+                assert [p.ideal_rate for p in mine] == [
+                    _ideal_rate(cfg, ch, kind, m) for ch, m in zip(channels, ideal_mu_primes)]
+            else:
+                assert all(math.isnan(p.ideal_rate) for p in mine)
+
+    @pytest.mark.parametrize("block_cells", [3, 7, 25])
+    def test_chunks_bound_each_search_and_call(self, monkeypatch, block_cells):
+        # 10 rows per job, so chunks of 7 and 25 rows straddle two or three jobs
+        channels = [DEFAULT.channel.at_distance(d) for d in range(0, 200, 20)]
+        whole = _searched_mu_primes(DEFAULT, channels, STACK_JOBS)
+        searches, cells = [], []
+
+        def spy(rate_fn, cfg):
+            def counted(mu_prime):
+                rates = rate_fn(mu_prime)
+                cells.append(rates.size)
+                return rates
+
+            x, f = maximize_over_mu_prime(counted, cfg)
+            searches.append(x.size)
+            return x, f
+
+        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
+        assert _searched_mu_primes(DEFAULT, channels, STACK_JOBS) == whole
+        assert sum(searches) == len(channels) * len(STACK_JOBS)
+        assert max(searches) <= block_cells and max(cells) <= block_cells
+
+    def test_unknown_kind_and_no_channels(self):
+        with pytest.raises(ValueError, match="laser"):
+            _searched_mu_primes(DEFAULT, [DEFAULT.channel], [("hsps", False), ("laser", False)])
+        assert _searched_mu_primes(DEFAULT, [], STACK_JOBS) == [[], [], [], []]
+
+
+class TestWcsGainCap:
+    def test_evaluate_far_above_the_optimum_returns(self):
+        # e^(-eta*mu') underflows against d_b: the uncapped gain exceeds 1
+        obs, bounds, rate, feasible = evaluate_wcs(DEFAULT, DEFAULT.channel, 800.0)
+        assert obs.y_mu_prime == obs.ty_mu_prime == 1.0
+        assert 0.0 < obs.e_mu_prime < 0.5
+        assert bounds.y1_lower == 0.0 and not bounds.feasible
+        assert rate == 0.0 and not feasible
+
+    def test_search_over_huge_intensities_completes(self):
+        cfg = _cfg(mu_prime_min=700.0, mu_prime_max=800.0)
+        assert optimize_mu_prime(cfg, 0.0, "wcs") == (700.0, 0.0)
 
 
 class TestLockstepGoldenSection:
