@@ -31,12 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    n_photon_click_probability,
-    n_photon_error_rate,
-    overall_transmittance,
-)
+from .channel import ChannelParams, _click_probability, _error_rate, overall_transmittance
 from .observables import ObservedStatistics, _coherent_terms, _triggered_terms
 from .sources import HeraldedSourceParams
 
@@ -415,13 +410,14 @@ def _ideal_hsps(
     mu_prime: float, eta_a: float, d_a: float, ch: ChannelParams
 ) -> tuple[float, float, float, float]:
     """Signal rescaled yield and QBER, exact Delta1 and exact e1 of the benchmark."""
-    y1_true = n_photon_click_probability(1, ch)
+    eta = overall_transmittance(ch)
+    y1_true = _click_probability(1, ch, eta)
     HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)  # validates the source
-    _, ty, err = _triggered_terms(mu_prime, eta_a, d_a, ch, overall_transmittance(ch))
+    _, ty, e_signal = _triggered_terms(mu_prime, eta_a, d_a, ch, eta)
     if ty <= 0:
         raise ValueError("forecast rescaled yield is zero; benchmark undefined")
     delta1 = min(1.0, y1_true * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2))
-    return ty, err / ty, delta1, n_photon_error_rate(1, ch)
+    return ty, e_signal, delta1, _error_rate(1, ch, eta)
 
 
 def ideal_bounds_hsps(
@@ -441,10 +437,11 @@ def ideal_rate_hsps(
 
 def ideal_rate_wcs(mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC) -> float:
     """Coherent-pulse benchmark key rate with exact single-photon knowledge."""
-    y1_true = n_photon_click_probability(1, ch)
-    q, e_signal = _coherent_terms(mu_prime, ch, overall_transmittance(ch))
+    eta = overall_transmittance(ch)
+    y1_true = _click_probability(1, ch, eta)
+    q, e_signal = _coherent_terms(mu_prime, ch, eta)
     if q <= 0:
         raise ValueError("forecast gain is zero; benchmark undefined")
     delta1 = min(1.0, y1_true * mu_prime * math.exp(-mu_prime) / q)
-    e1 = n_photon_error_rate(1, ch)
+    e1 = _error_rate(1, ch, eta)
     return max(0.0, _rate_formula(q, e_signal, delta1, min(0.5, e1), f))

@@ -81,10 +81,7 @@ def n_photon_click_probability(n: int, ch: ChannelParams) -> float:
     Additive dark-count approximation d_b + 1 - (1-eta)^n, clamped to 1 so
     the value stays a probability.
     """
-    if n < 1:
-        raise ValueError(f"photon number n must be >= 1, got {n}")
-    eta = overall_transmittance(ch)
-    return min(1.0, ch.d_b + at_least_one_probability(eta, n))
+    return _click_probability(n, ch, overall_transmittance(ch))
 
 
 def n_photon_error_rate(n: int, ch: ChannelParams) -> float:
@@ -93,9 +90,21 @@ def n_photon_error_rate(n: int, ch: ChannelParams) -> float:
     Dark counts err half the time; surviving photons err with the
     misalignment probability. Undefined when no click can occur.
     """
+    return _error_rate(n, ch, overall_transmittance(ch))
+
+
+# The two helpers below take the overall transmittance eta, computed once
+# by the caller, as the forecast's _triggered_terms does.
+
+def _click_probability(n: int, ch: ChannelParams, eta: float) -> float:
     if n < 1:
         raise ValueError(f"photon number n must be >= 1, got {n}")
-    eta = overall_transmittance(ch)
+    return min(1.0, ch.d_b + at_least_one_probability(eta, n))
+
+
+def _error_rate(n: int, ch: ChannelParams, eta: float) -> float:
+    if n < 1:
+        raise ValueError(f"photon number n must be >= 1, got {n}")
     transmitted = at_least_one_probability(eta, n)
     denom = ch.d_b + transmitted
     if denom == 0.0:

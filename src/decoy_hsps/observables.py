@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ChannelParams, overall_transmittance
 from .sources import (
     SERIES_MAX_TERMS,
@@ -117,24 +119,30 @@ def _coincidence_series(x, eta_a, eta, tol=SERIES_TAIL_TOL, max_terms=SERIES_MAX
 
 
 def _triggered_terms(x, eta_a: float, d_a: float, ch: ChannelParams, eta):
-    """P_post, rescaled yield and QBER error mass of triggered pulses of intensity x.
+    """P_post, rescaled yield and QBER of triggered pulses of intensity x.
 
     eta is the channel's overall transmittance, computed once by the caller.
-    The QBER is the error mass over the rescaled yield; the division is
-    left to the caller, which decides what a zero yield means. Plain
-    arithmetic, so x and eta may also be broadcasting numpy arrays.
+    The additive dark-count yield is capped at P_post, so the yield per
+    triggered pulse stays a probability, as _coherent_terms caps the
+    coherent gain; the QBER is the error share of the uncapped yield, NaN
+    when no click can occur. x and eta may also be broadcasting numpy
+    arrays; the caller then decides what numpy does on a zero yield.
     """
     coincidences = _coincidence_sum(x, eta_a, eta)
     ty = d_a * ch.d_b / (1.0 + x) + ch.d_b * eta_a * x / (1.0 + eta_a * x) + coincidences
     p_post = d_a / (1.0 + x) + x * eta_a / (1.0 + x * eta_a)
-    return p_post, ty, ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences
+    err = ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences
+    if isinstance(ty, np.ndarray):
+        return p_post, np.minimum(ty, p_post), err / ty
+    return p_post, min(ty, p_post), err / ty if ty else math.nan
 
 
 def simulate_rescaled_yield(src: HeraldedSourceParams, ch: ChannelParams) -> float:
     """Forecast clicks per emitted pulse of intensity x (no eavesdropper).
 
     Composed of double-dark coincidences, dark counts on triggered
-    nonvacuum pulses, and genuine photon coincidences.
+    nonvacuum pulses, and genuine photon coincidences, capped at P_post(x)
+    (one click per triggered pulse).
     """
     return _triggered_terms(src.x, src.eta_a, src.d_a, ch, overall_transmittance(ch))[1]
 
@@ -174,10 +182,10 @@ def simulate_qber(src: HeraldedSourceParams, ch: ChannelParams) -> float:
     summing the per-photon-number error model term by term collapses to
     e_0*d_b*P_post + e_d*S over the total rescaled yield.
     """
-    _, ty, err = _triggered_terms(src.x, src.eta_a, src.d_a, ch, overall_transmittance(ch))
+    _, ty, qber = _triggered_terms(src.x, src.eta_a, src.d_a, ch, overall_transmittance(ch))
     if ty == 0.0:
         raise ValueError("QBER undefined: forecast yield is zero")
-    return err / ty
+    return qber
 
 
 def simulate_qber_series(
@@ -273,8 +281,8 @@ def forecast_observables(
         raise ValueError(f"intensities must satisfy 0 < mu < mu_prime, got {mu}, {mu_prime}")
     HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)  # validates eta_a and d_a
     eta = overall_transmittance(ch)
-    p_mu, ty_mu, err_mu = _triggered_terms(mu, eta_a, d_a, ch, eta)
-    p_mu_prime, ty_mu_prime, err_mu_prime = _triggered_terms(mu_prime, eta_a, d_a, ch, eta)
+    p_mu, ty_mu, e_mu = _triggered_terms(mu, eta_a, d_a, ch, eta)
+    p_mu_prime, ty_mu_prime, e_mu_prime = _triggered_terms(mu_prime, eta_a, d_a, ch, eta)
     if p_mu == 0.0 or p_mu_prime == 0.0:
         raise ValueError("yield undefined: post-selection probability is zero")
     if ty_mu == 0.0 or ty_mu_prime == 0.0:
@@ -285,8 +293,8 @@ def forecast_observables(
         y_mu_prime=ty_mu_prime / p_mu_prime,
         ty_mu=ty_mu,
         ty_mu_prime=ty_mu_prime,
-        e_mu=err_mu / ty_mu,
-        e_mu_prime=err_mu_prime / ty_mu_prime,
+        e_mu=e_mu,
+        e_mu_prime=e_mu_prime,
     )
 
 

@@ -38,12 +38,7 @@ from .bounds import (
     ideal_rate_hsps,
     ideal_rate_wcs,
 )
-from .channel import (
-    ChannelParams,
-    n_photon_click_probability,
-    n_photon_error_rate,
-    overall_transmittance,
-)
+from .channel import ChannelParams, _click_probability, _error_rate, overall_transmittance
 from .observables import (
     ObservedStatistics,
     _coherent_terms,
@@ -67,6 +62,12 @@ MAX_GRID_POINTS = 10**6
 # and is reused: a pass of the three figures (181 x 95 cells per sweep)
 # peaked 1.9 MB above the imported package, against 3.1 MB with 2^16.
 _BLOCK_CELLS = 1 << 13
+
+# A cut-off's bisection searches the midpoints of this many of its levels
+# at once, at most 2^6 - 1 = 63 rows. A search costs ~2.5 ms plus ~20 us
+# per row, so the batch costs about one midpoint probed alone; the default
+# 1 km grid needs 4 levels.
+_BISECT_LEVELS = 6
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -336,14 +337,13 @@ def _wcs_signal(cfg: SweepConfig, eta, mu_prime):
 def _hsps_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
     mu, eta_a, d_a, e_0, y0 = cfg.mu, cfg.eta_a, cfg.d_a, cfg.channel.e_0, cfg.channel.d_b
     with np.errstate(all="ignore"):
-        _, ty_mu, err_mu = _triggered_terms(mu, eta_a, d_a, cfg.channel, eta)
+        _, ty_mu, e_mu = _triggered_terms(mu, eta_a, d_a, cfg.channel, eta)
         # (1+mu)^2 * E_mu * tY_mu, in compute_hsps_bounds' order of operations
-        e1_mass = (1.0 + mu) ** 2 * (err_mu / ty_mu) * ty_mu - (1.0 + mu) * y0 * d_a * e_0
+        e1_mass = (1.0 + mu) ** 2 * e_mu * ty_mu - (1.0 + mu) * y0 * d_a * e_0
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
-            _, ty, err = _triggered_terms(mu_prime, eta_a, d_a, cfg.channel, eta)
-            e = err / ty
+            _, ty, e = _triggered_terms(mu_prime, eta_a, d_a, cfg.channel, eta)
             raw_y1 = _y1_hsps_raw(y0, ty_mu, ty, mu, mu_prime, eta_a, d_a)
             y1 = np.minimum(raw_y1, 1.0)
             delta1 = np.minimum(y1 * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
@@ -374,20 +374,20 @@ def _wcs_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.nda
     return rate
 
 
-def _ideal_single_photon(channels: list[ChannelParams]):
+def _ideal_single_photon(channels: list[ChannelParams], eta: np.ndarray):
     """True single-photon yield and entropy of its (capped) error rate, per row."""
-    y1 = _column([n_photon_click_probability(1, ch) for ch in channels])
-    h_e1 = _column([binary_entropy(min(0.5, n_photon_error_rate(1, ch))) for ch in channels])
+    rows = list(zip(channels, eta[:, 0].tolist()))
+    y1 = _column([_click_probability(1, ch, e) for ch, e in rows])
+    h_e1 = _column([binary_entropy(min(0.5, _error_rate(1, ch, e))) for ch, e in rows])
     return y1, h_e1
 
 
 def _hsps_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
-    y1, h_e1 = _ideal_single_photon(channels)
+    y1, h_e1 = _ideal_single_photon(channels, eta)
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
-            _, ty, err = _triggered_terms(mu_prime, cfg.eta_a, cfg.d_a, cfg.channel, eta)
-            e = err / ty
+            _, ty, e = _triggered_terms(mu_prime, cfg.eta_a, cfg.d_a, cfg.channel, eta)
             delta1 = np.minimum(y1 * cfg.eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
             return _clamped_rate(ty, e, delta1, h_e1, cfg.f_ec)
 
@@ -395,7 +395,7 @@ def _hsps_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta:
 
 
 def _wcs_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
-    y1, h_e1 = _ideal_single_photon(channels)
+    y1, h_e1 = _ideal_single_photon(channels, eta)
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
@@ -556,32 +556,52 @@ def sweep_distances(cfg: SweepConfig) -> list[KeyRatePoint]:
     return _sweep_points(cfg, distance_grid(cfg), cfg.sources)
 
 
+def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint a 0.1 km bisection of [lo, hi] can probe in its next levels."""
+    if levels == 0 or not hi - lo > 0.1:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _bisection_tree(lo, mid, levels - 1) + _bisection_tree(mid, hi, levels - 1)
+
+
+def _positive_rates(cfg: SweepConfig, distances: list[float], source_kind: str) -> list[bool]:
+    """Whether the optimized rate is positive at each distance, from one search."""
+    channels = [cfg.channel.at_distance(d) for d in distances]
+    mu_primes = _optimal_mu_primes(cfg, channels, source_kind)
+    return [_evaluate(cfg, ch, source_kind, m)[2] > 0.0 for ch, m in zip(channels, mu_primes)]
+
+
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:
     """Largest distance with a positive optimized rate, or None.
 
-    Scans the configured grid, then bisects between the last positive and
-    first zero grid points down to 0.1 km. Returns the grid end when the
-    rate is still positive there.
+    One search picks the mu' of every grid point; the scalar rate is then
+    judged backwards from the grid end, so the result is the last positive
+    grid point, or the grid end when the rate is still positive there.
+    Between that point and the next one a bisection refines the cut-off
+    down to 0.1 km. Every midpoint it can probe in its next
+    _BISECT_LEVELS levels is searched at once, and the bisection then walks
+    those results; a row's search never reads another row, so this
+    returns exactly what probing one midpoint at a time would, whether or
+    not the rate falls monotonically.
     """
     grid = distance_grid(cfg)
     channels = [cfg.channel.at_distance(d) for d in grid]
     mu_primes = _optimal_mu_primes(cfg, channels, source_kind)
-    last_positive = None
-    first_zero_after = None
-    for distance, ch, mu_prime in zip(grid, channels, mu_primes):
-        if _evaluate(cfg, ch, source_kind, mu_prime)[2] > 0.0:
-            last_positive = distance
-            first_zero_after = None
-        elif last_positive is not None and first_zero_after is None:
-            first_zero_after = distance
-    if last_positive is None:
+    last = len(grid) - 1
+    while last >= 0 and not _evaluate(cfg, channels[last], source_kind, mu_primes[last])[2] > 0.0:
+        last -= 1
+    if last < 0:
         return None
-    if first_zero_after is None:
-        return last_positive
-    lo, hi = last_positive, first_zero_after
+    if last == len(grid) - 1:
+        return grid[last]
+    lo, hi = grid[last], grid[last + 1]
+    positive: dict[float, bool] = {}
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
-        if optimize_mu_prime(cfg, mid, source_kind)[1] > 0.0:
+        if mid not in positive:
+            tree = _bisection_tree(lo, hi, _BISECT_LEVELS)
+            positive.update(zip(tree, _positive_rates(cfg, tree, source_kind)))
+        if positive[mid]:
             lo = mid
         else:
             hi = mid

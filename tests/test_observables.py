@@ -90,6 +90,18 @@ class TestYield:
         with pytest.raises(ValueError):
             simulate_yield(src, GYS)
 
+    def test_capped_at_one_click_per_triggered_pulse(self):
+        # additive dark counts at both detectors pass one click per trigger
+        src = HeraldedSourceParams(x=50.0, eta_a=1.0, d_a=0.5)
+        ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0, d_b=0.5)
+        assert simulate_rescaled_yield_series(src, ch) > post_selection_probability(src)
+        assert simulate_yield(src, ch) == 1.0
+        assert simulate_rescaled_yield(src, ch) == pytest.approx(
+            post_selection_probability(src), rel=1e-15)
+        obs = forecast_observables(0.05, 50.0, 1.0, 0.5, ch)
+        assert obs.y_mu_prime == 1.0
+        assert obs.e_mu_prime == simulate_qber(src, ch)
+
 
 class TestQber:
     def test_dark_counts_only(self):

@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from decoy_hsps.bounds import ideal_rate_hsps, ideal_rate_wcs
 from decoy_hsps.channel import ChannelParams
+from decoy_hsps.observables import _coincidence_sum, _triggered_terms
 from decoy_hsps.optimizer import (
     MAX_GRID_POINTS,
     RATE_TIE_TOL,
     SweepConfig,
+    _BISECT_LEVELS,
+    _bisection_tree,
     _grid_count,
     _ideal_rate,
     _optimal_mu_primes,
@@ -183,6 +187,91 @@ class TestMaxSecureDistance:
     def test_positive_through_grid_end_returns_end(self):
         cfg = _cfg(dist_start_km=0.0, dist_stop_km=30.0, dist_step_km=10.0)
         assert max_secure_distance(cfg, "hsps") == 30.0
+
+
+def _serial_cutoff(cfg, kind):
+    """Forward grid scan, then a bisection that probes one midpoint per search."""
+    grid = distance_grid(cfg)
+    channels = [cfg.channel.at_distance(d) for d in grid]
+    mu_primes = _optimal_mu_primes(cfg, channels, kind)
+    evaluate = evaluate_hsps if kind == "hsps" else evaluate_wcs
+    last_positive = None
+    first_zero_after = None
+    for distance, ch, mu_prime in zip(grid, channels, mu_primes):
+        if evaluate(cfg, ch, mu_prime)[2] > 0.0:
+            last_positive = distance
+            first_zero_after = None
+        elif last_positive is not None and first_zero_after is None:
+            first_zero_after = distance
+    if last_positive is None:
+        return None
+    if first_zero_after is None:
+        return last_positive
+    lo, hi = last_positive, first_zero_after
+    while hi - lo > 0.1:
+        mid = 0.5 * (lo + hi)
+        if optimize_mu_prime(cfg, mid, kind)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+CUTOFF_CASES = [
+    ("c07 hsps 0.8", {}, "hsps"),
+    ("c07 wcs", {}, "wcs"),
+    ("c07 hsps 0.6", {"eta_a": 0.6}, "hsps"),
+    ("step 0.37", {"dist_start_km": 0.3, "dist_step_km": 0.37}, "hsps"),
+    ("step 7.3", {"dist_start_km": 0.3, "dist_step_km": 7.3}, "wcs"),
+    ("step 13.7", {"dist_start_km": 0.3, "dist_step_km": 13.7}, "hsps"),
+    ("step 60", {"dist_stop_km": 240.0, "dist_step_km": 60.0}, "hsps"),
+    ("positive to the end", {"dist_stop_km": 30.0, "dist_step_km": 10.0}, "hsps"),
+    ("dead channel", {"channel": ChannelParams(eta_b=0.0), "dist_stop_km": 20.0,
+                      "dist_step_km": 10.0}, "hsps"),
+    ("empty grid", {"dist_start_km": 10.0, "dist_stop_km": 5.0}, "hsps"),
+    ("single point", {"dist_start_km": 150.0, "dist_stop_km": 150.0}, "wcs"),
+]
+
+
+class TestBatchedCutoff:
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
+                             ids=[c[0] for c in CUTOFF_CASES])
+    def test_equals_serial_bisection(self, overrides, kind):
+        cfg = _cfg(**overrides)
+        assert max_secure_distance(cfg, kind) == _serial_cutoff(cfg, kind)
+
+    def test_c07_cutoffs(self):
+        assert max_secure_distance(DEFAULT, "hsps") == 166.9375
+        assert max_secure_distance(DEFAULT, "wcs") == 141.6875
+        assert max_secure_distance(_cfg(eta_a=0.6), "hsps") == 166.0
+
+    @pytest.mark.parametrize("overrides, searches", [
+        ({}, 2),
+        # a 60 km bracket needs 10 levels: two batches of at most 6
+        ({"dist_stop_km": 240.0, "dist_step_km": 60.0}, 3),
+    ])
+    def test_searches_per_cutoff(self, monkeypatch, overrides, searches):
+        rows = []
+
+        def spy(rate_fn, cfg):
+            x, f = maximize_over_mu_prime(rate_fn, cfg)
+            rows.append(x.size)
+            return x, f
+
+        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
+        cfg = _cfg(**overrides)
+        max_secure_distance(cfg, "hsps")
+        assert len(rows) == searches
+        assert rows[0] == len(distance_grid(cfg))
+        assert max(rows[1:]) <= 2**_BISECT_LEVELS - 1
+
+    def test_bisection_tree_holds_the_serial_midpoints(self):
+        tree = _bisection_tree(166.0, 167.0, _BISECT_LEVELS)
+        # widths 1, 0.5, 0.25 and 0.125 exceed 0.1 km: four full levels
+        assert len(tree) == 15 == len(set(tree))
+        assert tree[0] == 166.5 and tree[1] == 166.25 and tree[-1] == 0.5 * (166.875 + 167.0)
+        assert len(_bisection_tree(0.0, 60.0, _BISECT_LEVELS)) == 63
+        assert _bisection_tree(0.0, 0.1, _BISECT_LEVELS) == []
 
 
 class TestSweepConfigValidation:
@@ -469,6 +558,40 @@ class TestWcsGainCap:
     def test_search_over_huge_intensities_completes(self):
         cfg = _cfg(mu_prime_min=700.0, mu_prime_max=800.0)
         assert optimize_mu_prime(cfg, 0.0, "wcs") == (700.0, 0.0)
+
+
+class TestTriggeredYieldCap:
+    # heavy dark counts at both detectors: the additive yield passes 1
+    CFG = _cfg(eta_a=1.0, d_a=0.5, channel=ChannelParams(alpha_db_per_km=0.0, eta_b=1.0, d_b=0.5))
+
+    def test_evaluate_with_heavy_dark_counts_returns(self):
+        ch = self.CFG.channel
+        obs, bounds, rate, feasible = evaluate_hsps(self.CFG, ch, 50.0)
+        p_post = 0.5 / 51.0 + 50.0 / 51.0
+        assert obs.y_mu_prime == 1.0 and obs.ty_mu_prime == p_post
+        # the QBER stays the error share of the uncapped yield
+        coincidences = _coincidence_sum(50.0, 1.0, 1.0)
+        uncapped = 0.5 * 0.5 / 51.0 + 0.5 * 50.0 / 51.0 + coincidences
+        assert uncapped > p_post
+        assert obs.e_mu_prime == pytest.approx(
+            (0.5 * 0.5 * p_post + ch.e_d * coincidences) / uncapped, rel=1e-14)
+        assert rate == 0.0 and not feasible
+
+    def test_array_path_caps_like_the_scalar_path(self):
+        ch = self.CFG.channel
+        xs = [0.06, 1.0, 10.0, 50.0]
+        p_arr, ty_arr, e_arr = _triggered_terms(np.array(xs)[:, None], 1.0, 0.5, ch, np.array([[1.0]]))
+        for i, x in enumerate(xs):
+            assert (p_arr[i, 0], ty_arr[i, 0], e_arr[i, 0]) == _triggered_terms(x, 1.0, 0.5, ch, 1.0)
+        assert ty_arr[-1, 0] == p_arr[-1, 0]
+        assert ty_arr[0, 0] < p_arr[0, 0]
+
+    def test_search_and_sweep_over_capped_intensities_complete(self):
+        cfg = replace(self.CFG, mu_prime_min=1.0, mu_prime_max=60.0, mu_prime_coarse_step=1.0,
+                      dist_stop_km=2.0)
+        assert optimize_mu_prime(cfg, 0.0, "hsps") == (1.0, 0.0)
+        assert optimal_ideal_rate(cfg, 0.0, "hsps") == 0.0
+        assert len(sweep_distances(cfg)) == 3 * 2
 
 
 class TestLockstepGoldenSection:
