@@ -192,13 +192,10 @@ def _y1_hsps_raw(
     y0: float, ty_mu: float, ty_mu_prime: float,
     mu: float, mu_prime: float, eta_a: float, d_a: float,
 ) -> float:
-    lead = (
-        mu_prime / mu * (1.0 + mu) ** 3 * ty_mu
-        - mu / mu_prime * (1.0 + mu_prime) ** 3 * ty_mu_prime
-    )
-    vac = y0 * d_a * (
-        mu_prime / mu * (1.0 + mu) ** 2 - mu / mu_prime * (1.0 + mu_prime) ** 2
-    )
+    up, down = mu_prime / mu, mu / mu_prime
+    one_mu, one_mu_prime = 1.0 + mu, 1.0 + mu_prime
+    lead = up * one_mu ** 3 * ty_mu - down * one_mu_prime ** 3 * ty_mu_prime
+    vac = y0 * d_a * (up * one_mu ** 2 - down * one_mu_prime ** 2)
     return (lead - vac) / (eta_a * (mu_prime - mu))
 
 

@@ -296,6 +296,9 @@ def _cmd_bounds(args) -> int:
     cfg = _build_config(args)
     mu = args.mu if args.mu is not None else cfg.mu
     mu_prime = args.mu_prime
+    for flag, value in (("--mu", mu), ("--mu-prime", mu_prime)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if not 0 < mu < mu_prime:
         raise ConfigError(f"intensities must satisfy 0 < mu < mu_prime, got {mu}, {mu_prime}")
     stats = statistics_from_counts(

@@ -44,6 +44,10 @@ class IntensityCounts:
     errors: float | None = None
 
     def __post_init__(self):
+        for name in ("pulses", "triggered", "clicks", "errors"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.pulses < 0 or self.triggered < 0 or self.clicks < 0:
             raise ValueError("counts must be nonnegative")
         if self.triggered > self.pulses:
@@ -99,8 +103,9 @@ def _coincidence_sum(x: float, eta_a: float, eta: float) -> float:
     mass stays fully accurate (and exactly zero) as eta -> 0.
     """
     p = 1.0 - eta_a
-    return x * eta * (
-        1.0 / (1.0 + x * eta)
+    x_eta = x * eta
+    return x_eta * (
+        1.0 / (1.0 + x_eta)
         - p / ((1.0 + x * eta_a) * (1.0 + x * (1.0 - p * (1.0 - eta))))
     )
 
@@ -129,8 +134,11 @@ def _triggered_terms(x, eta_a: float, d_a: float, ch: ChannelParams, eta):
     arrays; the caller then decides what numpy does on a zero yield.
     """
     coincidences = _coincidence_sum(x, eta_a, eta)
-    ty = d_a * ch.d_b / (1.0 + x) + ch.d_b * eta_a * x / (1.0 + eta_a * x) + coincidences
-    p_post = d_a / (1.0 + x) + x * eta_a / (1.0 + x * eta_a)
+    one_x = 1.0 + x
+    x_a = x * eta_a
+    one_xa = 1.0 + x_a
+    ty = d_a * ch.d_b / one_x + ch.d_b * eta_a * x / one_xa + coincidences
+    p_post = d_a / one_x + x_a / one_xa
     err = ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences
     if isinstance(ty, np.ndarray):
         return p_post, np.minimum(ty, p_post), err / ty

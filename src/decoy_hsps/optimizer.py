@@ -7,10 +7,15 @@ grid and then refines the best cell with a golden-section search.
 A sweep makes one search for all of its distances, source kinds and
 ideal benchmarks at once: each (source kind, bounded or ideal) job adds
 one row per distance to a 2-D array of rows by mu' columns, and every
-row runs the same coarse scan (with its sequential tie rule) and
-golden-section steps in lockstep, boolean masks standing in for the
-scalar branches. A row's search never reads another row, so stacking
-jobs does not move any row's mu'.
+row runs the same coarse scan and golden-section steps in lockstep,
+boolean masks standing in for the scalar branches. The coarse scan's
+sequential tie rule is applied to a whole block of columns at once
+(_record_scan); only a row with a rate within RATE_TIE_TOL of its block's
+top, or a NaN, walks the columns one by one. A row's search never reads
+another row, so stacking jobs does not move any row's mu'. Searches take
+distances, not channels: a row is cfg.channel at its distance, and only
+its overall transmittance enters the arrays, so a ChannelParams is built
+only for the points the scalar chain evaluates.
 
 The arrays only pick mu'; every reported rate, observable and bound is
 then recomputed by the scalar evaluate_* / ideal_rate_* functions at
@@ -38,7 +43,7 @@ from .bounds import (
     ideal_rate_hsps,
     ideal_rate_wcs,
 )
-from .channel import ChannelParams, _click_probability, _error_rate, overall_transmittance
+from .channel import ChannelParams, _click_probability, _error_rate, fiber_transmittance
 from .observables import (
     ObservedStatistics,
     _coherent_terms,
@@ -197,28 +202,59 @@ def golden_section_maximize(fn, a, b, tol: float):
     invalid = b < a
     if invalid.any():
         raise ValueError(f"invalid bracket [{a[invalid][0]}, {b[invalid][0]}]")
-    active = b - a > tol
+    width = b - a
+    active = width > tol
     if active.any():
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
+        c = b - _INVPHI * width
+        d = a + _INVPHI * width
         fc, fd = fn(c), fn(d)
         while active.any():
             # fc >= fd keeps [a, d]: d takes c's place and a new c is probed;
-            # otherwise [c, b] is kept and a new d is probed.
+            # otherwise [c, b] is kept and a new d is probed. A frozen row's
+            # a and b never change again, so its c, fc, d, fd may go stale.
             left = fc >= fd
             b = np.where(active & left, d, b)
             a = np.where(active & ~left, c, a)
-            probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+            width = b - a
+            probe = np.where(left, b - _INVPHI * width, a + _INVPHI * width)
             f_probe = fn(probe)
             c, fc, d, fd = (
-                np.where(active, np.where(left, probe, d), c),
-                np.where(active, np.where(left, f_probe, fd), fc),
-                np.where(active, np.where(left, c, probe), d),
-                np.where(active, np.where(left, fc, f_probe), fd),
+                np.where(left, probe, d),
+                np.where(left, f_probe, fd),
+                np.where(left, c, probe),
+                np.where(left, fc, f_probe),
             )
-            active = b - a > tol
+            active = width > tol
     x = 0.5 * (a + b)
     return x, fn(x)
+
+
+def _record_scan(rates, cands, best_x, best_f):
+    """The coarse scan's tie rule applied to one block of columns.
+
+    Taken column by column, a rate above the carried best by more than
+    RATE_TIE_TOL replaces it, so ties go to the smaller mu'. A row whose
+    block maximum m (first at column k) does not beat its carried best
+    keeps it, since no cell beats it either. When m does beat it, and also
+    beats every cell below m by more than RATE_TIE_TOL, the result is
+    (cands[k], m): every record before column k is the carried best or a
+    cell below m, x -> x + RATE_TIE_TOL rounds monotonically, and no later
+    cell exceeds m. Only rows this leaves open (a near-tie below m, or a
+    NaN) take the column loop itself.
+    """
+    top = rates.argmax(axis=1)
+    m = rates[np.arange(rates.shape[0]), top]
+    below = np.where(rates < m[:, None], rates, -np.inf).max(axis=1)
+    new = m > best_f + RATE_TIE_TOL
+    x = np.where(new, cands[top], best_x)
+    f = np.where(new, m, best_f)
+    for i in np.flatnonzero(np.isnan(m) | (new & ~(m > below + RATE_TIE_TOL))):
+        xi, fi = best_x[i], best_f[i]
+        for c, r in zip(cands, rates[i]):
+            if r > fi + RATE_TIE_TOL:
+                xi, fi = c, r
+        x[i], f[i] = xi, fi
+    return x, f
 
 
 def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4):
@@ -230,18 +266,18 @@ def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4):
     to the smaller mu', and a row's rate is never below any coarse
     candidate it examined. Returns the per-row mu' and rate arrays.
     The first call, on the first candidate alone, tells the row count
-    that sizes the column blocks of the rest of the scan.
+    that sizes the column blocks of the rest of the scan. Each block's
+    tie rule is applied by _record_scan in a few whole-array operations;
+    a row it cannot settle exactly that way (a rate within RATE_TIE_TOL
+    of the block's top, or a NaN) falls back to the column-by-column rule.
     """
     cands = np.array(mu_prime_candidates(cfg))
     best_f = rate_fn(cands[None, :1])[:, 0]
     best_x = np.full(best_f.size, cands[0])
     width = max(1, _BLOCK_CELLS // max(1, best_f.size))
     for start in range(1, cands.size, width):
-        rates = rate_fn(cands[None, start:start + width])
-        for j in range(rates.shape[1]):
-            better = rates[:, j] > best_f + RATE_TIE_TOL
-            best_x = np.where(better, cands[start + j], best_x)
-            best_f = np.where(better, rates[:, j], best_f)
+        block = cands[start:start + width]
+        best_x, best_f = _record_scan(rate_fn(block[None, :]), block, best_x, best_f)
     a = np.maximum(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
     b = np.minimum(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
     refine = b - a > refine_tol
@@ -300,12 +336,13 @@ def _ideal_rate(cfg: SweepConfig, ch: ChannelParams, source_kind: str, mu_prime:
 
 
 # ---------------------------------------------------------------------------
-# array rates: one row per channel, mu' along the columns
+# array rates: one row per distance, mu' along the columns
 #
-# Each builder below takes a block of channels and the column of their
-# overall transmittances, computes the mu'-independent terms of every row
-# once, and returns rate(mu_prime) over arrays that broadcast against
-# (rows, 1). The triggered-pulse terms come from the scalar forecast's own
+# Each builder below takes the column of a block of rows' overall
+# transmittances (every other channel parameter is cfg.channel's),
+# computes the mu'-independent terms of every row once, and returns
+# rate(mu_prime) over arrays that broadcast against (rows, 1). The
+# triggered-pulse terms come from the scalar forecast's own
 # _triggered_terms, which is plain arithmetic; everything else mirrors the
 # scalar forecast, bounds and rate formula operation for operation, so the
 # search sees the scalar rates up to the last-place rounding of numpy's
@@ -334,7 +371,7 @@ def _wcs_signal(cfg: SweepConfig, eta, mu_prime):
     return np.minimum(q, 1.0), (ch.e_0 * ch.d_b - ch.e_d * lost) / q
 
 
-def _hsps_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
+def _hsps_rate_array(cfg: SweepConfig, eta: np.ndarray):
     mu, eta_a, d_a, e_0, y0 = cfg.mu, cfg.eta_a, cfg.d_a, cfg.channel.e_0, cfg.channel.d_b
     with np.errstate(all="ignore"):
         _, ty_mu, e_mu = _triggered_terms(mu, eta_a, d_a, cfg.channel, eta)
@@ -354,7 +391,7 @@ def _hsps_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.nd
     return rate
 
 
-def _wcs_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
+def _wcs_rate_array(cfg: SweepConfig, eta: np.ndarray):
     mu, e_0, y0 = cfg.mu, cfg.channel.e_0, cfg.channel.d_b
     decoy = [_coherent_terms(mu, cfg.channel, float(e)) for e in eta[:, 0]]
     c_mu = _column([q * math.exp(mu) for q, _ in decoy])
@@ -374,16 +411,16 @@ def _wcs_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.nda
     return rate
 
 
-def _ideal_single_photon(channels: list[ChannelParams], eta: np.ndarray):
+def _ideal_single_photon(ch: ChannelParams, eta: np.ndarray):
     """True single-photon yield and entropy of its (capped) error rate, per row."""
-    rows = list(zip(channels, eta[:, 0].tolist()))
-    y1 = _column([_click_probability(1, ch, e) for ch, e in rows])
-    h_e1 = _column([binary_entropy(min(0.5, _error_rate(1, ch, e))) for ch, e in rows])
+    etas = eta[:, 0].tolist()
+    y1 = _column([_click_probability(1, ch, e) for e in etas])
+    h_e1 = _column([binary_entropy(min(0.5, _error_rate(1, ch, e))) for e in etas])
     return y1, h_e1
 
 
-def _hsps_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
-    y1, h_e1 = _ideal_single_photon(channels, eta)
+def _hsps_ideal_rate_array(cfg: SweepConfig, eta: np.ndarray):
+    y1, h_e1 = _ideal_single_photon(cfg.channel, eta)
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
@@ -394,8 +431,8 @@ def _hsps_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta:
     return rate
 
 
-def _wcs_ideal_rate_array(cfg: SweepConfig, channels: list[ChannelParams], eta: np.ndarray):
-    y1, h_e1 = _ideal_single_photon(channels, eta)
+def _wcs_ideal_rate_array(cfg: SweepConfig, eta: np.ndarray):
+    y1, h_e1 = _ideal_single_photon(cfg.channel, eta)
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
@@ -424,20 +461,23 @@ def _stacked_rate(blocks):
 
 
 def _searched_mu_primes(
-    cfg: SweepConfig, channels: list[ChannelParams], jobs: list[tuple[str, bool]]
+    cfg: SweepConfig, distances: list[float], jobs: list[tuple[str, bool]]
 ) -> list[list[float]]:
-    """The searched mu' of every channel for every (source kind, ideal) job.
+    """The searched mu' at every distance for every (source kind, ideal) job.
 
     The rows of all jobs, job after job, go through one search, split into
     chunks of at most _BLOCK_CELLS rows; each job's array builder rates its
     own rows of a chunk. A row's search never looks at another row, so
-    every row picks the mu' it would pick alone.
+    every row picks the mu' it would pick alone. A row is cfg.channel at
+    its distance, and the search reads only its overall transmittance,
+    computed as overall_transmittance does, so no ChannelParams is built.
     """
     for kind, _ in jobs:
         if kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {kind!r}")
-    n, total = len(channels), len(channels) * len(jobs)
-    eta = _column([overall_transmittance(ch) for ch in channels])
+    n, total = len(distances), len(distances) * len(jobs)
+    ch = cfg.channel
+    eta = _column([fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances])
     mu_primes: list[float] = []
     for start in range(0, total, _BLOCK_CELLS):
         stop = min(total, start + _BLOCK_CELLS)
@@ -446,18 +486,17 @@ def _searched_mu_primes(
             lo, hi = max(start - j * n, 0), min(stop - j * n, n)
             if lo < hi:
                 make_rate = _RATE_ARRAYS[job]
-                blocks.append((j * n + lo - start, j * n + hi - start,
-                               make_rate(cfg, channels[lo:hi], eta[lo:hi])))
+                blocks.append((j * n + lo - start, j * n + hi - start, make_rate(cfg, eta[lo:hi])))
         best_x, _ = maximize_over_mu_prime(_stacked_rate(blocks), cfg)
         mu_primes.extend(best_x.tolist())
     return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
 
 
 def _optimal_mu_primes(
-    cfg: SweepConfig, channels: list[ChannelParams], source_kind: str, ideal: bool = False
+    cfg: SweepConfig, distances: list[float], source_kind: str, ideal: bool = False
 ) -> list[float]:
-    """The searched mu' of every channel, bounded rate or ideal benchmark."""
-    return _searched_mu_primes(cfg, channels, [(source_kind, ideal)])[0]
+    """The searched mu' at every distance, bounded rate or ideal benchmark."""
+    return _searched_mu_primes(cfg, distances, [(source_kind, ideal)])[0]
 
 
 def optimize_mu_prime(
@@ -469,7 +508,7 @@ def optimize_mu_prime(
     smallest candidate with the rate pinned at 0.
     """
     ch = cfg.channel.at_distance(distance_km)
-    (mu_prime,) = _optimal_mu_primes(cfg, [ch], source_kind)
+    (mu_prime,) = _optimal_mu_primes(cfg, [distance_km], source_kind)
     return mu_prime, _evaluate(cfg, ch, source_kind, mu_prime)[2]
 
 
@@ -478,7 +517,7 @@ def optimal_ideal_rate(
 ) -> float:
     """Infinite-decoy benchmark rate, with its own mu' optimization."""
     ch = cfg.channel.at_distance(distance_km)
-    (mu_prime,) = _optimal_mu_primes(cfg, [ch], source_kind, ideal=True)
+    (mu_prime,) = _optimal_mu_primes(cfg, [distance_km], source_kind, ideal=True)
     return _ideal_rate(cfg, ch, source_kind, mu_prime)
 
 
@@ -522,7 +561,7 @@ def _sweep_points(
     jobs = [(kind, False) for kind in kinds]
     if cfg.include_ideal:
         jobs += [(kind, True) for kind in kinds]
-    searched = _searched_mu_primes(cfg, channels, jobs)
+    searched = _searched_mu_primes(cfg, distances, jobs)
     points = []
     for i, (distance, ch) in enumerate(zip(distances, channels)):
         for k, kind in enumerate(kinds):
@@ -566,9 +605,13 @@ def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
 
 def _positive_rates(cfg: SweepConfig, distances: list[float], source_kind: str) -> list[bool]:
     """Whether the optimized rate is positive at each distance, from one search."""
-    channels = [cfg.channel.at_distance(d) for d in distances]
-    mu_primes = _optimal_mu_primes(cfg, channels, source_kind)
-    return [_evaluate(cfg, ch, source_kind, m)[2] > 0.0 for ch, m in zip(channels, mu_primes)]
+    mu_primes = _optimal_mu_primes(cfg, distances, source_kind)
+    return [_positive(cfg, d, source_kind, m) for d, m in zip(distances, mu_primes)]
+
+
+def _positive(cfg: SweepConfig, distance_km: float, source_kind: str, mu_prime: float) -> bool:
+    """Whether the scalar rate at distance_km and mu_prime is positive."""
+    return _evaluate(cfg, cfg.channel.at_distance(distance_km), source_kind, mu_prime)[2] > 0.0
 
 
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:
@@ -585,10 +628,9 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     not the rate falls monotonically.
     """
     grid = distance_grid(cfg)
-    channels = [cfg.channel.at_distance(d) for d in grid]
-    mu_primes = _optimal_mu_primes(cfg, channels, source_kind)
+    mu_primes = _optimal_mu_primes(cfg, grid, source_kind)
     last = len(grid) - 1
-    while last >= 0 and not _evaluate(cfg, channels[last], source_kind, mu_primes[last])[2] > 0.0:
+    while last >= 0 and not _positive(cfg, grid[last], source_kind, mu_primes[last]):
         last -= 1
     if last < 0:
         return None

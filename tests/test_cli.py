@@ -3,6 +3,8 @@ import json
 import math
 from dataclasses import replace
 
+import pytest
+
 from decoy_hsps.channel import ChannelParams
 from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main, read_points_csv
 from decoy_hsps.observables import forecast_observables
@@ -324,6 +326,25 @@ class TestExitCodes:
         ]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: OverflowError")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--vacuum", "nan,1,0", "--vacuum: pulses must be finite, got nan"),
+        ("--vacuum", "1e400,1,0", "--vacuum: pulses must be finite, got inf"),
+        ("--signal", "1,1,1,inf", "--signal: errors must be finite, got inf"),
+        ("--mu", "nan", "--mu must be finite, got nan"),
+        ("--mu-prime", "inf", "--mu-prime must be finite, got inf"),
+    ])
+    def test_non_finite_bounds_input_is_one_line_error(self, tmp_path, capsys, flag, value,
+                                                       message):
+        args = {"--vacuum": "1,1,0", "--decoy": "1,1,1,0", "--signal": "1,1,1,0",
+                "--mu": "0.1", "--mu-prime": "0.5"}
+        args[flag] = value
+        out = tmp_path / "run"
+        argv = ["bounds", "--out", str(out)] + [x for item in args.items() for x in item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (out / "bounds.json").exists()
 
     @staticmethod
     def _assert_rejected(tmp_path, capsys, override, key):

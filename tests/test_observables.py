@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,14 @@ class TestStatisticsFromCounts:
             IntensityCounts(pulses=10, triggered=5, clicks=6)
         with pytest.raises(ValueError):
             IntensityCounts(pulses=10, triggered=5, clicks=2, errors=3)
+
+    @pytest.mark.parametrize("field", ["pulses", "triggered", "clicks", "errors"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_count_names_its_field(self, field, value):
+        counts = dict(pulses=10.0, triggered=5.0, clicks=2.0, errors=1.0)
+        counts[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            IntensityCounts(**counts)
 
 
 class TestObservedStatisticsValidation:

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.bounds import ideal_rate_hsps, ideal_rate_wcs
-from decoy_hsps.channel import ChannelParams
+from decoy_hsps.channel import ChannelParams, overall_transmittance
 from decoy_hsps.observables import _coincidence_sum, _triggered_terms
 from decoy_hsps.optimizer import (
     MAX_GRID_POINTS,
@@ -16,6 +17,7 @@ from decoy_hsps.optimizer import (
     _grid_count,
     _ideal_rate,
     _optimal_mu_primes,
+    _record_scan,
     _searched_mu_primes,
     distance_grid,
     evaluate_hsps,
@@ -193,7 +195,7 @@ def _serial_cutoff(cfg, kind):
     """Forward grid scan, then a bisection that probes one midpoint per search."""
     grid = distance_grid(cfg)
     channels = [cfg.channel.at_distance(d) for d in grid]
-    mu_primes = _optimal_mu_primes(cfg, channels, kind)
+    mu_primes = _optimal_mu_primes(cfg, grid, kind)
     evaluate = evaluate_hsps if kind == "hsps" else evaluate_wcs
     last_positive = None
     first_zero_after = None
@@ -382,7 +384,7 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("ideal", [False, True], ids=["bounded", "ideal"])
     def test_mu_prime_identical_to_scalar_search(self, kind, ideal):
         channels = [DEFAULT.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
-        lockstep = _optimal_mu_primes(DEFAULT, channels, kind, ideal)
+        lockstep = _optimal_mu_primes(DEFAULT, LOCKSTEP_DISTANCES, kind, ideal)
         for distance, ch, mu_prime in zip(LOCKSTEP_DISTANCES, channels, lockstep):
             ref_x, ref_f = _search_reference(_scalar_rate(DEFAULT, ch, kind, ideal), DEFAULT)
             assert mu_prime == ref_x, distance
@@ -400,7 +402,7 @@ class TestLockstepSearch:
         cfg = _cfg(mu_prime_min=mu_range[0], mu_prime_max=mu_range[1])
         distances = [0.0, 40.0, 80.0, 120.0, 165.0]
         channels = [cfg.channel.at_distance(d) for d in distances]
-        lockstep = _optimal_mu_primes(cfg, channels, kind)
+        lockstep = _optimal_mu_primes(cfg, distances, kind)
         for ch, mu_prime in zip(channels, lockstep):
             assert mu_prime == _search_reference(_scalar_rate(cfg, ch, kind, False), cfg)[0]
             assert mu_range[0] <= mu_prime <= mu_range[1]
@@ -432,13 +434,13 @@ class TestLockstepSearch:
         assert _optimal_mu_primes(cfg, [], "hsps") == []
         assert max_secure_distance(_cfg(dist_start_km=10.0, dist_stop_km=5.0), "hsps") is None
         ch = cfg.channel.at_distance(50.0)
-        assert _optimal_mu_primes(cfg, [ch], "wcs") == [
+        assert _optimal_mu_primes(cfg, [50.0], "wcs") == [
             _search_reference(_scalar_rate(cfg, ch, "wcs", False), cfg)[0]]
 
     @pytest.mark.parametrize("block_cells", [3, 50, 3 * 95 + 94])
     def test_blocks_bound_each_call_and_leave_mu_prime_unchanged(self, monkeypatch, block_cells):
-        channels = [DEFAULT.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
-        whole = _optimal_mu_primes(DEFAULT, channels, "hsps")
+        distances = LOCKSTEP_DISTANCES
+        whole = _optimal_mu_primes(DEFAULT, distances, "hsps")
         searches, cells = [], []
 
         def spy(rate_fn, cfg):
@@ -453,8 +455,8 @@ class TestLockstepSearch:
 
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
         monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
-        assert _optimal_mu_primes(DEFAULT, channels, "hsps") == whole
-        assert sum(searches) == len(channels) and max(searches) <= block_cells
+        assert _optimal_mu_primes(DEFAULT, distances, "hsps") == whole
+        assert sum(searches) == len(distances) and max(searches) <= block_cells
         assert max(cells) <= block_cells
 
     def test_dead_channel_sweep_pins_every_row(self):
@@ -484,9 +486,9 @@ class TestStackedSearch:
         _cfg(channel=ChannelParams(eta_b=0.0)),
     ], ids=["default", "clamped range", "dead channel"])
     def test_mu_prime_identical_to_per_kind_searches(self, cfg):
-        channels = [cfg.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
-        stacked = _searched_mu_primes(cfg, channels, STACK_JOBS)
-        assert stacked == [_optimal_mu_primes(cfg, channels, kind, ideal) for kind, ideal in STACK_JOBS]
+        distances = LOCKSTEP_DISTANCES
+        stacked = _searched_mu_primes(cfg, distances, STACK_JOBS)
+        assert stacked == [_optimal_mu_primes(cfg, distances, kind, ideal) for kind, ideal in STACK_JOBS]
 
     @pytest.mark.parametrize("sources, include_ideal", [
         (("hsps", "wcs"), True),
@@ -509,9 +511,9 @@ class TestStackedSearch:
         channels = [cfg.channel.at_distance(d) for d in distance_grid(cfg)]
         for kind in sources:
             mine = [p for p in points if p.source_kind == kind]
-            assert [p.mu_prime for p in mine] == _optimal_mu_primes(cfg, channels, kind)
+            assert [p.mu_prime for p in mine] == _optimal_mu_primes(cfg, distance_grid(cfg), kind)
             if include_ideal:
-                ideal_mu_primes = _optimal_mu_primes(cfg, channels, kind, ideal=True)
+                ideal_mu_primes = _optimal_mu_primes(cfg, distance_grid(cfg), kind, ideal=True)
                 assert [p.ideal_rate for p in mine] == [
                     _ideal_rate(cfg, ch, kind, m) for ch, m in zip(channels, ideal_mu_primes)]
             else:
@@ -520,8 +522,8 @@ class TestStackedSearch:
     @pytest.mark.parametrize("block_cells", [3, 7, 25])
     def test_chunks_bound_each_search_and_call(self, monkeypatch, block_cells):
         # 10 rows per job, so chunks of 7 and 25 rows straddle two or three jobs
-        channels = [DEFAULT.channel.at_distance(d) for d in range(0, 200, 20)]
-        whole = _searched_mu_primes(DEFAULT, channels, STACK_JOBS)
+        distances = list(range(0, 200, 20))
+        whole = _searched_mu_primes(DEFAULT, distances, STACK_JOBS)
         searches, cells = [], []
 
         def spy(rate_fn, cfg):
@@ -536,14 +538,173 @@ class TestStackedSearch:
 
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
         monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
-        assert _searched_mu_primes(DEFAULT, channels, STACK_JOBS) == whole
-        assert sum(searches) == len(channels) * len(STACK_JOBS)
+        assert _searched_mu_primes(DEFAULT, distances, STACK_JOBS) == whole
+        assert sum(searches) == len(distances) * len(STACK_JOBS)
         assert max(searches) <= block_cells and max(cells) <= block_cells
 
     def test_unknown_kind_and_no_channels(self):
         with pytest.raises(ValueError, match="laser"):
-            _searched_mu_primes(DEFAULT, [DEFAULT.channel], [("hsps", False), ("laser", False)])
+            _searched_mu_primes(DEFAULT, [0.0], [("hsps", False), ("laser", False)])
         assert _searched_mu_primes(DEFAULT, [], STACK_JOBS) == [[], [], [], []]
+
+
+def _record_scan_reference(rates, cands, best_x, best_f):
+    """The coarse scan's column loop that _record_scan replaces."""
+    for j in range(rates.shape[1]):
+        better = rates[:, j] > best_f + RATE_TIE_TOL
+        best_x = np.where(better, cands[j], best_x)
+        best_f = np.where(better, rates[:, j], best_f)
+    return best_x, best_f
+
+
+# Offsets from a row's top rate, in units of RATE_TIE_TOL.
+NEAR_TIES = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+def _scan_rows(rng, width):
+    """Rate rows and carried bests that exercise every branch of the tie rule.
+
+    Rows at 1e-6, 1 and 1e3 (where RATE_TIE_TOL is below half an ulp) have
+    a top cell, cells near-tied with it on either side, and carried bests
+    near it; then come all-zero rows and rows with NaN or infinite cells.
+    """
+    tol = RATE_TIE_TOL
+    rows, bests = [], []
+    for scale in (1e-6, 1.0, 1e3):
+        for _ in range(30):
+            row = scale * rng.uniform(0.0, 1.0, width)
+            top = scale * rng.uniform(1.0, 2.0)
+            cols = rng.permutation(width)[:3]
+            row[cols[0]] = top
+            for c in cols[1:]:
+                row[c] = top + rng.choice([-1.0, 1.0]) * rng.choice(NEAR_TIES) * tol
+            if scale == 1e3 and width > 3:
+                row[cols[-1] - 1] = np.nextafter(top, rng.choice([-np.inf, np.inf]))
+            rows.append(row)
+            bests.append(rng.choice([
+                0.0, top, float(row.min()) - scale,
+                top + rng.choice([-1.0, 1.0]) * rng.choice(NEAR_TIES) * tol,
+            ]))
+    for best in (0.0, 1e-16, np.nan):
+        rows.append(np.zeros(width))
+        bests.append(best)
+    for special in (np.nan, np.inf, -np.inf):
+        for best in (0.5, np.nan, np.inf, -np.inf):
+            row = rng.uniform(0.0, 1.0, width)
+            row[rng.integers(width)] = special
+            rows.append(row)
+            bests.append(best)
+    rows.append(np.full(width, -np.inf))
+    bests.append(-np.inf)
+    return np.array(rows), np.array(bests)
+
+
+def _table_rate(table, cfg):
+    """Rates of a (rows, candidates) table at the coarse candidate nearest each mu'."""
+    lo, step, last = cfg.mu_prime_min, cfg.mu_prime_coarse_step, table.shape[1] - 1
+
+    def rate(mu_prime):
+        col = np.clip(np.rint((mu_prime - lo) / step), 0, last).astype(int)
+        return np.take_along_axis(table, np.broadcast_to(col, (table.shape[0], col.shape[1])), axis=1)
+
+    def row_rate(i):
+        return lambda x: table[i, int(np.clip(np.rint((x - lo) / step), 0, last))]
+
+    return rate, row_rate
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestRecordScan:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("width", [1, 2, 7, 16])
+    def test_equals_column_loop(self, seed, width):
+        rng = np.random.default_rng(seed)
+        rates, best_f = _scan_rows(rng, width)
+        cands = 0.06 + 0.01 * np.arange(width)
+        best_x = np.full(best_f.size, 0.05)
+        x, f = _record_scan(rates, cands, best_x, best_f)
+        ref_x, ref_f = _record_scan_reference(rates, cands, best_x, best_f)
+        assert x.tobytes() == ref_x.tobytes()
+        assert f.tobytes() == ref_f.tobytes()
+
+    def test_exact_and_near_ties(self):
+        tol = RATE_TIE_TOL
+        cands = np.array([0.1, 0.2, 0.3, 0.4])
+        rates = np.array([
+            [0.5, 1.0, 1.0, 0.2],                    # exact tie: the first wins
+            [0.5, 1.0 - 0.5 * tol, 1.0, 0.2],        # within TOL: the earlier wins
+            [0.5, 1.0 - 3.0 * tol, 1.0, 0.2],        # beyond TOL: the later wins
+            [1e3, np.nextafter(1e3, np.inf), 0.0, 0.0],  # TOL below half an ulp
+        ])
+        best_f = np.array([0.0, 0.0, 0.0, 0.0])
+        x, f = _record_scan(rates, cands, np.full(4, 0.05), best_f)
+        assert x.tolist() == [0.2, 0.2, 0.3, 0.2]
+        assert f.tolist() == [1.0, 1.0 - 0.5 * tol, 1.0, np.nextafter(1e3, np.inf)]
+
+    @pytest.mark.parametrize("block_cells", [3, 50])
+    def test_best_carried_across_blocks(self, monkeypatch, block_cells):
+        # 12 rows: 3 cells give 1-column blocks, 50 give 4-column blocks
+        cfg = _cfg(mu_prime_min=0.1, mu_prime_max=0.5, mu_prime_coarse_step=0.02)
+        width = len(mu_prime_candidates(cfg))
+        rows, _ = _scan_rows(np.random.default_rng(7), width)
+        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        for start in range(0, rows.shape[0], 12):
+            table = rows[start:start + 12]
+            rate, row_rate = _table_rate(table, cfg)
+            with np.errstate(invalid="ignore"):  # inf - inf in the refinement's tie test
+                x, f = maximize_over_mu_prime(rate, cfg)
+                for i in range(table.shape[0]):
+                    ref_x, ref_f = _search_reference(row_rate(i), cfg)
+                    assert x[i] == ref_x and _same(f[i], ref_f), start + i
+
+
+class TestTransmittanceOnlyInputs:
+    def test_search_transmittance_is_the_channels(self, monkeypatch):
+        cfg = _cfg(channel=ChannelParams(alpha_db_per_km=0.23, eta_b=0.11))
+        distances = distance_grid(cfg)[::7] + _bisection_tree(100.0, 101.0, 4)
+        seen = []
+
+        def spy(cfg, eta):
+            seen.extend(eta[:, 0].tolist())
+            return lambda mu_prime: np.zeros((eta.shape[0], np.shape(mu_prime)[1]))
+
+        monkeypatch.setitem(optimizer_module._RATE_ARRAYS, ("hsps", False), spy)
+        _optimal_mu_primes(cfg, distances, "hsps")
+        assert seen == [overall_transmittance(cfg.channel.at_distance(d)) for d in distances]
+
+    def test_default_cutoff_builds_few_channels(self, monkeypatch):
+        built = []
+        at_distance = ChannelParams.at_distance
+
+        def counted(self, distance_km):
+            built.append(distance_km)
+            return at_distance(self, distance_km)
+
+        monkeypatch.setattr(ChannelParams, "at_distance", counted)
+        assert max_secure_distance(DEFAULT, "hsps") == 166.9375
+        assert len(built) <= 30
+
+    @pytest.mark.parametrize("cfg", [
+        DEFAULT,
+        _cfg(mu_prime_min=0.06, mu_prime_max=0.12),
+        _cfg(channel=ChannelParams(alpha_db_per_km=0.25, e_d=0.05)),
+    ], ids=["default", "clamped range", "lossier channel"])
+    @pytest.mark.parametrize("block_cells", [None, 25])
+    def test_searches_from_distances_match_scalar_search(self, monkeypatch, cfg, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        distances = LOCKSTEP_DISTANCES[::2]
+        stacked = _searched_mu_primes(cfg, distances, STACK_JOBS)
+        for (kind, ideal), found in zip(STACK_JOBS, stacked):
+            assert found == _optimal_mu_primes(cfg, distances, kind, ideal)
+            expected = [
+                _search_reference(_scalar_rate(cfg, cfg.channel.at_distance(d), kind, ideal), cfg)[0]
+                for d in distances
+            ]
+            assert found == expected, (kind, ideal)
 
 
 class TestWcsGainCap:
