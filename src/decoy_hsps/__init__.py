@@ -7,18 +7,13 @@ intensity optimization, and a CSV-emitting CLI.
 __version__ = "0.1.0"
 
 from .sources import (
-    CoherentSourceParams,
+    CoherentSource,
     HeraldedSourceParams,
-    poisson_weight,
+    TriggeredSource,
     post_selection_probability,
-    thermal_geometric_series,
-    thermal_geometric_sum,
-    thermal_weight,
-    triggered_distribution,
 )
 from .channel import (
     ChannelParams,
-    fiber_transmittance,
     n_photon_click_probability,
     n_photon_error_rate,
     overall_transmittance,
@@ -26,129 +21,62 @@ from .channel import (
 from .observables import (
     IntensityCounts,
     ObservedStatistics,
-    forecast_observables,
-    forecast_wcs_observables,
-    simulate_qber,
-    simulate_rescaled_yield,
-    simulate_wcs_gain,
-    simulate_wcs_qber,
-    simulate_yield,
+    forecast,
     statistics_from_counts,
 )
 from .bounds import (
     KeyRatePoint,
     SecurityBounds,
-    binary_entropy,
-    compute_hsps_bounds,
-    compute_wcs_bounds,
-    e1_upper_bound,
+    compute_bounds,
     hsps_elimination_coefficient,
-    ideal_bounds_hsps,
-    ideal_rate_hsps,
-    ideal_rate_wcs,
-    key_rate_hsps,
-    key_rate_wcs,
-    single_photon_fraction,
-    synthesize_observables_from_yields,
-    synthesize_wcs_gain_from_yields,
-    wcs_e1_upper_bound,
-    wcs_elimination_coefficient,
-    wcs_single_photon_fraction,
-    y1_lower_bound_hsps,
-    y1_lower_bound_wcs,
+    ideal_rate,
+    key_rate,
+    y1_lower_bound,
 )
 from .optimizer import (
     SweepConfig,
     distance_grid,
-    golden_section_maximize,
     key_rate_point,
     max_secure_distance,
-    maximize_over_mu_prime,
-    mu_prime_candidates,
     optimal_ideal_rate,
-    optimize_joint_intensities,
     optimize_mu_prime,
     sweep_distances,
 )
 from .config import (
-    CONFIG_KEYS,
     ConfigError,
-    RunManifest,
-    config_as_dict,
     format_config,
-    make_manifest,
-    parse_config_file,
-    parse_config_text,
-    parse_override,
     resolve_config,
-    write_manifest,
 )
 
 __all__ = [
     "__version__",
-    "CoherentSourceParams",
+    "CoherentSource",
     "HeraldedSourceParams",
-    "poisson_weight",
+    "TriggeredSource",
     "post_selection_probability",
-    "thermal_geometric_series",
-    "thermal_geometric_sum",
-    "thermal_weight",
-    "triggered_distribution",
     "ChannelParams",
-    "fiber_transmittance",
     "n_photon_click_probability",
     "n_photon_error_rate",
     "overall_transmittance",
     "IntensityCounts",
     "ObservedStatistics",
-    "forecast_observables",
-    "forecast_wcs_observables",
-    "simulate_qber",
-    "simulate_rescaled_yield",
-    "simulate_wcs_gain",
-    "simulate_wcs_qber",
-    "simulate_yield",
+    "forecast",
     "statistics_from_counts",
     "KeyRatePoint",
     "SecurityBounds",
-    "binary_entropy",
-    "compute_hsps_bounds",
-    "compute_wcs_bounds",
-    "e1_upper_bound",
+    "compute_bounds",
     "hsps_elimination_coefficient",
-    "ideal_bounds_hsps",
-    "ideal_rate_hsps",
-    "ideal_rate_wcs",
-    "key_rate_hsps",
-    "key_rate_wcs",
-    "single_photon_fraction",
-    "synthesize_observables_from_yields",
-    "synthesize_wcs_gain_from_yields",
-    "wcs_e1_upper_bound",
-    "wcs_elimination_coefficient",
-    "wcs_single_photon_fraction",
-    "y1_lower_bound_hsps",
-    "y1_lower_bound_wcs",
+    "ideal_rate",
+    "key_rate",
+    "y1_lower_bound",
     "SweepConfig",
     "distance_grid",
-    "golden_section_maximize",
     "key_rate_point",
     "max_secure_distance",
-    "maximize_over_mu_prime",
-    "mu_prime_candidates",
     "optimal_ideal_rate",
-    "optimize_joint_intensities",
     "optimize_mu_prime",
     "sweep_distances",
-    "CONFIG_KEYS",
     "ConfigError",
-    "RunManifest",
-    "config_as_dict",
     "format_config",
-    "make_manifest",
-    "parse_config_file",
-    "parse_config_text",
-    "parse_override",
     "resolve_config",
-    "write_manifest",
 ]

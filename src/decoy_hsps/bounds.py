@@ -23,6 +23,13 @@ for tightness), and the final secure key rate
 with the 1/2 accounting for basis sifting and f the error-correction
 inefficiency. All bounds clamp into their valid ranges rather than raise,
 flagging any clamp, so distance sweeps can traverse the insecure region.
+
+All of it is written once for both sources: a source object (.sources)
+supplies raw Y1, the single-photon share and the e1 error mass with its
+normaliser, and one text, run through a numeric namespace (.numerics),
+clamps and rates them for Python floats (the scalar chain) and numpy
+arrays (the mu' search). The scalar bounds return before dividing by a
+non-positive raw Y1; the array rates mask it with where instead.
 """
 from __future__ import annotations
 
@@ -32,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, _click_probability, _error_rate, overall_transmittance
-from .observables import ObservedStatistics, _coherent_terms, _triggered_terms
-from .sources import HeraldedSourceParams
+from .numerics import ARRAYS, FLOATS, binary_entropy
+from .observables import ObservedStatistics
+from .sources import COHERENT, triggered_source
 
 DEFAULT_F_EC = 1.2
 
@@ -92,71 +100,11 @@ class KeyRatePoint:
             )
 
 
-def binary_entropy(p: float) -> float:
-    """Binary Shannon entropy in bits, with H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def _check_ordering(mu: float, mu_prime: float):
     if not 0 < mu < mu_prime:
         raise ValueError(
             f"intensities must satisfy 0 < mu < mu_prime, got mu={mu}, mu_prime={mu_prime}"
         )
-
-
-# ---------------------------------------------------------------------------
-# forward constraint synthesis (test oracles)
-
-def synthesize_observables_from_yields(
-    yields, x: float, eta_a: float, d_a: float
-) -> float:
-    """Exact forward value of the rescaled-yield constraint at intensity x.
-
-    yields[0] is the vacuum yield Y0, yields[n] the n-photon yield; the
-    result is what an experiment governed by those yields would show as
-    clicks per emitted pulse. This is the oracle the Y1 bound is tested
-    against.
-    """
-    ys = np.asarray(yields, dtype=float)
-    if ys.ndim != 1 or ys.size == 0:
-        raise ValueError("yields must be a nonempty 1-D sequence")
-    if np.any((ys < 0.0) | (ys > 1.0)):
-        raise ValueError("every yield must lie in [0, 1]")
-    if x < 0:
-        raise ValueError(f"intensity x must be >= 0, got {x}")
-    if not 0.0 <= eta_a <= 1.0:
-        raise ValueError(f"eta_a must be in [0, 1], got {eta_a}")
-    if not 0.0 <= d_a <= 1.0:
-        raise ValueError(f"d_a must be in [0, 1], got {d_a}")
-    total = float(ys[0]) * d_a / (1.0 + x)
-    if ys.size > 1 and x > 0.0:
-        n = np.arange(1, ys.size)
-        a_n = (x / (1.0 + x)) ** n / (1.0 + x)
-        trig = 1.0 - (1.0 - eta_a) ** n
-        total += float(np.dot(ys[1:], trig * a_n))
-    return total
-
-
-def synthesize_wcs_gain_from_yields(yields, mu: float) -> float:
-    """Exact forward value of the Poissonian gain constraint at intensity mu."""
-    ys = np.asarray(yields, dtype=float)
-    if ys.ndim != 1 or ys.size == 0:
-        raise ValueError("yields must be a nonempty 1-D sequence")
-    if np.any((ys < 0.0) | (ys > 1.0)):
-        raise ValueError("every yield must lie in [0, 1]")
-    if mu < 0:
-        raise ValueError(f"intensity mu must be >= 0, got {mu}")
-    if mu == 0.0:
-        return float(ys[0])
-    w = np.empty(ys.size)
-    w[0] = math.exp(-mu)
-    if ys.size > 1:
-        w[1:] = w[0] * np.cumprod(mu / np.arange(1, ys.size))
-    return float(np.dot(ys, w))
 
 
 # ---------------------------------------------------------------------------
@@ -188,257 +136,132 @@ def wcs_elimination_coefficient(n: int, mu: float, mu_prime: float) -> float:
 # ---------------------------------------------------------------------------
 # single-photon bounds
 
-def _y1_hsps_raw(
-    y0: float, ty_mu: float, ty_mu_prime: float,
-    mu: float, mu_prime: float, eta_a: float, d_a: float,
-) -> float:
-    up, down = mu_prime / mu, mu / mu_prime
-    one_mu, one_mu_prime = 1.0 + mu, 1.0 + mu_prime
-    lead = up * one_mu ** 3 * ty_mu - down * one_mu_prime ** 3 * ty_mu_prime
-    vac = y0 * d_a * (up * one_mu ** 2 - down * one_mu_prime ** 2)
-    return (lead - vac) / (eta_a * (mu_prime - mu))
+def _single_photon_bounds(xp, src, raw_y1, e1_mass, mu, mu_prime, ty_mu_prime):
+    """Y1, Delta1 and e1 clamped into range, then the raw Delta1 and e1.
+
+    Delta1 is the single-photon share at the signal intensity, where it
+    enters the key rate; e1 is bounded from the error mass e1_mass at the
+    decoy intensity, dividing by Y1, so raw_y1 must be positive.
+    """
+    y1 = xp.minimum(raw_y1, 1.0)
+    raw_d1 = src.single_photon(xp, y1, mu_prime, ty_mu_prime)
+    raw_e1 = e1_mass / src.e1_norm(y1, mu)
+    return y1, xp.minimum(raw_d1, 1.0), xp.clip(raw_e1, 0.0, 0.5), raw_d1, raw_e1
 
 
-def y1_lower_bound_hsps(
-    obs: ObservedStatistics, mu: float, mu_prime: float, eta_a: float, d_a: float
-) -> float:
+def y1_lower_bound(src, obs: ObservedStatistics, mu: float, mu_prime: float) -> float:
     """Certified lower bound on the single-photon yield, clamped to [0, 1].
 
-    A clamp at 0 means the observed statistics cannot certify any
-    single-photon counts at all.
+    A clamp at 0 means the statistics certify no single-photon counts at all.
     """
     _check_ordering(mu, mu_prime)
-    if eta_a <= 0:
-        raise ValueError(f"eta_a must be > 0, got {eta_a}")
-    raw = _y1_hsps_raw(obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime, eta_a, d_a)
+    raw = src.y1_raw(FLOATS, obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
+    if math.isnan(raw):  # inf - inf once a coherent e^mu overflows; the clamp would say 0
+        raise ValueError(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
     return min(1.0, max(0.0, raw))
 
 
-def _y1_wcs_raw(
-    y0: float, q_mu: float, q_mu_prime: float, mu: float, mu_prime: float
-) -> float:
-    c_mu = q_mu * math.exp(mu)
-    try:
-        c_mu_prime = q_mu_prime * math.exp(mu_prime)
-    except OverflowError:  # mu' above ~709: the signal term swamps the bound
-        c_mu_prime = math.inf
-    num = mu_prime**2 * c_mu - mu**2 * c_mu_prime - y0 * (mu_prime**2 - mu**2)
-    return num / (mu * mu_prime * (mu_prime - mu))
+def single_photon_fraction(src, y1: float, x: float, ty_x: float) -> float:
+    """Fraction of the clicks at intensity x from single photons, clamped to [0, 1].
 
-
-def y1_lower_bound_wcs(
-    y0: float, q_mu: float, q_mu_prime: float, mu: float, mu_prime: float
-) -> float:
-    """Single-photon yield lower bound from two coherent-pulse gains."""
-    _check_ordering(mu, mu_prime)
-    return min(1.0, max(0.0, _y1_wcs_raw(y0, q_mu, q_mu_prime, mu, mu_prime)))
-
-
-def single_photon_fraction(y1: float, x: float, ty_x: float, eta_a: float) -> float:
-    """Fraction of the clicks at intensity x that came from single photons.
-
-    ty_x is the rescaled yield (clicks per emitted pulse) at that
-    intensity; the single-photon share of it is y1 * eta_a * x / (1+x)^2.
-    Clamped to [0, 1].
+    ty_x is the rescaled yield (clicks per emitted pulse) at that intensity.
     """
     if ty_x <= 0:
         raise ValueError(f"rescaled yield must be > 0, got {ty_x}")
-    return min(1.0, max(0.0, y1 * eta_a * x / (ty_x * (1.0 + x) ** 2)))
+    return min(1.0, max(0.0, src.single_photon(FLOATS, y1, x, ty_x)))
 
 
-def e1_upper_bound(
-    y1: float, x: float, e_x: float, ty_x: float, y0: float,
-    eta_a: float, d_a: float, e_0: float = 0.5,
-) -> float:
-    """Upper bound on the single-photon QBER, clamped to [0, 0.5].
-
-    Subtracts the vacuum (dark-trigger) error mass from the observed error
-    mass at intensity x and attributes everything left to the certified
-    single photons; evaluating at the decoy intensity gives the tighter
-    estimate.
-    """
-    if y1 <= 0:
-        raise ValueError("no certified single-photon yield to bound the QBER of")
-    if x <= 0 or eta_a <= 0:
-        raise ValueError(f"x and eta_a must be > 0, got x={x}, eta_a={eta_a}")
-    raw = ((1.0 + x) ** 2 * e_x * ty_x - (1.0 + x) * y0 * d_a * e_0) / (y1 * eta_a * x)
-    return min(0.5, max(0.0, raw))
-
-
-def compute_hsps_bounds(
-    obs: ObservedStatistics,
-    mu: float,
-    mu_prime: float,
-    eta_a: float,
-    d_a: float,
-    e_0: float = 0.5,
-    e1_intensity: str = "mu",
+def compute_bounds(
+    src, obs: ObservedStatistics, mu: float, mu_prime: float, e_0: float = 0.5
 ) -> SecurityBounds:
-    """Full bound bundle for a triggered-source run.
+    """Full bound bundle of a run of source src.
 
-    The single-photon fraction is evaluated at the signal intensity (it
-    enters the key-rate formula there); the QBER bound at the decoy
-    intensity by default, with e1_intensity="mu_prime" as a diagnostic
-    alternative.
+    feasible is False when raw Y1 is not positive or any bound had to be
+    clamped. The QBER at the decoy intensity is needed only then.
     """
-    if e1_intensity not in ("mu", "mu_prime"):
-        raise ValueError(f"e1_intensity must be 'mu' or 'mu_prime', got {e1_intensity!r}")
     _check_ordering(mu, mu_prime)
-    if eta_a <= 0:
-        raise ValueError(f"eta_a must be > 0, got {eta_a}")
-    raw_y1 = _y1_hsps_raw(obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime, eta_a, d_a)
+    raw_y1 = src.y1_raw(FLOATS, obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
     if raw_y1 <= 0.0:
         return SecurityBounds(y1_lower=0.0, delta1=0.0, e1_upper=0.5, feasible=False)
-    feasible = True
-    y1 = raw_y1
-    if y1 > 1.0:
-        y1 = 1.0
-        feasible = False
-
-    raw_d1 = y1 * eta_a * mu_prime / (obs.ty_mu_prime * (1.0 + mu_prime) ** 2)
-    delta1 = raw_d1
-    if delta1 > 1.0:
-        delta1 = 1.0
-        feasible = False
-
-    if e1_intensity == "mu":
-        x, e_x, ty_x = mu, obs.e_mu, obs.ty_mu
-    else:
-        x, e_x, ty_x = mu_prime, obs.e_mu_prime, obs.ty_mu_prime
-    if e_x is None:
-        raise ValueError(f"QBER at the {e1_intensity} intensity is required but missing")
-    raw_e1 = ((1.0 + x) ** 2 * e_x * ty_x - (1.0 + x) * obs.y0 * d_a * e_0) / (
-        y1 * eta_a * x
-    )
-    e1 = raw_e1
-    if e1 > 0.5:
-        e1 = 0.5
-        feasible = False
-    elif e1 < 0.0:
-        e1 = 0.0
-        feasible = False
+    if obs.e_mu is None:
+        raise ValueError("QBER at the decoy intensity is required but missing")
+    e1_mass = src.e1_mass(FLOATS, mu, obs.e_mu, obs.ty_mu, obs.y0, e_0)
+    y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(
+        FLOATS, src, raw_y1, e1_mass, mu, mu_prime, obs.ty_mu_prime)
+    feasible = not (raw_y1 > 1.0 or raw_d1 > 1.0 or raw_e1 > 0.5 or raw_e1 < 0.0)
     return SecurityBounds(y1_lower=y1, delta1=delta1, e1_upper=e1, feasible=feasible)
 
 
-def wcs_single_photon_fraction(y1: float, mu_prime: float, q_mu_prime: float) -> float:
-    """Single-photon share of the coherent-pulse gain, clamped to [0, 1]."""
-    if q_mu_prime <= 0:
-        raise ValueError(f"gain must be > 0, got {q_mu_prime}")
-    return min(1.0, max(0.0, y1 * mu_prime * math.exp(-mu_prime) / q_mu_prime))
-
-
-def wcs_e1_upper_bound(
-    y1: float, mu: float, e_mu: float, q_mu: float, y0: float, e_0: float = 0.5
-) -> float:
-    """Coherent-pulse counterpart of e1_upper_bound, clamped to [0, 0.5]."""
-    if y1 <= 0:
-        raise ValueError("no certified single-photon yield to bound the QBER of")
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    raw = (e_mu * q_mu * math.exp(mu) - e_0 * y0) / (y1 * mu)
-    return min(0.5, max(0.0, raw))
+def compute_hsps_bounds(
+    obs: ObservedStatistics, mu: float, mu_prime: float, eta_a: float, d_a: float, e_0: float = 0.5
+) -> SecurityBounds:
+    """compute_bounds for a triggered-source run."""
+    return compute_bounds(triggered_source(eta_a, d_a), obs, mu, mu_prime, e_0)
 
 
 def compute_wcs_bounds(
     obs: ObservedStatistics, mu: float, mu_prime: float, e_0: float = 0.5
 ) -> SecurityBounds:
-    """Full bound bundle for a weak-coherent-state run.
-
-    obs follows the WCS convention: y_*/ty_* hold per-pulse gains.
-    """
-    _check_ordering(mu, mu_prime)
-    raw_y1 = _y1_wcs_raw(obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
-    if raw_y1 <= 0.0:
-        return SecurityBounds(y1_lower=0.0, delta1=0.0, e1_upper=0.5, feasible=False)
-    feasible = True
-    y1 = raw_y1
-    if y1 > 1.0:
-        y1 = 1.0
-        feasible = False
-
-    raw_d1 = y1 * mu_prime * math.exp(-mu_prime) / obs.ty_mu_prime
-    delta1 = raw_d1
-    if delta1 > 1.0:
-        delta1 = 1.0
-        feasible = False
-
-    if obs.e_mu is None:
-        raise ValueError("QBER at the decoy intensity is required but missing")
-    raw_e1 = (obs.e_mu * obs.ty_mu * math.exp(mu) - e_0 * obs.y0) / (y1 * mu)
-    e1 = raw_e1
-    if e1 > 0.5:
-        e1 = 0.5
-        feasible = False
-    elif e1 < 0.0:
-        e1 = 0.0
-        feasible = False
-    return SecurityBounds(y1_lower=y1, delta1=delta1, e1_upper=e1, feasible=feasible)
+    """compute_bounds for a weak-coherent-state run; y_*/ty_* hold per-pulse gains."""
+    return compute_bounds(COHERENT, obs, mu, mu_prime, e_0)
 
 
 # ---------------------------------------------------------------------------
 # key rates
 
-def _rate_formula(weight: float, e_signal: float, delta1: float, e1: float, f: float) -> float:
-    return weight / 2.0 * (-f * binary_entropy(e_signal) + delta1 * (1.0 - binary_entropy(e1)))
+def _rate_formula(xp, weight, e_signal, delta1, h_e1, f):
+    """The rate formula R, with the single-photon entropy h_e1 = H2(e1) already taken."""
+    return weight / 2.0 * (-f * xp.entropy(e_signal) + delta1 * (1.0 - h_e1))
 
 
-def key_rate_hsps(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
+def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
     """Secure key rate per emitted signal pulse, clamped at 0."""
     if f < 1.0:
         raise ValueError(f"error-correction inefficiency f must be >= 1, got {f}")
     if obs.e_mu_prime is None:
         raise ValueError("QBER at the signal intensity is required but missing")
-    return max(0.0, _rate_formula(obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, f))
+    raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1,
+                        binary_entropy(bounds.e1_upper), f)
+    return raw if raw > 0.0 else 0.0
 
 
-def key_rate_wcs(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
-    """Coherent-pulse key rate per emitted signal pulse, clamped at 0."""
-    if f < 1.0:
-        raise ValueError(f"error-correction inefficiency f must be >= 1, got {f}")
-    if obs.e_mu_prime is None:
-        raise ValueError("QBER at the signal intensity is required but missing")
-    return max(0.0, _rate_formula(obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, f))
+# The rate formula does not depend on the source.
+key_rate_hsps = key_rate_wcs = key_rate
+
+
+def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, eta, ch, f):
+    """The clamped key rate of compute_bounds and key_rate, on numpy arrays.
+
+    Rows are the column eta of overall transmittances with the decoy
+    columns ty_mu and e1_mass (each row's scalar values); mu_prime
+    broadcasts against them. Cells whose raw Y1 is not positive are masked
+    to 0, so the caller decides what numpy does on them before the mask.
+    """
+    _, ty, e = src.signal(ARRAYS, mu_prime, eta, ch)
+    raw_y1 = src.y1_raw(ARRAYS, y0, ty_mu, ty, mu, mu_prime)
+    _, delta1, e1, _, _ = _single_photon_bounds(ARRAYS, src, raw_y1, e1_mass, mu, mu_prime, ty)
+    raw = _rate_formula(ARRAYS, ty, e, delta1, ARRAYS.entropy(e1), f)
+    return np.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # infinite-decoy benchmarks (exact single-photon knowledge)
 
-def _ideal_hsps(
-    mu_prime: float, eta_a: float, d_a: float, ch: ChannelParams
-) -> tuple[float, float, float, float]:
-    """Signal rescaled yield and QBER, exact Delta1 and exact e1 of the benchmark."""
+def _exact_single_photon(ch: ChannelParams, eta: float) -> tuple[float, float]:
+    """True single-photon yield and entropy of its error rate, capped at 1/2."""
+    return _click_probability(1, ch, eta), binary_entropy(min(0.5, _error_rate(1, ch, eta)))
+
+
+def _benchmark_rate(xp, src, mu_prime, eta, ch, y1, h_e1, f):
+    """Rate formula with the exact single-photon yield y1 and entropy h_e1, clamped at 0."""
+    _, ty, e = src.signal(xp, mu_prime, eta, ch)
+    delta1 = xp.minimum(src.single_photon(xp, y1, mu_prime, ty), 1.0)
+    raw = _rate_formula(xp, ty, e, delta1, h_e1, f)
+    return xp.where(raw > 0.0, raw, 0.0)
+
+
+def ideal_rate(src, mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC) -> float:
+    """Benchmark key rate of src with exactly known single-photon statistics."""
     eta = overall_transmittance(ch)
-    y1_true = _click_probability(1, ch, eta)
-    HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)  # validates the source
-    _, ty, e_signal = _triggered_terms(mu_prime, eta_a, d_a, ch, eta)
-    if ty <= 0:
-        raise ValueError("forecast rescaled yield is zero; benchmark undefined")
-    delta1 = min(1.0, y1_true * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2))
-    return ty, e_signal, delta1, _error_rate(1, ch, eta)
-
-
-def ideal_bounds_hsps(
-    mu_prime: float, eta_a: float, d_a: float, ch: ChannelParams
-) -> tuple[float, float]:
-    """Exact single-photon fraction and QBER for the benchmark curve."""
-    return _ideal_hsps(mu_prime, eta_a, d_a, ch)[2:]
-
-
-def ideal_rate_hsps(
-    mu_prime: float, eta_a: float, d_a: float, ch: ChannelParams, f: float = DEFAULT_F_EC
-) -> float:
-    """Benchmark key rate with exactly known single-photon statistics."""
-    ty, e_signal, delta1, e1 = _ideal_hsps(mu_prime, eta_a, d_a, ch)
-    return max(0.0, _rate_formula(ty, e_signal, delta1, min(0.5, e1), f))
-
-
-def ideal_rate_wcs(mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC) -> float:
-    """Coherent-pulse benchmark key rate with exact single-photon knowledge."""
-    eta = overall_transmittance(ch)
-    y1_true = _click_probability(1, ch, eta)
-    q, e_signal = _coherent_terms(mu_prime, ch, eta)
-    if q <= 0:
-        raise ValueError("forecast gain is zero; benchmark undefined")
-    delta1 = min(1.0, y1_true * mu_prime * math.exp(-mu_prime) / q)
-    e1 = _error_rate(1, ch, eta)
-    return max(0.0, _rate_formula(q, e_signal, delta1, min(0.5, e1), f))
+    y1, h_e1 = _exact_single_photon(ch, eta)
+    return _benchmark_rate(FLOATS, src, mu_prime, eta, ch, y1, h_e1, f)

@@ -94,7 +94,7 @@ def n_photon_error_rate(n: int, ch: ChannelParams) -> float:
 
 
 # The two helpers below take the overall transmittance eta, computed once
-# by the caller, as the forecast's _triggered_terms does.
+# by the caller, as the sources' signal terms do.
 
 def _click_probability(n: int, ch: ChannelParams, eta: float) -> float:
     if n < 1:

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import compute_hsps_bounds, single_photon_fraction, y1_lower_bound_hsps
+from .bounds import compute_hsps_bounds, single_photon_fraction, y1_lower_bound
 from .config import (
     ConfigError,
     make_manifest,
@@ -32,6 +32,7 @@ from .config import (
 )
 from .observables import IntensityCounts, statistics_from_counts
 from .optimizer import SweepConfig, rate_and_feasibility, sweep_distances
+from .sources import triggered_source
 
 CSV_COLUMNS = (
     "distance_km",
@@ -333,10 +334,11 @@ def _cmd_bounds(args) -> int:
         if stats.e_mu_prime is not None:
             result["key_rate"], result["feasible"] = rate_and_feasibility(stats, bounds, cfg.f_ec)
     else:
-        y1 = y1_lower_bound_hsps(stats, mu, mu_prime, cfg.eta_a, cfg.d_a)
+        src = triggered_source(cfg.eta_a, cfg.d_a)
+        y1 = y1_lower_bound(src, stats, mu, mu_prime)
         result["y1_lower"] = y1
         if y1 > 0 and stats.ty_mu_prime > 0:
-            result["delta1"] = single_photon_fraction(y1, mu_prime, stats.ty_mu_prime, cfg.eta_a)
+            result["delta1"] = single_photon_fraction(src, y1, mu_prime, stats.ty_mu_prime)
     print(json.dumps(result, indent=2))
     outdir = _ensure_outdir(args.out)
     (outdir / "bounds.json").write_text(json.dumps(result, indent=2) + "\n")

@@ -149,6 +149,12 @@ def resolve_config(
     else:
         mu_prime_min = _to_float("mu_prime_min", merged["mu_prime_min"])
     kinds, include_ideal = _parse_sources(merged["sources"])
+    if numeric["dist_stop_km"] < numeric["dist_start_km"]:
+        # SweepConfig allows it (an empty grid); a run of no distances is a mistake
+        raise ConfigError(
+            f"dist_stop_km ({numeric['dist_stop_km']}) must be >= "
+            f"dist_start_km ({numeric['dist_start_km']})"
+        )
 
     try:
         channel = ChannelParams(

@@ -17,42 +17,46 @@ distances, not channels: a row is cfg.channel at its distance, and only
 its overall transmittance enters the arrays, so a ChannelParams is built
 only for the points the scalar chain evaluates.
 
-The arrays only pick mu'; every reported rate, observable and bound is
-then recomputed by the scalar evaluate_* / ideal_rate_* functions at
-that mu'. Reporting straight from the arrays would move CSV values in
-the last digits (numpy's exp/log/pow round differently from math's),
-and a one-row array call costs about ten times a scalar evaluation.
-Every evaluation is a pure function of the inputs; identical
-configurations produce identical results bit for bit.
+A source kind names one source object (_source). The search's rates
+come from the scalar chain's own source-generic core run on numpy arrays,
+with each row's mu'-independent terms taken from the scalar chain. The
+arrays only pick mu'; every reported rate, observable and bound is then
+recomputed by the scalar chain (evaluate, ideal_rate) at that mu'.
+Reporting straight from the arrays would move CSV values in the last
+digits (numpy's exp/log/pow round differently from math's), and a
+one-row array call costs about ten times a scalar evaluation. Every
+evaluation is a pure function of the inputs; identical configurations
+produce identical results bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
     KeyRatePoint,
     SecurityBounds,
+    _benchmark_rate,
+    _exact_single_photon,
     _rate_formula,
-    _y1_hsps_raw,
-    binary_entropy,
-    compute_hsps_bounds,
-    compute_wcs_bounds,
-    ideal_rate_hsps,
-    ideal_rate_wcs,
+    _search_rate,
+    compute_bounds,
+    ideal_rate,
 )
-from .channel import ChannelParams, _click_probability, _error_rate, fiber_transmittance
-from .observables import (
-    ObservedStatistics,
-    _coherent_terms,
-    _triggered_terms,
-    forecast_observables,
-    forecast_wcs_observables,
-)
+from .channel import ChannelParams, fiber_transmittance
+from .numerics import ARRAYS, FLOATS, binary_entropy
+from .observables import ObservedStatistics, forecast
+# Not called here: bench/tracer.py patches this binding by name.
+from .observables import forecast_observables  # noqa: F401
+from .sources import COHERENT, triggered_source
 
-SOURCE_KINDS = ("hsps", "wcs")
+_SOURCES = {
+    "hsps": lambda cfg: triggered_source(cfg.eta_a, cfg.d_a),
+    "wcs": lambda cfg: COHERENT,
+}
+SOURCE_KINDS = tuple(_SOURCES)
 
 # Two candidate rates closer than this are a tie; the smaller mu' wins.
 RATE_TIE_TOL = 1e-15
@@ -184,19 +188,13 @@ def mu_prime_candidates(cfg: SweepConfig) -> list[float]:
 
 
 def golden_section_maximize(fn, a, b, tol: float):
-    """Locate the maximum of a unimodal function on [a, b] to width tol.
+    """Locate the maxima of unimodal functions on brackets [a, b] to width tol.
 
-    a and b are floats, or equal-shape arrays of brackets that are all
-    searched in lockstep: fn then maps an array of points to an array of
-    values, each element takes exactly the steps of its own scalar search,
-    and an element whose bracket is narrower than tol stops moving.
+    a and b are equal-shape arrays of brackets that are all searched in
+    lockstep: fn maps an array of points to an array of values, each
+    element takes exactly the steps of its own scalar search, and an
+    element whose bracket is narrower than tol stops moving.
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        x, fx = golden_section_maximize(
-            lambda v: np.array([fn(float(v[0]))]),
-            np.array([a], dtype=float), np.array([b], dtype=float), tol,
-        )
-        return float(x[0]), float(fx[0])
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     invalid = b < a
@@ -283,10 +281,11 @@ def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4):
     refine = b - a > refine_tol
     if refine.any():
         xr, fr = golden_section_maximize(lambda x: rate_fn(x[:, None])[:, 0], a, b, refine_tol)
-        take = refine & (
-            (fr > best_f + RATE_TIE_TOL)
-            | ((np.abs(fr - best_f) <= RATE_TIE_TOL) & (xr < best_x))
-        )
+        with np.errstate(invalid="ignore"):  # inf - inf when a rate is infinite
+            take = refine & (
+                (fr > best_f + RATE_TIE_TOL)
+                | ((np.abs(fr - best_f) <= RATE_TIE_TOL) & (xr < best_x))
+            )
         best_x = np.where(take, xr, best_x)
         best_f = np.where(take, fr, best_f)
     return best_x, best_f
@@ -301,154 +300,54 @@ def rate_and_feasibility(
     formula is not negative; sweeps, figures and the counts analysis all
     report this one flag.
     """
-    raw = _rate_formula(obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, f_ec)
-    return max(0.0, raw), bounds.feasible and raw >= 0.0
+    h_e1 = binary_entropy(bounds.e1_upper)
+    raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, h_e1, f_ec)
+    return raw if raw > 0.0 else 0.0, bounds.feasible and raw >= 0.0
 
 
-def evaluate_hsps(
-    cfg: SweepConfig, ch: ChannelParams, mu_prime: float
+def _source(cfg: SweepConfig, source_kind: str):
+    if source_kind not in _SOURCES:
+        raise ValueError(f"unknown source kind {source_kind!r}")
+    return _SOURCES[source_kind](cfg)
+
+
+def evaluate(
+    cfg: SweepConfig, ch: ChannelParams, src, mu_prime: float
 ) -> tuple[ObservedStatistics, SecurityBounds, float, bool]:
-    """Forecast, bound, and rate one triggered-source working point."""
-    obs = forecast_observables(cfg.mu, mu_prime, cfg.eta_a, cfg.d_a, ch)
-    bounds = compute_hsps_bounds(obs, cfg.mu, mu_prime, cfg.eta_a, cfg.d_a, e_0=ch.e_0)
+    """Forecast, bound, and rate one working point of source src."""
+    obs = forecast(src, cfg.mu, mu_prime, ch)
+    bounds = compute_bounds(src, obs, cfg.mu, mu_prime, ch.e_0)
     return (obs, bounds) + rate_and_feasibility(obs, bounds, cfg.f_ec)
 
-
-def evaluate_wcs(
-    cfg: SweepConfig, ch: ChannelParams, mu_prime: float
-) -> tuple[ObservedStatistics, SecurityBounds, float, bool]:
-    """Forecast, bound, and rate one coherent-source working point."""
-    obs = forecast_wcs_observables(cfg.mu, mu_prime, ch)
-    bounds = compute_wcs_bounds(obs, cfg.mu, mu_prime, e_0=ch.e_0)
-    return (obs, bounds) + rate_and_feasibility(obs, bounds, cfg.f_ec)
-
-
-def _evaluate(cfg: SweepConfig, ch: ChannelParams, source_kind: str, mu_prime: float):
-    if source_kind == "hsps":
-        return evaluate_hsps(cfg, ch, mu_prime)
-    return evaluate_wcs(cfg, ch, mu_prime)
-
-
-def _ideal_rate(cfg: SweepConfig, ch: ChannelParams, source_kind: str, mu_prime: float) -> float:
-    if source_kind == "hsps":
-        return ideal_rate_hsps(mu_prime, cfg.eta_a, cfg.d_a, ch, cfg.f_ec)
-    return ideal_rate_wcs(mu_prime, ch, cfg.f_ec)
-
-
-# ---------------------------------------------------------------------------
-# array rates: one row per distance, mu' along the columns
-#
-# Each builder below takes the column of a block of rows' overall
-# transmittances (every other channel parameter is cfg.channel's),
-# computes the mu'-independent terms of every row once, and returns
-# rate(mu_prime) over arrays that broadcast against (rows, 1). The
-# triggered-pulse terms come from the scalar forecast's own
-# _triggered_terms, which is plain arithmetic; everything else mirrors the
-# scalar forecast, bounds and rate formula operation for operation, so the
-# search sees the scalar rates up to the last-place rounding of numpy's
-# exp/log/pow.
 
 def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _entropy(p):
-    h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
+def _rate_array(cfg: SweepConfig, src, ideal: bool, eta: np.ndarray):
+    """rate(mu_prime) of the rows of a column eta of overall transmittances.
 
-
-def _clamped_rate(weight, e_signal, delta1, h_e1, f):
-    """max(0, _rate_formula) with the single-photon entropy already taken."""
-    raw = weight / 2.0 * (-f * _entropy(e_signal) + delta1 * (1.0 - h_e1))
-    return np.where(raw > 0.0, raw, 0.0)
-
-
-def _wcs_signal(cfg: SweepConfig, eta, mu_prime):
-    """Gain, capped at 1 as in _coherent_terms, and QBER of coherent signal pulses."""
-    ch = cfg.channel
-    lost = np.expm1(-eta * mu_prime)
-    q = ch.d_b - lost
-    return np.minimum(q, 1.0), (ch.e_0 * ch.d_b - ch.e_d * lost) / q
-
-
-def _hsps_rate_array(cfg: SweepConfig, eta: np.ndarray):
-    mu, eta_a, d_a, e_0, y0 = cfg.mu, cfg.eta_a, cfg.d_a, cfg.channel.e_0, cfg.channel.d_b
-    with np.errstate(all="ignore"):
-        _, ty_mu, e_mu = _triggered_terms(mu, eta_a, d_a, cfg.channel, eta)
-        # (1+mu)^2 * E_mu * tY_mu, in compute_hsps_bounds' order of operations
-        e1_mass = (1.0 + mu) ** 2 * e_mu * ty_mu - (1.0 + mu) * y0 * d_a * e_0
+    Every other channel parameter is cfg.channel's. Each row's
+    mu'-independent terms (decoy terms, or the benchmark's exact Y1 and
+    entropy) are its scalar-chain values, so the search sees the scalar
+    rates up to the last-place rounding of numpy's exp/log/pow.
+    """
+    ch, etas = cfg.channel, eta[:, 0].tolist()
+    if ideal:
+        y1, h_e1 = (_column(c) for c in zip(*[_exact_single_photon(ch, e) for e in etas]))
+    else:
+        # the decoy rescaled yield and e1 error mass of compute_bounds
+        decoy = [src.signal(FLOATS, cfg.mu, e, ch) for e in etas]
+        ty_mu = _column([ty for _, ty, _ in decoy])
+        e1_mass = _column([src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy])
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
-            _, ty, e = _triggered_terms(mu_prime, eta_a, d_a, cfg.channel, eta)
-            raw_y1 = _y1_hsps_raw(y0, ty_mu, ty, mu, mu_prime, eta_a, d_a)
-            y1 = np.minimum(raw_y1, 1.0)
-            delta1 = np.minimum(y1 * eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
-            e1 = np.clip(e1_mass / (y1 * eta_a * mu), 0.0, 0.5)
-            r = _clamped_rate(ty, e, delta1, _entropy(e1), cfg.f_ec)
-            return np.where(raw_y1 > 0.0, r, 0.0)
+            if ideal:
+                return _benchmark_rate(ARRAYS, src, mu_prime, eta, ch, y1, h_e1, cfg.f_ec)
+            return _search_rate(src, ch.d_b, ty_mu, e1_mass, cfg.mu, mu_prime, eta, ch, cfg.f_ec)
 
     return rate
-
-
-def _wcs_rate_array(cfg: SweepConfig, eta: np.ndarray):
-    mu, e_0, y0 = cfg.mu, cfg.channel.e_0, cfg.channel.d_b
-    decoy = [_coherent_terms(mu, cfg.channel, float(e)) for e in eta[:, 0]]
-    c_mu = _column([q * math.exp(mu) for q, _ in decoy])
-    e1_mass = _column([e * q * math.exp(mu) - e_0 * y0 for q, e in decoy])
-
-    def rate(mu_prime):
-        with np.errstate(all="ignore"):
-            q, e = _wcs_signal(cfg, eta, mu_prime)
-            num = mu_prime**2 * c_mu - mu**2 * (q * np.exp(mu_prime)) - y0 * (mu_prime**2 - mu**2)
-            raw_y1 = num / (mu * mu_prime * (mu_prime - mu))
-            y1 = np.minimum(raw_y1, 1.0)
-            delta1 = np.minimum(y1 * mu_prime * np.exp(-mu_prime) / q, 1.0)
-            e1 = np.clip(e1_mass / (y1 * mu), 0.0, 0.5)
-            r = _clamped_rate(q, e, delta1, _entropy(e1), cfg.f_ec)
-            return np.where(raw_y1 > 0.0, r, 0.0)
-
-    return rate
-
-
-def _ideal_single_photon(ch: ChannelParams, eta: np.ndarray):
-    """True single-photon yield and entropy of its (capped) error rate, per row."""
-    etas = eta[:, 0].tolist()
-    y1 = _column([_click_probability(1, ch, e) for e in etas])
-    h_e1 = _column([binary_entropy(min(0.5, _error_rate(1, ch, e))) for e in etas])
-    return y1, h_e1
-
-
-def _hsps_ideal_rate_array(cfg: SweepConfig, eta: np.ndarray):
-    y1, h_e1 = _ideal_single_photon(cfg.channel, eta)
-
-    def rate(mu_prime):
-        with np.errstate(all="ignore"):
-            _, ty, e = _triggered_terms(mu_prime, cfg.eta_a, cfg.d_a, cfg.channel, eta)
-            delta1 = np.minimum(y1 * cfg.eta_a * mu_prime / (ty * (1.0 + mu_prime) ** 2), 1.0)
-            return _clamped_rate(ty, e, delta1, h_e1, cfg.f_ec)
-
-    return rate
-
-
-def _wcs_ideal_rate_array(cfg: SweepConfig, eta: np.ndarray):
-    y1, h_e1 = _ideal_single_photon(cfg.channel, eta)
-
-    def rate(mu_prime):
-        with np.errstate(all="ignore"):
-            q, e = _wcs_signal(cfg, eta, mu_prime)
-            delta1 = np.minimum(y1 * mu_prime * np.exp(-mu_prime) / q, 1.0)
-            return _clamped_rate(q, e, delta1, h_e1, cfg.f_ec)
-
-    return rate
-
-
-_RATE_ARRAYS = {
-    ("hsps", False): _hsps_rate_array,
-    ("wcs", False): _wcs_rate_array,
-    ("hsps", True): _hsps_ideal_rate_array,
-    ("wcs", True): _wcs_ideal_rate_array,
-}
 
 
 def _stacked_rate(blocks):
@@ -466,15 +365,13 @@ def _searched_mu_primes(
     """The searched mu' at every distance for every (source kind, ideal) job.
 
     The rows of all jobs, job after job, go through one search, split into
-    chunks of at most _BLOCK_CELLS rows; each job's array builder rates its
+    chunks of at most _BLOCK_CELLS rows; each job's _rate_array rates its
     own rows of a chunk. A row's search never looks at another row, so
     every row picks the mu' it would pick alone. A row is cfg.channel at
     its distance, and the search reads only its overall transmittance,
     computed as overall_transmittance does, so no ChannelParams is built.
     """
-    for kind, _ in jobs:
-        if kind not in SOURCE_KINDS:
-            raise ValueError(f"unknown source kind {kind!r}")
+    sources = [(_source(cfg, kind), ideal) for kind, ideal in jobs]
     n, total = len(distances), len(distances) * len(jobs)
     ch = cfg.channel
     eta = _column([fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances])
@@ -482,11 +379,11 @@ def _searched_mu_primes(
     for start in range(0, total, _BLOCK_CELLS):
         stop = min(total, start + _BLOCK_CELLS)
         blocks = []
-        for j, job in enumerate(jobs):
+        for j, (src, ideal) in enumerate(sources):
             lo, hi = max(start - j * n, 0), min(stop - j * n, n)
             if lo < hi:
-                make_rate = _RATE_ARRAYS[job]
-                blocks.append((j * n + lo - start, j * n + hi - start, make_rate(cfg, eta[lo:hi])))
+                rate = _rate_array(cfg, src, ideal, eta[lo:hi])
+                blocks.append((j * n + lo - start, j * n + hi - start, rate))
         best_x, _ = maximize_over_mu_prime(_stacked_rate(blocks), cfg)
         mu_primes.extend(best_x.tolist())
     return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
@@ -509,7 +406,7 @@ def optimize_mu_prime(
     """
     ch = cfg.channel.at_distance(distance_km)
     (mu_prime,) = _optimal_mu_primes(cfg, [distance_km], source_kind)
-    return mu_prime, _evaluate(cfg, ch, source_kind, mu_prime)[2]
+    return mu_prime, evaluate(cfg, ch, _source(cfg, source_kind), mu_prime)[2]
 
 
 def optimal_ideal_rate(
@@ -518,35 +415,7 @@ def optimal_ideal_rate(
     """Infinite-decoy benchmark rate, with its own mu' optimization."""
     ch = cfg.channel.at_distance(distance_km)
     (mu_prime,) = _optimal_mu_primes(cfg, [distance_km], source_kind, ideal=True)
-    return _ideal_rate(cfg, ch, source_kind, mu_prime)
-
-
-def optimize_joint_intensities(
-    cfg: SweepConfig,
-    distance_km: float,
-    mu_values,
-    source_kind: str = "hsps",
-) -> tuple[float, float, float]:
-    """Exhaustive-grid joint optimization over (mu, mu') at one distance.
-
-    The sweep itself keeps mu fixed; this optional mode scans the supplied
-    decoy-intensity candidates, optimizing mu' for each, and returns the
-    best (mu, mu', rate). Ties resolve to the smaller mu.
-    """
-    mu_values = list(mu_values)
-    if not mu_values:
-        raise ValueError("mu_values must contain at least one candidate")
-    best = None
-    for mu in sorted(mu_values):
-        trial = replace(
-            cfg,
-            mu=mu,
-            mu_prime_min=max(cfg.mu_prime_min, mu + cfg.mu_prime_coarse_step),
-        )
-        mu_prime, rate = optimize_mu_prime(trial, distance_km, source_kind)
-        if best is None or rate > best[2] + RATE_TIE_TOL:
-            best = (mu, mu_prime, rate)
-    return best
+    return ideal_rate(_source(cfg, source_kind), mu_prime, ch, cfg.f_ec)
 
 
 def _sweep_points(
@@ -558,17 +427,18 @@ def _sweep_points(
     reported values are then evaluated by the scalar chain at those mu'.
     """
     channels = [cfg.channel.at_distance(d) for d in distances]
+    sources = [_source(cfg, kind) for kind in kinds]
     jobs = [(kind, False) for kind in kinds]
     if cfg.include_ideal:
         jobs += [(kind, True) for kind in kinds]
     searched = _searched_mu_primes(cfg, distances, jobs)
     points = []
     for i, (distance, ch) in enumerate(zip(distances, channels)):
-        for k, kind in enumerate(kinds):
+        for k, (kind, src) in enumerate(zip(kinds, sources)):
             mu_prime = searched[k][i]
-            obs, bounds, rate, feasible = _evaluate(cfg, ch, kind, mu_prime)
+            obs, bounds, rate, feasible = evaluate(cfg, ch, src, mu_prime)
             if cfg.include_ideal:
-                ideal = _ideal_rate(cfg, ch, kind, searched[len(kinds) + k][i])
+                ideal = ideal_rate(src, searched[len(kinds) + k][i], ch, cfg.f_ec)
             else:
                 ideal = float("nan")
             points.append(KeyRatePoint(
@@ -605,13 +475,14 @@ def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
 
 def _positive_rates(cfg: SweepConfig, distances: list[float], source_kind: str) -> list[bool]:
     """Whether the optimized rate is positive at each distance, from one search."""
+    src = _source(cfg, source_kind)
     mu_primes = _optimal_mu_primes(cfg, distances, source_kind)
-    return [_positive(cfg, d, source_kind, m) for d, m in zip(distances, mu_primes)]
+    return [_positive(cfg, d, src, m) for d, m in zip(distances, mu_primes)]
 
 
-def _positive(cfg: SweepConfig, distance_km: float, source_kind: str, mu_prime: float) -> bool:
+def _positive(cfg: SweepConfig, distance_km: float, src, mu_prime: float) -> bool:
     """Whether the scalar rate at distance_km and mu_prime is positive."""
-    return _evaluate(cfg, cfg.channel.at_distance(distance_km), source_kind, mu_prime)[2] > 0.0
+    return evaluate(cfg, cfg.channel.at_distance(distance_km), src, mu_prime)[2] > 0.0
 
 
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:
@@ -628,9 +499,10 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     not the rate falls monotonically.
     """
     grid = distance_grid(cfg)
+    src = _source(cfg, source_kind)
     mu_primes = _optimal_mu_primes(cfg, grid, source_kind)
     last = len(grid) - 1
-    while last >= 0 and not _positive(cfg, grid[last], source_kind, mu_primes[last]):
+    while last >= 0 and not _positive(cfg, grid[last], src, mu_primes[last]):
         last -= 1
     if last < 0:
         return None

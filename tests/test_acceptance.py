@@ -13,13 +13,19 @@ import pytest
 
 import decoy_hsps as dh
 from decoy_hsps.cli import main, read_points_csv
-from decoy_hsps.observables import (
+from decoy_hsps.optimizer import _source, evaluate
+from decoy_hsps.sources import COHERENT, TriggeredSource
+from oracles import (
+    closed_form,
+    closed_form_wcs,
     simulate_qber_series,
     simulate_rescaled_yield_series,
     simulate_wcs_gain_series,
     simulate_wcs_qber_series,
+    synthesize_observables_from_yields,
+    synthesize_wcs_gain_from_yields,
+    thermal_weight,
 )
-from decoy_hsps.sources import thermal_weight
 
 
 def _report(cid: int, text: str) -> None:
@@ -48,10 +54,10 @@ def test_c01_hsps_bound_soundness():
         d_a = rng.uniform(0.0, 1e-3)
         obs = _obs(
             yields[0],
-            dh.synthesize_observables_from_yields(yields, mu, eta_a, d_a),
-            dh.synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
+            synthesize_observables_from_yields(yields, mu, eta_a, d_a),
+            synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
         )
-        bound = dh.y1_lower_bound_hsps(obs, mu, mu_prime, eta_a, d_a)
+        bound = dh.y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
         assert bound <= yields[1] + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -70,10 +76,10 @@ def test_c02_hsps_bound_tightness():
         d_a = rng.uniform(0.0, 1e-3)
         obs = _obs(
             yields[0],
-            dh.synthesize_observables_from_yields(yields, mu, eta_a, d_a),
-            dh.synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
+            synthesize_observables_from_yields(yields, mu, eta_a, d_a),
+            synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
         )
-        bound = dh.y1_lower_bound_hsps(obs, mu, mu_prime, eta_a, d_a)
+        bound = dh.y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
         rel = abs(bound - yields[1]) / yields[1]
         worst = max(worst, rel)
         assert rel <= 1e-9
@@ -96,9 +102,9 @@ def test_c04_wcs_bound_soundness_and_tightness():
     for _ in range(10_000):
         yields = rng.random(51)
         mu, mu_prime = _draw_intensities(rng)
-        q_mu = dh.synthesize_wcs_gain_from_yields(yields, mu)
-        q_mu_prime = dh.synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = dh.y1_lower_bound_wcs(yields[0], q_mu, q_mu_prime, mu, mu_prime)
+        q_mu = synthesize_wcs_gain_from_yields(yields, mu)
+        q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
+        bound = dh.y1_lower_bound(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime)
         assert bound <= yields[1] + 1e-12
     worst = 0.0
     for _ in range(10_000):
@@ -106,9 +112,9 @@ def test_c04_wcs_bound_soundness_and_tightness():
         yields[0] = rng.random()
         yields[1] = rng.uniform(1e-3, 1.0)
         mu, mu_prime = _draw_intensities(rng)
-        q_mu = dh.synthesize_wcs_gain_from_yields(yields, mu)
-        q_mu_prime = dh.synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = dh.y1_lower_bound_wcs(yields[0], q_mu, q_mu_prime, mu, mu_prime)
+        q_mu = synthesize_wcs_gain_from_yields(yields, mu)
+        q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
+        bound = dh.y1_lower_bound(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime)
         rel = abs(bound - yields[1]) / yields[1]
         worst = max(worst, rel)
         assert rel <= 1e-9
@@ -130,10 +136,10 @@ def test_c05_series_and_closed_forms_agree():
             d_b=rng.uniform(0.0, 1e-4),
             e_d=rng.uniform(0.0, 0.1),
         )
-        assert dh.simulate_rescaled_yield(src, ch) == pytest.approx(
+        assert closed_form(src, ch)[1] == pytest.approx(
             simulate_rescaled_yield_series(src, ch), rel=1e-12
         )
-        assert dh.simulate_qber(src, ch) == pytest.approx(
+        assert closed_form(src, ch)[2] == pytest.approx(
             simulate_qber_series(src, ch), rel=1e-12
         )
         p_post_series = d_a / (1.0 + x) + sum(
@@ -141,10 +147,10 @@ def test_c05_series_and_closed_forms_agree():
         )
         assert dh.post_selection_probability(src) == pytest.approx(p_post_series, rel=1e-12)
         mu = rng.uniform(0.01, 1.0)
-        assert dh.simulate_wcs_gain(mu, ch) == pytest.approx(
+        assert closed_form_wcs(mu, ch)[0] == pytest.approx(
             simulate_wcs_gain_series(mu, ch), rel=1e-12
         )
-        assert dh.simulate_wcs_qber(mu, ch) == pytest.approx(
+        assert closed_form_wcs(mu, ch)[1] == pytest.approx(
             simulate_wcs_qber_series(mu, ch), rel=1e-12
         )
     _report(5, "closed forms match truncated series to 1e-12 on 100 random points")
@@ -192,9 +198,10 @@ def test_c08_optimizer_matches_dense_grid():
     cfg = dh.resolve_config()
     step = 1e-4
     n_cells = int(round((cfg.mu_prime_max - cfg.mu_prime_min) / step))
+    src = _source(cfg, "hsps")
     for distance in (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0, 105.0, 120.0, 135.0):
         ch = cfg.channel.at_distance(distance)
-        rate = lambda m: dh.optimizer.evaluate_hsps(cfg, ch, m)[2]
+        rate = lambda m: evaluate(cfg, ch, src, m)[2]
         best_m, best_r = cfg.mu_prime_min, rate(cfg.mu_prime_min)
         for i in range(1, n_cells + 1):
             m = cfg.mu_prime_min + i * step

@@ -6,33 +6,32 @@ import pytest
 from decoy_hsps.bounds import (
     KeyRatePoint,
     SecurityBounds,
+    _single_photon_bounds,
     binary_entropy,
     compute_hsps_bounds,
     compute_wcs_bounds,
-    e1_upper_bound,
     hsps_elimination_coefficient,
-    ideal_bounds_hsps,
-    ideal_rate_hsps,
-    ideal_rate_wcs,
+    ideal_rate,
     key_rate_hsps,
     key_rate_wcs,
     single_photon_fraction,
-    synthesize_observables_from_yields,
-    synthesize_wcs_gain_from_yields,
-    wcs_e1_upper_bound,
     wcs_elimination_coefficient,
-    wcs_single_photon_fraction,
-    y1_lower_bound_hsps,
-    y1_lower_bound_wcs,
+    y1_lower_bound,
 )
 from decoy_hsps.channel import ChannelParams, n_photon_click_probability, n_photon_error_rate
+from decoy_hsps.numerics import FLOATS
 from decoy_hsps.observables import (
     ObservedStatistics,
     forecast_observables,
     forecast_wcs_observables,
-    simulate_rescaled_yield_series,
 )
-from decoy_hsps.sources import HeraldedSourceParams
+from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource
+from oracles import (
+    closed_form,
+    simulate_rescaled_yield_series,
+    synthesize_observables_from_yields,
+    synthesize_wcs_gain_from_yields,
+)
 
 GYS = ChannelParams()
 
@@ -44,6 +43,12 @@ def _obs_from_ty(y0, ty_mu, ty_mu_prime, e_mu=None, e_mu_prime=None):
         ty_mu=ty_mu, ty_mu_prime=ty_mu_prime,
         e_mu=e_mu, e_mu_prime=e_mu_prime,
     )
+
+
+def _e1_upper(src, y1, x, e_x, ty_x, y0, e_0=0.5):
+    """The clamped e1 bound at Y1 = y1 from the decoy terms at intensity x."""
+    mass = src.e1_mass(FLOATS, x, e_x, ty_x, y0, e_0)
+    return _single_photon_bounds(FLOATS, src, y1, mass, x, 2.0 * x, 1.0)[2]
 
 
 def _draw_intensities(rng):
@@ -148,7 +153,7 @@ class TestY1LowerBoundHsps:
             ty_mu=synthesize_observables_from_yields(yields, mu, eta_a, d_a),
             ty_mu_prime=synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
         )
-        bound = y1_lower_bound_hsps(obs, mu, mu_prime, eta_a, d_a)
+        bound = y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
         assert bound == pytest.approx(1e-3, rel=1e-9)
 
     def test_sound_on_random_yield_sequences(self):
@@ -163,36 +168,36 @@ class TestY1LowerBoundHsps:
                 ty_mu=synthesize_observables_from_yields(yields, mu, eta_a, d_a),
                 ty_mu_prime=synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
             )
-            bound = y1_lower_bound_hsps(obs, mu, mu_prime, eta_a, d_a)
+            bound = y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
             assert bound <= yields[1] + 1e-12
 
     def test_all_zero_observables(self):
         obs = _obs_from_ty(0.0, 0.0, 0.0)
-        assert y1_lower_bound_hsps(obs, 0.05, 0.1, 0.8, 1e-5) == 0.0
+        assert y1_lower_bound(TriggeredSource(0.8, 1e-5), obs, 0.05, 0.1) == 0.0
 
     def test_ordering_error(self):
         obs = _obs_from_ty(0.0, 0.01, 0.02)
         with pytest.raises(ValueError):
-            y1_lower_bound_hsps(obs, 0.1, 0.05, 0.8, 1e-5)
+            y1_lower_bound(TriggeredSource(0.8, 1e-5), obs, 0.1, 0.05)
 
 
 class TestSinglePhotonFraction:
     def test_zero_yield(self):
-        assert single_photon_fraction(0.0, 0.1, 0.01, 0.8) == 0.0
+        assert single_photon_fraction(TriggeredSource(0.8, 0.0), 0.0, 0.1, 0.01) == 0.0
 
     def test_pure_single_photon_clicks(self):
         y1, x, eta_a = 1e-3, 0.1, 0.8
         ty = y1 * eta_a * x / (1 + x) ** 2
-        assert single_photon_fraction(y1, x, ty, eta_a) == pytest.approx(1.0, rel=1e-12)
+        assert single_photon_fraction(TriggeredSource(eta_a, 0.0), y1, x, ty) == pytest.approx(1.0, rel=1e-12)
 
     def test_half_single_photon_case(self):
         y1, x, eta_a = 1e-3, 0.1, 0.8
         ty = 2.0 * y1 * eta_a * x / (1 + x) ** 2
-        assert single_photon_fraction(y1, x, ty, eta_a) == pytest.approx(0.5, rel=1e-12)
+        assert single_photon_fraction(TriggeredSource(eta_a, 0.0), y1, x, ty) == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
-            single_photon_fraction(1e-3, 0.1, 0.0, 0.8)
+            single_photon_fraction(TriggeredSource(0.8, 0.0), 1e-3, 0.1, 0.0)
 
 
 class TestE1UpperBound:
@@ -201,11 +206,11 @@ class TestE1UpperBound:
         mu, eta_a, e_d, y1 = 0.05, 0.8, 0.033, 1e-3
         ty_mu = y1 * eta_a * mu / (1 + mu) ** 2
         e_mu = e_d
-        bound = e1_upper_bound(y1, mu, e_mu, ty_mu, y0=0.0, eta_a=eta_a, d_a=0.0)
+        bound = _e1_upper(TriggeredSource(eta_a, 0.0), y1, mu, e_mu, ty_mu, y0=0.0)
         assert bound == pytest.approx(e_d, rel=1e-9)
 
     def test_zero_error_mass(self):
-        assert e1_upper_bound(1e-3, 0.05, 0.0, 1e-4, y0=0.0, eta_a=0.8, d_a=0.0) == 0.0
+        assert _e1_upper(TriggeredSource(0.8, 0.0), 1e-3, 0.05, 0.0, 1e-4, y0=0.0) == 0.0
 
     def test_dominates_true_single_photon_error(self):
         rng = np.random.default_rng(41)
@@ -220,15 +225,10 @@ class TestE1UpperBound:
             eta_a = rng.uniform(0.5, 1.0)
             d_a = rng.uniform(0.0, 1e-3)
             obs = forecast_observables(mu, mu_prime, eta_a, d_a, ch)
-            y1 = y1_lower_bound_hsps(obs, mu, mu_prime, eta_a, d_a)
-            if y1 == 0.0:
+            bounds = compute_hsps_bounds(obs, mu, mu_prime, eta_a, d_a)
+            if bounds.y1_lower == 0.0:
                 continue
-            bound = e1_upper_bound(y1, mu, obs.e_mu, obs.ty_mu, obs.y0, eta_a, d_a)
-            assert bound >= n_photon_error_rate(1, ch) - 1e-12
-
-    def test_requires_certified_singles(self):
-        with pytest.raises(ValueError):
-            e1_upper_bound(0.0, 0.05, 0.01, 1e-4, 0.0, 0.8, 0.0)
+            assert bounds.e1_upper >= n_photon_error_rate(1, ch) - 1e-12
 
 
 class TestComputeHspsBounds:
@@ -266,14 +266,6 @@ class TestComputeHspsBounds:
         assert b.e1_upper == 0.0
         assert not b.feasible
 
-    def test_e1_at_signal_intensity_option(self):
-        obs = forecast_observables(0.05, 0.3, 0.8, 1e-5, GYS.at_distance(20.0))
-        b_mu = compute_hsps_bounds(obs, 0.05, 0.3, 0.8, 1e-5, e1_intensity="mu")
-        b_sig = compute_hsps_bounds(obs, 0.05, 0.3, 0.8, 1e-5, e1_intensity="mu_prime")
-        assert b_mu.e1_upper != b_sig.e1_upper
-        with pytest.raises(ValueError):
-            compute_hsps_bounds(obs, 0.05, 0.3, 0.8, 1e-5, e1_intensity="nope")
-
 
 class TestKeyRateHsps:
     def test_perfect_single_photon_protocol(self):
@@ -302,9 +294,12 @@ class TestIdealBenchmarks:
     def test_delta1_two_evaluations_agree_at_zero_distance(self):
         ch = GYS.at_distance(0.0)
         mu_prime, eta_a, d_a = 0.3, 0.8, 1e-5
-        delta1, _ = ideal_bounds_hsps(mu_prime, eta_a, d_a, ch)
-        # direct single-photon term share of the series evaluation
         src = HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)
+        # the benchmark's Delta1: exact Y1 over the closed-form rescaled yield
+        delta1 = single_photon_fraction(
+            TriggeredSource(eta_a, d_a), n_photon_click_probability(1, ch), mu_prime,
+            closed_form(src, ch)[1])
+        # direct single-photon term share of the series evaluation
         ty_series = simulate_rescaled_yield_series(src, ch)
         single = (
             (mu_prime / (1 + mu_prime) ** 2)
@@ -320,7 +315,7 @@ class TestIdealBenchmarks:
         obs = forecast_observables(mu, mu_prime, eta_a, d_a, ch)
         bounds = compute_hsps_bounds(obs, mu, mu_prime, eta_a, d_a)
         rate = key_rate_hsps(obs, bounds)
-        assert ideal_rate_hsps(mu_prime, eta_a, d_a, ch) >= rate - 1e-15
+        assert ideal_rate(TriggeredSource(eta_a, d_a), mu_prime, ch) >= rate - 1e-15
 
     @pytest.mark.parametrize("distance", [0.0, 25.0, 50.0, 100.0])
     def test_wcs_ideal_rate_dominates_bounded_rate(self, distance):
@@ -329,7 +324,7 @@ class TestIdealBenchmarks:
         obs = forecast_wcs_observables(mu, mu_prime, ch)
         bounds = compute_wcs_bounds(obs, mu, mu_prime)
         rate = key_rate_wcs(obs, bounds)
-        assert ideal_rate_wcs(mu_prime, ch) >= rate - 1e-15
+        assert ideal_rate(COHERENT, mu_prime, ch) >= rate - 1e-15
 
 
 class TestY1LowerBoundWcs:
@@ -340,7 +335,7 @@ class TestY1LowerBoundWcs:
         yields[1] = 1e-3
         q_mu = synthesize_wcs_gain_from_yields(yields, mu)
         q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = y1_lower_bound_wcs(yields[0], q_mu, q_mu_prime, mu, mu_prime)
+        bound = y1_lower_bound(COHERENT, _obs_from_ty(yields[0], q_mu, q_mu_prime), mu, mu_prime)
         assert bound == pytest.approx(1e-3, rel=1e-9)
 
     def test_sound_on_random_yield_sequences(self):
@@ -350,24 +345,30 @@ class TestY1LowerBoundWcs:
             mu, mu_prime = _draw_intensities(rng)
             q_mu = synthesize_wcs_gain_from_yields(yields, mu)
             q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-            bound = y1_lower_bound_wcs(yields[0], q_mu, q_mu_prime, mu, mu_prime)
+            bound = y1_lower_bound(COHERENT, _obs_from_ty(yields[0], q_mu, q_mu_prime), mu, mu_prime)
             assert bound <= yields[1] + 1e-12
 
     def test_all_zero_gains(self):
-        assert y1_lower_bound_wcs(0.0, 0.0, 0.0, 0.05, 0.1) == 0.0
+        assert y1_lower_bound(COHERENT, _obs_from_ty(0.0, 0.0, 0.0), 0.05, 0.1) == 0.0
+
+    def test_overflowing_decoy_term_is_an_error_not_zero(self):
+        # e^mu and e^mu' both saturate at inf, so the raw bound is inf - inf
+        obs = _obs_from_ty(1e-6, 0.5, 0.6, e_mu=0.02)
+        with pytest.raises(ValueError, match="undefined"):
+            y1_lower_bound(COHERENT, obs, 710.0, 800.0)
+        with pytest.raises(ValueError):
+            compute_wcs_bounds(obs, 710.0, 800.0)
 
     def test_ordering_error(self):
         with pytest.raises(ValueError):
-            y1_lower_bound_wcs(0.0, 0.01, 0.02, 0.1, 0.05)
+            y1_lower_bound(COHERENT, _obs_from_ty(0.0, 0.01, 0.02), 0.1, 0.05)
 
 
 class TestWcsBoundsAndRate:
     def test_single_photon_fraction_and_e1(self):
         q = 0.25 * 0.4 * math.exp(-0.4)
-        assert wcs_single_photon_fraction(0.25, 0.4, q) == pytest.approx(1.0, rel=1e-12)
-        assert wcs_e1_upper_bound(1e-3, 0.05, 0.0, 1e-4, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            wcs_e1_upper_bound(0.0, 0.05, 0.01, 1e-4, 0.0)
+        assert single_photon_fraction(COHERENT, 0.25, 0.4, q) == pytest.approx(1.0, rel=1e-12)
+        assert _e1_upper(COHERENT, 1e-3, 0.05, 0.0, 1e-4, 0.0) == 0.0
 
     def test_perfect_single_photon_protocol(self):
         obs = ObservedStatistics(y0=0.0, y_mu=0.01, y_mu_prime=0.02,
@@ -395,11 +396,10 @@ class TestWcsBoundsAndRate:
             )
             mu, mu_prime = 0.05, 0.4
             obs = forecast_wcs_observables(mu, mu_prime, ch)
-            y1 = y1_lower_bound_wcs(obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
-            if y1 == 0.0:
+            bounds = compute_wcs_bounds(obs, mu, mu_prime)
+            if bounds.y1_lower == 0.0:
                 continue
-            bound = wcs_e1_upper_bound(y1, mu, obs.e_mu, obs.ty_mu, obs.y0)
-            assert bound >= n_photon_error_rate(1, ch) - 1e-12
+            assert bounds.e1_upper >= n_photon_error_rate(1, ch) - 1e-12
 
 
 class TestDataClassValidation:

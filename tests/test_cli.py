@@ -315,6 +315,9 @@ class TestExitCodes:
     def test_oversized_mu_prime_grid_rejected(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, "mu_prime_coarse_step=1e-12", "mu_prime_coarse_step")
 
+    def test_reversed_distance_range_rejected(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, "dist_start_km=10 dist_stop_km=5", "dist_stop_km")
+
     def test_overflowing_signal_intensity_is_one_line_error(self, tmp_path, capsys):
         # (1 + mu')^3 in the Y1 bound overflows a float
         assert main([
@@ -347,9 +350,10 @@ class TestExitCodes:
         assert not (out / "bounds.json").exists()
 
     @staticmethod
-    def _assert_rejected(tmp_path, capsys, override, key):
+    def _assert_rejected(tmp_path, capsys, overrides, key):
         out = tmp_path / "run"
-        assert main(["sweep", "--out", str(out), "--override", override]) == 1
+        flags = [arg for item in overrides.split() for arg in ("--override", item)]
+        assert main(["sweep", "--out", str(out)] + flags) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and key in err
         assert not (out / "sweep.csv").exists()

@@ -9,20 +9,24 @@ from decoy_hsps.observables import (
     ObservedStatistics,
     forecast_observables,
     forecast_wcs_observables,
-    simulate_qber,
-    simulate_qber_series,
-    simulate_rescaled_yield,
-    simulate_rescaled_yield_series,
-    simulate_wcs_gain,
-    simulate_wcs_gain_series,
-    simulate_wcs_qber,
-    simulate_wcs_qber_series,
-    simulate_yield,
     statistics_from_counts,
 )
 from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability
+from oracles import (
+    closed_form,
+    closed_form_wcs,
+    simulate_qber_series,
+    simulate_rescaled_yield_series,
+    simulate_wcs_gain_series,
+    simulate_wcs_qber_series,
+)
 
 GYS = ChannelParams()
+
+
+def _yield(src, ch):
+    p_post, ty, _ = closed_form(src, ch)
+    return ty / p_post
 
 
 def _random_setup(rng):
@@ -46,12 +50,12 @@ def _random_setup(rng):
 class TestRescaledYield:
     def test_vacuum_intensity_limit(self):
         src = HeraldedSourceParams(x=0.0, eta_a=0.8, d_a=1e-5)
-        assert simulate_rescaled_yield(src, GYS) == pytest.approx(1e-5 * GYS.d_b, rel=1e-14)
+        assert closed_form(src, GYS)[1] == pytest.approx(1e-5 * GYS.d_b, rel=1e-14)
 
     def test_closed_form_matches_series_at_reference_point(self):
         src = HeraldedSourceParams(x=0.1, eta_a=0.8, d_a=1e-5)
         ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1e-3, d_b=1.7e-6)
-        closed = simulate_rescaled_yield(src, ch)
+        closed = closed_form(src, ch)[1]
         series = simulate_rescaled_yield_series(src, ch, max_terms=200)
         assert closed == pytest.approx(series, rel=1e-12)
 
@@ -59,67 +63,62 @@ class TestRescaledYield:
         rng = np.random.default_rng(11)
         for _ in range(30):
             src, ch = _random_setup(rng)
-            assert simulate_rescaled_yield(src, ch) == pytest.approx(
+            assert closed_form(src, ch)[1] == pytest.approx(
                 simulate_rescaled_yield_series(src, ch), rel=1e-12
             )
 
     def test_perfect_system_equals_post_selection(self):
         src = HeraldedSourceParams(x=0.05, eta_a=1.0, d_a=0.0)
         ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0, d_b=0.0)
-        assert simulate_rescaled_yield(src, ch) == pytest.approx(0.05 / 1.05, rel=1e-13)
+        assert closed_form(src, ch)[1] == pytest.approx(0.05 / 1.05, rel=1e-13)
 
 
 class TestYield:
     def test_perfect_system(self):
         src = HeraldedSourceParams(x=0.05, eta_a=1.0, d_a=0.0)
         ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0, d_b=0.0)
-        assert simulate_yield(src, ch) == pytest.approx(1.0, rel=1e-13)
+        assert _yield(src, ch) == pytest.approx(1.0, rel=1e-13)
 
     def test_vacuum_yield_is_dark_count_rate(self):
         src = HeraldedSourceParams(x=0.0, eta_a=0.8, d_a=1e-5)
-        assert simulate_yield(src, GYS) == pytest.approx(GYS.d_b, rel=1e-13)
+        assert _yield(src, GYS) == pytest.approx(GYS.d_b, rel=1e-13)
 
     def test_rescaling_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             src, ch = _random_setup(rng)
-            y = simulate_yield(src, ch)
-            ty = simulate_rescaled_yield(src, ch)
+            y = _yield(src, ch)
+            ty = closed_form(src, ch)[1]
             assert y * post_selection_probability(src) == pytest.approx(ty, rel=1e-15)
-
-    def test_undefined_without_triggers(self):
-        src = HeraldedSourceParams(x=0.0, eta_a=0.8, d_a=0.0)
-        with pytest.raises(ValueError):
-            simulate_yield(src, GYS)
 
     def test_capped_at_one_click_per_triggered_pulse(self):
         # additive dark counts at both detectors pass one click per trigger
         src = HeraldedSourceParams(x=50.0, eta_a=1.0, d_a=0.5)
         ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0, d_b=0.5)
         assert simulate_rescaled_yield_series(src, ch) > post_selection_probability(src)
-        assert simulate_yield(src, ch) == 1.0
-        assert simulate_rescaled_yield(src, ch) == pytest.approx(
+        assert _yield(src, ch) == 1.0
+        assert closed_form(src, ch)[1] == pytest.approx(
             post_selection_probability(src), rel=1e-15)
         obs = forecast_observables(0.05, 50.0, 1.0, 0.5, ch)
         assert obs.y_mu_prime == 1.0
-        assert obs.e_mu_prime == simulate_qber(src, ch)
+        assert obs.e_mu_prime == closed_form(src, ch)[2]
 
 
 class TestQber:
     def test_dark_counts_only(self):
         src = HeraldedSourceParams(x=0.05, eta_a=0.8, d_a=1e-5)
         ch = ChannelParams(eta_b=0.0, d_b=1e-5)
-        assert simulate_qber(src, ch) == pytest.approx(0.5, rel=1e-12)
+        assert closed_form(src, ch)[2] == pytest.approx(0.5, rel=1e-12)
 
     def test_noise_free_gives_misalignment(self):
         src = HeraldedSourceParams(x=0.05, eta_a=0.8, d_a=0.0)
         ch = ChannelParams(d_b=0.0, e_d=0.033, distance_km=40.0)
-        assert simulate_qber(src, ch) == pytest.approx(0.033, rel=1e-12)
+        assert closed_form(src, ch)[2] == pytest.approx(0.033, rel=1e-12)
 
     def test_reference_point_between_misalignment_and_half(self):
         src = HeraldedSourceParams(x=0.05, eta_a=0.8, d_a=1e-5)
         ch = GYS.at_distance(100.0)
-        e = simulate_qber(src, ch)
+        e = closed_form(src, ch)[2]
         assert GYS.e_d < e < 0.5
         assert e == pytest.approx(simulate_qber_series(src, ch), rel=1e-12)
 
@@ -127,46 +126,46 @@ class TestQber:
         rng = np.random.default_rng(17)
         for _ in range(30):
             src, ch = _random_setup(rng)
-            assert simulate_qber(src, ch) == pytest.approx(
+            assert closed_form(src, ch)[2] == pytest.approx(
                 simulate_qber_series(src, ch), rel=1e-12
             )
 
     def test_approaches_half_at_long_distance(self):
         src = HeraldedSourceParams(x=0.05, eta_a=0.8, d_a=1e-5)
-        assert simulate_qber(src, GYS.at_distance(400.0)) == pytest.approx(0.5, abs=1e-3)
+        assert closed_form(src, GYS.at_distance(400.0))[2] == pytest.approx(0.5, abs=1e-3)
 
 
 class TestWcs:
     def test_gain_trivials(self):
-        assert simulate_wcs_gain(0.0, GYS) == GYS.d_b
+        assert closed_form_wcs(0.0, GYS)[0] == GYS.d_b
         ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0, d_b=0.0)
-        assert simulate_wcs_gain(0.05, ch) == pytest.approx(1.0 - np.exp(-0.05), rel=1e-12)
+        assert closed_form_wcs(0.05, ch)[0] == pytest.approx(1.0 - np.exp(-0.05), rel=1e-12)
 
     def test_gain_matches_series(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
             _, ch = _random_setup(rng)
             mu = rng.uniform(0.01, 1.0)
-            assert simulate_wcs_gain(mu, ch) == pytest.approx(
+            assert closed_form_wcs(mu, ch)[0] == pytest.approx(
                 simulate_wcs_gain_series(mu, ch), rel=1e-12
             )
 
     def test_qber_trivials(self):
-        assert simulate_wcs_qber(0.0, GYS) == pytest.approx(0.5, rel=1e-14)
+        assert closed_form_wcs(0.0, GYS)[1] == pytest.approx(0.5, rel=1e-14)
         ch = ChannelParams(d_b=0.0, e_d=0.033, distance_km=25.0)
-        assert simulate_wcs_qber(0.05, ch) == pytest.approx(0.033, rel=1e-12)
+        assert closed_form_wcs(0.05, ch)[1] == pytest.approx(0.033, rel=1e-12)
 
     def test_qber_matches_series_at_50km(self):
         ch = GYS.at_distance(50.0)
-        assert simulate_wcs_qber(0.05, ch) == pytest.approx(
+        assert closed_form_wcs(0.05, ch)[1] == pytest.approx(
             simulate_wcs_qber_series(0.05, ch), rel=1e-12
         )
 
     def test_gain_capped_at_one_when_every_pulse_clicks(self):
         # d_b + 1 - e^(-eta*mu) passes 1 once e^(-eta*mu) < d_b
         ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0)
-        assert simulate_wcs_gain(50.0, ch) == 1.0
-        assert simulate_wcs_qber(50.0, ch) == pytest.approx(
+        assert closed_form_wcs(50.0, ch)[0] == 1.0
+        assert closed_form_wcs(50.0, ch)[1] == pytest.approx(
             (ch.e_0 * ch.d_b + ch.e_d) / (1.0 + ch.d_b), rel=1e-12
         )
         obs = forecast_wcs_observables(0.05, 50.0, ch)
@@ -209,8 +208,8 @@ class TestForecast:
             for d in range(0, 160, 10):
                 src = HeraldedSourceParams(x=mu, eta_a=0.8, d_a=1e-5)
                 ch = GYS.at_distance(float(d))
-                ys.append(simulate_yield(src, ch))
-                es.append(simulate_qber(src, ch))
+                ys.append(_yield(src, ch))
+                es.append(closed_form(src, ch)[2])
             assert all(b < a for a, b in zip(ys, ys[1:]))
             assert all(b > a for a, b in zip(es, es[1:]))
 
@@ -221,8 +220,8 @@ class TestForecast:
     def test_wcs_forecast_uses_gain_convention(self):
         ch = GYS.at_distance(20.0)
         obs = forecast_wcs_observables(0.05, 0.4, ch)
-        assert obs.y_mu == obs.ty_mu == simulate_wcs_gain(0.05, ch)
-        assert obs.e_mu == simulate_wcs_qber(0.05, ch)
+        assert obs.y_mu == obs.ty_mu == closed_form_wcs(0.05, ch)[0]
+        assert obs.e_mu == closed_form_wcs(0.05, ch)[1]
 
 
 class TestStatisticsFromCounts:
@@ -295,9 +294,8 @@ class TestObservedStatisticsValidation:
 
 
 def test_qber_undefined_when_nothing_clicks():
-    src = HeraldedSourceParams(x=0.05, eta_a=0.8, d_a=1e-5)
     dead = ChannelParams(eta_b=0.0, d_b=0.0)
     with pytest.raises(ValueError, match="yield is zero"):
-        simulate_qber(src, dead)
-    with pytest.raises(ValueError, match="gain is zero"):
-        simulate_wcs_qber(0.05, dead)
+        forecast_observables(0.05, 0.3, 0.8, 1e-5, dead)
+    with pytest.raises(ValueError, match="yield is zero"):
+        forecast_wcs_observables(0.05, 0.3, dead)

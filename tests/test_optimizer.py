@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import decoy_hsps.optimizer as optimizer_module
-from decoy_hsps.bounds import ideal_rate_hsps, ideal_rate_wcs
+from decoy_hsps.bounds import ideal_rate
 from decoy_hsps.channel import ChannelParams, overall_transmittance
-from decoy_hsps.observables import _coincidence_sum, _triggered_terms
+from decoy_hsps.numerics import ARRAYS, FLOATS
+from decoy_hsps.sources import TriggeredSource, _coincidence_sum
 from decoy_hsps.optimizer import (
     MAX_GRID_POINTS,
     RATE_TIE_TOL,
@@ -15,25 +16,25 @@ from decoy_hsps.optimizer import (
     _BISECT_LEVELS,
     _bisection_tree,
     _grid_count,
-    _ideal_rate,
     _optimal_mu_primes,
     _record_scan,
     _searched_mu_primes,
+    _source,
     distance_grid,
-    evaluate_hsps,
-    evaluate_wcs,
+    evaluate,
     golden_section_maximize,
     key_rate_point,
     max_secure_distance,
     maximize_over_mu_prime,
     mu_prime_candidates,
     optimal_ideal_rate,
-    optimize_joint_intensities,
     optimize_mu_prime,
     sweep_distances,
 )
 
 DEFAULT = SweepConfig()
+HSPS = _source(DEFAULT, "hsps")
+WCS = _source(DEFAULT, "wcs")
 
 
 def _cfg(**kwargs):
@@ -60,7 +61,7 @@ class TestGrids:
         assert mu_prime_candidates(cfg) == [0.3]
         mu_prime, rate = optimize_mu_prime(cfg, 30.0, "hsps")
         assert mu_prime == 0.3
-        assert rate == evaluate_hsps(cfg, cfg.channel.at_distance(30.0), 0.3)[2]
+        assert rate == evaluate(cfg, cfg.channel.at_distance(30.0), HSPS, 0.3)[2]
 
     def test_grid_count_limit(self):
         assert _grid_count("dist_step_km", MAX_GRID_POINTS - 1.0, 1.0) == MAX_GRID_POINTS
@@ -74,23 +75,23 @@ class TestGrids:
 
 class TestGoldenSection:
     def test_finds_parabola_peak(self):
-        x, fx = golden_section_maximize(lambda x: -(x - 2.0) ** 2, 0.0, 5.0, 1e-6)
-        assert x == pytest.approx(2.0, abs=1e-5)
-        assert fx == pytest.approx(0.0, abs=1e-9)
+        x, fx = golden_section_maximize(lambda x: -(x - 2.0) ** 2, [0.0], [5.0], 1e-6)
+        assert x[0] == pytest.approx(2.0, abs=1e-5)
+        assert fx[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_bracket(self):
-        x, fx = golden_section_maximize(lambda x: x, 1.0, 1.0, 1e-4)
-        assert x == 1.0 and fx == 1.0
+        x, fx = golden_section_maximize(lambda x: x, [1.0], [1.0], 1e-4)
+        assert x[0] == 1.0 and fx[0] == 1.0
 
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
-            golden_section_maximize(lambda x: x, 2.0, 1.0, 1e-4)
+            golden_section_maximize(lambda x: x, [2.0], [1.0], 1e-4)
 
 
 class TestOptimizeMuPrime:
     def test_matches_dense_grid_argmax_at_50km(self):
         ch = DEFAULT.channel.at_distance(50.0)
-        rate = lambda m: evaluate_hsps(DEFAULT, ch, m)[2]
+        rate = lambda m: evaluate(DEFAULT, ch, HSPS, m)[2]
         n = int(round((DEFAULT.mu_prime_max - DEFAULT.mu_prime_min) / 1e-4))
         best_m, best_r = DEFAULT.mu_prime_min, rate(DEFAULT.mu_prime_min)
         for i in range(1, n + 1):
@@ -106,7 +107,7 @@ class TestOptimizeMuPrime:
         _, opt_r = optimize_mu_prime(DEFAULT, 50.0, "hsps")
         ch = DEFAULT.channel.at_distance(50.0)
         for m in (0.1, 0.3, 0.5, 0.9):
-            assert opt_r >= evaluate_hsps(DEFAULT, ch, m)[2]
+            assert opt_r >= evaluate(DEFAULT, ch, HSPS, m)[2]
 
     def test_regression_at_20km(self):
         mu_prime, rate = optimize_mu_prime(DEFAULT, 20.0, "hsps")
@@ -196,11 +197,11 @@ def _serial_cutoff(cfg, kind):
     grid = distance_grid(cfg)
     channels = [cfg.channel.at_distance(d) for d in grid]
     mu_primes = _optimal_mu_primes(cfg, grid, kind)
-    evaluate = evaluate_hsps if kind == "hsps" else evaluate_wcs
+    src = _source(cfg, kind)
     last_positive = None
     first_zero_after = None
     for distance, ch, mu_prime in zip(grid, channels, mu_primes):
-        if evaluate(cfg, ch, mu_prime)[2] > 0.0:
+        if evaluate(cfg, ch, src, mu_prime)[2] > 0.0:
             last_positive = distance
             first_zero_after = None
         elif last_positive is not None and first_zero_after is None:
@@ -305,23 +306,10 @@ def test_optimal_ideal_rate_dominates_bounded_optimum():
 def test_evaluate_wcs_consistent_with_point():
     p = key_rate_point(DEFAULT, 30.0, "wcs")
     ch = DEFAULT.channel.at_distance(30.0)
-    obs, bounds, rate, feasible = evaluate_wcs(DEFAULT, ch, p.mu_prime)
+    obs, bounds, rate, feasible = evaluate(DEFAULT, ch, WCS, p.mu_prime)
     assert rate == p.key_rate
     assert bounds == p.bounds
     assert obs == p.observables
-
-
-def test_joint_intensity_grid_mode():
-    mu_grid = (0.01, 0.05, 0.10)
-    mu, mu_prime, rate = optimize_joint_intensities(DEFAULT, 50.0, mu_grid, "hsps")
-    assert mu in mu_grid
-    assert mu_prime > mu
-    # jointly optimized rate dominates every fixed-mu optimum it examined
-    for candidate in mu_grid:
-        cfg = _cfg(mu=candidate, mu_prime_min=candidate + 0.01)
-        assert rate >= optimize_mu_prime(cfg, 50.0, "hsps")[1] - 1e-15
-    with pytest.raises(ValueError):
-        optimize_joint_intensities(DEFAULT, 50.0, [], "hsps")
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +355,10 @@ def _search_reference(rate, cfg, refine_tol=1e-4):
 
 
 def _scalar_rate(cfg, ch, kind, ideal):
-    if ideal and kind == "hsps":
-        return lambda m: ideal_rate_hsps(m, cfg.eta_a, cfg.d_a, ch, cfg.f_ec)
+    src = _source(cfg, kind)
     if ideal:
-        return lambda m: ideal_rate_wcs(m, ch, cfg.f_ec)
-    evaluate = evaluate_hsps if kind == "hsps" else evaluate_wcs
-    return lambda m: evaluate(cfg, ch, m)[2]
+        return lambda m: ideal_rate(src, m, ch, cfg.f_ec)
+    return lambda m: evaluate(cfg, ch, src, m)[2]
 
 
 # Every 5th default distance, plus the cut-off region at 1 km.
@@ -515,7 +501,8 @@ class TestStackedSearch:
             if include_ideal:
                 ideal_mu_primes = _optimal_mu_primes(cfg, distance_grid(cfg), kind, ideal=True)
                 assert [p.ideal_rate for p in mine] == [
-                    _ideal_rate(cfg, ch, kind, m) for ch, m in zip(channels, ideal_mu_primes)]
+                    ideal_rate(_source(cfg, kind), m, ch, cfg.f_ec)
+                    for ch, m in zip(channels, ideal_mu_primes)]
             else:
                 assert all(math.isnan(p.ideal_rate) for p in mine)
 
@@ -608,7 +595,8 @@ def _table_rate(table, cfg):
         return np.take_along_axis(table, np.broadcast_to(col, (table.shape[0], col.shape[1])), axis=1)
 
     def row_rate(i):
-        return lambda x: table[i, int(np.clip(np.rint((x - lo) / step), 0, last))]
+        # a Python float, so the scalar reference takes inf - inf without a warning
+        return lambda x: float(table[i, int(np.clip(np.rint((x - lo) / step), 0, last))])
 
     return rate, row_rate
 
@@ -654,11 +642,10 @@ class TestRecordScan:
         for start in range(0, rows.shape[0], 12):
             table = rows[start:start + 12]
             rate, row_rate = _table_rate(table, cfg)
-            with np.errstate(invalid="ignore"):  # inf - inf in the refinement's tie test
-                x, f = maximize_over_mu_prime(rate, cfg)
-                for i in range(table.shape[0]):
-                    ref_x, ref_f = _search_reference(row_rate(i), cfg)
-                    assert x[i] == ref_x and _same(f[i], ref_f), start + i
+            x, f = maximize_over_mu_prime(rate, cfg)
+            for i in range(table.shape[0]):
+                ref_x, ref_f = _search_reference(row_rate(i), cfg)
+                assert x[i] == ref_x and _same(f[i], ref_f), start + i
 
 
 class TestTransmittanceOnlyInputs:
@@ -667,11 +654,11 @@ class TestTransmittanceOnlyInputs:
         distances = distance_grid(cfg)[::7] + _bisection_tree(100.0, 101.0, 4)
         seen = []
 
-        def spy(cfg, eta):
+        def spy(cfg, src, ideal, eta):
             seen.extend(eta[:, 0].tolist())
             return lambda mu_prime: np.zeros((eta.shape[0], np.shape(mu_prime)[1]))
 
-        monkeypatch.setitem(optimizer_module._RATE_ARRAYS, ("hsps", False), spy)
+        monkeypatch.setattr(optimizer_module, "_rate_array", spy)
         _optimal_mu_primes(cfg, distances, "hsps")
         assert seen == [overall_transmittance(cfg.channel.at_distance(d)) for d in distances]
 
@@ -710,7 +697,7 @@ class TestTransmittanceOnlyInputs:
 class TestWcsGainCap:
     def test_evaluate_far_above_the_optimum_returns(self):
         # e^(-eta*mu') underflows against d_b: the uncapped gain exceeds 1
-        obs, bounds, rate, feasible = evaluate_wcs(DEFAULT, DEFAULT.channel, 800.0)
+        obs, bounds, rate, feasible = evaluate(DEFAULT, DEFAULT.channel, WCS, 800.0)
         assert obs.y_mu_prime == obs.ty_mu_prime == 1.0
         assert 0.0 < obs.e_mu_prime < 0.5
         assert bounds.y1_lower == 0.0 and not bounds.feasible
@@ -727,7 +714,7 @@ class TestTriggeredYieldCap:
 
     def test_evaluate_with_heavy_dark_counts_returns(self):
         ch = self.CFG.channel
-        obs, bounds, rate, feasible = evaluate_hsps(self.CFG, ch, 50.0)
+        obs, bounds, rate, feasible = evaluate(self.CFG, ch, _source(self.CFG, "hsps"), 50.0)
         p_post = 0.5 / 51.0 + 50.0 / 51.0
         assert obs.y_mu_prime == 1.0 and obs.ty_mu_prime == p_post
         # the QBER stays the error share of the uncapped yield
@@ -741,9 +728,10 @@ class TestTriggeredYieldCap:
     def test_array_path_caps_like_the_scalar_path(self):
         ch = self.CFG.channel
         xs = [0.06, 1.0, 10.0, 50.0]
-        p_arr, ty_arr, e_arr = _triggered_terms(np.array(xs)[:, None], 1.0, 0.5, ch, np.array([[1.0]]))
+        src = TriggeredSource(eta_a=1.0, d_a=0.5)
+        p_arr, ty_arr, e_arr = src.signal(ARRAYS, np.array(xs)[:, None], np.array([[1.0]]), ch)
         for i, x in enumerate(xs):
-            assert (p_arr[i, 0], ty_arr[i, 0], e_arr[i, 0]) == _triggered_terms(x, 1.0, 0.5, ch, 1.0)
+            assert (p_arr[i, 0], ty_arr[i, 0], e_arr[i, 0]) == src.signal(FLOATS, x, 1.0, ch)
         assert ty_arr[-1, 0] == p_arr[-1, 0]
         assert ty_arr[0, 0] < p_arr[0, 0]
 
@@ -769,7 +757,8 @@ class TestLockstepGoldenSection:
         x, fx = golden_section_maximize(fn, a, b, 1e-4)
         for i in range(peaks.size):
             scalar = lambda v, p=peaks[i], s=scale[i]: s * -((v - p) * (v - p))
-            expected = golden_section_maximize(scalar, float(a[i]), float(b[i]), 1e-4)
+            xi, fi = golden_section_maximize(scalar, a[i:i + 1], b[i:i + 1], 1e-4)
+            expected = (float(xi[0]), float(fi[0]))
             assert (x[i], fx[i]) == expected
             assert expected == _golden_reference(scalar, float(a[i]), float(b[i]), 1e-4)
 

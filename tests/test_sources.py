@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from decoy_hsps.sources import (
-    CoherentSourceParams,
     HeraldedSourceParams,
-    poisson_weight,
+    TriggeredSource,
     post_selection_probability,
+    triggered_source,
+)
+from oracles import (
+    poisson_weight,
     thermal_geometric_series,
     thermal_geometric_sum,
     thermal_weight,
@@ -161,7 +164,9 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             HeraldedSourceParams(x=0.1, eta_a=0.8, d_a=1.0)
 
-    def test_coherent_params(self):
-        with pytest.raises(ValueError):
-            CoherentSourceParams(mu=-0.05)
-        assert CoherentSourceParams(mu=0.05).mu == 0.05
+    def test_triggered_source(self):
+        for eta_a, d_a in ((0.0, 1e-5), (1.2, 1e-5), (0.8, -1e-5), (0.8, 1.0)):
+            with pytest.raises(ValueError):
+                TriggeredSource(eta_a=eta_a, d_a=d_a)
+        assert triggered_source(0.8, 1e-5) == TriggeredSource(eta_a=0.8, d_a=1e-5)
+        assert triggered_source(0.8, 1e-5) is triggered_source(0.8, 1e-5)
