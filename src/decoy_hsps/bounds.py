@@ -30,6 +30,11 @@ normaliser, and one text, run through a numeric namespace (.numerics),
 clamps and rates them for Python floats (the scalar chain) and numpy
 arrays (the mu' search). The scalar bounds return before dividing by a
 non-positive raw Y1; the array rates mask it with where instead.
+
+SecurityBounds and KeyRatePoint are built once per evaluated point, so,
+like ObservedStatistics, their own __init__ checks the arguments and
+stores every field in one step instead of going through the generated
+frozen __init__ and a __post_init__.
 """
 from __future__ import annotations
 
@@ -60,13 +65,14 @@ class SecurityBounds:
     e1_upper: float
     feasible: bool
 
-    def __post_init__(self):
-        if not 0.0 <= self.y1_lower <= 1.0:
-            raise ValueError(f"y1_lower must be in [0, 1], got {self.y1_lower}")
-        if not 0.0 <= self.delta1 <= 1.0:
-            raise ValueError(f"delta1 must be in [0, 1], got {self.delta1}")
-        if not 0.0 <= self.e1_upper <= 0.5:
-            raise ValueError(f"e1_upper must be in [0, 0.5], got {self.e1_upper}")
+    def __init__(self, y1_lower: float, delta1: float, e1_upper: float, feasible: bool):
+        if not 0.0 <= y1_lower <= 1.0:
+            raise ValueError(f"y1_lower must be in [0, 1], got {y1_lower}")
+        if not 0.0 <= delta1 <= 1.0:
+            raise ValueError(f"delta1 must be in [0, 1], got {delta1}")
+        if not 0.0 <= e1_upper <= 0.5:
+            raise ValueError(f"e1_upper must be in [0, 0.5], got {e1_upper}")
+        self.__dict__.update(y1_lower=y1_lower, delta1=delta1, e1_upper=e1_upper, feasible=feasible)
 
 
 @dataclass(frozen=True)
@@ -89,15 +95,30 @@ class KeyRatePoint:
     observables: ObservedStatistics
     feasible: bool
 
-    def __post_init__(self):
-        if self.source_kind not in ("hsps", "wcs"):
-            raise ValueError(f"source_kind must be 'hsps' or 'wcs', got {self.source_kind!r}")
-        if self.key_rate < 0:
-            raise ValueError(f"key_rate must be >= 0, got {self.key_rate}")
-        if not math.isnan(self.ideal_rate) and self.key_rate > self.ideal_rate + 1e-12:
-            raise ValueError(
-                f"key_rate {self.key_rate} exceeds ideal benchmark {self.ideal_rate}"
-            )
+    def __init__(
+        self,
+        distance_km: float,
+        mu: float,
+        mu_prime: float,
+        key_rate: float,
+        ideal_rate: float,
+        source_kind: str,
+        bounds: SecurityBounds,
+        observables: ObservedStatistics,
+        feasible: bool,
+    ):
+        if source_kind not in ("hsps", "wcs"):
+            raise ValueError(f"source_kind must be 'hsps' or 'wcs', got {source_kind!r}")
+        if not key_rate >= 0.0:
+            raise ValueError(f"key_rate must be >= 0, got {key_rate}")
+        # a NaN ideal_rate (benchmarks disabled) bounds nothing
+        if key_rate > ideal_rate + 1e-12:
+            raise ValueError(f"key_rate {key_rate} exceeds ideal benchmark {ideal_rate}")
+        self.__dict__.update(
+            distance_km=distance_km, mu=mu, mu_prime=mu_prime, key_rate=key_rate,
+            ideal_rate=ideal_rate, source_kind=source_kind, bounds=bounds,
+            observables=observables, feasible=feasible,
+        )
 
 
 def _check_ordering(mu: float, mu_prime: float):
@@ -181,15 +202,17 @@ def compute_bounds(
     """
     _check_ordering(mu, mu_prime)
     raw_y1 = src.y1_raw(FLOATS, obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
-    if raw_y1 <= 0.0:
-        return SecurityBounds(y1_lower=0.0, delta1=0.0, e1_upper=0.5, feasible=False)
+    if not raw_y1 > 0.0:
+        if math.isnan(raw_y1):  # as in y1_lower_bound
+            raise ValueError(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
+        return SecurityBounds(0.0, 0.0, 0.5, False)
     if obs.e_mu is None:
         raise ValueError("QBER at the decoy intensity is required but missing")
     e1_mass = src.e1_mass(FLOATS, mu, obs.e_mu, obs.ty_mu, obs.y0, e_0)
     y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(
         FLOATS, src, raw_y1, e1_mass, mu, mu_prime, obs.ty_mu_prime)
     feasible = not (raw_y1 > 1.0 or raw_d1 > 1.0 or raw_e1 > 0.5 or raw_e1 < 0.0)
-    return SecurityBounds(y1_lower=y1, delta1=delta1, e1_upper=e1, feasible=feasible)
+    return SecurityBounds(y1, delta1, e1, feasible)
 
 
 def compute_hsps_bounds(

@@ -473,13 +473,6 @@ def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
     return [mid] + _bisection_tree(lo, mid, levels - 1) + _bisection_tree(mid, hi, levels - 1)
 
 
-def _positive_rates(cfg: SweepConfig, distances: list[float], source_kind: str) -> list[bool]:
-    """Whether the optimized rate is positive at each distance, from one search."""
-    src = _source(cfg, source_kind)
-    mu_primes = _optimal_mu_primes(cfg, distances, source_kind)
-    return [_positive(cfg, d, src, m) for d, m in zip(distances, mu_primes)]
-
-
 def _positive(cfg: SweepConfig, distance_km: float, src, mu_prime: float) -> bool:
     """Whether the scalar rate at distance_km and mu_prime is positive."""
     return evaluate(cfg, cfg.channel.at_distance(distance_km), src, mu_prime)[2] > 0.0
@@ -494,9 +487,10 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     Between that point and the next one a bisection refines the cut-off
     down to 0.1 km. Every midpoint it can probe in its next
     _BISECT_LEVELS levels is searched at once, and the bisection then walks
-    those results; a row's search never reads another row, so this
-    returns exactly what probing one midpoint at a time would, whether or
-    not the rate falls monotonically.
+    those mu', judging the scalar rate only at the midpoints it reaches; a
+    row's search never reads another row, so this returns exactly what
+    probing one midpoint at a time would, whether or not the rate falls
+    monotonically.
     """
     grid = distance_grid(cfg)
     src = _source(cfg, source_kind)
@@ -509,13 +503,13 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     if last == len(grid) - 1:
         return grid[last]
     lo, hi = grid[last], grid[last + 1]
-    positive: dict[float, bool] = {}
+    searched: dict[float, float] = {}
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
-        if mid not in positive:
+        if mid not in searched:
             tree = _bisection_tree(lo, hi, _BISECT_LEVELS)
-            positive.update(zip(tree, _positive_rates(cfg, tree, source_kind)))
-        if positive[mid]:
+            searched.update(zip(tree, _optimal_mu_primes(cfg, tree, source_kind)))
+        if _positive(cfg, mid, src, searched[mid]):
             lo = mid
         else:
             hi = mid

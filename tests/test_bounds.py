@@ -351,13 +351,18 @@ class TestY1LowerBoundWcs:
     def test_all_zero_gains(self):
         assert y1_lower_bound(COHERENT, _obs_from_ty(0.0, 0.0, 0.0), 0.05, 0.1) == 0.0
 
-    def test_overflowing_decoy_term_is_an_error_not_zero(self):
-        # e^mu and e^mu' both saturate at inf, so the raw bound is inf - inf
+    @pytest.mark.parametrize("mu, mu_prime", [
+        (710.0, 800.0),  # e^mu and e^mu' both saturate at inf
+        (700.0, 700.01),  # e^mu is finite, mu'^2 * q_mu * e^mu is not
+    ])
+    def test_overflowing_decoy_term_is_an_error_not_zero(self, mu, mu_prime):
+        # the raw bound is inf - inf, which no clamp may turn into a number
         obs = _obs_from_ty(1e-6, 0.5, 0.6, e_mu=0.02)
-        with pytest.raises(ValueError, match="undefined"):
-            y1_lower_bound(COHERENT, obs, 710.0, 800.0)
-        with pytest.raises(ValueError):
-            compute_wcs_bounds(obs, 710.0, 800.0)
+        message = f"^Y1 bound undefined at mu={mu}, mu_prime={mu_prime}$"
+        with pytest.raises(ValueError, match=message):
+            y1_lower_bound(COHERENT, obs, mu, mu_prime)
+        with pytest.raises(ValueError, match=message):
+            compute_wcs_bounds(obs, mu, mu_prime)
 
     def test_ordering_error(self):
         with pytest.raises(ValueError):

@@ -318,6 +318,21 @@ class TestExitCodes:
     def test_reversed_distance_range_rejected(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, "dist_start_km=10 dist_stop_km=5", "dist_stop_km")
 
+    @pytest.mark.parametrize("mu", ["700", "710"])
+    def test_overflowing_decoy_intensity_rejected(self, tmp_path, capsys, mu):
+        # mu'^2 * q_mu * e^mu overflows in the coherent source's Y1 bound
+        self._assert_rejected(
+            tmp_path, capsys, f"mu={mu} mu_prime_max=800 sources=wcs dist_stop_km=2",
+            f"Y1 bound undefined at mu={mu}.0")
+
+    def test_large_decoy_intensity_runs_for_triggered_source(self, tmp_path):
+        # the triggered source's bound has no e^mu term to overflow
+        out = tmp_path / "run"
+        assert main(["sweep", "--out", str(out)] + [
+            arg for item in ("mu=710", "mu_prime_max=800", "sources=hsps", "dist_stop_km=2")
+            for arg in ("--override", item)]) == 0
+        assert (out / "sweep.csv").exists()
+
     def test_overflowing_signal_intensity_is_one_line_error(self, tmp_path, capsys):
         # (1 + mu')^3 in the Y1 bound overflows a float
         assert main([
