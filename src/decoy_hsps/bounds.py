@@ -208,6 +208,9 @@ def compute_bounds(
         return SecurityBounds(0.0, 0.0, 0.5, False)
     if obs.e_mu is None:
         raise ValueError("QBER at the decoy intensity is required but missing")
+    if not obs.ty_mu_prime > 0.0:  # Delta1 divides by it
+        raise ValueError(f"no clicks at the signal intensity mu_prime={mu_prime}; "
+                         "the bounds need a positive signal yield")
     e1_mass = src.e1_mass(FLOATS, mu, obs.e_mu, obs.ty_mu, obs.y0, e_0)
     y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(
         FLOATS, src, raw_y1, e1_mass, mu, mu_prime, obs.ty_mu_prime)

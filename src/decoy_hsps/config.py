@@ -1,19 +1,23 @@
 """Configuration handling for the CLI: a flat key = value text format.
 
-Precedence is command-line overrides > config file > built-in defaults.
-The resolved configuration always materializes every key, round-trips
-losslessly through format_config/parse_config_text, and is recorded in
-the run manifest next to the produced artifacts.
+SweepConfig (with ChannelParams for the channel keys) owns every default
+and range; this module only maps the flat keys onto it. resolve_config
+takes one key -> value mapping, refuses unknown keys by name, and leaves
+absent keys at SweepConfig's defaults, so the library's SweepConfig() and
+an empty CLI configuration are the same. The CLI layers file, preset and
+flag values into that mapping. A resolved configuration materializes
+every key, round-trips losslessly through format_config/parse_config_text,
+and is recorded in the run manifest next to the produced artifacts.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .channel import ChannelParams
-from .optimizer import SweepConfig
+from .optimizer import SOURCE_KINDS, SweepConfig
 
 CONFIG_KEYS = (
     "alpha_db_per_km",
@@ -33,28 +37,13 @@ CONFIG_KEYS = (
     "dist_step_km",
     "sources",
 )
+# Every key but sources is a number: first the ChannelParams fields other
+# than distance_km, then SweepConfig fields. sources sets SweepConfig's
+# sources and include_ideal.
+_NUMBER_KEYS = CONFIG_KEYS[:-1]
+_CHANNEL_KEYS = CONFIG_KEYS[:5]
 
-# mu_prime_min defaults to mu + mu_prime_coarse_step when not given.
-DEFAULTS = {
-    "alpha_db_per_km": 0.21,
-    "eta_b": 0.045,
-    "d_b": 1.7e-6,
-    "e_d": 0.033,
-    "e_0": 0.5,
-    "eta_a": 0.8,
-    "d_a": 1e-5,
-    "mu": 0.05,
-    "mu_prime_min": None,
-    "mu_prime_max": 1.0,
-    "mu_prime_coarse_step": 0.01,
-    "f_ec": 1.2,
-    "dist_start_km": 0.0,
-    "dist_stop_km": 180.0,
-    "dist_step_km": 1.0,
-    "sources": "hsps,wcs,ideal",
-}
-
-_SOURCE_TOKENS = ("hsps", "wcs", "ideal")
+_SOURCE_TOKENS = SOURCE_KINDS + ("ideal",)
 
 
 class ConfigError(ValueError):
@@ -127,84 +116,39 @@ def _parse_sources(raw: str) -> tuple[tuple[str, ...], bool]:
                 f"unknown source {t!r} in sources (expected a comma-separated "
                 f"subset of {', '.join(_SOURCE_TOKENS)})"
             )
-    kinds = tuple(k for k in ("hsps", "wcs") if k in tokens)
+    kinds = tuple(k for k in SOURCE_KINDS if k in tokens)
     if not kinds:
-        raise ConfigError("sources must select at least one of hsps, wcs")
+        raise ConfigError(f"sources must select at least one of {', '.join(SOURCE_KINDS)}")
     return kinds, "ideal" in tokens
 
 
-def resolve_config(
-    file_values: dict[str, str] | None = None,
-    overrides: dict[str, str] | None = None,
-) -> SweepConfig:
-    """Merge defaults, config file, and overrides into a SweepConfig."""
-    merged: dict[str, object] = dict(DEFAULTS)
-    merged.update(file_values or {})
-    merged.update(overrides or {})
-
-    numeric = {k: _to_float(k, merged[k]) for k in CONFIG_KEYS
-               if k not in ("sources", "mu_prime_min")}
-    if merged["mu_prime_min"] is None:
-        mu_prime_min = numeric["mu"] + numeric["mu_prime_coarse_step"]
-    else:
-        mu_prime_min = _to_float("mu_prime_min", merged["mu_prime_min"])
-    kinds, include_ideal = _parse_sources(merged["sources"])
-    if numeric["dist_stop_km"] < numeric["dist_start_km"]:
-        # SweepConfig allows it (an empty grid); a run of no distances is a mistake
-        raise ConfigError(
-            f"dist_stop_km ({numeric['dist_stop_km']}) must be >= "
-            f"dist_start_km ({numeric['dist_start_km']})"
-        )
-
+def resolve_config(values: Mapping[str, object] | None = None) -> SweepConfig:
+    """The SweepConfig of a key -> value mapping; absent keys keep their defaults."""
+    values = values or {}
+    for key in values:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
+    kwargs = {k: _to_float(k, values[k]) for k in _NUMBER_KEYS if k in values}
+    if "sources" in values:
+        kwargs["sources"], kwargs["include_ideal"] = _parse_sources(values["sources"])
+    channel = {k: kwargs.pop(k) for k in _CHANNEL_KEYS if k in kwargs}
     try:
-        channel = ChannelParams(
-            alpha_db_per_km=numeric["alpha_db_per_km"],
-            distance_km=0.0,
-            eta_b=numeric["eta_b"],
-            d_b=numeric["d_b"],
-            e_d=numeric["e_d"],
-            e_0=numeric["e_0"],
-        )
-        return SweepConfig(
-            channel=channel,
-            mu=numeric["mu"],
-            eta_a=numeric["eta_a"],
-            d_a=numeric["d_a"],
-            f_ec=numeric["f_ec"],
-            mu_prime_min=mu_prime_min,
-            mu_prime_max=numeric["mu_prime_max"],
-            mu_prime_coarse_step=numeric["mu_prime_coarse_step"],
-            dist_start_km=numeric["dist_start_km"],
-            dist_stop_km=numeric["dist_stop_km"],
-            dist_step_km=numeric["dist_step_km"],
-            sources=kinds,
-            include_ideal=include_ideal,
-        )
+        cfg = SweepConfig(channel=ChannelParams(**channel), **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.dist_stop_km < cfg.dist_start_km:
+        # SweepConfig allows it (an empty grid); a run of no distances is a mistake
+        raise ConfigError(
+            f"dist_stop_km ({cfg.dist_stop_km}) must be >= dist_start_km ({cfg.dist_start_km})"
+        )
+    return cfg
 
 
 def config_as_dict(cfg: SweepConfig) -> dict[str, object]:
     """The 16 configuration keys of a resolved SweepConfig."""
-    tokens = list(cfg.sources) + (["ideal"] if cfg.include_ideal else [])
-    return {
-        "alpha_db_per_km": cfg.channel.alpha_db_per_km,
-        "eta_b": cfg.channel.eta_b,
-        "d_b": cfg.channel.d_b,
-        "e_d": cfg.channel.e_d,
-        "e_0": cfg.channel.e_0,
-        "eta_a": cfg.eta_a,
-        "d_a": cfg.d_a,
-        "mu": cfg.mu,
-        "mu_prime_min": cfg.mu_prime_min,
-        "mu_prime_max": cfg.mu_prime_max,
-        "mu_prime_coarse_step": cfg.mu_prime_coarse_step,
-        "f_ec": cfg.f_ec,
-        "dist_start_km": cfg.dist_start_km,
-        "dist_stop_km": cfg.dist_stop_km,
-        "dist_step_km": cfg.dist_step_km,
-        "sources": ",".join(tokens),
-    }
+    values = {k: getattr(cfg.channel if k in _CHANNEL_KEYS else cfg, k) for k in _NUMBER_KEYS}
+    values["sources"] = ",".join(list(cfg.sources) + (["ideal"] if cfg.include_ideal else []))
+    return values
 
 
 def format_config(cfg: SweepConfig) -> str:
@@ -221,33 +165,16 @@ def format_config(cfg: SweepConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunManifest:
+def make_manifest(cfg: SweepConfig, artifacts: list[str], version: str) -> dict[str, object]:
     """Record of one CLI run: resolved config, tool version, artifacts."""
-
-    version: str
-    timestamp: str
-    config: dict[str, object]
-    artifacts: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "tool": "decoy-hsps",
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "config": self.config,
-            "artifacts": list(self.artifacts),
-        }
+    return {
+        "tool": "decoy-hsps",
+        "version": version,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "config": config_as_dict(cfg),
+        "artifacts": list(artifacts),
+    }
 
 
-def make_manifest(cfg: SweepConfig, artifacts: list[str], version: str) -> RunManifest:
-    return RunManifest(
-        version=version,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        config=config_as_dict(cfg),
-        artifacts=list(artifacts),
-    )
-
-
-def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(manifest.as_dict(), indent=2) + "\n")
+def write_manifest(manifest: dict[str, object], path: str | Path) -> None:
+    Path(path).write_text(json.dumps(manifest, indent=2) + "\n")

@@ -83,12 +83,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a distance sweep needs, with materialized defaults.
+    """Everything a distance sweep needs: the one home of every default and range.
 
-    mu_prime_min/max bound the signal-intensity search; the coarse grid
-    steps by mu_prime_coarse_step and the refinement resolves to 1e-4.
-    sources selects which pipelines run; include_ideal adds the
-    infinite-decoy benchmark to every point.
+    mu_prime_min/max bound the signal-intensity search; mu_prime_min left
+    None becomes mu + mu_prime_coarse_step. The coarse grid steps by
+    mu_prime_coarse_step and the refinement resolves to 1e-4. sources
+    selects which pipelines run, each kind at most once; include_ideal
+    adds the infinite-decoy benchmark to every point.
     """
 
     channel: ChannelParams = ChannelParams()
@@ -96,7 +97,7 @@ class SweepConfig:
     eta_a: float = 0.8
     d_a: float = 1e-5
     f_ec: float = 1.2
-    mu_prime_min: float = 0.06
+    mu_prime_min: float | None = None
     mu_prime_max: float = 1.0
     mu_prime_coarse_step: float = 0.01
     dist_start_km: float = 0.0
@@ -106,6 +107,8 @@ class SweepConfig:
     include_ideal: bool = True
 
     def __post_init__(self):
+        if self.mu_prime_min is None:
+            object.__setattr__(self, "mu_prime_min", self.mu + self.mu_prime_coarse_step)
         for name in (
             "mu", "eta_a", "d_a", "f_ec", "mu_prime_min", "mu_prime_max",
             "mu_prime_coarse_step", "dist_start_km", "dist_stop_km", "dist_step_km",
@@ -115,10 +118,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not 0.0 < self.eta_a <= 1.0:
-            raise ValueError(f"eta_a must be in (0, 1], got {self.eta_a}")
-        if not 0.0 <= self.d_a < 1.0:
-            raise ValueError(f"d_a must be in [0, 1), got {self.d_a}")
+        triggered_source(self.eta_a, self.d_a)  # checks eta_a and d_a
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
         if self.mu_prime_min <= self.mu:
@@ -147,6 +147,8 @@ class SweepConfig:
         for kind in self.sources:
             if kind not in SOURCE_KINDS:
                 raise ValueError(f"unknown source kind {kind!r}")
+            if self.sources.count(kind) > 1:
+                raise ValueError(f"source kind {kind!r} is selected more than once")
         _grid_count(
             "mu_prime_coarse_step", self.mu_prime_max - self.mu_prime_min,
             self.mu_prime_coarse_step,

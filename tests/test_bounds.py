@@ -266,6 +266,11 @@ class TestComputeHspsBounds:
         assert b.e1_upper == 0.0
         assert not b.feasible
 
+    def test_zero_signal_yield_is_named_error(self):
+        obs = _obs_from_ty(0.0, 1e-3, 0.0, e_mu=0.03)
+        with pytest.raises(ValueError, match="signal intensity mu_prime=0.5"):
+            compute_hsps_bounds(obs, 0.1, 0.5, 0.8, 1e-5)
+
 
 class TestKeyRateHsps:
     def test_perfect_single_photon_protocol(self):
@@ -405,6 +410,11 @@ class TestWcsBoundsAndRate:
             if bounds.y1_lower == 0.0:
                 continue
             assert bounds.e1_upper >= n_photon_error_rate(1, ch) - 1e-12
+
+    def test_zero_signal_gain_is_named_error(self):
+        obs = _obs_from_ty(0.0, 1e-3, 0.0, e_mu=0.03)
+        with pytest.raises(ValueError, match="signal intensity mu_prime=0.5"):
+            compute_wcs_bounds(obs, 0.1, 0.5)
 
 
 class TestDataClassValidation:

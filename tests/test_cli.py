@@ -345,6 +345,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: OverflowError")
 
+    def test_zero_signal_clicks_is_one_line_error(self, tmp_path, capsys):
+        # Delta1 divides by the signal yield
+        out = tmp_path / "run"
+        assert main([
+            "bounds", "--out", str(out),
+            "--vacuum", "1e6,1e6,2",
+            "--decoy", "1e6,1e5,100,3",
+            "--signal", "1e6,3e5,0",
+            "--mu", "0.1", "--mu-prime", "0.5",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "ZeroDivisionError" not in err and "mu_prime=0.5" in err
+        assert not (out / "bounds.json").exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--vacuum", "nan,1,0", "--vacuum: pulses must be finite, got nan"),
         ("--vacuum", "1e400,1,0", "--vacuum: pulses must be finite, got inf"),

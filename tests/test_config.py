@@ -13,6 +13,7 @@ from decoy_hsps.config import (
     resolve_config,
     write_manifest,
 )
+from decoy_hsps.optimizer import SweepConfig
 
 
 class TestDefaults:
@@ -31,6 +32,13 @@ class TestDefaults:
         assert values["sources"] == "hsps,wcs,ideal"
         # auto lower bound sits one coarse step above mu
         assert values["mu_prime_min"] == pytest.approx(0.06)
+
+    def test_library_and_cli_share_every_default(self):
+        assert SweepConfig() == resolve_config()
+
+    def test_auto_mu_prime_min_is_one_step_above_mu(self):
+        assert SweepConfig(mu=0.1).mu_prime_min == 0.1 + 0.01
+        assert SweepConfig(mu=0.1, mu_prime_coarse_step=0.02).mu_prime_min == 0.1 + 0.02
 
     def test_explicit_mu_prime_min_wins_over_auto(self):
         cfg = resolve_config({"mu_prime_min": "0.2"})
@@ -97,10 +105,9 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eta_b"):
             resolve_config({"eta_b": "1.4"})
 
-    def test_precedence_overrides_beat_file(self):
-        cfg = resolve_config({"mu": "0.1", "eta_a": "0.6"}, {"mu": "0.2"})
-        assert cfg.mu == 0.2
-        assert cfg.eta_a == 0.6
+    def test_unknown_key_named(self):
+        with pytest.raises(ConfigError, match="unknown configuration key 'bogus'"):
+            resolve_config({"bogus": "1"})
 
 
 class TestRoundTrip:
@@ -121,7 +128,7 @@ class TestRoundTrip:
     def test_manifest_config_resolves_to_same_sweep(self):
         cfg = resolve_config({"mu": "0.03", "eta_a": "0.6"})
         manifest = make_manifest(cfg, ["sweep.csv"], version="0.0.0")
-        assert resolve_config(manifest.config) == cfg
+        assert resolve_config(manifest["config"]) == cfg
 
 
 class TestManifest:

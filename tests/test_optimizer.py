@@ -293,6 +293,8 @@ class TestSweepConfigValidation:
             _cfg(sources=())
         with pytest.raises(ValueError):
             _cfg(sources=("laser",))
+        with pytest.raises(ValueError, match="'hsps' is selected more than once"):
+            _cfg(sources=("hsps", "hsps"))
         with pytest.raises(ValueError):
             _cfg(f_ec=0.5)
 
