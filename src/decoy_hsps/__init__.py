@@ -38,8 +38,6 @@ from .optimizer import (
     distance_grid,
     key_rate_point,
     max_secure_distance,
-    optimal_ideal_rate,
-    optimize_mu_prime,
     sweep_distances,
 )
 from .config import (
@@ -73,8 +71,6 @@ __all__ = [
     "distance_grid",
     "key_rate_point",
     "max_secure_distance",
-    "optimal_ideal_rate",
-    "optimize_mu_prime",
     "sweep_distances",
     "ConfigError",
     "format_config",

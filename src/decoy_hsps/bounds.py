@@ -43,7 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, _click_probability, _error_rate, overall_transmittance
+from .channel import (
+    DARK_COUNT_E_0, ChannelParams, _click_probability, _error_rate, overall_transmittance,
+)
 from .numerics import ARRAYS, FLOATS, binary_entropy
 from .observables import ObservedStatistics
 from .sources import COHERENT, triggered_source
@@ -193,7 +195,7 @@ def single_photon_fraction(src, y1: float, x: float, ty_x: float) -> float:
 
 
 def compute_bounds(
-    src, obs: ObservedStatistics, mu: float, mu_prime: float, e_0: float = 0.5
+    src, obs: ObservedStatistics, mu: float, mu_prime: float, e_0: float = DARK_COUNT_E_0
 ) -> SecurityBounds:
     """Full bound bundle of a run of source src.
 
@@ -219,14 +221,15 @@ def compute_bounds(
 
 
 def compute_hsps_bounds(
-    obs: ObservedStatistics, mu: float, mu_prime: float, eta_a: float, d_a: float, e_0: float = 0.5
+    obs: ObservedStatistics, mu: float, mu_prime: float, eta_a: float, d_a: float,
+    e_0: float = DARK_COUNT_E_0,
 ) -> SecurityBounds:
     """compute_bounds for a triggered-source run."""
     return compute_bounds(triggered_source(eta_a, d_a), obs, mu, mu_prime, e_0)
 
 
 def compute_wcs_bounds(
-    obs: ObservedStatistics, mu: float, mu_prime: float, e_0: float = 0.5
+    obs: ObservedStatistics, mu: float, mu_prime: float, e_0: float = DARK_COUNT_E_0
 ) -> SecurityBounds:
     """compute_bounds for a weak-coherent-state run; y_*/ty_* hold per-pulse gains."""
     return compute_bounds(COHERENT, obs, mu, mu_prime, e_0)

@@ -8,8 +8,10 @@ Subcommands:
   bounds     one-shot security-bound computation from observed counts
 
 Every run writes run_manifest.json recording the resolved configuration
-and the artifacts produced. Exit codes: 0 success, 1 validation or
-numerical error (one "error: ..." line on stderr), 2 I/O error.
+and the artifacts produced; bounds and figure 1, which run at intensities
+other than the configured mu, record those under "intensities". Exit
+codes: 0 success, 1 validation or numerical error (one "error: ..." line
+on stderr), 2 I/O error.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .bounds import compute_hsps_bounds, single_photon_fraction, y1_lower_bound
+from .bounds import compute_bounds, single_photon_fraction, y1_lower_bound
 from .config import (
     ConfigError,
     make_manifest,
@@ -191,6 +194,9 @@ def _user_values(args) -> tuple[dict[str, str], dict[str, str]]:
 
 def _build_config(args, preset: dict[str, str] | None = None, forced: dict[str, str] | None = None) -> SweepConfig:
     file_values, cli_values = _user_values(args)
+    for key in forced or {}:
+        if key in cli_values:
+            raise ConfigError(f"--override {key} is not allowed: figure {args.number} fixes {key!r}")
     merged: dict[str, str] = {}
     merged.update(file_values)
     merged.update(preset or {})
@@ -205,8 +211,10 @@ def _ensure_outdir(out: str) -> Path:
     return outdir
 
 
-def _finish(outdir: Path, cfg: SweepConfig, artifacts: list[str]) -> int:
+def _finish(outdir: Path, cfg: SweepConfig, artifacts: list[str], intensities: dict | None = None) -> int:
     manifest = make_manifest(cfg, artifacts, version=__version__)
+    if intensities is not None:
+        manifest["intensities"] = intensities
     write_manifest(manifest, outdir / "run_manifest.json")
     for name in artifacts + ["run_manifest.json"]:
         print(f"wrote {outdir / name}")
@@ -222,7 +230,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    outdir = _ensure_outdir(args.out)
     if args.number == 1:
         preset = {"eta_a": "0.8", "d_a": "1e-05"}
         sweeps = []
@@ -267,9 +274,11 @@ def _cmd_figure(args) -> int:
         all_points = points
     wide_name = f"figure{args.number}.csv"
     points_name = f"figure{args.number}_points.csv"
+    outdir = _ensure_outdir(args.out)
     _write_wide_csv(outdir / wide_name, header, rows)
     emit_csv(all_points, outdir / points_name)
-    return _finish(outdir, cfg, [wide_name, points_name])
+    intensities = {"mu": list(_FIGURE1_MUS)} if args.number == 1 else None
+    return _finish(outdir, cfg, [wide_name, points_name], intensities)
 
 
 def _parse_counts(label: str, raw: str) -> IntensityCounts:
@@ -307,34 +316,17 @@ def _cmd_bounds(args) -> int:
         decoy=_parse_counts("decoy", args.decoy),
         signal=_parse_counts("signal", args.signal),
     )
+    src = triggered_source(cfg.eta_a, cfg.d_a)
     result = {
-        "mu": mu,
-        "mu_prime": mu_prime,
-        "eta_a": cfg.eta_a,
-        "d_a": cfg.d_a,
-        "y0": stats.y0,
-        "y_mu": stats.y_mu,
-        "y_mu_prime": stats.y_mu_prime,
-        "ty_mu": stats.ty_mu,
-        "ty_mu_prime": stats.ty_mu_prime,
-        "e_mu": stats.e_mu,
-        "e_mu_prime": stats.e_mu_prime,
-        "y1_lower": None,
-        "delta1": None,
-        "e1_upper": None,
-        "key_rate": None,
-        "feasible": None,
+        "mu": mu, "mu_prime": mu_prime, "eta_a": cfg.eta_a, "d_a": cfg.d_a, **asdict(stats),
+        "y1_lower": None, "delta1": None, "e1_upper": None, "key_rate": None, "feasible": None,
     }
     if stats.e_mu is not None:
-        bounds = compute_hsps_bounds(stats, mu, mu_prime, cfg.eta_a, cfg.d_a, e_0=cfg.channel.e_0)
-        result["y1_lower"] = bounds.y1_lower
-        result["delta1"] = bounds.delta1
-        result["e1_upper"] = bounds.e1_upper
-        result["feasible"] = bounds.feasible
+        bounds = compute_bounds(src, stats, mu, mu_prime, cfg.channel.e_0)
+        result.update(asdict(bounds))
         if stats.e_mu_prime is not None:
             result["key_rate"], result["feasible"] = rate_and_feasibility(stats, bounds, cfg.f_ec)
     else:
-        src = triggered_source(cfg.eta_a, cfg.d_a)
         y1 = y1_lower_bound(src, stats, mu, mu_prime)
         result["y1_lower"] = y1
         if y1 > 0 and stats.ty_mu_prime > 0:
@@ -342,7 +334,7 @@ def _cmd_bounds(args) -> int:
     print(json.dumps(result, indent=2))
     outdir = _ensure_outdir(args.out)
     (outdir / "bounds.json").write_text(json.dumps(result, indent=2) + "\n")
-    return _finish(outdir, cfg, ["bounds.json"])
+    return _finish(outdir, cfg, ["bounds.json"], {"mu": mu, "mu_prime": mu_prime})
 
 
 def main(argv=None) -> int:

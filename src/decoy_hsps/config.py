@@ -1,13 +1,15 @@
 """Configuration handling for the CLI: a flat key = value text format.
 
 SweepConfig (with ChannelParams for the channel keys) owns every default
-and range; this module only maps the flat keys onto it. resolve_config
-takes one key -> value mapping, refuses unknown keys by name, and leaves
-absent keys at SweepConfig's defaults, so the library's SweepConfig() and
-an empty CLI configuration are the same. The CLI layers file, preset and
-flag values into that mapping. A resolved configuration materializes
-every key, round-trips losslessly through format_config/parse_config_text,
-and is recorded in the run manifest next to the produced artifacts.
+and range; f_ec and e_0 default to bounds.DEFAULT_F_EC and
+channel.DARK_COUNT_E_0, which the bound functions share. This module
+only maps the flat keys onto it. resolve_config takes one key -> value
+mapping, refuses unknown keys by name, and leaves absent keys at
+SweepConfig's defaults, so the library's SweepConfig() and an empty CLI
+configuration are the same. The CLI layers file, preset and flag values
+into that mapping. A resolved configuration materializes every key,
+round-trips losslessly through format_config/parse_config_text, and is
+recorded in the run manifest next to the produced artifacts.
 """
 from __future__ import annotations
 

@@ -77,7 +77,6 @@ class ObservedStatistics:
     ty_mu_prime: float
     e_mu: float | None = None
     e_mu_prime: float | None = None
-    counts: tuple[IntensityCounts, ...] | None = None
 
     def __init__(
         self,
@@ -88,7 +87,6 @@ class ObservedStatistics:
         ty_mu_prime: float,
         e_mu: float | None = None,
         e_mu_prime: float | None = None,
-        counts: tuple[IntensityCounts, ...] | None = None,
     ):
         if not 0.0 <= y0 <= 1.0:
             raise ValueError(f"y0 must be in [0, 1], got {y0}")
@@ -106,7 +104,7 @@ class ObservedStatistics:
             raise ValueError(f"e_mu_prime must be in [0, 1], got {e_mu_prime}")
         self.__dict__.update(
             y0=y0, y_mu=y_mu, y_mu_prime=y_mu_prime, ty_mu=ty_mu, ty_mu_prime=ty_mu_prime,
-            e_mu=e_mu, e_mu_prime=e_mu_prime, counts=counts,
+            e_mu=e_mu, e_mu_prime=e_mu_prime,
         )
 
 
@@ -166,11 +164,9 @@ def statistics_from_counts(
 
     Yields are clicks per triggered pulse; rescaled yields fold in the
     observed trigger fraction. QBERs are filled in only where error counts
-    were recorded.
+    were recorded. Only these rates are kept, not the tallies.
     """
     y0, _, _ = _rates_from_counts(vacuum, "vacuum")
     y_mu, ty_mu, e_mu = _rates_from_counts(decoy, "decoy")
     y_mu_prime, ty_mu_prime, e_mu_prime = _rates_from_counts(signal, "signal")
-    return ObservedStatistics(
-        y0, y_mu, y_mu_prime, ty_mu, ty_mu_prime, e_mu, e_mu_prime, (vacuum, decoy, signal)
-    )
+    return ObservedStatistics(y0, y_mu, y_mu_prime, ty_mu, ty_mu_prime, e_mu, e_mu_prime)

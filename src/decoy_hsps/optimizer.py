@@ -3,6 +3,9 @@
 The key rate at a fixed distance is a smooth, empirically unimodal
 function of the signal intensity mu', so the optimizer scans a coarse
 grid and then refines the best cell with a golden-section search.
+key_rate_point is the search at one distance: a sweep of that distance
+alone, reporting mu', the rate and the ideal benchmark. Where no mu'
+gives a positive rate, mu' is mu_prime_min and the rate 0.
 
 A sweep makes one search for all of its distances, source kinds and
 ideal benchmarks at once: each (source kind, bounded or ideal) job adds
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    DEFAULT_F_EC,
     KeyRatePoint,
     SecurityBounds,
     _benchmark_rate,
@@ -60,6 +64,9 @@ SOURCE_KINDS = tuple(_SOURCES)
 
 # Two candidate rates closer than this are a tie; the smaller mu' wins.
 RATE_TIE_TOL = 1e-15
+
+# The golden section refines the best coarse cell to a bracket this wide.
+REFINE_TOL = 1e-4
 
 # Grids with more points than this are refused before any is built.
 MAX_GRID_POINTS = 10**6
@@ -87,7 +94,7 @@ class SweepConfig:
 
     mu_prime_min/max bound the signal-intensity search; mu_prime_min left
     None becomes mu + mu_prime_coarse_step. The coarse grid steps by
-    mu_prime_coarse_step and the refinement resolves to 1e-4. sources
+    mu_prime_coarse_step and the refinement resolves to REFINE_TOL. sources
     selects which pipelines run, each kind at most once; include_ideal
     adds the infinite-decoy benchmark to every point.
     """
@@ -96,7 +103,7 @@ class SweepConfig:
     mu: float = 0.05
     eta_a: float = 0.8
     d_a: float = 1e-5
-    f_ec: float = 1.2
+    f_ec: float = DEFAULT_F_EC
     mu_prime_min: float | None = None
     mu_prime_max: float = 1.0
     mu_prime_coarse_step: float = 0.01
@@ -257,7 +264,7 @@ def _record_scan(rates, cands, best_x, best_f):
     return x, f
 
 
-def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4):
+def maximize_over_mu_prime(rate_fn, cfg: SweepConfig):
     """Coarse grid scan plus golden-section refinement of every row's rate.
 
     rate_fn maps a 2-D array of mu' that broadcasts against (rows, 1) to
@@ -280,9 +287,9 @@ def maximize_over_mu_prime(rate_fn, cfg: SweepConfig, refine_tol: float = 1e-4):
         best_x, best_f = _record_scan(rate_fn(block[None, :]), block, best_x, best_f)
     a = np.maximum(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
     b = np.minimum(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
-    refine = b - a > refine_tol
+    refine = b - a > REFINE_TOL
     if refine.any():
-        xr, fr = golden_section_maximize(lambda x: rate_fn(x[:, None])[:, 0], a, b, refine_tol)
+        xr, fr = golden_section_maximize(lambda x: rate_fn(x[:, None])[:, 0], a, b, REFINE_TOL)
         with np.errstate(invalid="ignore"):  # inf - inf when a rate is infinite
             take = refine & (
                 (fr > best_f + RATE_TIE_TOL)
@@ -391,35 +398,6 @@ def _searched_mu_primes(
     return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
 
 
-def _optimal_mu_primes(
-    cfg: SweepConfig, distances: list[float], source_kind: str, ideal: bool = False
-) -> list[float]:
-    """The searched mu' at every distance, bounded rate or ideal benchmark."""
-    return _searched_mu_primes(cfg, distances, [(source_kind, ideal)])[0]
-
-
-def optimize_mu_prime(
-    cfg: SweepConfig, distance_km: float, source_kind: str = "hsps"
-) -> tuple[float, float]:
-    """Best signal intensity and rate at one distance.
-
-    When no candidate achieves a positive rate the reported mu' is the
-    smallest candidate with the rate pinned at 0.
-    """
-    ch = cfg.channel.at_distance(distance_km)
-    (mu_prime,) = _optimal_mu_primes(cfg, [distance_km], source_kind)
-    return mu_prime, evaluate(cfg, ch, _source(cfg, source_kind), mu_prime)[2]
-
-
-def optimal_ideal_rate(
-    cfg: SweepConfig, distance_km: float, source_kind: str = "hsps"
-) -> float:
-    """Infinite-decoy benchmark rate, with its own mu' optimization."""
-    ch = cfg.channel.at_distance(distance_km)
-    (mu_prime,) = _optimal_mu_primes(cfg, [distance_km], source_kind, ideal=True)
-    return ideal_rate(_source(cfg, source_kind), mu_prime, ch, cfg.f_ec)
-
-
 def _sweep_points(
     cfg: SweepConfig, distances: list[float], kinds
 ) -> list[KeyRatePoint]:
@@ -496,7 +474,7 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     """
     grid = distance_grid(cfg)
     src = _source(cfg, source_kind)
-    mu_primes = _optimal_mu_primes(cfg, grid, source_kind)
+    mu_primes = _searched_mu_primes(cfg, grid, [(source_kind, False)])[0]
     last = len(grid) - 1
     while last >= 0 and not _positive(cfg, grid[last], src, mu_primes[last]):
         last -= 1
@@ -510,7 +488,7 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
         mid = 0.5 * (lo + hi)
         if mid not in searched:
             tree = _bisection_tree(lo, hi, _BISECT_LEVELS)
-            searched.update(zip(tree, _optimal_mu_primes(cfg, tree, source_kind)))
+            searched.update(zip(tree, _searched_mu_primes(cfg, tree, [(source_kind, False)])[0]))
         if _positive(cfg, mid, src, searched[mid]):
             lo = mid
         else:

@@ -159,11 +159,11 @@ def test_c05_series_and_closed_forms_agree():
 def test_c06_decoy_intensity_curves_ordered_and_near_ideal():
     base = dh.resolve_config()
     distances = dh.distance_grid(base)
-    ideal = {d: dh.optimal_ideal_rate(base, d, "hsps") for d in distances}
+    ideal = {d: dh.key_rate_point(base, d, "hsps").ideal_rate for d in distances}
     curves = {}
     for mu in (0.01, 0.05, 0.10):
         cfg = dh.resolve_config({"mu": repr(mu), "sources": "hsps"})
-        curves[mu] = {d: dh.optimize_mu_prime(cfg, d, "hsps")[1] for d in distances}
+        curves[mu] = {d: dh.key_rate_point(cfg, d, "hsps").key_rate for d in distances}
     common = [
         d for d in distances
         if curves[0.01][d] > 0 and curves[0.05][d] > 0 and curves[0.10][d] > 0
@@ -187,8 +187,8 @@ def test_c07_source_comparison_cutoffs():
     assert cutoff_hsps_08 > cutoff_wcs
     assert cutoff_hsps_06 > cutoff_wcs
     assert cutoff_hsps_08 >= cutoff_hsps_06
-    rate_hsps_20 = dh.optimize_mu_prime(cfg08, 20.0, "hsps")[1]
-    rate_wcs_20 = dh.optimize_mu_prime(cfg08, 20.0, "wcs")[1]
+    rate_hsps_20 = dh.key_rate_point(cfg08, 20.0, "hsps").key_rate
+    rate_wcs_20 = dh.key_rate_point(cfg08, 20.0, "wcs").key_rate
     assert rate_wcs_20 > rate_hsps_20 > 0
     _report(7, f"cutoffs: triggered {cutoff_hsps_08:.1f} km (0.8) / {cutoff_hsps_06:.1f} km (0.6) "
                f"vs coherent {cutoff_wcs:.1f} km; coherent rate higher at 20 km")
@@ -208,7 +208,8 @@ def test_c08_optimizer_matches_dense_grid():
             r = rate(m)
             if r > best_r:
                 best_m, best_r = m, r
-        opt_m, opt_r = dh.optimize_mu_prime(cfg, distance, "hsps")
+        point = dh.key_rate_point(cfg, distance, "hsps")
+        opt_m, opt_r = point.mu_prime, point.key_rate
         assert abs(opt_m - best_m) <= 1.01e-4
         assert opt_r >= best_r - 1e-10
         for hand_picked in (0.1, 0.3, 0.5, 0.7):

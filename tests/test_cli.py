@@ -182,6 +182,44 @@ class TestFigureCommand:
     def test_invalid_figure_number(self, tmp_path):
         assert main(["figure", "7", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("number, override", [
+        ("2", "sources=hsps"),
+        ("1", "mu=0.2"),
+        ("1", "sources=hsps,wcs"),
+        ("3", "sources=wcs"),
+    ])
+    def test_override_of_a_fixed_key_is_refused(self, tmp_path, capsys, number, override):
+        out = tmp_path / "fig"
+        assert main(["figure", number, "--out", str(out), "--override", override] + SMALL_GRID) == 1
+        key = override.partition("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: --override {key} is not allowed: figure {number} fixes '{key}'\n")
+        assert not out.exists()
+
+    def test_preset_keys_still_yield_to_overrides_and_replace_the_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("sources = hsps\neta_a = 0.5\n")
+        out = tmp_path / "fig2"
+        assert main(["figure", "2", "--config", str(cfg_file), "--out", str(out),
+                     "--override", "mu=0.04"] + SMALL_GRID) == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert (config["mu"], config["eta_a"], config["sources"]) == (0.04, 0.8, "hsps,wcs,ideal")
+
+    def test_figure1_manifest_records_its_decoy_intensities(self, tmp_path):
+        out = tmp_path / "fig1"
+        assert main(["figure", "1", "--out", str(out)] + SMALL_GRID) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["intensities"] == {"mu": [0.01, 0.05, 0.1]}
+        # config stays the resolved configuration of the last of the three sweeps
+        assert manifest["config"]["mu"] == 0.1
+
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "2"], ["figure", "3"]])
+    def test_runs_at_the_configured_mu_record_no_intensities(self, tmp_path, command):
+        out = tmp_path / "run"
+        assert main(command + ["--out", str(out)] + SMALL_GRID) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert list(manifest) == ["tool", "version", "timestamp", "config", "artifacts"]
+
 
 class TestBoundsCommand:
     def _counts_args(self, distance=20.0, mu=0.05, mu_prime=0.3, eta_a=0.8, d_a=1e-5,
@@ -252,6 +290,35 @@ class TestBoundsCommand:
         assert result["y1_lower"] > 0
         assert result["e1_upper"] is None
         assert result["key_rate"] is None
+
+    # the bounds example of the ROADMAP, with and without its error counts
+    EXAMPLE = {"--vacuum": "1e6,1e6,2", "--decoy": "1e6,1e5,100,3",
+               "--signal": "1e6,3e5,600,20", "--mu": "0.1", "--mu-prime": "0.5"}
+    NO_ERRORS = dict(EXAMPLE, **{"--decoy": "1e6,1e5,100", "--signal": "1e6,3e5,600"})
+    BOUNDS_KEYS = ["mu", "mu_prime", "eta_a", "d_a", "y0", "y_mu", "y_mu_prime", "ty_mu",
+                   "ty_mu_prime", "e_mu", "e_mu_prime", "y1_lower", "delta1", "e1_upper",
+                   "key_rate", "feasible"]
+
+    @pytest.mark.parametrize("counts, unset", [
+        (EXAMPLE, []),
+        (NO_ERRORS, ["e_mu", "e_mu_prime", "e1_upper", "key_rate", "feasible"]),
+    ], ids=["with errors", "without errors"])
+    def test_bounds_json_keys_in_order(self, tmp_path, counts, unset):
+        out = tmp_path / "run"
+        assert main(["bounds", "--out", str(out)] + [x for item in counts.items() for x in item]) == 0
+        result = json.loads((out / "bounds.json").read_text())
+        assert list(result) == self.BOUNDS_KEYS
+        assert [k for k, v in result.items() if v is None] == unset
+
+    @pytest.mark.parametrize("mu_args, mu", [(["--mu", "0.1"], 0.1), ([], 0.05)])
+    def test_manifest_records_the_intensities_analysed(self, tmp_path, mu_args, mu):
+        out = tmp_path / "run"
+        args = {k: v for k, v in self.EXAMPLE.items() if k != "--mu"}
+        argv = ["bounds", "--out", str(out)] + [x for item in args.items() for x in item]
+        assert main(argv + mu_args) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["intensities"] == {"mu": mu, "mu_prime": 0.5}
+        assert manifest["config"]["mu"] == 0.05
 
     def test_bad_counts_shape_is_validation_error(self, tmp_path):
         assert main([

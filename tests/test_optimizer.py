@@ -16,7 +16,6 @@ from decoy_hsps.optimizer import (
     _BISECT_LEVELS,
     _bisection_tree,
     _grid_count,
-    _optimal_mu_primes,
     _record_scan,
     _searched_mu_primes,
     _source,
@@ -27,8 +26,6 @@ from decoy_hsps.optimizer import (
     max_secure_distance,
     maximize_over_mu_prime,
     mu_prime_candidates,
-    optimal_ideal_rate,
-    optimize_mu_prime,
     sweep_distances,
 )
 
@@ -59,7 +56,8 @@ class TestGrids:
     def test_degenerate_range_single_candidate(self):
         cfg = _cfg(mu_prime_min=0.3, mu_prime_max=0.3)
         assert mu_prime_candidates(cfg) == [0.3]
-        mu_prime, rate = optimize_mu_prime(cfg, 30.0, "hsps")
+        p = key_rate_point(cfg, 30.0, "hsps")
+        mu_prime, rate = p.mu_prime, p.key_rate
         assert mu_prime == 0.3
         assert rate == evaluate(cfg, cfg.channel.at_distance(30.0), HSPS, 0.3)[2]
 
@@ -99,24 +97,27 @@ class TestOptimizeMuPrime:
             r = rate(m)
             if r > best_r:
                 best_m, best_r = m, r
-        opt_m, opt_r = optimize_mu_prime(DEFAULT, 50.0, "hsps")
+        p = key_rate_point(DEFAULT, 50.0, "hsps")
+        opt_m, opt_r = p.mu_prime, p.key_rate
         assert abs(opt_m - best_m) <= 1.01e-4
         assert opt_r >= best_r - 1e-12
 
     def test_dominates_hand_picked_candidates(self):
-        _, opt_r = optimize_mu_prime(DEFAULT, 50.0, "hsps")
+        opt_r = key_rate_point(DEFAULT, 50.0, "hsps").key_rate
         ch = DEFAULT.channel.at_distance(50.0)
         for m in (0.1, 0.3, 0.5, 0.9):
             assert opt_r >= evaluate(DEFAULT, ch, HSPS, m)[2]
 
     def test_regression_at_20km(self):
-        mu_prime, rate = optimize_mu_prime(DEFAULT, 20.0, "hsps")
+        p = key_rate_point(DEFAULT, 20.0, "hsps")
+        mu_prime, rate = p.mu_prime, p.key_rate
         assert rate == pytest.approx(3.3562617547202195e-04, rel=1e-9)
         assert mu_prime == pytest.approx(0.2228, abs=2e-3)
 
     def test_no_positive_rate_reports_smallest_candidate(self):
         cfg = _cfg(channel=ChannelParams(eta_b=0.0))
-        mu_prime, rate = optimize_mu_prime(cfg, 10.0, "hsps")
+        p = key_rate_point(cfg, 10.0, "hsps")
+        mu_prime, rate = p.mu_prime, p.key_rate
         assert rate == 0.0
         assert mu_prime == cfg.mu_prime_min
 
@@ -162,7 +163,7 @@ class TestSweep:
             rates = []
             for mu in (0.01, 0.05, 0.10):
                 cfg = _cfg(mu=mu, mu_prime_min=mu + 0.01)
-                rates.append(optimize_mu_prime(cfg, distance, "hsps")[1])
+                rates.append(key_rate_point(cfg, distance, "hsps").key_rate)
             assert rates[0] >= rates[1] >= rates[2] > 0
 
     def test_wcs_beats_hsps_at_short_distance(self):
@@ -183,9 +184,9 @@ class TestMaxSecureDistance:
         cutoff = max_secure_distance(cfg, "hsps")
         assert cutoff is not None
         assert 160.0 <= cutoff < 172.0
-        assert optimize_mu_prime(cfg, cutoff, "hsps")[1] > 0
+        assert key_rate_point(cfg, cutoff, "hsps").key_rate > 0
         # refinement leaves at most 0.1 km of slack before the rate dies
-        assert optimize_mu_prime(cfg, cutoff + 0.11, "hsps")[1] == 0.0
+        assert key_rate_point(cfg, cutoff + 0.11, "hsps").key_rate == 0.0
 
     def test_positive_through_grid_end_returns_end(self):
         cfg = _cfg(dist_start_km=0.0, dist_stop_km=30.0, dist_step_km=10.0)
@@ -196,7 +197,7 @@ def _serial_cutoff(cfg, kind):
     """Forward grid scan, then a bisection that probes one midpoint per search."""
     grid = distance_grid(cfg)
     channels = [cfg.channel.at_distance(d) for d in grid]
-    mu_primes = _optimal_mu_primes(cfg, grid, kind)
+    mu_primes = _searched_mu_primes(cfg, grid, [(kind, False)])[0]
     src = _source(cfg, kind)
     last_positive = None
     first_zero_after = None
@@ -213,7 +214,7 @@ def _serial_cutoff(cfg, kind):
     lo, hi = last_positive, first_zero_after
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
-        if optimize_mu_prime(cfg, mid, kind)[1] > 0.0:
+        if key_rate_point(cfg, mid, kind).key_rate > 0.0:
             lo = mid
         else:
             hi = mid
@@ -301,8 +302,10 @@ class TestSweepConfigValidation:
 
 def test_optimal_ideal_rate_dominates_bounded_optimum():
     for distance in (0.0, 40.0, 80.0):
-        assert optimal_ideal_rate(DEFAULT, distance, "hsps") >= optimize_mu_prime(DEFAULT, distance, "hsps")[1]
-        assert optimal_ideal_rate(DEFAULT, distance, "wcs") >= optimize_mu_prime(DEFAULT, distance, "wcs")[1]
+        p_h = key_rate_point(DEFAULT, distance, "hsps")
+        p_w = key_rate_point(DEFAULT, distance, "wcs")
+        assert p_h.ideal_rate >= p_h.key_rate
+        assert p_w.ideal_rate >= p_w.key_rate
 
 
 def test_evaluate_wcs_consistent_with_point():
@@ -372,16 +375,17 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("ideal", [False, True], ids=["bounded", "ideal"])
     def test_mu_prime_identical_to_scalar_search(self, kind, ideal):
         channels = [DEFAULT.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
-        lockstep = _optimal_mu_primes(DEFAULT, LOCKSTEP_DISTANCES, kind, ideal)
+        lockstep = _searched_mu_primes(DEFAULT, LOCKSTEP_DISTANCES, [(kind, ideal)])[0]
         for distance, ch, mu_prime in zip(LOCKSTEP_DISTANCES, channels, lockstep):
             ref_x, ref_f = _search_reference(_scalar_rate(DEFAULT, ch, kind, ideal), DEFAULT)
             assert mu_prime == ref_x, distance
             if distance % 20 == 0:
                 # one-row calls report the scalar rate at the same mu'
+                p = key_rate_point(DEFAULT, distance, kind)
                 if ideal:
-                    assert optimal_ideal_rate(DEFAULT, distance, kind) == ref_f
+                    assert p.ideal_rate == ref_f
                 else:
-                    assert optimize_mu_prime(DEFAULT, distance, kind) == (ref_x, ref_f)
+                    assert (p.mu_prime, p.key_rate) == (ref_x, ref_f)
 
     @pytest.mark.parametrize("kind", ["hsps", "wcs"])
     @pytest.mark.parametrize("mu_range", [(0.06, 0.12), (0.5, 1.0), (0.3, 0.3)])
@@ -390,7 +394,7 @@ class TestLockstepSearch:
         cfg = _cfg(mu_prime_min=mu_range[0], mu_prime_max=mu_range[1])
         distances = [0.0, 40.0, 80.0, 120.0, 165.0]
         channels = [cfg.channel.at_distance(d) for d in distances]
-        lockstep = _optimal_mu_primes(cfg, distances, kind)
+        lockstep = _searched_mu_primes(cfg, distances, [(kind, False)])[0]
         for ch, mu_prime in zip(channels, lockstep):
             assert mu_prime == _search_reference(_scalar_rate(cfg, ch, kind, False), cfg)[0]
             assert mu_range[0] <= mu_prime <= mu_range[1]
@@ -419,16 +423,16 @@ class TestLockstepSearch:
         rate = lambda m: np.zeros((0, 1)) * m
         x, f = maximize_over_mu_prime(rate, cfg)
         assert x.shape == f.shape == (0,)
-        assert _optimal_mu_primes(cfg, [], "hsps") == []
+        assert _searched_mu_primes(cfg, [], [("hsps", False)])[0] == []
         assert max_secure_distance(_cfg(dist_start_km=10.0, dist_stop_km=5.0), "hsps") is None
         ch = cfg.channel.at_distance(50.0)
-        assert _optimal_mu_primes(cfg, [50.0], "wcs") == [
+        assert _searched_mu_primes(cfg, [50.0], [("wcs", False)])[0] == [
             _search_reference(_scalar_rate(cfg, ch, "wcs", False), cfg)[0]]
 
     @pytest.mark.parametrize("block_cells", [3, 50, 3 * 95 + 94])
     def test_blocks_bound_each_call_and_leave_mu_prime_unchanged(self, monkeypatch, block_cells):
         distances = LOCKSTEP_DISTANCES
-        whole = _optimal_mu_primes(DEFAULT, distances, "hsps")
+        whole = _searched_mu_primes(DEFAULT, distances, [("hsps", False)])[0]
         searches, cells = [], []
 
         def spy(rate_fn, cfg):
@@ -443,7 +447,7 @@ class TestLockstepSearch:
 
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
         monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
-        assert _optimal_mu_primes(DEFAULT, distances, "hsps") == whole
+        assert _searched_mu_primes(DEFAULT, distances, [("hsps", False)])[0] == whole
         assert sum(searches) == len(distances) and max(searches) <= block_cells
         assert max(cells) <= block_cells
 
@@ -459,8 +463,9 @@ class TestLockstepSearch:
     def test_sweep_matches_one_row_calls(self):
         cfg = _cfg(dist_start_km=0.0, dist_stop_km=170.0, dist_step_km=17.0)
         for p in sweep_distances(cfg):
-            assert (p.mu_prime, p.key_rate) == optimize_mu_prime(cfg, p.distance_km, p.source_kind)
-            assert p.ideal_rate == optimal_ideal_rate(cfg, p.distance_km, p.source_kind)
+            one = key_rate_point(cfg, p.distance_km, p.source_kind)
+            assert (p.mu_prime, p.key_rate) == (one.mu_prime, one.key_rate)
+            assert p.ideal_rate == one.ideal_rate
 
 
 # Every (source kind, bounded or ideal) job a sweep can stack.
@@ -476,7 +481,7 @@ class TestStackedSearch:
     def test_mu_prime_identical_to_per_kind_searches(self, cfg):
         distances = LOCKSTEP_DISTANCES
         stacked = _searched_mu_primes(cfg, distances, STACK_JOBS)
-        assert stacked == [_optimal_mu_primes(cfg, distances, kind, ideal) for kind, ideal in STACK_JOBS]
+        assert stacked == [_searched_mu_primes(cfg, distances, [job])[0] for job in STACK_JOBS]
 
     @pytest.mark.parametrize("sources, include_ideal", [
         (("hsps", "wcs"), True),
@@ -499,9 +504,10 @@ class TestStackedSearch:
         channels = [cfg.channel.at_distance(d) for d in distance_grid(cfg)]
         for kind in sources:
             mine = [p for p in points if p.source_kind == kind]
-            assert [p.mu_prime for p in mine] == _optimal_mu_primes(cfg, distance_grid(cfg), kind)
+            mu_primes = _searched_mu_primes(cfg, distance_grid(cfg), [(kind, False)])[0]
+            assert [p.mu_prime for p in mine] == mu_primes
             if include_ideal:
-                ideal_mu_primes = _optimal_mu_primes(cfg, distance_grid(cfg), kind, ideal=True)
+                ideal_mu_primes = _searched_mu_primes(cfg, distance_grid(cfg), [(kind, True)])[0]
                 assert [p.ideal_rate for p in mine] == [
                     ideal_rate(_source(cfg, kind), m, ch, cfg.f_ec)
                     for ch, m in zip(channels, ideal_mu_primes)]
@@ -661,7 +667,7 @@ class TestTransmittanceOnlyInputs:
             return lambda mu_prime: np.zeros((eta.shape[0], np.shape(mu_prime)[1]))
 
         monkeypatch.setattr(optimizer_module, "_rate_array", spy)
-        _optimal_mu_primes(cfg, distances, "hsps")
+        _searched_mu_primes(cfg, distances, [("hsps", False)])
         assert seen == [overall_transmittance(cfg.channel.at_distance(d)) for d in distances]
 
     def test_default_cutoff_builds_few_channels(self, monkeypatch):
@@ -689,7 +695,7 @@ class TestTransmittanceOnlyInputs:
         distances = LOCKSTEP_DISTANCES[::2]
         stacked = _searched_mu_primes(cfg, distances, STACK_JOBS)
         for (kind, ideal), found in zip(STACK_JOBS, stacked):
-            assert found == _optimal_mu_primes(cfg, distances, kind, ideal)
+            assert found == _searched_mu_primes(cfg, distances, [(kind, ideal)])[0]
             expected = [
                 _search_reference(_scalar_rate(cfg, cfg.channel.at_distance(d), kind, ideal), cfg)[0]
                 for d in distances
@@ -708,7 +714,8 @@ class TestWcsGainCap:
 
     def test_search_over_huge_intensities_completes(self):
         cfg = _cfg(mu_prime_min=700.0, mu_prime_max=800.0)
-        assert optimize_mu_prime(cfg, 0.0, "wcs") == (700.0, 0.0)
+        p = key_rate_point(cfg, 0.0, "wcs")
+        assert (p.mu_prime, p.key_rate) == (700.0, 0.0)
 
 
 class TestTriggeredYieldCap:
@@ -741,8 +748,9 @@ class TestTriggeredYieldCap:
     def test_search_and_sweep_over_capped_intensities_complete(self):
         cfg = replace(self.CFG, mu_prime_min=1.0, mu_prime_max=60.0, mu_prime_coarse_step=1.0,
                       dist_stop_km=2.0)
-        assert optimize_mu_prime(cfg, 0.0, "hsps") == (1.0, 0.0)
-        assert optimal_ideal_rate(cfg, 0.0, "hsps") == 0.0
+        p = key_rate_point(cfg, 0.0, "hsps")
+        assert (p.mu_prime, p.key_rate) == (1.0, 0.0)
+        assert p.ideal_rate == 0.0
         assert len(sweep_distances(cfg)) == 3 * 2
 
 

@@ -13,12 +13,10 @@ import pytest
 
 from decoy_hsps.bounds import KeyRatePoint, SecurityBounds
 from decoy_hsps.channel import ChannelParams
-from decoy_hsps.observables import IntensityCounts, ObservedStatistics
+from decoy_hsps.observables import ObservedStatistics
 
 OBS = dict(y0=1.7e-6, y_mu=0.004, y_mu_prime=0.02, ty_mu=0.003, ty_mu_prime=0.015,
-           e_mu=0.04, e_mu_prime=0.035,
-           counts=(IntensityCounts(10.0, 5.0, 1.0), IntensityCounts(10.0, 5.0, 2.0, 0.5),
-                   IntensityCounts(10.0, 6.0, 3.0, 0.25)))
+           e_mu=0.04, e_mu_prime=0.035)
 BOUNDS = dict(y1_lower=0.03, delta1=0.6, e1_upper=0.1, feasible=True)
 POINT = dict(distance_km=50.0, mu=0.05, mu_prime=0.5, key_rate=1e-4, ideal_rate=2e-4,
              source_kind="hsps", bounds=SecurityBounds(**BOUNDS),
