@@ -20,6 +20,13 @@ distances, not channels: a row is cfg.channel at its distance, and only
 its overall transmittance enters the arrays, so a ChannelParams is built
 only for the points the scalar chain evaluates.
 
+A cut-off (max_secure_distance) coarse-scans its distance grid, takes
+the bracket after the last grid point with a positive coarse rate as the
+guess of where the cut-off lies, coarse-scans every bisection midpoint
+in that bracket, and refines the grid and midpoint rows in one
+golden-section pass. A midpoint the guess missed gets a batch search of
+its own, so the guess moves no result, only the number of rate calls.
+
 A source kind names one source object (_source). The search's rates
 come from the scalar chain's own source-generic core run on numpy arrays,
 with each row's mu'-independent terms taken from the scalar chain. The
@@ -71,18 +78,19 @@ REFINE_TOL = 1e-4
 # Grids with more points than this are refused before any is built.
 MAX_GRID_POINTS = 10**6
 
-# The coarse scan evaluates at most this many (distance, mu') cells per
-# call, in blocks of columns, and a search takes at most this many
-# distances, so peak memory does not grow with either grid. At 2^13 cells
+# A rate call evaluates at most this many (distance, mu') cells: the coarse
+# scan goes in blocks of columns, and a search takes at most half this
+# many distances, as the golden section opens with two probes a row. So
+# peak memory does not grow with either grid. At 2^13 cells
 # a float64 temporary (64 KB) stays below glibc's default mmap threshold
 # and is reused: a pass of the three figures (181 x 95 cells per sweep)
 # peaked 1.9 MB above the imported package, against 3.1 MB with 2^16.
 _BLOCK_CELLS = 1 << 13
 
-# A cut-off's bisection searches the midpoints of this many of its levels
-# at once, at most 2^6 - 1 = 63 rows. A search costs ~2.5 ms plus ~20 us
-# per row, so the batch costs about one midpoint probed alone; the default
-# 1 km grid needs 4 levels.
+# A cut-off searches the bisection midpoints of this many levels at once,
+# at most 2^6 - 1 = 63 rows: rate calls cost about the same at 1 and at 200
+# rows, so a batch costs about one midpoint probed alone. The default 1 km
+# grid needs 4 levels, so its guessed bracket holds every midpoint.
 _BISECT_LEVELS = 6
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -199,10 +207,11 @@ def mu_prime_candidates(cfg: SweepConfig) -> list[float]:
 def golden_section_maximize(fn, a, b, tol: float):
     """Locate the maxima of unimodal functions on brackets [a, b] to width tol.
 
-    a and b are equal-shape arrays of brackets that are all searched in
-    lockstep: fn maps an array of points to an array of values, each
-    element takes exactly the steps of its own scalar search, and an
-    element whose bracket is narrower than tol stops moving.
+    a and b are 1-D arrays of brackets, one per row, all searched in
+    lockstep: fn maps a (rows, k) array of points to their (rows, k)
+    values, each row takes exactly the steps of its own scalar search, and
+    a row whose bracket is narrower than tol stops moving. The two opening
+    probes of every row go to fn in one (rows, 2) call.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -214,7 +223,7 @@ def golden_section_maximize(fn, a, b, tol: float):
     if active.any():
         c = b - _INVPHI * width
         d = a + _INVPHI * width
-        fc, fd = fn(c), fn(d)
+        fc, fd = fn(np.stack([c, d], axis=1)).T
         while active.any():
             # fc >= fd keeps [a, d]: d takes c's place and a new c is probed;
             # otherwise [c, b] is kept and a new d is probed. A frozen row's
@@ -224,7 +233,7 @@ def golden_section_maximize(fn, a, b, tol: float):
             a = np.where(active & ~left, c, a)
             width = b - a
             probe = np.where(left, b - _INVPHI * width, a + _INVPHI * width)
-            f_probe = fn(probe)
+            f_probe = fn(probe[:, None])[:, 0]
             c, fc, d, fd = (
                 np.where(left, probe, d),
                 np.where(left, f_probe, fd),
@@ -233,7 +242,7 @@ def golden_section_maximize(fn, a, b, tol: float):
             )
             active = width > tol
     x = 0.5 * (a + b)
-    return x, fn(x)
+    return x, fn(x[:, None])[:, 0]
 
 
 def _record_scan(rates, cands, best_x, best_f):
@@ -264,32 +273,40 @@ def _record_scan(rates, cands, best_x, best_f):
     return x, f
 
 
-def maximize_over_mu_prime(rate_fn, cfg: SweepConfig):
-    """Coarse grid scan plus golden-section refinement of every row's rate.
+def _coarse_scan(rate_fn, rows: int, cfg: SweepConfig):
+    """Every row's best coarse candidate and its rate, under the tie rule.
 
-    rate_fn maps a 2-D array of mu' that broadcasts against (rows, 1) to
-    the rates of all rows at those mu', one row per distance. Every row
-    runs the scalar search in lockstep: ties within RATE_TIE_TOL resolve
-    to the smaller mu', and a row's rate is never below any coarse
-    candidate it examined. Returns the per-row mu' and rate arrays.
-    The first call, on the first candidate alone, tells the row count
-    that sizes the column blocks of the rest of the scan. Each block's
-    tie rule is applied by _record_scan in a few whole-array operations;
-    a row it cannot settle exactly that way (a rate within RATE_TIE_TOL
-    of the block's top, or a NaN) falls back to the column-by-column rule.
+    rate_fn maps a (1, k) array of mu' to the (rows, k) rates of all rows
+    at those mu'. The candidates go in blocks of at most _BLOCK_CELLS
+    cells, and column 0 seeds each row's best as the scalar scan does, a
+    NaN included. Each block's tie rule is applied by _record_scan in a
+    few whole-array operations; a row it cannot settle exactly that way (a
+    rate within RATE_TIE_TOL of the block's top, or a NaN) falls back to
+    the column-by-column rule.
     """
     cands = np.array(mu_prime_candidates(cfg))
-    best_f = rate_fn(cands[None, :1])[:, 0]
-    best_x = np.full(best_f.size, cands[0])
-    width = max(1, _BLOCK_CELLS // max(1, best_f.size))
-    for start in range(1, cands.size, width):
+    width = max(1, _BLOCK_CELLS // max(1, rows))
+    rates = rate_fn(cands[None, :width])
+    best_x, best_f = _record_scan(rates, cands[:width], np.full(rows, cands[0]), rates[:, 0])
+    for start in range(width, cands.size, width):
         block = cands[start:start + width]
         best_x, best_f = _record_scan(rate_fn(block[None, :]), block, best_x, best_f)
+    return best_x, best_f
+
+
+def _refine(rate_fn, best_x, best_f, cfg: SweepConfig):
+    """Golden-section refinement of every row's best coarse cell.
+
+    rate_fn maps a (rows, k) array of mu' to the rates of each row at its
+    own k points. A refined point replaces the coarse best only if it beats
+    it by more than RATE_TIE_TOL, or ties it at a smaller mu', so a row's
+    rate is never below any coarse candidate it examined.
+    """
     a = np.maximum(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
     b = np.minimum(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
     refine = b - a > REFINE_TOL
     if refine.any():
-        xr, fr = golden_section_maximize(lambda x: rate_fn(x[:, None])[:, 0], a, b, REFINE_TOL)
+        xr, fr = golden_section_maximize(rate_fn, a, b, REFINE_TOL)
         with np.errstate(invalid="ignore"):  # inf - inf when a rate is infinite
             take = refine & (
                 (fr > best_f + RATE_TIE_TOL)
@@ -298,6 +315,16 @@ def maximize_over_mu_prime(rate_fn, cfg: SweepConfig):
         best_x = np.where(take, xr, best_x)
         best_f = np.where(take, fr, best_f)
     return best_x, best_f
+
+
+def maximize_over_mu_prime(rate_fn, rows: int, cfg: SweepConfig):
+    """The per-row mu' and rate arrays of _coarse_scan, then _refine.
+
+    rate_fn maps a 2-D array of mu' that broadcasts against (rows, 1) to
+    the rates of all rows at those mu', one row per distance.
+    """
+    best_x, best_f = _coarse_scan(rate_fn, rows, cfg)
+    return _refine(rate_fn, best_x, best_f, cfg)
 
 
 def rate_and_feasibility(
@@ -333,28 +360,43 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _rate_array(cfg: SweepConfig, src, ideal: bool, eta: np.ndarray):
-    """rate(mu_prime) of the rows of a column eta of overall transmittances.
+def _transmittances(cfg: SweepConfig, distances) -> np.ndarray:
+    """cfg.channel's overall_transmittance at each distance, as a column."""
+    ch = cfg.channel
+    return _column([fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances])
 
-    Every other channel parameter is cfg.channel's. Each row's
-    mu'-independent terms (decoy terms, or the benchmark's exact Y1 and
-    entropy) are its scalar-chain values, so the search sees the scalar
-    rates up to the last-place rounding of numpy's exp/log/pow.
+
+def _row_terms(cfg: SweepConfig, src, ideal: bool, eta: np.ndarray):
+    """The columns a rate needs per row: eta and two mu'-independent terms.
+
+    eta is a column of overall transmittances; every other channel
+    parameter is cfg.channel's. The terms are the decoy rescaled yield and
+    e1 error mass of compute_bounds, or the benchmark's exact Y1 and its
+    entropy, each row's scalar-chain values.
     """
     ch, etas = cfg.channel, eta[:, 0].tolist()
     if ideal:
         y1, h_e1 = (_column(c) for c in zip(*[_exact_single_photon(ch, e) for e in etas]))
-    else:
-        # the decoy rescaled yield and e1 error mass of compute_bounds
-        decoy = [src.signal(FLOATS, cfg.mu, e, ch) for e in etas]
-        ty_mu = _column([ty for _, ty, _ in decoy])
-        e1_mass = _column([src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy])
+        return eta, y1, h_e1
+    decoy = [src.signal(FLOATS, cfg.mu, e, ch) for e in etas]
+    ty_mu = _column([ty for _, ty, _ in decoy])
+    e1_mass = _column([src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy])
+    return eta, ty_mu, e1_mass
+
+
+def _rate_array(cfg: SweepConfig, src, ideal: bool, terms):
+    """rate(mu_prime) of the rows whose _row_terms are terms.
+
+    The search sees the scalar rates up to the last-place rounding of
+    numpy's exp/log/pow.
+    """
+    ch, (eta, t1, t2) = cfg.channel, terms
 
     def rate(mu_prime):
         with np.errstate(all="ignore"):
             if ideal:
-                return _benchmark_rate(ARRAYS, src, mu_prime, eta, ch, y1, h_e1, cfg.f_ec)
-            return _search_rate(src, ch.d_b, ty_mu, e1_mass, cfg.mu, mu_prime, eta, ch, cfg.f_ec)
+                return _benchmark_rate(ARRAYS, src, mu_prime, eta, ch, t1, t2, cfg.f_ec)
+            return _search_rate(src, ch.d_b, t1, t2, cfg.mu, mu_prime, eta, ch, cfg.f_ec)
 
     return rate
 
@@ -368,32 +410,36 @@ def _stacked_rate(blocks):
     return rate
 
 
+def _chunk_rows() -> int:
+    """Rows per search: the golden section's opening call rates 2 cells a row."""
+    return max(1, _BLOCK_CELLS // 2)
+
+
 def _searched_mu_primes(
     cfg: SweepConfig, distances: list[float], jobs: list[tuple[str, bool]]
 ) -> list[list[float]]:
     """The searched mu' at every distance for every (source kind, ideal) job.
 
     The rows of all jobs, job after job, go through one search, split into
-    chunks of at most _BLOCK_CELLS rows; each job's _rate_array rates its
+    chunks of at most _chunk_rows() rows; each job's _rate_array rates its
     own rows of a chunk. A row's search never looks at another row, so
     every row picks the mu' it would pick alone. A row is cfg.channel at
-    its distance, and the search reads only its overall transmittance,
-    computed as overall_transmittance does, so no ChannelParams is built.
+    its distance, and the search reads only its overall transmittance, so
+    no ChannelParams is built.
     """
     sources = [(_source(cfg, kind), ideal) for kind, ideal in jobs]
-    n, total = len(distances), len(distances) * len(jobs)
-    ch = cfg.channel
-    eta = _column([fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances])
+    n, total, chunk = len(distances), len(distances) * len(jobs), _chunk_rows()
+    eta = _transmittances(cfg, distances)
     mu_primes: list[float] = []
-    for start in range(0, total, _BLOCK_CELLS):
-        stop = min(total, start + _BLOCK_CELLS)
+    for start in range(0, total, chunk):
+        stop = min(total, start + chunk)
         blocks = []
         for j, (src, ideal) in enumerate(sources):
             lo, hi = max(start - j * n, 0), min(stop - j * n, n)
             if lo < hi:
-                rate = _rate_array(cfg, src, ideal, eta[lo:hi])
+                rate = _rate_array(cfg, src, ideal, _row_terms(cfg, src, ideal, eta[lo:hi]))
                 blocks.append((j * n + lo - start, j * n + hi - start, rate))
-        best_x, _ = maximize_over_mu_prime(_stacked_rate(blocks), cfg)
+        best_x, _ = maximize_over_mu_prime(_stacked_rate(blocks), stop - start, cfg)
         mu_primes.extend(best_x.tolist())
     return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
 
@@ -458,23 +504,58 @@ def _positive(cfg: SweepConfig, distance_km: float, src, mu_prime: float) -> boo
     return evaluate(cfg, cfg.channel.at_distance(distance_km), src, mu_prime)[2] > 0.0
 
 
+def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
+    """Bisection midpoints of the bracket after the last positive coarse rate."""
+    positive = np.flatnonzero(coarse_rates > 0.0)
+    if positive.size == 0 or positive[-1] + 1 == len(grid):
+        return []
+    k = int(positive[-1])
+    return _bisection_tree(grid[k], grid[k + 1], _BISECT_LEVELS)
+
+
+def _cutoff_mu_primes(
+    cfg: SweepConfig, source_kind: str, grid: list[float]
+) -> tuple[list[float], dict[float, float]]:
+    """The searched mu' of every grid point, and of the guessed midpoints.
+
+    The grid and the _guessed_tree midpoints are coarse-scanned apart, as
+    the tree depends on the grid's coarse rates, then refined together in
+    one golden-section pass over their joined row columns. A grid too long
+    to share a chunk with a full tree is searched alone, with no guess.
+    """
+    if len(grid) + 2**_BISECT_LEVELS - 1 > _chunk_rows():
+        return _searched_mu_primes(cfg, grid, [(source_kind, False)])[0], {}
+    src = _source(cfg, source_kind)
+    terms = _row_terms(cfg, src, False, _transmittances(cfg, grid))
+    best_x, best_f = _coarse_scan(_rate_array(cfg, src, False, terms), len(grid), cfg)
+    tree = _guessed_tree(grid, best_f)
+    if tree:
+        tree_terms = _row_terms(cfg, src, False, _transmittances(cfg, tree))
+        tree_x, tree_f = _coarse_scan(_rate_array(cfg, src, False, tree_terms), len(tree), cfg)
+        terms = tuple(np.concatenate(pair) for pair in zip(terms, tree_terms))
+        best_x, best_f = np.concatenate([best_x, tree_x]), np.concatenate([best_f, tree_f])
+    mu_primes = _refine(_rate_array(cfg, src, False, terms), best_x, best_f, cfg)[0].tolist()
+    return mu_primes[:len(grid)], dict(zip(tree, mu_primes[len(grid):]))
+
+
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:
     """Largest distance with a positive optimized rate, or None.
 
-    One search picks the mu' of every grid point; the scalar rate is then
-    judged backwards from the grid end, so the result is the last positive
-    grid point, or the grid end when the rate is still positive there.
-    Between that point and the next one a bisection refines the cut-off
-    down to 0.1 km. Every midpoint it can probe in its next
-    _BISECT_LEVELS levels is searched at once, and the bisection then walks
-    those mu', judging the scalar rate only at the midpoints it reaches; a
-    row's search never reads another row, so this returns exactly what
-    probing one midpoint at a time would, whether or not the rate falls
-    monotonically.
+    The scalar rate at each grid point's searched mu' is judged backwards
+    from the grid end, so the result is the last positive grid point, or
+    the grid end when the rate is still positive there. Between that point
+    and the next one a bisection refines the cut-off down to 0.1 km,
+    judging the scalar rate only at the midpoints it reaches.
+    _cutoff_mu_primes searches the grid and the guessed midpoints in one
+    pass. A midpoint it did not cover (a missed guess, a deeper bracket, or
+    a grid over the chunk limit) is searched with every midpoint of its
+    next _BISECT_LEVELS levels at once. A row's search never reads another
+    row, so this returns exactly what probing one midpoint at a time
+    would, whether or not the rate falls monotonically.
     """
     grid = distance_grid(cfg)
     src = _source(cfg, source_kind)
-    mu_primes = _searched_mu_primes(cfg, grid, [(source_kind, False)])[0]
+    mu_primes, searched = _cutoff_mu_primes(cfg, source_kind, grid)
     last = len(grid) - 1
     while last >= 0 and not _positive(cfg, grid[last], src, mu_primes[last]):
         last -= 1
@@ -483,7 +564,6 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     if last == len(grid) - 1:
         return grid[last]
     lo, hi = grid[last], grid[last + 1]
-    searched: dict[float, float] = {}
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
         if mid not in searched:

@@ -221,6 +221,37 @@ def _serial_cutoff(cfg, kind):
     return lo
 
 
+def _spy_cutoff_search(monkeypatch):
+    """Record every rate call's cells, every refinement's rows and every batch search's rows."""
+    cells, refined, searches = [], [], []
+    rate_array = optimizer_module._rate_array
+    refine = optimizer_module._refine
+    maximize = optimizer_module.maximize_over_mu_prime
+
+    def counted_rate_array(*args):
+        rate = rate_array(*args)
+
+        def counted(mu_prime):
+            rates = rate(mu_prime)
+            cells.append(rates.size)
+            return rates
+
+        return counted
+
+    def counted_refine(rate_fn, best_x, best_f, cfg):
+        refined.append(best_x.size)
+        return refine(rate_fn, best_x, best_f, cfg)
+
+    def counted_search(rate_fn, rows, cfg):
+        searches.append(rows)
+        return maximize(rate_fn, rows, cfg)
+
+    monkeypatch.setattr(optimizer_module, "_rate_array", counted_rate_array)
+    monkeypatch.setattr(optimizer_module, "_refine", counted_refine)
+    monkeypatch.setattr(optimizer_module, "maximize_over_mu_prime", counted_search)
+    return cells, refined, searches
+
+
 CUTOFF_CASES = [
     ("c07 hsps 0.8", {}, "hsps"),
     ("c07 wcs", {}, "wcs"),
@@ -249,25 +280,49 @@ class TestBatchedCutoff:
         assert max_secure_distance(DEFAULT, "wcs") == 141.6875
         assert max_secure_distance(_cfg(eta_a=0.6), "hsps") == 166.0
 
-    @pytest.mark.parametrize("overrides, searches", [
-        ({}, 2),
-        # a 60 km bracket needs 10 levels: two batches of at most 6
-        ({"dist_stop_km": 240.0, "dist_step_km": 60.0}, 3),
-    ])
-    def test_searches_per_cutoff(self, monkeypatch, overrides, searches):
-        rows = []
-
-        def spy(rate_fn, cfg):
-            x, f = maximize_over_mu_prime(rate_fn, cfg)
-            rows.append(x.size)
-            return x, f
-
-        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES[:3]],
+                             ids=[c[0] for c in CUTOFF_CASES[:3]])
+    def test_c07_cutoff_makes_one_refinement(self, monkeypatch, overrides, kind):
+        cells, refined, searches = _spy_cutoff_search(monkeypatch)
         cfg = _cfg(**overrides)
-        max_secure_distance(cfg, "hsps")
-        assert len(rows) == searches
-        assert rows[0] == len(distance_grid(cfg))
-        assert max(rows[1:]) <= 2**_BISECT_LEVELS - 1
+        max_secure_distance(cfg, kind)
+        # grid: 3 coarse blocks; tree: 1; joint golden section: 1 + 12 + 1
+        assert len(cells) <= 18
+        assert max(cells) <= optimizer_module._BLOCK_CELLS
+        grid = len(distance_grid(cfg))
+        assert len(refined) == 1 and grid < refined[0] <= grid + 2**_BISECT_LEVELS - 1
+        assert searches == []
+
+    def test_deep_bracket_falls_back_to_a_batch(self, monkeypatch):
+        cells, refined, searches = _spy_cutoff_search(monkeypatch)
+        # a 60 km bracket needs 10 levels: the guessed tree holds 6, one batch the other 4
+        max_secure_distance(_cfg(dist_stop_km=240.0, dist_step_km=60.0), "hsps")
+        assert refined == [5 + 63, 15]
+        assert searches == [15]
+
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
+                             ids=[c[0] for c in CUTOFF_CASES])
+    def test_missed_guess_equals_serial_bisection(self, monkeypatch, overrides, kind):
+        cfg = _cfg(**overrides)
+        serial = _serial_cutoff(cfg, kind)
+        guess = optimizer_module._guessed_tree
+        # the bracket one grid step before the guessed one
+        monkeypatch.setattr(optimizer_module, "_guessed_tree",
+                            lambda grid, rates: guess(grid, np.append(rates[1:], 0.0)))
+        _, _, searches = _spy_cutoff_search(monkeypatch)
+        assert max_secure_distance(cfg, kind) == serial
+        grid = distance_grid(cfg)
+        assert bool(searches) == (serial is not None and serial != grid[-1])
+
+    @pytest.mark.parametrize("block_cells", [50, 600])
+    def test_chunk_limit_bounds_each_call(self, monkeypatch, block_cells):
+        # 25 rows per chunk leave the default grid to the batch search; 300 hold it and a tree
+        serial = [_serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
+        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        cells, refined, searches = _spy_cutoff_search(monkeypatch)
+        assert [max_secure_distance(DEFAULT, kind) for kind in ("hsps", "wcs")] == serial
+        assert max(cells) <= block_cells
+        assert (searches == []) == (block_cells == 600)
 
     def test_bisection_tree_holds_the_serial_midpoints(self):
         tree = _bisection_tree(166.0, 167.0, _BISECT_LEVELS)
@@ -411,7 +466,7 @@ class TestLockstepSearch:
             return s * -((m - p) * (m - p)) + t * m
 
         x, f = maximize_over_mu_prime(
-            lambda m: toy(m, peaks[:, None], scale[:, None], tilt[:, None]), cfg)
+            lambda m: toy(m, peaks[:, None], scale[:, None], tilt[:, None]), peaks.size, cfg)
         for i, row in enumerate(zip(peaks, scale, tilt)):
             assert (x[i], f[i]) == _search_reference(lambda m: toy(m, *row), cfg)
         assert x[0] == cfg.mu_prime_min and x[3] == cfg.mu_prime_min
@@ -421,7 +476,7 @@ class TestLockstepSearch:
     def test_empty_and_single_row(self):
         cfg = DEFAULT
         rate = lambda m: np.zeros((0, 1)) * m
-        x, f = maximize_over_mu_prime(rate, cfg)
+        x, f = maximize_over_mu_prime(rate, 0, cfg)
         assert x.shape == f.shape == (0,)
         assert _searched_mu_primes(cfg, [], [("hsps", False)])[0] == []
         assert max_secure_distance(_cfg(dist_start_km=10.0, dist_stop_km=5.0), "hsps") is None
@@ -435,13 +490,13 @@ class TestLockstepSearch:
         whole = _searched_mu_primes(DEFAULT, distances, [("hsps", False)])[0]
         searches, cells = [], []
 
-        def spy(rate_fn, cfg):
+        def spy(rate_fn, rows, cfg):
             def counted(mu_prime):
                 rates = rate_fn(mu_prime)
                 cells.append(rates.size)
                 return rates
 
-            x, f = maximize_over_mu_prime(counted, cfg)
+            x, f = maximize_over_mu_prime(counted, rows, cfg)
             searches.append(x.size)
             return x, f
 
@@ -494,9 +549,9 @@ class TestStackedSearch:
                    sources=sources, include_ideal=include_ideal)
         searches = []
 
-        def spy(rate_fn, cfg):
+        def spy(rate_fn, rows, cfg):
             searches.append(1)
-            return maximize_over_mu_prime(rate_fn, cfg)
+            return maximize_over_mu_prime(rate_fn, rows, cfg)
 
         monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
         points = sweep_distances(cfg)
@@ -514,20 +569,20 @@ class TestStackedSearch:
             else:
                 assert all(math.isnan(p.ideal_rate) for p in mine)
 
-    @pytest.mark.parametrize("block_cells", [3, 7, 25])
+    @pytest.mark.parametrize("block_cells", [3, 7, 25, 50])
     def test_chunks_bound_each_search_and_call(self, monkeypatch, block_cells):
-        # 10 rows per job, so chunks of 7 and 25 rows straddle two or three jobs
+        # 10 rows per job, so chunks of 3, 12 and 25 rows straddle two or three jobs
         distances = list(range(0, 200, 20))
         whole = _searched_mu_primes(DEFAULT, distances, STACK_JOBS)
         searches, cells = [], []
 
-        def spy(rate_fn, cfg):
+        def spy(rate_fn, rows, cfg):
             def counted(mu_prime):
                 rates = rate_fn(mu_prime)
                 cells.append(rates.size)
                 return rates
 
-            x, f = maximize_over_mu_prime(counted, cfg)
+            x, f = maximize_over_mu_prime(counted, rows, cfg)
             searches.append(x.size)
             return x, f
 
@@ -650,10 +705,27 @@ class TestRecordScan:
         for start in range(0, rows.shape[0], 12):
             table = rows[start:start + 12]
             rate, row_rate = _table_rate(table, cfg)
-            x, f = maximize_over_mu_prime(rate, cfg)
+            x, f = maximize_over_mu_prime(rate, table.shape[0], cfg)
             for i in range(table.shape[0]):
                 ref_x, ref_f = _search_reference(row_rate(i), cfg)
                 assert x[i] == ref_x and _same(f[i], ref_f), start + i
+
+
+    @pytest.mark.parametrize("block_cells", [3, 50])
+    def test_nan_first_column_seeds_the_best(self, monkeypatch, block_cells):
+        # 3 cells give blocks of column 0 alone; 50 give 12-column blocks
+        cfg = _cfg(mu_prime_min=0.1, mu_prime_max=0.5, mu_prime_coarse_step=0.02)
+        table = np.random.default_rng(11).uniform(0.0, 1.0, (4, len(mu_prime_candidates(cfg))))
+        table[:2, 0] = np.nan
+        table[1, 9] = 2.0
+        table[2, 5] = np.nan
+        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        rate, row_rate = _table_rate(table, cfg)
+        x, f = maximize_over_mu_prime(rate, table.shape[0], cfg)
+        for i in range(table.shape[0]):
+            ref_x, ref_f = _search_reference(row_rate(i), cfg)
+            assert x[i] == ref_x and _same(f[i], ref_f), i
+        assert x[:2].tolist() == [cfg.mu_prime_min] * 2 and np.isnan(f[:2]).all()
 
 
 class TestTransmittanceOnlyInputs:
@@ -662,11 +734,13 @@ class TestTransmittanceOnlyInputs:
         distances = distance_grid(cfg)[::7] + _bisection_tree(100.0, 101.0, 4)
         seen = []
 
+        row_terms = optimizer_module._row_terms
+
         def spy(cfg, src, ideal, eta):
             seen.extend(eta[:, 0].tolist())
-            return lambda mu_prime: np.zeros((eta.shape[0], np.shape(mu_prime)[1]))
+            return row_terms(cfg, src, ideal, eta)
 
-        monkeypatch.setattr(optimizer_module, "_rate_array", spy)
+        monkeypatch.setattr(optimizer_module, "_row_terms", spy)
         _searched_mu_primes(cfg, distances, [("hsps", False)])
         assert seen == [overall_transmittance(cfg.channel.at_distance(d)) for d in distances]
 
@@ -763,7 +837,7 @@ class TestLockstepGoldenSection:
         b = np.array([1.0, 5.0, 0.0, 2.0, 0.95, 0.20005, 1.0])
 
         def fn(x):
-            return scale * -((x - peaks) * (x - peaks))
+            return scale[:, None] * -((x - peaks[:, None]) * (x - peaks[:, None]))
 
         x, fx = golden_section_maximize(fn, a, b, 1e-4)
         for i in range(peaks.size):
