@@ -31,7 +31,6 @@ from .bounds import (
     hsps_elimination_coefficient,
     ideal_rate,
     key_rate,
-    y1_lower_bound,
 )
 from .optimizer import (
     SweepConfig,
@@ -66,7 +65,6 @@ __all__ = [
     "hsps_elimination_coefficient",
     "ideal_rate",
     "key_rate",
-    "y1_lower_bound",
     "SweepConfig",
     "distance_grid",
     "key_rate_point",

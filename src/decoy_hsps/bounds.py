@@ -21,8 +21,11 @@ for tightness), and the final secure key rate
     R = (tY' / 2) * { -f H2(E') + Delta1 [1 - H2(e1)] }
 
 with the 1/2 accounting for basis sifting and f the error-correction
-inefficiency. All bounds clamp into their valid ranges rather than raise,
-flagging any clamp, so distance sweeps can traverse the insecure region.
+inefficiency. The bounds clamp into their valid ranges, flagging any
+clamp, so distance sweeps can traverse the insecure region. compute_bounds
+raises where no bound is defined: on a NaN raw Y1, and on a zero signal
+yield once raw Y1 is positive, since Delta1 divides by it. Without the
+QBER at the decoy intensity it bounds Y1 and Delta1 and leaves e1 unset.
 
 All of it is written once for both sources: a source object (.sources)
 supplies raw Y1, the single-photon share and the e1 error mass with its
@@ -60,19 +63,20 @@ class SecurityBounds:
     feasible is True only when no bound had to be clamped and a nonzero
     single-photon yield could be certified; an infeasible point still
     carries safe (clamped) values so sweeps can continue through it.
+    e1_upper is None when the QBER at the decoy intensity was not observed.
     """
 
     y1_lower: float
     delta1: float
-    e1_upper: float
+    e1_upper: float | None
     feasible: bool
 
-    def __init__(self, y1_lower: float, delta1: float, e1_upper: float, feasible: bool):
+    def __init__(self, y1_lower: float, delta1: float, e1_upper: float | None, feasible: bool):
         if not 0.0 <= y1_lower <= 1.0:
             raise ValueError(f"y1_lower must be in [0, 1], got {y1_lower}")
         if not 0.0 <= delta1 <= 1.0:
             raise ValueError(f"delta1 must be in [0, 1], got {delta1}")
-        if not 0.0 <= e1_upper <= 0.5:
+        if e1_upper is not None and not 0.0 <= e1_upper <= 0.5:
             raise ValueError(f"e1_upper must be in [0, 0.5], got {e1_upper}")
         self.__dict__.update(y1_lower=y1_lower, delta1=delta1, e1_upper=e1_upper, feasible=feasible)
 
@@ -172,52 +176,31 @@ def _single_photon_bounds(xp, src, raw_y1, e1_mass, mu, mu_prime, ty_mu_prime):
     return y1, xp.minimum(raw_d1, 1.0), xp.clip(raw_e1, 0.0, 0.5), raw_d1, raw_e1
 
 
-def y1_lower_bound(src, obs: ObservedStatistics, mu: float, mu_prime: float) -> float:
-    """Certified lower bound on the single-photon yield, clamped to [0, 1].
-
-    A clamp at 0 means the statistics certify no single-photon counts at all.
-    """
-    _check_ordering(mu, mu_prime)
-    raw = src.y1_raw(FLOATS, obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
-    if math.isnan(raw):  # inf - inf once a coherent e^mu overflows; the clamp would say 0
-        raise ValueError(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
-    return min(1.0, max(0.0, raw))
-
-
-def single_photon_fraction(src, y1: float, x: float, ty_x: float) -> float:
-    """Fraction of the clicks at intensity x from single photons, clamped to [0, 1].
-
-    ty_x is the rescaled yield (clicks per emitted pulse) at that intensity.
-    """
-    if ty_x <= 0:
-        raise ValueError(f"rescaled yield must be > 0, got {ty_x}")
-    return min(1.0, max(0.0, src.single_photon(FLOATS, y1, x, ty_x)))
-
-
 def compute_bounds(
     src, obs: ObservedStatistics, mu: float, mu_prime: float, e_0: float = DARK_COUNT_E_0
 ) -> SecurityBounds:
     """Full bound bundle of a run of source src.
 
     feasible is False when raw Y1 is not positive or any bound had to be
-    clamped. The QBER at the decoy intensity is needed only then.
+    clamped. Without the QBER at the decoy intensity (obs.e_mu None),
+    e1_upper is None and feasible judges Y1 and Delta1 alone.
     """
     _check_ordering(mu, mu_prime)
     raw_y1 = src.y1_raw(FLOATS, obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
     if not raw_y1 > 0.0:
-        if math.isnan(raw_y1):  # as in y1_lower_bound
+        if math.isnan(raw_y1):  # inf - inf once a coherent e^mu overflows; the clamp would say 0
             raise ValueError(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
-        return SecurityBounds(0.0, 0.0, 0.5, False)
-    if obs.e_mu is None:
-        raise ValueError("QBER at the decoy intensity is required but missing")
+        return SecurityBounds(0.0, 0.0, None if obs.e_mu is None else 0.5, False)
     if not obs.ty_mu_prime > 0.0:  # Delta1 divides by it
         raise ValueError(f"no clicks at the signal intensity mu_prime={mu_prime}; "
                          "the bounds need a positive signal yield")
-    e1_mass = src.e1_mass(FLOATS, mu, obs.e_mu, obs.ty_mu, obs.y0, e_0)
+    # a missing QBER gives a NaN error mass, so a NaN e1 that no clamp test flags
+    e1_mass = (math.nan if obs.e_mu is None
+               else src.e1_mass(FLOATS, mu, obs.e_mu, obs.ty_mu, obs.y0, e_0))
     y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(
         FLOATS, src, raw_y1, e1_mass, mu, mu_prime, obs.ty_mu_prime)
     feasible = not (raw_y1 > 1.0 or raw_d1 > 1.0 or raw_e1 > 0.5 or raw_e1 < 0.0)
-    return SecurityBounds(y1, delta1, e1, feasible)
+    return SecurityBounds(y1, delta1, None if obs.e_mu is None else e1, feasible)
 
 
 def compute_hsps_bounds(
@@ -243,12 +226,17 @@ def _rate_formula(xp, weight, e_signal, delta1, h_e1, f):
     return weight / 2.0 * (-f * xp.entropy(e_signal) + delta1 * (1.0 - h_e1))
 
 
+_NO_E1 = "the key rate needs an e1 bound, and e1 needs the QBER at the decoy intensity"
+
+
 def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
     """Secure key rate per emitted signal pulse, clamped at 0."""
     if f < 1.0:
         raise ValueError(f"error-correction inefficiency f must be >= 1, got {f}")
     if obs.e_mu_prime is None:
         raise ValueError("QBER at the signal intensity is required but missing")
+    if bounds.e1_upper is None:
+        raise ValueError(_NO_E1)
     raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1,
                         binary_entropy(bounds.e1_upper), f)
     return raw if raw > 0.0 else 0.0

@@ -16,7 +16,6 @@ on stderr), 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -24,7 +23,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .bounds import compute_bounds, single_photon_fraction, y1_lower_bound
+from .bounds import compute_bounds
 from .config import (
     ConfigError,
     make_manifest,
@@ -91,27 +90,6 @@ def emit_csv(points, path: str | Path) -> None:
                 p.ideal_rate,
                 p.feasible,
             ))
-
-
-def read_points_csv(path: str | Path) -> list[dict]:
-    """Parse a CSV written by emit_csv back into typed records."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header in {path}: {header}")
-        for row in reader:
-            rec: dict = dict(zip(CSV_COLUMNS, row))
-            for key in CSV_COLUMNS:
-                if key == "source_kind":
-                    continue
-                if key == "feasible_flag":
-                    rec[key] = bool(int(rec[key]))
-                else:
-                    rec[key] = float(rec[key])
-            records.append(rec)
-    return records
 
 
 def _log10_or_neg_inf(rate: float) -> float:
@@ -317,20 +295,17 @@ def _cmd_bounds(args) -> int:
         signal=_parse_counts("signal", args.signal),
     )
     src = triggered_source(cfg.eta_a, cfg.d_a)
+    bounds = compute_bounds(src, stats, mu, mu_prime, cfg.channel.e_0)
     result = {
         "mu": mu, "mu_prime": mu_prime, "eta_a": cfg.eta_a, "d_a": cfg.d_a, **asdict(stats),
-        "y1_lower": None, "delta1": None, "e1_upper": None, "key_rate": None, "feasible": None,
+        "y1_lower": bounds.y1_lower, "delta1": bounds.delta1, "e1_upper": bounds.e1_upper,
+        "key_rate": None, "feasible": None,
     }
-    if stats.e_mu is not None:
-        bounds = compute_bounds(src, stats, mu, mu_prime, cfg.channel.e_0)
-        result.update(asdict(bounds))
+    # without the decoy QBER there is no e1 bound, so no feasibility either
+    if bounds.e1_upper is not None:
+        result["feasible"] = bounds.feasible
         if stats.e_mu_prime is not None:
             result["key_rate"], result["feasible"] = rate_and_feasibility(stats, bounds, cfg.f_ec)
-    else:
-        y1 = y1_lower_bound(src, stats, mu, mu_prime)
-        result["y1_lower"] = y1
-        if y1 > 0 and stats.ty_mu_prime > 0:
-            result["delta1"] = single_photon_fraction(src, y1, mu_prime, stats.ty_mu_prime)
     print(json.dumps(result, indent=2))
     outdir = _ensure_outdir(args.out)
     (outdir / "bounds.json").write_text(json.dumps(result, indent=2) + "\n")

@@ -48,6 +48,7 @@ import numpy as np
 from .bounds import (
     DEFAULT_F_EC,
     KeyRatePoint,
+    _NO_E1,
     SecurityBounds,
     _benchmark_rate,
     _exact_single_photon,
@@ -336,6 +337,8 @@ def rate_and_feasibility(
     formula is not negative; sweeps, figures and the counts analysis all
     report this one flag.
     """
+    if bounds.e1_upper is None:
+        raise ValueError(_NO_E1)
     h_e1 = binary_entropy(bounds.e1_upper)
     raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, h_e1, f_ec)
     return raw if raw > 0.0 else 0.0, bounds.feasible and raw >= 0.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import decoy_hsps as dh
-from decoy_hsps.cli import main, read_points_csv
+from decoy_hsps.cli import main
 from decoy_hsps.optimizer import _source, evaluate
 from decoy_hsps.sources import COHERENT, TriggeredSource
 from oracles import (
@@ -26,6 +26,7 @@ from oracles import (
     synthesize_wcs_gain_from_yields,
     thermal_weight,
 )
+from points_csv import read_points_csv
 
 
 def _report(cid: int, text: str) -> None:
@@ -57,7 +58,7 @@ def test_c01_hsps_bound_soundness():
             synthesize_observables_from_yields(yields, mu, eta_a, d_a),
             synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
         )
-        bound = dh.y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
+        bound = dh.compute_bounds(TriggeredSource(eta_a, d_a), obs, mu, mu_prime).y1_lower
         assert bound <= yields[1] + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -79,7 +80,7 @@ def test_c02_hsps_bound_tightness():
             synthesize_observables_from_yields(yields, mu, eta_a, d_a),
             synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
         )
-        bound = dh.y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
+        bound = dh.compute_bounds(TriggeredSource(eta_a, d_a), obs, mu, mu_prime).y1_lower
         rel = abs(bound - yields[1]) / yields[1]
         worst = max(worst, rel)
         assert rel <= 1e-9
@@ -104,7 +105,7 @@ def test_c04_wcs_bound_soundness_and_tightness():
         mu, mu_prime = _draw_intensities(rng)
         q_mu = synthesize_wcs_gain_from_yields(yields, mu)
         q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = dh.y1_lower_bound(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime)
+        bound = dh.compute_bounds(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
         assert bound <= yields[1] + 1e-12
     worst = 0.0
     for _ in range(10_000):
@@ -114,7 +115,7 @@ def test_c04_wcs_bound_soundness_and_tightness():
         mu, mu_prime = _draw_intensities(rng)
         q_mu = synthesize_wcs_gain_from_yields(yields, mu)
         q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = dh.y1_lower_bound(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime)
+        bound = dh.compute_bounds(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
         rel = abs(bound - yields[1]) / yields[1]
         worst = max(worst, rel)
         assert rel <= 1e-9

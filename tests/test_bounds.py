@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,23 +10,26 @@ from decoy_hsps.bounds import (
     SecurityBounds,
     _single_photon_bounds,
     binary_entropy,
+    compute_bounds,
     compute_hsps_bounds,
     compute_wcs_bounds,
     hsps_elimination_coefficient,
     ideal_rate,
+    key_rate,
     key_rate_hsps,
     key_rate_wcs,
-    single_photon_fraction,
     wcs_elimination_coefficient,
-    y1_lower_bound,
 )
 from decoy_hsps.channel import ChannelParams, n_photon_click_probability, n_photon_error_rate
 from decoy_hsps.numerics import FLOATS
 from decoy_hsps.observables import (
+    IntensityCounts,
     ObservedStatistics,
     forecast_observables,
     forecast_wcs_observables,
+    statistics_from_counts,
 )
+from decoy_hsps.optimizer import rate_and_feasibility
 from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource
 from oracles import (
     closed_form,
@@ -153,7 +158,7 @@ class TestY1LowerBoundHsps:
             ty_mu=synthesize_observables_from_yields(yields, mu, eta_a, d_a),
             ty_mu_prime=synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
         )
-        bound = y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
+        bound = compute_bounds(TriggeredSource(eta_a, d_a), obs, mu, mu_prime).y1_lower
         assert bound == pytest.approx(1e-3, rel=1e-9)
 
     def test_sound_on_random_yield_sequences(self):
@@ -168,36 +173,50 @@ class TestY1LowerBoundHsps:
                 ty_mu=synthesize_observables_from_yields(yields, mu, eta_a, d_a),
                 ty_mu_prime=synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
             )
-            bound = y1_lower_bound(TriggeredSource(eta_a, d_a), obs, mu, mu_prime)
+            bound = compute_bounds(TriggeredSource(eta_a, d_a), obs, mu, mu_prime).y1_lower
             assert bound <= yields[1] + 1e-12
 
     def test_all_zero_observables(self):
         obs = _obs_from_ty(0.0, 0.0, 0.0)
-        assert y1_lower_bound(TriggeredSource(0.8, 1e-5), obs, 0.05, 0.1) == 0.0
+        assert compute_bounds(TriggeredSource(0.8, 1e-5), obs, 0.05, 0.1).y1_lower == 0.0
 
     def test_ordering_error(self):
         obs = _obs_from_ty(0.0, 0.01, 0.02)
         with pytest.raises(ValueError):
-            y1_lower_bound(TriggeredSource(0.8, 1e-5), obs, 0.1, 0.05)
+            compute_bounds(TriggeredSource(0.8, 1e-5), obs, 0.1, 0.05)
 
 
 class TestSinglePhotonFraction:
+    @staticmethod
+    def _delta1(yields, x, eta_a, ty_x):
+        """compute_bounds' Delta1 at signal intensity x with rescaled yield ty_x.
+
+        The decoy at x/2 is synthesized from yields with Y_n = 0 for n >= 3,
+        so the elimination recovers Y1 = yields[1]: the two-photon term
+        cancels and the trigger has no dark counts.
+        """
+        ty_mu = synthesize_observables_from_yields(yields, x / 2.0, eta_a, 0.0)
+        obs = _obs_from_ty(yields[0], ty_mu, ty_x)
+        return compute_bounds(TriggeredSource(eta_a, 0.0), obs, x / 2.0, x).delta1
+
     def test_zero_yield(self):
-        assert single_photon_fraction(TriggeredSource(0.8, 0.0), 0.0, 0.1, 0.01) == 0.0
+        assert self._delta1([0.0, 0.0], 0.1, 0.8, 0.01) == 0.0
 
     def test_pure_single_photon_clicks(self):
         y1, x, eta_a = 1e-3, 0.1, 0.8
         ty = y1 * eta_a * x / (1 + x) ** 2
-        assert single_photon_fraction(TriggeredSource(eta_a, 0.0), y1, x, ty) == pytest.approx(1.0, rel=1e-12)
+        assert self._delta1([0.0, y1], x, eta_a, ty) == pytest.approx(1.0, rel=1e-12)
 
     def test_half_single_photon_case(self):
         y1, x, eta_a = 1e-3, 0.1, 0.8
         ty = 2.0 * y1 * eta_a * x / (1 + x) ** 2
-        assert single_photon_fraction(TriggeredSource(eta_a, 0.0), y1, x, ty) == pytest.approx(0.5, rel=1e-12)
+        # as many two-photon clicks as single-photon ones at x
+        y2 = y1 * eta_a * (1 + x) / (x * (1 - (1 - eta_a) ** 2))
+        assert self._delta1([0.0, y1, y2], x, eta_a, ty) == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
-            single_photon_fraction(TriggeredSource(0.8, 0.0), 1e-3, 0.1, 0.0)
+            self._delta1([0.0, 1e-3], 0.1, 0.8, 0.0)
 
 
 class TestE1UpperBound:
@@ -301,9 +320,8 @@ class TestIdealBenchmarks:
         mu_prime, eta_a, d_a = 0.3, 0.8, 1e-5
         src = HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)
         # the benchmark's Delta1: exact Y1 over the closed-form rescaled yield
-        delta1 = single_photon_fraction(
-            TriggeredSource(eta_a, d_a), n_photon_click_probability(1, ch), mu_prime,
-            closed_form(src, ch)[1])
+        delta1 = min(1.0, TriggeredSource(eta_a, d_a).single_photon(
+            FLOATS, n_photon_click_probability(1, ch), mu_prime, closed_form(src, ch)[1]))
         # direct single-photon term share of the series evaluation
         ty_series = simulate_rescaled_yield_series(src, ch)
         single = (
@@ -340,7 +358,8 @@ class TestY1LowerBoundWcs:
         yields[1] = 1e-3
         q_mu = synthesize_wcs_gain_from_yields(yields, mu)
         q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = y1_lower_bound(COHERENT, _obs_from_ty(yields[0], q_mu, q_mu_prime), mu, mu_prime)
+        bound = compute_bounds(
+            COHERENT, _obs_from_ty(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
         assert bound == pytest.approx(1e-3, rel=1e-9)
 
     def test_sound_on_random_yield_sequences(self):
@@ -350,11 +369,12 @@ class TestY1LowerBoundWcs:
             mu, mu_prime = _draw_intensities(rng)
             q_mu = synthesize_wcs_gain_from_yields(yields, mu)
             q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-            bound = y1_lower_bound(COHERENT, _obs_from_ty(yields[0], q_mu, q_mu_prime), mu, mu_prime)
+            bound = compute_bounds(
+                COHERENT, _obs_from_ty(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
             assert bound <= yields[1] + 1e-12
 
     def test_all_zero_gains(self):
-        assert y1_lower_bound(COHERENT, _obs_from_ty(0.0, 0.0, 0.0), 0.05, 0.1) == 0.0
+        assert compute_bounds(COHERENT, _obs_from_ty(0.0, 0.0, 0.0), 0.05, 0.1).y1_lower == 0.0
 
     @pytest.mark.parametrize("mu, mu_prime", [
         (710.0, 800.0),  # e^mu and e^mu' both saturate at inf
@@ -364,20 +384,23 @@ class TestY1LowerBoundWcs:
         # the raw bound is inf - inf, which no clamp may turn into a number
         obs = _obs_from_ty(1e-6, 0.5, 0.6, e_mu=0.02)
         message = f"^Y1 bound undefined at mu={mu}, mu_prime={mu_prime}$"
-        with pytest.raises(ValueError, match=message):
-            y1_lower_bound(COHERENT, obs, mu, mu_prime)
+        with pytest.raises(ValueError, match=message):  # with and without the decoy QBER
+            compute_bounds(COHERENT, replace(obs, e_mu=None), mu, mu_prime)
         with pytest.raises(ValueError, match=message):
             compute_wcs_bounds(obs, mu, mu_prime)
 
     def test_ordering_error(self):
         with pytest.raises(ValueError):
-            y1_lower_bound(COHERENT, _obs_from_ty(0.0, 0.01, 0.02), 0.1, 0.05)
+            compute_bounds(COHERENT, _obs_from_ty(0.0, 0.01, 0.02), 0.1, 0.05)
 
 
 class TestWcsBoundsAndRate:
     def test_single_photon_fraction_and_e1(self):
         q = 0.25 * 0.4 * math.exp(-0.4)
-        assert single_photon_fraction(COHERENT, 0.25, 0.4, q) == pytest.approx(1.0, rel=1e-12)
+        # a decoy at 0.2 with Y_n = 0 for n >= 2 makes the elimination recover Y1 = 0.25
+        q_mu = synthesize_wcs_gain_from_yields([0.0, 0.25], 0.2)
+        delta1 = compute_bounds(COHERENT, _obs_from_ty(0.0, q_mu, q), 0.2, 0.4).delta1
+        assert delta1 == pytest.approx(1.0, rel=1e-12)
         assert _e1_upper(COHERENT, 1e-3, 0.05, 0.0, 1e-4, 0.0) == 0.0
 
     def test_perfect_single_photon_protocol(self):
@@ -415,6 +438,82 @@ class TestWcsBoundsAndRate:
         obs = _obs_from_ty(0.0, 1e-3, 0.0, e_mu=0.03)
         with pytest.raises(ValueError, match="signal intensity mu_prime=0.5"):
             compute_wcs_bounds(obs, 0.1, 0.5)
+
+
+class TestE1AndDelta1Soundness:
+    """The c01 harness for the other two bounds, with error rates drawn too.
+
+    Wherever a Y1 is certified, e1_upper may not lie below the true e1 and
+    Delta1 not above the true single-photon share of the signal clicks.
+    """
+
+    @pytest.mark.parametrize("kind, seed", [("hsps", 61), ("wcs", 67)])
+    def test_sound_on_random_yields_and_error_rates(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        start = time.perf_counter()
+        certified = 0
+        for _ in range(5000):
+            yields = rng.random(51)
+            errors = rng.uniform(0.0, 0.5, 51)
+            mu, mu_prime = _draw_intensities(rng)
+            if kind == "hsps":
+                eta_a, d_a = rng.uniform(0.05, 1.0), rng.uniform(0.0, 1e-3)
+                src = TriggeredSource(eta_a, d_a)
+
+                def synth(ys, x):
+                    return synthesize_observables_from_yields(ys, x, eta_a, d_a)
+            else:
+                src, synth = COHERENT, synthesize_wcs_gain_from_yields
+            ty_mu, ty_mu_prime = synth(yields, mu), synth(yields, mu_prime)
+            # the error masses are the constraints of the yields Y_n * e_n
+            e_mu = synth(yields * errors, mu) / ty_mu
+            obs = _obs_from_ty(yields[0], ty_mu, ty_mu_prime, e_mu=e_mu)
+            b = compute_bounds(src, obs, mu, mu_prime, e_0=errors[0])
+            if b.y1_lower > 0.0:
+                certified += 1
+                assert b.e1_upper >= errors[1]
+                assert b.delta1 <= synth([0.0, yields[1]], mu_prime) / ty_mu_prime
+        elapsed = time.perf_counter() - start
+        assert certified > 2000
+        assert elapsed < 5.0
+
+
+class TestMissingDecoyQber:
+    @pytest.mark.parametrize("kind, seed", [("hsps", 53), ("wcs", 59)])
+    def test_changes_only_e1(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        certified = 0
+        for _ in range(2000):
+            mu, mu_prime = _draw_intensities(rng)
+            if kind == "hsps":
+                src = TriggeredSource(rng.uniform(0.05, 1.0), rng.uniform(0.0, 1e-3))
+            else:
+                src = COHERENT
+            counts = []
+            for _ in range(3):
+                pulses = 10.0 ** rng.uniform(4.0, 10.0)
+                triggered = pulses if kind == "wcs" else pulses * rng.uniform(0.01, 0.5)
+                clicks = triggered * 10.0 ** rng.uniform(-6.0, -1.0)
+                counts.append(IntensityCounts(pulses, triggered, clicks,
+                                              clicks * rng.uniform(0.0, 0.5)))
+            vacuum, decoy, signal = counts
+            b = compute_bounds(src, statistics_from_counts(vacuum, decoy, signal), mu, mu_prime)
+            without = statistics_from_counts(vacuum, replace(decoy, errors=None), signal)
+            b_none = compute_bounds(src, without, mu, mu_prime)
+            assert (b_none.y1_lower, b_none.delta1, b_none.e1_upper) == (b.y1_lower, b.delta1, None)
+            # only the e1 clamps drop out of the judgement
+            assert b_none.feasible or not b.feasible
+            certified += b.y1_lower > 0.0
+        assert 0 < certified < 2000
+
+    def test_rates_refuse_bounds_without_e1(self):
+        obs = _obs_from_ty(0.0, 0.01, 0.02, e_mu_prime=0.02)
+        bounds = compute_bounds(TriggeredSource(0.8, 1e-5), obs, 0.05, 0.1)
+        assert bounds.y1_lower > 0.0 and bounds.e1_upper is None
+        with pytest.raises(ValueError, match="QBER at the decoy intensity"):
+            key_rate(obs, bounds)
+        with pytest.raises(ValueError, match="QBER at the decoy intensity"):
+            rate_and_feasibility(obs, bounds, 1.2)
 
 
 class TestDataClassValidation:

@@ -6,10 +6,11 @@ from dataclasses import replace
 import pytest
 
 from decoy_hsps.channel import ChannelParams
-from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main, read_points_csv
+from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main
 from decoy_hsps.observables import forecast_observables
 from decoy_hsps.optimizer import SweepConfig, sweep_distances
 from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability
+from points_csv import read_points_csv
 
 SMALL_GRID = ["--override", "dist_stop_km=4", "--override", "dist_step_km=2"]
 
@@ -310,6 +311,18 @@ class TestBoundsCommand:
         assert list(result) == self.BOUNDS_KEYS
         assert [k for k, v in result.items() if v is None] == unset
 
+    def test_nonpositive_y1_gives_zero_delta1_without_error_counts(self, tmp_path):
+        # A decoy yield this low certifies no single photons. Y1 and Delta1 are
+        # 0.0 with or without error counts; before one bounds path served
+        # both, this run printed "y1_lower": 0.0 with "delta1": null.
+        counts = dict(self.NO_ERRORS, **{"--decoy": "1e6,1e5,1", "--signal": "1e6,3e5,6000"})
+        out = tmp_path / "run"
+        assert main(["bounds", "--out", str(out)] + [x for item in counts.items() for x in item]) == 0
+        result = json.loads((out / "bounds.json").read_text())
+        assert (result["y1_lower"], result["delta1"]) == (0.0, 0.0)
+        assert [k for k, v in result.items() if v is None] == [
+            "e_mu", "e_mu_prime", "e1_upper", "key_rate", "feasible"]
+
     @pytest.mark.parametrize("mu_args, mu", [(["--mu", "0.1"], 0.1), ([], 0.05)])
     def test_manifest_records_the_intensities_analysed(self, tmp_path, mu_args, mu):
         out = tmp_path / "run"
@@ -425,6 +438,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "ZeroDivisionError" not in err and "mu_prime=0.5" in err
+        assert not (out / "bounds.json").exists()
+
+    def test_zero_signal_clicks_without_error_counts_is_the_same_error(self, tmp_path, capsys):
+        # Before one bounds path served both, this run exited 0 and printed
+        # "y1_lower": 0.00207968715 with "delta1": null.
+        out = tmp_path / "run"
+        assert main([
+            "bounds", "--out", str(out),
+            "--vacuum", "1e6,1e6,2",
+            "--decoy", "1e6,1e5,100",
+            "--signal", "1e6,3e5,0",
+            "--mu", "0.1", "--mu-prime", "0.5",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: no clicks at the signal intensity mu_prime=0.5; "
+            "the bounds need a positive signal yield\n")
         assert not (out / "bounds.json").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
