@@ -23,9 +23,9 @@ for tightness), and the final secure key rate
 with the 1/2 accounting for basis sifting and f the error-correction
 inefficiency. The bounds clamp into their valid ranges, flagging any
 clamp, so distance sweeps can traverse the insecure region. compute_bounds
-raises where no bound is defined: on a NaN raw Y1, and on a zero signal
-yield once raw Y1 is positive, since Delta1 divides by it. Without the
-QBER at the decoy intensity it bounds Y1 and Delta1 and leaves e1 unset.
+raises where no bound is defined: on a zero signal yield, since Delta1
+divides by it, and on a NaN raw Y1. Without the QBER at the decoy
+intensity it bounds Y1 and Delta1 and leaves e1 unset.
 
 All of it is written once for both sources: a source object (.sources)
 supplies raw Y1, the single-photon share and the e1 error mass with its
@@ -186,14 +186,14 @@ def compute_bounds(
     e1_upper is None and feasible judges Y1 and Delta1 alone.
     """
     _check_ordering(mu, mu_prime)
+    if not obs.ty_mu_prime > 0.0:  # Delta1 divides by it
+        raise ValueError(f"no clicks at the signal intensity mu_prime={mu_prime}; "
+                         "the bounds need a positive signal yield")
     raw_y1 = src.y1_raw(FLOATS, obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
     if not raw_y1 > 0.0:
         if math.isnan(raw_y1):  # inf - inf once a coherent e^mu overflows; the clamp would say 0
             raise ValueError(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
         return SecurityBounds(0.0, 0.0, None if obs.e_mu is None else 0.5, False)
-    if not obs.ty_mu_prime > 0.0:  # Delta1 divides by it
-        raise ValueError(f"no clicks at the signal intensity mu_prime={mu_prime}; "
-                         "the bounds need a positive signal yield")
     # a missing QBER gives a NaN error mass, so a NaN e1 that no clamp test flags
     e1_mass = (math.nan if obs.e_mu is None
                else src.e1_mass(FLOATS, mu, obs.e_mu, obs.ty_mu, obs.y0, e_0))
@@ -227,6 +227,7 @@ def _rate_formula(xp, weight, e_signal, delta1, h_e1, f):
 
 
 _NO_E1 = "the key rate needs an e1 bound, and e1 needs the QBER at the decoy intensity"
+_NO_SIGNAL_QBER = "QBER at the signal intensity is required but missing"
 
 
 def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
@@ -234,7 +235,7 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
     if f < 1.0:
         raise ValueError(f"error-correction inefficiency f must be >= 1, got {f}")
     if obs.e_mu_prime is None:
-        raise ValueError("QBER at the signal intensity is required but missing")
+        raise ValueError(_NO_SIGNAL_QBER)
     if bounds.e1_upper is None:
         raise ValueError(_NO_E1)
     raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1,
@@ -246,15 +247,14 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, eta, ch, f):
+def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f):
     """The clamped key rate of compute_bounds and key_rate, on numpy arrays.
 
-    Rows are the column eta of overall transmittances with the decoy
-    columns ty_mu and e1_mass (each row's scalar values); mu_prime
+    Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
+    values) and src.signal's yield ty and QBER e at mu_prime, which
     broadcasts against them. Cells whose raw Y1 is not positive are masked
     to 0, so the caller decides what numpy does on them before the mask.
     """
-    _, ty, e = src.signal(ARRAYS, mu_prime, eta, ch)
     raw_y1 = src.y1_raw(ARRAYS, y0, ty_mu, ty, mu, mu_prime)
     _, delta1, e1, _, _ = _single_photon_bounds(ARRAYS, src, raw_y1, e1_mass, mu, mu_prime, ty)
     raw = _rate_formula(ARRAYS, ty, e, delta1, ARRAYS.entropy(e1), f)
@@ -269,9 +269,8 @@ def _exact_single_photon(ch: ChannelParams, eta: float) -> tuple[float, float]:
     return _click_probability(1, ch, eta), binary_entropy(min(0.5, _error_rate(1, ch, eta)))
 
 
-def _benchmark_rate(xp, src, mu_prime, eta, ch, y1, h_e1, f):
-    """Rate formula with the exact single-photon yield y1 and entropy h_e1, clamped at 0."""
-    _, ty, e = src.signal(xp, mu_prime, eta, ch)
+def _benchmark_rate(xp, src, mu_prime, ty, e, y1, h_e1, f):
+    """Rate formula at src.signal's ty and e with the exact y1 and h_e1, clamped at 0."""
     delta1 = xp.minimum(src.single_photon(xp, y1, mu_prime, ty), 1.0)
     raw = _rate_formula(xp, ty, e, delta1, h_e1, f)
     return xp.where(raw > 0.0, raw, 0.0)
@@ -281,4 +280,5 @@ def ideal_rate(src, mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC)
     """Benchmark key rate of src with exactly known single-photon statistics."""
     eta = overall_transmittance(ch)
     y1, h_e1 = _exact_single_photon(ch, eta)
-    return _benchmark_rate(FLOATS, src, mu_prime, eta, ch, y1, h_e1, f)
+    _, ty, e = src.signal(FLOATS, mu_prime, eta, ch)
+    return _benchmark_rate(FLOATS, src, mu_prime, ty, e, y1, h_e1, f)

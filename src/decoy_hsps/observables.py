@@ -115,10 +115,14 @@ def forecast(src, mu: float, mu_prime: float, ch: ChannelParams) -> ObservedStat
     vacuum yield is d_b exactly. A CoherentSource has P_post = 1: its
     yields and rescaled yields both hold the per-pulse gains.
     """
+    return _forecast_row(src, mu, mu_prime, overall_transmittance(ch), ch, None)
+
+
+def _forecast_row(src, mu, mu_prime, eta, ch, decoy) -> ObservedStatistics:
+    """forecast at transmittance eta, from src.signal's triple decoy at mu unless None."""
     if not 0 < mu < mu_prime:
         raise ValueError(f"intensities must satisfy 0 < mu < mu_prime, got {mu}, {mu_prime}")
-    eta = overall_transmittance(ch)
-    p_mu, ty_mu, e_mu = src.signal(FLOATS, mu, eta, ch)
+    p_mu, ty_mu, e_mu = src.signal(FLOATS, mu, eta, ch) if decoy is None else decoy
     p_mu_prime, ty_mu_prime, e_mu_prime = src.signal(FLOATS, mu_prime, eta, ch)
     if p_mu == 0.0 or p_mu_prime == 0.0:
         raise ValueError("yield undefined: post-selection probability is zero")

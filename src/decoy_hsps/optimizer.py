@@ -7,18 +7,19 @@ key_rate_point is the search at one distance: a sweep of that distance
 alone, reporting mu', the rate and the ideal benchmark. Where no mu'
 gives a positive rate, mu' is mu_prime_min and the rate 0.
 
-A sweep makes one search for all of its distances, source kinds and
-ideal benchmarks at once: each (source kind, bounded or ideal) job adds
-one row per distance to a 2-D array of rows by mu' columns, and every
-row runs the same coarse scan and golden-section steps in lockstep,
-boolean masks standing in for the scalar branches. The coarse scan's
-sequential tie rule is applied to a whole block of columns at once
-(_record_scan); only a row with a rate within RATE_TIE_TOL of its block's
-top, or a NaN, walks the columns one by one. A row's search never reads
-another row, so stacking jobs does not move any row's mu'. Searches take
-distances, not channels: a row is cfg.channel at its distance, and only
-its overall transmittance enters the arrays, so a ChannelParams is built
-only for the points the scalar chain evaluates.
+A sweep builds its rows once (_Rows): per distance the overall
+transmittance and the benchmark's exact single-photon terms, and per
+source kind the decoy signal triple and e1 mass, all on Python floats.
+One search then takes every distance, source kind and ideal benchmark at
+once: each (source kind, bounded or ideal) job adds one row per distance
+to a 2-D array of rows by mu' columns, and every row runs the same coarse
+scan and golden-section steps in lockstep, boolean masks standing in for
+the scalar branches. A source's bounded and ideal rows share one rate
+callable, which evaluates the source's signal at mu' once per step. The
+coarse scan's sequential tie rule is applied to a whole block of columns
+at once (_record_scan); only a row with a rate within RATE_TIE_TOL of its
+block's top, or a NaN, walks the columns one by one. A row's search never
+reads another row, so stacking jobs does not move any row's mu'.
 
 A cut-off (max_secure_distance) coarse-scans its distance grid, takes
 the bracket after the last grid point with a positive coarse rate as the
@@ -27,21 +28,21 @@ in that bracket, and refines the grid and midpoint rows in one
 golden-section pass. A midpoint the guess missed gets a batch search of
 its own, so the guess moves no result, only the number of rate calls.
 
-A source kind names one source object (_source). The search's rates
-come from the scalar chain's own source-generic core run on numpy arrays,
-with each row's mu'-independent terms taken from the scalar chain. The
-arrays only pick mu'; every reported rate, observable and bound is then
-recomputed by the scalar chain (evaluate, ideal_rate) at that mu'.
-Reporting straight from the arrays would move CSV values in the last
-digits (numpy's exp/log/pow round differently from math's), and a
-one-row array call costs about ten times a scalar evaluation. Every
-evaluation is a pure function of the inputs; identical configurations
-produce identical results bit for bit.
+The search's rates are the scalar chain's own source-generic core run on
+numpy arrays, and they only pick mu'. Every reported rate, observable and
+bound is then recomputed on floats by the scalar chain's row core (_point
+and _benchmark_rate) at that mu', from the same rows, so no ChannelParams
+is built per distance. Reporting straight from the arrays would move CSV
+values in the last digits (numpy's exp/log/pow round differently from
+math's), and a one-row array call costs about ten times a scalar
+evaluation. Every evaluation is a pure function of the inputs; identical
+configurations produce identical results bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,17 +50,17 @@ from .bounds import (
     DEFAULT_F_EC,
     KeyRatePoint,
     _NO_E1,
+    _NO_SIGNAL_QBER,
     SecurityBounds,
     _benchmark_rate,
     _exact_single_photon,
     _rate_formula,
     _search_rate,
     compute_bounds,
-    ideal_rate,
 )
-from .channel import ChannelParams, fiber_transmittance
+from .channel import ChannelParams, fiber_transmittance, overall_transmittance
 from .numerics import ARRAYS, FLOATS, binary_entropy
-from .observables import ObservedStatistics, forecast
+from .observables import ObservedStatistics, _forecast_row
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
 from .sources import COHERENT, triggered_source
@@ -337,6 +338,8 @@ def rate_and_feasibility(
     formula is not negative; sweeps, figures and the counts analysis all
     report this one flag.
     """
+    if obs.e_mu_prime is None:
+        raise ValueError(_NO_SIGNAL_QBER)
     if bounds.e1_upper is None:
         raise ValueError(_NO_E1)
     h_e1 = binary_entropy(bounds.e1_upper)
@@ -350,65 +353,85 @@ def _source(cfg: SweepConfig, source_kind: str):
     return _SOURCES[source_kind](cfg)
 
 
+def _point(cfg: SweepConfig, ch: ChannelParams, src, eta: float, decoy, mu_prime: float):
+    """evaluate at overall transmittance eta: the one core of every reported point.
+
+    decoy is src.signal's triple at cfg.mu, or None to compute it here.
+    """
+    obs = _forecast_row(src, cfg.mu, mu_prime, eta, ch, decoy)
+    bounds = compute_bounds(src, obs, cfg.mu, mu_prime, ch.e_0)
+    return (obs, bounds) + rate_and_feasibility(obs, bounds, cfg.f_ec)
+
+
 def evaluate(
     cfg: SweepConfig, ch: ChannelParams, src, mu_prime: float
 ) -> tuple[ObservedStatistics, SecurityBounds, float, bool]:
     """Forecast, bound, and rate one working point of source src."""
-    obs = forecast(src, cfg.mu, mu_prime, ch)
-    bounds = compute_bounds(src, obs, cfg.mu, mu_prime, ch.e_0)
-    return (obs, bounds) + rate_and_feasibility(obs, bounds, cfg.f_ec)
+    return _point(cfg, ch, src, overall_transmittance(ch), None, mu_prime)
 
 
 def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _transmittances(cfg: SweepConfig, distances) -> np.ndarray:
-    """cfg.channel's overall_transmittance at each distance, as a column."""
+class _Rows(NamedTuple):
+    """Per-distance terms that a search and its report both read, each computed once.
+
+    eta holds the transmittances, exact the benchmark's (Y1, H(e1)); decoy
+    and e1_mass, per source kind, the signal triple at mu and e1 mass.
+    """
+
+    eta: list[float]
+    exact: list[tuple[float, float]]
+    decoy: dict[str, list[tuple[float, float, float]]]
+    e1_mass: dict[str, list[float]]
+
+
+def _rows(cfg: SweepConfig, distances, jobs) -> _Rows:
+    """The _Rows at distances for (source kind, ideal) jobs; no ChannelParams is built."""
     ch = cfg.channel
-    return _column([fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances])
+    eta = [fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances]
+    decoy, e1_mass = {}, {}
+    for kind in dict.fromkeys(kind for kind, ideal in jobs if not ideal):
+        src = _source(cfg, kind)
+        decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in eta]
+        e1_mass[kind] = [src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy[kind]]
+    exact = [_exact_single_photon(ch, e) for e in eta] if any(ideal for _, ideal in jobs) else []
+    return _Rows(eta, exact, decoy, e1_mass)
 
 
-def _row_terms(cfg: SweepConfig, src, ideal: bool, eta: np.ndarray):
-    """The columns a rate needs per row: eta and two mu'-independent terms.
+def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, segments, offset: int):
+    """One rate callable over a source kind's rows, bounded and ideal alike.
 
-    eta is a column of overall transmittances; every other channel
-    parameter is cfg.channel's. The terms are the decoy rescaled yield and
-    e1 error mass of compute_bounds, or the benchmark's exact Y1 and its
-    entropy, each row's scalar-chain values.
+    segments lists (ideal, first, end) ranges of rows, in row order, from
+    the search's row offset on. A call evaluates the source's signal at mu'
+    once for them all; in the coarse scan, where every row sees the same
+    mu', once per distance if the segments cover the same distances. The
+    search sees the scalar rates up to the last place of numpy's exp/log/pow.
     """
-    ch, etas = cfg.channel, eta[:, 0].tolist()
-    if ideal:
-        y1, h_e1 = (_column(c) for c in zip(*[_exact_single_photon(ch, e) for e in etas]))
-        return eta, y1, h_e1
-    decoy = [src.signal(FLOATS, cfg.mu, e, ch) for e in etas]
-    ty_mu = _column([ty for _, ty, _ in decoy])
-    e1_mass = _column([src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy])
-    return eta, ty_mu, e1_mass
-
-
-def _rate_array(cfg: SweepConfig, src, ideal: bool, terms):
-    """rate(mu_prime) of the rows whose _row_terms are terms.
-
-    The search sees the scalar rates up to the last-place rounding of
-    numpy's exp/log/pow.
-    """
-    ch, (eta, t1, t2) = cfg.channel, terms
+    ch, mu, f, src = cfg.channel, cfg.mu, cfg.f_ec, _source(cfg, kind)
+    eta = _column([e for _, lo, hi in segments for e in rows.eta[lo:hi]])
+    shared = all(seg[1:] == segments[0][1:] for seg in segments)
+    parts, end = [], 0  # each segment's rows and mu'-independent columns
+    for ideal, lo, hi in segments:
+        terms = zip(*rows.exact[lo:hi]) if ideal else (
+            [ty for _, ty, _ in rows.decoy[kind][lo:hi]], rows.e1_mass[kind][lo:hi])
+        parts.append((end, end + hi - lo, ideal, *map(_column, terms)))
+        end += hi - lo
 
     def rate(mu_prime):
+        each = mu_prime.shape[0] > 1
+        once = shared and not each
+        mu_prime = mu_prime[offset:offset + end] if each else mu_prime
         with np.errstate(all="ignore"):
-            if ideal:
-                return _benchmark_rate(ARRAYS, src, mu_prime, eta, ch, t1, t2, cfg.f_ec)
-            return _search_rate(src, ch.d_b, t1, t2, cfg.mu, mu_prime, eta, ch, cfg.f_ec)
-
-    return rate
-
-
-def _stacked_rate(blocks):
-    """One rate callable over the rows of (first row, end row, rate) blocks."""
-    def rate(mu_prime):
-        per_row = mu_prime.shape[0] > 1
-        return np.concatenate([fn(mu_prime[lo:hi] if per_row else mu_prime) for lo, hi, fn in blocks])
+            _, ty, e = src.signal(ARRAYS, mu_prime, eta[:parts[0][1]] if once else eta, ch)
+            out = []
+            for a, b, ideal, t1, t2 in parts:
+                r = slice(0, b - a) if once else slice(a, b)
+                m = mu_prime[r] if each else mu_prime
+                out.append(_benchmark_rate(ARRAYS, src, m, ty[r], e[r], t1, t2, f) if ideal
+                           else _search_rate(src, ch.d_b, t1, t2, mu, m, ty[r], e[r], f))
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate
 
@@ -418,31 +441,28 @@ def _chunk_rows() -> int:
     return max(1, _BLOCK_CELLS // 2)
 
 
-def _searched_mu_primes(
-    cfg: SweepConfig, distances: list[float], jobs: list[tuple[str, bool]]
-) -> list[list[float]]:
-    """The searched mu' at every distance for every (source kind, ideal) job.
+def _search(cfg: SweepConfig, rows: _Rows, jobs: list[tuple[str, bool]]) -> list[list[float]]:
+    """The searched mu' of every row for every (source kind, ideal) job.
 
-    The rows of all jobs, job after job, go through one search, split into
-    chunks of at most _chunk_rows() rows; each job's _rate_array rates its
-    own rows of a chunk. A row's search never looks at another row, so
-    every row picks the mu' it would pick alone. A row is cfg.channel at
-    its distance, and the search reads only its overall transmittance, so
-    no ChannelParams is built.
+    The rows of all jobs, job after job, go through one search in chunks of
+    at most _chunk_rows() rows; adjacent jobs of one source kind share a
+    _rate_array. A row's search never looks at another row, so every row
+    picks the mu' it would pick alone.
     """
-    sources = [(_source(cfg, kind), ideal) for kind, ideal in jobs]
-    n, total, chunk = len(distances), len(distances) * len(jobs), _chunk_rows()
-    eta = _transmittances(cfg, distances)
-    mu_primes: list[float] = []
+    n, chunk = len(rows.eta), _chunk_rows()
+    total, mu_primes = n * len(jobs), []
     for start in range(0, total, chunk):
         stop = min(total, start + chunk)
-        blocks = []
-        for j, (src, ideal) in enumerate(sources):
+        runs = []  # (source kind, segments, first row) of consecutive jobs of one kind
+        for j, (kind, ideal) in enumerate(jobs):
             lo, hi = max(start - j * n, 0), min(stop - j * n, n)
             if lo < hi:
-                rate = _rate_array(cfg, src, ideal, _row_terms(cfg, src, ideal, eta[lo:hi]))
-                blocks.append((j * n + lo - start, j * n + hi - start, rate))
-        best_x, _ = maximize_over_mu_prime(_stacked_rate(blocks), stop - start, cfg)
+                if not runs or runs[-1][0] != kind:
+                    runs.append((kind, [], j * n + lo - start))
+                runs[-1][1].append((ideal, lo, hi))
+        fns = [_rate_array(cfg, rows, kind, segs, first) for kind, segs, first in runs]
+        rate = fns[0] if len(fns) == 1 else lambda x: np.concatenate([fn(x) for fn in fns])
+        best_x, _ = maximize_over_mu_prime(rate, stop - start, cfg)
         mu_primes.extend(best_x.tolist())
     return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
 
@@ -453,34 +473,28 @@ def _sweep_points(
     """Fully evaluated samples, one per distance per source kind, distance-major.
 
     One search picks every mu' (bounded and, when enabled, ideal); the
-    reported values are then evaluated by the scalar chain at those mu'.
+    reported values are then evaluated by the scalar chain's row core at
+    those mu', from the same rows the search read.
     """
-    channels = [cfg.channel.at_distance(d) for d in distances]
+    ch = cfg.channel
+    jobs = [(kind, ideal) for kind in kinds for ideal in (False, True)[:1 + cfg.include_ideal]]
+    rows = _rows(cfg, distances, jobs)
+    searched = dict(zip(jobs, _search(cfg, rows, jobs)))
     sources = [_source(cfg, kind) for kind in kinds]
-    jobs = [(kind, False) for kind in kinds]
-    if cfg.include_ideal:
-        jobs += [(kind, True) for kind in kinds]
-    searched = _searched_mu_primes(cfg, distances, jobs)
     points = []
-    for i, (distance, ch) in enumerate(zip(distances, channels)):
-        for k, (kind, src) in enumerate(zip(kinds, sources)):
-            mu_prime = searched[k][i]
-            obs, bounds, rate, feasible = evaluate(cfg, ch, src, mu_prime)
+    for i, (distance, eta) in enumerate(zip(distances, rows.eta)):
+        for kind, src in zip(kinds, sources):
+            mu_prime = searched[kind, False][i]
+            obs, bounds, rate, feasible = _point(cfg, ch, src, eta, rows.decoy[kind][i], mu_prime)
             if cfg.include_ideal:
-                ideal = ideal_rate(src, searched[len(kinds) + k][i], ch, cfg.f_ec)
+                m = searched[kind, True][i]
+                _, ty, e = src.signal(FLOATS, m, eta, ch)
+                ideal = _benchmark_rate(FLOATS, src, m, ty, e, *rows.exact[i], cfg.f_ec)
             else:
                 ideal = float("nan")
             points.append(KeyRatePoint(
-                distance_km=distance,
-                mu=cfg.mu,
-                mu_prime=mu_prime,
-                key_rate=rate,
-                ideal_rate=ideal,
-                source_kind=kind,
-                bounds=bounds,
-                observables=obs,
-                feasible=feasible,
-            ))
+                distance_km=distance, mu=cfg.mu, mu_prime=mu_prime, key_rate=rate, ideal_rate=ideal,
+                source_kind=kind, bounds=bounds, observables=obs, feasible=feasible))
     return points
 
 
@@ -502,9 +516,16 @@ def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
     return [mid] + _bisection_tree(lo, mid, levels - 1) + _bisection_tree(mid, hi, levels - 1)
 
 
-def _positive(cfg: SweepConfig, distance_km: float, src, mu_prime: float) -> bool:
-    """Whether the scalar rate at distance_km and mu_prime is positive."""
-    return evaluate(cfg, cfg.channel.at_distance(distance_km), src, mu_prime)[2] > 0.0
+def _positive(cfg: SweepConfig, src, eta: float, decoy, mu_prime: float) -> bool:
+    """Whether the scalar rate of the row (eta, decoy) at mu_prime is positive."""
+    return _point(cfg, cfg.channel, src, eta, decoy, mu_prime)[2] > 0.0
+
+
+def _searched_rows(cfg: SweepConfig, source_kind: str, distances) -> dict[float, tuple]:
+    """Each distance's (transmittance, decoy triple, searched mu'), by distance."""
+    jobs = [(source_kind, False)]
+    rows = _rows(cfg, distances, jobs)
+    return dict(zip(distances, zip(rows.eta, rows.decoy[source_kind], _search(cfg, rows, jobs)[0])))
 
 
 def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
@@ -516,29 +537,33 @@ def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
     return _bisection_tree(grid[k], grid[k + 1], _BISECT_LEVELS)
 
 
-def _cutoff_mu_primes(
-    cfg: SweepConfig, source_kind: str, grid: list[float]
-) -> tuple[list[float], dict[float, float]]:
-    """The searched mu' of every grid point, and of the guessed midpoints.
+def _cutoff_rows(cfg: SweepConfig, source_kind: str, grid: list[float]) -> dict[float, tuple]:
+    """_searched_rows of every grid point and of the guessed midpoints.
 
     The grid and the _guessed_tree midpoints are coarse-scanned apart, as
     the tree depends on the grid's coarse rates, then refined together in
-    one golden-section pass over their joined row columns. A grid too long
-    to share a chunk with a full tree is searched alone, with no guess.
+    one golden-section pass over their joined rows. A grid too long to
+    share a chunk with a full tree is searched alone, with no guess.
     """
+    jobs = [(source_kind, False)]
     if len(grid) + 2**_BISECT_LEVELS - 1 > _chunk_rows():
-        return _searched_mu_primes(cfg, grid, [(source_kind, False)])[0], {}
-    src = _source(cfg, source_kind)
-    terms = _row_terms(cfg, src, False, _transmittances(cfg, grid))
-    best_x, best_f = _coarse_scan(_rate_array(cfg, src, False, terms), len(grid), cfg)
+        return _searched_rows(cfg, source_kind, grid)
+
+    def rate(rows):
+        return _rate_array(cfg, rows, source_kind, [(False, 0, len(rows.eta))], 0)
+
+    rows = _rows(cfg, grid, jobs)
+    best_x, best_f = _coarse_scan(rate(rows), len(grid), cfg)
     tree = _guessed_tree(grid, best_f)
     if tree:
-        tree_terms = _row_terms(cfg, src, False, _transmittances(cfg, tree))
-        tree_x, tree_f = _coarse_scan(_rate_array(cfg, src, False, tree_terms), len(tree), cfg)
-        terms = tuple(np.concatenate(pair) for pair in zip(terms, tree_terms))
+        tree_rows = _rows(cfg, tree, jobs)
+        tree_x, tree_f = _coarse_scan(rate(tree_rows), len(tree), cfg)
+        k = source_kind
+        rows = _Rows(rows.eta + tree_rows.eta, [], {k: rows.decoy[k] + tree_rows.decoy[k]},
+                     {k: rows.e1_mass[k] + tree_rows.e1_mass[k]})
         best_x, best_f = np.concatenate([best_x, tree_x]), np.concatenate([best_f, tree_f])
-    mu_primes = _refine(_rate_array(cfg, src, False, terms), best_x, best_f, cfg)[0].tolist()
-    return mu_primes[:len(grid)], dict(zip(tree, mu_primes[len(grid):]))
+    mu_primes = _refine(rate(rows), best_x, best_f, cfg)[0].tolist()
+    return dict(zip(grid + tree, zip(rows.eta, rows.decoy[source_kind], mu_primes)))
 
 
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:
@@ -548,19 +573,19 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     from the grid end, so the result is the last positive grid point, or
     the grid end when the rate is still positive there. Between that point
     and the next one a bisection refines the cut-off down to 0.1 km,
-    judging the scalar rate only at the midpoints it reaches.
-    _cutoff_mu_primes searches the grid and the guessed midpoints in one
-    pass. A midpoint it did not cover (a missed guess, a deeper bracket, or
-    a grid over the chunk limit) is searched with every midpoint of its
-    next _BISECT_LEVELS levels at once. A row's search never reads another
-    row, so this returns exactly what probing one midpoint at a time
-    would, whether or not the rate falls monotonically.
+    judging the scalar rate only at the midpoints it reaches, from the
+    rows the search read. _cutoff_rows searches the grid and the guessed
+    midpoints in one pass. A midpoint it did not cover (a missed guess, a
+    deeper bracket, or a grid over the chunk limit) is searched with every
+    midpoint of its next _BISECT_LEVELS levels at once. A row's search
+    never reads another row, so this returns exactly what probing one
+    midpoint at a time would, whether or not the rate falls monotonically.
     """
     grid = distance_grid(cfg)
     src = _source(cfg, source_kind)
-    mu_primes, searched = _cutoff_mu_primes(cfg, source_kind, grid)
+    searched = _cutoff_rows(cfg, source_kind, grid)
     last = len(grid) - 1
-    while last >= 0 and not _positive(cfg, grid[last], src, mu_primes[last]):
+    while last >= 0 and not _positive(cfg, src, *searched[grid[last]]):
         last -= 1
     if last < 0:
         return None
@@ -570,9 +595,8 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
         if mid not in searched:
-            tree = _bisection_tree(lo, hi, _BISECT_LEVELS)
-            searched.update(zip(tree, _searched_mu_primes(cfg, tree, [(source_kind, False)])[0]))
-        if _positive(cfg, mid, src, searched[mid]):
+            searched.update(_searched_rows(cfg, source_kind, _bisection_tree(lo, hi, _BISECT_LEVELS)))
+        if _positive(cfg, src, *searched[mid]):
             lo = mid
         else:
             hi = mid

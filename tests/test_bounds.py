@@ -177,7 +177,10 @@ class TestY1LowerBoundHsps:
             assert bound <= yields[1] + 1e-12
 
     def test_all_zero_observables(self):
-        obs = _obs_from_ty(0.0, 0.0, 0.0)
+        # a zero signal yield is refused whatever the decoy, before raw Y1 is formed
+        with pytest.raises(ValueError, match="^no clicks at the signal intensity mu_prime=0.1;"):
+            compute_bounds(TriggeredSource(0.8, 1e-5), _obs_from_ty(0.0, 0.0, 0.0), 0.05, 0.1)
+        obs = _obs_from_ty(0.0, 0.0, 1e-3)
         assert compute_bounds(TriggeredSource(0.8, 1e-5), obs, 0.05, 0.1).y1_lower == 0.0
 
     def test_ordering_error(self):
@@ -374,7 +377,10 @@ class TestY1LowerBoundWcs:
             assert bound <= yields[1] + 1e-12
 
     def test_all_zero_gains(self):
-        assert compute_bounds(COHERENT, _obs_from_ty(0.0, 0.0, 0.0), 0.05, 0.1).y1_lower == 0.0
+        # a zero signal gain is refused whatever the decoy, before raw Y1 is formed
+        with pytest.raises(ValueError, match="^no clicks at the signal intensity mu_prime=0.1;"):
+            compute_bounds(COHERENT, _obs_from_ty(0.0, 0.0, 0.0), 0.05, 0.1)
+        assert compute_bounds(COHERENT, _obs_from_ty(0.0, 0.0, 1e-3), 0.05, 0.1).y1_lower == 0.0
 
     @pytest.mark.parametrize("mu, mu_prime", [
         (710.0, 800.0),  # e^mu and e^mu' both saturate at inf
@@ -513,6 +519,17 @@ class TestMissingDecoyQber:
         with pytest.raises(ValueError, match="QBER at the decoy intensity"):
             key_rate(obs, bounds)
         with pytest.raises(ValueError, match="QBER at the decoy intensity"):
+            rate_and_feasibility(obs, bounds, 1.2)
+
+    def test_rates_refuse_a_missing_signal_qber_by_name(self):
+        # the same named error from both, not a TypeError from binary_entropy(None)
+        obs = _obs_from_ty(0.0, 0.01, 0.02, e_mu=0.01)
+        bounds = compute_bounds(TriggeredSource(0.8, 1e-5), obs, 0.05, 0.1)
+        assert bounds.e1_upper is not None
+        message = "^QBER at the signal intensity is required but missing$"
+        with pytest.raises(ValueError, match=message):
+            key_rate(obs, bounds)
+        with pytest.raises(ValueError, match=message):
             rate_and_feasibility(obs, bounds, 1.2)
 
 

@@ -456,6 +456,22 @@ class TestExitCodes:
             "the bounds need a positive signal yield\n")
         assert not (out / "bounds.json").exists()
 
+    def test_zero_signal_clicks_with_a_dark_decoy_is_the_same_error(self, tmp_path, capsys):
+        # The signal yield used to be tested only once raw Y1 was positive, so
+        # this run exited 0 and printed "y1_lower": 0.0 with "delta1": 0.0.
+        out = tmp_path / "run"
+        assert main([
+            "bounds", "--out", str(out),
+            "--vacuum", "1e6,1e6,2",
+            "--decoy", "1e6,1e5,0",
+            "--signal", "1e6,3e5,0",
+            "--mu", "0.1", "--mu-prime", "0.5",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: no clicks at the signal intensity mu_prime=0.5; "
+            "the bounds need a positive signal yield\n")
+        assert not (out / "bounds.json").exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--vacuum", "nan,1,0", "--vacuum: pulses must be finite, got nan"),
         ("--vacuum", "1e400,1,0", "--vacuum: pulses must be finite, got inf"),

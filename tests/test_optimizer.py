@@ -1,14 +1,16 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import decoy_hsps.bounds as bounds_module
 import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.bounds import ideal_rate
 from decoy_hsps.channel import ChannelParams, overall_transmittance
 from decoy_hsps.numerics import ARRAYS, FLOATS
-from decoy_hsps.sources import TriggeredSource, _coincidence_sum
+from decoy_hsps.sources import CoherentSource, TriggeredSource, _coincidence_sum
 from decoy_hsps.optimizer import (
     MAX_GRID_POINTS,
     RATE_TIE_TOL,
@@ -17,7 +19,6 @@ from decoy_hsps.optimizer import (
     _bisection_tree,
     _grid_count,
     _record_scan,
-    _searched_mu_primes,
     _source,
     distance_grid,
     evaluate,
@@ -36,6 +37,11 @@ WCS = _source(DEFAULT, "wcs")
 
 def _cfg(**kwargs):
     return SweepConfig(**kwargs)
+
+
+def _searched_mu_primes(cfg, distances, jobs):
+    """The searched mu' at every distance for every (source kind, ideal) job."""
+    return optimizer_module._search(cfg, optimizer_module._rows(cfg, distances, jobs), jobs)
 
 
 class TestGrids:
@@ -372,6 +378,51 @@ def test_evaluate_wcs_consistent_with_point():
     assert obs == p.observables
 
 
+@pytest.mark.parametrize("kind", ["hsps", "wcs"])
+def test_every_sweep_point_equals_the_scalar_chain(kind):
+    # the report reads the search's rows; evaluate and ideal_rate build their own
+    cfg = _cfg(sources=(kind,))
+    src, grid = _source(cfg, kind), distance_grid(cfg)
+    ideal_mu_primes = _searched_mu_primes(cfg, grid, [(kind, True)])[0]
+    points = sweep_distances(cfg)
+    assert [p.distance_km for p in points] == grid and len(grid) == 181
+    for p, ideal_mu_prime in zip(points, ideal_mu_primes):
+        ch = cfg.channel.at_distance(p.distance_km)
+        obs, bounds, rate, feasible = evaluate(cfg, ch, src, p.mu_prime)
+        assert (p.observables, p.bounds, p.key_rate, p.feasible) == (obs, bounds, rate, feasible)
+        assert p.ideal_rate == ideal_rate(src, ideal_mu_prime, ch, cfg.f_ec)
+
+
+def test_figure2_sweep_computes_each_row_term_once(monkeypatch):
+    # the exact terms and decoy triples once per distance, one array signal per source
+    # and rate call, and no channel per distance
+    calls = Counter()
+
+    def spy(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for cls, kind in ((TriggeredSource, "hsps"), (CoherentSource, "wcs")):
+        def signal(self, xp, *args, _signal=cls.signal, _kind=kind):
+            calls[_kind, "FLOATS" if xp is FLOATS else "ARRAYS"] += 1
+            return _signal(self, xp, *args)
+        monkeypatch.setattr(cls, "signal", signal)
+    for module in (optimizer_module, bounds_module):
+        monkeypatch.setattr(module, "_exact_single_photon", spy("exact", module._exact_single_photon))
+    monkeypatch.setattr(ChannelParams, "at_distance", spy("at_distance", ChannelParams.at_distance))
+    monkeypatch.setattr(optimizer_module, "maximize_over_mu_prime", lambda fn, rows, cfg: (
+        maximize_over_mu_prime(spy("rate calls", fn), rows, cfg)))
+    points = sweep_distances(_cfg(sources=("hsps", "wcs"), include_ideal=True))
+    assert len(points) == 2 * 181
+    assert calls["rate calls"] == 23
+    assert calls["exact"] == 181 and calls["at_distance"] == 0
+    for kind in ("hsps", "wcs"):
+        assert calls[kind, "FLOATS"] == 3 * 181  # decoy, signal and ideal signal per distance
+        assert calls[kind, "ARRAYS"] == calls["rate calls"]
+
+
 # ---------------------------------------------------------------------------
 # lockstep search against the per-distance scalar search it replaces
 
@@ -592,6 +643,16 @@ class TestStackedSearch:
         assert sum(searches) == len(distances) * len(STACK_JOBS)
         assert max(searches) <= block_cells and max(cells) <= block_cells
 
+    @pytest.mark.parametrize("block_cells", [3, 7, 25, 50, 1 << 13])
+    def test_sweep_job_order_matches_per_job_searches(self, monkeypatch, block_cells):
+        # a sweep stacks a source's bounded rows next to its ideal rows; small
+        # chunks split the two at different distances or hold one alone
+        distances = list(range(0, 200, 20))
+        grouped = [("hsps", False), ("hsps", True), ("wcs", False), ("wcs", True)]
+        alone = [_searched_mu_primes(DEFAULT, distances, [job])[0] for job in grouped]
+        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        assert _searched_mu_primes(DEFAULT, distances, grouped) == alone
+
     def test_unknown_kind_and_no_channels(self):
         with pytest.raises(ValueError, match="laser"):
             _searched_mu_primes(DEFAULT, [0.0], [("hsps", False), ("laser", False)])
@@ -734,13 +795,14 @@ class TestTransmittanceOnlyInputs:
         distances = distance_grid(cfg)[::7] + _bisection_tree(100.0, 101.0, 4)
         seen = []
 
-        row_terms = optimizer_module._row_terms
+        build_rows = optimizer_module._rows
 
-        def spy(cfg, src, ideal, eta):
-            seen.extend(eta[:, 0].tolist())
-            return row_terms(cfg, src, ideal, eta)
+        def spy(cfg, distances, jobs):
+            rows = build_rows(cfg, distances, jobs)
+            seen.extend(rows.eta)
+            return rows
 
-        monkeypatch.setattr(optimizer_module, "_row_terms", spy)
+        monkeypatch.setattr(optimizer_module, "_rows", spy)
         _searched_mu_primes(cfg, distances, [("hsps", False)])
         assert seen == [overall_transmittance(cfg.channel.at_distance(d)) for d in distances]
 
@@ -754,8 +816,9 @@ class TestTransmittanceOnlyInputs:
 
         monkeypatch.setattr(ChannelParams, "at_distance", counted)
         assert max_secure_distance(DEFAULT, "hsps") == 166.9375
-        # 15 grid rows judged from 180 km down, then the 4 midpoints the bisection reaches
-        assert len(built) <= 19
+        # the 15 grid rows judged from 180 km down and the 4 midpoints the
+        # bisection reaches go through the row core, which builds no channel
+        assert built == []
 
     @pytest.mark.parametrize("cfg", [
         DEFAULT,
