@@ -247,15 +247,16 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f):
+def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f, mu_terms=None):
     """The clamped key rate of compute_bounds and key_rate, on numpy arrays.
 
     Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
     values) and src.signal's yield ty and QBER e at mu_prime, which
-    broadcasts against them. Cells whose raw Y1 is not positive are masked
-    to 0, so the caller decides what numpy does on them before the mask.
+    broadcasts against them; mu is a float, or a column with mu_terms'.
+    Cells whose raw Y1 is not positive are masked to 0, so the caller
+    decides what numpy does on them before the mask.
     """
-    raw_y1 = src.y1_raw(ARRAYS, y0, ty_mu, ty, mu, mu_prime)
+    raw_y1 = src.y1_raw(ARRAYS, y0, ty_mu, ty, mu, mu_prime, mu_terms)
     _, delta1, e1, _, _ = _single_photon_bounds(ARRAYS, src, raw_y1, e1_mass, mu, mu_prime, ty)
     raw = _rate_formula(ARRAYS, ty, e, delta1, ARRAYS.entropy(e1), f)
     return np.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)

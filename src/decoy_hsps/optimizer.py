@@ -21,6 +21,12 @@ at once (_record_scan); only a row with a rate within RATE_TIE_TOL of its
 block's top, or a NaN, walks the columns one by one. A row's search never
 reads another row, so stacking jobs does not move any row's mu'.
 
+Configurations that differ only in mu and mu_prime_min, as figure 1's
+three decoy intensities, make one sweep (_search_all). Their rows share
+the transmittances and exact terms; each coarse-scans at its own float
+mu, and one golden-section pass refines them all, from columns of each
+row's mu_prime_min, mu and source mu_terms taken on floats.
+
 A cut-off (max_secure_distance) coarse-scans its distance grid, takes
 the bracket after the last grid point with a positive coarse rate as the
 guess of where the cut-off lies, coarse-scans every bisection midpoint
@@ -41,7 +47,7 @@ configurations produce identical results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -296,15 +302,17 @@ def _coarse_scan(rate_fn, rows: int, cfg: SweepConfig):
     return best_x, best_f
 
 
-def _refine(rate_fn, best_x, best_f, cfg: SweepConfig):
+def _refine(rate_fn, best_x, best_f, cfg: SweepConfig, mu_prime_min=None):
     """Golden-section refinement of every row's best coarse cell.
 
     rate_fn maps a (rows, k) array of mu' to the rates of each row at its
-    own k points. A refined point replaces the coarse best only if it beats
-    it by more than RATE_TIE_TOL, or ties it at a smaller mu', so a row's
-    rate is never below any coarse candidate it examined.
+    own k points, from mu_prime_min (cfg's unless given per row) on. A
+    refined point replaces the coarse best only if it beats it by more than
+    RATE_TIE_TOL, or ties it at a smaller mu', so a row's rate is never
+    below any coarse candidate it examined.
     """
-    a = np.maximum(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
+    lo = cfg.mu_prime_min if mu_prime_min is None else mu_prime_min
+    a = np.maximum(lo, best_x - cfg.mu_prime_coarse_step)
     b = np.minimum(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
     refine = b - a > REFINE_TOL
     if refine.any():
@@ -371,69 +379,99 @@ def evaluate(
 
 
 def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float).reshape(-1, 1)
+    return np.fromiter(values, float, len(values)).reshape(-1, 1)
 
 
 class _Rows(NamedTuple):
     """Per-distance terms that a search and its report both read, each computed once.
 
-    eta holds the transmittances, exact the benchmark's (Y1, H(e1)); decoy
-    and e1_mass, per source kind, the signal triple at mu and e1 mass.
+    Floats: eta, exact's (Y1, H(e1)) and, per source kind, decoy's signal
+    triple at mu. cols: the search's (rows, 1) columns of eta, exact and,
+    per source kind, decoy yield and e1 mass.
     """
 
     eta: list[float]
     exact: list[tuple[float, float]]
     decoy: dict[str, list[tuple[float, float, float]]]
-    e1_mass: dict[str, list[float]]
+    cols: dict[str, tuple[np.ndarray, ...]]
 
 
-def _rows(cfg: SweepConfig, distances, jobs) -> _Rows:
-    """The _Rows at distances for (source kind, ideal) jobs; no ChannelParams is built."""
+def _rows(cfg: SweepConfig, distances, jobs, shared: _Rows | None = None) -> _Rows:
+    """The _Rows at distances for (source kind, ideal) jobs; no ChannelParams is built.
+
+    shared, rows of another mu at the same distances, lends eta and exact.
+    """
     ch = cfg.channel
-    eta = [fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances]
-    decoy, e1_mass = {}, {}
+    if shared is None:
+        eta = [fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances]
+        exact = [_exact_single_photon(ch, e) for e in eta] if any(ideal for _, ideal in jobs) else []
+        shared = _Rows(eta, exact, {}, {"eta": (_column(eta),), "exact": tuple(map(_column, zip(*exact)))})
+    rows = _Rows(shared.eta, shared.exact, {}, {k: shared.cols[k] for k in ("eta", "exact")})
     for kind in dict.fromkeys(kind for kind, ideal in jobs if not ideal):
         src = _source(cfg, kind)
-        decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in eta]
-        e1_mass[kind] = [src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy[kind]]
-    exact = [_exact_single_photon(ch, e) for e in eta] if any(ideal for _, ideal in jobs) else []
-    return _Rows(eta, exact, decoy, e1_mass)
+        decoy = rows.decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in rows.eta]
+        e1_mass = [src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy]
+        rows.cols[kind] = (_column([ty for _, ty, _ in decoy]), _column(e1_mass))
+    return rows
 
 
-def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, segments, offset: int):
+def _join(parts: list[_Rows]) -> _Rows:
+    """The rows of parts, part after part, as one _Rows."""
+    return _Rows([e for p in parts for e in p.eta], [t for p in parts for t in p.exact],
+                 {k: [d for p in parts for d in p.decoy[k]] for k in parts[0].decoy},
+                 {k: tuple(map(np.concatenate, zip(*(p.cols[k] for p in parts)))) for k in parts[0].cols})
+
+
+def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, segments, offset: int, mu=None):
     """One rate callable over a source kind's rows, bounded and ideal alike.
 
     segments lists (ideal, first, end) ranges of rows, in row order, from
-    the search's row offset on. A call evaluates the source's signal at mu'
+    the search's row offset on; bounded rows are at cfg.mu, or at mu, their
+    columns of mu and mu_terms. A call evaluates the source's signal at mu'
     once for them all; in the coarse scan, where every row sees the same
     mu', once per distance if the segments cover the same distances. The
     search sees the scalar rates up to the last place of numpy's exp/log/pow.
     """
-    ch, mu, f, src = cfg.channel, cfg.mu, cfg.f_ec, _source(cfg, kind)
-    eta = _column([e for _, lo, hi in segments for e in rows.eta[lo:hi]])
+    ch, f, src, eta = cfg.channel, cfg.f_ec, _source(cfg, kind), rows.cols["eta"][0]
     shared = all(seg[1:] == segments[0][1:] for seg in segments)
-    parts, end = [], 0  # each segment's rows and mu'-independent columns
+    parts, end = [], 0  # each segment's rows, mu'-independent columns and mu
     for ideal, lo, hi in segments:
-        terms = zip(*rows.exact[lo:hi]) if ideal else (
-            [ty for _, ty, _ in rows.decoy[kind][lo:hi]], rows.e1_mass[kind][lo:hi])
-        parts.append((end, end + hi - lo, ideal, *map(_column, terms)))
+        terms = [c[lo:hi] for c in rows.cols["exact" if ideal else kind]]
+        at = (cfg.mu, None) if mu is None else (mu[0][lo:hi], [c[lo:hi] for c in mu[1:]])
+        parts.append((end, end + hi - lo, ideal, *terms, *at))
         end += hi - lo
+    etas = [eta[lo:hi] for _, lo, hi in segments]
+    once_eta, every_eta = etas[0], np.concatenate(etas)
 
     def rate(mu_prime):
         each = mu_prime.shape[0] > 1
         once = shared and not each
         mu_prime = mu_prime[offset:offset + end] if each else mu_prime
         with np.errstate(all="ignore"):
-            _, ty, e = src.signal(ARRAYS, mu_prime, eta[:parts[0][1]] if once else eta, ch)
+            _, ty, e = src.signal(ARRAYS, mu_prime, once_eta if once else every_eta, ch)
             out = []
-            for a, b, ideal, t1, t2 in parts:
+            for a, b, ideal, t1, t2, m, mu_terms in parts:
                 r = slice(0, b - a) if once else slice(a, b)
-                m = mu_prime[r] if each else mu_prime
-                out.append(_benchmark_rate(ARRAYS, src, m, ty[r], e[r], t1, t2, f) if ideal
-                           else _search_rate(src, ch.d_b, t1, t2, mu, m, ty[r], e[r], f))
+                x = mu_prime[r] if each else mu_prime
+                out.append(_benchmark_rate(ARRAYS, src, x, ty[r], e[r], t1, t2, f) if ideal
+                           else _search_rate(src, ch.d_b, t1, t2, m, x, ty[r], e[r], f, mu_terms))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate
+
+
+def _jobs_rate(cfg: SweepConfig, rows: _Rows, jobs, start: int = 0, stop: int | None = None, mu=None):
+    """Rate of the jobs' rows start to stop (all); a kind's adjacent jobs share a _rate_array."""
+    n, runs = len(rows.eta), []  # (source kind, segments, first row) of adjacent jobs of one kind
+    stop = n * len(jobs) if stop is None else stop
+    for j, (kind, ideal) in enumerate(jobs):
+        lo, hi = max(start - j * n, 0), min(stop - j * n, n)
+        if lo < hi:
+            if not runs or runs[-1][0] != kind:
+                runs.append((kind, [], j * n + lo - start))
+            runs[-1][1].append((ideal, lo, hi))
+    fns = [_rate_array(cfg, rows, kind, segs, first, mu and mu.get(kind)) for kind, segs, first in runs]
+    return fns[0] if len(fns) == 1 else lambda x: np.concatenate([fn(x) for fn in fns])
 
 
 def _chunk_rows() -> int:
@@ -445,67 +483,84 @@ def _search(cfg: SweepConfig, rows: _Rows, jobs: list[tuple[str, bool]]) -> list
     """The searched mu' of every row for every (source kind, ideal) job.
 
     The rows of all jobs, job after job, go through one search in chunks of
-    at most _chunk_rows() rows; adjacent jobs of one source kind share a
-    _rate_array. A row's search never looks at another row, so every row
-    picks the mu' it would pick alone.
+    at most _chunk_rows() rows. A row's search never looks at another row,
+    so every row picks the mu' it would pick alone.
     """
     n, chunk = len(rows.eta), _chunk_rows()
     total, mu_primes = n * len(jobs), []
     for start in range(0, total, chunk):
         stop = min(total, start + chunk)
-        runs = []  # (source kind, segments, first row) of consecutive jobs of one kind
-        for j, (kind, ideal) in enumerate(jobs):
-            lo, hi = max(start - j * n, 0), min(stop - j * n, n)
-            if lo < hi:
-                if not runs or runs[-1][0] != kind:
-                    runs.append((kind, [], j * n + lo - start))
-                runs[-1][1].append((ideal, lo, hi))
-        fns = [_rate_array(cfg, rows, kind, segs, first) for kind, segs, first in runs]
-        rate = fns[0] if len(fns) == 1 else lambda x: np.concatenate([fn(x) for fn in fns])
-        best_x, _ = maximize_over_mu_prime(rate, stop - start, cfg)
+        best_x, _ = maximize_over_mu_prime(_jobs_rate(cfg, rows, jobs, start, stop), stop - start, cfg)
         mu_primes.extend(best_x.tolist())
     return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
 
 
-def _sweep_points(
-    cfg: SweepConfig, distances: list[float], kinds
-) -> list[KeyRatePoint]:
-    """Fully evaluated samples, one per distance per source kind, distance-major.
+def _search_all(cfgs, rows: list[_Rows], jobs) -> list[list[list[float]]]:
+    """_search of each configuration's rows, refined in one golden-section pass.
+
+    The refinement takes the rows job after job, and within a job
+    configuration after configuration. Rows too many for one chunk are
+    searched apart.
+    """
+    n, jobs_n, cfgs_n = len(rows[0].eta), len(jobs), len(cfgs)
+    if cfgs_n == 1 or not 0 < n * jobs_n * cfgs_n <= _chunk_rows():
+        return [_search(cfg, r, jobs) for cfg, r in zip(cfgs, rows)]
+    scans = [_coarse_scan(_jobs_rate(c, r, jobs), n * jobs_n, c) for c, r in zip(cfgs, rows)]
+    best_x, best_f = (np.reshape(s, (cfgs_n, jobs_n, n)).transpose(1, 0, 2).ravel() for s in zip(*scans))
+    mu = {}  # per source kind, columns of each row's mu and mu_terms, taken on floats
+    for kind in rows[0].decoy:
+        per_cfg = [(c.mu, *_source(c, kind).mu_terms(FLOATS, c.mu)) for c in cfgs]
+        mu[kind] = [np.repeat(t, n)[:, None] for t in zip(*per_cfg)]
+    mu_prime_min = np.repeat(np.tile([c.mu_prime_min for c in cfgs], jobs_n), n)
+    rate = _jobs_rate(cfgs[0], _join(rows), jobs, mu=mu)
+    mu_primes = _refine(rate, best_x, best_f, cfgs[0], mu_prime_min)[0]
+    return mu_primes.reshape(jobs_n, cfgs_n, n).transpose(1, 0, 2).tolist()
+
+
+def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
+    """Fully evaluated samples of each configuration, one per distance per source kind, distance-major.
 
     One search picks every mu' (bounded and, when enabled, ideal); the
     reported values are then evaluated by the scalar chain's row core at
     those mu', from the same rows the search read.
     """
-    ch = cfg.channel
-    jobs = [(kind, ideal) for kind in kinds for ideal in (False, True)[:1 + cfg.include_ideal]]
-    rows = _rows(cfg, distances, jobs)
-    searched = dict(zip(jobs, _search(cfg, rows, jobs)))
-    sources = [_source(cfg, kind) for kind in kinds]
+    jobs = [(kind, ideal) for kind in kinds for ideal in (False, True)[:1 + cfgs[0].include_ideal]]
+    rows = [_rows(cfgs[0], distances, jobs)]
+    rows += [_rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
     points = []
-    for i, (distance, eta) in enumerate(zip(distances, rows.eta)):
-        for kind, src in zip(kinds, sources):
-            mu_prime = searched[kind, False][i]
-            obs, bounds, rate, feasible = _point(cfg, ch, src, eta, rows.decoy[kind][i], mu_prime)
-            if cfg.include_ideal:
-                m = searched[kind, True][i]
-                _, ty, e = src.signal(FLOATS, m, eta, ch)
-                ideal = _benchmark_rate(FLOATS, src, m, ty, e, *rows.exact[i], cfg.f_ec)
-            else:
-                ideal = float("nan")
-            points.append(KeyRatePoint(
-                distance_km=distance, mu=cfg.mu, mu_prime=mu_prime, key_rate=rate, ideal_rate=ideal,
-                source_kind=kind, bounds=bounds, observables=obs, feasible=feasible))
+    for cfg, r, mu_primes in zip(cfgs, rows, _search_all(cfgs, rows, jobs)):
+        ch, searched, sources = cfg.channel, dict(zip(jobs, mu_primes)), [_source(cfg, k) for k in kinds]
+        for i, (distance, eta) in enumerate(zip(distances, r.eta)):
+            for kind, src in zip(kinds, sources):
+                mu_prime = searched[kind, False][i]
+                obs, bounds, rate, feasible = _point(cfg, ch, src, eta, r.decoy[kind][i], mu_prime)
+                if cfg.include_ideal:
+                    m = searched[kind, True][i]
+                    _, ty, e = src.signal(FLOATS, m, eta, ch)
+                    ideal = _benchmark_rate(FLOATS, src, m, ty, e, *r.exact[i], cfg.f_ec)
+                else:
+                    ideal = float("nan")
+                points.append(KeyRatePoint(
+                    distance_km=distance, mu=cfg.mu, mu_prime=mu_prime, key_rate=rate, ideal_rate=ideal,
+                    source_kind=kind, bounds=bounds, observables=obs, feasible=feasible))
     return points
 
 
 def key_rate_point(cfg: SweepConfig, distance_km: float, source_kind: str) -> KeyRatePoint:
     """Fully evaluated sweep sample at one distance for one source kind."""
-    return _sweep_points(cfg, [distance_km], (source_kind,))[0]
+    return _sweep_points((cfg,), [distance_km], (source_kind,))[0]
 
 
-def sweep_distances(cfg: SweepConfig) -> list[KeyRatePoint]:
-    """One KeyRatePoint per grid distance per requested source kind."""
-    return _sweep_points(cfg, distance_grid(cfg), cfg.sources)
+def sweep_distances(cfg: SweepConfig, *more: SweepConfig) -> list[KeyRatePoint]:
+    """One KeyRatePoint per grid distance per requested source kind.
+
+    The points of each configuration in more follow cfg's; they may differ
+    from cfg only in mu and mu_prime_min, and one search serves them all.
+    """
+    if any(getattr(c, f.name) != getattr(cfg, f.name) for c in more for f in fields(SweepConfig)
+           if f.name not in ("mu", "mu_prime_min")):
+        raise ValueError("configurations swept together may differ only in mu and mu_prime_min")
+    return _sweep_points((cfg, *more), distance_grid(cfg), cfg.sources)
 
 
 def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
@@ -542,27 +597,21 @@ def _cutoff_rows(cfg: SweepConfig, source_kind: str, grid: list[float]) -> dict[
 
     The grid and the _guessed_tree midpoints are coarse-scanned apart, as
     the tree depends on the grid's coarse rates, then refined together in
-    one golden-section pass over their joined rows. A grid too long to
-    share a chunk with a full tree is searched alone, with no guess.
+    one golden-section pass over their joined rows. An empty grid, or one
+    too long to share a chunk with a full tree, is searched alone.
     """
     jobs = [(source_kind, False)]
-    if len(grid) + 2**_BISECT_LEVELS - 1 > _chunk_rows():
+    if not grid or len(grid) + 2**_BISECT_LEVELS - 1 > _chunk_rows():
         return _searched_rows(cfg, source_kind, grid)
-
-    def rate(rows):
-        return _rate_array(cfg, rows, source_kind, [(False, 0, len(rows.eta))], 0)
-
     rows = _rows(cfg, grid, jobs)
-    best_x, best_f = _coarse_scan(rate(rows), len(grid), cfg)
+    best_x, best_f = _coarse_scan(_jobs_rate(cfg, rows, jobs), len(grid), cfg)
     tree = _guessed_tree(grid, best_f)
     if tree:
         tree_rows = _rows(cfg, tree, jobs)
-        tree_x, tree_f = _coarse_scan(rate(tree_rows), len(tree), cfg)
-        k = source_kind
-        rows = _Rows(rows.eta + tree_rows.eta, [], {k: rows.decoy[k] + tree_rows.decoy[k]},
-                     {k: rows.e1_mass[k] + tree_rows.e1_mass[k]})
+        tree_x, tree_f = _coarse_scan(_jobs_rate(cfg, tree_rows, jobs), len(tree), cfg)
+        rows = _join([rows, tree_rows])
         best_x, best_f = np.concatenate([best_x, tree_x]), np.concatenate([best_f, tree_f])
-    mu_primes = _refine(rate(rows), best_x, best_f, cfg)[0].tolist()
+    mu_primes = _refine(_jobs_rate(cfg, rows, jobs), best_x, best_f, cfg)[0].tolist()
     return dict(zip(grid + tree, zip(rows.eta, rows.decoy[source_kind], mu_primes)))
 
 

@@ -11,9 +11,10 @@ truncated-series twins in tests/oracles.py check them.
 The forecast, bounds and key rate are written once for both sources. The
 sources differ only in the terms of their objects, TriggeredSource and
 CoherentSource: the signal terms at an intensity, raw Y1 from the decoy
-and signal constraints, the single-photon share of the clicks, and the e1
-error mass with its normaliser. Each term takes a numeric namespace xp
-(.numerics), so one text serves Python floats and numpy arrays.
+and signal constraints with its terms in the decoy intensity alone, the
+single-photon share of the clicks, and the e1 error mass with its
+normaliser. Each term takes a numeric namespace xp (.numerics), so one
+text serves Python floats and numpy arrays.
 """
 from __future__ import annotations
 
@@ -117,12 +118,26 @@ class TriggeredSource:
         err = ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences
         return p_post, xp.minimum(ty, p_post), xp.ratio(err, ty)
 
-    def y1_raw(self, xp, y0, ty_mu, ty_mu_prime, mu, mu_prime):
+    def mu_terms(self, xp, mu):
+        """(1+mu)^2 and (1+mu)^3, y1_raw's terms in mu alone.
+
+        y1_raw computes them unless given; a column of several mu gives each
+        row's, taken on its float, as numpy's pow rounds them apart.
+        """
+        one_mu = 1.0 + mu
+        return one_mu ** 2, one_mu ** 3
+
+    def y1_raw(self, xp, y0, ty_mu, ty_mu_prime, mu, mu_prime, mu_terms=None):
         """Unclamped Y1 bound from the rescaled-yield constraints (see bounds)."""
+        if mu_terms is None:  # mu_terms(xp, mu), inline on the scalar chain's path
+            one_mu = 1.0 + mu
+            square, cube = one_mu ** 2, one_mu ** 3
+        else:
+            square, cube = mu_terms
         up, down = mu_prime / mu, mu / mu_prime
-        one_mu, one_mu_prime = 1.0 + mu, 1.0 + mu_prime
-        lead = up * one_mu ** 3 * ty_mu - down * one_mu_prime ** 3 * ty_mu_prime
-        vac = y0 * self.d_a * (up * one_mu ** 2 - down * one_mu_prime ** 2)
+        one_mu_prime = 1.0 + mu_prime
+        lead = up * cube * ty_mu - down * one_mu_prime ** 3 * ty_mu_prime
+        vac = y0 * self.d_a * (up * square - down * one_mu_prime ** 2)
         return (lead - vac) / (self.eta_a * (mu_prime - mu))
 
     def single_photon(self, xp, y1, x, ty_x):
@@ -157,10 +172,18 @@ class CoherentSource:
         q = ch.d_b - lost
         return 1.0, xp.minimum(q, 1.0), xp.ratio(ch.e_0 * ch.d_b - ch.e_d * lost, q)
 
-    def y1_raw(self, xp, y0, q_mu, q_mu_prime, mu, mu_prime):
+    def mu_terms(self, xp, mu):
+        """e^mu and mu^2: y1_raw's terms in mu alone, as TriggeredSource.mu_terms."""
+        return xp.exp(mu), mu**2
+
+    def y1_raw(self, xp, y0, q_mu, q_mu_prime, mu, mu_prime, mu_terms=None):
         """Unclamped Y1 bound from the two Poissonian gain constraints."""
-        num = (mu_prime**2 * (q_mu * xp.exp(mu)) - mu**2 * (q_mu_prime * xp.exp(mu_prime))
-               - y0 * (mu_prime**2 - mu**2))
+        if mu_terms is None:  # mu_terms(xp, mu), inline on the scalar chain's path
+            exp_mu, mu_sq = xp.exp(mu), mu**2
+        else:
+            exp_mu, mu_sq = mu_terms
+        num = (mu_prime**2 * (q_mu * exp_mu) - mu_sq * (q_mu_prime * xp.exp(mu_prime))
+               - y0 * (mu_prime**2 - mu_sq))
         return num / (mu * mu_prime * (mu_prime - mu))
 
     def single_photon(self, xp, y1, x, q_x):

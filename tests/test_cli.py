@@ -7,6 +7,7 @@ import pytest
 
 from decoy_hsps.channel import ChannelParams
 from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main
+from decoy_hsps.config import format_config, resolve_config
 from decoy_hsps.observables import forecast_observables
 from decoy_hsps.optimizer import SweepConfig, sweep_distances
 from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability
@@ -187,6 +188,7 @@ class TestFigureCommand:
         ("2", "sources=hsps"),
         ("1", "mu=0.2"),
         ("1", "sources=hsps,wcs"),
+        ("1", "mu_prime_min=0.2"),
         ("3", "sources=wcs"),
     ])
     def test_override_of_a_fixed_key_is_refused(self, tmp_path, capsys, number, override):
@@ -210,9 +212,31 @@ class TestFigureCommand:
         out = tmp_path / "fig1"
         assert main(["figure", "1", "--out", str(out)] + SMALL_GRID) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["intensities"] == {"mu": [0.01, 0.05, 0.1]}
+        # each decoy intensity's search starts at its own mu + mu_prime_coarse_step
+        assert manifest["intensities"] == {
+            "mu": [0.01, 0.05, 0.1], "mu_prime_min": [mu + 0.01 for mu in (0.01, 0.05, 0.1)]}
         # config stays the resolved configuration of the last of the three sweeps
         assert manifest["config"]["mu"] == 0.1
+
+    def test_figure1_manifest_config_reproduces_figure1(self, tmp_path):
+        # the manifest records mu 0.1's mu_prime_min 0.11; fed back, it must not
+        # start the mu 0.01 and 0.05 searches there
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["figure", "1", "--out", str(first)]) == 0
+        manifest = json.loads((first / "run_manifest.json").read_text())
+        assert manifest["config"]["mu_prime_min"] == 0.11
+        config_file = tmp_path / "figure1.cfg"
+        config_file.write_text(format_config(resolve_config(manifest["config"])))
+        assert main(["figure", "1", "--config", str(config_file), "--out", str(second)]) == 0
+        for name in ("figure1.csv", "figure1_points.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_figure1_points_equal_one_sweep_per_mu(self, tmp_path):
+        out = tmp_path / "fig1"
+        assert main(["figure", "1", "--out", str(out)]) == 0
+        sweeps = [sweep_distances(SweepConfig(mu=mu, sources=("hsps",))) for mu in (0.01, 0.05, 0.1)]
+        emit_csv([p for s in sweeps for p in s], tmp_path / "alone.csv")
+        assert (out / "figure1_points.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     @pytest.mark.parametrize("command", [["sweep"], ["figure", "2"], ["figure", "3"]])
     def test_runs_at_the_configured_mu_record_no_intensities(self, tmp_path, command):

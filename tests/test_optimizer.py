@@ -8,6 +8,7 @@ import pytest
 import decoy_hsps.bounds as bounds_module
 import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.bounds import ideal_rate
+from decoy_hsps.cli import main
 from decoy_hsps.channel import ChannelParams, overall_transmittance
 from decoy_hsps.numerics import ARRAYS, FLOATS
 from decoy_hsps.sources import CoherentSource, TriggeredSource, _coincidence_sum
@@ -421,6 +422,131 @@ def test_figure2_sweep_computes_each_row_term_once(monkeypatch):
     for kind in ("hsps", "wcs"):
         assert calls[kind, "FLOATS"] == 3 * 181  # decoy, signal and ideal signal per distance
         assert calls[kind, "ARRAYS"] == calls["rate calls"]
+
+
+# ---------------------------------------------------------------------------
+# several decoy intensities in one sweep: per-mu coarse scans, one refinement
+
+FIGURE1_MUS = (0.01, 0.05, 0.1)
+# numpy's (1+mu)**3 differs from math's at mu 0.01 and 0.28, and np.exp from
+# math.exp at 0.037 (numpy 2.4); the terms of y1_raw in mu alone must come from floats
+ROUNDING_MUS = (0.01, 0.037, 0.28)
+
+
+def _count_search(monkeypatch):
+    """Count golden-section passes, refinements, rate calls and exact terms."""
+    calls = Counter()
+    coarse, refine = optimizer_module._coarse_scan, optimizer_module._refine
+    golden = optimizer_module.golden_section_maximize
+
+    def counted(fn):
+        def rate(mu_prime):
+            calls["rate calls"] += 1
+            return fn(mu_prime)
+        return rate
+
+    def counted_golden(*args):
+        calls["golden"] += 1
+        return golden(*args)
+
+    def counted_refine(fn, *args):
+        calls["refine"] += 1
+        return refine(counted(fn), *args)
+
+    def counted_exact(*args, _exact=bounds_module._exact_single_photon):
+        calls["exact"] += 1
+        return _exact(*args)
+
+    monkeypatch.setattr(optimizer_module, "_coarse_scan", lambda fn, *args: coarse(counted(fn), *args))
+    monkeypatch.setattr(optimizer_module, "_refine", counted_refine)
+    monkeypatch.setattr(optimizer_module, "golden_section_maximize", counted_golden)
+    for module in (optimizer_module, bounds_module):
+        monkeypatch.setattr(module, "_exact_single_photon", counted_exact)
+    return calls
+
+
+def _mu_cfgs(mus, **kwargs):
+    return [_cfg(mu=mu, **kwargs) for mu in mus]
+
+
+def _mu_rows(cfgs, distances, jobs):
+    """Each configuration's rows, as a sweep of them all builds them."""
+    rows = [optimizer_module._rows(cfgs[0], distances, jobs)]
+    return rows + [optimizer_module._rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
+
+
+def test_figure1_sweep_equals_one_sweep_per_mu(monkeypatch):
+    cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps",))
+    alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
+    calls = _count_search(monkeypatch)
+    together = sweep_distances(*cfgs)
+    assert len(together) == 3 * 181 and calls["refine"] == calls["golden"] == 1
+    # every field of every point, mu-major: mu, mu', rates, bounds, observables, flags
+    assert together == alone
+    assert [p.mu for p in together] == [mu for mu in FIGURE1_MUS for _ in range(181)]
+
+
+@pytest.mark.parametrize("sources, include_ideal", [
+    (("hsps", "wcs"), True), (("wcs",), True), (("hsps",), False)])
+def test_rounding_sensitive_mus_search_as_each_mu_alone(monkeypatch, sources, include_ideal):
+    cfgs = _mu_cfgs(ROUNDING_MUS, sources=sources, include_ideal=include_ideal,
+                    dist_stop_km=170.0, dist_step_km=2.0)
+    jobs = [(k, ideal) for k in sources for ideal in (False, True)[:1 + include_ideal]]
+    distances = distance_grid(cfgs[0])
+    alone = [_searched_mu_primes(cfg, distances, jobs) for cfg in cfgs]
+    calls = _count_search(monkeypatch)
+    assert optimizer_module._search_all(cfgs, _mu_rows(cfgs, distances, jobs), jobs) == alone
+    assert calls["refine"] == 1
+    points = sweep_distances(*cfgs)
+    assert [p.mu_prime for p in points] == [
+        p.mu_prime for cfg in cfgs for p in sweep_distances(cfg)]
+
+
+@pytest.mark.parametrize("sources", [("hsps", "wcs"), ("wcs",)])
+def test_one_refinement_rates_every_row_as_its_own_search(monkeypatch, sources):
+    # the picked mu' can survive a last-place change of the rates; the rates must not change
+    cfgs = _mu_cfgs(ROUNDING_MUS, sources=sources, dist_stop_km=170.0, dist_step_km=2.0)
+    jobs, distances = [(k, ideal) for k in sources for ideal in (False, True)], distance_grid(cfgs[0])
+    rows = _mu_rows(cfgs, distances, jobs)
+    refined, refine = [], optimizer_module._refine
+    monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refined.append(fn) or refine(fn, *args))
+    optimizer_module._search_all(cfgs, rows, jobs)
+    shape = (len(jobs), len(cfgs), len(distances), 2)
+    probe = np.random.default_rng(3).uniform(0.29, 1.0, shape)
+    (joint,) = refined
+    got = joint(probe.reshape(-1, 2)).reshape(shape)
+    for c, (cfg, r) in enumerate(zip(cfgs, rows)):
+        own = optimizer_module._jobs_rate(cfg, r, jobs)(probe[:, c].reshape(-1, 2))
+        assert own.tobytes() == got[:, c].reshape(-1, 2).tobytes(), cfg.mu
+
+
+def test_figure1_makes_one_refinement_pass(monkeypatch, tmp_path):
+    # 5 coarse blocks per mu and one golden section of 1 + 12 + 1 calls, against
+    # 3 x 19 calls and 3 x 181 exact terms for three sweeps
+    calls = _count_search(monkeypatch)
+    assert main(["figure", "1", "--out", str(tmp_path)]) == 0
+    assert calls["golden"] == 1 and calls["rate calls"] == 29 and calls["exact"] == 181
+
+
+def test_configurations_swept_together_differ_only_in_mu():
+    with pytest.raises(ValueError, match="differ only in mu and mu_prime_min"):
+        sweep_distances(_cfg(mu=0.05), _cfg(mu=0.1, eta_a=0.6))
+    with pytest.raises(ValueError, match="differ only"):
+        sweep_distances(_cfg(), _cfg(dist_stop_km=90.0))
+    # mu_prime_min may differ, derived or given
+    cfgs = [_cfg(mu=0.05, dist_stop_km=30.0), _cfg(mu=0.02, mu_prime_min=0.2, dist_stop_km=30.0)]
+    assert sweep_distances(*cfgs) == sweep_distances(cfgs[0]) + sweep_distances(cfgs[1])
+
+
+@pytest.mark.parametrize("block_cells", [50, 1000, 1 << 13])
+def test_rows_too_many_for_one_chunk_are_searched_apart(monkeypatch, block_cells):
+    # 25 and 500 rows per chunk hold 2 x 2 x 91 rows of one mu, not of three
+    cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps", "wcs"), dist_step_km=2.0)
+    alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
+    monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+    calls = _count_search(monkeypatch)
+    assert sweep_distances(*cfgs) == alone
+    assert calls["golden"] == (1 if block_cells == 1 << 13 else 3 * -(-364 // (block_cells // 2)))
 
 
 # ---------------------------------------------------------------------------
