@@ -161,15 +161,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args, preset: dict | None = None, forced: dict | None = None) -> SweepConfig:
-    """File, preset, flag and then forced values; a forced None keeps the key's default."""
+def _user_values(args) -> tuple[dict[str, str], dict[str, str]]:
     file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = dict(parse_override(item) for item in args.override)
+    cli_values = {}
+    for item in args.override:
+        key, value = parse_override(item)
+        cli_values[key] = value
+    return file_values, cli_values
+
+
+def _build_config(
+    args, preset: dict[str, str] | None = None, forced: dict[str, str | None] | None = None
+) -> SweepConfig:
+    """File, preset, flag and then forced values; a forced None keeps the key's default."""
+    file_values, cli_values = _user_values(args)
     for key in forced or {}:
         if key in cli_values:
             raise ConfigError(f"--override {key} is not allowed: figure {args.number} fixes {key!r}")
-    merged = {**file_values, **(preset or {}), **cli_values, **(forced or {})}
-    return resolve_config({k: v for k, v in merged.items() if v is not None})
+    merged: dict[str, str | None] = {}
+    merged.update(file_values)
+    merged.update(preset or {})
+    merged.update(cli_values)
+    merged.update(forced or {})
+    return resolve_config({key: value for key, value in merged.items() if value is not None})
 
 
 def _ensure_outdir(out: str) -> Path:
@@ -199,32 +213,54 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     if args.number == 1:
         preset = {"eta_a": "0.8", "d_a": "1e-05"}
-        # each mu searches from its own default mu_prime_min = mu + mu_prime_coarse_step
-        cfgs = [_build_config(args, preset, {"mu": repr(mu), "mu_prime_min": None, "sources": "hsps,ideal"})
-                for mu in _FIGURE1_MUS]
-        points = sweep_distances(*cfgs)
-        n = len(points) // len(cfgs)
-        sweeps = [points[k * n:(k + 1) * n] for k in range(len(cfgs))]
-        distances, series = [p.distance_km for p in sweeps[0]], {"ideal": [p.ideal_rate for p in sweeps[0]]}
-        series.update({f"mu_{mu:g}": [p.key_rate for p in s] for mu, s in zip(_FIGURE1_MUS, sweeps)})
+        # each mu searches from its own default mu_prime_min, mu + mu_prime_coarse_step
+        forced = {"mu_prime_min": None, "sources": "hsps,ideal"}
+        cfgs = [_build_config(args, preset, {"mu": repr(mu), **forced}) for mu in _FIGURE1_MUS]
+        all_points = sweep_distances(*cfgs)
+        n = len(all_points) // len(cfgs)
+        sweeps = [all_points[k * n:(k + 1) * n] for k in range(len(cfgs))]
         cfg = cfgs[-1]
+        header = ["distance_km", "log10_rate_ideal"] + [
+            f"log10_rate_mu_{mu:g}" for mu in _FIGURE1_MUS
+        ]
+        rows = []
+        for i, p in enumerate(sweeps[0]):
+            rows.append(
+                [p.distance_km, _log10_or_neg_inf(p.ideal_rate)]
+                + [_log10_or_neg_inf(s[i].key_rate) for s in sweeps]
+            )
         intensities = {"mu": list(_FIGURE1_MUS), "mu_prime_min": [c.mu_prime_min for c in cfgs]}
     else:
         eta_a = "0.8" if args.number == 2 else "0.6"
         preset = {"mu": "0.05", "eta_a": eta_a, "d_a": "1e-05"}
         cfg = _build_config(args, preset, forced={"sources": "hsps,wcs,ideal"})
-        points, series, intensities = sweep_distances(cfg), {}, None
-        distances = [p.distance_km for p in points if p.source_kind == "hsps"]
-        for kind in ("hsps", "wcs"):
-            series[f"{kind}_ideal"] = [p.ideal_rate for p in points if p.source_kind == kind]
-            series[kind] = [p.key_rate for p in points if p.source_kind == kind]
-    header = ["distance_km"] + [f"log10_rate_{name}" for name in series]
-    rows = [[d] + [_log10_or_neg_inf(rates[i]) for rates in series.values()] for i, d in enumerate(distances)]
+        points = sweep_distances(cfg)
+        hsps = [p for p in points if p.source_kind == "hsps"]
+        wcs = [p for p in points if p.source_kind == "wcs"]
+        header = [
+            "distance_km",
+            "log10_rate_hsps_ideal",
+            "log10_rate_hsps",
+            "log10_rate_wcs_ideal",
+            "log10_rate_wcs",
+        ]
+        rows = [
+            [
+                h.distance_km,
+                _log10_or_neg_inf(h.ideal_rate),
+                _log10_or_neg_inf(h.key_rate),
+                _log10_or_neg_inf(w.ideal_rate),
+                _log10_or_neg_inf(w.key_rate),
+            ]
+            for h, w in zip(hsps, wcs)
+        ]
+        all_points = points
+        intensities = None
     wide_name = f"figure{args.number}.csv"
     points_name = f"figure{args.number}_points.csv"
     outdir = _ensure_outdir(args.out)
     _write_wide_csv(outdir / wide_name, header, rows)
-    emit_csv(points, outdir / points_name)
+    emit_csv(all_points, outdir / points_name)
     return _finish(outdir, cfg, [wide_name, points_name], intensities)
 
 

@@ -417,9 +417,12 @@ def _rows(cfg: SweepConfig, distances, jobs, shared: _Rows | None = None) -> _Ro
 
 def _join(parts: list[_Rows]) -> _Rows:
     """The rows of parts, part after part, as one _Rows."""
-    return _Rows([e for p in parts for e in p.eta], [t for p in parts for t in p.exact],
-                 {k: [d for p in parts for d in p.decoy[k]] for k in parts[0].decoy},
-                 {k: tuple(map(np.concatenate, zip(*(p.cols[k] for p in parts)))) for k in parts[0].cols})
+    return _Rows(
+        [e for p in parts for e in p.eta],
+        [t for p in parts for t in p.exact],
+        {k: [d for p in parts for d in p.decoy[k]] for k in parts[0].decoy},
+        {k: tuple(np.concatenate(c) for c in zip(*(p.cols[k] for p in parts))) for k in parts[0].cols},
+    )
 
 
 def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, segments, offset: int, mu=None):
@@ -529,7 +532,9 @@ def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
     rows += [_rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
     points = []
     for cfg, r, mu_primes in zip(cfgs, rows, _search_all(cfgs, rows, jobs)):
-        ch, searched, sources = cfg.channel, dict(zip(jobs, mu_primes)), [_source(cfg, k) for k in kinds]
+        ch = cfg.channel
+        searched = dict(zip(jobs, mu_primes))
+        sources = [_source(cfg, kind) for kind in kinds]
         for i, (distance, eta) in enumerate(zip(distances, r.eta)):
             for kind, src in zip(kinds, sources):
                 mu_prime = searched[kind, False][i]

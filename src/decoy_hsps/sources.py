@@ -129,11 +129,7 @@ class TriggeredSource:
 
     def y1_raw(self, xp, y0, ty_mu, ty_mu_prime, mu, mu_prime, mu_terms=None):
         """Unclamped Y1 bound from the rescaled-yield constraints (see bounds)."""
-        if mu_terms is None:  # mu_terms(xp, mu), inline on the scalar chain's path
-            one_mu = 1.0 + mu
-            square, cube = one_mu ** 2, one_mu ** 3
-        else:
-            square, cube = mu_terms
+        square, cube = self.mu_terms(xp, mu) if mu_terms is None else mu_terms
         up, down = mu_prime / mu, mu / mu_prime
         one_mu_prime = 1.0 + mu_prime
         lead = up * cube * ty_mu - down * one_mu_prime ** 3 * ty_mu_prime
@@ -178,10 +174,7 @@ class CoherentSource:
 
     def y1_raw(self, xp, y0, q_mu, q_mu_prime, mu, mu_prime, mu_terms=None):
         """Unclamped Y1 bound from the two Poissonian gain constraints."""
-        if mu_terms is None:  # mu_terms(xp, mu), inline on the scalar chain's path
-            exp_mu, mu_sq = xp.exp(mu), mu**2
-        else:
-            exp_mu, mu_sq = mu_terms
+        exp_mu, mu_sq = self.mu_terms(xp, mu) if mu_terms is None else mu_terms
         num = (mu_prime**2 * (q_mu * exp_mu) - mu_sq * (q_mu_prime * xp.exp(mu_prime))
                - y0 * (mu_prime**2 - mu_sq))
         return num / (mu * mu_prime * (mu_prime - mu))
