@@ -28,7 +28,6 @@ from .bounds import (
     KeyRatePoint,
     SecurityBounds,
     compute_bounds,
-    hsps_elimination_coefficient,
     ideal_rate,
     key_rate,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "KeyRatePoint",
     "SecurityBounds",
     "compute_bounds",
-    "hsps_elimination_coefficient",
     "ideal_rate",
     "key_rate",
     "SweepConfig",

@@ -11,8 +11,8 @@ Weighting the decoy constraint by (1+mu)*v^2 and the signal constraint by
 which is positive at n=1, cancels identically at n=2, and is negative for
 every n >= 3 whenever mu' > mu. Dropping the negative terms and solving
 for Y1 yields the bound; the same elimination applied to Poissonian
-constraints gives the weak-coherent-state (WCS) bound. Both coefficient
-functions are exported so the algebra itself is machine-checked in tests.
+constraints gives the weak-coherent-state (WCS) bound. tests/oracles.py
+writes both coefficients out, so the algebra itself is machine-checked.
 
 From Y1 follow the single-photon fraction among the signal clicks, an
 upper bound on the single-photon QBER (evaluated at the decoy intensity
@@ -135,32 +135,6 @@ def _check_ordering(mu: float, mu_prime: float):
 
 
 # ---------------------------------------------------------------------------
-# elimination coefficients (the machine-checked derivation steps)
-
-def hsps_elimination_coefficient(n: int, mu: float, mu_prime: float, eta_a: float) -> float:
-    """Coefficient of the n-photon yield after the two-constraint elimination.
-
-    Zero at n = 2 (the elimination is built to cancel it) and strictly
-    negative for n >= 3 when mu' > mu, which is what makes dropping the
-    multi-photon terms a valid lower bound.
-    """
-    if n < 1:
-        raise ValueError(f"photon number n must be >= 1, got {n}")
-    _check_ordering(mu, mu_prime)
-    u = mu / (1.0 + mu)
-    v = mu_prime / (1.0 + mu_prime)
-    return (1.0 - (1.0 - eta_a) ** n) * (v * v * u**n - u * u * v**n)
-
-
-def wcs_elimination_coefficient(n: int, mu: float, mu_prime: float) -> float:
-    """Poissonian counterpart of hsps_elimination_coefficient."""
-    if n < 1:
-        raise ValueError(f"photon number n must be >= 1, got {n}")
-    _check_ordering(mu, mu_prime)
-    return (mu_prime**2 * mu**n - mu**2 * mu_prime**n) / math.factorial(n)
-
-
-# ---------------------------------------------------------------------------
 # single-photon bounds
 
 def _single_photon_bounds(xp, src, raw_y1, e1_mass, mu, mu_prime, ty_mu_prime):
@@ -247,14 +221,14 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f, mu_terms=None):
+def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f, mu_terms):
     """The clamped key rate of compute_bounds and key_rate, on numpy arrays.
 
     Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
     values) and src.signal's yield ty and QBER e at mu_prime, which
-    broadcasts against them; mu is a float, or a column with mu_terms'.
-    Cells whose raw Y1 is not positive are masked to 0, so the caller
-    decides what numpy does on them before the mask.
+    broadcasts against them; mu and its src.mu_terms, taken on floats, are
+    floats or columns alike. Cells whose raw Y1 is not positive are masked
+    to 0, so the caller decides what numpy does on them before the mask.
     """
     raw_y1 = src.y1_raw(ARRAYS, y0, ty_mu, ty, mu, mu_prime, mu_terms)
     _, delta1, e1, _, _ = _single_photon_bounds(ARRAYS, src, raw_y1, e1_mass, mu, mu_prime, ty)

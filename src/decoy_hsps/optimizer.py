@@ -7,32 +7,30 @@ key_rate_point is the search at one distance: a sweep of that distance
 alone, reporting mu', the rate and the ideal benchmark. Where no mu'
 gives a positive rate, mu' is mu_prime_min and the rate 0.
 
-A sweep builds its rows once (_Rows): per distance the overall
-transmittance and the benchmark's exact single-photon terms, and per
-source kind the decoy signal triple and e1 mass, all on Python floats.
-One search then takes every distance, source kind and ideal benchmark at
-once: each (source kind, bounded or ideal) job adds one row per distance
-to a 2-D array of rows by mu' columns, and every row runs the same coarse
-scan and golden-section steps in lockstep, boolean masks standing in for
-the scalar branches. A source's bounded and ideal rows share one rate
+Every search takes one path: a list of parts, each one configuration's
+rows (_Rows) with its terms computed once on Python floats: per distance
+the overall transmittance and the benchmark's exact single-photon terms,
+per source kind the decoy signal triple and e1 mass, and the
+configuration's mu, mu_prime_min and y1_raw's terms in mu alone. Each
+(source kind, bounded or ideal) job adds one row per entry to a 2-D array
+of rows by mu' columns. _scan coarse-scans each part over its own
+candidates at its float mu; _search joins the parts (_join makes columns
+of what differs between them) and refines every row in one golden-section
+pass. Both go in chunks that hold every job of an entry, and a chunk's
+rows take the same steps in lockstep, boolean masks standing in for the
+scalar branches. A source's bounded and ideal rows share one rate
 callable, which evaluates the source's signal at mu' once per step. The
-coarse scan's sequential tie rule is applied to a whole block of columns
-at once (_record_scan); only a row with a rate within RATE_TIE_TOL of its
-block's top, or a NaN, walks the columns one by one. A row's search never
-reads another row, so stacking jobs does not move any row's mu'.
+coarse scan's tie rule is applied to a whole block of columns at once
+(_record_scan); only a row with a rate within RATE_TIE_TOL of its block's
+top, or a NaN, walks the columns one by one. A row's search never reads
+another row, so neither parts nor chunks move any row's mu'.
 
-Configurations that differ only in mu and mu_prime_min, as figure 1's
-three decoy intensities, make one sweep (_search_all). Their rows share
-the transmittances and exact terms; each coarse-scans at its own float
-mu, and one golden-section pass refines them all, from columns of each
-row's mu_prime_min, mu and source mu_terms taken on floats.
-
-A cut-off (max_secure_distance) coarse-scans its distance grid, takes
-the bracket after the last grid point with a positive coarse rate as the
-guess of where the cut-off lies, coarse-scans every bisection midpoint
-in that bracket, and refines the grid and midpoint rows in one
-golden-section pass. A midpoint the guess missed gets a batch search of
-its own, so the guess moves no result, only the number of rate calls.
+A sweep is one part per configuration; figure 1's three decoy
+intensities share their transmittances and exact terms. A cut-off
+(max_secure_distance) is two parts: its distance grid, and the bisection
+midpoints of the bracket after the grid's last positive coarse rate. A
+midpoint this guess missed is one part of its own, so the guess moves no
+result, only the number of rate calls.
 
 The search's rates are the scalar chain's own source-generic core run on
 numpy arrays, and they only pick mu'. Every reported rate, observable and
@@ -48,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -86,10 +85,10 @@ REFINE_TOL = 1e-4
 # Grids with more points than this are refused before any is built.
 MAX_GRID_POINTS = 10**6
 
-# A rate call evaluates at most this many (distance, mu') cells: the coarse
-# scan goes in blocks of columns, and a search takes at most half this
-# many distances, as the golden section opens with two probes a row. So
-# peak memory does not grow with either grid. At 2^13 cells
+# A rate call evaluates at most this many (row, mu') cells: the coarse
+# scan goes in blocks of columns, and a chunk holds at most half this
+# many rows (at least one distance's), as the golden section opens with
+# two probes a row. So peak memory does not grow with either grid. At 2^13 cells
 # a float64 temporary (64 KB) stays below glibc's default mmap threshold
 # and is reused: a pass of the three figures (181 x 95 cells per sweep)
 # peaked 1.9 MB above the imported package, against 3.1 MB with 2^16.
@@ -302,21 +301,21 @@ def _coarse_scan(rate_fn, rows: int, cfg: SweepConfig):
     return best_x, best_f
 
 
-def _refine(rate_fn, best_x, best_f, cfg: SweepConfig, mu_prime_min=None):
-    """Golden-section refinement of every row's best coarse cell.
+def _refine(rate_fn, best_x, best_f, cfg: SweepConfig, mu_prime_min):
+    """Golden-section refinement of every row's best coarse cell, from its own mu_prime_min up.
 
-    rate_fn maps a (rows, k) array of mu' to the rates of each row at its
-    own k points, from mu_prime_min (cfg's unless given per row) on. A
-    refined point replaces the coarse best only if it beats it by more than
-    RATE_TIE_TOL, or ties it at a smaller mu', so a row's rate is never
-    below any coarse candidate it examined.
+    The rows are best_x's cells in C order, and mu_prime_min broadcasts
+    against it. rate_fn maps a (rows, k) array of mu' to each row's rates at
+    its own k points. A refined point replaces the coarse best only if it
+    beats it by more than RATE_TIE_TOL, or ties it at a smaller mu', so a
+    row's rate is never below any coarse candidate it examined.
     """
-    lo = cfg.mu_prime_min if mu_prime_min is None else mu_prime_min
-    a = np.maximum(lo, best_x - cfg.mu_prime_coarse_step)
+    a = np.maximum(mu_prime_min, best_x - cfg.mu_prime_coarse_step)
     b = np.minimum(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
     refine = b - a > REFINE_TOL
     if refine.any():
-        xr, fr = golden_section_maximize(rate_fn, a, b, REFINE_TOL)
+        xr, fr = golden_section_maximize(rate_fn, a.ravel(), b.ravel(), REFINE_TOL)
+        xr, fr = xr.reshape(a.shape), fr.reshape(a.shape)
         with np.errstate(invalid="ignore"):  # inf - inf when a rate is infinite
             take = refine & (
                 (fr > best_f + RATE_TIE_TOL)
@@ -325,16 +324,6 @@ def _refine(rate_fn, best_x, best_f, cfg: SweepConfig, mu_prime_min=None):
         best_x = np.where(take, xr, best_x)
         best_f = np.where(take, fr, best_f)
     return best_x, best_f
-
-
-def maximize_over_mu_prime(rate_fn, rows: int, cfg: SweepConfig):
-    """The per-row mu' and rate arrays of _coarse_scan, then _refine.
-
-    rate_fn maps a 2-D array of mu' that broadcasts against (rows, 1) to
-    the rates of all rows at those mu', one row per distance.
-    """
-    best_x, best_f = _coarse_scan(rate_fn, rows, cfg)
-    return _refine(rate_fn, best_x, best_f, cfg)
 
 
 def rate_and_feasibility(
@@ -387,13 +376,18 @@ class _Rows(NamedTuple):
 
     Floats: eta, exact's (Y1, H(e1)) and, per source kind, decoy's signal
     triple at mu. cols: the search's (rows, 1) columns of eta, exact and,
-    per source kind, decoy yield and e1 mass.
+    per source kind, decoy yield and e1 mass. mu, mu_terms (per source kind)
+    and mu_prime_min: floats, or once _join has joined parts that differ in
+    them, (rows, 1) columns and a 1-D array of rows.
     """
 
     eta: list[float]
     exact: list[tuple[float, float]]
     decoy: dict[str, list[tuple[float, float, float]]]
     cols: dict[str, tuple[np.ndarray, ...]]
+    mu: float | np.ndarray
+    mu_terms: dict[str, tuple]
+    mu_prime_min: float | np.ndarray
 
 
 def _rows(cfg: SweepConfig, distances, jobs, shared: _Rows | None = None) -> _Rows:
@@ -405,135 +399,132 @@ def _rows(cfg: SweepConfig, distances, jobs, shared: _Rows | None = None) -> _Ro
     if shared is None:
         eta = [fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances]
         exact = [_exact_single_photon(ch, e) for e in eta] if any(ideal for _, ideal in jobs) else []
-        shared = _Rows(eta, exact, {}, {"eta": (_column(eta),), "exact": tuple(map(_column, zip(*exact)))})
-    rows = _Rows(shared.eta, shared.exact, {}, {k: shared.cols[k] for k in ("eta", "exact")})
+        cols = {"eta": (_column(eta),), "exact": tuple(map(_column, zip(*exact)))}
+    else:
+        eta, exact = shared.eta, shared.exact
+        cols = {k: shared.cols[k] for k in ("eta", "exact")}
+    rows = _Rows(eta, exact, {}, cols, cfg.mu, {}, cfg.mu_prime_min)
     for kind in dict.fromkeys(kind for kind, ideal in jobs if not ideal):
         src = _source(cfg, kind)
-        decoy = rows.decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in rows.eta]
+        decoy = rows.decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in eta]
         e1_mass = [src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy]
         rows.cols[kind] = (_column([ty for _, ty, _ in decoy]), _column(e1_mass))
+        rows.mu_terms[kind] = src.mu_terms(FLOATS, cfg.mu)
     return rows
 
 
 def _join(parts: list[_Rows]) -> _Rows:
-    """The rows of parts, part after part, as one _Rows."""
-    return _Rows(
-        [e for p in parts for e in p.eta],
-        [t for p in parts for t in p.exact],
-        {k: [d for p in parts for d in p.decoy[k]] for k in parts[0].decoy},
-        {k: tuple(np.concatenate(c) for c in zip(*(p.cols[k] for p in parts))) for k in parts[0].cols},
-    )
+    """What a search reads of parts' rows, part after part, as one _Rows.
 
-
-def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, segments, offset: int, mu=None):
-    """One rate callable over a source kind's rows, bounded and ideal alike.
-
-    segments lists (ideal, first, end) ranges of rows, in row order, from
-    the search's row offset on; bounded rows are at cfg.mu, or at mu, their
-    columns of mu and mu_terms. A call evaluates the source's signal at mu'
-    once for them all; in the coarse scan, where every row sees the same
-    mu', once per distance if the segments cover the same distances. The
-    search sees the scalar rates up to the last place of numpy's exp/log/pow.
+    A value the parts share stays a float. A report reads eta, exact and
+    decoy part by part, so the joined rows leave them empty.
     """
-    ch, f, src, eta = cfg.channel, cfg.f_ec, _source(cfg, kind), rows.cols["eta"][0]
-    shared = all(seg[1:] == segments[0][1:] for seg in segments)
-    parts, end = [], 0  # each segment's rows, mu'-independent columns and mu
-    for ideal, lo, hi in segments:
-        terms = [c[lo:hi] for c in rows.cols["exact" if ideal else kind]]
-        at = (cfg.mu, None) if mu is None else (mu[0][lo:hi], [c[lo:hi] for c in mu[1:]])
-        parts.append((end, end + hi - lo, ideal, *terms, *at))
-        end += hi - lo
-    etas = [eta[lo:hi] for _, lo, hi in segments]
-    once_eta, every_eta = etas[0], np.concatenate(etas)
+    if len(parts) == 1:
+        return parts[0]
+    sizes = [len(p.eta) for p in parts]
+    mu, mu_terms, mu_prime_min = parts[0].mu, parts[0].mu_terms, parts[0].mu_prime_min
+    if any(p.mu != mu for p in parts):  # a float spares the rate arithmetic a broadcast column
+        mu = np.repeat([p.mu for p in parts], sizes)[:, None]
+        mu_terms = {k: tuple(np.repeat(t, sizes)[:, None] for t in zip(*(p.mu_terms[k] for p in parts)))
+                    for k in mu_terms}
+    if any(p.mu_prime_min != mu_prime_min for p in parts):
+        mu_prime_min = np.repeat([p.mu_prime_min for p in parts], sizes)
+    cols = {k: tuple(np.concatenate(c) for c in zip(*(p.cols[k] for p in parts))) for k in parts[0].cols}
+    return _Rows([], [], {}, cols, mu, mu_terms, mu_prime_min)
+
+
+def _take(value, entries: slice):
+    """A joined array's entries, or the float its parts share."""
+    return value[entries] if isinstance(value, np.ndarray) else value
+
+
+def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice, span: slice):
+    """One rate callable over a source kind's rows of entries, one block per flag of ideals.
+
+    In the refinement its rows are span of the search's rows. A call
+    evaluates the source's signal at mu' once for them all (once per entry
+    in the coarse scan, where every row sees the same mu'). The search sees
+    the scalar rates up to the last place of numpy's exp/log/pow.
+    """
+    ch, f, src = cfg.channel, cfg.f_ec, _source(cfg, kind)
+    eta, n = rows.cols["eta"][0][entries], entries.stop - entries.start
+    every_eta = np.concatenate([eta] * len(ideals))
+    terms = [[c[entries] for c in rows.cols["exact" if ideal else kind]] for ideal in ideals]
+    mu = _take(rows.mu, entries)
+    mu_terms = [_take(t, entries) for t in rows.mu_terms.get(kind, ())]
 
     def rate(mu_prime):
         each = mu_prime.shape[0] > 1
-        once = shared and not each
-        mu_prime = mu_prime[offset:offset + end] if each else mu_prime
+        mu_prime = mu_prime[span] if each else mu_prime
         with np.errstate(all="ignore"):
-            _, ty, e = src.signal(ARRAYS, mu_prime, once_eta if once else every_eta, ch)
+            _, ty, e = src.signal(ARRAYS, mu_prime, every_eta if each else eta, ch)
             out = []
-            for a, b, ideal, t1, t2, m, mu_terms in parts:
-                r = slice(0, b - a) if once else slice(a, b)
+            for i, (ideal, (t1, t2)) in enumerate(zip(ideals, terms)):
+                r = slice(i * n, (i + 1) * n) if each else slice(None)
                 x = mu_prime[r] if each else mu_prime
                 out.append(_benchmark_rate(ARRAYS, src, x, ty[r], e[r], t1, t2, f) if ideal
-                           else _search_rate(src, ch.d_b, t1, t2, m, x, ty[r], e[r], f, mu_terms))
+                           else _search_rate(src, ch.d_b, t1, t2, mu, x, ty[r], e[r], f, mu_terms))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate
 
 
-def _jobs_rate(cfg: SweepConfig, rows: _Rows, jobs, start: int = 0, stop: int | None = None, mu=None):
-    """Rate of the jobs' rows start to stop (all); a kind's adjacent jobs share a _rate_array."""
-    n, runs = len(rows.eta), []  # (source kind, segments, first row) of adjacent jobs of one kind
-    stop = n * len(jobs) if stop is None else stop
-    for j, (kind, ideal) in enumerate(jobs):
-        lo, hi = max(start - j * n, 0), min(stop - j * n, n)
-        if lo < hi:
-            if not runs or runs[-1][0] != kind:
-                runs.append((kind, [], j * n + lo - start))
-            runs[-1][1].append((ideal, lo, hi))
-    fns = [_rate_array(cfg, rows, kind, segs, first, mu and mu.get(kind)) for kind, segs, first in runs]
-    return fns[0] if len(fns) == 1 else lambda x: np.concatenate([fn(x) for fn in fns])
+def _jobs_rate(cfg: SweepConfig, rows: _Rows, jobs, entries: slice):
+    """Rate callable of rows' entries for every job, job after job; a kind's adjacent jobs share one."""
+    runs = [(kind, [ideal for _, ideal in run]) for kind, run in groupby(jobs, lambda job: job[0])]
+    ends = list(accumulate((entries.stop - entries.start) * len(ideals) for _, ideals in runs))
+    fns = [_rate_array(cfg, rows, kind, ideals, entries, slice(a, b))
+           for (kind, ideals), a, b in zip(runs, [0] + ends, ends)]
+    return fns[0] if len(fns) == 1 else lambda mu_prime: np.concatenate([fn(mu_prime) for fn in fns])
 
 
-def _chunk_rows() -> int:
-    """Rows per search: the golden section's opening call rates 2 cells a row."""
-    return max(1, _BLOCK_CELLS // 2)
+def _chunks(n: int, jobs) -> list[slice]:
+    """Slices of n entries whose rows of every job make at most _BLOCK_CELLS / 2, or one entry's."""
+    size = max(1, _BLOCK_CELLS // (2 * len(jobs)))
+    return [slice(lo, min(n, lo + size)) for lo in range(0, n, size)]
 
 
-def _search(cfg: SweepConfig, rows: _Rows, jobs: list[tuple[str, bool]]) -> list[list[float]]:
-    """The searched mu' of every row for every (source kind, ideal) job.
+def _scan(cfg: SweepConfig, rows: _Rows, jobs):
+    """One part of a search: rows and their (jobs, entries) arrays of best coarse mu' and rate."""
+    best = np.empty((2, len(jobs), len(rows.eta)))
+    for c in _chunks(len(rows.eta), jobs):
+        scan = _coarse_scan(_jobs_rate(cfg, rows, jobs, c), len(jobs) * (c.stop - c.start), cfg)
+        best[:, :, c] = np.reshape(scan, (2, len(jobs), -1))
+    return rows, best[0], best[1]
 
-    The rows of all jobs, job after job, go through one search in chunks of
-    at most _chunk_rows() rows. A row's search never looks at another row,
-    so every row picks the mu' it would pick alone.
+
+def _search(cfg: SweepConfig, parts, jobs) -> list[np.ndarray]:
+    """The searched mu' per (job, entry) of every part, one (jobs, entries) array per part.
+
+    parts are _scan's (rows, best mu', best rate). _join joins their rows,
+    and one golden-section pass in _chunks refines them all; a row's search
+    never reads another row, so each picks the mu' it would pick alone.
     """
-    n, chunk = len(rows.eta), _chunk_rows()
-    total, mu_primes = n * len(jobs), []
-    for start in range(0, total, chunk):
-        stop = min(total, start + chunk)
-        best_x, _ = maximize_over_mu_prime(_jobs_rate(cfg, rows, jobs, start, stop), stop - start, cfg)
-        mu_primes.extend(best_x.tolist())
-    return [mu_primes[j * n:(j + 1) * n] for j in range(len(jobs))]
-
-
-def _search_all(cfgs, rows: list[_Rows], jobs) -> list[list[list[float]]]:
-    """_search of each configuration's rows, refined in one golden-section pass.
-
-    The refinement takes the rows job after job, and within a job
-    configuration after configuration. Rows too many for one chunk are
-    searched apart.
-    """
-    n, jobs_n, cfgs_n = len(rows[0].eta), len(jobs), len(cfgs)
-    if cfgs_n == 1 or not 0 < n * jobs_n * cfgs_n <= _chunk_rows():
-        return [_search(cfg, r, jobs) for cfg, r in zip(cfgs, rows)]
-    scans = [_coarse_scan(_jobs_rate(c, r, jobs), n * jobs_n, c) for c, r in zip(cfgs, rows)]
-    best_x, best_f = (np.reshape(s, (cfgs_n, jobs_n, n)).transpose(1, 0, 2).ravel() for s in zip(*scans))
-    mu = {}  # per source kind, columns of each row's mu and mu_terms, taken on floats
-    for kind in rows[0].decoy:
-        per_cfg = [(c.mu, *_source(c, kind).mu_terms(FLOATS, c.mu)) for c in cfgs]
-        mu[kind] = [np.repeat(t, n)[:, None] for t in zip(*per_cfg)]
-    mu_prime_min = np.repeat(np.tile([c.mu_prime_min for c in cfgs], jobs_n), n)
-    rate = _jobs_rate(cfgs[0], _join(rows), jobs, mu=mu)
-    mu_primes = _refine(rate, best_x, best_f, cfgs[0], mu_prime_min)[0]
-    return mu_primes.reshape(jobs_n, cfgs_n, n).transpose(1, 0, 2).tolist()
+    rows = _join([r for r, _, _ in parts])
+    best_x = np.concatenate([x for _, x, _ in parts], axis=1)
+    best_f = np.concatenate([f for _, _, f in parts], axis=1)
+    for c in _chunks(best_x.shape[1], jobs):
+        rate = _jobs_rate(cfg, rows, jobs, c)
+        best_x[:, c] = _refine(rate, best_x[:, c], best_f[:, c], cfg, _take(rows.mu_prime_min, c))[0]
+    sizes = [len(r.eta) for r, _, _ in parts]
+    return [best_x[:, end - n:end] for n, end in zip(sizes, accumulate(sizes))]
 
 
 def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
     """Fully evaluated samples of each configuration, one per distance per source kind, distance-major.
 
-    One search picks every mu' (bounded and, when enabled, ideal); the
-    reported values are then evaluated by the scalar chain's row core at
-    those mu', from the same rows the search read.
+    Each configuration is one part of one search, which picks every mu'
+    (bounded and, when enabled, ideal); the scalar chain's row core then
+    evaluates the reported values at those mu', from the rows it read.
     """
     jobs = [(kind, ideal) for kind in kinds for ideal in (False, True)[:1 + cfgs[0].include_ideal]]
     rows = [_rows(cfgs[0], distances, jobs)]
     rows += [_rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
+    parts = [_scan(cfg, r, jobs) for cfg, r in zip(cfgs, rows)]
     points = []
-    for cfg, r, mu_primes in zip(cfgs, rows, _search_all(cfgs, rows, jobs)):
+    for cfg, r, mu_primes in zip(cfgs, rows, _search(cfgs[0], parts, jobs)):
         ch = cfg.channel
-        searched = dict(zip(jobs, mu_primes))
+        searched = dict(zip(jobs, mu_primes.tolist()))
         sources = [_source(cfg, kind) for kind in kinds]
         for i, (distance, eta) in enumerate(zip(distances, r.eta)):
             for kind, src in zip(kinds, sources):
@@ -581,13 +572,6 @@ def _positive(cfg: SweepConfig, src, eta: float, decoy, mu_prime: float) -> bool
     return _point(cfg, cfg.channel, src, eta, decoy, mu_prime)[2] > 0.0
 
 
-def _searched_rows(cfg: SweepConfig, source_kind: str, distances) -> dict[float, tuple]:
-    """Each distance's (transmittance, decoy triple, searched mu'), by distance."""
-    jobs = [(source_kind, False)]
-    rows = _rows(cfg, distances, jobs)
-    return dict(zip(distances, zip(rows.eta, rows.decoy[source_kind], _search(cfg, rows, jobs)[0])))
-
-
 def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
     """Bisection midpoints of the bracket after the last positive coarse rate."""
     positive = np.flatnonzero(coarse_rates > 0.0)
@@ -597,27 +581,12 @@ def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
     return _bisection_tree(grid[k], grid[k + 1], _BISECT_LEVELS)
 
 
-def _cutoff_rows(cfg: SweepConfig, source_kind: str, grid: list[float]) -> dict[float, tuple]:
-    """_searched_rows of every grid point and of the guessed midpoints.
-
-    The grid and the _guessed_tree midpoints are coarse-scanned apart, as
-    the tree depends on the grid's coarse rates, then refined together in
-    one golden-section pass over their joined rows. An empty grid, or one
-    too long to share a chunk with a full tree, is searched alone.
-    """
-    jobs = [(source_kind, False)]
-    if not grid or len(grid) + 2**_BISECT_LEVELS - 1 > _chunk_rows():
-        return _searched_rows(cfg, source_kind, grid)
-    rows = _rows(cfg, grid, jobs)
-    best_x, best_f = _coarse_scan(_jobs_rate(cfg, rows, jobs), len(grid), cfg)
-    tree = _guessed_tree(grid, best_f)
-    if tree:
-        tree_rows = _rows(cfg, tree, jobs)
-        tree_x, tree_f = _coarse_scan(_jobs_rate(cfg, tree_rows, jobs), len(tree), cfg)
-        rows = _join([rows, tree_rows])
-        best_x, best_f = np.concatenate([best_x, tree_x]), np.concatenate([best_f, tree_f])
-    mu_primes = _refine(_jobs_rate(cfg, rows, jobs), best_x, best_f, cfg)[0].tolist()
-    return dict(zip(grid + tree, zip(rows.eta, rows.decoy[source_kind], mu_primes)))
+def _searched_rows(cfg: SweepConfig, jobs, distances, parts) -> dict[float, tuple]:
+    """Each distance of each part's distances: (transmittance, decoy triple, searched mu')."""
+    searched = {}
+    for ds, (rows, _, _), mu_primes in zip(distances, parts, _search(cfg, parts, jobs)):
+        searched.update(zip(ds, zip(rows.eta, rows.decoy[jobs[0][0]], mu_primes[0].tolist())))
+    return searched
 
 
 def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | None:
@@ -628,16 +597,22 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     the grid end when the rate is still positive there. Between that point
     and the next one a bisection refines the cut-off down to 0.1 km,
     judging the scalar rate only at the midpoints it reaches, from the
-    rows the search read. _cutoff_rows searches the grid and the guessed
-    midpoints in one pass. A midpoint it did not cover (a missed guess, a
-    deeper bracket, or a grid over the chunk limit) is searched with every
-    midpoint of its next _BISECT_LEVELS levels at once. A row's search
-    never reads another row, so this returns exactly what probing one
-    midpoint at a time would, whether or not the rate falls monotonically.
+    rows the search read. One search takes two parts: the grid, and the
+    _guessed_tree midpoints of its coarse scan. A midpoint it did not cover
+    (a missed guess or a deeper bracket) is one part of its own, with every
+    midpoint of its next _BISECT_LEVELS levels. A row's search never reads
+    another row, so this returns exactly what probing one midpoint at a
+    time would, whether or not the rate falls monotonically.
     """
-    grid = distance_grid(cfg)
+    jobs = [(source_kind, False)]
     src = _source(cfg, source_kind)
-    searched = _cutoff_rows(cfg, source_kind, grid)
+    grid = distance_grid(cfg)
+    parts = [_scan(cfg, _rows(cfg, grid, jobs), jobs)]
+    _, _, coarse_rates = parts[0]
+    tree = _guessed_tree(grid, coarse_rates[0])
+    if tree:
+        parts.append(_scan(cfg, _rows(cfg, tree, jobs), jobs))
+    searched = _searched_rows(cfg, jobs, [grid, tree], parts)
     last = len(grid) - 1
     while last >= 0 and not _positive(cfg, src, *searched[grid[last]]):
         last -= 1
@@ -649,7 +624,9 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
         if mid not in searched:
-            searched.update(_searched_rows(cfg, source_kind, _bisection_tree(lo, hi, _BISECT_LEVELS)))
+            missed = _bisection_tree(lo, hi, _BISECT_LEVELS)
+            part = _scan(cfg, _rows(cfg, missed, jobs), jobs)
+            searched.update(_searched_rows(cfg, jobs, [missed], [part]))
         if _positive(cfg, src, *searched[mid]):
             lo = mid
         else:

@@ -86,16 +86,23 @@ def _coincidence_sum(x, eta_a: float, eta):
 class TriggeredSource:
     """Heralded source: thermal pairs, the heralded mode post-selected by a trigger.
 
-    eta_a: trigger-detector efficiency, in (0, 1].
+    eta_a: trigger-detector efficiency, in [ETA_A_MIN, 1].
     d_a: trigger dark-count rate per pulse, in [0, 1).
     """
 
     eta_a: float
     d_a: float
 
+    # _coincidence_sum forms 1 - eta_a and y1_raw divides by eta_a, so the
+    # rounding grows as eta_a shrinks. Against the series oracle, over x in
+    # [0.01, 1] and the default 0-180 km channel, the closed form drifts up
+    # to 3.5e-12 relative at 1e-4, 3.2e-10 at 1e-6 and 3.5e-8 at 1e-8; at
+    # 1e-16 a default sweep's Y1 bound is up to 16x the true Y1.
+    ETA_A_MIN = 1e-4
+
     def __post_init__(self):
-        if not 0.0 < self.eta_a <= 1.0:
-            raise ValueError(f"eta_a must be in (0, 1], got {self.eta_a}")
+        if not self.ETA_A_MIN <= self.eta_a <= 1.0:
+            raise ValueError(f"eta_a must be in [{self.ETA_A_MIN:g}, 1], got {self.eta_a}")
         if not 0.0 <= self.d_a < 1.0:
             raise ValueError(f"d_a must be in [0, 1), got {self.d_a}")
 

@@ -3,9 +3,10 @@
 The thermal weights and their geometric sum, truncated series over the
 photon-number distributions (the closed-form forecast terms of
 decoy_hsps.sources must agree with them), the triggered and Poissonian
-photon-number distributions themselves, and the
-exact forward constraints an experiment with given n-photon yields would
-show (the Y1 bounds are tested against them). None of this is used by
+photon-number distributions themselves, the coefficients of the n-photon
+yields after the Y1 bound's elimination, and the exact forward
+constraints an experiment with given n-photon yields would show (the Y1
+bounds are tested against them). None of this is used by
 the package. closed_form and closed_form_wcs read the package's closed
 forms at the oracles' parameters.
 """
@@ -28,6 +29,34 @@ from decoy_hsps.sources import (
 # SERIES_MAX_TERMS terms.
 SERIES_TAIL_TOL = 1e-15
 SERIES_MAX_TERMS = 500
+
+
+def hsps_elimination_coefficient(n: int, mu: float, mu_prime: float, eta_a: float) -> float:
+    """Coefficient of the n-photon yield after the two-constraint elimination.
+
+    Zero at n = 2 (the elimination is built to cancel it) and strictly
+    negative for n >= 3 when mu' > mu, which is what makes dropping the
+    multi-photon terms a valid lower bound.
+    """
+    _check_coefficient_args(n, mu, mu_prime)
+    u = mu / (1.0 + mu)
+    v = mu_prime / (1.0 + mu_prime)
+    return (1.0 - (1.0 - eta_a) ** n) * (v * v * u**n - u * u * v**n)
+
+
+def wcs_elimination_coefficient(n: int, mu: float, mu_prime: float) -> float:
+    """Poissonian counterpart of hsps_elimination_coefficient."""
+    _check_coefficient_args(n, mu, mu_prime)
+    return (mu_prime**2 * mu**n - mu**2 * mu_prime**n) / math.factorial(n)
+
+
+def _check_coefficient_args(n: int, mu: float, mu_prime: float):
+    if n < 1:
+        raise ValueError(f"photon number n must be >= 1, got {n}")
+    if not 0 < mu < mu_prime:
+        raise ValueError(
+            f"intensities must satisfy 0 < mu < mu_prime, got mu={mu}, mu_prime={mu_prime}"
+        )
 
 
 def thermal_weight(n: int, x: float) -> float:

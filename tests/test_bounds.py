@@ -13,14 +13,14 @@ from decoy_hsps.bounds import (
     compute_bounds,
     compute_hsps_bounds,
     compute_wcs_bounds,
-    hsps_elimination_coefficient,
     ideal_rate,
     key_rate,
     key_rate_hsps,
     key_rate_wcs,
-    wcs_elimination_coefficient,
 )
-from decoy_hsps.channel import ChannelParams, n_photon_click_probability, n_photon_error_rate
+from decoy_hsps.channel import (
+    ChannelParams, n_photon_click_probability, n_photon_error_rate, overall_transmittance,
+)
 from decoy_hsps.numerics import FLOATS
 from decoy_hsps.observables import (
     IntensityCounts,
@@ -29,13 +29,16 @@ from decoy_hsps.observables import (
     forecast_wcs_observables,
     statistics_from_counts,
 )
-from decoy_hsps.optimizer import rate_and_feasibility
-from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource
+from decoy_hsps.optimizer import SweepConfig, rate_and_feasibility, sweep_distances
+from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource, _coincidence_sum
 from oracles import (
     closed_form,
+    coincidence_series,
+    hsps_elimination_coefficient,
     simulate_rescaled_yield_series,
     synthesize_observables_from_yields,
     synthesize_wcs_gain_from_yields,
+    wcs_elimination_coefficient,
 )
 
 GYS = ChannelParams()
@@ -531,6 +534,25 @@ class TestMissingDecoyQber:
             key_rate(obs, bounds)
         with pytest.raises(ValueError, match=message):
             rate_and_feasibility(obs, bounds, 1.2)
+
+
+class TestTriggerEfficiencyFloor:
+    CFG = SweepConfig(eta_a=TriggeredSource.ETA_A_MIN, sources=("hsps",), include_ideal=False)
+
+    def test_sweep_at_the_floor_stays_below_true_y1(self):
+        points = sweep_distances(self.CFG)
+        assert len(points) == 181
+        for p in points:
+            true_y1 = n_photon_click_probability(1, self.CFG.channel.at_distance(p.distance_km))
+            assert p.bounds.y1_lower <= true_y1, p.distance_km
+
+    def test_closed_form_matches_the_series_at_the_floor(self):
+        eta_a, ch = TriggeredSource.ETA_A_MIN, self.CFG.channel
+        for d in (0.0, 50.0, 100.0, 180.0):
+            eta = overall_transmittance(ch.at_distance(d))
+            for x in (0.01, 0.05, 0.1, 0.3, 0.5, 1.0):
+                series = coincidence_series(x, eta_a, eta)
+                assert abs(_coincidence_sum(x, eta_a, eta) - series) <= 1e-11 * series, (d, x)
 
 
 class TestDataClassValidation:

@@ -515,6 +515,18 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert not (out / "bounds.json").exists()
 
+    @pytest.mark.parametrize("eta_a", ["1e-05", "1e-16", "1e-300"])
+    @pytest.mark.parametrize("command", ["sweep", "bounds"])
+    def test_trigger_efficiency_below_floor_is_one_line_error(self, tmp_path, capsys, command, eta_a):
+        # below TriggeredSource.ETA_A_MIN rounding lifts the Y1 bound above the true Y1
+        out = tmp_path / "run"
+        counts = ["--vacuum", "1e6,1e6,2", "--decoy", "1e6,1e5,100,3", "--signal", "1e6,3e5,600,20",
+                  "--mu", "0.1", "--mu-prime", "0.5"]
+        argv = [command, "--out", str(out), "--override", f"eta_a={eta_a}"]
+        assert main(argv + (counts if command == "bounds" else SMALL_GRID)) == 1
+        assert capsys.readouterr().err == f"error: eta_a must be in [0.0001, 1], got {float(eta_a)}\n"
+        assert not out.exists() or not any(out.iterdir())
+
     @staticmethod
     def _assert_rejected(tmp_path, capsys, overrides, key):
         out = tmp_path / "run"

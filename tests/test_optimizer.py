@@ -26,7 +26,6 @@ from decoy_hsps.optimizer import (
     golden_section_maximize,
     key_rate_point,
     max_secure_distance,
-    maximize_over_mu_prime,
     mu_prime_candidates,
     sweep_distances,
 )
@@ -42,7 +41,25 @@ def _cfg(**kwargs):
 
 def _searched_mu_primes(cfg, distances, jobs):
     """The searched mu' at every distance for every (source kind, ideal) job."""
-    return optimizer_module._search(cfg, optimizer_module._rows(cfg, distances, jobs), jobs)
+    return _searched_parts([cfg], distances, jobs)[0]
+
+
+def _searched_parts(cfgs, distances, jobs):
+    """One search of one part per configuration, as a sweep of them all makes it."""
+    parts = [optimizer_module._scan(cfg, r, jobs) for cfg, r in zip(cfgs, _mu_rows(cfgs, distances, jobs))]
+    return [mu_primes.tolist() for mu_primes in optimizer_module._search(cfgs[0], parts, jobs)]
+
+
+def _mu_rows(cfgs, distances, jobs):
+    """Each configuration's rows, as a sweep of them all builds them."""
+    rows = [optimizer_module._rows(cfgs[0], distances, jobs)]
+    return rows + [optimizer_module._rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
+
+
+def _maximize(rate_fn, rows, cfg):
+    """_coarse_scan, then _refine from cfg's mu_prime_min: one configuration's search of rate_fn."""
+    best_x, best_f = optimizer_module._coarse_scan(rate_fn, rows, cfg)
+    return optimizer_module._refine(rate_fn, best_x, best_f, cfg, cfg.mu_prime_min)
 
 
 class TestGrids:
@@ -229,11 +246,11 @@ def _serial_cutoff(cfg, kind):
 
 
 def _spy_cutoff_search(monkeypatch):
-    """Record every rate call's cells, every refinement's rows and every batch search's rows."""
+    """Record every rate call's cells, every refinement's rows and every search's part sizes."""
     cells, refined, searches = [], [], []
     rate_array = optimizer_module._rate_array
     refine = optimizer_module._refine
-    maximize = optimizer_module.maximize_over_mu_prime
+    search = optimizer_module._search
 
     def counted_rate_array(*args):
         rate = rate_array(*args)
@@ -245,17 +262,17 @@ def _spy_cutoff_search(monkeypatch):
 
         return counted
 
-    def counted_refine(rate_fn, best_x, best_f, cfg):
+    def counted_refine(rate_fn, best_x, best_f, cfg, mu_prime_min):
         refined.append(best_x.size)
-        return refine(rate_fn, best_x, best_f, cfg)
+        return refine(rate_fn, best_x, best_f, cfg, mu_prime_min)
 
-    def counted_search(rate_fn, rows, cfg):
-        searches.append(rows)
-        return maximize(rate_fn, rows, cfg)
+    def counted_search(cfg, parts, jobs):
+        searches.append([len(rows.eta) for rows, _, _ in parts])
+        return search(cfg, parts, jobs)
 
     monkeypatch.setattr(optimizer_module, "_rate_array", counted_rate_array)
     monkeypatch.setattr(optimizer_module, "_refine", counted_refine)
-    monkeypatch.setattr(optimizer_module, "maximize_over_mu_prime", counted_search)
+    monkeypatch.setattr(optimizer_module, "_search", counted_search)
     return cells, refined, searches
 
 
@@ -298,14 +315,15 @@ class TestBatchedCutoff:
         assert max(cells) <= optimizer_module._BLOCK_CELLS
         grid = len(distance_grid(cfg))
         assert len(refined) == 1 and grid < refined[0] <= grid + 2**_BISECT_LEVELS - 1
-        assert searches == []
+        # one search of two parts: the grid and its guessed midpoints
+        assert len(searches) == 1 and searches[0][0] == grid and sum(searches[0]) == refined[0]
 
     def test_deep_bracket_falls_back_to_a_batch(self, monkeypatch):
         cells, refined, searches = _spy_cutoff_search(monkeypatch)
         # a 60 km bracket needs 10 levels: the guessed tree holds 6, one batch the other 4
         max_secure_distance(_cfg(dist_stop_km=240.0, dist_step_km=60.0), "hsps")
         assert refined == [5 + 63, 15]
-        assert searches == [15]
+        assert searches == [[5, 63], [15]]
 
     @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
                              ids=[c[0] for c in CUTOFF_CASES])
@@ -319,17 +337,18 @@ class TestBatchedCutoff:
         _, _, searches = _spy_cutoff_search(monkeypatch)
         assert max_secure_distance(cfg, kind) == serial
         grid = distance_grid(cfg)
-        assert bool(searches) == (serial is not None and serial != grid[-1])
+        assert (len(searches) > 1) == (serial is not None and serial != grid[-1])
 
     @pytest.mark.parametrize("block_cells", [50, 600])
     def test_chunk_limit_bounds_each_call(self, monkeypatch, block_cells):
-        # 25 rows per chunk leave the default grid to the batch search; 300 hold it and a tree
+        # 25 rows per chunk refine the default grid and its 15 midpoints in 8 chunks; 300 in one
         serial = [_serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
         cells, refined, searches = _spy_cutoff_search(monkeypatch)
         assert [max_secure_distance(DEFAULT, kind) for kind in ("hsps", "wcs")] == serial
         assert max(cells) <= block_cells
-        assert (searches == []) == (block_cells == 600)
+        assert searches == [[181, 15]] * 2
+        assert len(refined) == 2 * -(-196 // (block_cells // 2)) and max(refined) <= block_cells // 2
 
     def test_bisection_tree_holds_the_serial_midpoints(self):
         tree = _bisection_tree(166.0, 167.0, _BISECT_LEVELS)
@@ -413,8 +432,9 @@ def test_figure2_sweep_computes_each_row_term_once(monkeypatch):
     for module in (optimizer_module, bounds_module):
         monkeypatch.setattr(module, "_exact_single_photon", spy("exact", module._exact_single_photon))
     monkeypatch.setattr(ChannelParams, "at_distance", spy("at_distance", ChannelParams.at_distance))
-    monkeypatch.setattr(optimizer_module, "maximize_over_mu_prime", lambda fn, rows, cfg: (
-        maximize_over_mu_prime(spy("rate calls", fn), rows, cfg)))
+    coarse, refine = optimizer_module._coarse_scan, optimizer_module._refine
+    monkeypatch.setattr(optimizer_module, "_coarse_scan", lambda fn, *args: coarse(spy("rate calls", fn), *args))
+    monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refine(spy("rate calls", fn), *args))
     points = sweep_distances(_cfg(sources=("hsps", "wcs"), include_ideal=True))
     assert len(points) == 2 * 181
     assert calls["rate calls"] == 23
@@ -469,12 +489,6 @@ def _mu_cfgs(mus, **kwargs):
     return [_cfg(mu=mu, **kwargs) for mu in mus]
 
 
-def _mu_rows(cfgs, distances, jobs):
-    """Each configuration's rows, as a sweep of them all builds them."""
-    rows = [optimizer_module._rows(cfgs[0], distances, jobs)]
-    return rows + [optimizer_module._rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
-
-
 def test_figure1_sweep_equals_one_sweep_per_mu(monkeypatch):
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps",))
     alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
@@ -495,7 +509,7 @@ def test_rounding_sensitive_mus_search_as_each_mu_alone(monkeypatch, sources, in
     distances = distance_grid(cfgs[0])
     alone = [_searched_mu_primes(cfg, distances, jobs) for cfg in cfgs]
     calls = _count_search(monkeypatch)
-    assert optimizer_module._search_all(cfgs, _mu_rows(cfgs, distances, jobs), jobs) == alone
+    assert _searched_parts(cfgs, distances, jobs) == alone
     assert calls["refine"] == 1
     points = sweep_distances(*cfgs)
     assert [p.mu_prime for p in points] == [
@@ -510,13 +524,13 @@ def test_one_refinement_rates_every_row_as_its_own_search(monkeypatch, sources):
     rows = _mu_rows(cfgs, distances, jobs)
     refined, refine = [], optimizer_module._refine
     monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refined.append(fn) or refine(fn, *args))
-    optimizer_module._search_all(cfgs, rows, jobs)
+    _searched_parts(cfgs, distances, jobs)
     shape = (len(jobs), len(cfgs), len(distances), 2)
     probe = np.random.default_rng(3).uniform(0.29, 1.0, shape)
     (joint,) = refined
     got = joint(probe.reshape(-1, 2)).reshape(shape)
     for c, (cfg, r) in enumerate(zip(cfgs, rows)):
-        own = optimizer_module._jobs_rate(cfg, r, jobs)(probe[:, c].reshape(-1, 2))
+        own = optimizer_module._jobs_rate(cfg, r, jobs, slice(0, len(distances)))(probe[:, c].reshape(-1, 2))
         assert own.tobytes() == got[:, c].reshape(-1, 2).tobytes(), cfg.mu
 
 
@@ -539,14 +553,28 @@ def test_configurations_swept_together_differ_only_in_mu():
 
 
 @pytest.mark.parametrize("block_cells", [50, 1000, 1 << 13])
-def test_rows_too_many_for_one_chunk_are_searched_apart(monkeypatch, block_cells):
-    # 25 and 500 rows per chunk hold 2 x 2 x 91 rows of one mu, not of three
+def test_rows_too_many_for_one_chunk_are_refined_in_chunks(monkeypatch, block_cells):
+    # chunks of 6, 125 and 1024 entries (4 jobs each) over the 3 x 91 joined entries
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps", "wcs"), dist_step_km=2.0)
     alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
     monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
     calls = _count_search(monkeypatch)
     assert sweep_distances(*cfgs) == alone
-    assert calls["golden"] == (1 if block_cells == 1 << 13 else 3 * -(-364 // (block_cells // 2)))
+    assert calls["golden"] == -(-273 // (block_cells // 8))
+
+
+@pytest.mark.parametrize("block_cells", [50, 379])
+def test_chunks_split_parts_in_the_middle(monkeypatch, block_cells):
+    # figure 1's 3 x 181 entries in chunks of 12 or 94; a cut-off's 181 + 15 in chunks of 25 or 189
+    cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps",))
+    jobs, distances = [("hsps", False), ("hsps", True)], distance_grid(cfgs[0])
+    alone = [_searched_mu_primes(cfg, distances, jobs) for cfg in cfgs]
+    serial = [_serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
+    monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+    assert any(c.start < 181 < c.stop for c in optimizer_module._chunks(3 * 181, jobs))
+    assert any(c.start < 181 < c.stop for c in optimizer_module._chunks(181 + 15, jobs[:1]))
+    assert _searched_parts(cfgs, distances, jobs) == alone
+    assert [max_secure_distance(DEFAULT, kind) for kind in ("hsps", "wcs")] == serial
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +670,7 @@ class TestLockstepSearch:
         def toy(m, p, s, t):
             return s * -((m - p) * (m - p)) + t * m
 
-        x, f = maximize_over_mu_prime(
+        x, f = _maximize(
             lambda m: toy(m, peaks[:, None], scale[:, None], tilt[:, None]), peaks.size, cfg)
         for i, row in enumerate(zip(peaks, scale, tilt)):
             assert (x[i], f[i]) == _search_reference(lambda m: toy(m, *row), cfg)
@@ -653,7 +681,7 @@ class TestLockstepSearch:
     def test_empty_and_single_row(self):
         cfg = DEFAULT
         rate = lambda m: np.zeros((0, 1)) * m
-        x, f = maximize_over_mu_prime(rate, 0, cfg)
+        x, f = _maximize(rate, 0, cfg)
         assert x.shape == f.shape == (0,)
         assert _searched_mu_primes(cfg, [], [("hsps", False)])[0] == []
         assert max_secure_distance(_cfg(dist_start_km=10.0, dist_stop_km=5.0), "hsps") is None
@@ -665,20 +693,8 @@ class TestLockstepSearch:
     def test_blocks_bound_each_call_and_leave_mu_prime_unchanged(self, monkeypatch, block_cells):
         distances = LOCKSTEP_DISTANCES
         whole = _searched_mu_primes(DEFAULT, distances, [("hsps", False)])[0]
-        searches, cells = [], []
-
-        def spy(rate_fn, rows, cfg):
-            def counted(mu_prime):
-                rates = rate_fn(mu_prime)
-                cells.append(rates.size)
-                return rates
-
-            x, f = maximize_over_mu_prime(counted, rows, cfg)
-            searches.append(x.size)
-            return x, f
-
+        searches, cells = _spy_chunks(monkeypatch)
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
         assert _searched_mu_primes(DEFAULT, distances, [("hsps", False)])[0] == whole
         assert sum(searches) == len(distances) and max(searches) <= block_cells
         assert max(cells) <= block_cells
@@ -698,6 +714,27 @@ class TestLockstepSearch:
             one = key_rate_point(cfg, p.distance_km, p.source_kind)
             assert (p.mu_prime, p.key_rate) == (one.mu_prime, one.key_rate)
             assert p.ideal_rate == one.ideal_rate
+
+
+def _spy_chunks(monkeypatch):
+    """Record every coarse-scanned chunk's rows and every search rate call's cells."""
+    searches, cells = [], []
+    coarse, refine = optimizer_module._coarse_scan, optimizer_module._refine
+
+    def counted(rate_fn):
+        def rate(mu_prime):
+            rates = rate_fn(mu_prime)
+            cells.append(rates.size)
+            return rates
+        return rate
+
+    def counted_coarse(rate_fn, rows, cfg):
+        searches.append(rows)
+        return coarse(counted(rate_fn), rows, cfg)
+
+    monkeypatch.setattr(optimizer_module, "_coarse_scan", counted_coarse)
+    monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refine(counted(fn), *args))
+    return searches, cells
 
 
 # Every (source kind, bounded or ideal) job a sweep can stack.
@@ -724,13 +761,8 @@ class TestStackedSearch:
     def test_sweep_makes_one_search_with_per_kind_mu_prime(self, monkeypatch, sources, include_ideal):
         cfg = _cfg(dist_start_km=0.0, dist_stop_km=170.0, dist_step_km=17.0,
                    sources=sources, include_ideal=include_ideal)
-        searches = []
-
-        def spy(rate_fn, rows, cfg):
-            searches.append(1)
-            return maximize_over_mu_prime(rate_fn, rows, cfg)
-
-        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
+        searches, search = [], optimizer_module._search
+        monkeypatch.setattr(optimizer_module, "_search", lambda *args: searches.append(1) or search(*args))
         points = sweep_distances(cfg)
         assert len(searches) == 1
         channels = [cfg.channel.at_distance(d) for d in distance_grid(cfg)]
@@ -748,26 +780,17 @@ class TestStackedSearch:
 
     @pytest.mark.parametrize("block_cells", [3, 7, 25, 50])
     def test_chunks_bound_each_search_and_call(self, monkeypatch, block_cells):
-        # 10 rows per job, so chunks of 3, 12 and 25 rows straddle two or three jobs
+        # chunks of 1, 1, 3 and 6 distances, each with the rows of all 4 jobs; a
+        # chunk holds at least one distance's rows, so 3 and 7 cells give 4 rows
         distances = list(range(0, 200, 20))
         whole = _searched_mu_primes(DEFAULT, distances, STACK_JOBS)
-        searches, cells = [], []
-
-        def spy(rate_fn, rows, cfg):
-            def counted(mu_prime):
-                rates = rate_fn(mu_prime)
-                cells.append(rates.size)
-                return rates
-
-            x, f = maximize_over_mu_prime(counted, rows, cfg)
-            searches.append(x.size)
-            return x, f
-
+        searches, cells = _spy_chunks(monkeypatch)
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        monkeypatch.setattr("decoy_hsps.optimizer.maximize_over_mu_prime", spy)
         assert _searched_mu_primes(DEFAULT, distances, STACK_JOBS) == whole
         assert sum(searches) == len(distances) * len(STACK_JOBS)
-        assert max(searches) <= block_cells and max(cells) <= block_cells
+        rows = len(STACK_JOBS) * max(1, block_cells // (2 * len(STACK_JOBS)))
+        assert max(searches) == rows <= max(block_cells, 2 * len(STACK_JOBS)) // 2
+        assert max(cells) <= max(block_cells, 2 * rows)
 
     @pytest.mark.parametrize("block_cells", [3, 7, 25, 50, 1 << 13])
     def test_sweep_job_order_matches_per_job_searches(self, monkeypatch, block_cells):
@@ -892,7 +915,7 @@ class TestRecordScan:
         for start in range(0, rows.shape[0], 12):
             table = rows[start:start + 12]
             rate, row_rate = _table_rate(table, cfg)
-            x, f = maximize_over_mu_prime(rate, table.shape[0], cfg)
+            x, f = _maximize(rate, table.shape[0], cfg)
             for i in range(table.shape[0]):
                 ref_x, ref_f = _search_reference(row_rate(i), cfg)
                 assert x[i] == ref_x and _same(f[i], ref_f), start + i
@@ -908,7 +931,7 @@ class TestRecordScan:
         table[2, 5] = np.nan
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
         rate, row_rate = _table_rate(table, cfg)
-        x, f = maximize_over_mu_prime(rate, table.shape[0], cfg)
+        x, f = _maximize(rate, table.shape[0], cfg)
         for i in range(table.shape[0]):
             ref_x, ref_f = _search_reference(row_rate(i), cfg)
             assert x[i] == ref_x and _same(f[i], ref_f), i

@@ -165,7 +165,7 @@ class TestParamValidation:
             HeraldedSourceParams(x=0.1, eta_a=0.8, d_a=1.0)
 
     def test_triggered_source(self):
-        for eta_a, d_a in ((0.0, 1e-5), (1.2, 1e-5), (0.8, -1e-5), (0.8, 1.0)):
+        for eta_a, d_a in ((0.0, 1e-5), (9.99e-5, 1e-5), (1.2, 1e-5), (0.8, -1e-5), (0.8, 1.0)):
             with pytest.raises(ValueError):
                 TriggeredSource(eta_a=eta_a, d_a=d_a)
         assert triggered_source(0.8, 1e-5) == TriggeredSource(eta_a=0.8, d_a=1e-5)
