@@ -6,18 +6,8 @@ intensity optimization, and a CSV-emitting CLI.
 
 __version__ = "0.1.0"
 
-from .sources import (
-    CoherentSource,
-    HeraldedSourceParams,
-    TriggeredSource,
-    post_selection_probability,
-)
-from .channel import (
-    ChannelParams,
-    n_photon_click_probability,
-    n_photon_error_rate,
-    overall_transmittance,
-)
+from .sources import CoherentSource, TriggeredSource
+from .channel import ChannelParams, overall_transmittance
 from .observables import (
     IntensityCounts,
     ObservedStatistics,
@@ -47,12 +37,8 @@ from .config import (
 __all__ = [
     "__version__",
     "CoherentSource",
-    "HeraldedSourceParams",
     "TriggeredSource",
-    "post_selection_probability",
     "ChannelParams",
-    "n_photon_click_probability",
-    "n_photon_error_rate",
     "overall_transmittance",
     "IntensityCounts",
     "ObservedStatistics",

@@ -50,7 +50,7 @@ from .channel import (
     DARK_COUNT_E_0, ChannelParams, _click_probability, _error_rate, overall_transmittance,
 )
 from .numerics import ARRAYS, FLOATS, binary_entropy
-from .observables import ObservedStatistics
+from .observables import ObservedStatistics, _check_ordering
 from .sources import COHERENT, triggered_source
 
 DEFAULT_F_EC = 1.2
@@ -124,13 +124,6 @@ class KeyRatePoint:
             distance_km=distance_km, mu=mu, mu_prime=mu_prime, key_rate=key_rate,
             ideal_rate=ideal_rate, source_kind=source_kind, bounds=bounds,
             observables=observables, feasible=feasible,
-        )
-
-
-def _check_ordering(mu: float, mu_prime: float):
-    if not 0 < mu < mu_prime:
-        raise ValueError(
-            f"intensities must satisfy 0 < mu < mu_prime, got mu={mu}, mu_prime={mu_prime}"
         )
 
 

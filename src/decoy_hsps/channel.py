@@ -3,23 +3,14 @@
 Per-photon-number click probabilities and error rates for forecasting what
 a no-eavesdropper experiment would observe. Default parameter values follow
 the widely used GYS fiber-QKD experiment and are fully configurable.
-
-ChannelParams is built for every distance the scalar chain evaluates, so
-its own __init__ checks the arguments and stores every field in one step;
-the generated frozen __init__ and a __post_init__ cost about twice as much.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .sources import at_least_one_probability
 
-GYS_ALPHA_DB_PER_KM = 0.21
-GYS_ETA_B = 0.045
-GYS_D_B = 1.7e-6
-GYS_E_D = 0.033
-DEFAULT_DISTANCE_KM = 0.0
 DARK_COUNT_E_0 = 0.5  # a dark count's bit value is random
 
 
@@ -35,48 +26,34 @@ class ChannelParams:
     e_0: error rate of dark-count-only events (random outcome, 1/2).
     """
 
-    alpha_db_per_km: float = GYS_ALPHA_DB_PER_KM
-    distance_km: float = DEFAULT_DISTANCE_KM
-    eta_b: float = GYS_ETA_B
-    d_b: float = GYS_D_B
-    e_d: float = GYS_E_D
+    alpha_db_per_km: float = 0.21
+    distance_km: float = 0.0
+    eta_b: float = 0.045
+    d_b: float = 1.7e-6
+    e_d: float = 0.033
     e_0: float = DARK_COUNT_E_0
 
-    def __init__(
-        self,
-        alpha_db_per_km: float = GYS_ALPHA_DB_PER_KM,
-        distance_km: float = DEFAULT_DISTANCE_KM,
-        eta_b: float = GYS_ETA_B,
-        d_b: float = GYS_D_B,
-        e_d: float = GYS_E_D,
-        e_0: float = DARK_COUNT_E_0,
-    ):
-        for name, value in (("alpha_db_per_km", alpha_db_per_km), ("distance_km", distance_km),
-                            ("eta_b", eta_b), ("d_b", d_b), ("e_d", e_d), ("e_0", e_0)):
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if alpha_db_per_km < 0:
-            raise ValueError(f"alpha_db_per_km must be >= 0, got {alpha_db_per_km}")
-        if distance_km < 0:
-            raise ValueError(f"distance_km must be >= 0, got {distance_km}")
-        if not 0.0 <= eta_b <= 1.0:
-            raise ValueError(f"eta_b must be in [0, 1], got {eta_b}")
-        if not 0.0 <= d_b < 1.0:
-            raise ValueError(f"d_b must be in [0, 1), got {d_b}")
-        if not 0.0 <= e_d <= 0.5:
-            raise ValueError(f"e_d must be in [0, 0.5], got {e_d}")
-        if not 0.0 <= e_0 <= 1.0:
-            raise ValueError(f"e_0 must be in [0, 1], got {e_0}")
-        self.__dict__.update(
-            alpha_db_per_km=alpha_db_per_km, distance_km=distance_km, eta_b=eta_b, d_b=d_b,
-            e_d=e_d, e_0=e_0,
-        )
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.alpha_db_per_km < 0:
+            raise ValueError(f"alpha_db_per_km must be >= 0, got {self.alpha_db_per_km}")
+        if self.distance_km < 0:
+            raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
+        if not 0.0 <= self.eta_b <= 1.0:
+            raise ValueError(f"eta_b must be in [0, 1], got {self.eta_b}")
+        if not 0.0 <= self.d_b < 1.0:
+            raise ValueError(f"d_b must be in [0, 1), got {self.d_b}")
+        if not 0.0 <= self.e_d <= 0.5:
+            raise ValueError(f"e_d must be in [0, 0.5], got {self.e_d}")
+        if not 0.0 <= self.e_0 <= 1.0:
+            raise ValueError(f"e_0 must be in [0, 1], got {self.e_0}")
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
         """Same channel evaluated at a different fiber length."""
-        return ChannelParams(
-            self.alpha_db_per_km, distance_km, self.eta_b, self.d_b, self.e_d, self.e_0
-        )
+        return replace(self, distance_km=distance_km)
 
 
 def fiber_transmittance(alpha_db_per_km: float, distance_km: float) -> float:

@@ -54,7 +54,25 @@ CSV_COLUMNS = (
     "feasible_flag",
 )
 
-_FIGURE1_MUS = (0.01, 0.05, 0.10)
+# Each figure: its preset keys, the sources it fixes, the decoy intensities
+# it sweeps together (None: the configured mu) and the wide CSV's columns
+# after distance_km, each (name, sweep, source, rate attribute).
+_SOURCE_COMPARISON = (
+    ("log10_rate_hsps_ideal", 0, "hsps", "ideal_rate"),
+    ("log10_rate_hsps", 0, "hsps", "key_rate"),
+    ("log10_rate_wcs_ideal", 0, "wcs", "ideal_rate"),
+    ("log10_rate_wcs", 0, "wcs", "key_rate"),
+)
+_FIGURES = {
+    1: ({"eta_a": "0.8", "d_a": "1e-05"}, "hsps,ideal", (0.01, 0.05, 0.10), (
+        ("log10_rate_ideal", 0, "hsps", "ideal_rate"),
+        ("log10_rate_mu_0.01", 0, "hsps", "key_rate"),
+        ("log10_rate_mu_0.05", 1, "hsps", "key_rate"),
+        ("log10_rate_mu_0.1", 2, "hsps", "key_rate"),
+    )),
+    2: ({"mu": "0.05", "eta_a": "0.8", "d_a": "1e-05"}, "hsps,wcs,ideal", (None,), _SOURCE_COMPARISON),
+    3: ({"mu": "0.05", "eta_a": "0.6", "d_a": "1e-05"}, "hsps,wcs,ideal", (None,), _SOURCE_COMPARISON),
+}
 
 
 def _csv_line(cells) -> str:
@@ -137,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="write plot-ready CSV series for a preset scenario")
-    p_fig.add_argument("number", type=int, choices=(1, 2, 3), help="preset scenario number")
+    p_fig.add_argument("number", type=int, choices=tuple(_FIGURES), help="preset scenario number")
     add_common(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 
@@ -211,57 +229,28 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.number == 1:
-        preset = {"eta_a": "0.8", "d_a": "1e-05"}
-        # each mu searches from its own default mu_prime_min, mu + mu_prime_coarse_step
-        forced = {"mu_prime_min": None, "sources": "hsps,ideal"}
-        cfgs = [_build_config(args, preset, {"mu": repr(mu), **forced}) for mu in _FIGURE1_MUS]
-        all_points = sweep_distances(*cfgs)
-        n = len(all_points) // len(cfgs)
-        sweeps = [all_points[k * n:(k + 1) * n] for k in range(len(cfgs))]
-        cfg = cfgs[-1]
-        header = ["distance_km", "log10_rate_ideal"] + [
-            f"log10_rate_mu_{mu:g}" for mu in _FIGURE1_MUS
-        ]
-        rows = []
-        for i, p in enumerate(sweeps[0]):
-            rows.append(
-                [p.distance_km, _log10_or_neg_inf(p.ideal_rate)]
-                + [_log10_or_neg_inf(s[i].key_rate) for s in sweeps]
-            )
-        intensities = {"mu": list(_FIGURE1_MUS), "mu_prime_min": [c.mu_prime_min for c in cfgs]}
-    else:
-        eta_a = "0.8" if args.number == 2 else "0.6"
-        preset = {"mu": "0.05", "eta_a": eta_a, "d_a": "1e-05"}
-        cfg = _build_config(args, preset, forced={"sources": "hsps,wcs,ideal"})
-        points = sweep_distances(cfg)
-        hsps = [p for p in points if p.source_kind == "hsps"]
-        wcs = [p for p in points if p.source_kind == "wcs"]
-        header = [
-            "distance_km",
-            "log10_rate_hsps_ideal",
-            "log10_rate_hsps",
-            "log10_rate_wcs_ideal",
-            "log10_rate_wcs",
-        ]
-        rows = [
-            [
-                h.distance_km,
-                _log10_or_neg_inf(h.ideal_rate),
-                _log10_or_neg_inf(h.key_rate),
-                _log10_or_neg_inf(w.ideal_rate),
-                _log10_or_neg_inf(w.key_rate),
-            ]
-            for h, w in zip(hsps, wcs)
-        ]
-        all_points = points
-        intensities = None
+    preset, sources, mus, columns = _FIGURES[args.number]
+    # a swept mu searches from its own default mu_prime_min, mu + mu_prime_coarse_step
+    forced = [{} if mu is None else {"mu": repr(mu), "mu_prime_min": None} for mu in mus]
+    cfgs = [_build_config(args, preset, {**f, "sources": sources}) for f in forced]
+    points = sweep_distances(*cfgs)
+    # points come configuration-major, then by distance, then by source in cfg.sources order
+    kinds = cfgs[0].sources
+    n, step = len(points) // len(cfgs), len(kinds)
+    series = [
+        [_log10_or_neg_inf(getattr(p, rate)) for p in points[k * n + kinds.index(source):(k + 1) * n:step]]
+        for _, k, source, rate in columns
+    ]
+    rows = [[p.distance_km, *cells] for p, cells in zip(points[:n:step], zip(*series))]
+    intensities = None
+    if mus != (None,):
+        intensities = {"mu": list(mus), "mu_prime_min": [c.mu_prime_min for c in cfgs]}
     wide_name = f"figure{args.number}.csv"
     points_name = f"figure{args.number}_points.csv"
     outdir = _ensure_outdir(args.out)
-    _write_wide_csv(outdir / wide_name, header, rows)
-    emit_csv(all_points, outdir / points_name)
-    return _finish(outdir, cfg, [wide_name, points_name], intensities)
+    _write_wide_csv(outdir / wide_name, ["distance_km"] + [c[0] for c in columns], rows)
+    emit_csv(points, outdir / points_name)
+    return _finish(outdir, cfgs[-1], [wide_name, points_name], intensities)
 
 
 def _parse_counts(label: str, raw: str) -> IntensityCounts:

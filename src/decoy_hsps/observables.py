@@ -118,10 +118,16 @@ def forecast(src, mu: float, mu_prime: float, ch: ChannelParams) -> ObservedStat
     return _forecast_row(src, mu, mu_prime, overall_transmittance(ch), ch, None)
 
 
+def _check_ordering(mu: float, mu_prime: float) -> None:
+    if not 0 < mu < mu_prime:
+        raise ValueError(
+            f"intensities must satisfy 0 < mu < mu_prime, got mu={mu}, mu_prime={mu_prime}"
+        )
+
+
 def _forecast_row(src, mu, mu_prime, eta, ch, decoy) -> ObservedStatistics:
     """forecast at transmittance eta, from src.signal's triple decoy at mu unless None."""
-    if not 0 < mu < mu_prime:
-        raise ValueError(f"intensities must satisfy 0 < mu < mu_prime, got {mu}, {mu_prime}")
+    _check_ordering(mu, mu_prime)
     p_mu, ty_mu, e_mu = src.signal(FLOATS, mu, eta, ch) if decoy is None else decoy
     p_mu_prime, ty_mu_prime, e_mu_prime = src.signal(FLOATS, mu_prime, eta, ch)
     if p_mu == 0.0 or p_mu_prime == 0.0:

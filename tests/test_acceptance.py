@@ -14,7 +14,7 @@ import pytest
 import decoy_hsps as dh
 from decoy_hsps.cli import main
 from decoy_hsps.optimizer import _source, evaluate
-from decoy_hsps.sources import COHERENT, TriggeredSource
+from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource, post_selection_probability
 from oracles import (
     closed_form,
     closed_form_wcs,
@@ -131,7 +131,7 @@ def test_c05_series_and_closed_forms_agree():
         x = rng.uniform(0.05, 1.0)
         eta_a = rng.uniform(0.5, 1.0)
         d_a = rng.uniform(0.0, 1e-3)
-        src = dh.HeraldedSourceParams(x=x, eta_a=eta_a, d_a=d_a)
+        src = HeraldedSourceParams(x=x, eta_a=eta_a, d_a=d_a)
         ch = dh.ChannelParams(
             distance_km=rng.uniform(0.0, 150.0),
             eta_b=rng.uniform(0.01, 0.5),
@@ -147,7 +147,7 @@ def test_c05_series_and_closed_forms_agree():
         p_post_series = d_a / (1.0 + x) + sum(
             thermal_weight(n, x) * (1.0 - (1.0 - eta_a) ** n) for n in range(1, 300)
         )
-        assert dh.post_selection_probability(src) == pytest.approx(p_post_series, rel=1e-12)
+        assert post_selection_probability(src) == pytest.approx(p_post_series, rel=1e-12)
         mu = rng.uniform(0.01, 1.0)
         assert closed_form_wcs(mu, ch)[0] == pytest.approx(
             simulate_wcs_gain_series(mu, ch), rel=1e-12

@@ -25,6 +25,7 @@ from decoy_hsps.numerics import FLOATS
 from decoy_hsps.observables import (
     IntensityCounts,
     ObservedStatistics,
+    forecast,
     forecast_observables,
     forecast_wcs_observables,
     statistics_from_counts,
@@ -190,6 +191,18 @@ class TestY1LowerBoundHsps:
         obs = _obs_from_ty(0.0, 0.01, 0.02)
         with pytest.raises(ValueError):
             compute_bounds(TriggeredSource(0.8, 1e-5), obs, 0.1, 0.05)
+
+
+@pytest.mark.parametrize("src", [TriggeredSource(0.8, 1e-5), COHERENT], ids=["hsps", "wcs"])
+@pytest.mark.parametrize("mu, mu_prime", [(0.5, 0.1), (0.1, 0.1), (0.0, 0.1), (-0.1, 0.1)])
+def test_forecast_and_bounds_refuse_bad_ordering_with_one_message(src, mu, mu_prime):
+    message = f"intensities must satisfy 0 < mu < mu_prime, got mu={mu}, mu_prime={mu_prime}"
+    with pytest.raises(ValueError) as exc:
+        forecast(src, mu, mu_prime, GYS.at_distance(20.0))
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        compute_bounds(src, _obs_from_ty(1e-6, 0.01, 0.02, 0.05, 0.03), mu, mu_prime)
+    assert str(exc.value) == message
 
 
 class TestSinglePhotonFraction:

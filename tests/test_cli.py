@@ -14,6 +14,18 @@ from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability
 from points_csv import read_points_csv
 
 SMALL_GRID = ["--override", "dist_stop_km=4", "--override", "dist_step_km=2"]
+# brackets the coherent-source cut-off (~142 km at the defaults)
+WCS_CUTOFF_GRID = ["--override", "dist_start_km=130", "--override", "dist_stop_km=150",
+                   "--override", "dist_step_km=5"]
+# each wide column's points-CSV rows (mu, source_kind) and rate: figure 1's
+# ideal curve is mu 0.01's, each other column its own mu's or source's
+WIDE_COLUMNS = {
+    1: {"log10_rate_ideal": (0.01, "hsps", "ideal_rate"),
+        **{f"log10_rate_mu_{mu:g}": (mu, "hsps", "key_rate") for mu in (0.01, 0.05, 0.1)}},
+    2: {f"log10_rate_{kind}{suffix}": (0.05, kind, rate)
+        for kind in ("hsps", "wcs") for suffix, rate in (("_ideal", "ideal_rate"), ("", "key_rate"))},
+}
+WIDE_COLUMNS[3] = WIDE_COLUMNS[2]
 
 
 def _rows(path):
@@ -161,13 +173,8 @@ class TestFigureCommand:
         assert {r["source_kind"] for r in points} == {"hsps", "wcs"}
 
     def test_figure2_hsps_cutoff_exceeds_wcs_cutoff(self, tmp_path):
-        # bracket the coherent-source cutoff (~142 km at the defaults)
         out = tmp_path / "fig2cut"
-        code = main(["figure", "2", "--out", str(out),
-                     "--override", "dist_start_km=130",
-                     "--override", "dist_stop_km=150",
-                     "--override", "dist_step_km=5"])
-        assert code == 0
+        assert main(["figure", "2", "--out", str(out)] + WCS_CUTOFF_GRID) == 0
         rows = _rows(out / "figure2.csv")
         header, data = rows[0], rows[1:]
         hsps_col, wcs_col = header.index("log10_rate_hsps"), header.index("log10_rate_wcs")
@@ -218,18 +225,40 @@ class TestFigureCommand:
         # config stays the resolved configuration of the last of the three sweeps
         assert manifest["config"]["mu"] == 0.1
 
-    def test_figure1_manifest_config_reproduces_figure1(self, tmp_path):
-        # the manifest records mu 0.1's mu_prime_min 0.11; fed back, it must not
-        # start the mu 0.01 and 0.05 searches there
+    @pytest.mark.parametrize("number, mu_prime_min", [(1, 0.11), (2, 0.05 + 0.01), (3, 0.05 + 0.01)])
+    def test_manifest_config_reproduces_the_figure(self, tmp_path, number, mu_prime_min):
+        # figure 1's manifest records mu 0.1's mu_prime_min 0.11; fed back, it
+        # must not start the mu 0.01 and 0.05 searches there
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["figure", "1", "--out", str(first)]) == 0
+        assert main(["figure", str(number), "--out", str(first)]) == 0
         manifest = json.loads((first / "run_manifest.json").read_text())
-        assert manifest["config"]["mu_prime_min"] == 0.11
-        config_file = tmp_path / "figure1.cfg"
+        assert manifest["config"]["mu_prime_min"] == mu_prime_min
+        config_file = tmp_path / f"figure{number}.cfg"
         config_file.write_text(format_config(resolve_config(manifest["config"])))
-        assert main(["figure", "1", "--config", str(config_file), "--out", str(second)]) == 0
-        for name in ("figure1.csv", "figure1_points.csv"):
+        assert main(["figure", str(number), "--config", str(config_file), "--out", str(second)]) == 0
+        for name in (f"figure{number}.csv", f"figure{number}_points.csv"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, WCS_CUTOFF_GRID], ids=["small", "wcs-cutoff"])
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_wide_csv_is_the_pivot_of_the_points_csv(self, tmp_path, number, grid):
+        out = tmp_path / "fig"
+        assert main(["figure", str(number), "--out", str(out)] + grid) == 0
+        points = read_points_csv(out / f"figure{number}_points.csv")
+        by_key = {(r["mu"], r["source_kind"], r["distance_km"]): r for r in points}
+        rows = _rows(out / f"figure{number}.csv")
+        header, data = rows[0], [[float(cell) for cell in row] for row in rows[1:]]
+        assert header == ["distance_km"] + list(WIDE_COLUMNS[number])
+        distances = sorted({r["distance_km"] for r in points})
+        assert [row[0] for row in data] == distances
+        assert len(by_key) == len(points) == len(distances) * len(set(
+            (mu, kind) for mu, kind, _ in WIDE_COLUMNS[number].values()))
+        for row in data:
+            for cell, (mu, kind, rate) in zip(row[1:], WIDE_COLUMNS[number].values()):
+                value = by_key[mu, kind, row[0]][rate]
+                assert cell == (math.log10(value) if value > 0.0 else -math.inf)
+        # past the coherent source's cut-off its rates are zero
+        assert (-math.inf in [c for row in data for c in row]) == (grid is WCS_CUTOFF_GRID and number > 1)
 
     def test_figure1_points_equal_one_sweep_per_mu(self, tmp_path):
         out = tmp_path / "fig1"

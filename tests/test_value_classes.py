@@ -1,9 +1,13 @@
-"""The contract of the value classes built once per evaluated point.
+"""The contract of the frozen value classes.
 
-ObservedStatistics, SecurityBounds, KeyRatePoint and ChannelParams write
-their own __init__ (the range checks on the arguments, then every field
-stored at once). They must still behave as the frozen dataclasses they are
-declared as, and raise the same messages on the same values.
+ObservedStatistics, SecurityBounds and KeyRatePoint are built once per
+reported point, 1,267 times each over figures 1-3 at the defaults, so each
+writes its own __init__: the range checks on the arguments, then every
+field stored at once, about twice as fast as the generated frozen __init__
+and a __post_init__. ChannelParams is built once per resolved configuration
+and keeps the generated __init__, with its checks in __post_init__. Each
+must behave as the frozen dataclass it is declared as, and raise the same
+messages on the same values.
 """
 import inspect
 import math
