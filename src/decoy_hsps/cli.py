@@ -179,29 +179,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _user_values(args) -> tuple[dict[str, str], dict[str, str]]:
+def _build_configs(args, preset: dict[str, str] | None = None, forced=({},)) -> list[SweepConfig]:
+    """One configuration per dict of forced: file, preset, flag and then forced values.
+
+    The --config file and the overrides are parsed once for them all; a
+    forced None keeps the key's default.
+    """
     file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = {}
-    for item in args.override:
-        key, value = parse_override(item)
-        cli_values[key] = value
-    return file_values, cli_values
-
-
-def _build_config(
-    args, preset: dict[str, str] | None = None, forced: dict[str, str | None] | None = None
-) -> SweepConfig:
-    """File, preset, flag and then forced values; a forced None keeps the key's default."""
-    file_values, cli_values = _user_values(args)
-    for key in forced or {}:
-        if key in cli_values:
-            raise ConfigError(f"--override {key} is not allowed: figure {args.number} fixes {key!r}")
-    merged: dict[str, str | None] = {}
-    merged.update(file_values)
-    merged.update(preset or {})
-    merged.update(cli_values)
-    merged.update(forced or {})
-    return resolve_config({key: value for key, value in merged.items() if value is not None})
+    cli_values = dict(parse_override(item) for item in args.override)
+    configs = []
+    for values in forced:
+        for key in values:
+            if key in cli_values:
+                raise ConfigError(f"--override {key} is not allowed: figure {args.number} fixes {key!r}")
+        merged = {**file_values, **(preset or {}), **cli_values, **values}
+        configs.append(resolve_config({key: value for key, value in merged.items() if value is not None}))
+    return configs
 
 
 def _ensure_outdir(out: str) -> Path:
@@ -221,7 +214,7 @@ def _finish(outdir: Path, cfg: SweepConfig, artifacts: list[str], intensities: d
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+    cfg, = _build_configs(args)
     outdir = _ensure_outdir(args.out)
     points = sweep_distances(cfg)
     emit_csv(points, outdir / "sweep.csv")
@@ -232,7 +225,7 @@ def _cmd_figure(args) -> int:
     preset, sources, mus, columns = _FIGURES[args.number]
     # a swept mu searches from its own default mu_prime_min, mu + mu_prime_coarse_step
     forced = [{} if mu is None else {"mu": repr(mu), "mu_prime_min": None} for mu in mus]
-    cfgs = [_build_config(args, preset, {**f, "sources": sources}) for f in forced]
+    cfgs = _build_configs(args, preset, [{**f, "sources": sources} for f in forced])
     points = sweep_distances(*cfgs)
     # points come configuration-major, then by distance, then by source in cfg.sources order
     kinds = cfgs[0].sources
@@ -275,7 +268,7 @@ def _parse_counts(label: str, raw: str) -> IntensityCounts:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _build_config(args)
+    cfg, = _build_configs(args)
     mu = args.mu if args.mu is not None else cfg.mu
     mu_prime = args.mu_prime
     for flag, value in (("--mu", mu), ("--mu-prime", mu_prime)):

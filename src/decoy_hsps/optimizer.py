@@ -27,10 +27,11 @@ another row, so neither parts nor chunks move any row's mu'.
 
 A sweep is one part per configuration; figure 1's three decoy
 intensities share their transmittances and exact terms. A cut-off
-(max_secure_distance) is two parts: its distance grid, and the bisection
-midpoints of the bracket after the grid's last positive coarse rate. A
-midpoint this guess missed is one part of its own, so the guess moves no
-result, only the number of rate calls.
+(max_secure_distance) coarse-scans its grid from the end up to the first
+chunk with a positive coarse rate, and searches one part per chunk from
+its last positive row on, plus the bisection midpoints after that row.
+Rows and midpoints these guesses missed are parts of their own, so the
+guesses move no result, only the number of rate calls.
 
 The search's rates are the scalar chain's own source-generic core run on
 numpy arrays, and they only pick mu'. Every reported rate, observable and
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -572,20 +573,39 @@ def _positive(cfg: SweepConfig, src, eta: float, decoy, mu_prime: float) -> bool
     return _point(cfg, cfg.channel, src, eta, decoy, mu_prime)[2] > 0.0
 
 
+def _last_positive(coarse_rates: np.ndarray) -> int:
+    """Index of the last positive coarse rate, or -1."""
+    positive = np.flatnonzero(coarse_rates > 0.0)
+    return int(positive[-1]) if positive.size else -1
+
+
 def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
     """Bisection midpoints of the bracket after the last positive coarse rate."""
-    positive = np.flatnonzero(coarse_rates > 0.0)
-    if positive.size == 0 or positive[-1] + 1 == len(grid):
+    k = _last_positive(coarse_rates)
+    if k < 0 or k + 1 == len(grid):
         return []
-    k = int(positive[-1])
     return _bisection_tree(grid[k], grid[k + 1], _BISECT_LEVELS)
 
 
-def _searched_rows(cfg: SweepConfig, jobs, distances, parts) -> dict[float, tuple]:
-    """Each distance of each part's distances: (transmittance, decoy triple, searched mu')."""
+def _cutoff_part(cfg: SweepConfig, jobs, distances):
+    """distances and _scan's part of their rows."""
+    return distances, _scan(cfg, _rows(cfg, distances, jobs), jobs)
+
+
+def _part_rows(part, rows: slice):
+    """The rows of a _cutoff_part at rows: their distances, _Rows and coarse bests."""
+    distances, (r, x, f) = part
+    sliced = r._replace(eta=r.eta[rows], exact=r.exact[rows], decoy={k: v[rows] for k, v in r.decoy.items()},
+                        cols={k: tuple(c[rows] for c in v) for k, v in r.cols.items()})
+    return distances[rows], (sliced, x[:, rows], f[:, rows])
+
+
+def _searched_rows(cfg: SweepConfig, jobs, parts) -> dict[float, tuple]:
+    """One search of _cutoff_parts: each distance's (transmittance, decoy triple, searched mu')."""
     searched = {}
-    for ds, (rows, _, _), mu_primes in zip(distances, parts, _search(cfg, parts, jobs)):
-        searched.update(zip(ds, zip(rows.eta, rows.decoy[jobs[0][0]], mu_primes[0].tolist())))
+    mu_primes = _search(cfg, [part for _, part in parts], jobs)
+    for (distances, (rows, _, _)), m in zip(parts, mu_primes):
+        searched.update(zip(distances, zip(rows.eta, rows.decoy[jobs[0][0]], m[0].tolist())))
     return searched
 
 
@@ -597,24 +617,44 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     the grid end when the rate is still positive there. Between that point
     and the next one a bisection refines the cut-off down to 0.1 km,
     judging the scalar rate only at the midpoints it reaches, from the
-    rows the search read. One search takes two parts: the grid, and the
-    _guessed_tree midpoints of its coarse scan. A midpoint it did not cover
-    (a missed guess or a deeper bracket) is one part of its own, with every
-    midpoint of its next _BISECT_LEVELS levels. A row's search never reads
-    another row, so this returns exactly what probing one midpoint at a
-    time would, whether or not the rate falls monotonically.
+    rows the search read. The grid is coarse-scanned from its end in
+    chunks of the rows one rate call of every mu' candidate holds, up to
+    the first chunk with a positive coarse rate. One search refines the
+    rows from its last positive coarse row to the grid end, and the
+    _guessed_tree midpoints after that row. Grid rows below them (the rest
+    of that chunk, then each chunk further down) and a midpoint the guess
+    did not cover, with every midpoint of its next _BISECT_LEVELS levels,
+    are searched as one part each when the walk or bisection reaches
+    them. A row's search never reads another row, so this returns exactly
+    what probing one midpoint at a time would, whether or not the rate
+    falls monotonically.
     """
     jobs = [(source_kind, False)]
     src = _source(cfg, source_kind)
     grid = distance_grid(cfg)
-    parts = [_scan(cfg, _rows(cfg, grid, jobs), jobs)]
-    _, _, coarse_rates = parts[0]
-    tree = _guessed_tree(grid, coarse_rates[0])
+    if not grid:
+        return None
+    size = max(1, _BLOCK_CELLS // len(mu_prime_candidates(cfg)))
+    chunks = (_cutoff_part(cfg, jobs, grid[max(0, end - size):end]) for end in range(len(grid), 0, -size))
+    scanned = []  # (distances, part) from the chunk the scan stopped in to the grid end
+    for distances, part in chunks:
+        scanned.insert(0, (distances, part))
+        if _last_positive(part[2][0]) >= 0:  # part[2][0]: the job's coarse rates
+            break
+    coarse_rates = np.concatenate([part[2][0] for _, part in scanned])
+    k = max(0, _last_positive(coarse_rates))  # a row of scanned[0]; 0 when no rate is positive
+    tree = _guessed_tree([d for distances, _ in scanned for d in distances], coarse_rates)
+    parts = [_part_rows(scanned[0], slice(k, None))] + scanned[1:]
     if tree:
-        parts.append(_scan(cfg, _rows(cfg, tree, jobs), jobs))
-    searched = _searched_rows(cfg, jobs, [grid, tree], parts)
+        parts.append(_cutoff_part(cfg, jobs, tree))
+    searched = _searched_rows(cfg, jobs, parts)
+    below = chain([_part_rows(scanned[0], slice(k))] if k else [], chunks)
     last = len(grid) - 1
-    while last >= 0 and not _positive(cfg, src, *searched[grid[last]]):
+    while last >= 0:
+        if grid[last] not in searched:
+            searched.update(_searched_rows(cfg, jobs, [next(below)]))
+        if _positive(cfg, src, *searched[grid[last]]):
+            break
         last -= 1
     if last < 0:
         return None
@@ -625,8 +665,7 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
         mid = 0.5 * (lo + hi)
         if mid not in searched:
             missed = _bisection_tree(lo, hi, _BISECT_LEVELS)
-            part = _scan(cfg, _rows(cfg, missed, jobs), jobs)
-            searched.update(_searched_rows(cfg, jobs, [missed], [part]))
+            searched.update(_searched_rows(cfg, jobs, [_cutoff_part(cfg, jobs, missed)]))
         if _positive(cfg, src, *searched[mid]):
             lo = mid
         else:

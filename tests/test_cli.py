@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import decoy_hsps.cli as cli_module
 from decoy_hsps.channel import ChannelParams
 from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main
 from decoy_hsps.config import format_config, resolve_config
@@ -214,6 +215,21 @@ class TestFigureCommand:
                      "--override", "mu=0.04"] + SMALL_GRID) == 0
         config = json.loads((out / "run_manifest.json").read_text())["config"]
         assert (config["mu"], config["eta_a"], config["sources"]) == (0.04, 0.8, "hsps,wcs,ideal")
+
+    def test_figure1_reads_the_user_values_once(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("parse_config_file", "parse_override"):
+            parse = getattr(cli_module, name)
+            monkeypatch.setattr(cli_module, name,
+                                lambda arg, name=name, parse=parse: calls.append(name) or parse(arg))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("f_ec = 1.2\n")
+        out = tmp_path / "fig1"
+        assert main(["figure", "1", "--config", str(cfg_file), "--out", str(out)] + SMALL_GRID) == 0
+        # three configurations, one per decoy intensity, from one parse of each user value
+        assert sorted(calls) == ["parse_config_file", "parse_override", "parse_override"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert (manifest["config"]["f_ec"], manifest["config"]["dist_stop_km"]) == (1.2, 4.0)
 
     def test_figure1_manifest_records_its_decoy_intensities(self, tmp_path):
         out = tmp_path / "fig1"

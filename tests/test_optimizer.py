@@ -289,6 +289,12 @@ CUTOFF_CASES = [
                       "dist_step_km": 10.0}, "hsps"),
     ("empty grid", {"dist_start_km": 10.0, "dist_stop_km": 5.0}, "hsps"),
     ("single point", {"dist_start_km": 150.0, "dist_stop_km": 150.0}, "wcs"),
+    # the scan from the grid end crosses chunks of 86, 86, 86 and 8 rows
+    ("step 0.05", {"dist_step_km": 0.05}, "wcs"),
+    ("coarse step 0.001", {"mu_prime_coarse_step": 0.001}, "hsps"),
+    ("d_b 1.7e-5 to 400 km", {"channel": ChannelParams(d_b=1.7e-5), "dist_stop_km": 400.0}, "hsps"),
+    # the optimum sits on the lower mu' edge near the cut-off
+    ("mu_prime_min 0.0501", {"mu_prime_min": 0.0501}, "hsps"),
 ]
 
 
@@ -304,26 +310,29 @@ class TestBatchedCutoff:
         assert max_secure_distance(DEFAULT, "wcs") == 141.6875
         assert max_secure_distance(_cfg(eta_a=0.6), "hsps") == 166.0
 
-    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES[:3]],
-                             ids=[c[0] for c in CUTOFF_CASES[:3]])
-    def test_c07_cutoff_makes_one_refinement(self, monkeypatch, overrides, kind):
+    @pytest.mark.parametrize("overrides, kind, calls, rows", [
+        c[1:] + n for c, n in zip(CUTOFF_CASES[:3], [(14, 15), (16, 40), (14, 15)])
+    ], ids=[c[0] for c in CUTOFF_CASES[:3]])
+    def test_c07_cutoff_makes_one_refinement(self, monkeypatch, overrides, kind, calls, rows):
         cells, refined, searches = _spy_cutoff_search(monkeypatch)
         cfg = _cfg(**overrides)
-        max_secure_distance(cfg, kind)
-        # grid: 3 coarse blocks; tree: 1; joint golden section: 1 + 12 + 1
-        assert len(cells) <= 18
+        cutoff = max_secure_distance(cfg, kind)
+        # the grid end's 86 rows: 1 coarse call; tree: 1; joint golden section:
+        # 2 probes, 10 steps (12 for WCS, whose rows reach inside the mu' range) and 1
+        assert len(cells) == calls
         assert max(cells) <= optimizer_module._BLOCK_CELLS
-        grid = len(distance_grid(cfg))
-        assert len(refined) == 1 and grid < refined[0] <= grid + 2**_BISECT_LEVELS - 1
-        # one search of two parts: the grid and its guessed midpoints
-        assert len(searches) == 1 and searches[0][0] == grid and sum(searches[0]) == refined[0]
+        # one search of two parts: the grid rows from the last positive coarse
+        # row to the grid end, and that row's 15 guessed midpoints
+        assert searches == [[rows, 15]] and refined == [rows + 15]
+        assert distance_grid(cfg)[-rows] == math.floor(cutoff)
 
     def test_deep_bracket_falls_back_to_a_batch(self, monkeypatch):
         cells, refined, searches = _spy_cutoff_search(monkeypatch)
-        # a 60 km bracket needs 10 levels: the guessed tree holds 6, one batch the other 4
+        # a 60 km bracket needs 10 levels: the guessed tree holds 6, one batch the other 4;
+        # the one search refines the grid rows from 120 km on
         max_secure_distance(_cfg(dist_stop_km=240.0, dist_step_km=60.0), "hsps")
-        assert refined == [5 + 63, 15]
-        assert searches == [[5, 63], [15]]
+        assert refined == [3 + 63, 15]
+        assert searches == [[3, 63], [15]]
 
     @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
                              ids=[c[0] for c in CUTOFF_CASES])
@@ -337,18 +346,52 @@ class TestBatchedCutoff:
         _, _, searches = _spy_cutoff_search(monkeypatch)
         assert max_secure_distance(cfg, kind) == serial
         grid = distance_grid(cfg)
-        assert (len(searches) > 1) == (serial is not None and serial != grid[-1])
+        # a grid step of at most 0.1 km leaves nothing to bisect
+        bisects = serial is not None and serial != grid[-1] and cfg.dist_step_km > 0.1
+        assert (len(searches) > 1) == bisects
 
-    @pytest.mark.parametrize("block_cells", [50, 600])
-    def test_chunk_limit_bounds_each_call(self, monkeypatch, block_cells):
-        # 25 rows per chunk refine the default grid and its 15 midpoints in 8 chunks; 300 in one
+    @pytest.mark.parametrize("block_cells, searches, refined", [
+        # scan chunks of 1 row; golden-section chunks of 25 rows
+        (50, [[1] * 15 + [15], [1] * 40 + [15]], [25, 5, 25, 25, 5]),
+        # scan chunks of 6 rows from 180 km down; golden-section chunks of 300 rows
+        (600, [[3, 6, 6, 15], [4] + [6] * 6 + [15]], [30, 55]),
+    ])
+    def test_chunk_limit_bounds_each_call(self, monkeypatch, block_cells, searches, refined):
         serial = [_serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        cells, refined, searches = _spy_cutoff_search(monkeypatch)
+        cells, refined_rows, searched = _spy_cutoff_search(monkeypatch)
         assert [max_secure_distance(DEFAULT, kind) for kind in ("hsps", "wcs")] == serial
         assert max(cells) <= block_cells
-        assert searches == [[181, 15]] * 2
-        assert len(refined) == 2 * -(-196 // (block_cells // 2)) and max(refined) <= block_cells // 2
+        assert searched == searches
+        assert refined_rows == refined and max(refined_rows) <= block_cells // 2
+
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
+                             ids=[c[0] for c in CUTOFF_CASES])
+    def test_missed_row_guess_equals_serial_bisection(self, monkeypatch, overrides, kind):
+        cfg = _cfg(**overrides)
+        serial = _serial_cutoff(cfg, kind)
+        # guess that each chunk's last row is positive: the scan stops at the
+        # grid end's chunk, and the walk searches every row below it
+        monkeypatch.setattr(optimizer_module, "_last_positive", lambda rates: len(rates) - 1)
+        assert max_secure_distance(cfg, kind) == serial
+
+    @pytest.mark.parametrize("case, guess_last_row, searches", [
+        # one search crosses four chunks of the scan from the grid end
+        ("d_b 1.7e-5 to 400 km", False, [[24, 86, 86, 86, 15]]),
+        # the walk passes 180 km, then searches the rest of the grid end's chunk
+        ("c07 hsps 0.8", True, [[1], [85], [15]]),
+        # ... and then each chunk further down, until one holds the cut-off
+        ("d_b 1.7e-5 to 400 km", True, [[1], [85], [86], [86], [86], [15]]),
+    ])
+    def test_walk_reaches_each_chunk_branch(self, monkeypatch, case, guess_last_row, searches):
+        _, overrides, kind = next(c for c in CUTOFF_CASES if c[0] == case)
+        cfg = _cfg(**overrides)
+        serial = _serial_cutoff(cfg, kind)
+        if guess_last_row:
+            monkeypatch.setattr(optimizer_module, "_last_positive", lambda rates: len(rates) - 1)
+        _, _, searched = _spy_cutoff_search(monkeypatch)
+        assert max_secure_distance(cfg, kind) == serial
+        assert searched == searches
 
     def test_bisection_tree_holds_the_serial_midpoints(self):
         tree = _bisection_tree(166.0, 167.0, _BISECT_LEVELS)
@@ -565,7 +608,7 @@ def test_rows_too_many_for_one_chunk_are_refined_in_chunks(monkeypatch, block_ce
 
 @pytest.mark.parametrize("block_cells", [50, 379])
 def test_chunks_split_parts_in_the_middle(monkeypatch, block_cells):
-    # figure 1's 3 x 181 entries in chunks of 12 or 94; a cut-off's 181 + 15 in chunks of 25 or 189
+    # figure 1's 3 x 181 entries in chunks of 12 or 94; 181 + 15 entries in chunks of 25 or 189
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps",))
     jobs, distances = [("hsps", False), ("hsps", True)], distance_grid(cfgs[0])
     alone = [_searched_mu_primes(cfg, distances, jobs) for cfg in cfgs]
