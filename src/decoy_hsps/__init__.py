@@ -21,18 +21,19 @@ from .bounds import (
     ideal_rate,
     key_rate,
 )
-from .optimizer import (
-    SweepConfig,
-    distance_grid,
-    key_rate_point,
-    max_secure_distance,
-    sweep_distances,
-)
-from .config import (
-    ConfigError,
-    format_config,
-    resolve_config,
-)
+from .config import ConfigError, SweepConfig, format_config, resolve_config
+
+_SEARCH = ("distance_grid", "key_rate_point", "max_secure_distance", "sweep_distances")
+
+
+def __getattr__(name):
+    """The mu' search's names, imported with it (and numpy) on first use."""
+    if name not in _SEARCH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import optimizer
+    globals()[name] = value = getattr(optimizer, name)
+    return value
+
 
 __all__ = [
     "__version__",

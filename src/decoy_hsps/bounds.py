@@ -29,10 +29,11 @@ intensity it bounds Y1 and Delta1 and leaves e1 unset.
 
 All of it is written once for both sources: a source object (.sources)
 supplies raw Y1, the single-photon share and the e1 error mass with its
-normaliser, and one text, run through a numeric namespace (.numerics),
-clamps and rates them for Python floats (the scalar chain) and numpy
-arrays (the mu' search). The scalar bounds return before dividing by a
-non-positive raw Y1; the array rates mask it with where instead.
+normaliser, and one text, run through a numeric namespace xp, clamps and
+rates them for Python floats (the scalar chain: .numerics.FLOATS) and
+numpy arrays (the mu' search passes its ARRAYS; no numpy import here).
+The scalar bounds return before dividing by a non-positive raw Y1; the
+array rates mask it with where instead.
 
 SecurityBounds and KeyRatePoint are built once per evaluated point, so,
 like ObservedStatistics, their own __init__ checks the arguments and
@@ -44,12 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import (
     DARK_COUNT_E_0, ChannelParams, _click_probability, _error_rate, overall_transmittance,
 )
-from .numerics import ARRAYS, FLOATS, binary_entropy
+from .numerics import FLOATS, binary_entropy
 from .observables import ObservedStatistics, _check_ordering
 from .sources import COHERENT, triggered_source
 
@@ -214,8 +213,8 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f, mu_terms):
-    """The clamped key rate of compute_bounds and key_rate, on numpy arrays.
+def _search_rate(xp, src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f, mu_terms):
+    """The clamped key rate of compute_bounds and key_rate, on arrays of namespace xp.
 
     Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
     values) and src.signal's yield ty and QBER e at mu_prime, which
@@ -223,10 +222,10 @@ def _search_rate(src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f, mu_terms):
     floats or columns alike. Cells whose raw Y1 is not positive are masked
     to 0, so the caller decides what numpy does on them before the mask.
     """
-    raw_y1 = src.y1_raw(ARRAYS, y0, ty_mu, ty, mu, mu_prime, mu_terms)
-    _, delta1, e1, _, _ = _single_photon_bounds(ARRAYS, src, raw_y1, e1_mass, mu, mu_prime, ty)
-    raw = _rate_formula(ARRAYS, ty, e, delta1, ARRAYS.entropy(e1), f)
-    return np.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
+    raw_y1 = src.y1_raw(xp, y0, ty_mu, ty, mu, mu_prime, mu_terms)
+    _, delta1, e1, _, _ = _single_photon_bounds(xp, src, raw_y1, e1_mass, mu, mu_prime, ty)
+    raw = _rate_formula(xp, ty, e, delta1, xp.entropy(e1), f)
+    return xp.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
 
 
 # ---------------------------------------------------------------------------

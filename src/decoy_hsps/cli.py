@@ -26,6 +26,7 @@ from . import __version__
 from .bounds import compute_bounds
 from .config import (
     ConfigError,
+    SweepConfig,
     make_manifest,
     parse_config_file,
     parse_override,
@@ -33,7 +34,7 @@ from .config import (
     write_manifest,
 )
 from .observables import IntensityCounts, statistics_from_counts
-from .optimizer import SweepConfig, rate_and_feasibility, sweep_distances
+from .optimizer import rate_and_feasibility, sweep_distances
 from .sources import triggered_source
 
 CSV_COLUMNS = (

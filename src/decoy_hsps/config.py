@@ -1,8 +1,9 @@
-"""Configuration handling for the CLI: a flat key = value text format.
+"""Sweep configuration: SweepConfig and its flat key = value text format.
 
 SweepConfig (with ChannelParams for the channel keys) owns every default
 and range; f_ec and e_0 default to bounds.DEFAULT_F_EC and
-channel.DARK_COUNT_E_0, which the bound functions share. This module
+channel.DARK_COUNT_E_0, which the bound functions share. It resolves
+without numpy, apart from the mu' search (.optimizer). This module
 only maps the flat keys onto it. resolve_config takes one key -> value
 mapping, refuses unknown keys by name, and leaves absent keys at
 SweepConfig's defaults, so the library's SweepConfig() and an empty CLI
@@ -14,12 +15,114 @@ recorded in the run manifest next to the produced artifacts.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .bounds import DEFAULT_F_EC
 from .channel import ChannelParams
-from .optimizer import SOURCE_KINDS, SweepConfig
+from .sources import COHERENT, triggered_source
+
+_SOURCES = {
+    "hsps": lambda cfg: triggered_source(cfg.eta_a, cfg.d_a),
+    "wcs": lambda cfg: COHERENT,
+}
+SOURCE_KINDS = tuple(_SOURCES)
+
+# Grids with more points than this are refused before any is built.
+MAX_GRID_POINTS = 10**6
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Everything a distance sweep needs: the one home of every default and range.
+
+    mu_prime_min/max bound the signal-intensity search; mu_prime_min left
+    None becomes mu + mu_prime_coarse_step. The coarse grid steps by
+    mu_prime_coarse_step and the refinement resolves to the optimizer's
+    REFINE_TOL. sources selects which pipelines run, each kind at most
+    once; include_ideal adds the infinite-decoy benchmark to every point.
+    """
+
+    channel: ChannelParams = ChannelParams()
+    mu: float = 0.05
+    eta_a: float = 0.8
+    d_a: float = 1e-5
+    f_ec: float = DEFAULT_F_EC
+    mu_prime_min: float | None = None
+    mu_prime_max: float = 1.0
+    mu_prime_coarse_step: float = 0.01
+    dist_start_km: float = 0.0
+    dist_stop_km: float = 180.0
+    dist_step_km: float = 1.0
+    sources: tuple[str, ...] = SOURCE_KINDS
+    include_ideal: bool = True
+
+    def __post_init__(self):
+        if self.mu_prime_min is None:
+            object.__setattr__(self, "mu_prime_min", self.mu + self.mu_prime_coarse_step)
+        for name in (
+            "mu", "eta_a", "d_a", "f_ec", "mu_prime_min", "mu_prime_max",
+            "mu_prime_coarse_step", "dist_start_km", "dist_stop_km", "dist_step_km",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.mu <= 0:
+            raise ValueError(f"mu must be > 0, got {self.mu}")
+        triggered_source(self.eta_a, self.d_a)  # checks eta_a and d_a
+        if self.f_ec < 1.0:
+            raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
+        if self.mu_prime_min <= self.mu:
+            raise ValueError(
+                f"mu_prime_min ({self.mu_prime_min}) must exceed mu ({self.mu})"
+            )
+        if self.mu_prime_max <= self.mu:
+            raise ValueError(
+                f"mu_prime_max ({self.mu_prime_max}) must exceed mu ({self.mu})"
+            )
+        if self.mu_prime_max < self.mu_prime_min:
+            raise ValueError(
+                f"mu_prime_max ({self.mu_prime_max}) must be >= mu_prime_min "
+                f"({self.mu_prime_min})"
+            )
+        if self.mu_prime_coarse_step <= 0:
+            raise ValueError(
+                f"mu_prime_coarse_step must be > 0, got {self.mu_prime_coarse_step}"
+            )
+        if self.dist_step_km <= 0:
+            raise ValueError(f"dist_step_km must be > 0, got {self.dist_step_km}")
+        if self.dist_start_km < 0:
+            raise ValueError(f"dist_start_km must be >= 0, got {self.dist_start_km}")
+        if not self.sources:
+            raise ValueError("at least one source kind must be selected")
+        for kind in self.sources:
+            if kind not in SOURCE_KINDS:
+                raise ValueError(f"unknown source kind {kind!r}")
+            if self.sources.count(kind) > 1:
+                raise ValueError(f"source kind {kind!r} is selected more than once")
+        _grid_count(
+            "mu_prime_coarse_step", self.mu_prime_max - self.mu_prime_min,
+            self.mu_prime_coarse_step,
+        )
+        _grid_count(
+            "dist_step_km", max(0.0, self.dist_stop_km - self.dist_start_km),
+            self.dist_step_km,
+        )
+
+
+def _grid_count(key: str, span: float, step: float) -> int:
+    """Points of the grid 0, step, ... up to span, refused above MAX_GRID_POINTS."""
+    cells = span / step + 1e-9
+    if not cells < MAX_GRID_POINTS:
+        raise ValueError(
+            f"{key} = {step!r} would make {cells:.3g} grid points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
+        )
+    return int(math.floor(cells)) + 1
+
 
 CONFIG_KEYS = (
     "alpha_db_per_km",

@@ -34,7 +34,8 @@ Rows and midpoints these guesses missed are parts of their own, so the
 guesses move no result, only the number of rate calls.
 
 The search's rates are the scalar chain's own source-generic core run on
-numpy arrays, and they only pick mu'. Every reported rate, observable and
+numpy arrays through ARRAYS, kept here as the one module that evaluates
+arrays, and they only pick mu'. Every reported rate, observable and
 bound is then recomputed on floats by the scalar chain's row core (_point
 and _benchmark_rate) at that mu', from the same rows, so no ChannelParams
 is built per distance. Reporting straight from the arrays would move CSV
@@ -46,14 +47,14 @@ configurations produce identical results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from itertools import accumulate, chain, groupby
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import (
-    DEFAULT_F_EC,
     KeyRatePoint,
     _NO_E1,
     _NO_SIGNAL_QBER,
@@ -65,26 +66,17 @@ from .bounds import (
     compute_bounds,
 )
 from .channel import ChannelParams, fiber_transmittance, overall_transmittance
-from .numerics import ARRAYS, FLOATS, binary_entropy
+from .config import _SOURCES, SweepConfig, _grid_count
+from .numerics import FLOATS, _exp, binary_entropy
 from .observables import ObservedStatistics, _forecast_row
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
-from .sources import COHERENT, triggered_source
-
-_SOURCES = {
-    "hsps": lambda cfg: triggered_source(cfg.eta_a, cfg.d_a),
-    "wcs": lambda cfg: COHERENT,
-}
-SOURCE_KINDS = tuple(_SOURCES)
 
 # Two candidate rates closer than this are a tie; the smaller mu' wins.
 RATE_TIE_TOL = 1e-15
 
 # The golden section refines the best coarse cell to a bracket this wide.
 REFINE_TOL = 1e-4
-
-# Grids with more points than this are refused before any is built.
-MAX_GRID_POINTS = 10**6
 
 # A rate call evaluates at most this many (row, mu') cells: the coarse
 # scan goes in blocks of columns, and a chunk holds at most half this
@@ -104,93 +96,18 @@ _BISECT_LEVELS = 6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Everything a distance sweep needs: the one home of every default and range.
-
-    mu_prime_min/max bound the signal-intensity search; mu_prime_min left
-    None becomes mu + mu_prime_coarse_step. The coarse grid steps by
-    mu_prime_coarse_step and the refinement resolves to REFINE_TOL. sources
-    selects which pipelines run, each kind at most once; include_ideal
-    adds the infinite-decoy benchmark to every point.
-    """
-
-    channel: ChannelParams = ChannelParams()
-    mu: float = 0.05
-    eta_a: float = 0.8
-    d_a: float = 1e-5
-    f_ec: float = DEFAULT_F_EC
-    mu_prime_min: float | None = None
-    mu_prime_max: float = 1.0
-    mu_prime_coarse_step: float = 0.01
-    dist_start_km: float = 0.0
-    dist_stop_km: float = 180.0
-    dist_step_km: float = 1.0
-    sources: tuple[str, ...] = SOURCE_KINDS
-    include_ideal: bool = True
-
-    def __post_init__(self):
-        if self.mu_prime_min is None:
-            object.__setattr__(self, "mu_prime_min", self.mu + self.mu_prime_coarse_step)
-        for name in (
-            "mu", "eta_a", "d_a", "f_ec", "mu_prime_min", "mu_prime_max",
-            "mu_prime_coarse_step", "dist_start_km", "dist_stop_km", "dist_step_km",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        triggered_source(self.eta_a, self.d_a)  # checks eta_a and d_a
-        if self.f_ec < 1.0:
-            raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
-        if self.mu_prime_min <= self.mu:
-            raise ValueError(
-                f"mu_prime_min ({self.mu_prime_min}) must exceed mu ({self.mu})"
-            )
-        if self.mu_prime_max <= self.mu:
-            raise ValueError(
-                f"mu_prime_max ({self.mu_prime_max}) must exceed mu ({self.mu})"
-            )
-        if self.mu_prime_max < self.mu_prime_min:
-            raise ValueError(
-                f"mu_prime_max ({self.mu_prime_max}) must be >= mu_prime_min "
-                f"({self.mu_prime_min})"
-            )
-        if self.mu_prime_coarse_step <= 0:
-            raise ValueError(
-                f"mu_prime_coarse_step must be > 0, got {self.mu_prime_coarse_step}"
-            )
-        if self.dist_step_km <= 0:
-            raise ValueError(f"dist_step_km must be > 0, got {self.dist_step_km}")
-        if self.dist_start_km < 0:
-            raise ValueError(f"dist_start_km must be >= 0, got {self.dist_start_km}")
-        if not self.sources:
-            raise ValueError("at least one source kind must be selected")
-        for kind in self.sources:
-            if kind not in SOURCE_KINDS:
-                raise ValueError(f"unknown source kind {kind!r}")
-            if self.sources.count(kind) > 1:
-                raise ValueError(f"source kind {kind!r} is selected more than once")
-        _grid_count(
-            "mu_prime_coarse_step", self.mu_prime_max - self.mu_prime_min,
-            self.mu_prime_coarse_step,
-        )
-        _grid_count(
-            "dist_step_km", max(0.0, self.dist_stop_km - self.dist_start_km),
-            self.dist_step_km,
-        )
+def _array_entropy(p):
+    h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
 
 
-def _grid_count(key: str, span: float, step: float) -> int:
-    """Points of the grid 0, step, ... up to span, refused above MAX_GRID_POINTS."""
-    cells = span / step + 1e-9
-    if not cells < MAX_GRID_POINTS:
-        raise ValueError(
-            f"{key} = {step!r} would make {cells:.3g} grid points; "
-            f"at most {MAX_GRID_POINTS} are allowed"
-        )
-    return int(math.floor(cells)) + 1
+# numerics.FLOATS' twin on broadcasting arrays, for the search alone; the
+# caller sets what numpy does on a zero division. numpy's exp/log differ
+# from math's in the last place, so a Python float's exp is FLOATS'.
+ARRAYS = SimpleNamespace(
+    exp=lambda x: np.exp(x) if isinstance(x, np.ndarray) else _exp(x), expm1=np.expm1,
+    minimum=np.minimum, clip=np.clip, where=np.where, ratio=np.divide, entropy=_array_entropy,
+)
 
 
 def distance_grid(cfg: SweepConfig) -> list[float]:
@@ -464,7 +381,7 @@ def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice
                 r = slice(i * n, (i + 1) * n) if each else slice(None)
                 x = mu_prime[r] if each else mu_prime
                 out.append(_benchmark_rate(ARRAYS, src, x, ty[r], e[r], t1, t2, f) if ideal
-                           else _search_rate(src, ch.d_b, t1, t2, mu, x, ty[r], e[r], f, mu_terms))
+                           else _search_rate(ARRAYS, src, ch.d_b, t1, t2, mu, x, ty[r], e[r], f, mu_terms))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate

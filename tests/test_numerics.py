@@ -3,7 +3,8 @@ import random
 
 import numpy as np
 
-from decoy_hsps.numerics import ARRAYS, FLOATS, binary_entropy
+from decoy_hsps.numerics import FLOATS, binary_entropy
+from decoy_hsps.optimizer import ARRAYS
 
 
 def test_arrays_take_a_python_floats_exp_as_floats_does():

@@ -10,15 +10,15 @@ import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.bounds import ideal_rate
 from decoy_hsps.cli import main
 from decoy_hsps.channel import ChannelParams, overall_transmittance
-from decoy_hsps.numerics import ARRAYS, FLOATS
+from decoy_hsps.config import MAX_GRID_POINTS, _grid_count
+from decoy_hsps.numerics import FLOATS
 from decoy_hsps.sources import CoherentSource, TriggeredSource, _coincidence_sum
 from decoy_hsps.optimizer import (
-    MAX_GRID_POINTS,
+    ARRAYS,
     RATE_TIE_TOL,
     SweepConfig,
     _BISECT_LEVELS,
     _bisection_tree,
-    _grid_count,
     _record_scan,
     _source,
     distance_grid,
@@ -485,6 +485,25 @@ def test_figure2_sweep_computes_each_row_term_once(monkeypatch):
     for kind in ("hsps", "wcs"):
         assert calls[kind, "FLOATS"] == 3 * 181  # decoy, signal and ideal signal per distance
         assert calls[kind, "ARRAYS"] == calls["rate calls"]
+
+
+def test_default_sweep_rates_each_reported_point_once_on_floats(monkeypatch):
+    # bench/tracer.py wraps optimizer._rate_formula and counts `result > 0.0`,
+    # which an array result would make ambiguous; the search's rates go elsewhere
+    calls = []
+
+    def spy(xp, *args):
+        result = rate_formula(xp, *args)
+        calls.append((xp, args, result))
+        return result
+
+    rate_formula = optimizer_module._rate_formula
+    monkeypatch.setattr(optimizer_module, "_rate_formula", spy)
+    points = sweep_distances(DEFAULT)
+    assert len(calls) == len(points) == 2 * 181
+    for xp, args, result in calls:
+        assert xp is FLOATS
+        assert all(type(x) is float for x in args + (result,))
 
 
 # ---------------------------------------------------------------------------

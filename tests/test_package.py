@@ -1,0 +1,75 @@
+"""The package's import surface: the scalar chain loads no numpy.
+
+Only the mu' search (decoy_hsps.optimizer) evaluates numpy arrays, so the
+package loads it, and numpy with it, on first use of one of its names.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import decoy_hsps
+from decoy_hsps import optimizer
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SEARCH_NAMES = ("distance_grid", "key_rate_point", "max_secure_distance", "sweep_distances")
+
+# The modules the bench's counts workload imports, then one count set per
+# source through statistics_from_counts -> compute_bounds -> key_rate.
+CHAIN = """
+import json, sys
+import decoy_hsps as dh
+from decoy_hsps import bounds, channel, config, observables, sources
+cfg = config.resolve_config()
+C = observables.IntensityCounts
+stats = observables.statistics_from_counts(
+    C(1e6, 1e6, 2), C(1e6, 1e5, 100, 3), C(1e6, 3e5, 600, 20))
+rates = []
+for src in (sources.triggered_source(cfg.eta_a, cfg.d_a), sources.COHERENT):
+    b = bounds.compute_bounds(src, stats, 0.1, 0.5, cfg.channel.e_0)
+    rates.append(bounds.key_rate(stats, b, cfg.f_ec))
+"""
+SCALAR_CHAIN = CHAIN + """
+before = sorted(m for m in ("numpy", "decoy_hsps.optimizer") if m in sys.modules)
+lazy = [getattr(dh, name) is getattr(sys.modules["decoy_hsps.optimizer"], name)
+        for name in %r]
+print(json.dumps({"before": before, "rates": rates, "lazy": lazy, "numpy": "numpy" in sys.modules}))
+""" % (SEARCH_NAMES,)
+
+
+def test_scalar_chain_imports_no_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", SCALAR_CHAIN], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    result = json.loads(out)
+    assert result["before"] == []
+    expected: dict = {}
+    exec(CHAIN, expected)
+    assert result["rates"] == expected["rates"] and max(expected["rates"]) > 0.0
+    # a search name's first use loads the optimizer, numpy with it, and binds its own object
+    assert result["lazy"] == [True] * 4 and result["numpy"]
+
+
+@pytest.mark.parametrize("name", SEARCH_NAMES)
+def test_search_names_are_the_optimizers(name):
+    assert getattr(decoy_hsps, name) is getattr(optimizer, name)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from decoy_hsps import *", namespace)
+    assert len(decoy_hsps.__all__) == 22
+    for name in decoy_hsps.__all__:
+        assert namespace[name] is getattr(decoy_hsps, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        decoy_hsps.no_such_name
+    assert not hasattr(decoy_hsps, "sweep")
+    with pytest.raises(ImportError):
+        exec("from decoy_hsps import no_such_name", {})
