@@ -35,6 +35,11 @@ def __getattr__(name):
     return value
 
 
+def __dir__():
+    """The module's names, the search's among them before their first use."""
+    return sorted(set(globals()) | set(_SEARCH))
+
+
 __all__ = [
     "__version__",
     "CoherentSource",

@@ -18,12 +18,13 @@ candidates at its float mu; _search joins the parts (_join makes columns
 of what differs between them) and refines every row in one golden-section
 pass. Both go in chunks that hold every job of an entry, and a chunk's
 rows take the same steps in lockstep, boolean masks standing in for the
-scalar branches. A source's bounded and ideal rows share one rate
-callable, which evaluates the source's signal at mu' once per step. The
-coarse scan's tie rule is applied to a whole block of columns at once
-(_record_scan); only a row with a rate within RATE_TIE_TOL of its block's
-top, or a NaN, walks the columns one by one. A row's search never reads
-another row, so neither parts nor chunks move any row's mu'.
+scalar branches; a golden-section rate call resolves two steps. A
+source's bounded and ideal rows share one rate callable, which evaluates
+the source's signal at mu' once per call. The coarse scan's tie rule is
+applied to a whole block of columns at once (_record_scan); only a row
+with a rate within RATE_TIE_TOL of its block's top, or a NaN, walks the
+columns one by one. A row's search never reads another row, so neither
+parts nor chunks move any row's mu'.
 
 A sweep is one part per configuration; figure 1's three decoy
 intensities share their transmittances and exact terms. A cut-off
@@ -79,12 +80,13 @@ RATE_TIE_TOL = 1e-15
 REFINE_TOL = 1e-4
 
 # A rate call evaluates at most this many (row, mu') cells: the coarse
-# scan goes in blocks of columns, and a chunk holds at most half this
-# many rows (at least one distance's), as the golden section opens with
-# two probes a row. So peak memory does not grow with either grid. At 2^13 cells
-# a float64 temporary (64 KB) stays below glibc's default mmap threshold
-# and is reused: a pass of the three figures (181 x 95 cells per sweep)
-# peaked 1.9 MB above the imported package, against 3.1 MB with 2^16.
+# scan goes in blocks of columns, and a chunk holds at most a third this
+# many rows (at least one distance's), as the golden section evaluates up
+# to three points a row a call. So peak memory does not grow with either
+# grid. At 2^13 cells a float64 temporary (64 KB) stays below glibc's
+# default mmap threshold and is reused: a pass of the three figures (181 x
+# 95 cells per sweep) peaked 1.9 MB above the imported package, against
+# 3.1 MB with 2^16.
 _BLOCK_CELLS = 1 << 13
 
 # A cut-off searches the bisection midpoints of this many levels at once,
@@ -97,8 +99,15 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _array_entropy(p):
-    h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
+    """numerics.binary_entropy's formula on an array of probabilities in [0, 1] or NaN.
+
+    Flooring log2's argument at the least subnormal gives H(0) = H(1) = 0
+    without masks, as 0 * log2(5e-324) and 1 * log2(1) are zeros; only the
+    sign of a zero entropy can differ from the masked formula's. A QBER
+    above 1 would read as a finite entropy, so the sources cap it at 1.
+    """
+    q = 1.0 - p
+    return -(p * np.log2(np.maximum(p, 5e-324)) + q * np.log2(np.maximum(q, 5e-324)))
 
 
 # numerics.FLOATS' twin on broadcasting arrays, for the search alone; the
@@ -136,7 +145,15 @@ def golden_section_maximize(fn, a, b, tol: float):
     lockstep: fn maps a (rows, k) array of points to their (rows, k)
     values, each row takes exactly the steps of its own scalar search, and
     a row whose bracket is narrower than tol stops moving. The two opening
-    probes of every row go to fn in one (rows, 2) call.
+    probes of every row go to fn in one (rows, 2) call; then each (rows, 3)
+    call resolves two steps. A step's comparison (fc >= fd) is known at the
+    top of a call, so its probe is fixed; the call carries it with both
+    points the next step may need, the one for keeping [a, d] and the one
+    for keeping [c, b], and that step's comparison picks one. A step that
+    leaves its bracket within tol needs no probe, only its midpoint's value
+    to report, so such a branch carries the midpoint instead, and a row
+    past its last step has it in both. Rows that need at most n steps take
+    1 + ceil(n/2) calls.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -145,29 +162,47 @@ def golden_section_maximize(fn, a, b, tol: float):
         raise ValueError(f"invalid bracket [{a[invalid][0]}, {b[invalid][0]}]")
     width = b - a
     active = width > tol
-    if active.any():
-        c = b - _INVPHI * width
-        d = a + _INVPHI * width
-        fc, fd = fn(np.stack([c, d], axis=1)).T
-        while active.any():
-            # fc >= fd keeps [a, d]: d takes c's place and a new c is probed;
-            # otherwise [c, b] is kept and a new d is probed. A frozen row's
-            # a and b never change again, so its c, fc, d, fd may go stale.
-            left = fc >= fd
-            b = np.where(active & left, d, b)
-            a = np.where(active & ~left, c, a)
-            width = b - a
-            probe = np.where(left, b - _INVPHI * width, a + _INVPHI * width)
-            f_probe = fn(probe[:, None])[:, 0]
-            c, fc, d, fd = (
-                np.where(left, probe, d),
-                np.where(left, f_probe, fd),
-                np.where(left, c, probe),
-                np.where(left, fc, f_probe),
-            )
-            active = width > tol
-    x = 0.5 * (a + b)
-    return x, fn(x[:, None])[:, 0]
+    if not active.any():
+        x = 0.5 * (a + b)
+        return x, fn(x[:, None])[:, 0]
+    c = b - _INVPHI * width
+    d = a + _INVPHI * width
+    # fn's points column by column: (k, rows) transposed, so its values' rows are contiguous
+    fc, fd = fn(np.array([c, d]).T).T
+    while True:
+        # fc >= fd keeps [a, d]: d takes c's place and a new c is probed;
+        # otherwise [c, b] is kept and a new d is probed. bl and ar are the
+        # kept bracket's ends; a frozen row keeps its a and b, so its c, fc,
+        # d, fd may go stale.
+        left = fc >= fd
+        bl, ar = np.where(active, d, b), np.where(active, c, a)
+        a, b = np.where(left, a, ar), np.where(left, bl, b)
+        width = b - a
+        active = width > tol
+        probe = np.where(left, b - _INVPHI * width, a + _INVPHI * width)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        # the next step, either way; a row frozen by now has bl = b and
+        # ar = a, so both its points are its midpoint
+        bl, ar = np.where(active, d, b), np.where(active, c, a)
+        width_l, width_r = bl - a, b - ar
+        probe_l, probe_r = bl - _INVPHI * width_l, ar + _INVPHI * width_r
+        far_l, far_r = width_l > tol, width_r > tol
+        if not (far_l.all() and far_r.all()):
+            probe_l = np.where(far_l, probe_l, 0.5 * (a + bl))
+            probe_r = np.where(far_r, probe_r, 0.5 * (ar + b))
+        f_probe, f_l, f_r = fn(np.array([probe, probe_l, probe_r]).T).T
+        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
+        left = fc >= fd
+        a, b = np.where(left, a, ar), np.where(left, bl, b)
+        active = np.where(left, far_l, far_r)
+        if not active.any():
+            return 0.5 * (a + b), np.where(left, f_l, f_r)
+        c, fc, d, fd = (
+            np.where(left, probe_l, d),
+            np.where(left, f_l, fd),
+            np.where(left, c, probe_r),
+            np.where(left, fc, f_r),
+        )
 
 
 def _record_scan(rates, cands, best_x, best_f):
@@ -397,8 +432,8 @@ def _jobs_rate(cfg: SweepConfig, rows: _Rows, jobs, entries: slice):
 
 
 def _chunks(n: int, jobs) -> list[slice]:
-    """Slices of n entries whose rows of every job make at most _BLOCK_CELLS / 2, or one entry's."""
-    size = max(1, _BLOCK_CELLS // (2 * len(jobs)))
+    """Slices of n entries whose rows of every job make at most _BLOCK_CELLS / 3, or one entry's."""
+    size = max(1, _BLOCK_CELLS // (3 * len(jobs)))
     return [slice(lo, min(n, lo + size)) for lo in range(0, n, size)]
 
 

@@ -113,7 +113,9 @@ class TriggeredSource:
         coincidences, dark counts on triggered photons and photon
         coincidences, capped at P_post (one click per triggered pulse); the
         QBER is the error mass e_0*d_b*P_post + e_d*coincidences over the
-        uncapped yield, NaN when nothing can click.
+        uncapped yield, NaN when nothing can click, and capped at 1: the
+        mass groups the dark terms apart from the yield's, so at e_0 = 1
+        with no coincidences it can exceed the yield by an ulp.
         """
         eta_a, d_a = self.eta_a, self.d_a
         coincidences = _coincidence_sum(x, eta_a, eta)
@@ -123,7 +125,7 @@ class TriggeredSource:
         ty = d_a * ch.d_b / one_x + ch.d_b * eta_a * x / one_xa + coincidences
         p_post = d_a / one_x + x_a / one_xa
         err = ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences
-        return p_post, xp.minimum(ty, p_post), xp.ratio(err, ty)
+        return p_post, xp.minimum(ty, p_post), xp.minimum(xp.ratio(err, ty), 1.0)
 
     def mu_terms(self, xp, mu):
         """(1+mu)^2 and (1+mu)^3, y1_raw's terms in mu alone.
@@ -170,6 +172,8 @@ class CoherentSource:
 
         The additive dark-count gain d_b + 1 - e^(-eta*x) is capped at 1; the
         QBER is the error share of the uncapped gain, NaN when nothing clicks.
+        It needs no cap at 1: e_0 and e_d are at most 1, so the error mass is
+        at most the gain, as e_0*d_b is d_b at e_0 = 1 and rounding is monotone.
         """
         lost = xp.expm1(-eta * x)
         q = ch.d_b - lost

@@ -64,6 +64,22 @@ class TestSweepCommand:
         assert manifest["config"]["mu"] == 0.06  # flag beats file
         assert manifest["config"]["sources"] == "hsps"
 
+    @pytest.mark.parametrize("overrides", [["e_0=1", "dist_stop_km=1000"], ["eta_b=0", "e_0=1"]],
+                             ids=["far", "dead channel"])
+    def test_every_dark_count_an_error_runs(self, tmp_path, overrides):
+        # with no coincidences the triggered source's error mass at e_0 = 1
+        # rounds an ulp above its yield; the QBER stays capped at 1
+        out = tmp_path / "run"
+        assert main(["sweep", "--out", str(out)] + [a for o in overrides for a in ("--override", o)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(r[e]) <= 1.0 for r in rows for e in ("E_mu", "E_mu_prime"))
+        assert all(float(r["key_rate"]) <= float(r["ideal_rate"]) for r in rows)
+        if "eta_b=0" in overrides:
+            assert all(float(r["key_rate"]) == 0.0 and r["feasible_flag"] == "0" for r in rows)
+        else:
+            assert float(rows[0]["key_rate"]) > 0.0 and float(rows[-1]["E_mu_prime"]) == 1.0
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["sweep", "--out", str(out1)] + SMALL_GRID) == 0

@@ -18,6 +18,7 @@ from decoy_hsps.optimizer import (
     RATE_TIE_TOL,
     SweepConfig,
     _BISECT_LEVELS,
+    _array_entropy,
     _bisection_tree,
     _record_scan,
     _source,
@@ -311,14 +312,15 @@ class TestBatchedCutoff:
         assert max_secure_distance(_cfg(eta_a=0.6), "hsps") == 166.0
 
     @pytest.mark.parametrize("overrides, kind, calls, rows", [
-        c[1:] + n for c, n in zip(CUTOFF_CASES[:3], [(14, 15), (16, 40), (14, 15)])
+        c[1:] + n for c, n in zip(CUTOFF_CASES[:3], [(8, 15), (9, 40), (8, 15)])
     ], ids=[c[0] for c in CUTOFF_CASES[:3]])
     def test_c07_cutoff_makes_one_refinement(self, monkeypatch, overrides, kind, calls, rows):
         cells, refined, searches = _spy_cutoff_search(monkeypatch)
         cfg = _cfg(**overrides)
         cutoff = max_secure_distance(cfg, kind)
-        # the grid end's 86 rows: 1 coarse call; tree: 1; joint golden section:
-        # 2 probes, 10 steps (12 for WCS, whose rows reach inside the mu' range) and 1
+        # the grid end's 86 rows: 1 coarse call; tree: 1; joint golden section: 2
+        # probes, then 10 steps two a call (12 for WCS, whose rows reach inside the
+        # mu' range), the last call carrying the midpoints
         assert len(cells) == calls
         assert max(cells) <= optimizer_module._BLOCK_CELLS
         # one search of two parts: the grid rows from the last positive coarse
@@ -351,9 +353,9 @@ class TestBatchedCutoff:
         assert (len(searches) > 1) == bisects
 
     @pytest.mark.parametrize("block_cells, searches, refined", [
-        # scan chunks of 1 row; golden-section chunks of 25 rows
-        (50, [[1] * 15 + [15], [1] * 40 + [15]], [25, 5, 25, 25, 5]),
-        # scan chunks of 6 rows from 180 km down; golden-section chunks of 300 rows
+        # scan chunks of 1 row; golden-section chunks of 16 rows
+        (50, [[1] * 15 + [15], [1] * 40 + [15]], [16, 14, 16, 16, 16, 7]),
+        # scan chunks of 6 rows from 180 km down; golden-section chunks of 200 rows
         (600, [[3, 6, 6, 15], [4] + [6] * 6 + [15]], [30, 55]),
     ])
     def test_chunk_limit_bounds_each_call(self, monkeypatch, block_cells, searches, refined):
@@ -363,7 +365,7 @@ class TestBatchedCutoff:
         assert [max_secure_distance(DEFAULT, kind) for kind in ("hsps", "wcs")] == serial
         assert max(cells) <= block_cells
         assert searched == searches
-        assert refined_rows == refined and max(refined_rows) <= block_cells // 2
+        assert refined_rows == refined and max(refined_rows) <= block_cells // 3
 
     @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
                              ids=[c[0] for c in CUTOFF_CASES])
@@ -480,7 +482,7 @@ def test_figure2_sweep_computes_each_row_term_once(monkeypatch):
     monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refine(spy("rate calls", fn), *args))
     points = sweep_distances(_cfg(sources=("hsps", "wcs"), include_ideal=True))
     assert len(points) == 2 * 181
-    assert calls["rate calls"] == 23
+    assert calls["rate calls"] == 16
     assert calls["exact"] == 181 and calls["at_distance"] == 0
     for kind in ("hsps", "wcs"):
         assert calls[kind, "FLOATS"] == 3 * 181  # decoy, signal and ideal signal per distance
@@ -597,11 +599,11 @@ def test_one_refinement_rates_every_row_as_its_own_search(monkeypatch, sources):
 
 
 def test_figure1_makes_one_refinement_pass(monkeypatch, tmp_path):
-    # 5 coarse blocks per mu and one golden section of 1 + 12 + 1 calls, against
+    # 5 coarse blocks per mu and one golden section of 1 + 6 calls, against
     # 3 x 19 calls and 3 x 181 exact terms for three sweeps
     calls = _count_search(monkeypatch)
     assert main(["figure", "1", "--out", str(tmp_path)]) == 0
-    assert calls["golden"] == 1 and calls["rate calls"] == 29 and calls["exact"] == 181
+    assert calls["golden"] == 1 and calls["rate calls"] == 22 and calls["exact"] == 181
 
 
 def test_configurations_swept_together_differ_only_in_mu():
@@ -616,18 +618,18 @@ def test_configurations_swept_together_differ_only_in_mu():
 
 @pytest.mark.parametrize("block_cells", [50, 1000, 1 << 13])
 def test_rows_too_many_for_one_chunk_are_refined_in_chunks(monkeypatch, block_cells):
-    # chunks of 6, 125 and 1024 entries (4 jobs each) over the 3 x 91 joined entries
+    # chunks of 4, 83 and 682 entries (4 jobs each) over the 3 x 91 joined entries
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps", "wcs"), dist_step_km=2.0)
     alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
     monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
     calls = _count_search(monkeypatch)
     assert sweep_distances(*cfgs) == alone
-    assert calls["golden"] == -(-273 // (block_cells // 8))
+    assert calls["golden"] == -(-273 // (block_cells // 12))
 
 
 @pytest.mark.parametrize("block_cells", [50, 379])
 def test_chunks_split_parts_in_the_middle(monkeypatch, block_cells):
-    # figure 1's 3 x 181 entries in chunks of 12 or 94; 181 + 15 entries in chunks of 25 or 189
+    # figure 1's 3 x 181 entries in chunks of 8 or 63; 181 + 15 entries in chunks of 16 or 126
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps",))
     jobs, distances = [("hsps", False), ("hsps", True)], distance_grid(cfgs[0])
     alone = [_searched_mu_primes(cfg, distances, jobs) for cfg in cfgs]
@@ -842,7 +844,7 @@ class TestStackedSearch:
 
     @pytest.mark.parametrize("block_cells", [3, 7, 25, 50])
     def test_chunks_bound_each_search_and_call(self, monkeypatch, block_cells):
-        # chunks of 1, 1, 3 and 6 distances, each with the rows of all 4 jobs; a
+        # chunks of 1, 1, 2 and 4 distances, each with the rows of all 4 jobs; a
         # chunk holds at least one distance's rows, so 3 and 7 cells give 4 rows
         distances = list(range(0, 200, 20))
         whole = _searched_mu_primes(DEFAULT, distances, STACK_JOBS)
@@ -850,9 +852,9 @@ class TestStackedSearch:
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
         assert _searched_mu_primes(DEFAULT, distances, STACK_JOBS) == whole
         assert sum(searches) == len(distances) * len(STACK_JOBS)
-        rows = len(STACK_JOBS) * max(1, block_cells // (2 * len(STACK_JOBS)))
-        assert max(searches) == rows <= max(block_cells, 2 * len(STACK_JOBS)) // 2
-        assert max(cells) <= max(block_cells, 2 * rows)
+        rows = len(STACK_JOBS) * max(1, block_cells // (3 * len(STACK_JOBS)))
+        assert max(searches) == rows <= max(block_cells, 3 * len(STACK_JOBS)) // 3
+        assert max(cells) <= max(block_cells, 3 * rows)
 
     @pytest.mark.parametrize("block_cells", [3, 7, 25, 50, 1 << 13])
     def test_sweep_job_order_matches_per_job_searches(self, monkeypatch, block_cells):
@@ -1102,6 +1104,16 @@ class TestTriggeredYieldCap:
         assert len(sweep_distances(cfg)) == 3 * 2
 
 
+# Functions of the lockstep golden-section tests, on floats and arrays alike.
+GOLDEN_FUNCTIONS = {
+    "parabola": lambda x: -((x - 0.3001) * (x - 0.3001)),
+    "falling": lambda x: -x,  # every step keeps [a, d]
+    "rising": lambda x: x,  # every step keeps [c, b]
+    "flat": lambda x: 0.0 * x,  # every comparison ties
+    "nan above 0.30002": lambda x: np.where(x > 0.30002, np.nan, x),  # every comparison with NaN fails
+}
+
+
 class TestLockstepGoldenSection:
     def test_array_brackets_equal_elementwise_scalar_calls(self):
         # brackets from 4 wide down to 0; the last function is flat, so ties
@@ -1124,3 +1136,41 @@ class TestLockstepGoldenSection:
     def test_invalid_array_bracket(self):
         with pytest.raises(ValueError, match="invalid bracket"):
             golden_section_maximize(lambda x: x, np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1e-4)
+
+    @pytest.mark.parametrize("name", list(GOLDEN_FUNCTIONS))
+    @pytest.mark.parametrize("a, width, parity", [
+        # a wide row, rows frozen from the start (widths 0, 5e-5 and 1e-4) and
+        # rows that freeze after 3 and 12 of the wide row's 20 steps
+        ([0.0, 0.25, 0.3, 0.2, 0.29, 0.3], [1.0, 0.0, 3e-4, 5e-5, 0.02, 1e-4], 0),
+        # 3, 1 and 2 steps
+        ([0.3, 0.3, 0.29995], [3e-4, 1.5e-4, 2e-4], 1),
+        # nothing to step: one call of the midpoints
+        ([0.3, 0.1], [0.0, 5e-5], 0),
+    ], ids=["even", "odd", "frozen"])
+    def test_two_steps_a_call_equal_scalar_search(self, name, a, width, parity):
+        f = GOLDEN_FUNCTIONS[name]
+        a = np.array(a)
+        b = a + np.array(width)
+        shapes = []
+        x, fx = golden_section_maximize(lambda p: shapes.append(p.shape) or f(p), a, b, 1e-4)
+        steps = 0
+        for i in range(a.size):
+            points = []
+            scalar = lambda v: points.append(v) or float(f(np.float64(v)))
+            xr, fr = _golden_reference(scalar, float(a[i]), float(b[i]), 1e-4)
+            assert x[i] == xr and (fx[i] == fr or math.isnan(fx[i]) and math.isnan(fr))
+            steps = max(steps, len(points) - 3)  # 2 opening probes, one a step, the midpoint
+        assert steps % 2 == parity
+        calls = 1 + -(-steps // 2)
+        assert shapes == ([(a.size, 2)] + [(a.size, 3)] * (calls - 1) if steps else [(a.size, 1)])
+
+
+def test_array_entropy_equals_masked_formula():
+    p = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, np.nan],
+                        np.random.default_rng(5).uniform(0.0, 1.0, 1000)])
+    with np.errstate(all="ignore"):
+        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+        masked = np.where((p == 0.0) | (p == 1.0), 0.0, h)
+    got = _array_entropy(p)
+    assert ((got == masked) | np.isnan(got) & np.isnan(masked)).all()
+    assert got[:2].tolist() == [0.0, 0.0] and math.isnan(got[5])
