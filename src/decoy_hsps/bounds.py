@@ -2,21 +2,32 @@
 
 The centerpiece is the lower bound on the single-photon yield Y1 obtained
 by eliminating the two-photon term between the rescaled-yield constraints
-of the two nonvacuum intensities. Write u = mu/(1+mu), v = mu'/(1+mu').
-Weighting the decoy constraint by (1+mu)*v^2 and the signal constraint by
-(1+mu')*u^2 and subtracting gives the n-photon yield the coefficient
+sum_n P_n(x) Y_n = tY_x of the two nonvacuum intensities. Each source
+states its weights in the factored form P_n(x) = g(x) * k_n * u(x)^n
+(.sources); write u = u(mu), v = u(mu'). Weighting the decoy constraint
+by v^2/g(mu) and the signal constraint by u^2/g(mu') and subtracting gives
+the n-photon yield the coefficient
 
-    [1 - (1-eta_a)^n] * (v^2 u^n - u^2 v^n)
+    k_n * (v^2 u^n - u^2 v^n)
 
 which is positive at n=1, cancels identically at n=2, and is negative for
-every n >= 3 whenever mu' > mu. Dropping the negative terms and solving
-for Y1 yields the bound; the same elimination applied to Poissonian
-constraints gives the weak-coherent-state (WCS) bound. tests/oracles.py
-writes both coefficients out, so the algebra itself is machine-checked.
+every n >= 3 whenever v > u, as it is for mu' > mu: the triggered source
+has g = 1/(1+x), u = x/(1+x) and k_n = 1 - (1-eta_a)^n, the
+weak-coherent-state (WCS) source g = e^(-x), u = x and k_n = 1/n!.
+Dropping the negative terms and solving for Y1 yields the bound
 
-From Y1 follow the single-photon fraction among the signal clicks, an
-upper bound on the single-photon QBER (evaluated at the decoy intensity
-for tightness), and the final secure key rate
+    Y1 = (v^2 tY_mu/g(mu) - u^2 tY_mu'/g(mu') - k0 Y0 (v^2 - u^2)) / (k1 u v (v - u))
+
+for both sources. tests/oracles.py writes both coefficients out, so the
+algebra itself is machine-checked.
+
+From Y1 follow the single-photon fraction Delta1 = P1(mu') Y1 / tY_mu'
+among the signal clicks, an upper bound on the single-photon QBER
+(evaluated at the decoy intensity for tightness)
+
+    e1 = (E_mu tY_mu/g(mu) - k0 e_0 Y0) / (k1 u Y1)
+
+and the final secure key rate
 
     R = (tY' / 2) * { -f H2(E') + Delta1 [1 - H2(e1)] }
 
@@ -28,12 +39,12 @@ divides by it, and on a NaN raw Y1. Without the QBER at the decoy
 intensity it bounds Y1 and Delta1 and leaves e1 unset.
 
 All of it is written once for both sources: a source object (.sources)
-supplies raw Y1, the single-photon share and the e1 error mass with its
-normaliser, and one text, run through a numeric namespace xp, clamps and
-rates them for Python floats (the scalar chain: .numerics.FLOATS) and
-numpy arrays (the mu' search passes its ARRAYS; no numpy import here).
-The scalar bounds return before dividing by a non-positive raw Y1; the
-array rates mask it with where instead.
+supplies only its weights (g, 1/g, k0, k1, u), and one text, run through
+a numeric namespace xp, derives, clamps and rates the bounds for Python
+floats (the scalar chain: .numerics.FLOATS) and numpy arrays (the mu'
+search passes its ARRAYS; no numpy import here). The scalar bounds return
+before dividing by a non-positive raw Y1; the array rates mask it with
+where instead.
 
 SecurityBounds and KeyRatePoint are built once per evaluated point, so,
 like ObservedStatistics, their own __init__ checks the arguments and
@@ -129,16 +140,39 @@ class KeyRatePoint:
 # ---------------------------------------------------------------------------
 # single-photon bounds
 
-def _single_photon_bounds(xp, src, raw_y1, e1_mass, mu, mu_prime, ty_mu_prime):
+def _raw_y1(w_mu, w_mu_prime, y0, ty_mu, ty_mu_prime):
+    """Unclamped Y1 bound from the decoy and signal constraints, at the source's weights there."""
+    _, inv_g, k0, k1, u = w_mu
+    _, inv_g_prime, _, _, v = w_mu_prime
+    u2, v2 = u**2, v**2
+    num = v2 * (ty_mu * inv_g) - u2 * (ty_mu_prime * inv_g_prime) - k0 * y0 * (v2 - u2)
+    return num / (k1 * u * v * (v - u))
+
+
+def _e1_mass(w_mu, e_mu, ty_mu, y0, e_0):
+    """Error mass of the decoy constraint less the vacuum's, over g(mu): e1's numerator."""
+    _, inv_g, k0, _, _ = w_mu
+    return e_mu * ty_mu * inv_g - k0 * e_0 * y0
+
+
+def _delta1(y1, w, ty):
+    """Share P1 * y1 of the rescaled yield ty, at the weights w of its intensity; unclamped."""
+    g, _, _, k1, v = w
+    return y1 * k1 * v * g / ty
+
+
+def _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty_mu_prime):
     """Y1, Delta1 and e1 clamped into range, then the raw Delta1 and e1.
 
     Delta1 is the single-photon share at the signal intensity, where it
     enters the key rate; e1 is bounded from the error mass e1_mass at the
-    decoy intensity, dividing by Y1, so raw_y1 must be positive.
+    decoy intensity, dividing by P1(mu) * Y1 / g(mu), so raw_y1 must be
+    positive.
     """
     y1 = xp.minimum(raw_y1, 1.0)
-    raw_d1 = src.single_photon(xp, y1, mu_prime, ty_mu_prime)
-    raw_e1 = e1_mass / src.e1_norm(y1, mu)
+    raw_d1 = _delta1(y1, w_mu_prime, ty_mu_prime)
+    _, _, _, k1, u = w_mu
+    raw_e1 = e1_mass / (y1 * k1 * u)
     return y1, xp.minimum(raw_d1, 1.0), xp.clip(raw_e1, 0.0, 0.5), raw_d1, raw_e1
 
 
@@ -155,16 +189,19 @@ def compute_bounds(
     if not obs.ty_mu_prime > 0.0:  # Delta1 divides by it
         raise ValueError(f"no clicks at the signal intensity mu_prime={mu_prime}; "
                          "the bounds need a positive signal yield")
-    raw_y1 = src.y1_raw(FLOATS, obs.y0, obs.ty_mu, obs.ty_mu_prime, mu, mu_prime)
+    w_mu, w_mu_prime = src.weights(FLOATS, mu), src.weights(FLOATS, mu_prime)
+    # the elimination divides by v - u, which rounding can make 0 or negative
+    # (x/(1+x) at huge intensities); no bound is defined there
+    raw_y1 = (_raw_y1(w_mu, w_mu_prime, obs.y0, obs.ty_mu, obs.ty_mu_prime)
+              if w_mu[4] < w_mu_prime[4] else math.nan)
     if not raw_y1 > 0.0:
-        if math.isnan(raw_y1):  # inf - inf once a coherent e^mu overflows; the clamp would say 0
+        if math.isnan(raw_y1):  # or inf - inf once a coherent e^mu overflows; the clamp would say 0
             raise ValueError(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
         return SecurityBounds(0.0, 0.0, None if obs.e_mu is None else 0.5, False)
     # a missing QBER gives a NaN error mass, so a NaN e1 that no clamp test flags
-    e1_mass = (math.nan if obs.e_mu is None
-               else src.e1_mass(FLOATS, mu, obs.e_mu, obs.ty_mu, obs.y0, e_0))
+    e1_mass = math.nan if obs.e_mu is None else _e1_mass(w_mu, obs.e_mu, obs.ty_mu, obs.y0, e_0)
     y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(
-        FLOATS, src, raw_y1, e1_mass, mu, mu_prime, obs.ty_mu_prime)
+        FLOATS, raw_y1, e1_mass, w_mu, w_mu_prime, obs.ty_mu_prime)
     feasible = not (raw_y1 > 1.0 or raw_d1 > 1.0 or raw_e1 > 0.5 or raw_e1 < 0.0)
     return SecurityBounds(y1, delta1, None if obs.e_mu is None else e1, feasible)
 
@@ -196,34 +233,47 @@ _NO_E1 = "the key rate needs an e1 bound, and e1 needs the QBER at the decoy int
 _NO_SIGNAL_QBER = "QBER at the signal intensity is required but missing"
 
 
-def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
-    """Secure key rate per emitted signal pulse, clamped at 0."""
-    if f < 1.0:
-        raise ValueError(f"error-correction inefficiency f must be >= 1, got {f}")
+def rate_and_feasibility(
+    obs: ObservedStatistics, bounds: SecurityBounds, f_ec: float
+) -> tuple[float, bool]:
+    """Key rate clamped at 0, and whether the point is feasible.
+
+    A point is feasible when no bound had to be clamped and the raw rate
+    formula is not negative; sweeps, figures and the counts analysis all
+    report this one flag.
+    """
     if obs.e_mu_prime is None:
         raise ValueError(_NO_SIGNAL_QBER)
     if bounds.e1_upper is None:
         raise ValueError(_NO_E1)
-    raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1,
-                        binary_entropy(bounds.e1_upper), f)
-    return raw if raw > 0.0 else 0.0
+    h_e1 = binary_entropy(bounds.e1_upper)
+    raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, h_e1, f_ec)
+    return raw if raw > 0.0 else 0.0, bounds.feasible and raw >= 0.0
+
+
+def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
+    """Secure key rate per emitted signal pulse, clamped at 0."""
+    if f < 1.0:
+        raise ValueError(f"error-correction inefficiency f must be >= 1, got {f}")
+    return rate_and_feasibility(obs, bounds, f)[0]
 
 
 # The rate formula does not depend on the source.
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(xp, src, y0, ty_mu, e1_mass, mu, mu_prime, ty, e, f, mu_terms):
+def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, e, f):
     """The clamped key rate of compute_bounds and key_rate, on arrays of namespace xp.
 
     Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
-    values) and src.signal's yield ty and QBER e at mu_prime, which
-    broadcasts against them; mu and its src.mu_terms, taken on floats, are
-    floats or columns alike. Cells whose raw Y1 is not positive are masked
-    to 0, so the caller decides what numpy does on them before the mask.
+    values) and the source's signal yield ty and QBER e and its weights
+    w_mu_prime at mu', which broadcast against them; the weights w_mu,
+    taken on floats, are floats or columns alike. Cells whose raw Y1 is not
+    positive are masked to 0, so the caller decides what numpy does on them
+    before the mask.
     """
-    raw_y1 = src.y1_raw(xp, y0, ty_mu, ty, mu, mu_prime, mu_terms)
-    _, delta1, e1, _, _ = _single_photon_bounds(xp, src, raw_y1, e1_mass, mu, mu_prime, ty)
+    raw_y1 = _raw_y1(w_mu, w_mu_prime, y0, ty_mu, ty)
+    _, delta1, e1, _, _ = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty)
     raw = _rate_formula(xp, ty, e, delta1, xp.entropy(e1), f)
     return xp.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
 
@@ -236,9 +286,9 @@ def _exact_single_photon(ch: ChannelParams, eta: float) -> tuple[float, float]:
     return _click_probability(1, ch, eta), binary_entropy(min(0.5, _error_rate(1, ch, eta)))
 
 
-def _benchmark_rate(xp, src, mu_prime, ty, e, y1, h_e1, f):
-    """Rate formula at src.signal's ty and e with the exact y1 and h_e1, clamped at 0."""
-    delta1 = xp.minimum(src.single_photon(xp, y1, mu_prime, ty), 1.0)
+def _benchmark_rate(xp, w, ty, e, y1, h_e1, f):
+    """Rate formula at a source's signal ty and e and weights w with the exact y1 and h_e1, clamped at 0."""
+    delta1 = xp.minimum(_delta1(y1, w, ty), 1.0)
     raw = _rate_formula(xp, ty, e, delta1, h_e1, f)
     return xp.where(raw > 0.0, raw, 0.0)
 
@@ -248,4 +298,4 @@ def ideal_rate(src, mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC)
     eta = overall_transmittance(ch)
     y1, h_e1 = _exact_single_photon(ch, eta)
     _, ty, e = src.signal(FLOATS, mu_prime, eta, ch)
-    return _benchmark_rate(FLOATS, src, mu_prime, ty, e, y1, h_e1, f)
+    return _benchmark_rate(FLOATS, src.weights(FLOATS, mu_prime), ty, e, y1, h_e1, f)

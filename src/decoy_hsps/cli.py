@@ -23,7 +23,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .bounds import compute_bounds
+from .bounds import compute_bounds, rate_and_feasibility
 from .config import (
     ConfigError,
     SweepConfig,
@@ -34,7 +34,7 @@ from .config import (
     write_manifest,
 )
 from .observables import IntensityCounts, statistics_from_counts
-from .optimizer import rate_and_feasibility, sweep_distances
+from .optimizer import sweep_distances
 from .sources import triggered_source
 
 CSV_COLUMNS = (

@@ -10,21 +10,21 @@ gives a positive rate, mu' is mu_prime_min and the rate 0.
 Every search takes one path: a list of parts, each one configuration's
 rows (_Rows) with its terms computed once on Python floats: per distance
 the overall transmittance and the benchmark's exact single-photon terms,
-per source kind the decoy signal triple and e1 mass, and the
-configuration's mu, mu_prime_min and y1_raw's terms in mu alone. Each
-(source kind, bounded or ideal) job adds one row per entry to a 2-D array
-of rows by mu' columns. _scan coarse-scans each part over its own
+per source kind the decoy signal triple, e1 mass and the source's weights
+at mu, and the configuration's mu_prime_min. Each (source kind, bounded
+or ideal) job adds one row per entry to a 2-D array of rows by mu'
+columns. _scan coarse-scans each part over its own
 candidates at its float mu; _search joins the parts (_join makes columns
 of what differs between them) and refines every row in one golden-section
 pass. Both go in chunks that hold every job of an entry, and a chunk's
 rows take the same steps in lockstep, boolean masks standing in for the
 scalar branches; a golden-section rate call resolves two steps. A
 source's bounded and ideal rows share one rate callable, which evaluates
-the source's signal at mu' once per call. The coarse scan's tie rule is
-applied to a whole block of columns at once (_record_scan); only a row
-with a rate within RATE_TIE_TOL of its block's top, or a NaN, walks the
-columns one by one. A row's search never reads another row, so neither
-parts nor chunks move any row's mu'.
+the source's signal and weights at mu' once per call. The coarse scan's
+tie rule is applied to a whole block of columns at once (_record_scan);
+only a row with a rate within RATE_TIE_TOL of its block's top, or a NaN,
+walks the columns one by one. A row's search never reads another row, so
+neither parts nor chunks move any row's mu'.
 
 A sweep is one part per configuration; figure 1's three decoy
 intensities share their transmittances and exact terms. A cut-off
@@ -57,18 +57,17 @@ import numpy as np
 
 from .bounds import (
     KeyRatePoint,
-    _NO_E1,
-    _NO_SIGNAL_QBER,
     SecurityBounds,
     _benchmark_rate,
+    _e1_mass,
     _exact_single_photon,
-    _rate_formula,
     _search_rate,
     compute_bounds,
+    rate_and_feasibility,
 )
 from .channel import ChannelParams, fiber_transmittance, overall_transmittance
 from .config import _SOURCES, SweepConfig, _grid_count
-from .numerics import FLOATS, _exp, binary_entropy
+from .numerics import FLOATS, _exp
 from .observables import ObservedStatistics, _forecast_row
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
@@ -279,24 +278,6 @@ def _refine(rate_fn, best_x, best_f, cfg: SweepConfig, mu_prime_min):
     return best_x, best_f
 
 
-def rate_and_feasibility(
-    obs: ObservedStatistics, bounds: SecurityBounds, f_ec: float
-) -> tuple[float, bool]:
-    """Key rate clamped at 0, and whether the point is feasible.
-
-    A point is feasible when no bound had to be clamped and the raw rate
-    formula is not negative; sweeps, figures and the counts analysis all
-    report this one flag.
-    """
-    if obs.e_mu_prime is None:
-        raise ValueError(_NO_SIGNAL_QBER)
-    if bounds.e1_upper is None:
-        raise ValueError(_NO_E1)
-    h_e1 = binary_entropy(bounds.e1_upper)
-    raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, h_e1, f_ec)
-    return raw if raw > 0.0 else 0.0, bounds.feasible and raw >= 0.0
-
-
 def _source(cfg: SweepConfig, source_kind: str):
     if source_kind not in _SOURCES:
         raise ValueError(f"unknown source kind {source_kind!r}")
@@ -329,17 +310,16 @@ class _Rows(NamedTuple):
 
     Floats: eta, exact's (Y1, H(e1)) and, per source kind, decoy's signal
     triple at mu. cols: the search's (rows, 1) columns of eta, exact and,
-    per source kind, decoy yield and e1 mass. mu, mu_terms (per source kind)
-    and mu_prime_min: floats, or once _join has joined parts that differ in
-    them, (rows, 1) columns and a 1-D array of rows.
+    per source kind, decoy yield and e1 mass. weights (the source's at mu,
+    per source kind) and mu_prime_min: floats, or once _join has joined
+    parts that differ in them, (rows, 1) columns and a 1-D array of rows.
     """
 
     eta: list[float]
     exact: list[tuple[float, float]]
     decoy: dict[str, list[tuple[float, float, float]]]
     cols: dict[str, tuple[np.ndarray, ...]]
-    mu: float | np.ndarray
-    mu_terms: dict[str, tuple]
+    weights: dict[str, tuple]
     mu_prime_min: float | np.ndarray
 
 
@@ -356,13 +336,13 @@ def _rows(cfg: SweepConfig, distances, jobs, shared: _Rows | None = None) -> _Ro
     else:
         eta, exact = shared.eta, shared.exact
         cols = {k: shared.cols[k] for k in ("eta", "exact")}
-    rows = _Rows(eta, exact, {}, cols, cfg.mu, {}, cfg.mu_prime_min)
+    rows = _Rows(eta, exact, {}, cols, {}, cfg.mu_prime_min)
     for kind in dict.fromkeys(kind for kind, ideal in jobs if not ideal):
         src = _source(cfg, kind)
+        w = rows.weights[kind] = src.weights(FLOATS, cfg.mu)
         decoy = rows.decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in eta]
-        e1_mass = [src.e1_mass(FLOATS, cfg.mu, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy]
+        e1_mass = [_e1_mass(w, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy]
         rows.cols[kind] = (_column([ty for _, ty, _ in decoy]), _column(e1_mass))
-        rows.mu_terms[kind] = src.mu_terms(FLOATS, cfg.mu)
     return rows
 
 
@@ -375,15 +355,13 @@ def _join(parts: list[_Rows]) -> _Rows:
     if len(parts) == 1:
         return parts[0]
     sizes = [len(p.eta) for p in parts]
-    mu, mu_terms, mu_prime_min = parts[0].mu, parts[0].mu_terms, parts[0].mu_prime_min
-    if any(p.mu != mu for p in parts):  # a float spares the rate arithmetic a broadcast column
-        mu = np.repeat([p.mu for p in parts], sizes)[:, None]
-        mu_terms = {k: tuple(np.repeat(t, sizes)[:, None] for t in zip(*(p.mu_terms[k] for p in parts)))
-                    for k in mu_terms}
+    weights = {k: tuple(t[0] if len(set(t)) == 1 else np.repeat(t, sizes)[:, None]
+                        for t in zip(*(p.weights[k] for p in parts))) for k in parts[0].weights}
+    mu_prime_min = parts[0].mu_prime_min
     if any(p.mu_prime_min != mu_prime_min for p in parts):
         mu_prime_min = np.repeat([p.mu_prime_min for p in parts], sizes)
     cols = {k: tuple(np.concatenate(c) for c in zip(*(p.cols[k] for p in parts))) for k in parts[0].cols}
-    return _Rows([], [], {}, cols, mu, mu_terms, mu_prime_min)
+    return _Rows([], [], {}, cols, weights, mu_prime_min)
 
 
 def _take(value, entries: slice):
@@ -395,28 +373,29 @@ def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice
     """One rate callable over a source kind's rows of entries, one block per flag of ideals.
 
     In the refinement its rows are span of the search's rows. A call
-    evaluates the source's signal at mu' once for them all (once per entry
-    in the coarse scan, where every row sees the same mu'). The search sees
-    the scalar rates up to the last place of numpy's exp/log/pow.
+    evaluates the source's signal and weights at mu' once for them all
+    (once per entry in the coarse scan, where every row sees the same mu').
+    The search sees the scalar rates up to the last place of numpy's
+    exp/log/pow.
     """
     ch, f, src = cfg.channel, cfg.f_ec, _source(cfg, kind)
     eta, n = rows.cols["eta"][0][entries], entries.stop - entries.start
     every_eta = np.concatenate([eta] * len(ideals))
     terms = [[c[entries] for c in rows.cols["exact" if ideal else kind]] for ideal in ideals]
-    mu = _take(rows.mu, entries)
-    mu_terms = [_take(t, entries) for t in rows.mu_terms.get(kind, ())]
+    w_mu = [_take(t, entries) for t in rows.weights.get(kind, ())]
 
     def rate(mu_prime):
         each = mu_prime.shape[0] > 1
         mu_prime = mu_prime[span] if each else mu_prime
         with np.errstate(all="ignore"):
             _, ty, e = src.signal(ARRAYS, mu_prime, every_eta if each else eta, ch)
+            w = src.weights(ARRAYS, mu_prime)
             out = []
             for i, (ideal, (t1, t2)) in enumerate(zip(ideals, terms)):
                 r = slice(i * n, (i + 1) * n) if each else slice(None)
-                x = mu_prime[r] if each else mu_prime
-                out.append(_benchmark_rate(ARRAYS, src, x, ty[r], e[r], t1, t2, f) if ideal
-                           else _search_rate(ARRAYS, src, ch.d_b, t1, t2, mu, x, ty[r], e[r], f, mu_terms))
+                w_r = [_take(t, r) for t in w]
+                out.append(_benchmark_rate(ARRAYS, w_r, ty[r], e[r], t1, t2, f) if ideal
+                           else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty[r], e[r], f))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate
@@ -486,7 +465,7 @@ def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
                 if cfg.include_ideal:
                     m = searched[kind, True][i]
                     _, ty, e = src.signal(FLOATS, m, eta, ch)
-                    ideal = _benchmark_rate(FLOATS, src, m, ty, e, *r.exact[i], cfg.f_ec)
+                    ideal = _benchmark_rate(FLOATS, src.weights(FLOATS, m), ty, e, *r.exact[i], cfg.f_ec)
                 else:
                     ideal = float("nan")
                 points.append(KeyRatePoint(

@@ -9,11 +9,14 @@ thermal weights are geometric, so every quantity here has a closed form;
 truncated-series twins in tests/oracles.py check them.
 
 The forecast, bounds and key rate are written once for both sources. The
-sources differ only in the terms of their objects, TriggeredSource and
-CoherentSource: the signal terms at an intensity, raw Y1 from the decoy
-and signal constraints with its terms in the decoy intensity alone, the
-single-photon share of the clicks, and the e1 error mass with its
-normaliser. Each term takes a numeric namespace xp (.numerics), so one
+sources differ only in their objects, TriggeredSource and CoherentSource:
+each gives its signal terms at an intensity (signal) and states its
+photon-number law, the weight P_n(x) of the n-photon yield in the
+constraint sum_n P_n(x) Y_n = tY_x that its rescaled yield obeys, in the
+factored form P_n(x) = g(x) * k_n * u(x)^n (weights gives g, 1/g, k0, k1
+and u). The one decoy-state elimination in .bounds derives Y1, Delta1 and
+e1 from these alone; the two-photon factor k2 cancels there, so no source
+states it. Each term takes a numeric namespace xp (.numerics), so one
 text serves Python floats and numpy arrays.
 """
 from __future__ import annotations
@@ -93,11 +96,12 @@ class TriggeredSource:
     eta_a: float
     d_a: float
 
-    # _coincidence_sum forms 1 - eta_a and y1_raw divides by eta_a, so the
-    # rounding grows as eta_a shrinks. Against the series oracle, over x in
-    # [0.01, 1] and the default 0-180 km channel, the closed form drifts up
-    # to 3.5e-12 relative at 1e-4, 3.2e-10 at 1e-6 and 3.5e-8 at 1e-8; at
-    # 1e-16 a default sweep's Y1 bound is up to 16x the true Y1.
+    # _coincidence_sum forms 1 - eta_a and the Y1 bound divides by k1 =
+    # eta_a, so the rounding grows as eta_a shrinks. Against the series
+    # oracle, over x in [0.01, 1] and the default 0-180 km channel, the
+    # closed form drifts up to 3.5e-12 relative at 1e-4, 3.2e-10 at 1e-6 and
+    # 3.5e-8 at 1e-8; at 1e-16 a default sweep's Y1 bound is up to 16x the
+    # true Y1.
     ETA_A_MIN = 1e-4
 
     def __post_init__(self):
@@ -127,34 +131,14 @@ class TriggeredSource:
         err = ch.e_0 * ch.d_b * p_post + ch.e_d * coincidences
         return p_post, xp.minimum(ty, p_post), xp.minimum(xp.ratio(err, ty), 1.0)
 
-    def mu_terms(self, xp, mu):
-        """(1+mu)^2 and (1+mu)^3, y1_raw's terms in mu alone.
+    def weights(self, xp, x):
+        """(g, 1/g, k0, k1, u) of the thermal law P_n = k_n x^n / (1+x)^(n+1).
 
-        y1_raw computes them unless given; a column of several mu gives each
-        row's, taken on its float, as numpy's pow rounds them apart.
+        A pulse of n >= 1 photons triggers with k_n = 1 - (1-eta_a)^n, so
+        k1 = eta_a; a vacuum pulse only on a dark count, k0 = d_a.
         """
-        one_mu = 1.0 + mu
-        return one_mu ** 2, one_mu ** 3
-
-    def y1_raw(self, xp, y0, ty_mu, ty_mu_prime, mu, mu_prime, mu_terms=None):
-        """Unclamped Y1 bound from the rescaled-yield constraints (see bounds)."""
-        square, cube = self.mu_terms(xp, mu) if mu_terms is None else mu_terms
-        up, down = mu_prime / mu, mu / mu_prime
-        one_mu_prime = 1.0 + mu_prime
-        lead = up * cube * ty_mu - down * one_mu_prime ** 3 * ty_mu_prime
-        vac = y0 * self.d_a * (up * square - down * one_mu_prime ** 2)
-        return (lead - vac) / (self.eta_a * (mu_prime - mu))
-
-    def single_photon(self, xp, y1, x, ty_x):
-        """Share y1 * eta_a * x / (1+x)^2 of the rescaled yield ty_x, unclamped."""
-        return y1 * self.eta_a * x / (ty_x * (1.0 + x) ** 2)
-
-    def e1_mass(self, xp, x, e_x, ty_x, y0, e_0):
-        """Error mass at intensity x less the dark-trigger vacuum's, over (1+x)^-2."""
-        return (1.0 + x) ** 2 * e_x * ty_x - (1.0 + x) * y0 * self.d_a * e_0
-
-    def e1_norm(self, y1, x):
-        return y1 * self.eta_a * x
+        one_x = 1.0 + x
+        return 1.0 / one_x, one_x, self.d_a, self.eta_a, x / one_x
 
 
 @functools.lru_cache(maxsize=32)
@@ -179,27 +163,9 @@ class CoherentSource:
         q = ch.d_b - lost
         return 1.0, xp.minimum(q, 1.0), xp.ratio(ch.e_0 * ch.d_b - ch.e_d * lost, q)
 
-    def mu_terms(self, xp, mu):
-        """e^mu and mu^2: y1_raw's terms in mu alone, as TriggeredSource.mu_terms."""
-        return xp.exp(mu), mu**2
-
-    def y1_raw(self, xp, y0, q_mu, q_mu_prime, mu, mu_prime, mu_terms=None):
-        """Unclamped Y1 bound from the two Poissonian gain constraints."""
-        exp_mu, mu_sq = self.mu_terms(xp, mu) if mu_terms is None else mu_terms
-        num = (mu_prime**2 * (q_mu * exp_mu) - mu_sq * (q_mu_prime * xp.exp(mu_prime))
-               - y0 * (mu_prime**2 - mu_sq))
-        return num / (mu * mu_prime * (mu_prime - mu))
-
-    def single_photon(self, xp, y1, x, q_x):
-        """Share y1 * x * e^(-x) of the gain q_x, unclamped."""
-        return y1 * x * xp.exp(-x) / q_x
-
-    def e1_mass(self, xp, x, e_x, q_x, y0, e_0):
-        """Error mass at intensity x less the vacuum's, over e^(-x)."""
-        return e_x * q_x * xp.exp(x) - e_0 * y0
-
-    def e1_norm(self, y1, x):
-        return y1 * x
+    def weights(self, xp, x):
+        """(g, 1/g, k0, k1, u) of the Poisson law P_n = e^(-x) x^n / n!."""
+        return xp.exp(-x), xp.exp(x), 1.0, 1.0, x
 
 
 COHERENT = CoherentSource()

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import pytest
 from decoy_hsps.bounds import (
     KeyRatePoint,
     SecurityBounds,
+    _delta1,
+    _e1_mass,
     _single_photon_bounds,
     binary_entropy,
     compute_bounds,
@@ -17,6 +20,7 @@ from decoy_hsps.bounds import (
     key_rate,
     key_rate_hsps,
     key_rate_wcs,
+    rate_and_feasibility,
 )
 from decoy_hsps.channel import (
     ChannelParams, n_photon_click_probability, n_photon_error_rate, overall_transmittance,
@@ -30,7 +34,7 @@ from decoy_hsps.observables import (
     forecast_wcs_observables,
     statistics_from_counts,
 )
-from decoy_hsps.optimizer import SweepConfig, rate_and_feasibility, sweep_distances
+from decoy_hsps.optimizer import SweepConfig, sweep_distances
 from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource, _coincidence_sum
 from oracles import (
     closed_form,
@@ -56,8 +60,9 @@ def _obs_from_ty(y0, ty_mu, ty_mu_prime, e_mu=None, e_mu_prime=None):
 
 def _e1_upper(src, y1, x, e_x, ty_x, y0, e_0=0.5):
     """The clamped e1 bound at Y1 = y1 from the decoy terms at intensity x."""
-    mass = src.e1_mass(FLOATS, x, e_x, ty_x, y0, e_0)
-    return _single_photon_bounds(FLOATS, src, y1, mass, x, 2.0 * x, 1.0)[2]
+    w = src.weights(FLOATS, x)
+    mass = _e1_mass(w, e_x, ty_x, y0, e_0)
+    return _single_photon_bounds(FLOATS, y1, mass, w, src.weights(FLOATS, 2.0 * x), 1.0)[2]
 
 
 def _draw_intensities(rng):
@@ -270,6 +275,14 @@ class TestE1UpperBound:
 
 
 class TestComputeHspsBounds:
+    @pytest.mark.parametrize("mu, mu_prime", [(1e17, 2e17), (1e20, 1e300)])
+    def test_intensities_whose_u_rounds_equal_are_an_error(self, mu, mu_prime):
+        # x/(1+x) rounds to 1 at both, so the elimination would divide by zero
+        obs = _obs_from_ty(1e-6, 0.5, 0.6, e_mu=0.02)
+        message = re.escape(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_bounds(TriggeredSource(0.8, 1e-5), obs, mu, mu_prime)
+
     def test_feasible_in_secure_region(self):
         obs = forecast_observables(0.05, 0.3, 0.8, 1e-5, GYS.at_distance(20.0))
         b = compute_hsps_bounds(obs, 0.05, 0.3, 0.8, 1e-5)
@@ -339,8 +352,9 @@ class TestIdealBenchmarks:
         mu_prime, eta_a, d_a = 0.3, 0.8, 1e-5
         src = HeraldedSourceParams(x=mu_prime, eta_a=eta_a, d_a=d_a)
         # the benchmark's Delta1: exact Y1 over the closed-form rescaled yield
-        delta1 = min(1.0, TriggeredSource(eta_a, d_a).single_photon(
-            FLOATS, n_photon_click_probability(1, ch), mu_prime, closed_form(src, ch)[1]))
+        delta1 = min(1.0, _delta1(n_photon_click_probability(1, ch),
+                                  TriggeredSource(eta_a, d_a).weights(FLOATS, mu_prime),
+                                  closed_form(src, ch)[1]))
         # direct single-photon term share of the series evaluation
         ty_series = simulate_rescaled_yield_series(src, ch)
         single = (

@@ -498,17 +498,19 @@ class TestExitCodes:
             for arg in ("--override", item)]) == 0
         assert (out / "sweep.csv").exists()
 
-    def test_overflowing_signal_intensity_is_one_line_error(self, tmp_path, capsys):
-        # (1 + mu')^3 in the Y1 bound overflows a float
+    def test_huge_signal_intensity_certifies_nothing(self, tmp_path, capsys):
+        # the triggered source's weights at mu' = 1e200 are finite (u(mu') rounds
+        # to 1), so the Y1 bound is a large negative number and clamps to 0
         assert main([
             "bounds", "--out", str(tmp_path),
             "--vacuum", "10,5,1",
             "--decoy", "10,5,1",
             "--signal", "10,5,1",
             "--mu-prime", "1e200",
-        ]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: OverflowError")
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        result = json.loads((tmp_path / "bounds.json").read_text())
+        assert (result["y1_lower"], result["delta1"], result["feasible"]) == (0.0, 0.0, None)
 
     def test_zero_signal_clicks_is_one_line_error(self, tmp_path, capsys):
         # Delta1 divides by the signal yield

@@ -310,6 +310,10 @@ class TestBatchedCutoff:
         assert max_secure_distance(DEFAULT, "hsps") == 166.9375
         assert max_secure_distance(DEFAULT, "wcs") == 141.6875
         assert max_secure_distance(_cfg(eta_a=0.6), "hsps") == 166.0
+        # the HSPS cut-offs nearest an arithmetic change: a grid past it, and
+        # mu' on the lower edge of its range
+        assert max_secure_distance(_cfg(dist_stop_km=400.0), "hsps") == 166.9375
+        assert max_secure_distance(_cfg(mu_prime_min=0.0501), "hsps") == 167.5625
 
     @pytest.mark.parametrize("overrides, kind, calls, rows", [
         c[1:] + n for c, n in zip(CUTOFF_CASES[:3], [(8, 15), (9, 40), (8, 15)])
@@ -490,30 +494,31 @@ def test_figure2_sweep_computes_each_row_term_once(monkeypatch):
 
 
 def test_default_sweep_rates_each_reported_point_once_on_floats(monkeypatch):
-    # bench/tracer.py wraps optimizer._rate_formula and counts `result > 0.0`,
-    # which an array result would make ambiguous; the search's rates go elsewhere
+    # every reported rate is the scalar chain's rate_and_feasibility, once per
+    # point and on floats; the search's array rates go through bounds._search_rate
     calls = []
 
-    def spy(xp, *args):
-        result = rate_formula(xp, *args)
-        calls.append((xp, args, result))
+    def spy(obs, bounds, f_ec):
+        result = rate(obs, bounds, f_ec)
+        calls.append((obs, bounds, f_ec, result))
         return result
 
-    rate_formula = optimizer_module._rate_formula
-    monkeypatch.setattr(optimizer_module, "_rate_formula", spy)
+    rate = optimizer_module.rate_and_feasibility
+    monkeypatch.setattr(optimizer_module, "rate_and_feasibility", spy)
     points = sweep_distances(DEFAULT)
     assert len(calls) == len(points) == 2 * 181
-    for xp, args, result in calls:
-        assert xp is FLOATS
-        assert all(type(x) is float for x in args + (result,))
+    for (obs, bounds, f_ec, (key_rate, feasible)), p in zip(calls, points):
+        args = (obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, f_ec, key_rate)
+        assert all(type(x) is float for x in args)
+        assert (key_rate, feasible) == (p.key_rate, p.feasible)
 
 
 # ---------------------------------------------------------------------------
 # several decoy intensities in one sweep: per-mu coarse scans, one refinement
 
 FIGURE1_MUS = (0.01, 0.05, 0.1)
-# numpy's (1+mu)**3 differs from math's at mu 0.01 and 0.28, and np.exp from
-# math.exp at 0.037 (numpy 2.4); the terms of y1_raw in mu alone must come from floats
+# np.exp differs from math.exp at 0.037 and at -0.01 (numpy 2.4), so the coherent
+# source's weights at mu must come from floats; 0.28 is a third mu apart from both
 ROUNDING_MUS = (0.01, 0.037, 0.28)
 
 

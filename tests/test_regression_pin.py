@@ -3,10 +3,15 @@
 tests/data/scalar_chain_pin.json holds the repr of every ObservedStatistics
 and SecurityBounds field, the rate, the feasibility and the ideal rate of
 400 seeded (distance, mu') working points, and the statistics, bounds and
-key rate of 200 seeded count sets, as computed before the bounds, forecast
-and rates were rewritten as one source-generic core. Both paths use only
-math, not numpy, so the pinned values do not depend on numpy's rounding;
-any change to them is a change of the core's arithmetic.
+key rate of 200 seeded count sets. The coherent-source rows are as computed
+before the bounds, forecast and rates were rewritten as one source-generic
+core. The triggered-source outputs were regenerated once, when the one
+elimination over each source's factored weights replaced the per-source
+terms: that moved last digits only (Y1 and Delta1 by up to 3.2e-13
+relative, e1 1.5e-14, the rate 8.5e-14), and no feasibility, exception or
+input. Both paths use only math, not numpy, so the pinned values do not
+depend on numpy's rounding; any change to them is a change of the core's
+arithmetic.
 
 Rows are [inputs..., outputs...]; outputs are either the pinned reprs or
 the one name of the exception the inputs raised.

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from decoy_hsps.numerics import FLOATS
 from decoy_hsps.sources import (
+    COHERENT,
     HeraldedSourceParams,
     TriggeredSource,
     post_selection_probability,
@@ -11,6 +13,8 @@ from decoy_hsps.sources import (
 )
 from oracles import (
     poisson_weight,
+    synthesize_observables_from_yields,
+    synthesize_wcs_gain_from_yields,
     thermal_geometric_series,
     thermal_geometric_sum,
     thermal_weight,
@@ -117,6 +121,27 @@ class TestTriggeredDistribution:
         src = HeraldedSourceParams(x=0.1, eta_a=0.8, d_a=1e-5)
         with pytest.raises(ValueError):
             triggered_distribution(-1, src)
+
+
+@pytest.mark.parametrize("src, k2", [
+    (TriggeredSource(0.8, 1e-5), 1.0 - (1.0 - 0.8) ** 2),
+    (TriggeredSource(0.37, 0.0), 1.0 - (1.0 - 0.37) ** 2),
+    (COHERENT, 0.5),
+], ids=["hsps", "hsps-no-dark", "wcs"])
+def test_weights_factor_the_per_pulse_weights_of_the_synthesizers(src, k2):
+    # P_n(x) = g(x) * k_n * u(x)^n, P_n being the weight of Y_n in the constraint
+    # the oracles synthesize; the sources state k0 and k1, and k2 is the law's
+    for x in (0.01, 0.1, 0.5, 2.0):
+        g, inv_g, k0, k1, u = src.weights(FLOATS, x)
+        assert g * inv_g == pytest.approx(1.0, rel=1e-15)
+        for n, k_n in enumerate((k0, k1, k2)):
+            yields = [0.0, 0.0, 0.0]
+            yields[n] = 1.0
+            if src is COHERENT:
+                p_n = synthesize_wcs_gain_from_yields(yields, x)
+            else:
+                p_n = synthesize_observables_from_yields(yields, x, src.eta_a, src.d_a)
+            assert g * k_n * u**n == pytest.approx(p_n, rel=1e-14), (x, n)
 
 
 class TestPoissonWeight:
