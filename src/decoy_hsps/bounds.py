@@ -224,9 +224,14 @@ def compute_wcs_bounds(
 # ---------------------------------------------------------------------------
 # key rates
 
-def _rate_formula(xp, weight, e_signal, delta1, h_e1, f):
-    """The rate formula R, with the single-photon entropy h_e1 = H2(e1) already taken."""
-    return weight / 2.0 * (-f * xp.entropy(e_signal) + delta1 * (1.0 - h_e1))
+def _signal_terms(xp, ty, e, f):
+    """The rate formula's terms of the signal alone: half = tY'/2 and ec = -f H2(E')."""
+    return ty / 2.0, -f * xp.entropy(e)
+
+
+def _rate_formula(half, ec, delta1, h_e1):
+    """The rate formula R from _signal_terms, with the single-photon entropy h_e1 = H2(e1) already taken."""
+    return half * (ec + delta1 * (1.0 - h_e1))
 
 
 _NO_E1 = "the key rate needs an e1 bound, and e1 needs the QBER at the decoy intensity"
@@ -246,8 +251,9 @@ def rate_and_feasibility(
         raise ValueError(_NO_SIGNAL_QBER)
     if bounds.e1_upper is None:
         raise ValueError(_NO_E1)
-    h_e1 = binary_entropy(bounds.e1_upper)
-    raw = _rate_formula(FLOATS, obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, h_e1, f_ec)
+    # _signal_terms written out: the counts path makes one call fewer
+    half, ec = obs.ty_mu_prime / 2.0, -f_ec * binary_entropy(obs.e_mu_prime)
+    raw = _rate_formula(half, ec, bounds.delta1, binary_entropy(bounds.e1_upper))
     return raw if raw > 0.0 else 0.0, bounds.feasible and raw >= 0.0
 
 
@@ -262,19 +268,19 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, e, f):
+def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, half, ec):
     """The clamped key rate of compute_bounds and key_rate, on arrays of namespace xp.
 
     Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
-    values) and the source's signal yield ty and QBER e and its weights
-    w_mu_prime at mu', which broadcast against them; the weights w_mu,
-    taken on floats, are floats or columns alike. Cells whose raw Y1 is not
-    positive are masked to 0, so the caller decides what numpy does on them
-    before the mask.
+    values) and the source's signal yield ty, its _signal_terms half and
+    ec and its weights w_mu_prime at mu', which broadcast against them; the
+    weights w_mu, taken on floats, are floats or columns alike. Cells whose
+    raw Y1 is not positive are masked to 0, so the caller decides what
+    numpy does on them before the mask.
     """
     raw_y1 = _raw_y1(w_mu, w_mu_prime, y0, ty_mu, ty)
     _, delta1, e1, _, _ = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty)
-    raw = _rate_formula(xp, ty, e, delta1, xp.entropy(e1), f)
+    raw = _rate_formula(half, ec, delta1, xp.entropy(e1))
     return xp.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
 
 
@@ -286,16 +292,21 @@ def _exact_single_photon(ch: ChannelParams, eta: float) -> tuple[float, float]:
     return _click_probability(1, ch, eta), binary_entropy(min(0.5, _error_rate(1, ch, eta)))
 
 
-def _benchmark_rate(xp, w, ty, e, y1, h_e1, f):
-    """Rate formula at a source's signal ty and e and weights w with the exact y1 and h_e1, clamped at 0."""
+def _benchmark_rate(xp, w, ty, half, ec, y1, h_e1):
+    """Rate formula at signal ty, its _signal_terms and weights w, with exact y1 and h_e1; clamped at 0."""
     delta1 = xp.minimum(_delta1(y1, w, ty), 1.0)
-    raw = _rate_formula(xp, ty, e, delta1, h_e1, f)
+    raw = _rate_formula(half, ec, delta1, h_e1)
     return xp.where(raw > 0.0, raw, 0.0)
+
+
+def _ideal_rate_at(src, mu_prime: float, eta: float, ch: ChannelParams, exact, f: float) -> float:
+    """ideal_rate at overall transmittance eta, given _exact_single_photon's (Y1, H(e1)) there."""
+    _, ty, e = src.signal(FLOATS, mu_prime, eta, ch)
+    w = src.weights(FLOATS, mu_prime)
+    return _benchmark_rate(FLOATS, w, ty, *_signal_terms(FLOATS, ty, e, f), *exact)
 
 
 def ideal_rate(src, mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC) -> float:
     """Benchmark key rate of src with exactly known single-photon statistics."""
     eta = overall_transmittance(ch)
-    y1, h_e1 = _exact_single_photon(ch, eta)
-    _, ty, e = src.signal(FLOATS, mu_prime, eta, ch)
-    return _benchmark_rate(FLOATS, src.weights(FLOATS, mu_prime), ty, e, y1, h_e1, f)
+    return _ideal_rate_at(src, mu_prime, eta, ch, _exact_single_photon(ch, eta), f)

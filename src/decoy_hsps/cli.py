@@ -16,6 +16,7 @@ on stderr), 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -300,10 +301,13 @@ def _cmd_bounds(args) -> int:
     return _finish(outdir, cfg, ["bounds.json"], {"mu": mu, "mu_prime": mu_prime})
 
 
+# main's parser: built on the first call, as it never changes.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,11 +61,12 @@ class SweepConfig:
     include_ideal: bool = True
 
     def __post_init__(self):
-        if self.mu_prime_min is None:
+        derived = self.mu_prime_min is None
+        if derived:
             object.__setattr__(self, "mu_prime_min", self.mu + self.mu_prime_coarse_step)
         for name in (
-            "mu", "eta_a", "d_a", "f_ec", "mu_prime_min", "mu_prime_max",
-            "mu_prime_coarse_step", "dist_start_km", "dist_stop_km", "dist_step_km",
+            "mu", "eta_a", "d_a", "f_ec", "mu_prime_coarse_step", "mu_prime_min",
+            "mu_prime_max", "dist_start_km", "dist_stop_km", "dist_step_km",
         ):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -75,6 +76,15 @@ class SweepConfig:
         triggered_source(self.eta_a, self.d_a)  # checks eta_a and d_a
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
+        if self.mu_prime_coarse_step <= 0:
+            raise ValueError(
+                f"mu_prime_coarse_step must be > 0, got {self.mu_prime_coarse_step}"
+            )
+        if derived and self.mu_prime_min <= self.mu:
+            raise ValueError(
+                f"mu_prime_coarse_step ({self.mu_prime_coarse_step}) is too small to move "
+                f"mu ({self.mu}): the default mu_prime_min, mu + mu_prime_coarse_step, must exceed mu"
+            )
         if self.mu_prime_min <= self.mu:
             raise ValueError(
                 f"mu_prime_min ({self.mu_prime_min}) must exceed mu ({self.mu})"
@@ -87,10 +97,6 @@ class SweepConfig:
             raise ValueError(
                 f"mu_prime_max ({self.mu_prime_max}) must be >= mu_prime_min "
                 f"({self.mu_prime_min})"
-            )
-        if self.mu_prime_coarse_step <= 0:
-            raise ValueError(
-                f"mu_prime_coarse_step must be > 0, got {self.mu_prime_coarse_step}"
             )
         if self.dist_step_km <= 0:
             raise ValueError(f"dist_step_km must be > 0, got {self.dist_step_km}")

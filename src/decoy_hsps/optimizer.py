@@ -20,11 +20,14 @@ pass. Both go in chunks that hold every job of an entry, and a chunk's
 rows take the same steps in lockstep, boolean masks standing in for the
 scalar branches; a golden-section rate call resolves two steps. A
 source's bounded and ideal rows share one rate callable, which evaluates
-the source's signal and weights at mu' once per call. The coarse scan's
-tie rule is applied to a whole block of columns at once (_record_scan);
-only a row with a rate within RATE_TIE_TOL of its block's top, or a NaN,
-walks the columns one by one. A row's search never reads another row, so
-neither parts nor chunks move any row's mu'.
+the source's signal, its weights at mu' and the rate formula's terms of
+the signal alone (tY'/2 and -f H2(E'), bounds._signal_terms) once per
+call. The coarse scan's tie rule is applied to a whole block of columns
+at once (_record_scan); only a row whose block top beats its carried
+best takes the near-tie test, and only a row with a rate within
+RATE_TIE_TOL of that top, or a NaN, walks the columns one by one. A
+row's search never reads another row, so neither parts nor chunks move
+any row's mu'.
 
 A sweep is one part per configuration; figure 1's three decoy
 intensities share their transmittances and exact terms. A cut-off
@@ -37,13 +40,13 @@ guesses move no result, only the number of rate calls.
 The search's rates are the scalar chain's own source-generic core run on
 numpy arrays through ARRAYS, kept here as the one module that evaluates
 arrays, and they only pick mu'. Every reported rate, observable and
-bound is then recomputed on floats by the scalar chain's row core (_point
-and _benchmark_rate) at that mu', from the same rows, so no ChannelParams
-is built per distance. Reporting straight from the arrays would move CSV
-values in the last digits (numpy's exp/log/pow round differently from
-math's), and a one-row array call costs about ten times a scalar
-evaluation. Every evaluation is a pure function of the inputs; identical
-configurations produce identical results bit for bit.
+bound is then recomputed on floats by the scalar chain's row core
+(_point and bounds._ideal_rate_at) at that mu', from the same rows, so
+no ChannelParams is built per distance. Reporting straight from the
+arrays would move CSV values in the last digits (numpy's exp/log/pow
+round differently from math's), and a one-row array call costs about ten
+times a scalar evaluation. Every evaluation is a pure function of the
+inputs; identical configurations produce identical results bit for bit.
 """
 from __future__ import annotations
 
@@ -61,7 +64,9 @@ from .bounds import (
     _benchmark_rate,
     _e1_mass,
     _exact_single_photon,
+    _ideal_rate_at,
     _search_rate,
+    _signal_terms,
     compute_bounds,
     rate_and_feasibility,
 )
@@ -214,16 +219,22 @@ def _record_scan(rates, cands, best_x, best_f):
     beats every cell below m by more than RATE_TIE_TOL, the result is
     (cands[k], m): every record before column k is the carried best or a
     cell below m, x -> x + RATE_TIE_TOL rounds monotonically, and no later
-    cell exceeds m. Only rows this leaves open (a near-tie below m, or a
-    NaN) take the column loop itself.
+    cell exceeds m. So only the rows whose m beats their carried best take
+    that near-tie test, and only rows it leaves open (a near-tie below m)
+    or a NaN m take the column loop itself.
     """
     top = rates.argmax(axis=1)
     m = rates[np.arange(rates.shape[0]), top]
-    below = np.where(rates < m[:, None], rates, -np.inf).max(axis=1)
     new = m > best_f + RATE_TIE_TOL
     x = np.where(new, cands[top], best_x)
     f = np.where(new, m, best_f)
-    for i in np.flatnonzero(np.isnan(m) | (new & ~(m > below + RATE_TIE_TOL))):
+    open_rows = np.isnan(m)
+    rows = np.flatnonzero(new)  # only these can need the near-tie test
+    if rows.size:
+        block, m_new = (rates, m) if rows.size == m.size else (rates[rows], m[rows])
+        below = np.where(block < m_new[:, None], block, -np.inf).max(axis=1)
+        open_rows[rows] = ~(m_new > below + RATE_TIE_TOL)
+    for i in np.flatnonzero(open_rows):
         xi, fi = best_x[i], best_f[i]
         for c, r in zip(cands, rates[i]):
             if r > fi + RATE_TIE_TOL:
@@ -373,8 +384,9 @@ def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice
     """One rate callable over a source kind's rows of entries, one block per flag of ideals.
 
     In the refinement its rows are span of the search's rows. A call
-    evaluates the source's signal and weights at mu' once for them all
-    (once per entry in the coarse scan, where every row sees the same mu').
+    evaluates the source's signal, the rate formula's _signal_terms and
+    the weights at mu' once for them all (once per entry in the coarse
+    scan, where every row sees the same mu'), and each job slices its rows.
     The search sees the scalar rates up to the last place of numpy's
     exp/log/pow.
     """
@@ -389,13 +401,14 @@ def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice
         mu_prime = mu_prime[span] if each else mu_prime
         with np.errstate(all="ignore"):
             _, ty, e = src.signal(ARRAYS, mu_prime, every_eta if each else eta, ch)
-            w = src.weights(ARRAYS, mu_prime)
+            signal = (ty, *_signal_terms(ARRAYS, ty, e, f), *src.weights(ARRAYS, mu_prime))
             out = []
             for i, (ideal, (t1, t2)) in enumerate(zip(ideals, terms)):
-                r = slice(i * n, (i + 1) * n) if each else slice(None)
-                w_r = [_take(t, r) for t in w]
-                out.append(_benchmark_rate(ARRAYS, w_r, ty[r], e[r], t1, t2, f) if ideal
-                           else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty[r], e[r], f))
+                # refined jobs read their own rows; coarse ones all read every row
+                ty_r, half, ec, *w_r = ([_take(t, slice(i * n, (i + 1) * n)) for t in signal]
+                                        if each and len(ideals) > 1 else signal)
+                out.append(_benchmark_rate(ARRAYS, w_r, ty_r, half, ec, t1, t2) if ideal
+                           else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty_r, half, ec))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate
@@ -463,9 +476,7 @@ def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
                 mu_prime = searched[kind, False][i]
                 obs, bounds, rate, feasible = _point(cfg, ch, src, eta, r.decoy[kind][i], mu_prime)
                 if cfg.include_ideal:
-                    m = searched[kind, True][i]
-                    _, ty, e = src.signal(FLOATS, m, eta, ch)
-                    ideal = _benchmark_rate(FLOATS, src.weights(FLOATS, m), ty, e, *r.exact[i], cfg.f_ec)
+                    ideal = _ideal_rate_at(src, searched[kind, True][i], eta, ch, r.exact[i], cfg.f_ec)
                 else:
                     ideal = float("nan")
                 points.append(KeyRatePoint(

@@ -8,14 +8,17 @@ yields after the Y1 bound's elimination, and the exact forward
 constraints an experiment with given n-photon yields would show (the Y1
 bounds are tested against them). None of this is used by
 the package. closed_form and closed_form_wcs read the package's closed
-forms at the oracles' parameters.
+forms at the oracles' parameters, and reference_jobs_rate composes the
+mu' search's rates from the package's bound core one job at a time.
 """
 import math
 
 import numpy as np
 
+from decoy_hsps.bounds import _delta1, _raw_y1, _single_photon_bounds
 from decoy_hsps.channel import ChannelParams, overall_transmittance
 from decoy_hsps.numerics import FLOATS
+from decoy_hsps.optimizer import ARRAYS, _source, _take
 from decoy_hsps.sources import (
     COHERENT,
     HeraldedSourceParams,
@@ -288,3 +291,42 @@ def synthesize_wcs_gain_from_yields(yields, mu: float) -> float:
     if ys.size > 1:
         w[1:] = w[0] * np.cumprod(mu / np.arange(1, ys.size))
     return float(np.dot(ys, w))
+
+
+def reference_jobs_rate(cfg, rows, jobs, entries: slice):
+    """The mu' search's rate callable of rows' entries, each job evaluated alone.
+
+    Like optimizer._jobs_rate, it maps a (1, k) coarse block to every
+    job's rows at those mu', or a (rows, k) array to each row's own rates,
+    job after job. Here every (source kind, ideal) job evaluates its
+    source's signal and weights at its own mu' and the rate formula
+    tY'/2 * (-f H2(E') + Delta1 [1 - H2(e1)]) as one expression, which
+    _jobs_rate's shared signal terms must reproduce bit for bit.
+    """
+    ch, f, n = cfg.channel, cfg.f_ec, entries.stop - entries.start
+    eta = rows.cols["eta"][0][entries]
+
+    def job_rate(kind, ideal, mu_prime):
+        src = _source(cfg, kind)
+        _, ty, e = src.signal(ARRAYS, mu_prime, eta, ch)
+        w = src.weights(ARRAYS, mu_prime)
+        if ideal:
+            y1, h_e1 = (c[entries] for c in rows.cols["exact"])
+            delta1 = np.minimum(_delta1(y1, w, ty), 1.0)
+            raw = ty / 2.0 * (-f * ARRAYS.entropy(e) + delta1 * (1.0 - h_e1))
+            return np.where(raw > 0.0, raw, 0.0)
+        ty_mu, e1_mass = (c[entries] for c in rows.cols[kind])
+        w_mu = [_take(t, entries) for t in rows.weights[kind]]
+        raw_y1 = _raw_y1(w_mu, w, ch.d_b, ty_mu, ty)
+        _, delta1, e1, _, _ = _single_photon_bounds(ARRAYS, raw_y1, e1_mass, w_mu, w, ty)
+        raw = ty / 2.0 * (-f * ARRAYS.entropy(e) + delta1 * (1.0 - ARRAYS.entropy(e1)))
+        return np.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
+
+    def rate(mu_prime):
+        coarse = mu_prime.shape[0] == 1
+        with np.errstate(all="ignore"):
+            return np.concatenate([
+                job_rate(kind, ideal, mu_prime if coarse else mu_prime[i * n:(i + 1) * n])
+                for i, (kind, ideal) in enumerate(jobs)])
+
+    return rate

@@ -11,6 +11,7 @@ from decoy_hsps.bounds import (
     SecurityBounds,
     _delta1,
     _e1_mass,
+    _raw_y1,
     _single_photon_bounds,
     binary_entropy,
     compute_bounds,
@@ -113,6 +114,28 @@ class TestEliminationCoefficients:
             for n in range(3, 51):
                 assert hsps_elimination_coefficient(n, mu, mu_prime, eta_a) < 0
                 assert wcs_elimination_coefficient(n, mu, mu_prime) < 0
+
+    @pytest.mark.parametrize("kind", ["hsps", "wcs"])
+    def test_dropping_three_or_more_photons_is_tight(self, kind):
+        # on sequences of at most two photons the elimination drops nothing: the
+        # bound is Y1 itself, and the decoy constraint then implies the true Y2
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            yields = [rng.random(), rng.uniform(1e-3, 1.0), rng.random()]
+            mu, mu_prime = _draw_intensities(rng)
+            if kind == "hsps":
+                eta_a, d_a = rng.uniform(0.05, 1.0), rng.uniform(0.0, 1e-3)
+                src, k2 = TriggeredSource(eta_a, d_a), 1.0 - (1.0 - eta_a) ** 2
+                ty = [synthesize_observables_from_yields(yields, x, eta_a, d_a) for x in (mu, mu_prime)]
+            else:
+                src, k2 = COHERENT, 0.5
+                ty = [synthesize_wcs_gain_from_yields(yields, x) for x in (mu, mu_prime)]
+            w_mu = src.weights(FLOATS, mu)
+            y1 = _raw_y1(w_mu, src.weights(FLOATS, mu_prime), yields[0], *ty)
+            _, inv_g, k0, k1, u = w_mu
+            y2 = (ty[0] * inv_g - k0 * yields[0] - k1 * u * y1) / (k2 * u**2)
+            assert y1 == pytest.approx(yields[1], rel=1e-9)
+            assert 0.0 <= y2 <= 1.0 and y2 == pytest.approx(yields[2], abs=1e-9)
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -446,6 +446,27 @@ class TestBoundsCommand:
         ]) == 1
 
 
+class TestParser:
+    def test_main_builds_its_parser_once_and_build_parser_a_fresh_one(self, tmp_path, monkeypatch):
+        built, init = [], cli_module._Parser.__init__
+        monkeypatch.setattr(cli_module._Parser, "__init__",
+                            lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+        cli_module._parser.cache_clear()
+        assert main(["sweep", "--out", str(tmp_path)] + SMALL_GRID) == 0
+        once = len(built)  # the parser and its subcommands' parsers
+        assert once > 0 and main(["sweep", "--out", str(tmp_path)] + SMALL_GRID) == 0
+        assert len(built) == once
+        assert cli_module.build_parser() is not cli_module._parser() and len(built) == 2 * once
+
+    def test_one_call_leaves_no_value_to_the_next(self, tmp_path):
+        # --override appends to its default list, which every call must see empty
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["sweep", "--out", str(first), "--override", "mu=0.1"] + SMALL_GRID) == 0
+        assert main(["sweep", "--out", str(second), "--override", "dist_stop_km=4"]) == 0
+        config = json.loads((second / "run_manifest.json").read_text())["config"]
+        assert (config["mu"], config["dist_step_km"]) == (0.05, 1.0)
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
@@ -589,6 +610,22 @@ class TestExitCodes:
         assert main(argv + (counts if command == "bounds" else SMALL_GRID)) == 1
         assert capsys.readouterr().err == f"error: eta_a must be in [0.0001, 1], got {float(eta_a)}\n"
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("step", ["1e-300", "inf"])
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "1"]])
+    def test_coarse_step_too_small_to_move_mu_names_the_step(self, tmp_path, capsys, command, step):
+        # mu_prime_min defaults to mu + mu_prime_coarse_step, and only the step was set;
+        # this run used to end with "error: mu_prime_min (0.05) must exceed mu (0.05)"
+        out = tmp_path / "run"
+        assert main(command + ["--out", str(out), "--override", f"mu_prime_coarse_step={step}"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: mu_prime_coarse_step ")
+        assert "mu_prime_min (" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_a_set_mu_prime_min_is_still_named(self, tmp_path, capsys):
+        self._assert_rejected(
+            tmp_path, capsys, "mu_prime_coarse_step=1e-300 mu_prime_min=0.05", "mu_prime_min (0.05)")
 
     @staticmethod
     def _assert_rejected(tmp_path, capsys, overrides, key):

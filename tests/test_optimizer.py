@@ -30,6 +30,7 @@ from decoy_hsps.optimizer import (
     mu_prime_candidates,
     sweep_distances,
 )
+from oracles import reference_jobs_rate
 
 DEFAULT = SweepConfig()
 HSPS = _source(DEFAULT, "hsps")
@@ -877,6 +878,33 @@ class TestStackedSearch:
         assert _searched_mu_primes(DEFAULT, [], STACK_JOBS) == [[], [], [], []]
 
 
+# one kind, both kinds, kinds apart (STACK_JOBS) and grouped, with and without the ideal job
+RATE_JOBS = [[("hsps", False)], [("wcs", False)], [("hsps", False), ("hsps", True)],
+             [("wcs", False), ("wcs", True)], STACK_JOBS,
+             [("hsps", False), ("hsps", True), ("wcs", False), ("wcs", True)]]
+
+
+@pytest.mark.parametrize("mus", [(0.05,), FIGURE1_MUS], ids=["one mu", "figure 1"])
+@pytest.mark.parametrize("jobs", RATE_JOBS, ids=str)
+def test_rate_callable_equals_each_job_evaluated_alone(jobs, mus):
+    # a source's bounded and ideal rows share its signal terms; no rate may move by a bit
+    cfgs = _mu_cfgs(mus, dist_step_km=3.0)
+    rows = optimizer_module._join(_mu_rows(cfgs, distance_grid(cfgs[0]), jobs))
+    n = rows.cols["eta"][0].shape[0]
+    rng = np.random.default_rng(len(jobs) + len(mus))
+    cands = np.array(mu_prime_candidates(cfgs[0]))[None, :]
+    for entries in (slice(0, n), slice(7, n - 5), slice(n - 1, n)):
+        rate = optimizer_module._jobs_rate(cfgs[0], rows, jobs, entries)
+        reference = reference_jobs_rate(cfgs[0], rows, jobs, entries)
+        rows_searched = len(jobs) * (entries.stop - entries.start)
+        probes = [cands[:, :11], cands[:, 11:],  # coarse blocks
+                  rng.uniform(0.011, 1.0, (rows_searched, 3)), rng.uniform(0.011, 1.0, (rows_searched, 2))]
+        for mu_prime in probes:
+            got, want = rate(mu_prime), reference(mu_prime)
+            assert got.shape == (rows_searched, mu_prime.shape[1])
+            assert np.array_equal(got, want), (entries, mu_prime.shape)
+
+
 def _record_scan_reference(rates, cands, best_x, best_f):
     """The coarse scan's column loop that _record_scan replaces."""
     for j in range(rates.shape[1]):
@@ -954,6 +982,27 @@ class TestRecordScan:
         rng = np.random.default_rng(seed)
         rates, best_f = _scan_rows(rng, width)
         cands = 0.06 + 0.01 * np.arange(width)
+        best_x = np.full(best_f.size, 0.05)
+        x, f = _record_scan(rates, cands, best_x, best_f)
+        ref_x, ref_f = _record_scan_reference(rates, cands, best_x, best_f)
+        assert x.tobytes() == ref_x.tobytes()
+        assert f.tobytes() == ref_f.tobytes()
+
+    @pytest.mark.parametrize("improving", ["none", "some", "all"])
+    def test_only_improving_rows_take_the_tie_test(self, improving):
+        # _scan_rows has NaN, infinite and near-tied cells; a NaN top never improves,
+        # so all rows improve only without NaN rows
+        rates, best_f = _scan_rows(np.random.default_rng(5), 9)
+        top = rates.max(axis=1)
+        if improving == "none":
+            best_f = np.nanmax(rates, axis=1) + 1.0
+        elif improving == "all":
+            keep = ~np.isnan(top) & (top > -np.inf)
+            rates, top, best_f = rates[keep], top[keep], np.full(keep.sum(), -np.inf)
+        new = top > best_f + RATE_TIE_TOL
+        assert {"none": not new.any(), "some": 0 < new.sum() < new.size, "all": new.all()}[improving]
+        assert np.isnan(rates).any() or improving == "all"
+        cands = 0.06 + 0.01 * np.arange(rates.shape[1])
         best_x = np.full(best_f.size, 0.05)
         x, f = _record_scan(rates, cands, best_x, best_f)
         ref_x, ref_f = _record_scan_reference(rates, cands, best_x, best_f)
