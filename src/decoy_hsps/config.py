@@ -95,6 +95,9 @@ class SweepConfig:
             )
         if self.mu_prime_max < self.mu_prime_min:
             raise ValueError(
+                f"mu_prime_coarse_step ({self.mu_prime_coarse_step}) is too large: the default "
+                f"mu_prime_min, mu + mu_prime_coarse_step ({self.mu_prime_min}), exceeds "
+                f"mu_prime_max ({self.mu_prime_max})" if derived else
                 f"mu_prime_max ({self.mu_prime_max}) must be >= mu_prime_min "
                 f"({self.mu_prime_min})"
             )

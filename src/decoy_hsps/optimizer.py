@@ -25,9 +25,8 @@ the signal alone (tY'/2 and -f H2(E'), bounds._signal_terms) once per
 call. The coarse scan's tie rule is applied to a whole block of columns
 at once (_record_scan); only a row whose block top beats its carried
 best takes the near-tie test, and only a row with a rate within
-RATE_TIE_TOL of that top, or a NaN, walks the columns one by one. A
-row's search never reads another row, so neither parts nor chunks move
-any row's mu'.
+RATE_TIE_TOL of that top walks the columns one by one. A row's search
+never reads another row, so neither parts nor chunks move any row's mu'.
 
 A sweep is one part per configuration; figure 1's three decoy
 intensities share their transmittances and exact terms. A cut-off
@@ -72,7 +71,7 @@ from .bounds import (
 )
 from .channel import ChannelParams, fiber_transmittance, overall_transmittance
 from .config import _SOURCES, SweepConfig, _grid_count
-from .numerics import FLOATS, _exp
+from .numerics import FLOATS
 from .observables import ObservedStatistics, _forecast_row
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
@@ -115,12 +114,10 @@ def _array_entropy(p):
 
 
 # numerics.FLOATS' twin on broadcasting arrays, for the search alone; the
-# caller sets what numpy does on a zero division. numpy's exp/log differ
-# from math's in the last place, so a Python float's exp is FLOATS'.
-ARRAYS = SimpleNamespace(
-    exp=lambda x: np.exp(x) if isinstance(x, np.ndarray) else _exp(x), expm1=np.expm1,
-    minimum=np.minimum, clip=np.clip, where=np.where, ratio=np.divide, entropy=_array_entropy,
-)
+# caller sets what numpy does on a zero division. The search takes the
+# weights at mu on FLOATS, so every mu' here is an array.
+ARRAYS = SimpleNamespace(exp=np.exp, expm1=np.expm1, minimum=np.minimum, clip=np.clip,
+                         where=np.where, ratio=np.divide, entropy=_array_entropy)
 
 
 def distance_grid(cfg: SweepConfig) -> list[float]:
@@ -221,20 +218,19 @@ def _record_scan(rates, cands, best_x, best_f):
     cell below m, x -> x + RATE_TIE_TOL rounds monotonically, and no later
     cell exceeds m. So only the rows whose m beats their carried best take
     that near-tie test, and only rows it leaves open (a near-tie below m)
-    or a NaN m take the column loop itself.
+    take the column loop itself.
     """
     top = rates.argmax(axis=1)
     m = rates[np.arange(rates.shape[0]), top]
     new = m > best_f + RATE_TIE_TOL
     x = np.where(new, cands[top], best_x)
     f = np.where(new, m, best_f)
-    open_rows = np.isnan(m)
     rows = np.flatnonzero(new)  # only these can need the near-tie test
     if rows.size:
         block, m_new = (rates, m) if rows.size == m.size else (rates[rows], m[rows])
         below = np.where(block < m_new[:, None], block, -np.inf).max(axis=1)
-        open_rows[rows] = ~(m_new > below + RATE_TIE_TOL)
-    for i in np.flatnonzero(open_rows):
+        rows = rows[~(m_new > below + RATE_TIE_TOL)]
+    for i in rows:
         xi, fi = best_x[i], best_f[i]
         for c, r in zip(cands, rates[i]):
             if r > fi + RATE_TIE_TOL:
@@ -247,12 +243,12 @@ def _coarse_scan(rate_fn, rows: int, cfg: SweepConfig):
     """Every row's best coarse candidate and its rate, under the tie rule.
 
     rate_fn maps a (1, k) array of mu' to the (rows, k) rates of all rows
-    at those mu'. The candidates go in blocks of at most _BLOCK_CELLS
-    cells, and column 0 seeds each row's best as the scalar scan does, a
-    NaN included. Each block's tie rule is applied by _record_scan in a
-    few whole-array operations; a row it cannot settle exactly that way (a
-    rate within RATE_TIE_TOL of the block's top, or a NaN) falls back to
-    the column-by-column rule.
+    at those mu', each finite and >= 0. The candidates go in blocks of at
+    most _BLOCK_CELLS cells, and column 0 seeds each row's best as the
+    scalar scan does. Each block's tie rule is applied by _record_scan in
+    a few whole-array operations; a row it cannot settle exactly that way
+    (a rate within RATE_TIE_TOL of the block's top) falls back to the
+    column-by-column rule.
     """
     cands = np.array(mu_prime_candidates(cfg))
     width = max(1, _BLOCK_CELLS // max(1, rows))
@@ -279,11 +275,10 @@ def _refine(rate_fn, best_x, best_f, cfg: SweepConfig, mu_prime_min):
     if refine.any():
         xr, fr = golden_section_maximize(rate_fn, a.ravel(), b.ravel(), REFINE_TOL)
         xr, fr = xr.reshape(a.shape), fr.reshape(a.shape)
-        with np.errstate(invalid="ignore"):  # inf - inf when a rate is infinite
-            take = refine & (
-                (fr > best_f + RATE_TIE_TOL)
-                | ((np.abs(fr - best_f) <= RATE_TIE_TOL) & (xr < best_x))
-            )
+        take = refine & (
+            (fr > best_f + RATE_TIE_TOL)
+            | ((np.abs(fr - best_f) <= RATE_TIE_TOL) & (xr < best_x))
+        )
         best_x = np.where(take, xr, best_x)
         best_f = np.where(take, fr, best_f)
     return best_x, best_f

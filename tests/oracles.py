@@ -8,23 +8,30 @@ yields after the Y1 bound's elimination, and the exact forward
 constraints an experiment with given n-photon yields would show (the Y1
 bounds are tested against them). None of this is used by
 the package. closed_form and closed_form_wcs read the package's closed
-forms at the oracles' parameters, and reference_jobs_rate composes the
-mu' search's rates from the package's bound core one job at a time.
+forms at the oracles' parameters.
+
+The mu' search's references take one row at a time on public names:
+search_reference scans and refines one scalar rate (scalar_rate) as the
+array search does each row, golden_reference is its golden section,
+record_scan_reference the coarse scan's tie rule column by column, and
+serial_cutoff the cut-off as a forward scan and a one-point bisection.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from decoy_hsps.bounds import _delta1, _raw_y1, _single_photon_bounds
+from decoy_hsps.bounds import ideal_rate
 from decoy_hsps.channel import ChannelParams, overall_transmittance
 from decoy_hsps.numerics import FLOATS
-from decoy_hsps.optimizer import ARRAYS, _source, _take
+from decoy_hsps.optimizer import RATE_TIE_TOL, evaluate, key_rate_point, mu_prime_candidates, sweep_distances
 from decoy_hsps.sources import (
     COHERENT,
     HeraldedSourceParams,
     TriggeredSource,
     at_least_one_probability,
     post_selection_probability,
+    triggered_source,
 )
 
 # Truncation policy for series oracles: stop once the analytic geometric
@@ -293,40 +300,83 @@ def synthesize_wcs_gain_from_yields(yields, mu: float) -> float:
     return float(np.dot(ys, w))
 
 
-def reference_jobs_rate(cfg, rows, jobs, entries: slice):
-    """The mu' search's rate callable of rows' entries, each job evaluated alone.
+def source(cfg, kind):
+    """The source object a sweep of cfg runs for source kind ("hsps" or "wcs")."""
+    return triggered_source(cfg.eta_a, cfg.d_a) if kind == "hsps" else COHERENT
 
-    Like optimizer._jobs_rate, it maps a (1, k) coarse block to every
-    job's rows at those mu', or a (rows, k) array to each row's own rates,
-    job after job. Here every (source kind, ideal) job evaluates its
-    source's signal and weights at its own mu' and the rate formula
-    tY'/2 * (-f H2(E') + Delta1 [1 - H2(e1)]) as one expression, which
-    _jobs_rate's shared signal terms must reproduce bit for bit.
-    """
-    ch, f, n = cfg.channel, cfg.f_ec, entries.stop - entries.start
-    eta = rows.cols["eta"][0][entries]
 
-    def job_rate(kind, ideal, mu_prime):
-        src = _source(cfg, kind)
-        _, ty, e = src.signal(ARRAYS, mu_prime, eta, ch)
-        w = src.weights(ARRAYS, mu_prime)
-        if ideal:
-            y1, h_e1 = (c[entries] for c in rows.cols["exact"])
-            delta1 = np.minimum(_delta1(y1, w, ty), 1.0)
-            raw = ty / 2.0 * (-f * ARRAYS.entropy(e) + delta1 * (1.0 - h_e1))
-            return np.where(raw > 0.0, raw, 0.0)
-        ty_mu, e1_mass = (c[entries] for c in rows.cols[kind])
-        w_mu = [_take(t, entries) for t in rows.weights[kind]]
-        raw_y1 = _raw_y1(w_mu, w, ch.d_b, ty_mu, ty)
-        _, delta1, e1, _, _ = _single_photon_bounds(ARRAYS, raw_y1, e1_mass, w_mu, w, ty)
-        raw = ty / 2.0 * (-f * ARRAYS.entropy(e) + delta1 * (1.0 - ARRAYS.entropy(e1)))
-        return np.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
+def scalar_rate(cfg, distance, kind, ideal):
+    """The scalar chain's bounded (evaluate) or ideal rate of kind at distance, as a function of mu'."""
+    ch, src = cfg.channel.at_distance(distance), source(cfg, kind)
+    if ideal:
+        return lambda m: ideal_rate(src, m, ch, cfg.f_ec)
+    return lambda m: evaluate(cfg, ch, src, m)[2]
 
-    def rate(mu_prime):
-        coarse = mu_prime.shape[0] == 1
-        with np.errstate(all="ignore"):
-            return np.concatenate([
-                job_rate(kind, ideal, mu_prime if coarse else mu_prime[i * n:(i + 1) * n])
-                for i, (kind, ideal) in enumerate(jobs)])
 
-    return rate
+def golden_reference(fn, a, b, tol):
+    """The scalar golden-section loop, one bracket at a time."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    if b - a <= tol:
+        x = 0.5 * (a + b)
+        return x, fn(x)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def search_reference(rate, cfg, refine_tol=1e-4):
+    """The mu' search one row at a time: coarse scan with the tie rule, then the scalar golden section."""
+    cands = mu_prime_candidates(cfg)
+    best_x, best_f = cands[0], rate(cands[0])
+    for x in cands[1:]:
+        fx = rate(x)
+        if fx > best_f + RATE_TIE_TOL:
+            best_x, best_f = x, fx
+    a = max(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
+    b = min(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
+    if b - a > refine_tol:
+        xr, fr = golden_reference(rate, a, b, refine_tol)
+        if fr > best_f + RATE_TIE_TOL or (abs(fr - best_f) <= RATE_TIE_TOL and xr < best_x):
+            return xr, fr
+    return best_x, best_f
+
+
+def record_scan_reference(rates, cands, best_x, best_f):
+    """The coarse scan's tie rule column by column: a rate above the best by more than RATE_TIE_TOL wins."""
+    for j in range(rates.shape[1]):
+        better = rates[:, j] > best_f + RATE_TIE_TOL
+        best_x = np.where(better, cands[j], best_x)
+        best_f = np.where(better, rates[:, j], best_f)
+    return best_x, best_f
+
+
+def serial_cutoff(cfg, kind):
+    """max_secure_distance the slow way: a forward scan of a sweep, then one key_rate_point per midpoint."""
+    one = replace(cfg, sources=(kind,), include_ideal=False)
+    last_positive = first_zero_after = None
+    for p in sweep_distances(one):
+        if p.key_rate > 0.0:
+            last_positive, first_zero_after = p.distance_km, None
+        elif last_positive is not None and first_zero_after is None:
+            first_zero_after = p.distance_km
+    if last_positive is None or first_zero_after is None:
+        return last_positive
+    lo, hi = last_positive, first_zero_after
+    while hi - lo > 0.1:
+        mid = 0.5 * (lo + hi)
+        if key_rate_point(one, mid, kind).key_rate > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -13,8 +13,10 @@ import pytest
 
 import decoy_hsps as dh
 from decoy_hsps.cli import main
-from decoy_hsps.optimizer import _source, evaluate
-from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource, post_selection_probability
+from decoy_hsps.optimizer import evaluate
+from decoy_hsps.sources import (
+    COHERENT, HeraldedSourceParams, TriggeredSource, post_selection_probability, triggered_source,
+)
 from oracles import (
     closed_form,
     closed_form_wcs,
@@ -200,7 +202,7 @@ def test_c08_optimizer_matches_dense_grid():
     cfg = dh.resolve_config()
     step = 1e-4
     n_cells = int(round((cfg.mu_prime_max - cfg.mu_prime_min) / step))
-    src = _source(cfg, "hsps")
+    src = triggered_source(cfg.eta_a, cfg.d_a)
     for distance in (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0, 105.0, 120.0, 135.0):
         ch = cfg.channel.at_distance(distance)
         rate = lambda m: evaluate(cfg, ch, src, m)[2]

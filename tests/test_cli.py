@@ -611,11 +611,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: eta_a must be in [0.0001, 1], got {float(eta_a)}\n"
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("step", ["1e-300", "inf"])
+    @pytest.mark.parametrize("step", ["1e-300", "inf", "2"])
     @pytest.mark.parametrize("command", [["sweep"], ["figure", "1"]])
-    def test_coarse_step_too_small_to_move_mu_names_the_step(self, tmp_path, capsys, command, step):
-        # mu_prime_min defaults to mu + mu_prime_coarse_step, and only the step was set;
-        # this run used to end with "error: mu_prime_min (0.05) must exceed mu (0.05)"
+    def test_coarse_step_that_spoils_the_default_mu_prime_min_names_the_step(
+            self, tmp_path, capsys, command, step):
+        # mu_prime_min defaults to mu + mu_prime_coarse_step, and only the step was set,
+        # so the error names the step: too small to move mu, or past mu_prime_max
         out = tmp_path / "run"
         assert main(command + ["--out", str(out), "--override", f"mu_prime_coarse_step={step}"]) == 1
         err = capsys.readouterr().err
@@ -623,9 +624,12 @@ class TestExitCodes:
         assert "mu_prime_min (" not in err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_a_set_mu_prime_min_is_still_named(self, tmp_path, capsys):
-        self._assert_rejected(
-            tmp_path, capsys, "mu_prime_coarse_step=1e-300 mu_prime_min=0.05", "mu_prime_min (0.05)")
+    @pytest.mark.parametrize("overrides, key", [
+        ("mu_prime_coarse_step=1e-300 mu_prime_min=0.05", "mu_prime_min (0.05)"),
+        ("mu_prime_coarse_step=2 mu_prime_min=2", "mu_prime_max (1.0) must be >= mu_prime_min (2.0)"),
+    ])
+    def test_a_set_mu_prime_min_is_still_named(self, tmp_path, capsys, overrides, key):
+        self._assert_rejected(tmp_path, capsys, overrides, key)
 
     @staticmethod
     def _assert_rejected(tmp_path, capsys, overrides, key):

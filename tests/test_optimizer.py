@@ -1,27 +1,35 @@
+"""The mu' search, tested through its public outputs.
+
+sweep_distances, key_rate_point and max_secure_distance are checked
+against the slow reference searches of tests/oracles.py. Counts come from
+the sources' public signal method: each rate call of the search evaluates
+each source's signal once on arrays (xp is not FLOATS), the broadcast
+shape of (mu', eta) is the call's rows and columns, and a (rows, 2) mu' is
+a golden-section opening. Three private names stay as levers:
+_BLOCK_CELLS shrinks chunks, _last_positive forces the cut-off's walk and
+missed guesses, and _record_scan takes the tie rule on synthetic tables.
+"""
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import decoy_hsps.bounds as bounds_module
 import decoy_hsps.optimizer as optimizer_module
-from decoy_hsps.bounds import ideal_rate
 from decoy_hsps.cli import main
 from decoy_hsps.channel import ChannelParams, overall_transmittance
 from decoy_hsps.config import MAX_GRID_POINTS, _grid_count
 from decoy_hsps.numerics import FLOATS
-from decoy_hsps.sources import CoherentSource, TriggeredSource, _coincidence_sum
+from decoy_hsps.sources import COHERENT, CoherentSource, TriggeredSource, _coincidence_sum, triggered_source
 from decoy_hsps.optimizer import (
     ARRAYS,
     RATE_TIE_TOL,
     SweepConfig,
-    _BISECT_LEVELS,
-    _array_entropy,
-    _bisection_tree,
     _record_scan,
-    _source,
     distance_grid,
     evaluate,
     golden_section_maximize,
@@ -30,38 +38,87 @@ from decoy_hsps.optimizer import (
     mu_prime_candidates,
     sweep_distances,
 )
-from oracles import reference_jobs_rate
+from oracles import (
+    golden_reference, record_scan_reference, scalar_rate, search_reference, serial_cutoff, source,
+)
 
 DEFAULT = SweepConfig()
-HSPS = _source(DEFAULT, "hsps")
-WCS = _source(DEFAULT, "wcs")
+HSPS = source(DEFAULT, "hsps")
 
 
 def _cfg(**kwargs):
     return SweepConfig(**kwargs)
 
 
-def _searched_mu_primes(cfg, distances, jobs):
-    """The searched mu' at every distance for every (source kind, ideal) job."""
-    return _searched_parts([cfg], distances, jobs)[0]
+class SignalCall(NamedTuple):
+    """One evaluation of a source's signal on arrays."""
+
+    kind: str
+    mu_prime: np.ndarray  # (1, k) in a coarse block, (rows, k) in the golden section
+    eta: np.ndarray  # the rows' transmittance column
+    shape: tuple  # broadcast (rows, columns)
+    signal: tuple  # signal's (P_post, tY', E')
+
+    @property
+    def opening(self):
+        """Whether this is a golden section's opening call: two mu' per row."""
+        return self.mu_prime.shape == (self.shape[0], 2)
 
 
-def _searched_parts(cfgs, distances, jobs):
-    """One search of one part per configuration, as a sweep of them all makes it."""
-    parts = [optimizer_module._scan(cfg, r, jobs) for cfg, r in zip(cfgs, _mu_rows(cfgs, distances, jobs))]
-    return [mu_primes.tolist() for mu_primes in optimizer_module._search(cfgs[0], parts, jobs)]
+@pytest.fixture
+def spy(monkeypatch):
+    """Every signal evaluation: the array calls in order, and the float calls per source kind."""
+    seen = SimpleNamespace(arrays=[], floats=Counter())
+    for cls, kind in ((TriggeredSource, "hsps"), (CoherentSource, "wcs")):
+        def signal(self, xp, x, eta, ch, _signal=cls.signal, _kind=kind):
+            out = _signal(self, xp, x, eta, ch)
+            if xp is FLOATS:
+                seen.floats[_kind] += 1
+            else:
+                seen.arrays.append(SignalCall(_kind, x, eta, np.broadcast_shapes(x.shape, eta.shape), out))
+            return out
+        monkeypatch.setattr(cls, "signal", signal)
+    return seen
 
 
-def _mu_rows(cfgs, distances, jobs):
-    """Each configuration's rows, as a sweep of them all builds them."""
-    rows = [optimizer_module._rows(cfgs[0], distances, jobs)]
-    return rows + [optimizer_module._rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
+def _calls(spy, kind):
+    return [c for c in spy.arrays if c.kind == kind]
 
 
-def _maximize(rate_fn, rows, cfg):
-    """_coarse_scan, then _refine from cfg's mu_prime_min: one configuration's search of rate_fn."""
-    best_x, best_f = optimizer_module._coarse_scan(rate_fn, rows, cfg)
-    return optimizer_module._refine(rate_fn, best_x, best_f, cfg, cfg.mu_prime_min)
+def _openings(spy, kind):
+    """Rows of each golden-section opening of kind, in order."""
+    return [c.shape[0] for c in _calls(spy, kind) if c.opening]
+
+
+def _coarse(spy, kind):
+    """Shapes of kind's coarse blocks (and of one-row golden-section calls, which look alike)."""
+    return [c.shape for c in _calls(spy, kind) if c.mu_prime.shape[0] == 1]
+
+
+def _rate_cells(spy, jobs=1, kinds=1):
+    """Cells of each rate call, whose kinds' signals come in turn.
+
+    A coarse block's signal serves every job of its kind.
+    """
+    cells = [math.prod(c.shape) * (jobs if c.mu_prime.shape[0] == 1 else 1) for c in spy.arrays]
+    return [sum(cells[i:i + kinds]) for i in range(0, len(cells), kinds)]
+
+
+def _assert_same_points(got, want):
+    """Point by point equality, in which a disabled ideal rate's NaN equals itself."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert repr(a) == repr(b)
+
+
+def _assert_reference(cfg, points):
+    """Every point's mu', rate and ideal rate are the reference search's at its distance."""
+    for p in points:
+        x, f = search_reference(scalar_rate(cfg, p.distance_km, p.source_kind, False), cfg)
+        assert (p.mu_prime, p.key_rate) == (x, f), (p.distance_km, p.source_kind)
+        if cfg.include_ideal:
+            ideal = search_reference(scalar_rate(cfg, p.distance_km, p.source_kind, True), cfg)[1]
+            assert p.ideal_rate == ideal, (p.distance_km, p.source_kind)
 
 
 class TestGrids:
@@ -219,65 +276,6 @@ class TestMaxSecureDistance:
         assert max_secure_distance(cfg, "hsps") == 30.0
 
 
-def _serial_cutoff(cfg, kind):
-    """Forward grid scan, then a bisection that probes one midpoint per search."""
-    grid = distance_grid(cfg)
-    channels = [cfg.channel.at_distance(d) for d in grid]
-    mu_primes = _searched_mu_primes(cfg, grid, [(kind, False)])[0]
-    src = _source(cfg, kind)
-    last_positive = None
-    first_zero_after = None
-    for distance, ch, mu_prime in zip(grid, channels, mu_primes):
-        if evaluate(cfg, ch, src, mu_prime)[2] > 0.0:
-            last_positive = distance
-            first_zero_after = None
-        elif last_positive is not None and first_zero_after is None:
-            first_zero_after = distance
-    if last_positive is None:
-        return None
-    if first_zero_after is None:
-        return last_positive
-    lo, hi = last_positive, first_zero_after
-    while hi - lo > 0.1:
-        mid = 0.5 * (lo + hi)
-        if key_rate_point(cfg, mid, kind).key_rate > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _spy_cutoff_search(monkeypatch):
-    """Record every rate call's cells, every refinement's rows and every search's part sizes."""
-    cells, refined, searches = [], [], []
-    rate_array = optimizer_module._rate_array
-    refine = optimizer_module._refine
-    search = optimizer_module._search
-
-    def counted_rate_array(*args):
-        rate = rate_array(*args)
-
-        def counted(mu_prime):
-            rates = rate(mu_prime)
-            cells.append(rates.size)
-            return rates
-
-        return counted
-
-    def counted_refine(rate_fn, best_x, best_f, cfg, mu_prime_min):
-        refined.append(best_x.size)
-        return refine(rate_fn, best_x, best_f, cfg, mu_prime_min)
-
-    def counted_search(cfg, parts, jobs):
-        searches.append([len(rows.eta) for rows, _, _ in parts])
-        return search(cfg, parts, jobs)
-
-    monkeypatch.setattr(optimizer_module, "_rate_array", counted_rate_array)
-    monkeypatch.setattr(optimizer_module, "_refine", counted_refine)
-    monkeypatch.setattr(optimizer_module, "_search", counted_search)
-    return cells, refined, searches
-
-
 CUTOFF_CASES = [
     ("c07 hsps 0.8", {}, "hsps"),
     ("c07 wcs", {}, "wcs"),
@@ -298,14 +296,18 @@ CUTOFF_CASES = [
     # the optimum sits on the lower mu' edge near the cut-off
     ("mu_prime_min 0.0501", {"mu_prime_min": 0.0501}, "hsps"),
 ]
+CUTOFF_IDS = [c[0] for c in CUTOFF_CASES]
+
+
+def _etas(cfg, distances):
+    return sorted(overall_transmittance(cfg.channel.at_distance(d)) for d in distances)
 
 
 class TestBatchedCutoff:
-    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
-                             ids=[c[0] for c in CUTOFF_CASES])
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES], ids=CUTOFF_IDS)
     def test_equals_serial_bisection(self, overrides, kind):
         cfg = _cfg(**overrides)
-        assert max_secure_distance(cfg, kind) == _serial_cutoff(cfg, kind)
+        assert max_secure_distance(cfg, kind) == serial_cutoff(cfg, kind)
 
     def test_c07_cutoffs(self):
         assert max_secure_distance(DEFAULT, "hsps") == 166.9375
@@ -318,95 +320,95 @@ class TestBatchedCutoff:
 
     @pytest.mark.parametrize("overrides, kind, calls, rows", [
         c[1:] + n for c, n in zip(CUTOFF_CASES[:3], [(8, 15), (9, 40), (8, 15)])
-    ], ids=[c[0] for c in CUTOFF_CASES[:3]])
-    def test_c07_cutoff_makes_one_refinement(self, monkeypatch, overrides, kind, calls, rows):
-        cells, refined, searches = _spy_cutoff_search(monkeypatch)
+    ], ids=CUTOFF_IDS[:3])
+    def test_c07_cutoff_makes_one_refinement(self, spy, overrides, kind, calls, rows):
         cfg = _cfg(**overrides)
         cutoff = max_secure_distance(cfg, kind)
-        # the grid end's 86 rows: 1 coarse call; tree: 1; joint golden section: 2
-        # probes, then 10 steps two a call (12 for WCS, whose rows reach inside the
-        # mu' range), the last call carrying the midpoints
-        assert len(cells) == calls
-        assert max(cells) <= optimizer_module._BLOCK_CELLS
-        # one search of two parts: the grid rows from the last positive coarse
-        # row to the grid end, and that row's 15 guessed midpoints
-        assert searches == [[rows, 15]] and refined == [rows + 15]
+        # the grid end's 86 rows: 1 coarse call; the 15 guessed midpoints: 1; one
+        # golden section of the grid rows from the last positive coarse row to the
+        # grid end with the midpoints: 2 probes, then 10 steps two a call (12 for
+        # WCS, whose rows reach inside the mu' range), the last carrying the midpoints
+        refined = rows + 15
+        assert [c.shape for c in spy.arrays] == (
+            [(86, 95), (15, 95), (refined, 2)] + [(refined, 3)] * (calls - 3))
+        assert max(_rate_cells(spy)) <= optimizer_module._BLOCK_CELLS
         assert distance_grid(cfg)[-rows] == math.floor(cutoff)
+        # the guessed midpoints are every one a 0.1 km bisection of the bracket
+        # can probe: widths 1, 0.5, 0.25 and 0.125 exceed 0.1 km, four levels
+        lo = math.floor(cutoff)
+        assert sorted(spy.arrays[1].eta.ravel().tolist()) == _etas(cfg, [lo + i / 16 for i in range(1, 16)])
 
-    def test_deep_bracket_falls_back_to_a_batch(self, monkeypatch):
-        cells, refined, searches = _spy_cutoff_search(monkeypatch)
-        # a 60 km bracket needs 10 levels: the guessed tree holds 6, one batch the other 4;
-        # the one search refines the grid rows from 120 km on
-        max_secure_distance(_cfg(dist_stop_km=240.0, dist_step_km=60.0), "hsps")
-        assert refined == [3 + 63, 15]
-        assert searches == [[3, 63], [15]]
+    def test_deep_bracket_falls_back_to_a_batch(self, spy):
+        # a 60 km bracket needs 10 levels: the guessed midpoints hold 6, one batch the other 4;
+        # the one search refines the grid rows from 120 km on with the guess
+        cfg = _cfg(dist_stop_km=240.0, dist_step_km=60.0)
+        assert max_secure_distance(cfg, "hsps") == 166.93359375
+        assert _coarse(spy, "hsps") == [(5, 95), (63, 95), (15, 95)]
+        assert _openings(spy, "hsps") == [3 + 63, 15]
+        midpoints = [120 + 60 * i / 64 for i in range(1, 64)]
+        assert sorted(spy.arrays[1].eta.ravel().tolist()) == _etas(cfg, midpoints)
 
-    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
-                             ids=[c[0] for c in CUTOFF_CASES])
-    def test_missed_guess_equals_serial_bisection(self, monkeypatch, overrides, kind):
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES], ids=CUTOFF_IDS)
+    def test_missed_guess_equals_serial_bisection(self, spy, monkeypatch, overrides, kind):
         cfg = _cfg(**overrides)
-        serial = _serial_cutoff(cfg, kind)
-        guess = optimizer_module._guessed_tree
-        # the bracket one grid step before the guessed one
-        monkeypatch.setattr(optimizer_module, "_guessed_tree",
-                            lambda grid, rates: guess(grid, np.append(rates[1:], 0.0)))
-        _, _, searches = _spy_cutoff_search(monkeypatch)
+        serial = serial_cutoff(cfg, kind)
+        spy.arrays.clear()
+        # one row before the last positive coarse row: the guessed midpoints bisect
+        # the bracket before the cut-off's
+        last_positive = optimizer_module._last_positive
+        monkeypatch.setattr(optimizer_module, "_last_positive", lambda rates: last_positive(rates) - 1)
         assert max_secure_distance(cfg, kind) == serial
         grid = distance_grid(cfg)
         # a grid step of at most 0.1 km leaves nothing to bisect
         bisects = serial is not None and serial != grid[-1] and cfg.dist_step_km > 0.1
-        assert (len(searches) > 1) == bisects
+        assert (len(_openings(spy, kind)) > 1) == bisects
 
-    @pytest.mark.parametrize("block_cells, searches, refined", [
-        # scan chunks of 1 row; golden-section chunks of 16 rows
-        (50, [[1] * 15 + [15], [1] * 40 + [15]], [16, 14, 16, 16, 16, 7]),
+    @pytest.mark.parametrize("block_cells, coarse, refined", [
+        # scan chunks of 1 row in blocks of 50 candidates, the guessed midpoints in
+        # blocks of 3; golden-section chunks of 16 rows
+        (50, [[(1, 50), (1, 45)] * 15 + [(15, 3)] * 31 + [(15, 2)],
+              [(1, 50), (1, 45)] * 40 + [(15, 3)] * 31 + [(15, 2)]], [[16, 14], [16, 16, 16, 7]]),
         # scan chunks of 6 rows from 180 km down; golden-section chunks of 200 rows
-        (600, [[3, 6, 6, 15], [4] + [6] * 6 + [15]], [30, 55]),
+        (600, [[(6, 95)] * 3 + [(15, 40)] * 2 + [(15, 15)],
+               [(6, 95)] * 7 + [(15, 40)] * 2 + [(15, 15)]], [[30], [55]]),
     ])
-    def test_chunk_limit_bounds_each_call(self, monkeypatch, block_cells, searches, refined):
-        serial = [_serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
+    def test_chunk_limit_bounds_each_call(self, spy, monkeypatch, block_cells, coarse, refined):
+        serial = [serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
+        spy.arrays.clear()
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        cells, refined_rows, searched = _spy_cutoff_search(monkeypatch)
         assert [max_secure_distance(DEFAULT, kind) for kind in ("hsps", "wcs")] == serial
-        assert max(cells) <= block_cells
-        assert searched == searches
-        assert refined_rows == refined and max(refined_rows) <= block_cells // 3
+        assert max(_rate_cells(spy)) <= block_cells
+        assert [_coarse(spy, kind) for kind in ("hsps", "wcs")] == coarse
+        openings = [_openings(spy, kind) for kind in ("hsps", "wcs")]
+        assert openings == refined and max(map(max, openings)) <= block_cells // 3
 
-    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES],
-                             ids=[c[0] for c in CUTOFF_CASES])
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES], ids=CUTOFF_IDS)
     def test_missed_row_guess_equals_serial_bisection(self, monkeypatch, overrides, kind):
         cfg = _cfg(**overrides)
-        serial = _serial_cutoff(cfg, kind)
+        serial = serial_cutoff(cfg, kind)
         # guess that each chunk's last row is positive: the scan stops at the
         # grid end's chunk, and the walk searches every row below it
         monkeypatch.setattr(optimizer_module, "_last_positive", lambda rates: len(rates) - 1)
         assert max_secure_distance(cfg, kind) == serial
 
-    @pytest.mark.parametrize("case, guess_last_row, searches", [
-        # one search crosses four chunks of the scan from the grid end
-        ("d_b 1.7e-5 to 400 km", False, [[24, 86, 86, 86, 15]]),
+    @pytest.mark.parametrize("case, guess_last_row, coarse, refined", [
+        # one search crosses four chunks of the scan from the grid end: 24 + 3 x 86 rows and the guess
+        ("d_b 1.7e-5 to 400 km", False, [(86, 95)] * 4 + [(15, 95)], [24 + 3 * 86 + 15]),
         # the walk passes 180 km, then searches the rest of the grid end's chunk
-        ("c07 hsps 0.8", True, [[1], [85], [15]]),
+        ("c07 hsps 0.8", True, [(86, 95)] + [(1, 2)] + [(1, 3)] * 5 + [(15, 95)], [1, 85, 15]),
         # ... and then each chunk further down, until one holds the cut-off
-        ("d_b 1.7e-5 to 400 km", True, [[1], [85], [86], [86], [86], [15]]),
+        ("d_b 1.7e-5 to 400 km", True, [(86, 95)] + [(1, 2)] + [(1, 3)] * 5 + [(86, 95)] * 3 + [(15, 95)],
+         [1, 85, 86, 86, 86, 15]),
     ])
-    def test_walk_reaches_each_chunk_branch(self, monkeypatch, case, guess_last_row, searches):
+    def test_walk_reaches_each_chunk_branch(self, spy, monkeypatch, case, guess_last_row, coarse, refined):
         _, overrides, kind = next(c for c in CUTOFF_CASES if c[0] == case)
         cfg = _cfg(**overrides)
-        serial = _serial_cutoff(cfg, kind)
+        serial = serial_cutoff(cfg, kind)
+        spy.arrays.clear()
         if guess_last_row:
             monkeypatch.setattr(optimizer_module, "_last_positive", lambda rates: len(rates) - 1)
-        _, _, searched = _spy_cutoff_search(monkeypatch)
         assert max_secure_distance(cfg, kind) == serial
-        assert searched == searches
-
-    def test_bisection_tree_holds_the_serial_midpoints(self):
-        tree = _bisection_tree(166.0, 167.0, _BISECT_LEVELS)
-        # widths 1, 0.5, 0.25 and 0.125 exceed 0.1 km: four full levels
-        assert len(tree) == 15 == len(set(tree))
-        assert tree[0] == 166.5 and tree[1] == 166.25 and tree[-1] == 0.5 * (166.875 + 167.0)
-        assert len(_bisection_tree(0.0, 60.0, _BISECT_LEVELS)) == 63
-        assert _bisection_tree(0.0, 0.1, _BISECT_LEVELS) == []
+        assert _coarse(spy, kind) == coarse and _openings(spy, kind) == refined
 
 
 class TestSweepConfigValidation:
@@ -430,6 +432,12 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             _cfg(f_ec=0.5)
 
+    def test_unknown_kind_in_a_search(self):
+        with pytest.raises(ValueError, match="laser"):
+            key_rate_point(DEFAULT, 0.0, "laser")
+        with pytest.raises(ValueError, match="laser"):
+            max_secure_distance(DEFAULT, "laser")
+
 
 def test_optimal_ideal_rate_dominates_bounded_optimum():
     for distance in (0.0, 40.0, 80.0):
@@ -442,7 +450,7 @@ def test_optimal_ideal_rate_dominates_bounded_optimum():
 def test_evaluate_wcs_consistent_with_point():
     p = key_rate_point(DEFAULT, 30.0, "wcs")
     ch = DEFAULT.channel.at_distance(30.0)
-    obs, bounds, rate, feasible = evaluate(DEFAULT, ch, WCS, p.mu_prime)
+    obs, bounds, rate, feasible = evaluate(DEFAULT, ch, COHERENT, p.mu_prime)
     assert rate == p.key_rate
     assert bounds == p.bounds
     assert obs == p.observables
@@ -452,46 +460,44 @@ def test_evaluate_wcs_consistent_with_point():
 def test_every_sweep_point_equals_the_scalar_chain(kind):
     # the report reads the search's rows; evaluate and ideal_rate build their own
     cfg = _cfg(sources=(kind,))
-    src, grid = _source(cfg, kind), distance_grid(cfg)
-    ideal_mu_primes = _searched_mu_primes(cfg, grid, [(kind, True)])[0]
+    src, grid = source(cfg, kind), distance_grid(cfg)
     points = sweep_distances(cfg)
     assert [p.distance_km for p in points] == grid and len(grid) == 181
-    for p, ideal_mu_prime in zip(points, ideal_mu_primes):
+    for p in points:
         ch = cfg.channel.at_distance(p.distance_km)
         obs, bounds, rate, feasible = evaluate(cfg, ch, src, p.mu_prime)
         assert (p.observables, p.bounds, p.key_rate, p.feasible) == (obs, bounds, rate, feasible)
-        assert p.ideal_rate == ideal_rate(src, ideal_mu_prime, ch, cfg.f_ec)
+    # and every mu' is the reference search's, the ideal ones too
+    _assert_reference(cfg, points)
 
 
-def test_figure2_sweep_computes_each_row_term_once(monkeypatch):
-    # the exact terms and decoy triples once per distance, one array signal per source
-    # and rate call, and no channel per distance
+def _count_exact(monkeypatch):
     calls = Counter()
 
-    def spy(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
+    def counted_exact(*args, _exact=bounds_module._exact_single_photon):
+        calls["exact"] += 1
+        return _exact(*args)
 
-    for cls, kind in ((TriggeredSource, "hsps"), (CoherentSource, "wcs")):
-        def signal(self, xp, *args, _signal=cls.signal, _kind=kind):
-            calls[_kind, "FLOATS" if xp is FLOATS else "ARRAYS"] += 1
-            return _signal(self, xp, *args)
-        monkeypatch.setattr(cls, "signal", signal)
     for module in (optimizer_module, bounds_module):
-        monkeypatch.setattr(module, "_exact_single_photon", spy("exact", module._exact_single_photon))
-    monkeypatch.setattr(ChannelParams, "at_distance", spy("at_distance", ChannelParams.at_distance))
-    coarse, refine = optimizer_module._coarse_scan, optimizer_module._refine
-    monkeypatch.setattr(optimizer_module, "_coarse_scan", lambda fn, *args: coarse(spy("rate calls", fn), *args))
-    monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refine(spy("rate calls", fn), *args))
+        monkeypatch.setattr(module, "_exact_single_photon", counted_exact)
+    return calls
+
+
+def test_figure2_sweep_computes_each_row_term_once(spy, monkeypatch):
+    # the exact terms and decoy triples once per distance, one array signal per source
+    # and rate call, and no channel per distance
+    calls = _count_exact(monkeypatch)
+    built = []
+    at_distance = ChannelParams.at_distance
+    monkeypatch.setattr(ChannelParams, "at_distance", lambda self, d: built.append(d) or at_distance(self, d))
     points = sweep_distances(_cfg(sources=("hsps", "wcs"), include_ideal=True))
     assert len(points) == 2 * 181
-    assert calls["rate calls"] == 16
-    assert calls["exact"] == 181 and calls["at_distance"] == 0
+    assert calls["exact"] == 181 and built == []
     for kind in ("hsps", "wcs"):
-        assert calls[kind, "FLOATS"] == 3 * 181  # decoy, signal and ideal signal per distance
-        assert calls[kind, "ARRAYS"] == calls["rate calls"]
+        assert spy.floats[kind] == 3 * 181  # decoy, signal and ideal signal per distance
+        assert len(_calls(spy, kind)) == 16  # rate calls
+        assert _openings(spy, kind) == [2 * 181]
+    assert [c.kind for c in spy.arrays] == ["hsps", "wcs"] * 16
 
 
 def test_default_sweep_rates_each_reported_point_once_on_floats(monkeypatch):
@@ -523,93 +529,70 @@ FIGURE1_MUS = (0.01, 0.05, 0.1)
 ROUNDING_MUS = (0.01, 0.037, 0.28)
 
 
-def _count_search(monkeypatch):
-    """Count golden-section passes, refinements, rate calls and exact terms."""
-    calls = Counter()
-    coarse, refine = optimizer_module._coarse_scan, optimizer_module._refine
-    golden = optimizer_module.golden_section_maximize
-
-    def counted(fn):
-        def rate(mu_prime):
-            calls["rate calls"] += 1
-            return fn(mu_prime)
-        return rate
-
-    def counted_golden(*args):
-        calls["golden"] += 1
-        return golden(*args)
-
-    def counted_refine(fn, *args):
-        calls["refine"] += 1
-        return refine(counted(fn), *args)
-
-    def counted_exact(*args, _exact=bounds_module._exact_single_photon):
-        calls["exact"] += 1
-        return _exact(*args)
-
-    monkeypatch.setattr(optimizer_module, "_coarse_scan", lambda fn, *args: coarse(counted(fn), *args))
-    monkeypatch.setattr(optimizer_module, "_refine", counted_refine)
-    monkeypatch.setattr(optimizer_module, "golden_section_maximize", counted_golden)
-    for module in (optimizer_module, bounds_module):
-        monkeypatch.setattr(module, "_exact_single_photon", counted_exact)
-    return calls
-
-
 def _mu_cfgs(mus, **kwargs):
     return [_cfg(mu=mu, **kwargs) for mu in mus]
 
 
-def test_figure1_sweep_equals_one_sweep_per_mu(monkeypatch):
-    cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps",))
-    alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
-    calls = _count_search(monkeypatch)
-    together = sweep_distances(*cfgs)
-    assert len(together) == 3 * 181 and calls["refine"] == calls["golden"] == 1
+def _same_call(got, want, rows=slice(None)):
+    """Whether got's rows took want's mu' probes and saw the same signal, bit for bit."""
+    return got.mu_prime[rows].tobytes() == want.mu_prime.tobytes() and all(
+        g[rows].tobytes() == w.tobytes() for g, w in zip(got.signal[1:], want.signal[1:]))
+
+
+def _split_at_opening(calls):
+    """A sweep's calls of one kind: its coarse blocks, then its golden section from the opening on."""
+    start = [c.opening for c in calls].index(True)
+    return calls[:start], calls[start:]
+
+
+def _assert_joined_search_is_each_mu_alone(spy, cfgs):
+    """A sweep of cfgs together equals one sweep per cfg, and each row of its one search probes as alone."""
+    alone = []
+    for cfg in cfgs:
+        spy.arrays.clear()
+        alone.append((sweep_distances(cfg), list(spy.arrays)))
+    spy.arrays.clear()
     # every field of every point, mu-major: mu, mu', rates, bounds, observables, flags
-    assert together == alone
-    assert [p.mu for p in together] == [mu for mu in FIGURE1_MUS for _ in range(181)]
+    _assert_same_points(sweep_distances(*cfgs), [p for points, _ in alone for p in points])
+    n, jobs = len(distance_grid(cfgs[0])), 1 + cfgs[0].include_ideal
+    for kind in cfgs[0].sources:
+        coarse, golden = _split_at_opening(_calls(spy, kind))
+        own = [_split_at_opening([c for c in calls if c.kind == kind]) for _, calls in alone]
+        # each mu's own coarse scan, then one golden section as long as the longest alone
+        own_coarse = [c for calls, _ in own for c in calls]
+        assert len(coarse) == len(own_coarse) and all(map(_same_call, coarse, own_coarse))
+        assert sum(c.opening for c in golden) == 1 and len(golden) == max(len(g) for _, g in own)
+        # the joined rows are job-major, then mu-major; each row probes as alone
+        for i, (_, own_golden) in enumerate(own):
+            rows = np.concatenate([np.arange(n) + (j * len(cfgs) + i) * n for j in range(jobs)])
+            assert all(_same_call(got, want, rows) for got, want in zip(golden, own_golden)), cfgs[i].mu
+
+
+@pytest.mark.parametrize("include_ideal", [True, False], ids=["ideal", "no ideal"])
+@pytest.mark.parametrize("sources", [("hsps",), ("wcs",), ("hsps", "wcs"), ("wcs", "hsps")],
+                         ids=["hsps", "wcs", "hsps+wcs", "wcs+hsps"])
+def test_figure1_sweep_equals_one_sweep_per_mu(spy, sources, include_ideal):
+    cfgs = _mu_cfgs(FIGURE1_MUS, sources=sources, include_ideal=include_ideal)
+    _assert_joined_search_is_each_mu_alone(spy, cfgs)
+    rows = 3 * (1 + include_ideal) * 181
+    assert [_openings(spy, kind) for kind in sources] == [[rows]] * len(sources)
 
 
 @pytest.mark.parametrize("sources, include_ideal", [
     (("hsps", "wcs"), True), (("wcs",), True), (("hsps",), False)])
-def test_rounding_sensitive_mus_search_as_each_mu_alone(monkeypatch, sources, include_ideal):
+def test_rounding_sensitive_mus_search_as_each_mu_alone(spy, sources, include_ideal):
     cfgs = _mu_cfgs(ROUNDING_MUS, sources=sources, include_ideal=include_ideal,
                     dist_stop_km=170.0, dist_step_km=2.0)
-    jobs = [(k, ideal) for k in sources for ideal in (False, True)[:1 + include_ideal]]
-    distances = distance_grid(cfgs[0])
-    alone = [_searched_mu_primes(cfg, distances, jobs) for cfg in cfgs]
-    calls = _count_search(monkeypatch)
-    assert _searched_parts(cfgs, distances, jobs) == alone
-    assert calls["refine"] == 1
-    points = sweep_distances(*cfgs)
-    assert [p.mu_prime for p in points] == [
-        p.mu_prime for cfg in cfgs for p in sweep_distances(cfg)]
+    _assert_joined_search_is_each_mu_alone(spy, cfgs)
 
 
-@pytest.mark.parametrize("sources", [("hsps", "wcs"), ("wcs",)])
-def test_one_refinement_rates_every_row_as_its_own_search(monkeypatch, sources):
-    # the picked mu' can survive a last-place change of the rates; the rates must not change
-    cfgs = _mu_cfgs(ROUNDING_MUS, sources=sources, dist_stop_km=170.0, dist_step_km=2.0)
-    jobs, distances = [(k, ideal) for k in sources for ideal in (False, True)], distance_grid(cfgs[0])
-    rows = _mu_rows(cfgs, distances, jobs)
-    refined, refine = [], optimizer_module._refine
-    monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refined.append(fn) or refine(fn, *args))
-    _searched_parts(cfgs, distances, jobs)
-    shape = (len(jobs), len(cfgs), len(distances), 2)
-    probe = np.random.default_rng(3).uniform(0.29, 1.0, shape)
-    (joint,) = refined
-    got = joint(probe.reshape(-1, 2)).reshape(shape)
-    for c, (cfg, r) in enumerate(zip(cfgs, rows)):
-        own = optimizer_module._jobs_rate(cfg, r, jobs, slice(0, len(distances)))(probe[:, c].reshape(-1, 2))
-        assert own.tobytes() == got[:, c].reshape(-1, 2).tobytes(), cfg.mu
-
-
-def test_figure1_makes_one_refinement_pass(monkeypatch, tmp_path):
+def test_figure1_makes_one_refinement_pass(spy, monkeypatch, tmp_path):
     # 5 coarse blocks per mu and one golden section of 1 + 6 calls, against
     # 3 x 19 calls and 3 x 181 exact terms for three sweeps
-    calls = _count_search(monkeypatch)
+    calls = _count_exact(monkeypatch)
     assert main(["figure", "1", "--out", str(tmp_path)]) == 0
-    assert calls["golden"] == 1 and calls["rate calls"] == 22 and calls["exact"] == 181
+    assert len(spy.arrays) == 22 and calls["exact"] == 181
+    assert len(_openings(spy, "hsps")) == 1
 
 
 def test_configurations_swept_together_differ_only_in_mu():
@@ -623,151 +606,98 @@ def test_configurations_swept_together_differ_only_in_mu():
 
 
 @pytest.mark.parametrize("block_cells", [50, 1000, 1 << 13])
-def test_rows_too_many_for_one_chunk_are_refined_in_chunks(monkeypatch, block_cells):
+def test_rows_too_many_for_one_chunk_are_refined_in_chunks(spy, monkeypatch, block_cells):
     # chunks of 4, 83 and 682 entries (4 jobs each) over the 3 x 91 joined entries
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps", "wcs"), dist_step_km=2.0)
     alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
     monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-    calls = _count_search(monkeypatch)
+    spy.arrays.clear()
     assert sweep_distances(*cfgs) == alone
-    assert calls["golden"] == -(-273 // (block_cells // 12))
+    assert len(_openings(spy, "hsps")) == -(-273 // (block_cells // 12))
 
 
 @pytest.mark.parametrize("block_cells", [50, 379])
-def test_chunks_split_parts_in_the_middle(monkeypatch, block_cells):
-    # figure 1's 3 x 181 entries in chunks of 8 or 63; 181 + 15 entries in chunks of 16 or 126
+def test_chunks_split_parts_in_the_middle(spy, monkeypatch, block_cells):
+    # figure 1's 3 x 181 entries in chunks of 8 or 63, across the parts' ends at 181 and 362;
+    # the c07 cut-offs' 15 grid rows and 15 midpoints in chunks of 16 or 126 rows
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=("hsps",))
-    jobs, distances = [("hsps", False), ("hsps", True)], distance_grid(cfgs[0])
-    alone = [_searched_mu_primes(cfg, distances, jobs) for cfg in cfgs]
-    serial = [_serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
+    alone = [p for cfg in cfgs for p in sweep_distances(cfg)]
+    serial = [serial_cutoff(DEFAULT, kind) for kind in ("hsps", "wcs")]
     monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-    assert any(c.start < 181 < c.stop for c in optimizer_module._chunks(3 * 181, jobs))
-    assert any(c.start < 181 < c.stop for c in optimizer_module._chunks(181 + 15, jobs[:1]))
-    assert _searched_parts(cfgs, distances, jobs) == alone
+    spy.arrays.clear()
+    assert sweep_distances(*cfgs) == alone
+    size = block_cells // 6
+    assert 181 % size and 362 % size
+    assert _openings(spy, "hsps") == [2 * min(size, 543 - lo) for lo in range(0, 543, size)]
     assert [max_secure_distance(DEFAULT, kind) for kind in ("hsps", "wcs")] == serial
 
 
+def test_search_evaluates_exp_on_arrays_only(monkeypatch):
+    # the search takes every source's weights at mu on floats, so numpy's exp,
+    # which differs from math's in the last place, never meets a float mu
+    seen = []
+    monkeypatch.setattr(ARRAYS, "exp", lambda x: seen.append(type(x)) or np.exp(x))
+    sweep_distances(*_mu_cfgs(ROUNDING_MUS, sources=("wcs",), dist_step_km=10.0))
+    max_secure_distance(DEFAULT, "wcs")
+    assert seen and set(seen) == {np.ndarray}
+
+
 # ---------------------------------------------------------------------------
-# lockstep search against the per-distance scalar search it replaces
-
-def _golden_reference(fn, a, b, tol):
-    """The scalar golden-section loop, one bracket at a time."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    if b - a <= tol:
-        x = 0.5 * (a + b)
-        return x, fn(x)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _search_reference(rate, cfg, refine_tol=1e-4):
-    """Coarse scan with the tie rule, then the scalar golden section."""
-    cands = mu_prime_candidates(cfg)
-    best_x, best_f = cands[0], rate(cands[0])
-    for x in cands[1:]:
-        fx = rate(x)
-        if fx > best_f + RATE_TIE_TOL:
-            best_x, best_f = x, fx
-    a = max(cfg.mu_prime_min, best_x - cfg.mu_prime_coarse_step)
-    b = min(cfg.mu_prime_max, best_x + cfg.mu_prime_coarse_step)
-    if b - a > refine_tol:
-        xr, fr = _golden_reference(rate, a, b, refine_tol)
-        if fr > best_f + RATE_TIE_TOL or (abs(fr - best_f) <= RATE_TIE_TOL and xr < best_x):
-            return xr, fr
-    return best_x, best_f
-
-
-def _scalar_rate(cfg, ch, kind, ideal):
-    src = _source(cfg, kind)
-    if ideal:
-        return lambda m: ideal_rate(src, m, ch, cfg.f_ec)
-    return lambda m: evaluate(cfg, ch, src, m)[2]
-
-
-# Every 5th default distance, plus the cut-off region at 1 km.
-LOCKSTEP_DISTANCES = sorted(set(distance_grid(DEFAULT)[::5]) | {160.0 + i for i in range(11)})
-
+# the lockstep search against the per-distance scalar search it replaces
 
 class TestLockstepSearch:
     @pytest.mark.parametrize("kind", ["hsps", "wcs"])
-    @pytest.mark.parametrize("ideal", [False, True], ids=["bounded", "ideal"])
-    def test_mu_prime_identical_to_scalar_search(self, kind, ideal):
-        channels = [DEFAULT.channel.at_distance(d) for d in LOCKSTEP_DISTANCES]
-        lockstep = _searched_mu_primes(DEFAULT, LOCKSTEP_DISTANCES, [(kind, ideal)])[0]
-        for distance, ch, mu_prime in zip(LOCKSTEP_DISTANCES, channels, lockstep):
-            ref_x, ref_f = _search_reference(_scalar_rate(DEFAULT, ch, kind, ideal), DEFAULT)
-            assert mu_prime == ref_x, distance
-            if distance % 20 == 0:
-                # one-row calls report the scalar rate at the same mu'
-                p = key_rate_point(DEFAULT, distance, kind)
-                if ideal:
-                    assert p.ideal_rate == ref_f
-                else:
-                    assert (p.mu_prime, p.key_rate) == (ref_x, ref_f)
+    @pytest.mark.parametrize("case", ["every 5 km", "cut-off region", "one-row calls"])
+    def test_mu_prime_identical_to_scalar_search(self, case, kind):
+        if case == "one-row calls":
+            # one-row calls report the scalar rate at the same mu'
+            _assert_reference(DEFAULT, [key_rate_point(DEFAULT, float(d), kind) for d in range(0, 181, 20)])
+        else:
+            # every 5th default distance, or the cut-off region at 1 km, of a sweep of both kinds
+            cfg = _cfg(dist_step_km=5.0) if case == "every 5 km" else _cfg(dist_start_km=160.0, dist_stop_km=170.0)
+            _assert_reference(cfg, [p for p in sweep_distances(cfg) if p.source_kind == kind])
+
+    @pytest.mark.parametrize("kind", ["hsps", "wcs"])
+    @pytest.mark.parametrize("distance", [0.0, 90.0, 166.0, 175.0])
+    def test_single_distance_sweep_matches_scalar_search(self, spy, kind, distance):
+        # one row a job, on either side of each cut-off: one coarse block, then one
+        # golden section of the bounded and the ideal row
+        cfg = _cfg(dist_start_km=distance, dist_stop_km=distance, sources=(kind,))
+        points = sweep_distances(cfg)
+        assert [c.shape for c in spy.arrays[:2]] == [(1, 95), (2, 2)]
+        assert _openings(spy, kind) == [2]
+        _assert_reference(cfg, points)
+        cutoff = {"hsps": 166.9375, "wcs": 141.6875}[kind]
+        assert (points[0].key_rate > 0.0) == (distance <= cutoff)
 
     @pytest.mark.parametrize("kind", ["hsps", "wcs"])
     @pytest.mark.parametrize("mu_range", [(0.06, 0.12), (0.5, 1.0), (0.3, 0.3)])
     def test_clamped_and_degenerate_ranges_match_scalar_search(self, kind, mu_range):
-        # the optimum (~0.2-0.5) lies above, below, or on the whole range
+        # the optimum (~0.2-0.5) lies above, below, or on the whole range, so the
+        # golden section's brackets are clamped at the range's ends
         cfg = _cfg(mu_prime_min=mu_range[0], mu_prime_max=mu_range[1])
-        distances = [0.0, 40.0, 80.0, 120.0, 165.0]
-        channels = [cfg.channel.at_distance(d) for d in distances]
-        lockstep = _searched_mu_primes(cfg, distances, [(kind, False)])[0]
-        for ch, mu_prime in zip(channels, lockstep):
-            assert mu_prime == _search_reference(_scalar_rate(cfg, ch, kind, False), cfg)[0]
-            assert mu_range[0] <= mu_prime <= mu_range[1]
+        points = [key_rate_point(cfg, d, kind) for d in (0.0, 40.0, 80.0, 120.0, 165.0)]
+        _assert_reference(cfg, points)
+        # up to 120 km mu' sits on the edge the optimum lies beyond
+        edge = mu_range[1] if mu_range[1] < 0.2 else mu_range[0]
+        assert [p.mu_prime for p in points[:4]] == [edge] * 4
+        assert all(mu_range[0] <= p.mu_prime <= mu_range[1] for p in points)
 
-    def test_brackets_clamped_at_both_ends(self):
-        # rows peak below the range, above it and inside it; the last row
-        # rises by less than RATE_TIE_TOL across the range, so it ties
-        cfg = _cfg(mu_prime_min=0.2, mu_prime_max=0.6, mu_prime_coarse_step=0.03)
-        peaks = np.array([0.05, 0.9, 0.4137, 0.0])
-        scale = np.array([1.0, 1.0, 1.0, 0.0])
-        tilt = np.array([0.0, 0.0, 0.0, 1e-17])
-
-        def toy(m, p, s, t):
-            return s * -((m - p) * (m - p)) + t * m
-
-        x, f = _maximize(
-            lambda m: toy(m, peaks[:, None], scale[:, None], tilt[:, None]), peaks.size, cfg)
-        for i, row in enumerate(zip(peaks, scale, tilt)):
-            assert (x[i], f[i]) == _search_reference(lambda m: toy(m, *row), cfg)
-        assert x[0] == cfg.mu_prime_min and x[3] == cfg.mu_prime_min
-        assert abs(x[1] - cfg.mu_prime_max) < 1e-4
-        assert abs(x[2] - 0.4137) < 1e-4
-
-    def test_empty_and_single_row(self):
-        cfg = DEFAULT
-        rate = lambda m: np.zeros((0, 1)) * m
-        x, f = _maximize(rate, 0, cfg)
-        assert x.shape == f.shape == (0,)
-        assert _searched_mu_primes(cfg, [], [("hsps", False)])[0] == []
-        assert max_secure_distance(_cfg(dist_start_km=10.0, dist_stop_km=5.0), "hsps") is None
-        ch = cfg.channel.at_distance(50.0)
-        assert _searched_mu_primes(cfg, [50.0], [("wcs", False)])[0] == [
-            _search_reference(_scalar_rate(cfg, ch, "wcs", False), cfg)[0]]
-
-    @pytest.mark.parametrize("block_cells", [3, 50, 3 * 95 + 94])
-    def test_blocks_bound_each_call_and_leave_mu_prime_unchanged(self, monkeypatch, block_cells):
-        distances = LOCKSTEP_DISTANCES
-        whole = _searched_mu_primes(DEFAULT, distances, [("hsps", False)])[0]
-        searches, cells = _spy_chunks(monkeypatch)
+    # 4 cells: one row a chunk (3 would end its coarse blocks 2 wide, which reads as an opening)
+    @pytest.mark.parametrize("block_cells", [4, 50, 3 * 95 + 94])
+    def test_blocks_bound_each_call_and_leave_mu_prime_unchanged(self, spy, monkeypatch, block_cells):
+        cfg = _cfg(dist_step_km=5.0, sources=("hsps",), include_ideal=False)
+        whole = [p.mu_prime for p in sweep_distances(cfg)]
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        assert _searched_mu_primes(DEFAULT, distances, [("hsps", False)])[0] == whole
-        assert sum(searches) == len(distances) and max(searches) <= block_cells
-        assert max(cells) <= block_cells
+        spy.arrays.clear()
+        assert [p.mu_prime for p in sweep_distances(cfg)] == whole
+        assert max(_rate_cells(spy)) <= block_cells
+        # a sweep scans before it refines: every row at every candidate once, in
+        # chunks of at most block_cells rows, then one opening per chunk
+        coarse = [c.shape for c in _split_at_opening(spy.arrays)[0]]
+        assert sum(map(math.prod, coarse)) == len(whole) * 95
+        assert max(rows for rows, _ in coarse) <= block_cells
+        assert sum(_openings(spy, "hsps")) == len(whole)
 
     def test_dead_channel_sweep_pins_every_row(self):
         cfg = _cfg(channel=ChannelParams(eta_b=0.0), dist_start_km=0.0,
@@ -785,133 +715,85 @@ class TestLockstepSearch:
             assert (p.mu_prime, p.key_rate) == (one.mu_prime, one.key_rate)
             assert p.ideal_rate == one.ideal_rate
 
-
-def _spy_chunks(monkeypatch):
-    """Record every coarse-scanned chunk's rows and every search rate call's cells."""
-    searches, cells = [], []
-    coarse, refine = optimizer_module._coarse_scan, optimizer_module._refine
-
-    def counted(rate_fn):
-        def rate(mu_prime):
-            rates = rate_fn(mu_prime)
-            cells.append(rates.size)
-            return rates
-        return rate
-
-    def counted_coarse(rate_fn, rows, cfg):
-        searches.append(rows)
-        return coarse(counted(rate_fn), rows, cfg)
-
-    monkeypatch.setattr(optimizer_module, "_coarse_scan", counted_coarse)
-    monkeypatch.setattr(optimizer_module, "_refine", lambda fn, *args: refine(counted(fn), *args))
-    return searches, cells
-
-
-# Every (source kind, bounded or ideal) job a sweep can stack.
-STACK_JOBS = [("hsps", False), ("wcs", False), ("hsps", True), ("wcs", True)]
+    @pytest.mark.parametrize("cfg", [
+        DEFAULT,
+        _cfg(mu_prime_min=0.06, mu_prime_max=0.12),
+        _cfg(channel=ChannelParams(alpha_db_per_km=0.25, e_d=0.05)),
+    ], ids=["default", "clamped range", "lossier channel"])
+    @pytest.mark.parametrize("block_cells", [None, 25])
+    def test_stacked_sweep_matches_scalar_search(self, monkeypatch, cfg, block_cells):
+        # both sources' bounded and ideal rows in one search, in small chunks or not
+        if block_cells is not None:
+            monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
+        cfg = replace(cfg, dist_step_km=10.0)
+        _assert_reference(cfg, sweep_distances(cfg))
 
 
 class TestStackedSearch:
     @pytest.mark.parametrize("cfg", [
-        DEFAULT,
-        _cfg(mu_prime_min=0.5, mu_prime_max=1.0),
-        _cfg(channel=ChannelParams(eta_b=0.0)),
-    ], ids=["default", "clamped range", "dead channel"])
-    def test_mu_prime_identical_to_per_kind_searches(self, cfg):
-        distances = LOCKSTEP_DISTANCES
-        stacked = _searched_mu_primes(cfg, distances, STACK_JOBS)
-        assert stacked == [_searched_mu_primes(cfg, distances, [job])[0] for job in STACK_JOBS]
-
-    @pytest.mark.parametrize("sources, include_ideal", [
-        (("hsps", "wcs"), True),
-        (("hsps", "wcs"), False),
-        (("wcs",), True),
-        (("hsps",), False),
-    ])
-    def test_sweep_makes_one_search_with_per_kind_mu_prime(self, monkeypatch, sources, include_ideal):
-        cfg = _cfg(dist_start_km=0.0, dist_stop_km=170.0, dist_step_km=17.0,
-                   sources=sources, include_ideal=include_ideal)
-        searches, search = [], optimizer_module._search
-        monkeypatch.setattr(optimizer_module, "_search", lambda *args: searches.append(1) or search(*args))
+        _cfg(dist_stop_km=170.0, dist_step_km=17.0),
+        _cfg(dist_stop_km=170.0, dist_step_km=17.0, include_ideal=False),
+        _cfg(mu_prime_min=0.5, mu_prime_max=1.0, dist_step_km=17.0),
+        _cfg(channel=ChannelParams(eta_b=0.0), dist_step_km=17.0),
+    ], ids=["default", "no ideal", "clamped range", "dead channel"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["hsps first", "wcs first"])
+    def test_sweep_equals_one_sweep_per_kind_and_job(self, spy, cfg, order):
+        cfg = replace(cfg, sources=cfg.sources[::order])
         points = sweep_distances(cfg)
-        assert len(searches) == 1
-        channels = [cfg.channel.at_distance(d) for d in distance_grid(cfg)]
-        for kind in sources:
+        assert [p.source_kind for p in points[:2]] == list(cfg.sources)
+        # one search, with each kind's bounded and ideal rows
+        rows = (1 + cfg.include_ideal) * len(points) // 2
+        assert [_openings(spy, kind) for kind in cfg.sources] == [[rows]] * 2
+        for kind in cfg.sources:
             mine = [p for p in points if p.source_kind == kind]
-            mu_primes = _searched_mu_primes(cfg, distance_grid(cfg), [(kind, False)])[0]
-            assert [p.mu_prime for p in mine] == mu_primes
-            if include_ideal:
-                ideal_mu_primes = _searched_mu_primes(cfg, distance_grid(cfg), [(kind, True)])[0]
-                assert [p.ideal_rate for p in mine] == [
-                    ideal_rate(_source(cfg, kind), m, ch, cfg.f_ec)
-                    for ch, m in zip(channels, ideal_mu_primes)]
-            else:
-                assert all(math.isnan(p.ideal_rate) for p in mine)
-
-    @pytest.mark.parametrize("block_cells", [3, 7, 25, 50])
-    def test_chunks_bound_each_search_and_call(self, monkeypatch, block_cells):
-        # chunks of 1, 1, 2 and 4 distances, each with the rows of all 4 jobs; a
-        # chunk holds at least one distance's rows, so 3 and 7 cells give 4 rows
-        distances = list(range(0, 200, 20))
-        whole = _searched_mu_primes(DEFAULT, distances, STACK_JOBS)
-        searches, cells = _spy_chunks(monkeypatch)
-        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        assert _searched_mu_primes(DEFAULT, distances, STACK_JOBS) == whole
-        assert sum(searches) == len(distances) * len(STACK_JOBS)
-        rows = len(STACK_JOBS) * max(1, block_cells // (3 * len(STACK_JOBS)))
-        assert max(searches) == rows <= max(block_cells, 3 * len(STACK_JOBS)) // 3
-        assert max(cells) <= max(block_cells, 3 * rows)
+            _assert_same_points(mine, sweep_distances(replace(cfg, sources=(kind,))))
+            bounded = sweep_distances(replace(cfg, sources=(kind,), include_ideal=False))
+            assert [p.mu_prime for p in mine] == [p.mu_prime for p in bounded]
 
     @pytest.mark.parametrize("block_cells", [3, 7, 25, 50, 1 << 13])
-    def test_sweep_job_order_matches_per_job_searches(self, monkeypatch, block_cells):
-        # a sweep stacks a source's bounded rows next to its ideal rows; small
-        # chunks split the two at different distances or hold one alone
-        distances = list(range(0, 200, 20))
-        grouped = [("hsps", False), ("hsps", True), ("wcs", False), ("wcs", True)]
-        alone = [_searched_mu_primes(DEFAULT, distances, [job])[0] for job in grouped]
+    def test_chunks_bound_each_call(self, spy, monkeypatch, block_cells):
+        # chunks of up to 1, 1, 2, 4 and 682 distances, each with the rows of all 4 jobs; a
+        # chunk holds at least one distance's rows, so 3 and 7 cells give 4 rows
+        cfg = _cfg(dist_step_km=20.0)
+        whole = sweep_distances(cfg)
         monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        assert _searched_mu_primes(DEFAULT, distances, grouped) == alone
-
-    def test_unknown_kind_and_no_channels(self):
-        with pytest.raises(ValueError, match="laser"):
-            _searched_mu_primes(DEFAULT, [0.0], [("hsps", False), ("laser", False)])
-        assert _searched_mu_primes(DEFAULT, [], STACK_JOBS) == [[], [], [], []]
-
-
-# one kind, both kinds, kinds apart (STACK_JOBS) and grouped, with and without the ideal job
-RATE_JOBS = [[("hsps", False)], [("wcs", False)], [("hsps", False), ("hsps", True)],
-             [("wcs", False), ("wcs", True)], STACK_JOBS,
-             [("hsps", False), ("hsps", True), ("wcs", False), ("wcs", True)]]
+        spy.arrays.clear()
+        assert sweep_distances(cfg) == whole
+        rows = 4 * max(1, block_cells // 12)
+        assert max(_openings(spy, "hsps")) == min(rows, 4 * 10) // 2
+        assert max(_rate_cells(spy, jobs=2, kinds=2)) <= max(block_cells, 12)
+        for kind in ("hsps", "wcs"):
+            coarse = [c.shape for c in _calls(spy, kind) if c.mu_prime.shape[0] == 1]
+            assert sum(map(math.prod, coarse)) == 10 * 95
 
 
-@pytest.mark.parametrize("mus", [(0.05,), FIGURE1_MUS], ids=["one mu", "figure 1"])
-@pytest.mark.parametrize("jobs", RATE_JOBS, ids=str)
-def test_rate_callable_equals_each_job_evaluated_alone(jobs, mus):
-    # a source's bounded and ideal rows share its signal terms; no rate may move by a bit
-    cfgs = _mu_cfgs(mus, dist_step_km=3.0)
-    rows = optimizer_module._join(_mu_rows(cfgs, distance_grid(cfgs[0]), jobs))
-    n = rows.cols["eta"][0].shape[0]
-    rng = np.random.default_rng(len(jobs) + len(mus))
-    cands = np.array(mu_prime_candidates(cfgs[0]))[None, :]
-    for entries in (slice(0, n), slice(7, n - 5), slice(n - 1, n)):
-        rate = optimizer_module._jobs_rate(cfgs[0], rows, jobs, entries)
-        reference = reference_jobs_rate(cfgs[0], rows, jobs, entries)
-        rows_searched = len(jobs) * (entries.stop - entries.start)
-        probes = [cands[:, :11], cands[:, 11:],  # coarse blocks
-                  rng.uniform(0.011, 1.0, (rows_searched, 3)), rng.uniform(0.011, 1.0, (rows_searched, 2))]
-        for mu_prime in probes:
-            got, want = rate(mu_prime), reference(mu_prime)
-            assert got.shape == (rows_searched, mu_prime.shape[1])
-            assert np.array_equal(got, want), (entries, mu_prime.shape)
+# ---------------------------------------------------------------------------
+# the coarse scan's tie rule, on rates that are finite and >= 0
 
-
-def _record_scan_reference(rates, cands, best_x, best_f):
-    """The coarse scan's column loop that _record_scan replaces."""
-    for j in range(rates.shape[1]):
-        better = rates[:, j] > best_f + RATE_TIE_TOL
-        best_x = np.where(better, cands[j], best_x)
-        best_f = np.where(better, rates[:, j], best_f)
-    return best_x, best_f
+def test_rate_cores_give_finite_nonnegative_rates_on_extreme_cells():
+    # the search reads no NaN: bounds' two rate cores clamp every cell, also at
+    # zero, subnormal and dark-free signals whose bounds divide 0 by 0
+    mu_prime = np.array([[0.06, 0.3, 1.0, 50.0, 700.0]])
+    etas = [0.0, 5e-324, 1e-300, 1e-9, 0.03, 1.0]
+    for ch in (DEFAULT.channel, ChannelParams(d_b=0.0), ChannelParams(d_b=0.0, e_d=0.0)):
+        exact = [bounds_module._exact_single_photon(ch, e) if e or ch.d_b else (0.0, 1.0) for e in etas]
+        y1, h_e1 = (np.array(c)[:, None] for c in zip(*exact))
+        for kind in ("hsps", "wcs"):
+            src = source(DEFAULT, kind)
+            w_mu = src.weights(FLOATS, DEFAULT.mu)
+            decoy = [src.signal(FLOATS, DEFAULT.mu, e, ch) for e in etas]
+            ty_mu = np.array([[ty] for _, ty, _ in decoy])
+            e1_mass = np.array([[bounds_module._e1_mass(w_mu, e, ty, ch.d_b, ch.e_0)] for _, ty, e in decoy])
+            with np.errstate(all="ignore"):
+                _, ty, e = src.signal(ARRAYS, mu_prime, np.array(etas)[:, None], ch)
+                w = src.weights(ARRAYS, mu_prime)
+                half, ec = bounds_module._signal_terms(ARRAYS, ty, e, DEFAULT.f_ec)
+                rates = [bounds_module._search_rate(ARRAYS, w_mu, w, ch.d_b, ty_mu, e1_mass, ty, half, ec),
+                         bounds_module._benchmark_rate(ARRAYS, w, ty, half, ec, y1, h_e1)]
+            assert ch.d_b or np.isnan(e).any()  # the dark-free channels' empty cells
+            for rate in rates:
+                assert rate.shape == (len(etas), mu_prime.size)
+                assert np.isfinite(rate).all() and (rate >= 0.0).all(), (kind, ch)
 
 
 # Offsets from a row's top rate, in units of RATE_TIE_TOL.
@@ -923,7 +805,7 @@ def _scan_rows(rng, width):
 
     Rows at 1e-6, 1 and 1e3 (where RATE_TIE_TOL is below half an ulp) have
     a top cell, cells near-tied with it on either side, and carried bests
-    near it; then come all-zero rows and rows with NaN or infinite cells.
+    near it; then come all-zero rows.
     """
     tol = RATE_TIE_TOL
     rows, bests = [], []
@@ -942,37 +824,10 @@ def _scan_rows(rng, width):
                 0.0, top, float(row.min()) - scale,
                 top + rng.choice([-1.0, 1.0]) * rng.choice(NEAR_TIES) * tol,
             ]))
-    for best in (0.0, 1e-16, np.nan):
+    for best in (0.0, 1e-16):
         rows.append(np.zeros(width))
         bests.append(best)
-    for special in (np.nan, np.inf, -np.inf):
-        for best in (0.5, np.nan, np.inf, -np.inf):
-            row = rng.uniform(0.0, 1.0, width)
-            row[rng.integers(width)] = special
-            rows.append(row)
-            bests.append(best)
-    rows.append(np.full(width, -np.inf))
-    bests.append(-np.inf)
     return np.array(rows), np.array(bests)
-
-
-def _table_rate(table, cfg):
-    """Rates of a (rows, candidates) table at the coarse candidate nearest each mu'."""
-    lo, step, last = cfg.mu_prime_min, cfg.mu_prime_coarse_step, table.shape[1] - 1
-
-    def rate(mu_prime):
-        col = np.clip(np.rint((mu_prime - lo) / step), 0, last).astype(int)
-        return np.take_along_axis(table, np.broadcast_to(col, (table.shape[0], col.shape[1])), axis=1)
-
-    def row_rate(i):
-        # a Python float, so the scalar reference takes inf - inf without a warning
-        return lambda x: float(table[i, int(np.clip(np.rint((x - lo) / step), 0, last))])
-
-    return rate, row_rate
-
-
-def _same(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 class TestRecordScan:
@@ -984,28 +839,24 @@ class TestRecordScan:
         cands = 0.06 + 0.01 * np.arange(width)
         best_x = np.full(best_f.size, 0.05)
         x, f = _record_scan(rates, cands, best_x, best_f)
-        ref_x, ref_f = _record_scan_reference(rates, cands, best_x, best_f)
+        ref_x, ref_f = record_scan_reference(rates, cands, best_x, best_f)
         assert x.tobytes() == ref_x.tobytes()
         assert f.tobytes() == ref_f.tobytes()
 
     @pytest.mark.parametrize("improving", ["none", "some", "all"])
     def test_only_improving_rows_take_the_tie_test(self, improving):
-        # _scan_rows has NaN, infinite and near-tied cells; a NaN top never improves,
-        # so all rows improve only without NaN rows
         rates, best_f = _scan_rows(np.random.default_rng(5), 9)
         top = rates.max(axis=1)
         if improving == "none":
-            best_f = np.nanmax(rates, axis=1) + 1.0
+            best_f = top + 1.0
         elif improving == "all":
-            keep = ~np.isnan(top) & (top > -np.inf)
-            rates, top, best_f = rates[keep], top[keep], np.full(keep.sum(), -np.inf)
+            best_f = np.full(best_f.size, -1.0)
         new = top > best_f + RATE_TIE_TOL
         assert {"none": not new.any(), "some": 0 < new.sum() < new.size, "all": new.all()}[improving]
-        assert np.isnan(rates).any() or improving == "all"
         cands = 0.06 + 0.01 * np.arange(rates.shape[1])
         best_x = np.full(best_f.size, 0.05)
         x, f = _record_scan(rates, cands, best_x, best_f)
-        ref_x, ref_f = _record_scan_reference(rates, cands, best_x, best_f)
+        ref_x, ref_f = record_scan_reference(rates, cands, best_x, best_f)
         assert x.tobytes() == ref_x.tobytes()
         assert f.tobytes() == ref_f.tobytes()
 
@@ -1023,55 +874,28 @@ class TestRecordScan:
         assert x.tolist() == [0.2, 0.2, 0.3, 0.2]
         assert f.tolist() == [1.0, 1.0 - 0.5 * tol, 1.0, np.nextafter(1e3, np.inf)]
 
-    @pytest.mark.parametrize("block_cells", [3, 50])
-    def test_best_carried_across_blocks(self, monkeypatch, block_cells):
-        # 12 rows: 3 cells give 1-column blocks, 50 give 4-column blocks
-        cfg = _cfg(mu_prime_min=0.1, mu_prime_max=0.5, mu_prime_coarse_step=0.02)
-        width = len(mu_prime_candidates(cfg))
-        rows, _ = _scan_rows(np.random.default_rng(7), width)
-        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        for start in range(0, rows.shape[0], 12):
-            table = rows[start:start + 12]
-            rate, row_rate = _table_rate(table, cfg)
-            x, f = _maximize(rate, table.shape[0], cfg)
-            for i in range(table.shape[0]):
-                ref_x, ref_f = _search_reference(row_rate(i), cfg)
-                assert x[i] == ref_x and _same(f[i], ref_f), start + i
-
-
-    @pytest.mark.parametrize("block_cells", [3, 50])
-    def test_nan_first_column_seeds_the_best(self, monkeypatch, block_cells):
-        # 3 cells give blocks of column 0 alone; 50 give 12-column blocks
-        cfg = _cfg(mu_prime_min=0.1, mu_prime_max=0.5, mu_prime_coarse_step=0.02)
-        table = np.random.default_rng(11).uniform(0.0, 1.0, (4, len(mu_prime_candidates(cfg))))
-        table[:2, 0] = np.nan
-        table[1, 9] = 2.0
-        table[2, 5] = np.nan
-        monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        rate, row_rate = _table_rate(table, cfg)
-        x, f = _maximize(rate, table.shape[0], cfg)
-        for i in range(table.shape[0]):
-            ref_x, ref_f = _search_reference(row_rate(i), cfg)
-            assert x[i] == ref_x and _same(f[i], ref_f), i
-        assert x[:2].tolist() == [cfg.mu_prime_min] * 2 and np.isnan(f[:2]).all()
+    @pytest.mark.parametrize("width", [1, 3, 4, 50])
+    def test_best_carried_across_blocks(self, width):
+        # column 0 seeds each row's best, which then passes from block to block
+        rates, _ = _scan_rows(np.random.default_rng(7), 21)
+        cands = 0.1 + 0.02 * np.arange(21)
+        seed = np.full(rates.shape[0], cands[0]), rates[:, 0]
+        x, f = seed
+        for start in range(0, 21, width):
+            x, f = _record_scan(rates[:, start:start + width], cands[start:start + width], x, f)
+        ref_x, ref_f = record_scan_reference(rates, cands, *seed)
+        assert x.tobytes() == ref_x.tobytes()
+        assert f.tobytes() == ref_f.tobytes()
 
 
 class TestTransmittanceOnlyInputs:
-    def test_search_transmittance_is_the_channels(self, monkeypatch):
-        cfg = _cfg(channel=ChannelParams(alpha_db_per_km=0.23, eta_b=0.11))
-        distances = distance_grid(cfg)[::7] + _bisection_tree(100.0, 101.0, 4)
-        seen = []
-
-        build_rows = optimizer_module._rows
-
-        def spy(cfg, distances, jobs):
-            rows = build_rows(cfg, distances, jobs)
-            seen.extend(rows.eta)
-            return rows
-
-        monkeypatch.setattr(optimizer_module, "_rows", spy)
-        _searched_mu_primes(cfg, distances, [("hsps", False)])
-        assert seen == [overall_transmittance(cfg.channel.at_distance(d)) for d in distances]
+    def test_search_transmittance_is_the_channels(self, spy):
+        cfg = _cfg(channel=ChannelParams(alpha_db_per_km=0.23, eta_b=0.11), dist_step_km=7.0,
+                   sources=("hsps",), include_ideal=False)
+        sweep_distances(cfg)
+        want = [overall_transmittance(cfg.channel.at_distance(d)) for d in distance_grid(cfg)]
+        coarse = [c for c in spy.arrays if c.mu_prime.shape[0] == 1]
+        assert coarse and all(c.eta.ravel().tolist() == want for c in coarse)
 
     def test_default_cutoff_builds_few_channels(self, monkeypatch):
         built = []
@@ -1087,30 +911,11 @@ class TestTransmittanceOnlyInputs:
         # bisection reaches go through the row core, which builds no channel
         assert built == []
 
-    @pytest.mark.parametrize("cfg", [
-        DEFAULT,
-        _cfg(mu_prime_min=0.06, mu_prime_max=0.12),
-        _cfg(channel=ChannelParams(alpha_db_per_km=0.25, e_d=0.05)),
-    ], ids=["default", "clamped range", "lossier channel"])
-    @pytest.mark.parametrize("block_cells", [None, 25])
-    def test_searches_from_distances_match_scalar_search(self, monkeypatch, cfg, block_cells):
-        if block_cells is not None:
-            monkeypatch.setattr("decoy_hsps.optimizer._BLOCK_CELLS", block_cells)
-        distances = LOCKSTEP_DISTANCES[::2]
-        stacked = _searched_mu_primes(cfg, distances, STACK_JOBS)
-        for (kind, ideal), found in zip(STACK_JOBS, stacked):
-            assert found == _searched_mu_primes(cfg, distances, [(kind, ideal)])[0]
-            expected = [
-                _search_reference(_scalar_rate(cfg, cfg.channel.at_distance(d), kind, ideal), cfg)[0]
-                for d in distances
-            ]
-            assert found == expected, (kind, ideal)
-
 
 class TestWcsGainCap:
     def test_evaluate_far_above_the_optimum_returns(self):
         # e^(-eta*mu') underflows against d_b: the uncapped gain exceeds 1
-        obs, bounds, rate, feasible = evaluate(DEFAULT, DEFAULT.channel, WCS, 800.0)
+        obs, bounds, rate, feasible = evaluate(DEFAULT, DEFAULT.channel, COHERENT, 800.0)
         assert obs.y_mu_prime == obs.ty_mu_prime == 1.0
         assert 0.0 < obs.e_mu_prime < 0.5
         assert bounds.y1_lower == 0.0 and not bounds.feasible
@@ -1128,7 +933,7 @@ class TestTriggeredYieldCap:
 
     def test_evaluate_with_heavy_dark_counts_returns(self):
         ch = self.CFG.channel
-        obs, bounds, rate, feasible = evaluate(self.CFG, ch, _source(self.CFG, "hsps"), 50.0)
+        obs, bounds, rate, feasible = evaluate(self.CFG, ch, triggered_source(1.0, 0.5), 50.0)
         p_post = 0.5 / 51.0 + 50.0 / 51.0
         assert obs.y_mu_prime == 1.0 and obs.ty_mu_prime == p_post
         # the QBER stays the error share of the uncapped yield
@@ -1185,7 +990,7 @@ class TestLockstepGoldenSection:
             xi, fi = golden_section_maximize(scalar, a[i:i + 1], b[i:i + 1], 1e-4)
             expected = (float(xi[0]), float(fi[0]))
             assert (x[i], fx[i]) == expected
-            assert expected == _golden_reference(scalar, float(a[i]), float(b[i]), 1e-4)
+            assert expected == golden_reference(scalar, float(a[i]), float(b[i]), 1e-4)
 
     def test_invalid_array_bracket(self):
         with pytest.raises(ValueError, match="invalid bracket"):
@@ -1211,7 +1016,7 @@ class TestLockstepGoldenSection:
         for i in range(a.size):
             points = []
             scalar = lambda v: points.append(v) or float(f(np.float64(v)))
-            xr, fr = _golden_reference(scalar, float(a[i]), float(b[i]), 1e-4)
+            xr, fr = golden_reference(scalar, float(a[i]), float(b[i]), 1e-4)
             assert x[i] == xr and (fx[i] == fr or math.isnan(fx[i]) and math.isnan(fr))
             steps = max(steps, len(points) - 3)  # 2 opening probes, one a step, the midpoint
         assert steps % 2 == parity
@@ -1225,6 +1030,6 @@ def test_array_entropy_equals_masked_formula():
     with np.errstate(all="ignore"):
         h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
         masked = np.where((p == 0.0) | (p == 1.0), 0.0, h)
-    got = _array_entropy(p)
+    got = ARRAYS.entropy(p)
     assert ((got == masked) | np.isnan(got) & np.isnan(masked)).all()
     assert got[:2].tolist() == [0.0, 0.0] and math.isnan(got[5])

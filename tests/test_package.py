@@ -3,8 +3,10 @@
 Only the mu' search (decoy_hsps.optimizer) evaluates numpy arrays, so the
 package loads it, and numpy with it, on first use of one of its names.
 """
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ import pytest
 import decoy_hsps
 from decoy_hsps import optimizer
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 SEARCH_NAMES = ("distance_grid", "key_rate_point", "max_secure_distance", "sweep_distances")
 
 # The modules the bench's counts workload imports, then one count set per
@@ -76,3 +79,40 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(decoy_hsps, "sweep")
     with pytest.raises(ImportError):
         exec("from decoy_hsps import no_such_name", {})
+
+
+def _private_definitions(path):
+    """The private names a module defines at its top level, imports not counted."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _names_in(path):
+    """Every name a module uses: identifiers but its own, attributes, imports and words of its strings."""
+    names, own = set(), _private_definitions(path)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id not in own:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))  # monkeypatch.setattr("pkg.module._name", ...)
+    return names
+
+
+def test_tests_name_few_private_optimizer_names():
+    # the mu' search is tested through its public outputs and tests/oracles.py's
+    # reference searches, so a search change need not rewrite its tests; at most
+    # three private levers stay (such as _BLOCK_CELLS, which shrinks chunks)
+    private = _private_definitions(SRC / "decoy_hsps" / "optimizer.py")
+    assert private
+    named = sorted(set().union(*(private & _names_in(path) for path in TESTS.glob("*.py"))))
+    assert len(named) <= 3, named

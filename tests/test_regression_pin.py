@@ -30,7 +30,8 @@ from decoy_hsps.bounds import (
 )
 from decoy_hsps.channel import ChannelParams
 from decoy_hsps.observables import IntensityCounts, statistics_from_counts
-from decoy_hsps.optimizer import SweepConfig, _source, evaluate
+from decoy_hsps.optimizer import SweepConfig, evaluate
+from decoy_hsps.sources import COHERENT, triggered_source
 
 PIN = json.loads((Path(__file__).parent / "data" / "scalar_chain_pin.json").read_text())
 OBS_FIELDS = ("y0", "y_mu", "y_mu_prime", "ty_mu", "ty_mu_prime", "e_mu", "e_mu_prime")
@@ -51,7 +52,7 @@ def _point(kind, *numbers):
     cfg = SweepConfig(channel=channel, mu=mu, eta_a=eta_a, d_a=d_a, f_ec=f_ec,
                       mu_prime_min=mu_prime, mu_prime_max=mu_prime)
     ch = channel.at_distance(distance)
-    src = _source(cfg, kind)
+    src = triggered_source(eta_a, d_a) if kind == "hsps" else COHERENT
     try:
         obs, bounds, rate, feasible = evaluate(cfg, ch, src, mu_prime)
         ideal = ideal_rate(src, mu_prime, ch, f_ec)
