@@ -276,8 +276,6 @@ def _cmd_bounds(args) -> int:
     for flag, value in (("--mu", mu), ("--mu-prime", mu_prime)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    if not 0 < mu < mu_prime:
-        raise ConfigError(f"intensities must satisfy 0 < mu < mu_prime, got {mu}, {mu_prime}")
     stats = statistics_from_counts(
         vacuum=_parse_counts("vacuum", args.vacuum),
         decoy=_parse_counts("decoy", args.decoy),

@@ -473,7 +473,7 @@ def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
                 if cfg.include_ideal:
                     ideal = _ideal_rate_at(src, searched[kind, True][i], eta, ch, r.exact[i], cfg.f_ec)
                 else:
-                    ideal = float("nan")
+                    ideal = math.nan  # one object, so equal points compare equal
                 points.append(KeyRatePoint(
                     distance_km=distance, mu=cfg.mu, mu_prime=mu_prime, key_rate=rate, ideal_rate=ideal,
                     source_kind=kind, bounds=bounds, observables=obs, feasible=feasible))

@@ -10,6 +10,11 @@ bounds are tested against them). None of this is used by
 the package. closed_form and closed_form_wcs read the package's closed
 forms at the oracles' parameters.
 
+The tests have one source axis: source_and_synthesizer gives a kind's
+source object and its forward synthesizer, so a bound test runs for both
+sources through the core API; draw_intensities and observed are the
+randomized harnesses' one intensity draw and observed-statistics builder.
+
 The mu' search's references take one row at a time on public names:
 search_reference scans and refines one scalar rate (scalar_rate) as the
 array search does each row, golden_reference is its golden section,
@@ -24,6 +29,7 @@ import numpy as np
 from decoy_hsps.bounds import ideal_rate
 from decoy_hsps.channel import ChannelParams, overall_transmittance
 from decoy_hsps.numerics import FLOATS
+from decoy_hsps.observables import ObservedStatistics
 from decoy_hsps.optimizer import RATE_TIE_TOL, evaluate, key_rate_point, mu_prime_candidates, sweep_distances
 from decoy_hsps.sources import (
     COHERENT,
@@ -300,9 +306,34 @@ def synthesize_wcs_gain_from_yields(yields, mu: float) -> float:
     return float(np.dot(ys, w))
 
 
+def source_and_synthesizer(kind, eta_a=0.8, d_a=1e-5):
+    """Source kind's object and its forward synthesizer synth(yields, x), trigger terms eta_a, d_a.
+
+    synth gives the constraint sum_n P_n(x) Y_n that the bounds read at
+    intensity x: the rescaled yield of a triggered source ("hsps"), the gain
+    of a coherent one ("wcs"), which ignores eta_a and d_a.
+    """
+    if kind == "wcs":
+        return COHERENT, synthesize_wcs_gain_from_yields
+    return triggered_source(eta_a, d_a), lambda ys, x: synthesize_observables_from_yields(ys, x, eta_a, d_a)
+
+
 def source(cfg, kind):
     """The source object a sweep of cfg runs for source kind ("hsps" or "wcs")."""
-    return triggered_source(cfg.eta_a, cfg.d_a) if kind == "hsps" else COHERENT
+    return source_and_synthesizer(kind, cfg.eta_a, cfg.d_a)[0]
+
+
+def draw_intensities(rng):
+    """A decoy and a signal intensity, 0 < mu < mu' <= 1 and at least 0.02 apart."""
+    mu = rng.uniform(0.005, 0.6)
+    mu_prime = min(1.0, mu + rng.uniform(0.02, 0.4))
+    return mu, mu_prime
+
+
+def observed(y0, ty_mu, ty_mu_prime, e_mu=None, e_mu_prime=None):
+    """Observed statistics with only the fields the bounds read: Y0, both rescaled yields and the QBERs."""
+    return ObservedStatistics(y0=y0, y_mu=0.0, y_mu_prime=0.0, ty_mu=ty_mu, ty_mu_prime=ty_mu_prime,
+                              e_mu=e_mu, e_mu_prime=e_mu_prime)
 
 
 def scalar_rate(cfg, distance, kind, ideal):

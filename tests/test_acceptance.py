@@ -20,7 +20,9 @@ from decoy_hsps.sources import (
 from oracles import (
     closed_form,
     closed_form_wcs,
+    draw_intensities,
     hsps_elimination_coefficient,
+    observed,
     simulate_qber_series,
     simulate_rescaled_yield_series,
     simulate_wcs_gain_series,
@@ -36,27 +38,15 @@ def _report(cid: int, text: str) -> None:
     print(f"[PASS] criterion {cid}: {text}")
 
 
-def _draw_intensities(rng):
-    mu = rng.uniform(0.005, 0.6)
-    mu_prime = min(1.0, mu + rng.uniform(0.02, 0.4))
-    return mu, mu_prime
-
-
-def _obs(y0, ty_mu, ty_mu_prime):
-    return dh.ObservedStatistics(
-        y0=y0, y_mu=0.0, y_mu_prime=0.0, ty_mu=ty_mu, ty_mu_prime=ty_mu_prime
-    )
-
-
 def test_c01_hsps_bound_soundness():
     rng = np.random.default_rng(2026)
     start = time.perf_counter()
     for _ in range(10_000):
         yields = rng.random(51)
-        mu, mu_prime = _draw_intensities(rng)
+        mu, mu_prime = draw_intensities(rng)
         eta_a = rng.uniform(0.05, 1.0)
         d_a = rng.uniform(0.0, 1e-3)
-        obs = _obs(
+        obs = observed(
             yields[0],
             synthesize_observables_from_yields(yields, mu, eta_a, d_a),
             synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
@@ -75,10 +65,10 @@ def test_c02_hsps_bound_tightness():
         yields = np.zeros(51)
         yields[0] = rng.random()
         yields[1] = rng.uniform(1e-3, 1.0)
-        mu, mu_prime = _draw_intensities(rng)
+        mu, mu_prime = draw_intensities(rng)
         eta_a = rng.uniform(0.05, 1.0)
         d_a = rng.uniform(0.0, 1e-3)
-        obs = _obs(
+        obs = observed(
             yields[0],
             synthesize_observables_from_yields(yields, mu, eta_a, d_a),
             synthesize_observables_from_yields(yields, mu_prime, eta_a, d_a),
@@ -93,7 +83,7 @@ def test_c02_hsps_bound_tightness():
 def test_c03_elimination_coefficient_algebra():
     rng = np.random.default_rng(2028)
     for _ in range(1000):
-        mu, mu_prime = _draw_intensities(rng)
+        mu, mu_prime = draw_intensities(rng)
         eta_a = rng.uniform(0.05, 1.0)
         assert abs(hsps_elimination_coefficient(2, mu, mu_prime, eta_a)) <= 1e-14
         for n in range(3, 51):
@@ -105,20 +95,20 @@ def test_c04_wcs_bound_soundness_and_tightness():
     rng = np.random.default_rng(2029)
     for _ in range(10_000):
         yields = rng.random(51)
-        mu, mu_prime = _draw_intensities(rng)
+        mu, mu_prime = draw_intensities(rng)
         q_mu = synthesize_wcs_gain_from_yields(yields, mu)
         q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = dh.compute_bounds(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
+        bound = dh.compute_bounds(COHERENT, observed(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
         assert bound <= yields[1] + 1e-12
     worst = 0.0
     for _ in range(10_000):
         yields = np.zeros(51)
         yields[0] = rng.random()
         yields[1] = rng.uniform(1e-3, 1.0)
-        mu, mu_prime = _draw_intensities(rng)
+        mu, mu_prime = draw_intensities(rng)
         q_mu = synthesize_wcs_gain_from_yields(yields, mu)
         q_mu_prime = synthesize_wcs_gain_from_yields(yields, mu_prime)
-        bound = dh.compute_bounds(COHERENT, _obs(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
+        bound = dh.compute_bounds(COHERENT, observed(yields[0], q_mu, q_mu_prime), mu, mu_prime).y1_lower
         rel = abs(bound - yields[1]) / yields[1]
         worst = max(worst, rel)
         assert rel <= 1e-9

@@ -113,18 +113,6 @@ class TestErrorRate:
 
 
 class TestChannelValidation:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ChannelParams(alpha_db_per_km=-0.1)
-        with pytest.raises(ValueError):
-            ChannelParams(eta_b=1.5)
-        with pytest.raises(ValueError):
-            ChannelParams(d_b=1.0)
-        with pytest.raises(ValueError):
-            ChannelParams(e_d=0.6)
-        with pytest.raises(ValueError):
-            ChannelParams(distance_km=-5.0)
-
     def test_at_distance_preserves_other_fields(self):
         moved = GYS.at_distance(42.0)
         assert moved.distance_km == 42.0

@@ -9,9 +9,9 @@ import decoy_hsps.cli as cli_module
 from decoy_hsps.channel import ChannelParams
 from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main
 from decoy_hsps.config import format_config, resolve_config
-from decoy_hsps.observables import forecast_observables
+from decoy_hsps.observables import forecast
 from decoy_hsps.optimizer import SweepConfig, sweep_distances
-from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability
+from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability, triggered_source
 from points_csv import read_points_csv
 
 SMALL_GRID = ["--override", "dist_stop_km=4", "--override", "dist_step_km=2"]
@@ -311,7 +311,7 @@ class TestBoundsCommand:
     def _counts_args(self, distance=20.0, mu=0.05, mu_prime=0.3, eta_a=0.8, d_a=1e-5,
                      e_signal=None):
         ch = ChannelParams().at_distance(distance)
-        obs = forecast_observables(mu, mu_prime, eta_a, d_a, ch)
+        obs = forecast(triggered_source(eta_a, d_a), mu, mu_prime, ch)
         pulses = 1.0
 
         def fmt(x, y, e):
@@ -361,7 +361,7 @@ class TestBoundsCommand:
 
     def test_without_error_counts_reports_partial(self, tmp_path, capsys):
         ch = ChannelParams().at_distance(20.0)
-        obs = forecast_observables(0.05, 0.3, 0.8, 1e-5, ch)
+        obs = forecast(triggered_source(0.8, 1e-5), 0.05, 0.3, ch)
         out = tmp_path / "bounds"
         code = main([
             "bounds", "--out", str(out),
@@ -436,7 +436,7 @@ class TestBoundsCommand:
             "--mu-prime", "0.3",
         ]) == 1
 
-    def test_intensity_ordering_enforced(self, tmp_path):
+    def test_intensity_ordering_enforced(self, tmp_path, capsys):
         assert main([
             "bounds", "--out", str(tmp_path),
             "--vacuum", "10,5,1",
@@ -444,6 +444,9 @@ class TestBoundsCommand:
             "--signal", "10,5,1",
             "--mu", "0.3", "--mu-prime", "0.1",
         ]) == 1
+        # the core's message, which forecast and compute_bounds also raise
+        assert capsys.readouterr().err == (
+            "error: intensities must satisfy 0 < mu < mu_prime, got mu=0.3, mu_prime=0.1\n")
 
 
 class TestParser:

@@ -4,24 +4,19 @@ import numpy as np
 import pytest
 
 from decoy_hsps.channel import ChannelParams
-from decoy_hsps.observables import (
-    IntensityCounts,
-    ObservedStatistics,
-    forecast_observables,
-    forecast_wcs_observables,
-    statistics_from_counts,
-)
-from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability
+from decoy_hsps.observables import IntensityCounts, forecast, statistics_from_counts
+from decoy_hsps.sources import COHERENT, HeraldedSourceParams, post_selection_probability, triggered_source
 from oracles import (
     closed_form,
     closed_form_wcs,
     simulate_qber_series,
     simulate_rescaled_yield_series,
-    simulate_wcs_gain_series,
     simulate_wcs_qber_series,
+    source_and_synthesizer,
 )
 
 GYS = ChannelParams()
+BOTH = pytest.mark.parametrize("kind", ["hsps", "wcs"])
 
 
 def _yield(src, ch):
@@ -30,8 +25,7 @@ def _yield(src, ch):
 
 
 def _random_setup(rng):
-    """Random source/channel draw kept away from degenerate corners so the
-    1e-12 closed-form/series comparisons are meaningful."""
+    """Random source/channel draw from c05's box, away from degenerate corners."""
     src = HeraldedSourceParams(
         x=rng.uniform(0.05, 1.0),
         eta_a=rng.uniform(0.5, 1.0),
@@ -58,14 +52,6 @@ class TestRescaledYield:
         closed = closed_form(src, ch)[1]
         series = simulate_rescaled_yield_series(src, ch, max_terms=200)
         assert closed == pytest.approx(series, rel=1e-12)
-
-    def test_closed_form_matches_series_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            src, ch = _random_setup(rng)
-            assert closed_form(src, ch)[1] == pytest.approx(
-                simulate_rescaled_yield_series(src, ch), rel=1e-12
-            )
 
     def test_perfect_system_equals_post_selection(self):
         src = HeraldedSourceParams(x=0.05, eta_a=1.0, d_a=0.0)
@@ -99,7 +85,7 @@ class TestYield:
         assert _yield(src, ch) == 1.0
         assert closed_form(src, ch)[1] == pytest.approx(
             post_selection_probability(src), rel=1e-15)
-        obs = forecast_observables(0.05, 50.0, 1.0, 0.5, ch)
+        obs = forecast(triggered_source(1.0, 0.5), 0.05, 50.0, ch)
         assert obs.y_mu_prime == 1.0
         assert obs.e_mu_prime == closed_form(src, ch)[2]
 
@@ -122,14 +108,6 @@ class TestQber:
         assert GYS.e_d < e < 0.5
         assert e == pytest.approx(simulate_qber_series(src, ch), rel=1e-12)
 
-    def test_closed_form_matches_series_random(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            src, ch = _random_setup(rng)
-            assert closed_form(src, ch)[2] == pytest.approx(
-                simulate_qber_series(src, ch), rel=1e-12
-            )
-
     def test_approaches_half_at_long_distance(self):
         src = HeraldedSourceParams(x=0.05, eta_a=0.8, d_a=1e-5)
         assert closed_form(src, GYS.at_distance(400.0))[2] == pytest.approx(0.5, abs=1e-3)
@@ -140,15 +118,6 @@ class TestWcs:
         assert closed_form_wcs(0.0, GYS)[0] == GYS.d_b
         ch = ChannelParams(alpha_db_per_km=0.0, eta_b=1.0, d_b=0.0)
         assert closed_form_wcs(0.05, ch)[0] == pytest.approx(1.0 - np.exp(-0.05), rel=1e-12)
-
-    def test_gain_matches_series(self):
-        rng = np.random.default_rng(19)
-        for _ in range(30):
-            _, ch = _random_setup(rng)
-            mu = rng.uniform(0.01, 1.0)
-            assert closed_form_wcs(mu, ch)[0] == pytest.approx(
-                simulate_wcs_gain_series(mu, ch), rel=1e-12
-            )
 
     def test_qber_trivials(self):
         assert closed_form_wcs(0.0, GYS)[1] == pytest.approx(0.5, rel=1e-14)
@@ -168,14 +137,20 @@ class TestWcs:
         assert closed_form_wcs(50.0, ch)[1] == pytest.approx(
             (ch.e_0 * ch.d_b + ch.e_d) / (1.0 + ch.d_b), rel=1e-12
         )
-        obs = forecast_wcs_observables(0.05, 50.0, ch)
+        obs = forecast(COHERENT, 0.05, 50.0, ch)
         assert obs.y_mu_prime == obs.ty_mu_prime == 1.0
 
 
 class TestForecast:
-    def test_vacuum_entry(self):
-        obs = forecast_observables(0.05, 0.3, 0.8, 1e-5, GYS.at_distance(20.0))
+    @BOTH
+    def test_vacuum_entry(self, kind):
+        obs = forecast(source_and_synthesizer(kind)[0], 0.05, 0.3, GYS.at_distance(20.0))
         assert obs.y0 == GYS.d_b
+
+    @BOTH
+    def test_more_intensity_more_clicks(self, kind):
+        obs = forecast(source_and_synthesizer(kind)[0], 0.05, 0.3, GYS.at_distance(30.0))
+        assert obs.ty_mu_prime > obs.ty_mu
 
     def test_invariants_over_random_draws(self):
         rng = np.random.default_rng(23)
@@ -183,7 +158,7 @@ class TestForecast:
             src, ch = _random_setup(rng)
             mu = rng.uniform(0.005, 0.5)
             mu_prime = mu + rng.uniform(0.01, 0.5)
-            obs = forecast_observables(mu, mu_prime, src.eta_a, src.d_a, ch)
+            obs = forecast(triggered_source(src.eta_a, src.d_a), mu, mu_prime, ch)
             for v in (obs.y0, obs.y_mu, obs.y_mu_prime, obs.ty_mu, obs.ty_mu_prime):
                 assert 0.0 <= v <= 1.0
             assert 0.0 <= obs.e_mu <= 0.5 + 1e-12
@@ -197,11 +172,6 @@ class TestForecast:
                 obs.y_mu_prime * post_selection_probability(signal), rel=1e-14
             )
 
-    def test_more_intensity_more_clicks(self):
-        ch = GYS.at_distance(30.0)
-        obs = forecast_observables(0.05, 0.3, 0.8, 1e-5, ch)
-        assert obs.ty_mu_prime > obs.ty_mu
-
     def test_yield_decreases_and_qber_increases_with_distance(self):
         for mu in (0.01, 0.05, 0.10):
             ys, es = [], []
@@ -213,13 +183,9 @@ class TestForecast:
             assert all(b < a for a, b in zip(ys, ys[1:]))
             assert all(b > a for a, b in zip(es, es[1:]))
 
-    def test_rejects_bad_ordering(self):
-        with pytest.raises(ValueError):
-            forecast_observables(0.3, 0.05, 0.8, 1e-5, GYS)
-
     def test_wcs_forecast_uses_gain_convention(self):
         ch = GYS.at_distance(20.0)
-        obs = forecast_wcs_observables(0.05, 0.4, ch)
+        obs = forecast(COHERENT, 0.05, 0.4, ch)
         assert obs.y_mu == obs.ty_mu == closed_form_wcs(0.05, ch)[0]
         assert obs.e_mu == closed_form_wcs(0.05, ch)[1]
 
@@ -244,7 +210,7 @@ class TestStatisticsFromCounts:
         # expected counts from the forecast reproduce the forecast exactly
         ch = GYS.at_distance(35.0)
         mu, mu_prime, eta_a, d_a = 0.05, 0.25, 0.8, 1e-5
-        obs = forecast_observables(mu, mu_prime, eta_a, d_a, ch)
+        obs = forecast(triggered_source(eta_a, d_a), mu, mu_prime, ch)
 
         def expected_counts(x, y, e):
             if x == 0.0:
@@ -285,17 +251,7 @@ class TestStatisticsFromCounts:
             IntensityCounts(**counts)
 
 
-class TestObservedStatisticsValidation:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ObservedStatistics(y0=1.5, y_mu=0, y_mu_prime=0, ty_mu=0, ty_mu_prime=0)
-        with pytest.raises(ValueError):
-            ObservedStatistics(y0=0, y_mu=0, y_mu_prime=0, ty_mu=0, ty_mu_prime=0, e_mu=-0.1)
-
-
-def test_qber_undefined_when_nothing_clicks():
-    dead = ChannelParams(eta_b=0.0, d_b=0.0)
+@BOTH
+def test_qber_undefined_when_nothing_clicks(kind):
     with pytest.raises(ValueError, match="yield is zero"):
-        forecast_observables(0.05, 0.3, 0.8, 1e-5, dead)
-    with pytest.raises(ValueError, match="yield is zero"):
-        forecast_wcs_observables(0.05, 0.3, dead)
+        forecast(source_and_synthesizer(kind)[0], 0.05, 0.3, ChannelParams(eta_b=0.0, d_b=0.0))

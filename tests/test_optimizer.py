@@ -104,13 +104,6 @@ def _rate_cells(spy, jobs=1, kinds=1):
     return [sum(cells[i:i + kinds]) for i in range(0, len(cells), kinds)]
 
 
-def _assert_same_points(got, want):
-    """Point by point equality, in which a disabled ideal rate's NaN equals itself."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert repr(a) == repr(b)
-
-
 def _assert_reference(cfg, points):
     """Every point's mu', rate and ideal rate are the reference search's at its distance."""
     for p in points:
@@ -231,6 +224,8 @@ class TestSweep:
                    sources=("hsps",), include_ideal=False)
         points = sweep_distances(cfg)
         assert all(math.isnan(p.ideal_rate) for p in points)
+        # every point holds the one NaN object, so equal points compare equal
+        assert points == sweep_distances(cfg)
 
     def test_monotone_tail_after_cutoff(self):
         cfg = _cfg(dist_start_km=0.0, dist_stop_km=180.0, dist_step_km=20.0,
@@ -553,7 +548,7 @@ def _assert_joined_search_is_each_mu_alone(spy, cfgs):
         alone.append((sweep_distances(cfg), list(spy.arrays)))
     spy.arrays.clear()
     # every field of every point, mu-major: mu, mu', rates, bounds, observables, flags
-    _assert_same_points(sweep_distances(*cfgs), [p for points, _ in alone for p in points])
+    assert sweep_distances(*cfgs) == [p for points, _ in alone for p in points]
     n, jobs = len(distance_grid(cfgs[0])), 1 + cfgs[0].include_ideal
     for kind in cfgs[0].sources:
         coarse, golden = _split_at_opening(_calls(spy, kind))
@@ -746,7 +741,7 @@ class TestStackedSearch:
         assert [_openings(spy, kind) for kind in cfg.sources] == [[rows]] * 2
         for kind in cfg.sources:
             mine = [p for p in points if p.source_kind == kind]
-            _assert_same_points(mine, sweep_distances(replace(cfg, sources=(kind,))))
+            assert mine == sweep_distances(replace(cfg, sources=(kind,)))
             bounded = sweep_distances(replace(cfg, sources=(kind,), include_ideal=False))
             assert [p.mu_prime for p in mine] == [p.mu_prime for p in bounded]
 

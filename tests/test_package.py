@@ -116,3 +116,14 @@ def test_tests_name_few_private_optimizer_names():
     assert private
     named = sorted(set().union(*(private & _names_in(path) for path in TESTS.glob("*.py"))))
     assert len(named) <= 3, named
+
+
+def test_only_the_equivalence_test_names_the_per_source_entry_points():
+    # the tests call compute_bounds, key_rate and forecast with a source object; the
+    # benchmark's six per-source entry points are checked once, against them
+    entry_points = {"compute_hsps_bounds", "compute_wcs_bounds", "key_rate_hsps", "key_rate_wcs",
+                    "forecast_observables", "forecast_wcs_observables"}
+    named = {path.name: sorted(entry_points & _names_in(path))
+             for path in TESTS.rglob("*.py") if path.name != Path(__file__).name}
+    assert {name: found for name, found in named.items() if found} == {
+        "test_entry_points.py": sorted(entry_points)}

@@ -21,17 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from decoy_hsps.bounds import (
-    compute_hsps_bounds,
-    compute_wcs_bounds,
-    ideal_rate,
-    key_rate_hsps,
-    key_rate_wcs,
-)
+from decoy_hsps.bounds import compute_bounds, ideal_rate, key_rate
 from decoy_hsps.channel import ChannelParams
 from decoy_hsps.observables import IntensityCounts, statistics_from_counts
 from decoy_hsps.optimizer import SweepConfig, evaluate
-from decoy_hsps.sources import COHERENT, triggered_source
+from oracles import source, source_and_synthesizer
 
 PIN = json.loads((Path(__file__).parent / "data" / "scalar_chain_pin.json").read_text())
 OBS_FIELDS = ("y0", "y_mu", "y_mu_prime", "ty_mu", "ty_mu_prime", "e_mu", "e_mu_prime")
@@ -51,8 +45,7 @@ def _point(kind, *numbers):
     channel = ChannelParams(alpha_db_per_km=alpha, eta_b=eta_b, d_b=d_b, e_d=e_d, e_0=e_0)
     cfg = SweepConfig(channel=channel, mu=mu, eta_a=eta_a, d_a=d_a, f_ec=f_ec,
                       mu_prime_min=mu_prime, mu_prime_max=mu_prime)
-    ch = channel.at_distance(distance)
-    src = triggered_source(eta_a, d_a) if kind == "hsps" else COHERENT
+    ch, src = channel.at_distance(distance), source(cfg, kind)
     try:
         obs, bounds, rate, feasible = evaluate(cfg, ch, src, mu_prime)
         ideal = ideal_rate(src, mu_prime, ch, f_ec)
@@ -68,12 +61,8 @@ def _count_set(kind, *fields):
     sets = [IntensityCounts(*values[i:i + 4]) for i in range(0, 12, 4)]
     try:
         stats = statistics_from_counts(*sets)
-        if kind == "hsps":
-            bounds = compute_hsps_bounds(stats, mu, mu_prime, eta_a, d_a, e_0=e_0)
-            rate = key_rate_hsps(stats, bounds, f_ec)
-        else:
-            bounds = compute_wcs_bounds(stats, mu, mu_prime, e_0=e_0)
-            rate = key_rate_wcs(stats, bounds, f_ec)
+        bounds = compute_bounds(source_and_synthesizer(kind, eta_a, d_a)[0], stats, mu, mu_prime, e_0)
+        rate = key_rate(stats, bounds, f_ec)
     except (ValueError, ArithmeticError) as exc:
         return [type(exc).__name__]
     return _fields(stats, OBS_FIELDS) + _fields(bounds, BOUND_FIELDS) + [repr(rate)]

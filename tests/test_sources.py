@@ -5,7 +5,6 @@ import pytest
 
 from decoy_hsps.numerics import FLOATS
 from decoy_hsps.sources import (
-    COHERENT,
     HeraldedSourceParams,
     TriggeredSource,
     post_selection_probability,
@@ -13,8 +12,7 @@ from decoy_hsps.sources import (
 )
 from oracles import (
     poisson_weight,
-    synthesize_observables_from_yields,
-    synthesize_wcs_gain_from_yields,
+    source_and_synthesizer,
     thermal_geometric_series,
     thermal_geometric_sum,
     thermal_weight,
@@ -80,15 +78,6 @@ class TestPostSelection:
         src = HeraldedSourceParams(x=0.05, eta_a=1.0, d_a=0.0)
         assert post_selection_probability(src) == pytest.approx(0.05 / 1.05, rel=1e-14)
 
-    def test_matches_truncated_series(self):
-        # P_post = d_a/(1+x) + sum_n a_n(x) [1 - (1-eta_a)^n]
-        src = HeraldedSourceParams(x=0.3, eta_a=0.55, d_a=2e-4)
-        series = src.d_a / (1.0 + src.x) + sum(
-            thermal_weight(n, src.x) * (1.0 - (1.0 - src.eta_a) ** n)
-            for n in range(1, 300)
-        )
-        assert post_selection_probability(src) == pytest.approx(series, rel=1e-12)
-
     def test_strictly_increasing_in_intensity(self):
         values = [
             post_selection_probability(HeraldedSourceParams(x=x, eta_a=0.4, d_a=1e-5))
@@ -123,25 +112,22 @@ class TestTriggeredDistribution:
             triggered_distribution(-1, src)
 
 
-@pytest.mark.parametrize("src, k2", [
-    (TriggeredSource(0.8, 1e-5), 1.0 - (1.0 - 0.8) ** 2),
-    (TriggeredSource(0.37, 0.0), 1.0 - (1.0 - 0.37) ** 2),
-    (COHERENT, 0.5),
+@pytest.mark.parametrize("kind, eta_a, d_a, k2", [
+    ("hsps", 0.8, 1e-5, 1.0 - (1.0 - 0.8) ** 2),
+    ("hsps", 0.37, 0.0, 1.0 - (1.0 - 0.37) ** 2),
+    ("wcs", 0.8, 1e-5, 0.5),
 ], ids=["hsps", "hsps-no-dark", "wcs"])
-def test_weights_factor_the_per_pulse_weights_of_the_synthesizers(src, k2):
+def test_weights_factor_the_per_pulse_weights_of_the_synthesizers(kind, eta_a, d_a, k2):
     # P_n(x) = g(x) * k_n * u(x)^n, P_n being the weight of Y_n in the constraint
     # the oracles synthesize; the sources state k0 and k1, and k2 is the law's
+    src, synth = source_and_synthesizer(kind, eta_a, d_a)
     for x in (0.01, 0.1, 0.5, 2.0):
         g, inv_g, k0, k1, u = src.weights(FLOATS, x)
         assert g * inv_g == pytest.approx(1.0, rel=1e-15)
         for n, k_n in enumerate((k0, k1, k2)):
             yields = [0.0, 0.0, 0.0]
             yields[n] = 1.0
-            if src is COHERENT:
-                p_n = synthesize_wcs_gain_from_yields(yields, x)
-            else:
-                p_n = synthesize_observables_from_yields(yields, x, src.eta_a, src.d_a)
-            assert g * k_n * u**n == pytest.approx(p_n, rel=1e-14), (x, n)
+            assert g * k_n * u**n == pytest.approx(synth(yields, x), rel=1e-14), (x, n)
 
 
 class TestPoissonWeight:
