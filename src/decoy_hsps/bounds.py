@@ -44,7 +44,8 @@ a numeric namespace xp, derives, clamps and rates the bounds for Python
 floats (the scalar chain: .numerics.FLOATS) and numpy arrays (the mu'
 search passes its ARRAYS; no numpy import here). The scalar bounds return
 before dividing by a non-positive raw Y1; the array rates mask it with
-where instead.
+where instead. _point_at runs the whole chain at one row of a search,
+and _positive_at gives the sign of its rate for a cut-off's judgements.
 
 SecurityBounds and KeyRatePoint are built once per evaluated point, so,
 like ObservedStatistics, their own __init__ checks the arguments and
@@ -60,7 +61,7 @@ from .channel import (
     DARK_COUNT_E_0, ChannelParams, _click_probability, _error_rate, overall_transmittance,
 )
 from .numerics import FLOATS, binary_entropy
-from .observables import ObservedStatistics, _check_ordering
+from .observables import ObservedStatistics, _check_ordering, _forecast_row
 from .sources import COHERENT, triggered_source
 
 DEFAULT_F_EC = 1.2
@@ -282,6 +283,34 @@ def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, half, ec):
     _, delta1, e1, _, _ = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty)
     raw = _rate_formula(half, ec, delta1, xp.entropy(e1))
     return xp.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
+
+
+def _point_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, decoy, f: float):
+    """(observables, bounds, rate, feasible) at overall transmittance eta: the one core of every reported point.
+
+    decoy is src.signal's triple at mu, or None to compute it here.
+    """
+    obs = _forecast_row(src, mu, mu_prime, eta, ch, decoy)
+    bounds = compute_bounds(src, obs, mu, mu_prime, ch.e_0)
+    return (obs, bounds) + rate_and_feasibility(obs, bounds, f)
+
+
+def _positive_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, decoy, f: float) -> bool:
+    """Whether _point_at's rate is positive, without building its report objects.
+
+    Where every bound is plainly defined (mu and mu' ordered, u < v, positive
+    yields and post-selection probabilities, a positive raw Y1) this is
+    _search_rate's text on floats, which gives _point_at's bits. Any other
+    row goes through _point_at itself, so its value or error is the chain's.
+    """
+    p_mu, ty_mu, e_mu = decoy
+    p, ty, e = src.signal(FLOATS, mu_prime, eta, ch)
+    w_mu, w = src.weights(FLOATS, mu), src.weights(FLOATS, mu_prime)
+    if (0.0 < mu < mu_prime and w_mu[4] < w[4] and p_mu and p and ty_mu and ty
+            and _raw_y1(w_mu, w, ch.d_b, ty_mu, ty) > 0.0):
+        e1_mass = _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0)
+        return _search_rate(FLOATS, w_mu, w, ch.d_b, ty_mu, e1_mass, ty, *_signal_terms(FLOATS, ty, e, f)) > 0.0
+    return _point_at(src, mu, mu_prime, eta, ch, decoy, f)[2] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -30,18 +30,21 @@ never reads another row, so neither parts nor chunks move any row's mu'.
 
 A sweep is one part per configuration; figure 1's three decoy
 intensities share their transmittances and exact terms. A cut-off
-(max_secure_distance) coarse-scans its grid from the end up to the first
-chunk with a positive coarse rate, and searches one part per chunk from
-its last positive row on, plus the bisection midpoints after that row.
-Rows and midpoints these guesses missed are parts of their own, so the
-guesses move no result, only the number of rate calls.
+(max_secure_distance) first rates every grid row at mu_prime_min in one
+array call a block (_seed) and coarse-scans only from the last positive
+row to the grid end, from the end up to the first chunk with a positive
+coarse rate; it searches one part per chunk from its last positive row
+on, plus the bisection midpoints after that row, and judges each row's
+sign with bounds._positive_at. Rows and midpoints these guesses missed
+are parts of their own, so the guesses move no result, only the number
+of rate calls.
 
 The search's rates are the scalar chain's own source-generic core run on
 numpy arrays through ARRAYS, kept here as the one module that evaluates
 arrays, and they only pick mu'. Every reported rate, observable and
 bound is then recomputed on floats by the scalar chain's row core
-(_point and bounds._ideal_rate_at) at that mu', from the same rows, so
-no ChannelParams is built per distance. Reporting straight from the
+(bounds._point_at and bounds._ideal_rate_at) at that mu', from the same
+rows, so no ChannelParams is built per distance. Reporting straight from the
 arrays would move CSV values in the last digits (numpy's exp/log/pow
 round differently from math's), and a one-row array call costs about ten
 times a scalar evaluation. Every evaluation is a pure function of the
@@ -64,15 +67,15 @@ from .bounds import (
     _e1_mass,
     _exact_single_photon,
     _ideal_rate_at,
+    _point_at,
+    _positive_at,
     _search_rate,
     _signal_terms,
-    compute_bounds,
-    rate_and_feasibility,
 )
 from .channel import ChannelParams, fiber_transmittance, overall_transmittance
 from .config import _SOURCES, SweepConfig, _grid_count
 from .numerics import FLOATS
-from .observables import ObservedStatistics, _forecast_row
+from .observables import ObservedStatistics
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
 
@@ -290,21 +293,11 @@ def _source(cfg: SweepConfig, source_kind: str):
     return _SOURCES[source_kind](cfg)
 
 
-def _point(cfg: SweepConfig, ch: ChannelParams, src, eta: float, decoy, mu_prime: float):
-    """evaluate at overall transmittance eta: the one core of every reported point.
-
-    decoy is src.signal's triple at cfg.mu, or None to compute it here.
-    """
-    obs = _forecast_row(src, cfg.mu, mu_prime, eta, ch, decoy)
-    bounds = compute_bounds(src, obs, cfg.mu, mu_prime, ch.e_0)
-    return (obs, bounds) + rate_and_feasibility(obs, bounds, cfg.f_ec)
-
-
 def evaluate(
     cfg: SweepConfig, ch: ChannelParams, src, mu_prime: float
 ) -> tuple[ObservedStatistics, SecurityBounds, float, bool]:
     """Forecast, bound, and rate one working point of source src."""
-    return _point(cfg, ch, src, overall_transmittance(ch), None, mu_prime)
+    return _point_at(src, cfg.mu, mu_prime, overall_transmittance(ch), ch, None, cfg.f_ec)
 
 
 def _column(values) -> np.ndarray:
@@ -469,7 +462,7 @@ def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
         for i, (distance, eta) in enumerate(zip(distances, r.eta)):
             for kind, src in zip(kinds, sources):
                 mu_prime = searched[kind, False][i]
-                obs, bounds, rate, feasible = _point(cfg, ch, src, eta, r.decoy[kind][i], mu_prime)
+                obs, bounds, rate, feasible = _point_at(src, cfg.mu, mu_prime, eta, ch, r.decoy[kind][i], cfg.f_ec)
                 if cfg.include_ideal:
                     ideal = _ideal_rate_at(src, searched[kind, True][i], eta, ch, r.exact[i], cfg.f_ec)
                 else:
@@ -505,11 +498,6 @@ def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
     return [mid] + _bisection_tree(lo, mid, levels - 1) + _bisection_tree(mid, hi, levels - 1)
 
 
-def _positive(cfg: SweepConfig, src, eta: float, decoy, mu_prime: float) -> bool:
-    """Whether the scalar rate of the row (eta, decoy) at mu_prime is positive."""
-    return _point(cfg, cfg.channel, src, eta, decoy, mu_prime)[2] > 0.0
-
-
 def _last_positive(coarse_rates: np.ndarray) -> int:
     """Index of the last positive coarse rate, or -1."""
     positive = np.flatnonzero(coarse_rates > 0.0)
@@ -522,6 +510,33 @@ def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
     if k < 0 or k + 1 == len(grid):
         return []
     return _bisection_tree(grid[k], grid[k + 1], _BISECT_LEVELS)
+
+
+def _seed(cfg: SweepConfig, src, grid: list[float]) -> int:
+    """The last grid row whose rate at mu_prime_min is positive, or 0 if none is.
+
+    mu_prime_min is the coarse scan's first candidate, so a positive cell
+    here is a positive coarse rate up to the last digits: the decoy columns
+    come from arrays here, from floats in _rows. The rows go from the grid
+    end in blocks of _BLOCK_CELLS // 2, each block one signal call at mu and
+    at mu_prime_min (on a leading axis), until a block has a positive cell.
+    """
+    ch, w_mu = cfg.channel, src.weights(FLOATS, cfg.mu)
+    x = np.array([cfg.mu, cfg.mu_prime_min]).reshape(2, 1, 1)
+    size = max(1, _BLOCK_CELLS // 2)
+    for end in range(len(grid), 0, -size):
+        lo = max(0, end - size)
+        # fiber_transmittance's formula on the block's column: a guess needs no float bits
+        eta = 10.0 ** (-ch.alpha_db_per_km * np.array(grid[lo:end])[:, None] / 10.0) * ch.eta_b
+        with np.errstate(all="ignore"):
+            _, (ty_mu, ty), (e_mu, e) = src.signal(ARRAYS, x, eta, ch)
+            e1_mass = _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0)
+            rates = _search_rate(ARRAYS, w_mu, src.weights(ARRAYS, x[1]), ch.d_b, ty_mu, e1_mass, ty,
+                                 *_signal_terms(ARRAYS, ty, e, cfg.f_ec))
+        k = _last_positive(rates[:, 0])
+        if k >= 0:
+            return lo + k
+    return 0
 
 
 def _cutoff_part(cfg: SweepConfig, jobs, distances):
@@ -554,25 +569,32 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     the grid end when the rate is still positive there. Between that point
     and the next one a bisection refines the cut-off down to 0.1 km,
     judging the scalar rate only at the midpoints it reaches, from the
-    rows the search read. The grid is coarse-scanned from its end in
-    chunks of the rows one rate call of every mu' candidate holds, up to
-    the first chunk with a positive coarse rate. One search refines the
-    rows from its last positive coarse row to the grid end, and the
-    _guessed_tree midpoints after that row. Grid rows below them (the rest
-    of that chunk, then each chunk further down) and a midpoint the guess
-    did not cover, with every midpoint of its next _BISECT_LEVELS levels,
-    are searched as one part each when the walk or bisection reaches
-    them. A row's search never reads another row, so this returns exactly
-    what probing one midpoint at a time would, whether or not the rate
-    falls monotonically.
+    rows the search read; bounds._positive_at judges without building the
+    report's objects. Before any coarse scan, _seed finds the last row k'
+    whose rate at mu_prime_min is positive. The grid from k' to its end
+    is coarse-scanned from the end in chunks of the rows one rate call of
+    every mu' candidate holds, up to the first chunk with a positive coarse
+    rate, and then, if none has one, the rows below k' in such chunks. One
+    search refines the rows from the last positive coarse row to the grid
+    end, and the _guessed_tree midpoints after that row. Grid rows below
+    them (the rest of that chunk, then each chunk further down) and a
+    midpoint the guess did not cover, with every midpoint of its next
+    _BISECT_LEVELS levels, are searched as one part each when the walk or
+    bisection reaches them. A row's search never reads another row, so
+    this returns exactly what probing one midpoint at a time would, whether
+    or not the rate falls monotonically, and whatever k' is.
     """
     jobs = [(source_kind, False)]
     src = _source(cfg, source_kind)
     grid = distance_grid(cfg)
     if not grid:
         return None
+    seed = _seed(cfg, src, grid)
     size = max(1, _BLOCK_CELLS // len(mu_prime_candidates(cfg)))
-    chunks = (_cutoff_part(cfg, jobs, grid[max(0, end - size):end]) for end in range(len(grid), 0, -size))
+    # chunks from the grid end down to the seed row, then from the seed row down
+    spans = [(max(floor, end - size), end) for floor, top in ((seed, len(grid)), (0, seed))
+             for end in range(top, floor, -size)]
+    chunks = (_cutoff_part(cfg, jobs, grid[lo:end]) for lo, end in spans)
     scanned = []  # (distances, part) from the chunk the scan stopped in to the grid end
     for distances, part in chunks:
         scanned.insert(0, (distances, part))
@@ -586,11 +608,16 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
         parts.append(_cutoff_part(cfg, jobs, tree))
     searched = _searched_rows(cfg, jobs, parts)
     below = chain([_part_rows(scanned[0], slice(k))] if k else [], chunks)
+
+    def positive(distance):
+        eta, decoy, mu_prime = searched[distance]
+        return _positive_at(src, cfg.mu, mu_prime, eta, cfg.channel, decoy, cfg.f_ec)
+
     last = len(grid) - 1
     while last >= 0:
         if grid[last] not in searched:
             searched.update(_searched_rows(cfg, jobs, [next(below)]))
-        if _positive(cfg, src, *searched[grid[last]]):
+        if positive(grid[last]):
             break
         last -= 1
     if last < 0:
@@ -603,7 +630,7 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
         if mid not in searched:
             missed = _bisection_tree(lo, hi, _BISECT_LEVELS)
             searched.update(_searched_rows(cfg, jobs, [_cutoff_part(cfg, jobs, missed)]))
-        if _positive(cfg, src, *searched[mid]):
+        if positive(mid):
             lo = mid
         else:
             hi = mid

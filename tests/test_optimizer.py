@@ -4,10 +4,12 @@ sweep_distances, key_rate_point and max_secure_distance are checked
 against the slow reference searches of tests/oracles.py. Counts come from
 the sources' public signal method: each rate call of the search evaluates
 each source's signal once on arrays (xp is not FLOATS), the broadcast
-shape of (mu', eta) is the call's rows and columns, and a (rows, 2) mu' is
-a golden-section opening. Three private names stay as levers:
-_BLOCK_CELLS shrinks chunks, _last_positive forces the cut-off's walk and
-missed guesses, and _record_scan takes the tie rule on synthetic tables.
+shape of (mu', eta) is the call's rows and columns, a (rows, 2) mu' is
+a golden-section opening, and a (2, 1, 1) mu' is a cut-off's seed. Three
+private names stay as levers: _BLOCK_CELLS shrinks chunks, _last_positive
+forces the cut-off's seed, walk and missed guesses, and _record_scan takes
+the tie rule on synthetic tables. A cut-off's judge is the scalar chain's
+bounds._positive_at, checked against bounds._point_at.
 """
 import math
 from collections import Counter
@@ -21,8 +23,8 @@ import pytest
 import decoy_hsps.bounds as bounds_module
 import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.cli import main
-from decoy_hsps.channel import ChannelParams, overall_transmittance
-from decoy_hsps.config import MAX_GRID_POINTS, _grid_count
+from decoy_hsps.channel import ChannelParams, _click_probability, overall_transmittance
+from decoy_hsps.config import MAX_GRID_POINTS, _grid_count, resolve_config
 from decoy_hsps.numerics import FLOATS
 from decoy_hsps.sources import COHERENT, CoherentSource, TriggeredSource, _coincidence_sum, triggered_source
 from decoy_hsps.optimizer import (
@@ -54,7 +56,9 @@ class SignalCall(NamedTuple):
     """One evaluation of a source's signal on arrays."""
 
     kind: str
-    mu_prime: np.ndarray  # (1, k) in a coarse block, (rows, k) in the golden section
+    # (1, k) in a coarse block, (rows, k) in the golden section, and (2, 1, 1), mu
+    # and mu_prime_min, in a cut-off's seed
+    mu_prime: np.ndarray
     eta: np.ndarray  # the rows' transmittance column
     shape: tuple  # broadcast (rows, columns)
     signal: tuple  # signal's (P_post, tY', E')
@@ -313,35 +317,42 @@ class TestBatchedCutoff:
         assert max_secure_distance(_cfg(dist_stop_km=400.0), "hsps") == 166.9375
         assert max_secure_distance(_cfg(mu_prime_min=0.0501), "hsps") == 167.5625
 
-    @pytest.mark.parametrize("overrides, kind, calls, rows", [
-        c[1:] + n for c, n in zip(CUTOFF_CASES[:3], [(8, 15), (9, 40), (8, 15)])
+    @pytest.mark.parametrize("overrides, kind, calls, rows, scanned", [
+        c[1:] + n for c, n in zip(CUTOFF_CASES[:3], [(9, 15, 15), (10, 40, 63), (9, 15, 15)])
     ], ids=CUTOFF_IDS[:3])
-    def test_c07_cutoff_makes_one_refinement(self, spy, overrides, kind, calls, rows):
+    def test_c07_cutoff_makes_one_refinement(self, spy, overrides, kind, calls, rows, scanned):
         cfg = _cfg(**overrides)
         cutoff = max_secure_distance(cfg, kind)
-        # the grid end's 86 rows: 1 coarse call; the 15 guessed midpoints: 1; one
-        # golden section of the grid rows from the last positive coarse row to the
-        # grid end with the midpoints: 2 probes, then 10 steps two a call (12 for
-        # WCS, whose rows reach inside the mu' range), the last carrying the midpoints
+        grid = distance_grid(cfg)
+        # the seed: all 181 rows at mu and mu_prime_min in 1 call; the rows from the
+        # last one positive there to the grid end: 1 coarse call; the 15 guessed
+        # midpoints: 1; one golden section of the grid rows from the last positive
+        # coarse row to the grid end with the midpoints: 2 probes, then 10 steps two a
+        # call (12 for WCS, whose rows reach inside the mu' range), the last carrying
+        # the midpoints
         refined = rows + 15
         assert [c.shape for c in spy.arrays] == (
-            [(86, 95), (15, 95), (refined, 2)] + [(refined, 3)] * (calls - 3))
+            [(2, 181, 1), (scanned, 95), (15, 95), (refined, 2)] + [(refined, 3)] * (calls - 4))
+        assert spy.arrays[0].mu_prime.ravel().tolist() == [cfg.mu, cfg.mu_prime_min]
         assert max(_rate_cells(spy)) <= optimizer_module._BLOCK_CELLS
-        assert distance_grid(cfg)[-rows] == math.floor(cutoff)
+        assert spy.arrays[1].eta.ravel().tolist() == _etas(cfg, grid[-scanned:])[::-1]
+        assert grid[-rows] == math.floor(cutoff)
         # the guessed midpoints are every one a 0.1 km bisection of the bracket
         # can probe: widths 1, 0.5, 0.25 and 0.125 exceed 0.1 km, four levels
         lo = math.floor(cutoff)
-        assert sorted(spy.arrays[1].eta.ravel().tolist()) == _etas(cfg, [lo + i / 16 for i in range(1, 16)])
+        assert sorted(spy.arrays[2].eta.ravel().tolist()) == _etas(cfg, [lo + i / 16 for i in range(1, 16)])
 
     def test_deep_bracket_falls_back_to_a_batch(self, spy):
-        # a 60 km bracket needs 10 levels: the guessed midpoints hold 6, one batch the other 4;
+        # the seed's last positive row is 120 km, so the scan covers 120-240 km; a 60 km
+        # bracket needs 10 levels: the guessed midpoints hold 6, one batch the other 4;
         # the one search refines the grid rows from 120 km on with the guess
         cfg = _cfg(dist_stop_km=240.0, dist_step_km=60.0)
         assert max_secure_distance(cfg, "hsps") == 166.93359375
-        assert _coarse(spy, "hsps") == [(5, 95), (63, 95), (15, 95)]
+        assert spy.arrays[0].shape == (2, 5, 1)
+        assert _coarse(spy, "hsps") == [(3, 95), (63, 95), (15, 95)]
         assert _openings(spy, "hsps") == [3 + 63, 15]
         midpoints = [120 + 60 * i / 64 for i in range(1, 64)]
-        assert sorted(spy.arrays[1].eta.ravel().tolist()) == _etas(cfg, midpoints)
+        assert sorted(spy.arrays[2].eta.ravel().tolist()) == _etas(cfg, midpoints)
 
     @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES], ids=CUTOFF_IDS)
     def test_missed_guess_equals_serial_bisection(self, spy, monkeypatch, overrides, kind):
@@ -363,8 +374,9 @@ class TestBatchedCutoff:
         # blocks of 3; golden-section chunks of 16 rows
         (50, [[(1, 50), (1, 45)] * 15 + [(15, 3)] * 31 + [(15, 2)],
               [(1, 50), (1, 45)] * 40 + [(15, 3)] * 31 + [(15, 2)]], [[16, 14], [16, 16, 16, 7]]),
-        # scan chunks of 6 rows from 180 km down; golden-section chunks of 200 rows
-        (600, [[(6, 95)] * 3 + [(15, 40)] * 2 + [(15, 15)],
+        # scan chunks of 6 rows from 180 km down to the seed's last positive row (166 km
+        # for HSPS, 118 km for WCS); golden-section chunks of 200 rows
+        (600, [[(6, 95)] * 2 + [(3, 95)] + [(15, 40)] * 2 + [(15, 15)],
                [(6, 95)] * 7 + [(15, 40)] * 2 + [(15, 15)]], [[30], [55]]),
     ])
     def test_chunk_limit_bounds_each_call(self, spy, monkeypatch, block_cells, coarse, refined):
@@ -386,24 +398,88 @@ class TestBatchedCutoff:
         monkeypatch.setattr(optimizer_module, "_last_positive", lambda rates: len(rates) - 1)
         assert max_secure_distance(cfg, kind) == serial
 
-    @pytest.mark.parametrize("case, guess_last_row, coarse, refined", [
-        # one search crosses four chunks of the scan from the grid end: 24 + 3 x 86 rows and the guess
-        ("d_b 1.7e-5 to 400 km", False, [(86, 95)] * 4 + [(15, 95)], [24 + 3 * 86 + 15]),
-        # the walk passes 180 km, then searches the rest of the grid end's chunk
-        ("c07 hsps 0.8", True, [(86, 95)] + [(1, 2)] + [(1, 3)] * 5 + [(15, 95)], [1, 85, 15]),
+    @pytest.mark.parametrize("case, seed_row, last_row, coarse, refined", [
+        # one search crosses four chunks of the scan from the grid end down to the seed's
+        # last positive row: 3 x 86 + 24 rows and the guess
+        ("d_b 1.7e-5 to 400 km", None, False, [(86, 95)] * 3 + [(24, 95), (15, 95)], [3 * 86 + 24 + 15]),
+        # the seed at the grid end: the walk passes 180 km, then searches the chunk below it
+        ("c07 hsps 0.8", -1, True, [(1, 95), (1, 2)] + [(1, 3)] * 5 + [(86, 95), (15, 95)], [1, 86, 15]),
+        # the seed at row 0: the walk passes 180 km, then searches the rest of the grid end's chunk
+        ("c07 hsps 0.8", 0, True, [(86, 95), (1, 2)] + [(1, 3)] * 5 + [(15, 95)], [1, 85, 15]),
         # ... and then each chunk further down, until one holds the cut-off
-        ("d_b 1.7e-5 to 400 km", True, [(86, 95)] + [(1, 2)] + [(1, 3)] * 5 + [(86, 95)] * 3 + [(15, 95)],
+        ("d_b 1.7e-5 to 400 km", 0, True, [(86, 95), (1, 2)] + [(1, 3)] * 5 + [(86, 95)] * 3 + [(15, 95)],
          [1, 85, 86, 86, 86, 15]),
     ])
-    def test_walk_reaches_each_chunk_branch(self, spy, monkeypatch, case, guess_last_row, coarse, refined):
+    def test_walk_reaches_each_chunk_branch(self, spy, monkeypatch, case, seed_row, last_row, coarse, refined):
         _, overrides, kind = next(c for c in CUTOFF_CASES if c[0] == case)
         cfg = _cfg(**overrides)
         serial = serial_cutoff(cfg, kind)
         spy.arrays.clear()
-        if guess_last_row:
-            monkeypatch.setattr(optimizer_module, "_last_positive", lambda rates: len(rates) - 1)
+        _force_guesses(monkeypatch, cfg, seed_row, last_row)
         assert max_secure_distance(cfg, kind) == serial
         assert _coarse(spy, kind) == coarse and _openings(spy, kind) == refined
+
+    @pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES], ids=CUTOFF_IDS)
+    def test_any_seed_equals_serial_bisection(self, monkeypatch, overrides, kind):
+        # the seed only guesses where to start the scan: forced to row 0, to the grid
+        # end or to the first row past the cut-off, the cut-off stays the serial one
+        cfg = _cfg(**overrides)
+        serial, grid = serial_cutoff(cfg, kind), distance_grid(cfg)
+        past = next((i for i, d in enumerate(grid) if serial is not None and d > serial), -1)
+        for seed_row in (0, -1, past):
+            with monkeypatch.context() as m:
+                _force_guesses(m, cfg, seed_row)
+                assert max_secure_distance(cfg, kind) == serial, seed_row
+
+
+def _force_guesses(monkeypatch, cfg, seed_row=None, last_row=False):
+    """Patch _last_positive: the seed's call over the whole grid returns seed_row (from
+    the end when negative) unless it is None, and each later call returns the real last
+    positive row or, with last_row, its part's last row."""
+    real, seed = optimizer_module._last_positive, [seed_row]
+
+    def forced(rates):
+        if seed and seed.pop() is not None:
+            assert len(rates) == len(distance_grid(cfg))  # the seed's one call
+            return seed_row % len(rates)
+        return len(rates) - 1 if last_row else real(rates)
+
+    monkeypatch.setattr(optimizer_module, "_last_positive", forced)
+
+
+@pytest.mark.parametrize("overrides, kind", [c[1:] for c in CUTOFF_CASES], ids=CUTOFF_IDS)
+def test_cutoff_judge_equals_the_scalar_chain(monkeypatch, overrides, kind):
+    # a cut-off judges its rows by bounds._positive_at, which builds no report object;
+    # on every grid row and every midpoint between two, at the searched mu', at both
+    # ends of the mu' range and at mu' = 800, it says what the scalar chain's rate says
+    cfg = _cfg(**overrides, sources=(kind,), include_ideal=False)
+    src, ch, step = source(cfg, kind), cfg.channel, cfg.dist_step_km
+    mids = replace(cfg, dist_start_km=cfg.dist_start_km + step / 2, dist_stop_km=cfg.dist_stop_km - step / 2)
+    point_at, handed, judged = bounds_module._point_at, [], 0
+    monkeypatch.setattr(bounds_module, "_point_at", lambda *args: handed.append(args) or point_at(*args))
+    for p in sweep_distances(cfg) + sweep_distances(mids):
+        eta = overall_transmittance(ch.at_distance(p.distance_km))
+        decoy = src.signal(FLOATS, cfg.mu, eta, ch)
+        for mu_prime in (p.mu_prime, cfg.mu_prime_min, cfg.mu_prime_max, 800.0):
+            args = (src, cfg.mu, mu_prime, eta, ch, decoy, cfg.f_ec)
+            chain = point_at(*args)[2] > 0.0
+            assert bounds_module._positive_at(*args) == chain, (p.distance_km, mu_prime)
+            judged += 1
+    # the rows at mu' = 800, outside the plain case, and only some, go through the chain
+    assert 0 < len(handed) < judged or judged == 0
+    assert all(args[2] == 800.0 for args in handed)
+
+
+@pytest.mark.parametrize("kind", ["hsps", "wcs"])
+def test_cutoff_judge_raises_the_chains_error(kind):
+    # a channel with neither transmittance nor dark counts never clicks: the judge, the
+    # chain and the cut-off all end with the forecast's error
+    cfg = _cfg(channel=ChannelParams(eta_b=0.0, d_b=0.0), dist_stop_km=20.0, dist_step_km=10.0)
+    src, ch = source(cfg, kind), cfg.channel
+    args = (src, cfg.mu, cfg.mu_prime_min, 0.0, ch, src.signal(FLOATS, cfg.mu, 0.0, ch), cfg.f_ec)
+    for judge in (bounds_module._point_at, bounds_module._positive_at, lambda *_: max_secure_distance(cfg, kind)):
+        with pytest.raises(ValueError, match="^QBER undefined: forecast yield is zero$"):
+            judge(*args)
 
 
 class TestSweepConfigValidation:
@@ -466,6 +542,20 @@ def test_every_sweep_point_equals_the_scalar_chain(kind):
     _assert_reference(cfg, points)
 
 
+@pytest.mark.xfail(strict=True, reason="at mu = 1e-10 the Y1 numerator and e1's error mass cancel against "
+                   "the vacuum term, so WCS rows certify more than the truth")
+def test_small_mu_sweep_is_sound():
+    # no feasible row may beat its benchmark and no Y1 bound may exceed the true
+    # single-photon yield; at mu = 1e-10, 101 and 66 WCS rows still do
+    cfg = resolve_config({"mu": "1e-10"})
+    ch = cfg.channel
+    points = sweep_distances(cfg)
+    over_ideal = [p for p in points if p.feasible and p.key_rate > p.ideal_rate]
+    over_y1 = [p for p in points
+               if p.bounds.y1_lower > _click_probability(1, ch, overall_transmittance(ch.at_distance(p.distance_km)))]
+    assert (len(over_ideal), len(over_y1)) == (0, 0)
+
+
 def _count_exact(monkeypatch):
     calls = Counter()
 
@@ -505,8 +595,8 @@ def test_default_sweep_rates_each_reported_point_once_on_floats(monkeypatch):
         calls.append((obs, bounds, f_ec, result))
         return result
 
-    rate = optimizer_module.rate_and_feasibility
-    monkeypatch.setattr(optimizer_module, "rate_and_feasibility", spy)
+    rate = bounds_module.rate_and_feasibility
+    monkeypatch.setattr(bounds_module, "rate_and_feasibility", spy)
     points = sweep_distances(DEFAULT)
     assert len(calls) == len(points) == 2 * 181
     for (obs, bounds, f_ec, (key_rate, feasible)), p in zip(calls, points):
