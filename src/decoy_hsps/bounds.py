@@ -42,7 +42,7 @@ All of it is written once for both sources: a source object (.sources)
 supplies only its weights (g, 1/g, k0, k1, u), and one text, run through
 a numeric namespace xp, derives, clamps and rates the bounds for Python
 floats (the scalar chain: .numerics.FLOATS) and numpy arrays (the mu'
-search passes its ARRAYS; no numpy import here). The scalar bounds return
+search passes ARRAYS, a sweep's report EXACT; no numpy import here). The scalar bounds return
 before dividing by a non-positive raw Y1; the array rates mask it with
 where instead. _point_at runs the whole chain at one row of a search,
 and _positive_at gives the sign of its rate for a cut-off's judgements.

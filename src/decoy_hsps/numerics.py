@@ -3,9 +3,10 @@ forecast, bounds and rate serves Python floats and numpy arrays.
 
 Source terms and the bound and rate cores call only a namespace xp's
 functions besides + - * / and comparisons. FLOATS runs them with math on
-Python floats (the scalar chain behind every reported number) and imports
-no numpy. Its array twin ARRAYS, for the mu' search, lives next to that
-search in .optimizer.
+Python floats (the scalar chain) and imports no numpy. Its array twins
+live next to the mu' search in .optimizer: ARRAYS, with numpy's own
+functions, for the search, and EXACT, which gives FLOATS' bits on arrays,
+for the report of every swept point.
 """
 from __future__ import annotations
 

@@ -41,12 +41,18 @@ of rate calls.
 
 The search's rates are the scalar chain's own source-generic core run on
 numpy arrays through ARRAYS, kept here as the one module that evaluates
-arrays, and they only pick mu'. Every reported rate, observable and
-bound is then recomputed on floats by the scalar chain's row core
-(bounds._point_at and bounds._ideal_rate_at) at that mu', from the same
-rows, so no ChannelParams is built per distance. Reporting straight from the
-arrays would move CSV values in the last digits (numpy's exp/log/pow
-round differently from math's), and a one-row array call costs about ten
+arrays, and they only pick mu'. A sweep then reports every point from
+whole arrays (_report, in the search's chunks, from the same rows, so no
+ChannelParams is built per distance): the same texts, the source's signal
+and weights, the Y1, Delta1 and e1 bounds, the clamp tests and the rate
+formula, run at the searched mu' on EXACT. Its + - * / and comparisons
+are numpy's, which round as Python's floats do; its exp, expm1 and
+entropy are math's, element by element, and its ** is Python's pow. So
+every reported value has the bits of the scalar chain's row core
+(bounds._point_at and bounds._ideal_rate_at), which still takes any row
+where a bound is not plainly defined, so that its values and errors stay
+the chain's. numpy's own exp/log/pow would move CSV values in the last
+digits. evaluate stays on floats: a one-row array call costs about ten
 times a scalar evaluation. Every evaluation is a pure function of the
 inputs; identical configurations produce identical results bit for bit.
 """
@@ -54,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, groupby, repeat
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -69,12 +75,17 @@ from .bounds import (
     _ideal_rate_at,
     _point_at,
     _positive_at,
+    _raw_y1,
     _search_rate,
     _signal_terms,
+    _single_photon_bounds,
 )
+# bench/tracer.py counts the float results of a binding named _rate_formula
+# here; the report's are arrays, so it binds the formula under its own name.
+from .bounds import _rate_formula as _array_rate_formula
 from .channel import ChannelParams, fiber_transmittance, overall_transmittance
 from .config import _SOURCES, SweepConfig, _grid_count
-from .numerics import FLOATS
+from .numerics import FLOATS, _exp, binary_entropy
 from .observables import ObservedStatistics
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
@@ -121,6 +132,48 @@ def _array_entropy(p):
 # weights at mu on FLOATS, so every mu' here is an array.
 ARRAYS = SimpleNamespace(exp=np.exp, expm1=np.expm1, minimum=np.minimum, clip=np.clip,
                          where=np.where, ratio=np.divide, entropy=_array_entropy)
+
+
+def _each(fn):
+    """fn, a function of one float, applied to every element of an array."""
+    def each(a):
+        a = np.asarray(a, dtype=float)
+        return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    return each
+
+
+def _pow(x: float, y: float) -> float:
+    """Python's x ** y, saturating at inf on overflow as numpy's power does."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+class _PowArray(np.ndarray):
+    """A float64 array whose ** is Python's pow, element by element.
+
+    numpy's x**2 is x*x, which rounds differently from pow on about 0.1 % of
+    inputs; the texts' own u**2 and v**2 then give the scalar chain's bits.
+    """
+
+    def __pow__(self, y):
+        return _each(lambda x: _pow(x, y))(self)
+
+
+# numerics.FLOATS' twin on arrays, bit for bit: numpy's + - * / and
+# comparisons round as Python's floats do, the selections keep FLOATS'
+# semantics (b < a picks b, NaN and -0.0 included; a zero divisor gives NaN),
+# and math's functions go element by element. The report runs the texts on
+# it from arrays made by array, and sets what numpy does on a zero division.
+EXACT = SimpleNamespace(
+    array=lambda a: np.asarray(a, dtype=float).view(_PowArray),
+    exp=_each(_exp), expm1=_each(math.expm1),
+    minimum=lambda a, b: np.where(b < a, b, a),
+    clip=lambda x, lo, hi: np.where(x > hi, hi, np.where(x < lo, lo, x)),
+    where=np.where, ratio=lambda a, b: np.where(b != 0.0, a / b, math.nan),
+    entropy=_each(binary_entropy),
+)
 
 
 def distance_grid(cfg: SweepConfig) -> list[float]:
@@ -443,12 +496,60 @@ def _search(cfg: SweepConfig, parts, jobs) -> list[np.ndarray]:
     return [best_x[:, end - n:end] for n, end in zip(sizes, accumulate(sizes))]
 
 
+def _report(cfg: SweepConfig, rows: _Rows, kind: str, entries: slice, mu_prime, ideal_mu_prime) -> list[tuple]:
+    """kind's report at rows' entries and their searched mu', from the texts run on EXACT.
+
+    ideal_mu_prime is None without benchmarks. Each row is (plain, mu',
+    observables' arguments, bounds' arguments, rate, feasible, ideal rate),
+    the scalar chain's bits wherever plain, that is, wherever every bound is
+    plainly defined: mu and mu' ordered, u < v, positive post-selection
+    probabilities and yields at both, a finite positive raw Y1, a finite raw
+    e1, E' in [0, 1], and for the benchmark a positive yield and a QBER in
+    [0, 1] at its own mu'. The caller runs the chain itself on any other row,
+    which may refuse it; the entropies meet such a row's QBERs as 0, so no
+    math function sees a value the chain would refuse first.
+    """
+    ch, f, src, mu = cfg.channel, cfg.f_ec, _source(cfg, kind), cfg.mu
+    eta = np.array(rows.eta[entries])
+    p_mu, ty_mu, e_mu = np.array(rows.decoy[kind][entries]).T
+    e1_mass, w_mu = rows.cols[kind][1][entries, 0], rows.weights[kind]
+    x = EXACT.array(mu_prime)
+    with np.errstate(all="ignore"):
+        p, ty, e = src.signal(EXACT, x, eta, ch)
+        w = src.weights(EXACT, x)
+        raw_y1 = _raw_y1(w_mu, w, ch.d_b, ty_mu, ty)
+        y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(EXACT, raw_y1, e1_mass, w_mu, w, ty)
+        plain = ((0.0 < mu) & (mu < x) & (w_mu[4] < w[4]) & (p_mu > 0.0) & (p > 0.0) & (ty_mu > 0.0)
+                 & (ty > 0.0) & (raw_y1 > 0.0) & (raw_y1 < math.inf) & np.isfinite(raw_e1)
+                 & (0.0 <= e) & (e <= 1.0))
+        half, ec = _signal_terms(EXACT, ty, np.where(plain, e, 0.0), f)
+        raw = _array_rate_formula(half, ec, delta1, EXACT.entropy(np.where(plain, e1, 0.0)))
+        # compute_bounds' clamp test; then rate_and_feasibility's clamp at 0
+        feasible = ~((raw_y1 > 1.0) | (raw_d1 > 1.0) | (raw_e1 > 0.5) | (raw_e1 < 0.0))
+        rate, rate_feasible = np.where(raw > 0.0, raw, 0.0), feasible & (raw >= 0.0)
+        if ideal_mu_prime is None:
+            ideal = repeat(math.nan)  # one object, so equal points compare equal
+        else:
+            x = EXACT.array(ideal_mu_prime)
+            _, ty_i, e_i = src.signal(EXACT, x, eta, ch)
+            plain &= (ty_i > 0.0) & (0.0 <= e_i) & (e_i <= 1.0)
+            half, ec = _signal_terms(EXACT, ty_i, np.where(plain, e_i, 0.0), f)
+            exact = (c[entries, 0] for c in rows.cols["exact"])
+            ideal = _benchmark_rate(EXACT, src.weights(EXACT, x), ty_i, half, ec, *exact).tolist()
+        obs = zip(repeat(ch.d_b), *(c.tolist() for c in (ty_mu / p_mu, ty / p, ty_mu, ty, e_mu, e)))
+    bounds = zip(*(c.tolist() for c in (y1, delta1, e1, feasible)))
+    return list(zip(plain.tolist(), mu_prime.tolist(), obs, bounds, rate.tolist(), rate_feasible.tolist(), ideal))
+
+
 def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
     """Fully evaluated samples of each configuration, one per distance per source kind, distance-major.
 
     Each configuration is one part of one search, which picks every mu'
-    (bounded and, when enabled, ideal); the scalar chain's row core then
-    evaluates the reported values at those mu', from the rows it read.
+    (bounded and, when enabled, ideal). _report then evaluates each source
+    kind's reported values at those mu' on whole arrays, in the search's
+    _chunks, and the value classes are built from its rows. A row it leaves
+    to the scalar chain's row core goes through that core in row order, so
+    every value and every error is the chain's.
     """
     jobs = [(kind, ideal) for kind in kinds for ideal in (False, True)[:1 + cfgs[0].include_ideal]]
     rows = [_rows(cfgs[0], distances, jobs)]
@@ -456,20 +557,23 @@ def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
     parts = [_scan(cfg, r, jobs) for cfg, r in zip(cfgs, rows)]
     points = []
     for cfg, r, mu_primes in zip(cfgs, rows, _search(cfgs[0], parts, jobs)):
-        ch = cfg.channel
-        searched = dict(zip(jobs, mu_primes.tolist()))
+        ch, mu, f = cfg.channel, cfg.mu, cfg.f_ec
+        searched = dict(zip(jobs, mu_primes))
         sources = [_source(cfg, kind) for kind in kinds]
-        for i, (distance, eta) in enumerate(zip(distances, r.eta)):
-            for kind, src in zip(kinds, sources):
-                mu_prime = searched[kind, False][i]
-                obs, bounds, rate, feasible = _point_at(src, cfg.mu, mu_prime, eta, ch, r.decoy[kind][i], cfg.f_ec)
-                if cfg.include_ideal:
-                    ideal = _ideal_rate_at(src, searched[kind, True][i], eta, ch, r.exact[i], cfg.f_ec)
-                else:
-                    ideal = math.nan  # one object, so equal points compare equal
-                points.append(KeyRatePoint(
-                    distance_km=distance, mu=cfg.mu, mu_prime=mu_prime, key_rate=rate, ideal_rate=ideal,
-                    source_kind=kind, bounds=bounds, observables=obs, feasible=feasible))
+        for c in _chunks(len(distances), jobs):
+            reports = zip(*(_report(cfg, r, kind, c, searched[kind, False][c],
+                                    searched[kind, True][c] if cfg.include_ideal else None) for kind in kinds))
+            for i, distance, report in zip(range(c.start, c.stop), distances[c], reports):
+                for kind, src, (plain, mu_prime, obs, bounds, rate, feasible, ideal) in zip(kinds, sources, report):
+                    if plain:
+                        obs, bounds = ObservedStatistics(*obs), SecurityBounds(*bounds)
+                    else:
+                        eta = r.eta[i]
+                        obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, r.decoy[kind][i], f)
+                        if cfg.include_ideal:
+                            ideal = _ideal_rate_at(src, float(searched[kind, True][i]), eta, ch, r.exact[i], f)
+                    # positional: binding nine keywords costs about half the constructor
+                    points.append(KeyRatePoint(distance, mu, mu_prime, rate, ideal, kind, bounds, obs, feasible))
     return points
 
 

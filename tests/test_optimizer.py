@@ -3,7 +3,8 @@
 sweep_distances, key_rate_point and max_secure_distance are checked
 against the slow reference searches of tests/oracles.py. Counts come from
 the sources' public signal method: each rate call of the search evaluates
-each source's signal once on arrays (xp is not FLOATS), the broadcast
+each source's signal once on arrays (xp is ARRAYS; the report's calls on
+EXACT and the scalar chain's on FLOATS are counted apart), the broadcast
 shape of (mu', eta) is the call's rows and columns, a (rows, 2) mu' is
 a golden-section opening, and a (2, 1, 1) mu' is a cut-off's seed. Three
 private names stay as levers: _BLOCK_CELLS shrinks chunks, _last_positive
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import decoy_hsps.bounds as bounds_module
+from decoy_hsps.bounds import KeyRatePoint
 import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.cli import main
 from decoy_hsps.channel import ChannelParams, _click_probability, overall_transmittance
@@ -29,6 +31,7 @@ from decoy_hsps.numerics import FLOATS
 from decoy_hsps.sources import COHERENT, CoherentSource, TriggeredSource, _coincidence_sum, triggered_source
 from decoy_hsps.optimizer import (
     ARRAYS,
+    EXACT,
     RATE_TIE_TOL,
     SweepConfig,
     _record_scan,
@@ -71,13 +74,15 @@ class SignalCall(NamedTuple):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Every signal evaluation: the array calls in order, and the float calls per source kind."""
-    seen = SimpleNamespace(arrays=[], floats=Counter())
+    """Every signal evaluation: the search's array calls in order, and the float and report calls per kind."""
+    seen = SimpleNamespace(arrays=[], floats=Counter(), exact=Counter())
     for cls, kind in ((TriggeredSource, "hsps"), (CoherentSource, "wcs")):
         def signal(self, xp, x, eta, ch, _signal=cls.signal, _kind=kind):
             out = _signal(self, xp, x, eta, ch)
             if xp is FLOATS:
                 seen.floats[_kind] += 1
+            elif xp is EXACT:
+                seen.exact[_kind] += 1
             else:
                 seen.arrays.append(SignalCall(_kind, x, eta, np.broadcast_shapes(x.shape, eta.shape), out))
             return out
@@ -527,19 +532,70 @@ def test_evaluate_wcs_consistent_with_point():
     assert obs == p.observables
 
 
-@pytest.mark.parametrize("kind", ["hsps", "wcs"])
-def test_every_sweep_point_equals_the_scalar_chain(kind):
-    # the report reads the search's rows; evaluate and ideal_rate build their own
-    cfg = _cfg(sources=(kind,))
-    src, grid = source(cfg, kind), distance_grid(cfg)
-    points = sweep_distances(cfg)
-    assert [p.distance_km for p in points] == grid and len(grid) == 181
-    for p in points:
-        ch = cfg.channel.at_distance(p.distance_km)
-        obs, bounds, rate, feasible = evaluate(cfg, ch, src, p.mu_prime)
-        assert (p.observables, p.bounds, p.key_rate, p.feasible) == (obs, bounds, rate, feasible)
-    # and every mu' is the reference search's, the ideal ones too
-    _assert_reference(cfg, points)
+# (overrides, sources): each default sweep, figure 1's joined sweep of three mu
+# (mu as a list), and sweeps at the edges of the report's arrays
+EDGE_SWEEPS = [
+    ({}, "hsps,ideal"), ({}, "wcs,ideal"), ({"mu": [0.01, 0.05, 0.1]}, "hsps,ideal"),
+    ({"mu": 1e-10}, "hsps,wcs,ideal"), ({"e_0": 1.0, "dist_stop_km": 1000.0}, "hsps,wcs,ideal"),
+    ({"eta_a": 1e-4}, "hsps,wcs,ideal"), ({"eta_b": 0.0}, "hsps,wcs,ideal"), ({"d_b": 0.0}, "hsps,wcs,ideal"),
+    ({"mu": 0.99}, "hsps,wcs,ideal"),
+    ({"mu_prime_max": 800.0, "mu_prime_coarse_step": 1.0, "dist_stop_km": 10.0}, "hsps,wcs,ideal"),
+    ({"alpha_db_per_km": 0.0}, "hsps,wcs,ideal"), ({"mu_prime_coarse_step": 0.5}, "hsps,wcs,ideal"),
+    ({"mu": 1e-12}, "wcs"),
+]
+
+
+@pytest.mark.parametrize("overrides, sources", EDGE_SWEEPS, ids=[
+    "hsps", "wcs", "figure 1", "mu 1e-10", "e_0 1 to 1000 km", "eta_a 1e-4", "eta_b 0", "d_b 0", "mu 0.99",
+    "mu_prime_max 800", "alpha 0", "coarse step 0.5", "wcs mu 1e-12"])
+def test_every_sweep_point_equals_the_scalar_chain(overrides, sources):
+    # the report runs on arrays from the search's rows; evaluate and ideal_rate build
+    # their own. Every point of the 1 km grid takes evaluate, as a rounding difference
+    # shows on about one row in a thousand, and every 10 km the reference searches
+    mus = overrides.get("mu", DEFAULT.mu)
+    values = {"sources": sources, **{k: repr(v) for k, v in overrides.items() if k != "mu"}}
+    cfgs = [resolve_config({**values, "mu": repr(mu)}) for mu in (mus if isinstance(mus, list) else [mus])]
+    points, grid, kinds = sweep_distances(*cfgs), distance_grid(cfgs[0]), cfgs[0].sources
+    n = len(grid) * len(kinds)
+    assert len(points) == len(cfgs) * n
+    for k, cfg in enumerate(cfgs):
+        mine = points[k * n:(k + 1) * n]
+        assert [p.distance_km for p in mine] == [d for d in grid for _ in kinds]
+        for p in mine:
+            ch = cfg.channel.at_distance(p.distance_km)
+            obs, bounds, rate, feasible = evaluate(cfg, ch, source(cfg, p.source_kind), p.mu_prime)
+            assert (p.observables, p.bounds, p.key_rate, p.feasible) == (obs, bounds, rate, feasible)
+        # and every mu' is the reference search's, the ideal ones too
+        _assert_reference(cfg, [p for p in mine if p.distance_km % 10.0 == 0.0])
+
+
+def _chain_point(cfg, distance, kind):
+    """The KeyRatePoint of the scalar chain at distance, at the reference searches' mu'."""
+    ch, src = cfg.channel.at_distance(distance), source(cfg, kind)
+    x = search_reference(scalar_rate(cfg, distance, kind, False), cfg)[0]
+    ideal = search_reference(scalar_rate(cfg, distance, kind, True), cfg)[1]
+    obs, bounds, rate, feasible = evaluate(cfg, ch, src, x)
+    return KeyRatePoint(distance, cfg.mu, x, rate, ideal, kind, bounds, obs, feasible)
+
+
+NO_CLICKS = ChannelParams(eta_b=0.0, d_b=0.0)
+
+
+@pytest.mark.parametrize("cfg, chain", [
+    # no dark counts and no transmission: a sweep takes the exact terms first
+    (_cfg(channel=NO_CLICKS, dist_step_km=10.0),
+     lambda cfg: bounds_module.ideal_rate(HSPS, 0.3, cfg.channel, cfg.f_ec)),
+    (_cfg(channel=NO_CLICKS, dist_step_km=10.0, include_ideal=False),
+     lambda cfg: evaluate(cfg, cfg.channel, HSPS, 0.3)),
+    # a WCS rate above its benchmark by more than 1e-12 at 0 km
+    (_cfg(mu=1e-12, sources=("wcs",), dist_step_km=10.0), lambda cfg: _chain_point(cfg, 0.0, "wcs")),
+], ids=["no clicks", "no clicks, no ideal", "wcs mu 1e-12"])
+def test_sweep_raises_the_chains_error(cfg, chain):
+    with pytest.raises(ValueError) as refused:
+        chain(cfg)
+    with pytest.raises(ValueError) as swept:
+        sweep_distances(cfg)
+    assert str(swept.value) == str(refused.value)
 
 
 @pytest.mark.xfail(strict=True, reason="at mu = 1e-10 the Y1 numerator and e1's error mass cancel against "
@@ -579,30 +635,23 @@ def test_figure2_sweep_computes_each_row_term_once(spy, monkeypatch):
     assert len(points) == 2 * 181
     assert calls["exact"] == 181 and built == []
     for kind in ("hsps", "wcs"):
-        assert spy.floats[kind] == 3 * 181  # decoy, signal and ideal signal per distance
+        assert spy.floats[kind] == 181  # the decoy triple per distance
+        assert spy.exact[kind] == 2  # the report's signal at the bounded and the ideal mu', one chunk
         assert len(_calls(spy, kind)) == 16  # rate calls
         assert _openings(spy, kind) == [2 * 181]
     assert [c.kind for c in spy.arrays] == ["hsps", "wcs"] * 16
 
 
-def test_default_sweep_rates_each_reported_point_once_on_floats(monkeypatch):
-    # every reported rate is the scalar chain's rate_and_feasibility, once per
-    # point and on floats; the search's array rates go through bounds._search_rate
-    calls = []
-
-    def spy(obs, bounds, f_ec):
-        result = rate(obs, bounds, f_ec)
-        calls.append((obs, bounds, f_ec, result))
-        return result
-
-    rate = bounds_module.rate_and_feasibility
-    monkeypatch.setattr(bounds_module, "rate_and_feasibility", spy)
+def test_every_reported_rate_is_the_float_chains():
+    # every reported rate and flag is the scalar chain's rate_and_feasibility of
+    # the point's own observables and bounds, whose fields are Python floats
     points = sweep_distances(DEFAULT)
-    assert len(calls) == len(points) == 2 * 181
-    for (obs, bounds, f_ec, (key_rate, feasible)), p in zip(calls, points):
-        args = (obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, f_ec, key_rate)
-        assert all(type(x) is float for x in args)
-        assert (key_rate, feasible) == (p.key_rate, p.feasible)
+    assert len(points) == 2 * 181
+    for p in points:
+        obs, bounds = p.observables, p.bounds
+        args = (obs.ty_mu_prime, obs.e_mu_prime, bounds.delta1, bounds.e1_upper, p.key_rate, p.ideal_rate)
+        assert all(type(x) is float for x in args) and type(p.feasible) is bool
+        assert (p.key_rate, p.feasible) == bounds_module.rate_and_feasibility(obs, bounds, DEFAULT.f_ec)
 
 
 # ---------------------------------------------------------------------------
