@@ -35,17 +35,30 @@ with the 1/2 accounting for basis sifting and f the error-correction
 inefficiency. The bounds clamp into their valid ranges, flagging any
 clamp, so distance sweeps can traverse the insecure region. compute_bounds
 raises where no bound is defined: on a zero signal yield, since Delta1
-divides by it, and on a NaN raw Y1. Without the QBER at the decoy
-intensity it bounds Y1 and Delta1 and leaves e1 unset.
+divides by it, and on a raw Y1 that is NaN, overflows or divides by an
+underflowed zero. Without the QBER at the decoy intensity it bounds Y1 and
+Delta1 and leaves e1 unset.
 
 All of it is written once for both sources: a source object (.sources)
 supplies only its weights (g, 1/g, k0, k1, u), and one text, run through
 a numeric namespace xp, derives, clamps and rates the bounds for Python
 floats (the scalar chain: .numerics.FLOATS) and numpy arrays (the mu'
-search passes ARRAYS, a sweep's report EXACT; no numpy import here). The scalar bounds return
-before dividing by a non-positive raw Y1; the array rates mask it with
-where instead. _point_at runs the whole chain at one row of a search,
-and _positive_at gives the sign of its rate for a cut-off's judgements.
+search passes ARRAYS, a sweep's report EXACT; no numpy import here).
+A raw Y1 that is not positive certifies nothing: compute_bounds returns
+zero bounds before dividing by it, and on arrays Y1 clamps to 0 there, so
+no rate is positive.
+
+Each judgement of a point is written once as well: the clamp test, with
+the clamps in _single_photon_bounds; the rate formula with its clamp at 0
+and its feasibility, _rate; and the plain-case test of _row, which derives
+one row of the chain from its signal terms. Where a row is plain, every
+bound is plainly defined and _row's values have the chain's bits.
+compute_bounds and rate_and_feasibility apply the tests on floats, after
+the chain's refusals; _search_rate and _benchmark_rate rate the search's
+arrays and skip the flags; _positive_at runs _row on floats to judge a
+cut-off's rows, and a sweep reports its points from _row run on EXACT. A
+row that is not plain goes through _point_at, the whole chain at one row,
+so its values and errors are the chain's.
 
 SecurityBounds and KeyRatePoint are built once per evaluated point, so,
 like ObservedStatistics, their own __init__ checks the arguments and
@@ -162,19 +175,24 @@ def _delta1(y1, w, ty):
     return y1 * k1 * v * g / ty
 
 
-def _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty_mu_prime):
-    """Y1, Delta1 and e1 clamped into range, then the raw Delta1 and e1.
+def _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty_mu_prime, judge=True):
+    """Y1, Delta1 and e1 clamped into range, the raw e1, and the clamp test (None unless judge).
 
     Delta1 is the single-photon share at the signal intensity, where it
     enters the key rate; e1 is bounded from the error mass e1_mass at the
-    decoy intensity, dividing by P1(mu) * Y1 / g(mu), so raw_y1 must be
-    positive.
+    decoy intensity, dividing by P1(mu) * Y1 / g(mu), so only a positive
+    raw_y1 bounds e1. A raw_y1 that is not positive certifies no single
+    photons: Y1 and Delta1 are 0 there, so no rate is positive. The clamp
+    test holds where no bound needed its clamp; a bound that did makes the
+    point infeasible. A NaN fails it, so a missing QBER enters as a zero
+    error mass. A search reads no flag and passes judge False.
     """
-    y1 = xp.minimum(raw_y1, 1.0)
+    y1 = xp.clip(raw_y1, 0.0, 1.0)
     raw_d1 = _delta1(y1, w_mu_prime, ty_mu_prime)
     _, _, _, k1, u = w_mu
     raw_e1 = e1_mass / (y1 * k1 * u)
-    return y1, xp.minimum(raw_d1, 1.0), xp.clip(raw_e1, 0.0, 0.5), raw_d1, raw_e1
+    unclamped = (raw_y1 <= 1.0) & (raw_d1 <= 1.0) & (0.0 <= raw_e1) & (raw_e1 <= 0.5) if judge else None
+    return y1, xp.minimum(raw_d1, 1.0), xp.clip(raw_e1, 0.0, 0.5), raw_e1, unclamped
 
 
 def compute_bounds(
@@ -192,18 +210,20 @@ def compute_bounds(
                          "the bounds need a positive signal yield")
     w_mu, w_mu_prime = src.weights(FLOATS, mu), src.weights(FLOATS, mu_prime)
     # the elimination divides by v - u, which rounding can make 0 or negative
-    # (x/(1+x) at huge intensities); no bound is defined there
-    raw_y1 = (_raw_y1(w_mu, w_mu_prime, obs.y0, obs.ty_mu, obs.ty_mu_prime)
-              if w_mu[4] < w_mu_prime[4] else math.nan)
+    # (x/(1+x) at huge intensities); v**2 overflows at huge coherent
+    # intensities, and k1 u v (v - u) underflows to 0 at vanishing ones. No
+    # bound is defined there
+    try:
+        raw_y1 = (_raw_y1(w_mu, w_mu_prime, obs.y0, obs.ty_mu, obs.ty_mu_prime)
+                  if w_mu[4] < w_mu_prime[4] else math.nan)
+    except ArithmeticError:
+        raw_y1 = math.nan
     if not raw_y1 > 0.0:
         if math.isnan(raw_y1):  # or inf - inf once a coherent e^mu overflows; the clamp would say 0
             raise ValueError(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
         return SecurityBounds(0.0, 0.0, None if obs.e_mu is None else 0.5, False)
-    # a missing QBER gives a NaN error mass, so a NaN e1 that no clamp test flags
-    e1_mass = math.nan if obs.e_mu is None else _e1_mass(w_mu, obs.e_mu, obs.ty_mu, obs.y0, e_0)
-    y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(
-        FLOATS, raw_y1, e1_mass, w_mu, w_mu_prime, obs.ty_mu_prime)
-    feasible = not (raw_y1 > 1.0 or raw_d1 > 1.0 or raw_e1 > 0.5 or raw_e1 < 0.0)
+    e1_mass = 0.0 if obs.e_mu is None else _e1_mass(w_mu, obs.e_mu, obs.ty_mu, obs.y0, e_0)
+    y1, delta1, e1, _, feasible = _single_photon_bounds(FLOATS, raw_y1, e1_mass, w_mu, w_mu_prime, obs.ty_mu_prime)
     return SecurityBounds(y1, delta1, None if obs.e_mu is None else e1, feasible)
 
 
@@ -225,14 +245,17 @@ def compute_wcs_bounds(
 # ---------------------------------------------------------------------------
 # key rates
 
-def _signal_terms(xp, ty, e, f):
-    """The rate formula's terms of the signal alone: half = tY'/2 and ec = -f H2(E')."""
-    return ty / 2.0, -f * xp.entropy(e)
+def _rate(xp, ty, h_e, f, delta1, h_e1, feasible=None):
+    """The rate formula R clamped at 0, and whether the point stays feasible.
 
-
-def _rate_formula(half, ec, delta1, h_e1):
-    """The rate formula R from _signal_terms, with the single-photon entropy h_e1 = H2(e1) already taken."""
-    return half * (ec + delta1 * (1.0 - h_e1))
+    ty is the signal yield tY'; the entropies h_e = H2(E') of its QBER and
+    h_e1 = H2(e1) are already taken, so a search takes H2(E') once for all
+    its rows at a mu'. A NaN R is 0. Given the bounds' flag feasible, the
+    point stays feasible where it holds and R >= 0; a search, which reads
+    only the rate, passes none and gets None.
+    """
+    raw = ty / 2.0 * (-f * h_e + delta1 * (1.0 - h_e1))
+    return xp.where(raw > 0.0, raw, 0.0), None if feasible is None else feasible & (raw >= 0.0)
 
 
 _NO_E1 = "the key rate needs an e1 bound, and e1 needs the QBER at the decoy intensity"
@@ -252,10 +275,8 @@ def rate_and_feasibility(
         raise ValueError(_NO_SIGNAL_QBER)
     if bounds.e1_upper is None:
         raise ValueError(_NO_E1)
-    # _signal_terms written out: the counts path makes one call fewer
-    half, ec = obs.ty_mu_prime / 2.0, -f_ec * binary_entropy(obs.e_mu_prime)
-    raw = _rate_formula(half, ec, bounds.delta1, binary_entropy(bounds.e1_upper))
-    return raw if raw > 0.0 else 0.0, bounds.feasible and raw >= 0.0
+    return _rate(FLOATS, obs.ty_mu_prime, binary_entropy(obs.e_mu_prime), f_ec, bounds.delta1,
+                 binary_entropy(bounds.e1_upper), bounds.feasible)
 
 
 def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
@@ -269,26 +290,62 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, half, ec):
+def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, h_e, f):
     """The clamped key rate of compute_bounds and key_rate, on arrays of namespace xp.
 
     Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
-    values) and the source's signal yield ty, its _signal_terms half and
-    ec and its weights w_mu_prime at mu', which broadcast against them; the
-    weights w_mu, taken on floats, are floats or columns alike. Cells whose
-    raw Y1 is not positive are masked to 0, so the caller decides what
-    numpy does on them before the mask.
+    values) and the source's signal yield ty, its QBER's entropy h_e and
+    its weights w_mu_prime at mu', which broadcast against them; the
+    weights w_mu, taken on floats, are floats or columns alike. A cell
+    whose raw Y1 is not positive rates 0, as compute_bounds' zero bounds
+    do, so the caller decides what numpy does on it.
     """
     raw_y1 = _raw_y1(w_mu, w_mu_prime, y0, ty_mu, ty)
-    _, delta1, e1, _, _ = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty)
-    raw = _rate_formula(half, ec, delta1, xp.entropy(e1))
-    return xp.where((raw_y1 > 0.0) & (raw > 0.0), raw, 0.0)
+    _, delta1, e1, _, _ = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty, judge=False)
+    return _rate(xp, ty, h_e, f, delta1, xp.entropy(e1))[0]
+
+
+def _signal_at(xp, src, x, eta, ch):
+    """src.signal's (P_post, tY, E) at intensity x, whether tY > 0 and E lies in [0, 1], and H2(E).
+
+    Where that test fails, the scalar chain refuses the signal; on floats
+    the entropy of an E outside [0, 1] raises first.
+    """
+    p, ty, e = src.signal(xp, x, eta, ch)
+    return p, ty, e, (ty > 0.0) & (0.0 <= e) & (e <= 1.0), xp.entropy(e)
+
+
+def _row(xp, src, mu: float, mu_prime, eta, ch: ChannelParams, decoy, f: float):
+    """_point_at's terms at overall transmittance eta, on namespace xp, and whether they are plain.
+
+    decoy is src.signal's triple at mu. Returns the signal (P_post, tY',
+    E'), plain, the bounds (Y1, Delta1, e1 and the clamp test) and the rate
+    with its feasibility. A row is plain where every bound is plainly
+    defined: mu and mu' ordered, u < v, positive post-selection
+    probabilities, a positive yield and E' in [0, 1] at mu', a finite raw
+    Y1 and a finite raw e1. A raw Y1 that is not positive, as a zero decoy
+    yield makes it, clamps Y1 to 0 and so leaves raw e1 infinite or NaN.
+    Where plain, every value has _point_at's bits; any other row is the
+    chain's to judge, which may refuse it, and on floats the text may raise
+    an ArithmeticError or ValueError before it is judged.
+    """
+    p_mu, ty_mu, e_mu = decoy
+    p, ty, e, defined, h_e = _signal_at(xp, src, mu_prime, eta, ch)
+    w_mu, w = src.weights(FLOATS, mu), src.weights(xp, mu_prime)
+    raw_y1 = _raw_y1(w_mu, w, ch.d_b, ty_mu, ty)
+    y1, delta1, e1, raw_e1, feasible = _single_photon_bounds(
+        xp, raw_y1, _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0), w_mu, w, ty)
+    plain = (defined & (0.0 < mu) & (mu < mu_prime) & (w_mu[4] < w[4]) & (p_mu > 0.0) & (p > 0.0)
+             & (raw_y1 < math.inf) & (-math.inf < raw_e1) & (raw_e1 < math.inf))
+    return (p, ty, e, plain, y1, delta1, e1, feasible) + _rate(xp, ty, h_e, f, delta1, xp.entropy(e1), feasible)
 
 
 def _point_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, decoy, f: float):
     """(observables, bounds, rate, feasible) at overall transmittance eta: the one core of every reported point.
 
-    decoy is src.signal's triple at mu, or None to compute it here.
+    decoy is src.signal's triple at mu, or None to compute it here. The
+    caller orders the intensities before the forecast runs; compute_bounds
+    refuses them otherwise.
     """
     obs = _forecast_row(src, mu, mu_prime, eta, ch, decoy)
     bounds = compute_bounds(src, obs, mu, mu_prime, ch.e_0)
@@ -298,19 +355,15 @@ def _point_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, de
 def _positive_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, decoy, f: float) -> bool:
     """Whether _point_at's rate is positive, without building its report objects.
 
-    Where every bound is plainly defined (mu and mu' ordered, u < v, positive
-    yields and post-selection probabilities, a positive raw Y1) this is
-    _search_rate's text on floats, which gives _point_at's bits. Any other
-    row goes through _point_at itself, so its value or error is the chain's.
+    A plain row reads _row's rate on floats, which has _point_at's bits.
+    Any other row, or one the float text cannot evaluate, goes through
+    _point_at itself, so its value or error is the chain's.
     """
-    p_mu, ty_mu, e_mu = decoy
-    p, ty, e = src.signal(FLOATS, mu_prime, eta, ch)
-    w_mu, w = src.weights(FLOATS, mu), src.weights(FLOATS, mu_prime)
-    if (0.0 < mu < mu_prime and w_mu[4] < w[4] and p_mu and p and ty_mu and ty
-            and _raw_y1(w_mu, w, ch.d_b, ty_mu, ty) > 0.0):
-        e1_mass = _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0)
-        return _search_rate(FLOATS, w_mu, w, ch.d_b, ty_mu, e1_mass, ty, *_signal_terms(FLOATS, ty, e, f)) > 0.0
-    return _point_at(src, mu, mu_prime, eta, ch, decoy, f)[2] > 0.0
+    try:
+        _, _, _, plain, _, _, _, _, rate, _ = _row(FLOATS, src, mu, mu_prime, eta, ch, decoy, f)
+    except (ArithmeticError, ValueError):
+        plain = False
+    return rate > 0.0 if plain else _point_at(src, mu, mu_prime, eta, ch, decoy, f)[2] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +374,22 @@ def _exact_single_photon(ch: ChannelParams, eta: float) -> tuple[float, float]:
     return _click_probability(1, ch, eta), binary_entropy(min(0.5, _error_rate(1, ch, eta)))
 
 
-def _benchmark_rate(xp, w, ty, half, ec, y1, h_e1):
-    """Rate formula at signal ty, its _signal_terms and weights w, with exact y1 and h_e1; clamped at 0."""
-    delta1 = xp.minimum(_delta1(y1, w, ty), 1.0)
-    raw = _rate_formula(half, ec, delta1, h_e1)
-    return xp.where(raw > 0.0, raw, 0.0)
+def _benchmark_rate(xp, w, ty, h_e, f, y1, h_e1):
+    """Rate formula at signal ty, its QBER's entropy h_e and weights w, with exact y1 and h_e1; clamped at 0."""
+    return _rate(xp, ty, h_e, f, xp.minimum(_delta1(y1, w, ty), 1.0), h_e1)[0]
 
 
-def _ideal_rate_at(src, mu_prime: float, eta: float, ch: ChannelParams, exact, f: float) -> float:
-    """ideal_rate at overall transmittance eta, given _exact_single_photon's (Y1, H(e1)) there."""
-    _, ty, e = src.signal(FLOATS, mu_prime, eta, ch)
-    w = src.weights(FLOATS, mu_prime)
-    return _benchmark_rate(FLOATS, w, ty, *_signal_terms(FLOATS, ty, e, f), *exact)
+def _ideal_rate_at(xp, src, mu_prime, eta, ch: ChannelParams, exact, f: float):
+    """ideal_rate at overall transmittance eta, given _exact_single_photon's (Y1, H(e1)) there.
+
+    Also returns _signal_at's test of the signal at mu_prime: where it
+    fails, the chain refuses the signal.
+    """
+    _, ty, _, defined, h_e = _signal_at(xp, src, mu_prime, eta, ch)
+    return _benchmark_rate(xp, src.weights(xp, mu_prime), ty, h_e, f, *exact), defined
 
 
 def ideal_rate(src, mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC) -> float:
     """Benchmark key rate of src with exactly known single-photon statistics."""
     eta = overall_transmittance(ch)
-    return _ideal_rate_at(src, mu_prime, eta, ch, _exact_single_photon(ch, eta), f)
+    return _ideal_rate_at(FLOATS, src, mu_prime, eta, ch, _exact_single_photon(ch, eta), f)[0]

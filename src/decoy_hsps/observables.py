@@ -115,6 +115,7 @@ def forecast(src, mu: float, mu_prime: float, ch: ChannelParams) -> ObservedStat
     vacuum yield is d_b exactly. A CoherentSource has P_post = 1: its
     yields and rescaled yields both hold the per-pulse gains.
     """
+    _check_ordering(mu, mu_prime)
     return _forecast_row(src, mu, mu_prime, overall_transmittance(ch), ch, None)
 
 
@@ -126,8 +127,11 @@ def _check_ordering(mu: float, mu_prime: float) -> None:
 
 
 def _forecast_row(src, mu, mu_prime, eta, ch, decoy) -> ObservedStatistics:
-    """forecast at transmittance eta, from src.signal's triple decoy at mu unless None."""
-    _check_ordering(mu, mu_prime)
+    """forecast at transmittance eta, from src.signal's triple decoy at mu unless None.
+
+    The caller orders the intensities: the sources' terms are not defined
+    at every x <= 0.
+    """
     p_mu, ty_mu, e_mu = src.signal(FLOATS, mu, eta, ch) if decoy is None else decoy
     p_mu_prime, ty_mu_prime, e_mu_prime = src.signal(FLOATS, mu_prime, eta, ch)
     if p_mu == 0.0 or p_mu_prime == 0.0:

@@ -20,12 +20,11 @@ pass. Both go in chunks that hold every job of an entry, and a chunk's
 rows take the same steps in lockstep, boolean masks standing in for the
 scalar branches; a golden-section rate call resolves two steps. A
 source's bounded and ideal rows share one rate callable, which evaluates
-the source's signal, its weights at mu' and the rate formula's terms of
-the signal alone (tY'/2 and -f H2(E'), bounds._signal_terms) once per
-call. The coarse scan's tie rule is applied to a whole block of columns
-at once (_record_scan); only a row whose block top beats its carried
-best takes the near-tie test, and only a row with a rate within
-RATE_TIE_TOL of that top walks the columns one by one. A row's search
+the source's signal, its weights at mu' and the entropy H2(E') of its
+QBER once per call. The coarse scan's tie rule is applied to a whole
+block of columns at once (_record_scan); only a row whose block top beats
+its carried best takes the near-tie test, and only a row with a rate
+within RATE_TIE_TOL of that top walks the columns one by one. A row's search
 never reads another row, so neither parts nor chunks move any row's mu'.
 
 A sweep is one part per configuration; figure 1's three decoy
@@ -43,18 +42,19 @@ The search's rates are the scalar chain's own source-generic core run on
 numpy arrays through ARRAYS, kept here as the one module that evaluates
 arrays, and they only pick mu'. A sweep then reports every point from
 whole arrays (_report, in the search's chunks, from the same rows, so no
-ChannelParams is built per distance): the same texts, the source's signal
-and weights, the Y1, Delta1 and e1 bounds, the clamp tests and the rate
-formula, run at the searched mu' on EXACT. Its + - * / and comparisons
-are numpy's, which round as Python's floats do; its exp, expm1 and
-entropy are math's, element by element, and its ** is Python's pow. So
-every reported value has the bits of the scalar chain's row core
-(bounds._point_at and bounds._ideal_rate_at), which still takes any row
-where a bound is not plainly defined, so that its values and errors stay
-the chain's. numpy's own exp/log/pow would move CSV values in the last
-digits. evaluate stays on floats: a one-row array call costs about ten
-times a scalar evaluation. Every evaluation is a pure function of the
-inputs; identical configurations produce identical results bit for bit.
+ChannelParams is built per distance): the cut-off judge's row text
+bounds._row, with the benchmark's bounds._ideal_rate_at, run at the
+searched mu' on EXACT, so the plain-case test, the clamp test and the rate
+clamp are the chain's own. EXACT's + - * / and comparisons are numpy's,
+which round as Python's floats do; its exp, expm1 and entropy are math's,
+element by element, and its ** is Python's pow. So every value of a plain
+row has the bits of the scalar chain's row core (bounds._point_at and
+bounds._ideal_rate_at), which still takes any other row, so that its
+values and errors stay the chain's. numpy's own exp/log/pow would move CSV
+values in the last digits. evaluate stays on floats: a one-row array call
+costs about ten times a scalar evaluation. Every evaluation is a pure
+function of the inputs; identical configurations produce identical
+results bit for bit.
 """
 from __future__ import annotations
 
@@ -75,18 +75,13 @@ from .bounds import (
     _ideal_rate_at,
     _point_at,
     _positive_at,
-    _raw_y1,
+    _row,
     _search_rate,
-    _signal_terms,
-    _single_photon_bounds,
 )
-# bench/tracer.py counts the float results of a binding named _rate_formula
-# here; the report's are arrays, so it binds the formula under its own name.
-from .bounds import _rate_formula as _array_rate_formula
 from .channel import ChannelParams, fiber_transmittance, overall_transmittance
 from .config import _SOURCES, SweepConfig, _grid_count
 from .numerics import FLOATS, _exp, binary_entropy
-from .observables import ObservedStatistics
+from .observables import ObservedStatistics, _check_ordering
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
 
@@ -164,15 +159,17 @@ class _PowArray(np.ndarray):
 # numerics.FLOATS' twin on arrays, bit for bit: numpy's + - * / and
 # comparisons round as Python's floats do, the selections keep FLOATS'
 # semantics (b < a picks b, NaN and -0.0 included; a zero divisor gives NaN),
-# and math's functions go element by element. The report runs the texts on
-# it from arrays made by array, and sets what numpy does on a zero division.
+# and math's functions go element by element. Its entropy is NaN outside
+# [0, 1], where binary_entropy raises, so a row that is not plain leaves the
+# array to the chain instead of stopping it. The report runs the texts on it
+# from arrays made by array, and sets what numpy does on a zero division.
 EXACT = SimpleNamespace(
     array=lambda a: np.asarray(a, dtype=float).view(_PowArray),
     exp=_each(_exp), expm1=_each(math.expm1),
     minimum=lambda a, b: np.where(b < a, b, a),
     clip=lambda x, lo, hi: np.where(x > hi, hi, np.where(x < lo, lo, x)),
     where=np.where, ratio=lambda a, b: np.where(b != 0.0, a / b, math.nan),
-    entropy=_each(binary_entropy),
+    entropy=_each(lambda p: binary_entropy(p) if 0.0 <= p <= 1.0 else math.nan),
 )
 
 
@@ -349,7 +346,8 @@ def _source(cfg: SweepConfig, source_kind: str):
 def evaluate(
     cfg: SweepConfig, ch: ChannelParams, src, mu_prime: float
 ) -> tuple[ObservedStatistics, SecurityBounds, float, bool]:
-    """Forecast, bound, and rate one working point of source src."""
+    """Forecast, bound, and rate one working point of source src; unordered intensities are refused first."""
+    _check_ordering(cfg.mu, mu_prime)
     return _point_at(src, cfg.mu, mu_prime, overall_transmittance(ch), ch, None, cfg.f_ec)
 
 
@@ -425,11 +423,10 @@ def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice
     """One rate callable over a source kind's rows of entries, one block per flag of ideals.
 
     In the refinement its rows are span of the search's rows. A call
-    evaluates the source's signal, the rate formula's _signal_terms and
-    the weights at mu' once for them all (once per entry in the coarse
-    scan, where every row sees the same mu'), and each job slices its rows.
-    The search sees the scalar rates up to the last place of numpy's
-    exp/log/pow.
+    evaluates the source's signal, its QBER's entropy and the weights at
+    mu' once for them all (once per entry in the coarse scan, where every
+    row sees the same mu'), and each job slices its rows. The search sees
+    the scalar rates up to the last place of numpy's exp/log/pow.
     """
     ch, f, src = cfg.channel, cfg.f_ec, _source(cfg, kind)
     eta, n = rows.cols["eta"][0][entries], entries.stop - entries.start
@@ -442,14 +439,14 @@ def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice
         mu_prime = mu_prime[span] if each else mu_prime
         with np.errstate(all="ignore"):
             _, ty, e = src.signal(ARRAYS, mu_prime, every_eta if each else eta, ch)
-            signal = (ty, *_signal_terms(ARRAYS, ty, e, f), *src.weights(ARRAYS, mu_prime))
+            signal = (ty, ARRAYS.entropy(e), *src.weights(ARRAYS, mu_prime))
             out = []
             for i, (ideal, (t1, t2)) in enumerate(zip(ideals, terms)):
                 # refined jobs read their own rows; coarse ones all read every row
-                ty_r, half, ec, *w_r = ([_take(t, slice(i * n, (i + 1) * n)) for t in signal]
-                                        if each and len(ideals) > 1 else signal)
-                out.append(_benchmark_rate(ARRAYS, w_r, ty_r, half, ec, t1, t2) if ideal
-                           else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty_r, half, ec))
+                ty_r, h_e, *w_r = ([_take(t, slice(i * n, (i + 1) * n)) for t in signal]
+                                   if each and len(ideals) > 1 else signal)
+                out.append(_benchmark_rate(ARRAYS, w_r, ty_r, h_e, f, t1, t2) if ideal
+                           else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty_r, h_e, f))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate
@@ -497,45 +494,27 @@ def _search(cfg: SweepConfig, parts, jobs) -> list[np.ndarray]:
 
 
 def _report(cfg: SweepConfig, rows: _Rows, kind: str, entries: slice, mu_prime, ideal_mu_prime) -> list[tuple]:
-    """kind's report at rows' entries and their searched mu', from the texts run on EXACT.
+    """kind's report at rows' entries and their searched mu': bounds._row and _ideal_rate_at run on EXACT.
 
     ideal_mu_prime is None without benchmarks. Each row is (plain, mu',
     observables' arguments, bounds' arguments, rate, feasible, ideal rate),
-    the scalar chain's bits wherever plain, that is, wherever every bound is
-    plainly defined: mu and mu' ordered, u < v, positive post-selection
-    probabilities and yields at both, a finite positive raw Y1, a finite raw
-    e1, E' in [0, 1], and for the benchmark a positive yield and a QBER in
-    [0, 1] at its own mu'. The caller runs the chain itself on any other row,
-    which may refuse it; the entropies meet such a row's QBERs as 0, so no
-    math function sees a value the chain would refuse first.
+    the scalar chain's bits wherever plain: where _row's row is plain and,
+    with benchmarks, _ideal_rate_at's signal is defined. The caller runs the
+    chain itself on any other row, which may refuse it.
     """
-    ch, f, src, mu = cfg.channel, cfg.f_ec, _source(cfg, kind), cfg.mu
+    ch, f, src = cfg.channel, cfg.f_ec, _source(cfg, kind)
     eta = np.array(rows.eta[entries])
-    p_mu, ty_mu, e_mu = np.array(rows.decoy[kind][entries]).T
-    e1_mass, w_mu = rows.cols[kind][1][entries, 0], rows.weights[kind]
-    x = EXACT.array(mu_prime)
+    decoy = np.array(rows.decoy[kind][entries]).T
     with np.errstate(all="ignore"):
-        p, ty, e = src.signal(EXACT, x, eta, ch)
-        w = src.weights(EXACT, x)
-        raw_y1 = _raw_y1(w_mu, w, ch.d_b, ty_mu, ty)
-        y1, delta1, e1, raw_d1, raw_e1 = _single_photon_bounds(EXACT, raw_y1, e1_mass, w_mu, w, ty)
-        plain = ((0.0 < mu) & (mu < x) & (w_mu[4] < w[4]) & (p_mu > 0.0) & (p > 0.0) & (ty_mu > 0.0)
-                 & (ty > 0.0) & (raw_y1 > 0.0) & (raw_y1 < math.inf) & np.isfinite(raw_e1)
-                 & (0.0 <= e) & (e <= 1.0))
-        half, ec = _signal_terms(EXACT, ty, np.where(plain, e, 0.0), f)
-        raw = _array_rate_formula(half, ec, delta1, EXACT.entropy(np.where(plain, e1, 0.0)))
-        # compute_bounds' clamp test; then rate_and_feasibility's clamp at 0
-        feasible = ~((raw_y1 > 1.0) | (raw_d1 > 1.0) | (raw_e1 > 0.5) | (raw_e1 < 0.0))
-        rate, rate_feasible = np.where(raw > 0.0, raw, 0.0), feasible & (raw >= 0.0)
+        p, ty, e, plain, y1, delta1, e1, feasible, rate, rate_feasible = _row(
+            EXACT, src, cfg.mu, EXACT.array(mu_prime), eta, ch, decoy, f)
         if ideal_mu_prime is None:
             ideal = repeat(math.nan)  # one object, so equal points compare equal
         else:
-            x = EXACT.array(ideal_mu_prime)
-            _, ty_i, e_i = src.signal(EXACT, x, eta, ch)
-            plain &= (ty_i > 0.0) & (0.0 <= e_i) & (e_i <= 1.0)
-            half, ec = _signal_terms(EXACT, ty_i, np.where(plain, e_i, 0.0), f)
-            exact = (c[entries, 0] for c in rows.cols["exact"])
-            ideal = _benchmark_rate(EXACT, src.weights(EXACT, x), ty_i, half, ec, *exact).tolist()
+            exact = tuple(c[entries, 0] for c in rows.cols["exact"])
+            ideal, defined = _ideal_rate_at(EXACT, src, EXACT.array(ideal_mu_prime), eta, ch, exact, f)
+            plain, ideal = plain & defined, ideal.tolist()
+        p_mu, ty_mu, e_mu = decoy
         obs = zip(repeat(ch.d_b), *(c.tolist() for c in (ty_mu / p_mu, ty / p, ty_mu, ty, e_mu, e)))
     bounds = zip(*(c.tolist() for c in (y1, delta1, e1, feasible)))
     return list(zip(plain.tolist(), mu_prime.tolist(), obs, bounds, rate.tolist(), rate_feasible.tolist(), ideal))
@@ -571,7 +550,8 @@ def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
                         eta = r.eta[i]
                         obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, r.decoy[kind][i], f)
                         if cfg.include_ideal:
-                            ideal = _ideal_rate_at(src, float(searched[kind, True][i]), eta, ch, r.exact[i], f)
+                            x = float(searched[kind, True][i])
+                            ideal = _ideal_rate_at(FLOATS, src, x, eta, ch, r.exact[i], f)[0]
                     # positional: binding nine keywords costs about half the constructor
                     points.append(KeyRatePoint(distance, mu, mu_prime, rate, ideal, kind, bounds, obs, feasible))
     return points
@@ -636,7 +616,7 @@ def _seed(cfg: SweepConfig, src, grid: list[float]) -> int:
             _, (ty_mu, ty), (e_mu, e) = src.signal(ARRAYS, x, eta, ch)
             e1_mass = _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0)
             rates = _search_rate(ARRAYS, w_mu, src.weights(ARRAYS, x[1]), ch.d_b, ty_mu, e1_mass, ty,
-                                 *_signal_terms(ARRAYS, ty, e, cfg.f_ec))
+                                 ARRAYS.entropy(e), cfg.f_ec)
         k = _last_positive(rates[:, 0])
         if k >= 0:
             return lo + k

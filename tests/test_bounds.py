@@ -9,6 +9,7 @@ import pytest
 from decoy_hsps.bounds import (
     SecurityBounds,
     _delta1,
+    _row,
     binary_entropy,
     compute_bounds,
     ideal_rate,
@@ -20,7 +21,7 @@ from decoy_hsps.channel import (
 )
 from decoy_hsps.numerics import FLOATS
 from decoy_hsps.observables import IntensityCounts, forecast, statistics_from_counts
-from decoy_hsps.optimizer import SweepConfig, sweep_distances
+from decoy_hsps.optimizer import EXACT, SweepConfig, sweep_distances
 from decoy_hsps.sources import COHERENT, HeraldedSourceParams, TriggeredSource, _coincidence_sum
 from oracles import (
     coincidence_series,
@@ -145,9 +146,10 @@ class TestY1LowerBound:
         obs = observed(yields[0], synth(yields, mu), synth(yields, mu_prime))
         assert compute_bounds(src, obs, mu, mu_prime).y1_lower == pytest.approx(1e-3, rel=1e-9)
 
-    @pytest.mark.parametrize("mu, mu_prime", [(1e17, 2e17), (1e20, 1e300)])
+    @pytest.mark.parametrize("mu, mu_prime", [(1e17, 2e17), (1e20, 1e300), (1e-322, 0.06)])
     def test_intensities_whose_u_rounds_equal_are_an_error(self, mu, mu_prime):
-        # x/(1+x) rounds to 1 at both, so the elimination would divide by zero
+        # x/(1+x) rounds to 1 at both, or k1 u v (v - u) underflows at the tiny mu, so
+        # the elimination would divide by zero
         obs = observed(1e-6, 0.5, 0.6, e_mu=0.02)
         message = re.escape(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}")
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -156,11 +158,12 @@ class TestY1LowerBound:
     @pytest.mark.parametrize("mu, mu_prime", [
         (710.0, 800.0),  # e^mu and e^mu' both saturate at inf
         (700.0, 700.01),  # e^mu is finite, mu'^2 * q_mu * e^mu is not
+        (0.1, 1e300),  # mu'^2 overflows
     ])
     def test_overflowing_decoy_term_is_an_error_not_zero(self, mu, mu_prime):
         # the raw bound is inf - inf, which no clamp may turn into a number
         obs = observed(1e-6, 0.5, 0.6, e_mu=0.02)
-        message = f"^Y1 bound undefined at mu={mu}, mu_prime={mu_prime}$"
+        message = "^" + re.escape(f"Y1 bound undefined at mu={mu}, mu_prime={mu_prime}") + "$"
         for e_mu in (0.02, None):  # with and without the decoy QBER
             with pytest.raises(ValueError, match=message):
                 compute_bounds(COHERENT, replace(obs, e_mu=e_mu), mu, mu_prime)
@@ -176,6 +179,53 @@ def test_forecast_and_bounds_refuse_bad_ordering_with_one_message(src, mu, mu_pr
     with pytest.raises(ValueError) as exc:
         compute_bounds(src, observed(1e-6, 0.01, 0.02, 0.05, 0.03), mu, mu_prime)
     assert str(exc.value) == message
+
+
+class _GivenSource:
+    """A source whose signal at mu' and weights at mu and mu' are given outright."""
+
+    def __init__(self, signal, w_mu, w_mu_prime):
+        self.given = signal, w_mu, w_mu_prime
+
+    def signal(self, xp, x, eta, ch):
+        return self.given[0]
+
+    def weights(self, xp, x):
+        # a row takes the weights at mu on floats and those at mu' on its own namespace
+        return self.given[1] if xp is FLOATS else self.given[2]
+
+
+def _plain_row(mu=0.1, mu_prime=0.5, ch=GYS, **given):
+    """bounds._row's plain flag on EXACT at a coherent row at 20 km, with the given terms in place of its own.
+
+    given may name the decoy's p_mu, ty_mu and e_mu, the signal's p, ty and
+    e at mu', and the weights' u and v.
+    """
+    eta = overall_transmittance(GYS.at_distance(20.0))
+    real = zip(("p_mu", "ty_mu", "e_mu", "p", "ty", "e"),
+               COHERENT.signal(FLOATS, 0.1, eta, GYS) + COHERENT.signal(FLOATS, 0.5, eta, GYS))
+    t = {k: np.float64(v) for k, v in {**dict(real), "u": 0.1, "v": 0.5, **given}.items()}
+    w_mu, w_mu_prime = (tuple(map(np.float64, COHERENT.weights(FLOATS, x)[:4])) for x in (0.1, 0.5))
+    src = _GivenSource((t["p"], t["ty"], t["e"]), w_mu + (t["u"],), w_mu_prime + (t["v"],))
+    with np.errstate(all="ignore"):
+        row = _row(EXACT, src, mu, np.float64(mu_prime), eta, ch, (t["p_mu"], t["ty_mu"], t["e_mu"]), 1.2)
+    return bool(row[3])
+
+
+@pytest.mark.parametrize("broken", [
+    dict(mu=-0.1), dict(mu_prime=0.05), dict(v=0.05), dict(p_mu=0.0), dict(p=0.0), dict(ty=0.0),
+    dict(e=-0.01), dict(e=1.01),
+    # k1 u v (v - u) underflows to 0 under a positive numerator: raw Y1 is inf, raw e1 0
+    dict(ch=ChannelParams(d_b=0.0), e_mu=0.0, u=1e-110, v=4e-110),
+    # a negative raw Y1 clamps Y1 to 0, so raw e1 is the error mass over 0
+    dict(e_mu=0.0, ty_mu=1e-12), dict(e_mu=1.0, ty_mu=0.75 * GYS.d_b * math.exp(-0.1)),
+], ids=["mu not positive", "mu' not above mu", "u not below v", "no trigger at mu", "no trigger at mu'",
+        "no clicks at mu'", "E' below 0", "E' above 1", "raw Y1 inf", "raw e1 -inf", "raw e1 inf"])
+def test_row_is_plain_only_where_every_bound_is_plainly_defined(broken):
+    # each case breaks one condition of the plain-case test and leaves the others
+    # holding; the shipped sources, or the text itself, imply several of them
+    assert _plain_row()
+    assert not _plain_row(**broken)
 
 
 class TestSinglePhotonFraction:

@@ -9,8 +9,11 @@ shape of (mu', eta) is the call's rows and columns, a (rows, 2) mu' is
 a golden-section opening, and a (2, 1, 1) mu' is a cut-off's seed. Three
 private names stay as levers: _BLOCK_CELLS shrinks chunks, _last_positive
 forces the cut-off's seed, walk and missed guesses, and _record_scan takes
-the tie rule on synthetic tables. A cut-off's judge is the scalar chain's
-bounds._positive_at, checked against bounds._point_at.
+the tie rule on synthetic tables. A cut-off's judge and a sweep's report
+run one row text, bounds._row, with the scalar chain's plain-case test,
+clamp test and rate clamp: the judge (bounds._positive_at, on floats) is
+checked against bounds._point_at row by row, and every point of the
+EDGE_SWEEPS against evaluate.
 """
 import math
 from collections import Counter
@@ -23,6 +26,7 @@ import pytest
 
 import decoy_hsps.bounds as bounds_module
 from decoy_hsps.bounds import KeyRatePoint
+import decoy_hsps.config as config_module
 import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.cli import main
 from decoy_hsps.channel import ChannelParams, _click_probability, overall_transmittance
@@ -589,13 +593,32 @@ NO_CLICKS = ChannelParams(eta_b=0.0, d_b=0.0)
      lambda cfg: evaluate(cfg, cfg.channel, HSPS, 0.3)),
     # a WCS rate above its benchmark by more than 1e-12 at 0 km
     (_cfg(mu=1e-12, sources=("wcs",), dist_step_km=10.0), lambda cfg: _chain_point(cfg, 0.0, "wcs")),
-], ids=["no clicks", "no clicks, no ideal", "wcs mu 1e-12"])
+    # mu_prime_min 1e298, whose coherent v**2 overflows: no Y1 bound is defined
+    (resolve_config({"mu_prime_max": "1e300", "mu_prime_coarse_step": "1e298", "dist_stop_km": "20"}),
+     lambda cfg: evaluate(cfg, cfg.channel, COHERENT, cfg.mu_prime_min)),
+], ids=["no clicks", "no clicks, no ideal", "wcs mu 1e-12", "mu' 1e298"])
 def test_sweep_raises_the_chains_error(cfg, chain):
     with pytest.raises(ValueError) as refused:
         chain(cfg)
     with pytest.raises(ValueError) as swept:
         sweep_distances(cfg)
     assert str(swept.value) == str(refused.value)
+
+
+def test_report_leaves_an_undefined_benchmark_signal_to_the_chain(monkeypatch):
+    # with the shipped sources a benchmark's signal is undefined only where nothing
+    # clicks, where the bounded row goes to the chain first; this coherent source's
+    # QBER is NaN to the report alone above mu' = 0.48, between the bounded (~0.47)
+    # and the ideal (~0.49) optima, so the report must leave those benchmark rows to
+    # the chain, whose ideal rate the reference search gives
+    class ReportBlind(CoherentSource):
+        def signal(self, xp, x, eta, ch):
+            p, ty, e = super().signal(xp, x, eta, ch)
+            return p, ty, (np.where(x > 0.48, math.nan, e) if xp is EXACT else e)
+
+    monkeypatch.setitem(config_module._SOURCES, "wcs", lambda cfg: ReportBlind())
+    cfg = _cfg(sources=("wcs",), dist_stop_km=40.0, dist_step_km=20.0)
+    _assert_reference(cfg, sweep_distances(cfg))
 
 
 @pytest.mark.xfail(strict=True, reason="at mu = 1e-10 the Y1 numerator and e1's error mass cancel against "
@@ -921,9 +944,9 @@ def test_rate_cores_give_finite_nonnegative_rates_on_extreme_cells():
             with np.errstate(all="ignore"):
                 _, ty, e = src.signal(ARRAYS, mu_prime, np.array(etas)[:, None], ch)
                 w = src.weights(ARRAYS, mu_prime)
-                half, ec = bounds_module._signal_terms(ARRAYS, ty, e, DEFAULT.f_ec)
-                rates = [bounds_module._search_rate(ARRAYS, w_mu, w, ch.d_b, ty_mu, e1_mass, ty, half, ec),
-                         bounds_module._benchmark_rate(ARRAYS, w, ty, half, ec, y1, h_e1)]
+                h_e, f = ARRAYS.entropy(e), DEFAULT.f_ec
+                rates = [bounds_module._search_rate(ARRAYS, w_mu, w, ch.d_b, ty_mu, e1_mass, ty, h_e, f),
+                         bounds_module._benchmark_rate(ARRAYS, w, ty, h_e, f, y1, h_e1)]
             assert ch.d_b or np.isnan(e).any()  # the dark-free channels' empty cells
             for rate in rates:
                 assert rate.shape == (len(etas), mu_prime.size)
