@@ -35,7 +35,7 @@ from .config import (
     write_manifest,
 )
 from .observables import IntensityCounts, statistics_from_counts
-from .optimizer import sweep_distances
+from .optimizer import sweep_records
 from .sources import triggered_source
 
 CSV_COLUMNS = (
@@ -81,47 +81,35 @@ def _csv_line(cells) -> str:
     return ",".join(cells) + "\n"
 
 
-# Every number is written as "%.17e", which round-trips a float64 and
-# never needs CSV quoting, so each row is one format operation; a missing
-# QBER is written as nan.
-_POINT_ROW = _csv_line(["%.17e", "%s"] + ["%.17e"] * 12 + ["%d"])
+# Every number is written as "%.17e", which round-trips a float64 and never
+# needs CSV quoting, so each row is one format operation. A cell that
+# repeats within a file (each grid distance, and a configuration's mu and
+# Y0) is formatted once: keyed on identity, as -0.0 == 0.0 but the two are
+# written differently.
+_REPEATED = ("distance_km", "mu", "Y0")
+_CELL = {"source_kind": "%s", "feasible_flag": "%d", **dict.fromkeys(_REPEATED, "%s")}
 
 
-def emit_csv(points, path: str | Path) -> None:
-    """Write sweep points as CSV, one fixed-format row per point."""
+def emit_csv(rows, path: str | Path, header=CSV_COLUMNS) -> None:
+    """Write rows as CSV under header, one fixed-format line of each row's first len(header) cells.
+
+    Under CSV_COLUMNS the rows are sweep records (optimizer.sweep_records),
+    which the CLI writes without building a value object; a figure's wide
+    CSV passes its own header and rows of floats.
+    """
+    columns = list(zip(*rows))[:len(header)]
+    texts: dict[int, str] = {}  # every keyed cell stays alive in rows
+    for j, name in enumerate(header[:len(columns)]):
+        if name in _REPEATED:
+            columns[j] = [texts.get(id(x)) or texts.setdefault(id(x), "%.17e" % x) for x in columns[j]]
+    line = _csv_line([_CELL.get(name, "%.17e") for name in header])
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_line(CSV_COLUMNS))
-        for p in points:
-            o, b = p.observables, p.bounds
-            fh.write(_POINT_ROW % (
-                p.distance_km,
-                p.source_kind,
-                p.mu,
-                p.mu_prime,
-                o.y0,
-                o.y_mu,
-                o.y_mu_prime,
-                math.nan if o.e_mu is None else o.e_mu,
-                math.nan if o.e_mu_prime is None else o.e_mu_prime,
-                b.y1_lower,
-                b.delta1,
-                b.e1_upper,
-                p.key_rate,
-                p.ideal_rate,
-                p.feasible,
-            ))
+        fh.write(_csv_line(header))
+        fh.writelines(map(line.__mod__, zip(*columns)))
 
 
 def _log10_or_neg_inf(rate: float) -> float:
     return math.log10(rate) if rate > 0.0 else float("-inf")
-
-
-def _write_wide_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
-    row_format = _csv_line(["%.17e"] * len(header))
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_line(header))
-        for row in rows:
-            fh.write(row_format % tuple(row))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,8 +206,7 @@ def _finish(outdir: Path, cfg: SweepConfig, artifacts: list[str], intensities: d
 def _cmd_sweep(args) -> int:
     cfg, = _build_configs(args)
     outdir = _ensure_outdir(args.out)
-    points = sweep_distances(cfg)
-    emit_csv(points, outdir / "sweep.csv")
+    emit_csv(sweep_records(cfg), outdir / "sweep.csv")
     return _finish(outdir, cfg, ["sweep.csv"])
 
 
@@ -228,23 +215,23 @@ def _cmd_figure(args) -> int:
     # a swept mu searches from its own default mu_prime_min, mu + mu_prime_coarse_step
     forced = [{} if mu is None else {"mu": repr(mu), "mu_prime_min": None} for mu in mus]
     cfgs = _build_configs(args, preset, [{**f, "sources": sources} for f in forced])
-    points = sweep_distances(*cfgs)
-    # points come configuration-major, then by distance, then by source in cfg.sources order
+    records = sweep_records(*cfgs)
+    # records come configuration-major, then by distance, then by source in cfg.sources order
     kinds = cfgs[0].sources
-    n, step = len(points) // len(cfgs), len(kinds)
+    n, step = len(records) // len(cfgs), len(kinds)
     series = [
-        [_log10_or_neg_inf(getattr(p, rate)) for p in points[k * n + kinds.index(source):(k + 1) * n:step]]
-        for _, k, source, rate in columns
+        [_log10_or_neg_inf(r[j]) for r in records[k * n + kinds.index(source):(k + 1) * n:step]]
+        for _, k, source, rate in columns for j in [CSV_COLUMNS.index(rate)]
     ]
-    rows = [[p.distance_km, *cells] for p, cells in zip(points[:n:step], zip(*series))]
+    rows = [(r[0], *cells) for r, cells in zip(records[:n:step], zip(*series))]
     intensities = None
     if mus != (None,):
         intensities = {"mu": list(mus), "mu_prime_min": [c.mu_prime_min for c in cfgs]}
     wide_name = f"figure{args.number}.csv"
     points_name = f"figure{args.number}_points.csv"
     outdir = _ensure_outdir(args.out)
-    _write_wide_csv(outdir / wide_name, ["distance_km"] + [c[0] for c in columns], rows)
-    emit_csv(points, outdir / points_name)
+    emit_csv(rows, outdir / wide_name, ["distance_km"] + [c[0] for c in columns])
+    emit_csv(records, outdir / points_name)
     return _finish(outdir, cfgs[-1], [wide_name, points_name], intensities)
 
 

@@ -49,12 +49,21 @@ clamp are the chain's own. EXACT's + - * / and comparisons are numpy's,
 which round as Python's floats do; its exp, expm1 and entropy are math's,
 element by element, and its ** is Python's pow. So every value of a plain
 row has the bits of the scalar chain's row core (bounds._point_at and
-bounds._ideal_rate_at), which still takes any other row, so that its
-values and errors stay the chain's. numpy's own exp/log/pow would move CSV
-values in the last digits. evaluate stays on floats: a one-row array call
-costs about ten times a scalar evaluation. Every evaluation is a pure
-function of the inputs; identical configurations produce identical
-results bit for bit.
+bounds._ideal_rate_at). numpy's own exp/log/pow would move CSV values in
+the last digits. evaluate stays on floats: a one-row array call costs
+about ten times a scalar evaluation.
+
+A sweep's points are records: one tuple per point, its sweep.csv values in
+column order and then what else the value classes hold, zipped from the
+report's columns (sweep_records). The CLI writes them as they are. Before
+a chunk's records are kept, a screen on its arrays makes every test that
+ObservedStatistics, SecurityBounds and KeyRatePoint make; a row that fails
+it, or is not plain, goes through the chain's row core and the value
+classes, in row order, so that its values and errors stay the chain's.
+KeyRatePoints are built from the records only for library callers
+(sweep_distances, key_rate_point). Every evaluation is a pure function of
+the inputs; identical configurations produce identical results bit for
+bit.
 """
 from __future__ import annotations
 
@@ -493,73 +502,102 @@ def _search(cfg: SweepConfig, parts, jobs) -> list[np.ndarray]:
     return [best_x[:, end - n:end] for n, end in zip(sizes, accumulate(sizes))]
 
 
-def _report(cfg: SweepConfig, rows: _Rows, kind: str, entries: slice, mu_prime, ideal_mu_prime) -> list[tuple]:
-    """kind's report at rows' entries and their searched mu': bounds._row and _ideal_rate_at run on EXACT.
+def _report(cfg: SweepConfig, rows: _Rows, kind: str, distances, entries: slice, mu_prime, ideal_mu_prime):
+    """kind's records at distances (rows' entries, searched mu') and which of them stand, on whole arrays.
 
-    ideal_mu_prime is None without benchmarks. Each row is (plain, mu',
-    observables' arguments, bounds' arguments, rate, feasible, ideal rate),
-    the scalar chain's bits wherever plain: where _row's row is plain and,
-    with benchmarks, _ideal_rate_at's signal is defined. The caller runs the
-    chain itself on any other row, which may refuse it.
+    bounds._row and _ideal_rate_at run on EXACT; ideal_mu_prime is None
+    without benchmarks. A record stands where it has the scalar chain's
+    bits (_row's row is plain and, with benchmarks, _ideal_rate_at's signal
+    is defined) and passes the screen: every test that ObservedStatistics,
+    SecurityBounds and KeyRatePoint make of its values. So no value object
+    is built for it. The caller runs the chain and the value classes on any
+    other row, which may refuse it.
     """
-    ch, f, src = cfg.channel, cfg.f_ec, _source(cfg, kind)
+    ch, f, mu, src = cfg.channel, cfg.f_ec, cfg.mu, _source(cfg, kind)
     eta = np.array(rows.eta[entries])
-    decoy = np.array(rows.decoy[kind][entries]).T
+    decoy = p_mu, ty_mu, e_mu = np.array(rows.decoy[kind][entries]).T
     with np.errstate(all="ignore"):
-        p, ty, e, plain, y1, delta1, e1, feasible, rate, rate_feasible = _row(
-            EXACT, src, cfg.mu, EXACT.array(mu_prime), eta, ch, decoy, f)
-        if ideal_mu_prime is None:
-            ideal = repeat(math.nan)  # one object, so equal points compare equal
-        else:
+        p, ty, e, plain, y1, delta1, e1, clamp_ok, rate, feasible = _row(
+            EXACT, src, mu, EXACT.array(mu_prime), eta, ch, decoy, f)
+        ideal = math.nan  # one object, so equal points compare equal
+        if ideal_mu_prime is not None:
             exact = tuple(c[entries, 0] for c in rows.cols["exact"])
             ideal, defined = _ideal_rate_at(EXACT, src, EXACT.array(ideal_mu_prime), eta, ch, exact, f)
-            plain, ideal = plain & defined, ideal.tolist()
-        p_mu, ty_mu, e_mu = decoy
-        obs = zip(repeat(ch.d_b), *(c.tolist() for c in (ty_mu / p_mu, ty / p, ty_mu, ty, e_mu, e)))
-    bounds = zip(*(c.tolist() for c in (y1, delta1, e1, feasible)))
-    return list(zip(plain.tolist(), mu_prime.tolist(), obs, bounds, rate.tolist(), rate_feasible.tolist(), ideal))
+            plain = plain & defined
+        y_mu, y = ty_mu / p_mu, ty / p
+        # the screen; Y0 (d_b) and the kind are the same on every row
+        stands = plain & (0.0 <= e1) & (e1 <= 0.5) & (rate >= 0.0) & ~(rate > ideal + 1e-12)
+        for c in (y_mu, y, ty_mu, ty, e_mu, e, y1, delta1):
+            stands &= (0.0 <= c) & (c <= 1.0)
+    stands &= 0.0 <= ch.d_b <= 1.0 and kind in ("hsps", "wcs")
+    ideal = repeat(ideal) if ideal_mu_prime is None else ideal.tolist()
+    values = [c.tolist() for c in (y_mu, y, e_mu, e, y1, delta1, e1, rate)]
+    tail = [c.tolist() for c in (feasible, ty_mu, ty, clamp_ok)]
+    return list(zip(distances, repeat(kind), repeat(mu), mu_prime.tolist(), repeat(ch.d_b), *values, ideal,
+                    *tail)), stands.tolist()
 
 
-def _sweep_points(cfgs, distances: list[float], kinds) -> list[KeyRatePoint]:
-    """Fully evaluated samples of each configuration, one per distance per source kind, distance-major.
+def _chain_record(cfg: SweepConfig, rows: _Rows, record: tuple, i: int, searched) -> tuple:
+    """record, row i of rows, through the scalar chain's row core and the value classes, which may refuse it."""
+    distance, kind, mu, mu_prime, ideal = *record[:4], record[13]
+    src, ch, f, eta = _source(cfg, kind), cfg.channel, cfg.f_ec, rows.eta[i]
+    obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, rows.decoy[kind][i], f)
+    if cfg.include_ideal:
+        ideal = _ideal_rate_at(FLOATS, src, float(searched[kind, True][i]), eta, ch, rows.exact[i], f)[0]
+    KeyRatePoint(distance, mu, mu_prime, rate, ideal, kind, bounds, obs, feasible)  # its tests alone
+    return (distance, kind, mu, mu_prime, obs.y0, obs.y_mu, obs.y_mu_prime, obs.e_mu, obs.e_mu_prime,
+            bounds.y1_lower, bounds.delta1, bounds.e1_upper, rate, ideal, feasible, obs.ty_mu, obs.ty_mu_prime,
+            bounds.feasible)
 
-    Each configuration is one part of one search, which picks every mu'
-    (bounded and, when enabled, ideal). _report then evaluates each source
-    kind's reported values at those mu' on whole arrays, in the search's
-    _chunks, and the value classes are built from its rows. A row it leaves
-    to the scalar chain's row core goes through that core in row order, so
-    every value and every error is the chain's.
+
+def _records(cfgs, distances: list[float], kinds) -> list[tuple]:
+    """The records of each configuration, one per distance per source kind, distance-major.
+
+    A record is a point's 15 sweep.csv values in column order, then its
+    tY_mu, tY_mu', and its bounds' own flag: what KeyRatePoint and its
+    ObservedStatistics and SecurityBounds hold. Each configuration is one
+    part of one search, which picks every mu' (bounded and, when enabled,
+    ideal). _report then evaluates each source kind's records at those mu'
+    on whole arrays, in the search's _chunks. A row that does not stand goes
+    through the scalar chain and the value classes, in row order, before
+    the next chunk, so every value and every error is the chain's.
     """
     jobs = [(kind, ideal) for kind in kinds for ideal in (False, True)[:1 + cfgs[0].include_ideal]]
     rows = [_rows(cfgs[0], distances, jobs)]
     rows += [_rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
     parts = [_scan(cfg, r, jobs) for cfg, r in zip(cfgs, rows)]
-    points = []
+    records = []
     for cfg, r, mu_primes in zip(cfgs, rows, _search(cfgs[0], parts, jobs)):
-        ch, mu, f = cfg.channel, cfg.mu, cfg.f_ec
         searched = dict(zip(jobs, mu_primes))
-        sources = [_source(cfg, kind) for kind in kinds]
         for c in _chunks(len(distances), jobs):
-            reports = zip(*(_report(cfg, r, kind, c, searched[kind, False][c],
-                                    searched[kind, True][c] if cfg.include_ideal else None) for kind in kinds))
-            for i, distance, report in zip(range(c.start, c.stop), distances[c], reports):
-                for kind, src, (plain, mu_prime, obs, bounds, rate, feasible, ideal) in zip(kinds, sources, report):
-                    if plain:
-                        obs, bounds = ObservedStatistics(*obs), SecurityBounds(*bounds)
-                    else:
-                        eta = r.eta[i]
-                        obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, r.decoy[kind][i], f)
-                        if cfg.include_ideal:
-                            x = float(searched[kind, True][i])
-                            ideal = _ideal_rate_at(FLOATS, src, x, eta, ch, r.exact[i], f)[0]
-                    # positional: binding nine keywords costs about half the constructor
-                    points.append(KeyRatePoint(distance, mu, mu_prime, rate, ideal, kind, bounds, obs, feasible))
-    return points
+            reports = [_report(cfg, r, kind, distances[c], c, searched[kind, False][c],
+                               searched[kind, True][c] if cfg.include_ideal else None) for kind in kinds]
+            chunk = chain.from_iterable(zip(*(recs for recs, _ in reports)))
+            stands = chain.from_iterable(zip(*(ok for _, ok in reports)))
+            for k, (record, ok) in enumerate(zip(chunk, stands)):
+                records.append(record if ok else _chain_record(cfg, r, record, c.start + k // len(kinds), searched))
+    return records
+
+
+def _point(record: tuple) -> KeyRatePoint:
+    """The KeyRatePoint of a record."""
+    d, kind, mu, x, y0, y_mu, y, e_mu, e, y1, delta1, e1, rate, ideal, feasible, ty_mu, ty, clamp_ok = record
+    # positional: binding nine keywords costs about half the constructor
+    return KeyRatePoint(d, mu, x, rate, ideal, kind, SecurityBounds(y1, delta1, e1, clamp_ok),
+                        ObservedStatistics(y0, y_mu, y, ty_mu, ty, e_mu, e), feasible)
 
 
 def key_rate_point(cfg: SweepConfig, distance_km: float, source_kind: str) -> KeyRatePoint:
     """Fully evaluated sweep sample at one distance for one source kind."""
-    return _sweep_points((cfg,), [distance_km], (source_kind,))[0]
+    return _point(_records((cfg,), [distance_km], (source_kind,))[0])
+
+
+def sweep_records(cfg: SweepConfig, *more: SweepConfig) -> list[tuple]:
+    """sweep_distances' points as records (see _records): what the CLI writes, with no value object built."""
+    if any(getattr(c, f.name) != getattr(cfg, f.name) for c in more for f in fields(SweepConfig)
+           if f.name not in ("mu", "mu_prime_min")):
+        raise ValueError("configurations swept together may differ only in mu and mu_prime_min")
+    return _records((cfg, *more), distance_grid(cfg), cfg.sources)
 
 
 def sweep_distances(cfg: SweepConfig, *more: SweepConfig) -> list[KeyRatePoint]:
@@ -568,10 +606,7 @@ def sweep_distances(cfg: SweepConfig, *more: SweepConfig) -> list[KeyRatePoint]:
     The points of each configuration in more follow cfg's; they may differ
     from cfg only in mu and mu_prime_min, and one search serves them all.
     """
-    if any(getattr(c, f.name) != getattr(cfg, f.name) for c in more for f in fields(SweepConfig)
-           if f.name not in ("mu", "mu_prime_min")):
-        raise ValueError("configurations swept together may differ only in mu and mu_prime_min")
-    return _sweep_points((cfg, *more), distance_grid(cfg), cfg.sources)
+    return list(map(_point, sweep_records(cfg, *more)))
 
 
 def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:

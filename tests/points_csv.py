@@ -1,5 +1,7 @@
-"""Reader for the per-point CSVs the CLI writes (sweep.csv, figureN_points.csv)."""
+"""Reader for the per-point CSVs the CLI writes (sweep.csv, figureN_points.csv), and
+the records that emit_csv writes of library points."""
 import csv
+import math
 from pathlib import Path
 
 from decoy_hsps.cli import CSV_COLUMNS
@@ -24,3 +26,15 @@ def read_points_csv(path: str | Path) -> list[dict]:
                     rec[key] = float(rec[key])
             records.append(rec)
     return records
+
+
+def point_records(points) -> list[tuple]:
+    """KeyRatePoints as sweep records: the 15 CSV values in column order, a missing QBER
+    as nan, then tY_mu, tY_mu' and the bounds' own flag."""
+    def qber(e):
+        return math.nan if e is None else e
+
+    return [(p.distance_km, p.source_kind, p.mu, p.mu_prime, o.y0, o.y_mu, o.y_mu_prime, qber(o.e_mu),
+             qber(o.e_mu_prime), b.y1_lower, b.delta1, b.e1_upper, p.key_rate, p.ideal_rate, p.feasible,
+             o.ty_mu, o.ty_mu_prime, b.feasible)
+            for p in points for o, b in [(p.observables, p.bounds)]]

@@ -7,12 +7,13 @@ import pytest
 
 import decoy_hsps.cli as cli_module
 from decoy_hsps.channel import ChannelParams
-from decoy_hsps.cli import CSV_COLUMNS, _write_wide_csv, emit_csv, main
+from decoy_hsps.cli import CSV_COLUMNS, emit_csv, main
 from decoy_hsps.config import format_config, resolve_config
 from decoy_hsps.observables import forecast
 from decoy_hsps.optimizer import SweepConfig, sweep_distances
 from decoy_hsps.sources import HeraldedSourceParams, post_selection_probability, triggered_source
-from points_csv import read_points_csv
+from points_csv import point_records, read_points_csv
+from test_optimizer import EDGE_SWEEPS
 
 SMALL_GRID = ["--override", "dist_stop_km=4", "--override", "dist_step_km=2"]
 # brackets the coherent-source cut-off (~142 km at the defaults)
@@ -99,7 +100,7 @@ class TestCsvFormat:
         cfg = SweepConfig(dist_start_km=0.0, dist_stop_km=2.0, dist_step_km=1.0)
         points = sweep_distances(cfg)
         path = tmp_path / "points.csv"
-        emit_csv(points, path)
+        emit_csv(point_records(points), path)
         records = read_points_csv(path)
         assert len(records) == len(points)
         for rec, p in zip(records, points):
@@ -127,7 +128,7 @@ class TestCsvFormat:
             writer.writerow(header)
             writer.writerows(rows)
 
-    def test_points_bytes_match_csv_writer(self, tmp_path):
+    def test_points_bytes_match_csv_writer(self, tmp_path, capsys):
         grid = dict(dist_start_km=0.0, dist_stop_km=180.0, dist_step_km=45.0)
         points = (sweep_distances(SweepConfig(**grid))
                   + sweep_distances(SweepConfig(include_ideal=False, **grid)))
@@ -146,15 +147,39 @@ class TestCsvFormat:
                        b.y1_lower, b.delta1, b.e1_upper, p.key_rate, p.ideal_rate)
             rows.append([fmt(p.distance_km), p.source_kind] + [fmt(v) for v in numbers]
                         + ["1" if p.feasible else "0"])
-        emit_csv(points, tmp_path / "points.csv")
+        emit_csv(point_records(points), tmp_path / "points.csv")
         self._reference(tmp_path / "ref.csv", CSV_COLUMNS, rows)
         assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # the CLI writes the library's bytes for every edge sweep, and exits 1 with the
+        # library's error where it refuses one (figure 1's sweeps: the figure tests)
+        refused = [({"eta_b": 0.0, "d_b": 0.0, "dist_step_km": 10.0}, "hsps,wcs,ideal"),
+                   ({"eta_b": 0.0, "d_b": 0.0, "dist_step_km": 10.0}, "hsps,wcs"),
+                   ({"mu": 1e-12, "dist_step_km": 10.0}, "wcs,ideal"),
+                   ({"mu_prime_max": 1e300, "mu_prime_coarse_step": 1e298, "dist_stop_km": 20.0}, "hsps,wcs,ideal")]
+        refusals = 0
+        for k, (overrides, sources) in enumerate(EDGE_SWEEPS + refused):
+            if isinstance(overrides.get("mu"), list):
+                continue
+            values = {"sources": sources, **{key: repr(v) for key, v in overrides.items()}}
+            out = tmp_path / f"sweep{k}"
+            argv = ["sweep", "--out", str(out)] + [a for item in values.items() for a in ("--override", "%s=%s" % item)]
+            try:
+                library = sweep_distances(resolve_config(values))
+            except ValueError as exc:
+                assert (main(argv), capsys.readouterr().err) == (1, f"error: {exc}\n"), values
+                refusals += 1
+                continue
+            assert main(argv) == 0, values
+            emit_csv(point_records(library), tmp_path / "library.csv")
+            assert (out / "sweep.csv").read_bytes() == (tmp_path / "library.csv").read_bytes(), values
+        assert refusals == len(refused)
 
     def test_wide_bytes_match_csv_writer(self, tmp_path):
         header = ["distance_km", "log10_rate_hsps_ideal", "log10_rate_hsps"]
+        # a distance cell is formatted once a file, by identity: -0.0 == 0.0, but it is written apart
         rows = [[0.0, -2.5, -3.25], [170.0, float("-inf"), float("-inf")],
-                [1e-300, float("nan"), -0.0]]
-        _write_wide_csv(tmp_path / "wide.csv", header, rows)
+                [1e-300, float("nan"), -0.0], [-0.0, -2.5, 0.0]]
+        emit_csv(rows, tmp_path / "wide.csv", header)
         self._reference(tmp_path / "ref.csv", header,
                         [[format(v, ".17e") for v in row] for row in rows])
         assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -293,11 +318,14 @@ class TestFigureCommand:
         assert (-math.inf in [c for row in data for c in row]) == (grid is WCS_CUTOFF_GRID and number > 1)
 
     def test_figure1_points_equal_one_sweep_per_mu(self, tmp_path):
-        out = tmp_path / "fig1"
-        assert main(["figure", "1", "--out", str(out)]) == 0
-        sweeps = [sweep_distances(SweepConfig(mu=mu, sources=("hsps",))) for mu in (0.01, 0.05, 0.1)]
-        emit_csv([p for s in sweeps for p in s], tmp_path / "alone.csv")
-        assert (out / "figure1_points.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        # and figures 2 and 3 one sweep each: each figure's CLI bytes are the writer's on the library's points
+        sweeps = {1: [SweepConfig(mu=mu, sources=("hsps",)) for mu in (0.01, 0.05, 0.1)],
+                  2: [SweepConfig(mu=0.05)], 3: [SweepConfig(mu=0.05, eta_a=0.6)]}
+        for number, cfgs in sweeps.items():
+            out = tmp_path / f"fig{number}"
+            assert main(["figure", str(number), "--out", str(out)]) == 0
+            emit_csv(point_records([p for cfg in cfgs for p in sweep_distances(cfg)]), tmp_path / "alone.csv")
+            assert (out / f"figure{number}_points.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     @pytest.mark.parametrize("command", [["sweep"], ["figure", "2"], ["figure", "3"]])
     def test_runs_at_the_configured_mu_record_no_intensities(self, tmp_path, command):

@@ -25,13 +25,14 @@ import numpy as np
 import pytest
 
 import decoy_hsps.bounds as bounds_module
-from decoy_hsps.bounds import KeyRatePoint
+from decoy_hsps.bounds import KeyRatePoint, SecurityBounds
 import decoy_hsps.config as config_module
 import decoy_hsps.optimizer as optimizer_module
 from decoy_hsps.cli import main
 from decoy_hsps.channel import ChannelParams, _click_probability, overall_transmittance
 from decoy_hsps.config import MAX_GRID_POINTS, _grid_count, resolve_config
 from decoy_hsps.numerics import FLOATS
+from decoy_hsps.observables import ObservedStatistics
 from decoy_hsps.sources import COHERENT, CoherentSource, TriggeredSource, _coincidence_sum, triggered_source
 from decoy_hsps.optimizer import (
     ARRAYS,
@@ -610,15 +611,91 @@ def test_report_leaves_an_undefined_benchmark_signal_to_the_chain(monkeypatch):
     # clicks, where the bounded row goes to the chain first; this coherent source's
     # QBER is NaN to the report alone above mu' = 0.48, between the bounded (~0.47)
     # and the ideal (~0.49) optima, so the report must leave those benchmark rows to
-    # the chain, whose ideal rate the reference search gives
-    class ReportBlind(CoherentSource):
-        def signal(self, xp, x, eta, ch):
-            p, ty, e = super().signal(xp, x, eta, ch)
-            return p, ty, (np.where(x > 0.48, math.nan, e) if xp is EXACT else e)
+    # the chain, whose ideal rate the reference search gives. At 142 km the bounded
+    # rate is 0 at mu_prime_min and the ideal optimum ~0.43: blind above 0.4, only the
+    # benchmark row is undefined, and a zero key rate cannot exceed its benchmark
+    for blind, cfg in ((0.48, _cfg(sources=("wcs",), dist_stop_km=40.0, dist_step_km=20.0)),
+                       (0.4, _cfg(sources=("wcs",), dist_start_km=142.0, dist_stop_km=142.0))):
+        class ReportBlind(CoherentSource):
+            def signal(self, xp, x, eta, ch, blind=blind):
+                p, ty, e = super().signal(xp, x, eta, ch)
+                return p, ty, (np.where(x > blind, math.nan, e) if xp is EXACT else e)
 
-    monkeypatch.setitem(config_module._SOURCES, "wcs", lambda cfg: ReportBlind())
-    cfg = _cfg(sources=("wcs",), dist_stop_km=40.0, dist_step_km=20.0)
-    _assert_reference(cfg, sweep_distances(cfg))
+        monkeypatch.setitem(config_module._SOURCES, "wcs", lambda cfg, source=ReportBlind(): source)
+        _assert_reference(cfg, sweep_distances(cfg))
+
+
+def _bent_source(mu, signal=None, weights=None):
+    """A coherent source whose terms are bent alike on every namespace.
+
+    signal maps (xp, x == mu, P_post, tY, E) to the bent triple; weights maps
+    (xp, x > mu, g, 1/g) to the bent (g, 1/g).
+    """
+    class Bent(CoherentSource):
+        def signal(self, xp, x, eta, ch):
+            out = super().signal(xp, x, eta, ch)
+            return out if signal is None else signal(xp, x == mu, *out)
+
+        def weights(self, xp, x):
+            g, inv_g, *rest = super().weights(xp, x)
+            return (g, inv_g, *rest) if weights is None else (*weights(xp, x > mu, g, inv_g), *rest)
+
+    return Bent()
+
+
+# Each breaks one test that a value class makes of a sweep row, and no other, and
+# expects its message. All but E' and tY_mu = 0 leave the row plain, so only the
+# report's screen sends it to the chain; the tY_mu' case keeps the elimination's
+# tY_mu' / g(mu') by bending 1/g(mu') too. tY_mu = 0 leaves the row's values in
+# range, but raw Y1 < 0 and a negative error mass make raw e1 -inf: the row is
+# not plain, and the chain refuses it.
+SCREEN_BREAKS = {
+    "y_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, ty / 2.0, p), ty, e)), "y_mu must be in"),
+    "y_mu_prime": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, p, ty / 2.0), ty, e)),
+                   "y_mu_prime must be in"),
+    "ty_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, 1e4 * p, p), xp.where(at_mu, 1e4 * ty, ty), e)),
+              "ty_mu must be in"),
+    "ty_mu_prime": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, p, 1e4 * p),
+                                                             xp.where(at_mu, ty, 1e4 * ty), e),
+                         weights=lambda xp, at_mu_prime, g, inv_g: (g, xp.where(at_mu_prime, inv_g / 1e4, inv_g))),
+                    "ty_mu_prime must be in"),
+    "e_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (p, ty, xp.where(at_mu, 1.5, e))), "e_mu must be in"),
+    "e_mu_prime nan": (dict(signal=lambda xp, at_mu, p, ty, e: (p, ty, xp.where(at_mu, e, math.nan))),
+                       "e_mu_prime must be in"),
+    "delta1": (dict(weights=lambda xp, at_mu_prime, g, inv_g: (-g, inv_g)), "delta1 must be in"),
+    "delta1 nan": (dict(weights=lambda xp, at_mu_prime, g, inv_g: (g * math.nan, inv_g)), "delta1 must be in"),
+    "key_rate": ({}, "key_rate .* exceeds ideal benchmark"),
+    "not plain": (dict(signal=lambda xp, at_mu, p, ty, e: (p, xp.where(at_mu, 0.0 * ty, ty), e)), "QBER undefined"),
+}
+
+
+@pytest.mark.parametrize("broken", SCREEN_BREAKS)
+def test_cli_refuses_what_the_value_classes_refuse(broken, monkeypatch, tmp_path, capsys):
+    # the CLI writes records without value objects, yet exits 1 with the message of the
+    # value class a row breaks, as sweep_distances raises it; at mu = 1e-12 the 0 km WCS
+    # rate tops its benchmark by more than 1e-12 with no source bent
+    bends, message = SCREEN_BREAKS[broken]
+    values = {"sources": "wcs,ideal", "dist_stop_km": "0", "mu": "1e-12" if broken == "key_rate" else "0.05"}
+    monkeypatch.setitem(config_module._SOURCES, "wcs", lambda cfg: _bent_source(cfg.mu, **bends))
+    with pytest.raises(ValueError, match="^" + message) as refused:
+        sweep_distances(resolve_config(values))
+    argv = ["sweep", "--out", str(tmp_path)] + [a for item in values.items() for a in ("--override", "%s=%s" % item)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+
+def test_figure2_builds_no_value_object(monkeypatch, tmp_path):
+    # the CLI writes the report's records; only a library caller gets value objects
+    built = Counter()
+    for cls in (KeyRatePoint, ObservedStatistics, SecurityBounds):
+        def init(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
+    assert main(["figure", "2", "--out", str(tmp_path)]) == 0
+    assert built == Counter()
+    assert len(sweep_distances(resolve_config({"mu": "0.05"}))) == 2 * 181
+    assert built == Counter({"KeyRatePoint": 2 * 181, "ObservedStatistics": 2 * 181, "SecurityBounds": 2 * 181})
 
 
 @pytest.mark.xfail(strict=True, reason="at mu = 1e-10 the Y1 numerator and e1's error mass cancel against "
