@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -37,6 +38,10 @@ from .config import (
 from .observables import IntensityCounts, statistics_from_counts
 from .optimizer import sweep_records
 from .sources import triggered_source
+
+# numpy loads after .optimizer: compiled from source before numpy's import, that
+# module's peak memory is reused by numpy's rather than added to it
+import numpy as np  # noqa: E402
 
 CSV_COLUMNS = (
     "distance_km",
@@ -82,30 +87,149 @@ def _csv_line(cells) -> str:
 
 
 # Every number is written as "%.17e", which round-trips a float64 and never
-# needs CSV quoting, so each row is one format operation. A cell that
-# repeats within a file (each grid distance, and a configuration's mu and
-# Y0) is formatted once: keyed on identity, as -0.0 == 0.0 but the two are
-# written differently.
-_REPEATED = ("distance_km", "mu", "Y0")
-_CELL = {"source_kind": "%s", "feasible_flag": "%d", **dict.fromkeys(_REPEATED, "%s")}
+# needs CSV quoting. emit_csv takes rows in blocks of at most _BLOCK_CELLS
+# numbers, formats each block's numbers at once on arrays (_e17), its other
+# cells by their _CELL format, and joins each row of ready-made cells, so a
+# file of any length is written in flat memory.
+_CELL = {"source_kind": "%s", "feasible_flag": "%d"}
+_BLOCK_CELLS = 1 << 11
+# 10**k as a double-double for k = 17 - E, E = floor(log10|v|) for
+# 1e-99 <= |v| < 1e99; _SPLIT is Veltkamp's 2**27 + 1. The kernel works in
+# float64 and takes E from log, loops the search has already loaded: log10
+# and int64 arithmetic would map ~0.38 MB more of numpy into a figure run.
+_POW10_MIN, _POW10_MAX = -82, 117
+_SPLIT = 134217729.0
+_LOG10_E = 1 / math.log(10)
+
+
+def _split(x):
+    """x as high + low, each of at most 26 significant bits, so that their products are exact."""
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _words(shape, *columns):
+    """4-byte words over shape, byte j of each being columns[j] broadcast to shape."""
+    words = np.empty((*shape, 4), np.uint8)
+    for j, column in enumerate(columns):
+        words[..., j] = column
+    return words.view(np.uint32).ravel()
+
+
+@functools.cache
+def _e17_tables():
+    """10**k as hi + lo, each correctly rounded from integers, with hi split; and the 4-byte
+    texts of 0000..9999, of a significand's first two digits "X.Y" and of each k's "e-XX"."""
+    hi = np.empty(_POW10_MAX - _POW10_MIN + 1)
+    lo = np.empty_like(hi)
+    for i, k in enumerate(range(_POW10_MIN, _POW10_MAX + 1)):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        hi[i] = num / den
+        hi_num, hi_den = hi[i].as_integer_ratio()
+        lo[i] = (num * hi_den - hi_num * den) / (den * hi_den)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = _words((10,) * 4, digit[:, None, None, None], digit[:, None, None], digit[:, None], digit)
+    leads = _words((10, 10), digit[:, None], ord("."), digit, 0)
+    minus, plus = (_words((10, 10), ord("e"), sign, digit[:, None], digit) for sign in b"-+")
+    # by 10**k's index: E from 99 down to -100, which is never certified
+    exponents = np.concatenate((plus[::-1], minus[1:], minus[:1]))
+    return (*_split(hi), lo), quads, leads, exponents
+
+
+def _word_column(cells, col):
+    """Bytes col..col + 3 of each row of a C-ordered uint8 array, as one writable uint32 each."""
+    return np.ndarray(len(cells), np.uint32, cells, col, cells.strides[:1])
+
+
+def _halves(x, unit):
+    """x // unit and x % unit of integer-valued floats, exact below 2**53 for a power of ten unit."""
+    q = np.floor(x / unit)
+    return q, x - q * unit
+
+
+def _significands(values):
+    """Each value's 18-digit significand D = high * 10**8 + low, the index of 10**(17 - E), and
+    where both are certified.
+
+    A value with 1e-99 <= |v| < 1e99 is a candidate. With E =
+    floor(log10|v|) and hi + lo = 10**(17 - E), y = |v| * 10**(17 - E) is
+    Dekker's exact product |v| * hi = y_hi + y_lo (y_hi an integer above
+    2**53) plus |v| * lo, within 1e-13 of the true y. So when floor(y) >=
+    10**17 (E is not one too high) and y's fraction is more than 1e-6 from
+    1/2, y rounded to an integer D is the correctly rounded significand,
+    and D < 10**18 says that E was not one too low and the rounding carried
+    into no new digit. Both tests and the split of D are exact in floats:
+    y_hi - 10**n is exact or far from 0, and the rest are integers below 2**53.
+    """
+    with np.errstate(all="ignore"):
+        a = np.abs(values)
+        ok = (a >= 1e-99) & (a < 1e99)
+        a = np.where(ok, a, 1.0)  # no 0, inf or nan reaches log or a cast
+        k = (17 - _POW10_MIN - np.floor(np.log(a) * _LOG10_E)).astype(np.intp)  # 10**(17 - E)'s index
+        hi_hi, hi_lo, lo = (table.take(k) for table in _e17_tables()[0])
+        a_hi, a_lo = _split(a)
+        y_hi = a * (hi_hi + hi_lo)
+        y_lo = ((a_hi * hi_hi - y_hi) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+        y_int = np.floor(y_lo)
+        ok &= ((y_hi - 1e17) + y_int >= 0) & (np.abs(y_lo - y_int - 0.5) > 1e-6)
+        y_lo = np.floor(y_lo + 0.5)
+        ok &= (y_hi - 1e18) + y_lo < 0
+        # y_hi / 1e8 may round up to the next integer; one carry then settles low + y_lo
+        high, low = _halves(np.where(ok, y_hi, 1e17), 1e8)
+        carry, low = _halves(low + y_lo, 1e8)
+    return high + carry, low, k, ok
+
+
+def _e17(values) -> list[bytes]:
+    """"%.17e" % v for each v of a float64 array, formatted on arrays.
+
+    A value whose significand and exponent _significands certifies is
+    written from them: "X.Y" + 16 digits + "e-XX", shifted right by a minus
+    sign. Every other value (0, a subnormal, |v| outside [1e-99, 1e99),
+    inf, nan, a fraction too near 1/2 or a misjudged exponent) is Python's
+    own "%.17e", so the texts equal it exactly.
+    """
+    _, quads, leads, exponents = _e17_tables()
+    high, low, k, ok = _significands(values)
+    lead, high = _halves(high, 1e8)
+    cells = np.zeros((len(k), 24), np.uint8)  # a NUL past a 23-character text
+    _word_column(cells, 0)[:] = leads.take(lead.astype(np.intp))
+    for col, quad in zip((3, 7, 11, 15), (*_halves(high, 1e4), *_halves(low, 1e4))):
+        _word_column(cells, col)[:] = quads.take(quad.astype(np.intp))
+    _word_column(cells, 19)[:] = exponents.take(k)
+    neg = np.flatnonzero(np.signbit(values))
+    if len(neg):
+        cells[neg, 1:] = cells[neg, :-1]
+        cells[neg, 0] = ord("-")
+    texts = cells.view("S24").ravel().tolist()
+    slow = np.flatnonzero(~ok)
+    for i, v in zip(slow.tolist(), values[slow].tolist()):
+        texts[i] = b"%.17e" % v
+    return texts
 
 
 def emit_csv(rows, path: str | Path, header=CSV_COLUMNS) -> None:
-    """Write rows as CSV under header, one fixed-format line of each row's first len(header) cells.
+    """Write rows as CSV under header, one line of each row's first len(header) cells.
 
     Under CSV_COLUMNS the rows are sweep records (optimizer.sweep_records),
     which the CLI writes without building a value object; a figure's wide
     CSV passes its own header and rows of floats.
     """
-    columns = list(zip(*rows))[:len(header)]
-    texts: dict[int, str] = {}  # every keyed cell stays alive in rows
-    for j, name in enumerate(header[:len(columns)]):
-        if name in _REPEATED:
-            columns[j] = [texts.get(id(x)) or texts.setdefault(id(x), "%.17e" % x) for x in columns[j]]
-    line = _csv_line([_CELL.get(name, "%.17e") for name in header])
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_line(header))
-        fh.writelines(map(line.__mod__, zip(*columns)))
+    numbers = [j for j, name in enumerate(header) if name not in _CELL]
+    rows, block_rows = iter(rows), max(1, _BLOCK_CELLS // max(len(numbers), 1))
+    with open(path, "wb") as fh:
+        fh.write(_csv_line(header).encode())
+        while block := list(islice(rows, block_rows)):
+            columns = list(zip(*block))[:len(header)]
+            texts = _e17(np.array([columns[j] for j in numbers], np.float64).ravel())
+            for j, name in enumerate(header):
+                if name in _CELL:
+                    columns[j] = [(_CELL[name] % cell).encode() for cell in columns[j]]
+            for i, j in enumerate(numbers):
+                columns[j] = texts[i * len(block):(i + 1) * len(block)]
+            fh.write(b"\n".join(map(b",".join, zip(*columns))))
+            fh.write(b"\n")
 
 
 def _log10_or_neg_inf(rate: float) -> float:

@@ -40,8 +40,9 @@ of rate calls.
 
 The search's rates are the scalar chain's own source-generic core run on
 numpy arrays through ARRAYS, kept here as the one module that evaluates
-arrays, and they only pick mu'. A sweep then reports every point from
-whole arrays (_report, in the search's chunks, from the same rows, so no
+the chain on arrays (the CLI's CSV writer formats numbers on arrays), and
+they only pick mu'. A sweep then reports every point from whole arrays
+(_report, in the search's chunks, from the same rows, so no
 ChannelParams is built per distance): the cut-off judge's row text
 bounds._row, with the benchmark's bounds._ideal_rate_at, run at the
 searched mu' on EXACT, so the plain-case test, the clamp test and the rate

@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import decoy_hsps.cli as cli_module
@@ -176,13 +178,65 @@ class TestCsvFormat:
 
     def test_wide_bytes_match_csv_writer(self, tmp_path):
         header = ["distance_km", "log10_rate_hsps_ideal", "log10_rate_hsps"]
-        # a distance cell is formatted once a file, by identity: -0.0 == 0.0, but it is written apart
+        # -0.0 == 0.0, but the two are written apart; -inf and nan take Python's own format
         rows = [[0.0, -2.5, -3.25], [170.0, float("-inf"), float("-inf")],
                 [1e-300, float("nan"), -0.0], [-0.0, -2.5, 0.0]]
         emit_csv(rows, tmp_path / "wide.csv", header)
         self._reference(tmp_path / "ref.csv", header,
                         [[format(v, ".17e") for v in row] for row in rows])
         assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @staticmethod
+    def _unlike_python_format(tmp_path, values):
+        """Each (value, line) that emit_csv writes of values under a one-column header and that is
+        not Python's "%.17e" of the value."""
+        emit_csv([(v,) for v in values], tmp_path / "numbers.csv", ["value"])
+        lines = (tmp_path / "numbers.csv").read_text().split("\n")
+        assert lines[0] == "value" and lines[-1] == "" and len(lines) == len(values) + 2
+        return [(v, line) for v, line in zip(values, lines[1:]) if line != "%.17e" % v]
+
+    def test_numbers_match_python_format(self, tmp_path):
+        # the writer formats numbers on arrays; each line must be Python's "%.17e" of its value,
+        # on random doubles and where the array path must decline or round with care
+        rng = np.random.default_rng(28)
+        tens = [10.0**k for k in range(-99, 100)] + [float("1e%d" % k) for k in range(-99, 100)]
+        # the doubles nearest 19-digit decimal midpoints (D + 1/2) * 10**(E - 17)
+        midpoints = [float("%d5e%d" % (d, e - 18)) for d, e in
+                     zip(rng.integers(10**17, 10**18, 5000).tolist(), rng.integers(-99, 99, 5000).tolist())]
+        # odd m / 8 in [1e15, 1.125e15] is exact, and its 18 digits end on a tie
+        ties = (rng.integers(4 * 10**15, 4.5 * 10**15, 5000) * 2 + 1) / 8
+        edges = [5e-324, 2.2250738585072014e-308, 1e-99, 1e99, 0.0, math.inf, math.nan]
+        near = np.array(tens + midpoints + edges)
+        near = np.concatenate([near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), ties])
+        values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64).tolist()
+        values += near.tolist() + (-near).tolist() + [math.log10(r) for r in rng.uniform(1e-30, 1, 1000)]
+        assert self._unlike_python_format(tmp_path, values) == []
+
+    @pytest.mark.parametrize("nudge", [-1e-9, 1e-9], ids=["log low", "log high"])
+    def test_numbers_match_python_format_past_a_misjudged_exponent(self, tmp_path, monkeypatch, nudge):
+        # the writer takes a number's exponent from numpy's log, which need not be correctly
+        # rounded; where the exponent lands on the wrong side of an integer, near each power of
+        # ten, the writer must still give Python's "%.17e" of every number
+        log = np.log
+        monkeypatch.setattr(np, "log", lambda x: log(x) + nudge)
+        tens = np.array([10.0**k for k in range(-99, 100)] + [float("1e%d" % k) for k in range(-99, 100)])
+        values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                                 tens * (1 - 1e-10), tens * (1 + 1e-10)])
+        assert self._unlike_python_format(tmp_path, np.concatenate([values, -values]).tolist()) == []
+
+    def test_writer_streams(self, tmp_path):
+        # 10,000 sweep records are written a block of rows at a time: 0.48 MB at peak, where a
+        # writer that transposes the whole file holds 2.1 MB and one that formats it all at once 3.8 MB
+        records = point_records(sweep_distances(SweepConfig()))
+        records = (records * (10_000 // len(records) + 1))[:10_000]
+        tracemalloc.start()
+        try:
+            emit_csv(records, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert (tmp_path / "big.csv").read_text().count("\n") == 1 + len(records)
 
 
 class TestFigureCommand:
