@@ -43,7 +43,10 @@ All of it is written once for both sources: a source object (.sources)
 supplies only its weights (g, 1/g, k0, k1, u), and one text, run through
 a numeric namespace xp, derives, clamps and rates the bounds for Python
 floats (the scalar chain: .numerics.FLOATS) and numpy arrays (the mu'
-search passes ARRAYS, a sweep's report EXACT; no numpy import here).
+search passes ARRAYS, a sweep's report EXACT on plain arrays; no numpy
+import here). The elimination squares v with xp.square: Python's ** on
+FLOATS, which raises on overflow, numpy's on ARRAYS, and Python's,
+saturating at inf, on EXACT.
 A raw Y1 that is not positive certifies nothing: compute_bounds returns
 zero bounds before dividing by it, and on arrays Y1 clamps to 0 there, so
 no rate is positive.
@@ -154,11 +157,15 @@ class KeyRatePoint:
 # ---------------------------------------------------------------------------
 # single-photon bounds
 
-def _raw_y1(w_mu, w_mu_prime, y0, ty_mu, ty_mu_prime):
-    """Unclamped Y1 bound from the decoy and signal constraints, at the source's weights there."""
+def _raw_y1(xp, w_mu, w_mu_prime, y0, ty_mu, ty_mu_prime):
+    """Unclamped Y1 bound from the decoy and signal constraints, at the source's weights there.
+
+    u, taken at mu on floats, is a float or a joined search's column; v is
+    of namespace xp, which squares it.
+    """
     _, inv_g, k0, k1, u = w_mu
     _, inv_g_prime, _, _, v = w_mu_prime
-    u2, v2 = u**2, v**2
+    u2, v2 = u**2, xp.square(v)
     num = v2 * (ty_mu * inv_g) - u2 * (ty_mu_prime * inv_g_prime) - k0 * y0 * (v2 - u2)
     return num / (k1 * u * v * (v - u))
 
@@ -214,7 +221,7 @@ def compute_bounds(
     # intensities, and k1 u v (v - u) underflows to 0 at vanishing ones. No
     # bound is defined there
     try:
-        raw_y1 = (_raw_y1(w_mu, w_mu_prime, obs.y0, obs.ty_mu, obs.ty_mu_prime)
+        raw_y1 = (_raw_y1(FLOATS, w_mu, w_mu_prime, obs.y0, obs.ty_mu, obs.ty_mu_prime)
                   if w_mu[4] < w_mu_prime[4] else math.nan)
     except ArithmeticError:
         raw_y1 = math.nan
@@ -300,7 +307,7 @@ def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, h_e, f):
     whose raw Y1 is not positive rates 0, as compute_bounds' zero bounds
     do, so the caller decides what numpy does on it.
     """
-    raw_y1 = _raw_y1(w_mu, w_mu_prime, y0, ty_mu, ty)
+    raw_y1 = _raw_y1(xp, w_mu, w_mu_prime, y0, ty_mu, ty)
     _, delta1, e1, _, _ = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty, judge=False)
     return _rate(xp, ty, h_e, f, delta1, xp.entropy(e1))[0]
 
@@ -332,7 +339,7 @@ def _row(xp, src, mu: float, mu_prime, eta, ch: ChannelParams, decoy, f: float):
     p_mu, ty_mu, e_mu = decoy
     p, ty, e, defined, h_e = _signal_at(xp, src, mu_prime, eta, ch)
     w_mu, w = src.weights(FLOATS, mu), src.weights(xp, mu_prime)
-    raw_y1 = _raw_y1(w_mu, w, ch.d_b, ty_mu, ty)
+    raw_y1 = _raw_y1(xp, w_mu, w, ch.d_b, ty_mu, ty)
     y1, delta1, e1, raw_e1, feasible = _single_photon_bounds(
         xp, raw_y1, _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0), w_mu, w, ty)
     plain = (defined & (0.0 < mu) & (mu < mu_prime) & (w_mu[4] < w[4]) & (p_mu > 0.0) & (p > 0.0)

@@ -1,12 +1,12 @@
-"""The float namespace FLOATS: with its array twin, one text of the
+"""The float namespace FLOATS: with its array twins, one text of the
 forecast, bounds and rate serves Python floats and numpy arrays.
 
 Source terms and the bound and rate cores call only a namespace xp's
-functions besides + - * / and comparisons. FLOATS runs them with math on
-Python floats (the scalar chain) and imports no numpy. Its array twins
-live next to the mu' search in .optimizer: ARRAYS, with numpy's own
-functions, for the search, and EXACT, which gives FLOATS' bits on arrays,
-for the report of every swept point.
+functions besides + - * / and comparisons. FLOATS runs them with math and
+Python's ** on Python floats (the scalar chain) and imports no numpy. Its
+array twins live next to the mu' search in .optimizer: ARRAYS, with
+numpy's own functions, for the search, and EXACT, which gives FLOATS' bits
+on plain arrays, for the report of every swept point.
 """
 from __future__ import annotations
 
@@ -33,8 +33,9 @@ def _exp(x: float) -> float:
 
 # minimum(a, b) is min(a, b), NaN and -0.0 included, at under half the cost
 # of the builtin's two-argument call; clip keeps x unless it lies past a bound.
+# square is Python's x ** 2, which raises OverflowError past the float range.
 FLOATS = SimpleNamespace(
-    exp=_exp, expm1=math.expm1, minimum=lambda a, b: b if b < a else a,
+    exp=_exp, expm1=math.expm1, square=lambda x: x**2, minimum=lambda a, b: b if b < a else a,
     clip=lambda x, lo, hi: hi if x > hi else (lo if x < lo else x),
     where=lambda c, a, b: a if c else b, ratio=lambda a, b: a / b if b else math.nan,
     entropy=binary_entropy,

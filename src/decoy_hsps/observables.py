@@ -155,18 +155,19 @@ def forecast_wcs_observables(mu: float, mu_prime: float, ch: ChannelParams) -> O
     return forecast(COHERENT, mu, mu_prime, ch)
 
 
-def _rates_from_counts(c: IntensityCounts, label: str) -> tuple[float, float, float | None]:
+def _rates_from_counts(c: IntensityCounts, label: str, errors: float | None) -> tuple[float, float, float | None]:
+    """c's yield, rescaled yield and QBER, the QBER from errors unless None."""
     if c.pulses == 0:
         raise ValueError(f"no pulses recorded for the {label} intensity")
     if c.triggered == 0:
         raise ValueError(f"no triggered pulses for the {label} intensity")
     y = c.clicks / c.triggered
     ty = (c.triggered / c.pulses) * y
-    if c.errors is None:
+    if errors is None:
         return y, ty, None
     if c.clicks == 0:
         raise ValueError(f"error rate undefined: no clicks for the {label} intensity")
-    return y, ty, c.errors / c.clicks
+    return y, ty, errors / c.clicks
 
 
 def statistics_from_counts(
@@ -178,9 +179,10 @@ def statistics_from_counts(
 
     Yields are clicks per triggered pulse; rescaled yields fold in the
     observed trigger fraction. QBERs are filled in only where error counts
-    were recorded. Only these rates are kept, not the tallies.
+    were recorded. Only these rates are kept, not the tallies; no bound
+    reads the vacuum's QBER, so it is not taken.
     """
-    y0, _, _ = _rates_from_counts(vacuum, "vacuum")
-    y_mu, ty_mu, e_mu = _rates_from_counts(decoy, "decoy")
-    y_mu_prime, ty_mu_prime, e_mu_prime = _rates_from_counts(signal, "signal")
+    y0, _, _ = _rates_from_counts(vacuum, "vacuum", None)
+    y_mu, ty_mu, e_mu = _rates_from_counts(decoy, "decoy", decoy.errors)
+    y_mu_prime, ty_mu_prime, e_mu_prime = _rates_from_counts(signal, "signal", signal.errors)
     return ObservedStatistics(y0, y_mu, y_mu_prime, ty_mu, ty_mu_prime, e_mu, e_mu_prime)

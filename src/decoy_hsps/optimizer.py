@@ -1,70 +1,31 @@
 """Per-distance signal-intensity optimization and distance sweeps.
 
 The key rate at a fixed distance is a smooth, empirically unimodal
-function of the signal intensity mu', so the optimizer scans a coarse
-grid and then refines the best cell with a golden-section search.
-key_rate_point is the search at one distance: a sweep of that distance
-alone, reporting mu', the rate and the ideal benchmark. Where no mu'
+function of the signal intensity mu'. A search coarse-scans a grid of
+mu' and refines the best cell by a golden section, for many rows at once:
+one row per (source kind, bounded or ideal) job and distance of each part
+(_Part, one configuration's terms at a list of distances). Where no mu'
 gives a positive rate, mu' is mu_prime_min and the rate 0.
 
-Every search takes one path: a list of parts, each one configuration's
-rows (_Rows) with its terms computed once on Python floats: per distance
-the overall transmittance and the benchmark's exact single-photon terms,
-per source kind the decoy signal triple, e1 mass and the source's weights
-at mu, and the configuration's mu_prime_min. Each (source kind, bounded
-or ideal) job adds one row per entry to a 2-D array of rows by mu'
-columns. _scan coarse-scans each part over its own
-candidates at its float mu; _search joins the parts (_join makes columns
-of what differs between them) and refines every row in one golden-section
-pass. Both go in chunks that hold every job of an entry, and a chunk's
-rows take the same steps in lockstep, boolean masks standing in for the
-scalar branches; a golden-section rate call resolves two steps. A
-source's bounded and ideal rows share one rate callable, which evaluates
-the source's signal, its weights at mu' and the entropy H2(E') of its
-QBER once per call. The coarse scan's tie rule is applied to a whole
-block of columns at once (_record_scan); only a row whose block top beats
-its carried best takes the near-tie test, and only a row with a rate
-within RATE_TIE_TOL of that top walks the columns one by one. A row's search
-never reads another row, so neither parts nor chunks move any row's mu'.
+Three numeric namespaces run the one text of the forecast, bounds and
+rate. FLOATS (.numerics) runs the scalar chain on Python floats. ARRAYS
+runs the search on numpy's own functions, whose exp, log and squares
+round apart from math's and Python's in the last place, so the search's
+rates only pick mu'. EXACT gives FLOATS' bits on arrays (numpy's + - * /
+and comparisons, which round as Python's floats do, and math's functions
+and Python's square element by element), so a sweep reports its points
+from whole arrays at the searched mu'.
 
-A sweep is one part per configuration; figure 1's three decoy
-intensities share their transmittances and exact terms. A cut-off
-(max_secure_distance) first rates every grid row at mu_prime_min in one
-array call a block (_seed) and coarse-scans only from the last positive
-row to the grid end, from the end up to the first chunk with a positive
-coarse rate; it searches one part per chunk from its last positive row
-on, plus the bisection midpoints after that row, and judges each row's
-sign with bounds._positive_at. Rows and midpoints these guesses missed
-are parts of their own, so the guesses move no result, only the number
-of rate calls.
+A rate call evaluates at most _BLOCK_CELLS = 2^13 (row, mu') cells, so
+peak memory grows with neither grid.
 
-The search's rates are the scalar chain's own source-generic core run on
-numpy arrays through ARRAYS, kept here as the one module that evaluates
-the chain on arrays (the CLI's CSV writer formats numbers on arrays), and
-they only pick mu'. A sweep then reports every point from whole arrays
-(_report, in the search's chunks, from the same rows, so no
-ChannelParams is built per distance): the cut-off judge's row text
-bounds._row, with the benchmark's bounds._ideal_rate_at, run at the
-searched mu' on EXACT, so the plain-case test, the clamp test and the rate
-clamp are the chain's own. EXACT's + - * / and comparisons are numpy's,
-which round as Python's floats do; its exp, expm1 and entropy are math's,
-element by element, and its ** is Python's pow. So every value of a plain
-row has the bits of the scalar chain's row core (bounds._point_at and
-bounds._ideal_rate_at). numpy's own exp/log/pow would move CSV values in
-the last digits. evaluate stays on floats: a one-row array call costs
-about ten times a scalar evaluation.
-
-A sweep's points are records: one tuple per point, its sweep.csv values in
-column order and then what else the value classes hold, zipped from the
-report's columns (sweep_records). The CLI writes them as they are. Before
-a chunk's records are kept, a screen on its arrays makes every test that
-ObservedStatistics, SecurityBounds and KeyRatePoint make; a row that fails
-it, or is not plain, goes through the chain's row core and the value
-classes, in row order, so that its values and errors stay the chain's.
-KeyRatePoints are built from the records only for library callers
-(sweep_distances, key_rate_point). Every evaluation is a pure function of
-the inputs; identical configurations produce identical results bit for
-bit.
+The contract is bit identity. A row's search never reads another row, so
+neither joining parts nor cutting them into chunks moves any mu', and a
+cut-off's guesses move only the number of rate calls. Every reported value
+has the bits of the scalar chain (bounds._point_at and _ideal_rate_at): a
+row that is not plain, or fails the screen of the value classes' tests,
+goes through the chain itself, so its values and errors are the chain's.
+Identical configurations give identical results bit for bit.
 """
 from __future__ import annotations
 
@@ -135,7 +96,7 @@ def _array_entropy(p):
 # numerics.FLOATS' twin on broadcasting arrays, for the search alone; the
 # caller sets what numpy does on a zero division. The search takes the
 # weights at mu on FLOATS, so every mu' here is an array.
-ARRAYS = SimpleNamespace(exp=np.exp, expm1=np.expm1, minimum=np.minimum, clip=np.clip,
+ARRAYS = SimpleNamespace(exp=np.exp, expm1=np.expm1, square=np.square, minimum=np.minimum, clip=np.clip,
                          where=np.where, ratio=np.divide, entropy=_array_entropy)
 
 
@@ -147,35 +108,27 @@ def _each(fn):
     return each
 
 
-def _pow(x: float, y: float) -> float:
-    """Python's x ** y, saturating at inf on overflow as numpy's power does."""
+def _square(x: float) -> float:
+    """Python's x ** 2, saturating at inf on overflow as numpy's square does.
+
+    numpy's square is x*x, which rounds differently from pow on about 0.1 %
+    of inputs.
+    """
     try:
-        return x**y
+        return x**2
     except OverflowError:
         return math.inf
 
 
-class _PowArray(np.ndarray):
-    """A float64 array whose ** is Python's pow, element by element.
-
-    numpy's x**2 is x*x, which rounds differently from pow on about 0.1 % of
-    inputs; the texts' own u**2 and v**2 then give the scalar chain's bits.
-    """
-
-    def __pow__(self, y):
-        return _each(lambda x: _pow(x, y))(self)
-
-
-# numerics.FLOATS' twin on arrays, bit for bit: numpy's + - * / and
+# numerics.FLOATS' twin on plain arrays, bit for bit: numpy's + - * / and
 # comparisons round as Python's floats do, the selections keep FLOATS'
 # semantics (b < a picks b, NaN and -0.0 included; a zero divisor gives NaN),
-# and math's functions go element by element. Its entropy is NaN outside
-# [0, 1], where binary_entropy raises, so a row that is not plain leaves the
-# array to the chain instead of stopping it. The report runs the texts on it
-# from arrays made by array, and sets what numpy does on a zero division.
+# and math's functions and Python's square go element by element. Its
+# entropy is NaN outside [0, 1], where binary_entropy raises, so a row that
+# is not plain leaves the array to the chain instead of stopping it. The
+# report sets what numpy does on a zero division.
 EXACT = SimpleNamespace(
-    array=lambda a: np.asarray(a, dtype=float).view(_PowArray),
-    exp=_each(_exp), expm1=_each(math.expm1),
+    exp=_each(_exp), expm1=_each(math.expm1), square=_each(_square),
     minimum=lambda a, b: np.where(b < a, b, a),
     clip=lambda x, lo, hi: np.where(x > hi, hi, np.where(x < lo, lo, x)),
     where=np.where, ratio=lambda a, b: np.where(b != 0.0, a / b, math.nan),
@@ -365,28 +318,33 @@ def _column(values) -> np.ndarray:
     return np.fromiter(values, float, len(values)).reshape(-1, 1)
 
 
-class _Rows(NamedTuple):
-    """Per-distance terms that a search and its report both read, each computed once.
+class _Part(NamedTuple):
+    """One configuration's rows at distances: terms a search and its report read, each computed once.
 
-    Floats: eta, exact's (Y1, H(e1)) and, per source kind, decoy's signal
-    triple at mu. cols: the search's (rows, 1) columns of eta, exact and,
-    per source kind, decoy yield and e1 mass. weights (the source's at mu,
-    per source kind) and mu_prime_min: floats, or once _join has joined
-    parts that differ in them, (rows, 1) columns and a 1-D array of rows.
+    Floats: distances, eta, exact's (Y1, H(e1)) and, per source kind,
+    decoy's signal triple at mu. cols: the search's (rows, 1) columns of
+    eta, exact and, per source kind, decoy yield and e1 mass. weights (the
+    source's at mu, per source kind) and mu_prime_min: floats, or once
+    _join has joined parts that differ in them, (rows, 1) columns and a 1-D
+    array of rows.
+    best_x and best_f: the coarse scan's best mu' and rate, (jobs, rows).
     """
 
+    distances: list[float]
     eta: list[float]
     exact: list[tuple[float, float]]
     decoy: dict[str, list[tuple[float, float, float]]]
     cols: dict[str, tuple[np.ndarray, ...]]
     weights: dict[str, tuple]
     mu_prime_min: float | np.ndarray
+    best_x: np.ndarray
+    best_f: np.ndarray
 
 
-def _rows(cfg: SweepConfig, distances, jobs, shared: _Rows | None = None) -> _Rows:
-    """The _Rows at distances for (source kind, ideal) jobs; no ChannelParams is built.
+def _part(cfg: SweepConfig, distances, jobs, shared: _Part | None = None) -> _Part:
+    """cfg's coarse-scanned _Part at distances for (source kind, ideal) jobs; no ChannelParams is built.
 
-    shared, rows of another mu at the same distances, lends eta and exact.
+    shared, a part of another mu at the same distances, lends eta and exact.
     """
     ch = cfg.channel
     if shared is None:
@@ -396,32 +354,45 @@ def _rows(cfg: SweepConfig, distances, jobs, shared: _Rows | None = None) -> _Ro
     else:
         eta, exact = shared.eta, shared.exact
         cols = {k: shared.cols[k] for k in ("eta", "exact")}
-    rows = _Rows(eta, exact, {}, cols, {}, cfg.mu_prime_min)
+    best = np.empty((2, len(jobs), len(distances)))
+    part = _Part(distances, eta, exact, {}, cols, {}, cfg.mu_prime_min, *best)
     for kind in dict.fromkeys(kind for kind, ideal in jobs if not ideal):
         src = _source(cfg, kind)
-        w = rows.weights[kind] = src.weights(FLOATS, cfg.mu)
-        decoy = rows.decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in eta]
+        w = part.weights[kind] = src.weights(FLOATS, cfg.mu)
+        decoy = part.decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in eta]
         e1_mass = [_e1_mass(w, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy]
-        rows.cols[kind] = (_column([ty for _, ty, _ in decoy]), _column(e1_mass))
-    return rows
+        cols[kind] = (_column([ty for _, ty, _ in decoy]), _column(e1_mass))
+    for c in _chunks(len(distances), jobs):
+        scan = _coarse_scan(_jobs_rate(cfg, part, jobs, c), len(jobs) * (c.stop - c.start), cfg)
+        best[:, :, c] = np.reshape(scan, (2, len(jobs), -1))
+    return part
 
 
-def _join(parts: list[_Rows]) -> _Rows:
-    """What a search reads of parts' rows, part after part, as one _Rows.
+def _slice(part: _Part, rows: slice) -> _Part:
+    """part's rows at rows; part is unjoined, so its weights and mu_prime_min are floats."""
+    return part._replace(distances=part.distances[rows], eta=part.eta[rows], exact=part.exact[rows],
+                         decoy={k: v[rows] for k, v in part.decoy.items()},
+                         cols={k: tuple(c[rows] for c in v) for k, v in part.cols.items()},
+                         best_x=part.best_x[:, rows], best_f=part.best_f[:, rows])
 
-    A value the parts share stays a float. A report reads eta, exact and
-    decoy part by part, so the joined rows leave them empty.
+
+def _join(parts: list[_Part]) -> _Part:
+    """What a search reads of parts, part after part, as one _Part.
+
+    A value the parts share stays a float. A report reads distances, eta,
+    exact and decoy part by part, so the joined part leaves them empty.
     """
     if len(parts) == 1:
         return parts[0]
-    sizes = [len(p.eta) for p in parts]
+    sizes = [len(p.distances) for p in parts]
     weights = {k: tuple(t[0] if len(set(t)) == 1 else np.repeat(t, sizes)[:, None]
                         for t in zip(*(p.weights[k] for p in parts))) for k in parts[0].weights}
     mu_prime_min = parts[0].mu_prime_min
     if any(p.mu_prime_min != mu_prime_min for p in parts):
         mu_prime_min = np.repeat([p.mu_prime_min for p in parts], sizes)
     cols = {k: tuple(np.concatenate(c) for c in zip(*(p.cols[k] for p in parts))) for k in parts[0].cols}
-    return _Rows([], [], {}, cols, weights, mu_prime_min)
+    best_x, best_f = (np.concatenate(b, axis=1) for b in zip(*((p.best_x, p.best_f) for p in parts)))
+    return _Part([], [], [], {}, cols, weights, mu_prime_min, best_x, best_f)
 
 
 def _take(value, entries: slice):
@@ -429,46 +400,41 @@ def _take(value, entries: slice):
     return value[entries] if isinstance(value, np.ndarray) else value
 
 
-def _rate_array(cfg: SweepConfig, rows: _Rows, kind: str, ideals, entries: slice, span: slice):
-    """One rate callable over a source kind's rows of entries, one block per flag of ideals.
+def _jobs_rate(cfg: SweepConfig, part: _Part, jobs, entries: slice):
+    """One rate callable of part's rows at entries for every job, job after job.
 
-    In the refinement its rows are span of the search's rows. A call
-    evaluates the source's signal, its QBER's entropy and the weights at
-    mu' once for them all (once per entry in the coarse scan, where every
-    row sees the same mu'), and each job slices its rows. The search sees
-    the scalar rates up to the last place of numpy's exp/log/pow.
+    In the coarse scan every row sees the same (1, k) mu'; in the
+    refinement the rows are the jobs' rows of entries, job after job. A
+    call evaluates each source kind's signal, its QBER's entropy and its
+    weights at mu' once for the kind's adjacent jobs, and each job slices
+    its rows. The search sees the scalar rates up to the last place of
+    numpy's exp, log and square.
     """
-    ch, f, src = cfg.channel, cfg.f_ec, _source(cfg, kind)
-    eta, n = rows.cols["eta"][0][entries], entries.stop - entries.start
-    every_eta = np.concatenate([eta] * len(ideals))
-    terms = [[c[entries] for c in rows.cols["exact" if ideal else kind]] for ideal in ideals]
-    w_mu = [_take(t, entries) for t in rows.weights.get(kind, ())]
+    ch, f, n = cfg.channel, cfg.f_ec, entries.stop - entries.start
+    eta = part.cols["eta"][0][entries]
+    runs = []  # per kind: its source, every job's eta, (ideal, terms) per job and weights at mu
+    for kind, run in groupby(jobs, lambda job: job[0]):
+        terms = [(ideal, [c[entries] for c in part.cols["exact" if ideal else kind]]) for _, ideal in run]
+        runs.append((_source(cfg, kind), np.concatenate([eta] * len(terms)), terms,
+                     [_take(t, entries) for t in part.weights.get(kind, ())]))
 
     def rate(mu_prime):
-        each = mu_prime.shape[0] > 1
-        mu_prime = mu_prime[span] if each else mu_prime
+        each, out = mu_prime.shape[0] > 1, []
         with np.errstate(all="ignore"):
-            _, ty, e = src.signal(ARRAYS, mu_prime, every_eta if each else eta, ch)
-            signal = (ty, ARRAYS.entropy(e), *src.weights(ARRAYS, mu_prime))
-            out = []
-            for i, (ideal, (t1, t2)) in enumerate(zip(ideals, terms)):
-                # refined jobs read their own rows; coarse ones all read every row
-                ty_r, h_e, *w_r = ([_take(t, slice(i * n, (i + 1) * n)) for t in signal]
-                                   if each and len(ideals) > 1 else signal)
-                out.append(_benchmark_rate(ARRAYS, w_r, ty_r, h_e, f, t1, t2) if ideal
-                           else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty_r, h_e, f))
+            for src, every_eta, terms, w_mu in runs:
+                # refined, each job has n rows, after those of the jobs already in out
+                x = mu_prime[len(out) * n:(len(out) + len(terms)) * n] if each else mu_prime
+                _, ty, e = src.signal(ARRAYS, x, every_eta if each else eta, ch)
+                signal = (ty, ARRAYS.entropy(e), *src.weights(ARRAYS, x))
+                for i, (ideal, (t1, t2)) in enumerate(terms):
+                    # refined jobs read their own rows; coarse ones all read every row
+                    ty_r, h_e, *w_r = ([_take(t, slice(i * n, (i + 1) * n)) for t in signal]
+                                       if each and len(terms) > 1 else signal)
+                    out.append(_benchmark_rate(ARRAYS, w_r, ty_r, h_e, f, t1, t2) if ideal
+                               else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty_r, h_e, f))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return rate
-
-
-def _jobs_rate(cfg: SweepConfig, rows: _Rows, jobs, entries: slice):
-    """Rate callable of rows' entries for every job, job after job; a kind's adjacent jobs share one."""
-    runs = [(kind, [ideal for _, ideal in run]) for kind, run in groupby(jobs, lambda job: job[0])]
-    ends = list(accumulate((entries.stop - entries.start) * len(ideals) for _, ideals in runs))
-    fns = [_rate_array(cfg, rows, kind, ideals, entries, slice(a, b))
-           for (kind, ideals), a, b in zip(runs, [0] + ends, ends)]
-    return fns[0] if len(fns) == 1 else lambda mu_prime: np.concatenate([fn(mu_prime) for fn in fns])
 
 
 def _chunks(n: int, jobs) -> list[slice]:
@@ -477,74 +443,63 @@ def _chunks(n: int, jobs) -> list[slice]:
     return [slice(lo, min(n, lo + size)) for lo in range(0, n, size)]
 
 
-def _scan(cfg: SweepConfig, rows: _Rows, jobs):
-    """One part of a search: rows and their (jobs, entries) arrays of best coarse mu' and rate."""
-    best = np.empty((2, len(jobs), len(rows.eta)))
-    for c in _chunks(len(rows.eta), jobs):
-        scan = _coarse_scan(_jobs_rate(cfg, rows, jobs, c), len(jobs) * (c.stop - c.start), cfg)
-        best[:, :, c] = np.reshape(scan, (2, len(jobs), -1))
-    return rows, best[0], best[1]
-
-
-def _search(cfg: SweepConfig, parts, jobs) -> list[np.ndarray]:
+def _search(cfg: SweepConfig, parts: list[_Part], jobs) -> list[np.ndarray]:
     """The searched mu' per (job, entry) of every part, one (jobs, entries) array per part.
 
-    parts are _scan's (rows, best mu', best rate). _join joins their rows,
-    and one golden-section pass in _chunks refines them all; a row's search
-    never reads another row, so each picks the mu' it would pick alone.
+    _join joins the parts, and one golden-section pass in _chunks refines
+    them all; a row's search never reads another row, so each picks the mu'
+    it would pick alone.
     """
-    rows = _join([r for r, _, _ in parts])
-    best_x = np.concatenate([x for _, x, _ in parts], axis=1)
-    best_f = np.concatenate([f for _, _, f in parts], axis=1)
+    joined = _join(parts)
+    best_x = joined.best_x.copy()
     for c in _chunks(best_x.shape[1], jobs):
-        rate = _jobs_rate(cfg, rows, jobs, c)
-        best_x[:, c] = _refine(rate, best_x[:, c], best_f[:, c], cfg, _take(rows.mu_prime_min, c))[0]
-    sizes = [len(r.eta) for r, _, _ in parts]
-    return [best_x[:, end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+        rate = _jobs_rate(cfg, joined, jobs, c)
+        best_x[:, c] = _refine(rate, best_x[:, c], joined.best_f[:, c], cfg, _take(joined.mu_prime_min, c))[0]
+    return np.split(best_x, list(accumulate(len(p.distances) for p in parts[:-1])), axis=1)
 
 
-def _report(cfg: SweepConfig, rows: _Rows, kind: str, distances, entries: slice, mu_prime, ideal_mu_prime):
-    """kind's records at distances (rows' entries, searched mu') and which of them stand, on whole arrays.
+def _report(cfg: SweepConfig, part: _Part, kind: str, entries: slice, mu_prime, ideal_mu_prime):
+    """kind's records at part's entries (searched mu') and which of them stand, on whole arrays.
 
     bounds._row and _ideal_rate_at run on EXACT; ideal_mu_prime is None
     without benchmarks. A record stands where it has the scalar chain's
     bits (_row's row is plain and, with benchmarks, _ideal_rate_at's signal
-    is defined) and passes the screen: every test that ObservedStatistics,
-    SecurityBounds and KeyRatePoint make of its values. So no value object
-    is built for it. The caller runs the chain and the value classes on any
-    other row, which may refuse it.
+    is defined) and passes the screen, so no value object is built for it.
+    The caller runs the chain and the value classes on any other row, which
+    may refuse it.
     """
     ch, f, mu, src = cfg.channel, cfg.f_ec, cfg.mu, _source(cfg, kind)
-    eta = np.array(rows.eta[entries])
-    decoy = p_mu, ty_mu, e_mu = np.array(rows.decoy[kind][entries]).T
+    eta = np.array(part.eta[entries])
+    decoy = p_mu, ty_mu, e_mu = np.array(part.decoy[kind][entries]).T
     with np.errstate(all="ignore"):
-        p, ty, e, plain, y1, delta1, e1, clamp_ok, rate, feasible = _row(
-            EXACT, src, mu, EXACT.array(mu_prime), eta, ch, decoy, f)
+        p, ty, e, plain, y1, delta1, e1, clamp_ok, rate, feasible = _row(EXACT, src, mu, mu_prime, eta, ch, decoy, f)
         ideal = math.nan  # one object, so equal points compare equal
         if ideal_mu_prime is not None:
-            exact = tuple(c[entries, 0] for c in rows.cols["exact"])
-            ideal, defined = _ideal_rate_at(EXACT, src, EXACT.array(ideal_mu_prime), eta, ch, exact, f)
+            exact = tuple(c[entries, 0] for c in part.cols["exact"])
+            ideal, defined = _ideal_rate_at(EXACT, src, ideal_mu_prime, eta, ch, exact, f)
             plain = plain & defined
         y_mu, y = ty_mu / p_mu, ty / p
-        # the screen; Y0 (d_b) and the kind are the same on every row
-        stands = plain & (0.0 <= e1) & (e1 <= 0.5) & (rate >= 0.0) & ~(rate > ideal + 1e-12)
-        for c in (y_mu, y, ty_mu, ty, e_mu, e, y1, delta1):
+        # the screen: each test of ObservedStatistics, SecurityBounds and KeyRatePoint
+        # that a plain row can fail. Plain implies E' in [0, 1]; the clamps put Y1 in
+        # [0, 1], e1 in [0, 1/2] and the rate at >= 0, NaN at 0; ChannelParams refuses a
+        # Y0 = d_b outside [0, 1), and _source a kind outside _SOURCES
+        stands = plain & ~(rate > ideal + 1e-12)
+        for c in (y_mu, y, ty_mu, ty, e_mu, delta1):
             stands &= (0.0 <= c) & (c <= 1.0)
-    stands &= 0.0 <= ch.d_b <= 1.0 and kind in ("hsps", "wcs")
     ideal = repeat(ideal) if ideal_mu_prime is None else ideal.tolist()
     values = [c.tolist() for c in (y_mu, y, e_mu, e, y1, delta1, e1, rate)]
     tail = [c.tolist() for c in (feasible, ty_mu, ty, clamp_ok)]
-    return list(zip(distances, repeat(kind), repeat(mu), mu_prime.tolist(), repeat(ch.d_b), *values, ideal,
-                    *tail)), stands.tolist()
+    return list(zip(part.distances[entries], repeat(kind), repeat(mu), mu_prime.tolist(), repeat(ch.d_b),
+                    *values, ideal, *tail)), stands.tolist()
 
 
-def _chain_record(cfg: SweepConfig, rows: _Rows, record: tuple, i: int, searched) -> tuple:
-    """record, row i of rows, through the scalar chain's row core and the value classes, which may refuse it."""
+def _chain_record(cfg: SweepConfig, part: _Part, record: tuple, i: int, searched) -> tuple:
+    """record, row i of part, through the scalar chain's row core and the value classes, which may refuse it."""
     distance, kind, mu, mu_prime, ideal = *record[:4], record[13]
-    src, ch, f, eta = _source(cfg, kind), cfg.channel, cfg.f_ec, rows.eta[i]
-    obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, rows.decoy[kind][i], f)
+    src, ch, f, eta = _source(cfg, kind), cfg.channel, cfg.f_ec, part.eta[i]
+    obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, part.decoy[kind][i], f)
     if cfg.include_ideal:
-        ideal = _ideal_rate_at(FLOATS, src, float(searched[kind, True][i]), eta, ch, rows.exact[i], f)[0]
+        ideal = _ideal_rate_at(FLOATS, src, float(searched[kind, True][i]), eta, ch, part.exact[i], f)[0]
     KeyRatePoint(distance, mu, mu_prime, rate, ideal, kind, bounds, obs, feasible)  # its tests alone
     return (distance, kind, mu, mu_prime, obs.y0, obs.y_mu, obs.y_mu_prime, obs.e_mu, obs.e_mu_prime,
             bounds.y1_lower, bounds.delta1, bounds.e1_upper, rate, ideal, feasible, obs.ty_mu, obs.ty_mu_prime,
@@ -564,19 +519,18 @@ def _records(cfgs, distances: list[float], kinds) -> list[tuple]:
     the next chunk, so every value and every error is the chain's.
     """
     jobs = [(kind, ideal) for kind in kinds for ideal in (False, True)[:1 + cfgs[0].include_ideal]]
-    rows = [_rows(cfgs[0], distances, jobs)]
-    rows += [_rows(cfg, distances, jobs, rows[0]) for cfg in cfgs[1:]]
-    parts = [_scan(cfg, r, jobs) for cfg, r in zip(cfgs, rows)]
+    parts = [_part(cfgs[0], distances, jobs)]
+    parts += [_part(cfg, distances, jobs, parts[0]) for cfg in cfgs[1:]]
     records = []
-    for cfg, r, mu_primes in zip(cfgs, rows, _search(cfgs[0], parts, jobs)):
+    for cfg, part, mu_primes in zip(cfgs, parts, _search(cfgs[0], parts, jobs)):
         searched = dict(zip(jobs, mu_primes))
         for c in _chunks(len(distances), jobs):
-            reports = [_report(cfg, r, kind, distances[c], c, searched[kind, False][c],
+            reports = [_report(cfg, part, kind, c, searched[kind, False][c],
                                searched[kind, True][c] if cfg.include_ideal else None) for kind in kinds]
             chunk = chain.from_iterable(zip(*(recs for recs, _ in reports)))
             stands = chain.from_iterable(zip(*(ok for _, ok in reports)))
             for k, (record, ok) in enumerate(zip(chunk, stands)):
-                records.append(record if ok else _chain_record(cfg, r, record, c.start + k // len(kinds), searched))
+                records.append(record if ok else _chain_record(cfg, part, record, c.start + k // len(kinds), searched))
     return records
 
 
@@ -637,7 +591,7 @@ def _seed(cfg: SweepConfig, src, grid: list[float]) -> int:
 
     mu_prime_min is the coarse scan's first candidate, so a positive cell
     here is a positive coarse rate up to the last digits: the decoy columns
-    come from arrays here, from floats in _rows. The rows go from the grid
+    come from arrays here, from floats in _part. The rows go from the grid
     end in blocks of _BLOCK_CELLS // 2, each block one signal call at mu and
     at mu_prime_min (on a leading axis), until a block has a positive cell.
     """
@@ -659,25 +613,11 @@ def _seed(cfg: SweepConfig, src, grid: list[float]) -> int:
     return 0
 
 
-def _cutoff_part(cfg: SweepConfig, jobs, distances):
-    """distances and _scan's part of their rows."""
-    return distances, _scan(cfg, _rows(cfg, distances, jobs), jobs)
-
-
-def _part_rows(part, rows: slice):
-    """The rows of a _cutoff_part at rows: their distances, _Rows and coarse bests."""
-    distances, (r, x, f) = part
-    sliced = r._replace(eta=r.eta[rows], exact=r.exact[rows], decoy={k: v[rows] for k, v in r.decoy.items()},
-                        cols={k: tuple(c[rows] for c in v) for k, v in r.cols.items()})
-    return distances[rows], (sliced, x[:, rows], f[:, rows])
-
-
-def _searched_rows(cfg: SweepConfig, jobs, parts) -> dict[float, tuple]:
-    """One search of _cutoff_parts: each distance's (transmittance, decoy triple, searched mu')."""
+def _searched_rows(cfg: SweepConfig, jobs, parts: list[_Part]) -> dict[float, tuple]:
+    """One search of parts: each distance's (transmittance, decoy triple, searched mu')."""
     searched = {}
-    mu_primes = _search(cfg, [part for _, part in parts], jobs)
-    for (distances, (rows, _, _)), m in zip(parts, mu_primes):
-        searched.update(zip(distances, zip(rows.eta, rows.decoy[jobs[0][0]], m[0].tolist())))
+    for part, m in zip(parts, _search(cfg, parts, jobs)):
+        searched.update(zip(part.distances, zip(part.eta, part.decoy[jobs[0][0]], m[0].tolist())))
     return searched
 
 
@@ -714,20 +654,20 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     # chunks from the grid end down to the seed row, then from the seed row down
     spans = [(max(floor, end - size), end) for floor, top in ((seed, len(grid)), (0, seed))
              for end in range(top, floor, -size)]
-    chunks = (_cutoff_part(cfg, jobs, grid[lo:end]) for lo, end in spans)
-    scanned = []  # (distances, part) from the chunk the scan stopped in to the grid end
-    for distances, part in chunks:
-        scanned.insert(0, (distances, part))
-        if _last_positive(part[2][0]) >= 0:  # part[2][0]: the job's coarse rates
+    chunks = (_part(cfg, grid[lo:end], jobs) for lo, end in spans)
+    scanned = []  # parts from the chunk the scan stopped in to the grid end
+    for part in chunks:
+        scanned.insert(0, part)
+        if _last_positive(part.best_f[0]) >= 0:
             break
-    coarse_rates = np.concatenate([part[2][0] for _, part in scanned])
+    coarse_rates = np.concatenate([part.best_f[0] for part in scanned])
     k = max(0, _last_positive(coarse_rates))  # a row of scanned[0]; 0 when no rate is positive
-    tree = _guessed_tree([d for distances, _ in scanned for d in distances], coarse_rates)
-    parts = [_part_rows(scanned[0], slice(k, None))] + scanned[1:]
+    tree = _guessed_tree([d for part in scanned for d in part.distances], coarse_rates)
+    parts = [_slice(scanned[0], slice(k, None))] + scanned[1:]
     if tree:
-        parts.append(_cutoff_part(cfg, jobs, tree))
+        parts.append(_part(cfg, tree, jobs))
     searched = _searched_rows(cfg, jobs, parts)
-    below = chain([_part_rows(scanned[0], slice(k))] if k else [], chunks)
+    below = chain([_slice(scanned[0], slice(k))] if k else [], chunks)
 
     def positive(distance):
         eta, decoy, mu_prime = searched[distance]
@@ -749,7 +689,7 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
         mid = 0.5 * (lo + hi)
         if mid not in searched:
             missed = _bisection_tree(lo, hi, _BISECT_LEVELS)
-            searched.update(_searched_rows(cfg, jobs, [_cutoff_part(cfg, jobs, missed)]))
+            searched.update(_searched_rows(cfg, jobs, [_part(cfg, missed, jobs)]))
         if positive(mid):
             lo = mid
         else:

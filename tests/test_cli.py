@@ -478,6 +478,16 @@ class TestBoundsCommand:
         assert list(result) == self.BOUNDS_KEYS
         assert [k for k, v in result.items() if v is None] == unset
 
+    def test_vacuum_error_count_is_accepted(self, tmp_path):
+        # a vacuum with no clicks and an error count of 0 bounds as one without it
+        results = []
+        for vacuum in ("1e6,1e6,0,0", "1e6,1e6,0"):
+            out = tmp_path / vacuum
+            counts = dict(self.EXAMPLE, **{"--vacuum": vacuum})
+            assert main(["bounds", "--out", str(out)] + [x for item in counts.items() for x in item]) == 0
+            results.append((out / "bounds.json").read_bytes())
+        assert results[0] == results[1]
+
     def test_nonpositive_y1_gives_zero_delta1_without_error_counts(self, tmp_path):
         # A decoy yield this low certifies no single photons. Y1 and Delta1 are
         # 0.0 with or without error counts; before one bounds path served

@@ -3,6 +3,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from decoy_hsps.numerics import FLOATS, binary_entropy
 from decoy_hsps.optimizer import ARRAYS, EXACT
@@ -45,7 +46,7 @@ def _bits(values):
 
 def _same_elementwise(exact_fn, floats_fn, *columns):
     with np.errstate(all="ignore"):
-        got = exact_fn(*(EXACT.array(c) for c in columns))
+        got = exact_fn(*(np.asarray(c, dtype=float) for c in columns))
     want = [floats_fn(*args) for args in zip(*columns)]
     return _bits(got) == _bits(want)
 
@@ -65,7 +66,7 @@ def test_exact_math_is_floats_bit_for_bit():
     # exp saturates at inf past 709.78, as FLOATS' does
     assert _same_elementwise(EXACT.exp, FLOATS.exp, [709.8, 800.0, -800.0, 709.7, 0.0, -0.0, 5e-324, -745.2])
     with np.errstate(over="ignore"):
-        assert EXACT.exp(EXACT.array([800.0])).tolist() == [math.inf]
+        assert EXACT.exp(np.asarray([800.0])).tolist() == [math.inf]
     # numpy's expm1 differs from math's in the last place at -0.2387298371237824
     near_zero = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-10, -1e-10, 2**-30, -0.2387298371237824, -700.0]
     assert np.expm1(-0.2387298371237824) != math.expm1(-0.2387298371237824)
@@ -73,12 +74,17 @@ def test_exact_math_is_floats_bit_for_bit():
 
 
 def test_exact_square_is_pythons_pow():
-    # numpy's x**2 is x*x, which rounds differently from pow on about 0.1 % of
+    # numpy's square is x*x, which rounds differently from pow on about 0.1 % of
     # inputs: a triggered source's v at mu' = 0.2801 is one, and so is this value
     v = triggered_source(0.8, 1e-5).weights(FLOATS, 0.2801)[4]
     values = [v, 0.633541589146366]
     assert all(x * x != x**2 for x in values)
-    got = EXACT.array(values) ** 2
-    assert _bits(got) == _bits([x**2 for x in values])
-    # a square past the float range saturates at inf, where Python's raises
-    assert (EXACT.array([1e200]) ** 2).tolist() == [math.inf]
+    assert _bits(EXACT.square(np.asarray(values))) == _bits([x**2 for x in values])
+    assert _bits([FLOATS.square(x) for x in values]) == _bits([x**2 for x in values])
+    assert _bits(ARRAYS.square(np.asarray(values))) == _bits([x * x for x in values])
+    # a square past the float range saturates at inf on arrays, where Python's raises
+    assert EXACT.square(np.asarray([1e200])).tolist() == [math.inf]
+    with np.errstate(over="ignore"):
+        assert ARRAYS.square(np.asarray([1e200])).tolist() == [math.inf]
+    with pytest.raises(OverflowError):
+        FLOATS.square(1e200)

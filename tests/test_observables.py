@@ -200,6 +200,15 @@ class TestStatisticsFromCounts:
         assert stats.ty_mu == pytest.approx(4e-4, rel=1e-14)
         assert stats.e_mu is None
 
+    def test_vacuum_error_count_is_not_read(self):
+        # no bound reads the vacuum's QBER, so its error count, here of no clicks,
+        # changes nothing
+        dec = IntensityCounts(pulses=1e6, triggered=1e5, clicks=100, errors=3)
+        sig = IntensityCounts(pulses=1e6, triggered=3e5, clicks=600, errors=20)
+        stats = statistics_from_counts(IntensityCounts(1e6, 1e6, 0, 0), dec, sig)
+        assert stats == statistics_from_counts(IntensityCounts(1e6, 1e6, 0), dec, sig)
+        assert stats.y0 == 0.0
+
     def test_no_triggered_pulses_is_an_error(self):
         vac = IntensityCounts(pulses=100, triggered=0, clicks=0)
         dec = IntensityCounts(pulses=100, triggered=10, clicks=1)

@@ -820,6 +820,20 @@ def test_rounding_sensitive_mus_search_as_each_mu_alone(spy, sources, include_id
     _assert_joined_search_is_each_mu_alone(spy, cfgs)
 
 
+# at each first mu, Python's u ** 2 and numpy's u * u round apart (as on about 0.08 % of
+# mu), and a joined search takes its u as a column of the mu
+SQUARE_ROUNDING_MUS = {"hsps": (0.16152197395728854, 0.05, 0.4207682840057054),
+                       "wcs": (0.24235674762150627, 0.05, 0.6797307333250101)}
+
+
+@pytest.mark.parametrize("kind", ["hsps", "wcs"])
+def test_mus_whose_squares_round_apart_search_as_each_mu_alone(spy, kind):
+    mus = SQUARE_ROUNDING_MUS[kind]
+    u = source(DEFAULT, kind).weights(FLOATS, mus[0])[4]
+    assert u**2 != u * u
+    _assert_joined_search_is_each_mu_alone(spy, _mu_cfgs(mus, sources=(kind,), dist_step_km=0.5))
+
+
 def test_figure1_makes_one_refinement_pass(spy, monkeypatch, tmp_path):
     # 5 coarse blocks per mu and one golden section of 1 + 6 calls, against
     # 3 x 19 calls and 3 x 181 exact terms for three sweeps
