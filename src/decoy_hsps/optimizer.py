@@ -4,8 +4,9 @@ The key rate at a fixed distance is a smooth, empirically unimodal
 function of the signal intensity mu'. A search coarse-scans a grid of
 mu' and refines the best cell by a golden section, for many rows at once:
 one row per (source kind, bounded or ideal) job and distance of each part
-(_Part, one configuration's terms at a list of distances). Where no mu'
-gives a positive rate, mu' is mu_prime_min and the rate 0.
+(_Part, one configuration's terms at a list of distances, each kept once
+as a column). Where no mu' gives a positive rate, mu' is mu_prime_min and
+the rate 0.
 
 Three numeric namespaces run the one text of the forecast, bounds and
 rate. FLOATS (.numerics) runs the scalar chain on Python floats. ARRAYS
@@ -13,8 +14,9 @@ runs the search on numpy's own functions, whose exp, log and squares
 round apart from math's and Python's in the last place, so the search's
 rates only pick mu'. EXACT gives FLOATS' bits on arrays (numpy's + - * /
 and comparisons, which round as Python's floats do, and math's functions
-and Python's square element by element), so a sweep reports its points
-from whole arrays at the searched mu'.
+and Python's square element by element), so a part takes each source's
+decoy columns in one call, and a sweep reports its points at the searched
+mu', from whole arrays.
 
 A rate call evaluates at most _BLOCK_CELLS = 2^13 (row, mu') cells, so
 peak memory grows with neither grid.
@@ -321,19 +323,15 @@ def _column(values) -> np.ndarray:
 class _Part(NamedTuple):
     """One configuration's rows at distances: terms a search and its report read, each computed once.
 
-    Floats: distances, eta, exact's (Y1, H(e1)) and, per source kind,
-    decoy's signal triple at mu. cols: the search's (rows, 1) columns of
-    eta, exact and, per source kind, decoy yield and e1 mass. weights (the
-    source's at mu, per source kind) and mu_prime_min: floats, or once
-    _join has joined parts that differ in them, (rows, 1) columns and a 1-D
-    array of rows.
+    cols holds each row term once, as a (rows, 1) column: eta, exact's
+    (Y1, H(e1)) and, per source kind, its signal triple at mu (P_post, tY_mu,
+    E_mu) and e1 mass. weights (the source's at mu, per source kind) and
+    mu_prime_min: floats, or once _join has joined parts that differ in
+    them, (rows, 1) columns and a 1-D array of rows.
     best_x and best_f: the coarse scan's best mu' and rate, (jobs, rows).
     """
 
     distances: list[float]
-    eta: list[float]
-    exact: list[tuple[float, float]]
-    decoy: dict[str, list[tuple[float, float, float]]]
     cols: dict[str, tuple[np.ndarray, ...]]
     weights: dict[str, tuple]
     mu_prime_min: float | np.ndarray
@@ -345,6 +343,8 @@ def _part(cfg: SweepConfig, distances, jobs, shared: _Part | None = None) -> _Pa
     """cfg's coarse-scanned _Part at distances for (source kind, ideal) jobs; no ChannelParams is built.
 
     shared, a part of another mu at the same distances, lends eta and exact.
+    Each source kind's signal at mu takes one EXACT call over the eta
+    column, so its columns have the scalar chain's bits.
     """
     ch = cfg.channel
     if shared is None:
@@ -352,16 +352,15 @@ def _part(cfg: SweepConfig, distances, jobs, shared: _Part | None = None) -> _Pa
         exact = [_exact_single_photon(ch, e) for e in eta] if any(ideal for _, ideal in jobs) else []
         cols = {"eta": (_column(eta),), "exact": tuple(map(_column, zip(*exact)))}
     else:
-        eta, exact = shared.eta, shared.exact
         cols = {k: shared.cols[k] for k in ("eta", "exact")}
     best = np.empty((2, len(jobs), len(distances)))
-    part = _Part(distances, eta, exact, {}, cols, {}, cfg.mu_prime_min, *best)
+    part = _Part(distances, cols, {}, cfg.mu_prime_min, *best)
     for kind in dict.fromkeys(kind for kind, ideal in jobs if not ideal):
         src = _source(cfg, kind)
         w = part.weights[kind] = src.weights(FLOATS, cfg.mu)
-        decoy = part.decoy[kind] = [src.signal(FLOATS, cfg.mu, e, ch) for e in eta]
-        e1_mass = [_e1_mass(w, e, ty, ch.d_b, ch.e_0) for _, ty, e in decoy]
-        cols[kind] = (_column([ty for _, ty, _ in decoy]), _column(e1_mass))
+        with np.errstate(all="ignore"):
+            p, ty, e = src.signal(EXACT, cfg.mu, cols["eta"][0], ch)  # P_post is a float at a float mu
+            cols[kind] = (np.full(ty.shape, p), ty, e, _e1_mass(w, e, ty, ch.d_b, ch.e_0))
     for c in _chunks(len(distances), jobs):
         scan = _coarse_scan(_jobs_rate(cfg, part, jobs, c), len(jobs) * (c.stop - c.start), cfg)
         best[:, :, c] = np.reshape(scan, (2, len(jobs), -1))
@@ -370,8 +369,7 @@ def _part(cfg: SweepConfig, distances, jobs, shared: _Part | None = None) -> _Pa
 
 def _slice(part: _Part, rows: slice) -> _Part:
     """part's rows at rows; part is unjoined, so its weights and mu_prime_min are floats."""
-    return part._replace(distances=part.distances[rows], eta=part.eta[rows], exact=part.exact[rows],
-                         decoy={k: v[rows] for k, v in part.decoy.items()},
+    return part._replace(distances=part.distances[rows],
                          cols={k: tuple(c[rows] for c in v) for k, v in part.cols.items()},
                          best_x=part.best_x[:, rows], best_f=part.best_f[:, rows])
 
@@ -379,8 +377,8 @@ def _slice(part: _Part, rows: slice) -> _Part:
 def _join(parts: list[_Part]) -> _Part:
     """What a search reads of parts, part after part, as one _Part.
 
-    A value the parts share stays a float. A report reads distances, eta,
-    exact and decoy part by part, so the joined part leaves them empty.
+    A value the parts share stays a float. A report reads distances part by
+    part, so the joined part leaves them empty.
     """
     if len(parts) == 1:
         return parts[0]
@@ -392,7 +390,7 @@ def _join(parts: list[_Part]) -> _Part:
         mu_prime_min = np.repeat([p.mu_prime_min for p in parts], sizes)
     cols = {k: tuple(np.concatenate(c) for c in zip(*(p.cols[k] for p in parts))) for k in parts[0].cols}
     best_x, best_f = (np.concatenate(b, axis=1) for b in zip(*((p.best_x, p.best_f) for p in parts)))
-    return _Part([], [], [], {}, cols, weights, mu_prime_min, best_x, best_f)
+    return _Part([], cols, weights, mu_prime_min, best_x, best_f)
 
 
 def _take(value, entries: slice):
@@ -414,7 +412,9 @@ def _jobs_rate(cfg: SweepConfig, part: _Part, jobs, entries: slice):
     eta = part.cols["eta"][0][entries]
     runs = []  # per kind: its source, every job's eta, (ideal, terms) per job and weights at mu
     for kind, run in groupby(jobs, lambda job: job[0]):
-        terms = [(ideal, [c[entries] for c in part.cols["exact" if ideal else kind]]) for _, ideal in run]
+        # a bounded job reads its kind's tY_mu and e1 mass, an ideal one exact's terms
+        terms = [(ideal, [c[entries] for c in (part.cols["exact"] if ideal else part.cols[kind][1::2])])
+                 for _, ideal in run]
         runs.append((_source(cfg, kind), np.concatenate([eta] * len(terms)), terms,
                      [_take(t, entries) for t in part.weights.get(kind, ())]))
 
@@ -469,8 +469,8 @@ def _report(cfg: SweepConfig, part: _Part, kind: str, entries: slice, mu_prime, 
     may refuse it.
     """
     ch, f, mu, src = cfg.channel, cfg.f_ec, cfg.mu, _source(cfg, kind)
-    eta = np.array(part.eta[entries])
-    decoy = p_mu, ty_mu, e_mu = np.array(part.decoy[kind][entries]).T
+    eta = part.cols["eta"][0][entries, 0]
+    decoy = p_mu, ty_mu, e_mu = [c[entries, 0] for c in part.cols[kind][:3]]
     with np.errstate(all="ignore"):
         p, ty, e, plain, y1, delta1, e1, clamp_ok, rate, feasible = _row(EXACT, src, mu, mu_prime, eta, ch, decoy, f)
         ideal = math.nan  # one object, so equal points compare equal
@@ -496,10 +496,12 @@ def _report(cfg: SweepConfig, part: _Part, kind: str, entries: slice, mu_prime, 
 def _chain_record(cfg: SweepConfig, part: _Part, record: tuple, i: int, searched) -> tuple:
     """record, row i of part, through the scalar chain's row core and the value classes, which may refuse it."""
     distance, kind, mu, mu_prime, ideal = *record[:4], record[13]
-    src, ch, f, eta = _source(cfg, kind), cfg.channel, cfg.f_ec, part.eta[i]
-    obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, part.decoy[kind][i], f)
+    src, ch, f = _source(cfg, kind), cfg.channel, cfg.f_ec
+    eta, *decoy = (c[i, 0].tolist() for c in part.cols["eta"] + part.cols[kind][:3])
+    obs, bounds, rate, feasible = _point_at(src, mu, mu_prime, eta, ch, decoy, f)
     if cfg.include_ideal:
-        ideal = _ideal_rate_at(FLOATS, src, float(searched[kind, True][i]), eta, ch, part.exact[i], f)[0]
+        exact = [c[i, 0].tolist() for c in part.cols["exact"]]
+        ideal = _ideal_rate_at(FLOATS, src, float(searched[kind, True][i]), eta, ch, exact, f)[0]
     KeyRatePoint(distance, mu, mu_prime, rate, ideal, kind, bounds, obs, feasible)  # its tests alone
     return (distance, kind, mu, mu_prime, obs.y0, obs.y_mu, obs.y_mu_prime, obs.e_mu, obs.e_mu_prime,
             bounds.y1_lower, bounds.delta1, bounds.e1_upper, rate, ideal, feasible, obs.ty_mu, obs.ty_mu_prime,
@@ -578,20 +580,12 @@ def _last_positive(coarse_rates: np.ndarray) -> int:
     return int(positive[-1]) if positive.size else -1
 
 
-def _guessed_tree(grid: list[float], coarse_rates: np.ndarray) -> list[float]:
-    """Bisection midpoints of the bracket after the last positive coarse rate."""
-    k = _last_positive(coarse_rates)
-    if k < 0 or k + 1 == len(grid):
-        return []
-    return _bisection_tree(grid[k], grid[k + 1], _BISECT_LEVELS)
-
-
 def _seed(cfg: SweepConfig, src, grid: list[float]) -> int:
     """The last grid row whose rate at mu_prime_min is positive, or 0 if none is.
 
     mu_prime_min is the coarse scan's first candidate, so a positive cell
     here is a positive coarse rate up to the last digits: the decoy columns
-    come from arrays here, from floats in _part. The rows go from the grid
+    come from ARRAYS here, from EXACT in _part. The rows go from the grid
     end in blocks of _BLOCK_CELLS // 2, each block one signal call at mu and
     at mu_prime_min (on a leading axis), until a block has a positive cell.
     """
@@ -617,7 +611,8 @@ def _searched_rows(cfg: SweepConfig, jobs, parts: list[_Part]) -> dict[float, tu
     """One search of parts: each distance's (transmittance, decoy triple, searched mu')."""
     searched = {}
     for part, m in zip(parts, _search(cfg, parts, jobs)):
-        searched.update(zip(part.distances, zip(part.eta, part.decoy[jobs[0][0]], m[0].tolist())))
+        eta, *decoy = (c[:, 0].tolist() for c in part.cols["eta"] + part.cols[jobs[0][0]][:3])
+        searched.update(zip(part.distances, zip(eta, zip(*decoy), m[0].tolist())))
     return searched
 
 
@@ -636,13 +631,14 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     every mu' candidate holds, up to the first chunk with a positive coarse
     rate, and then, if none has one, the rows below k' in such chunks. One
     search refines the rows from the last positive coarse row to the grid
-    end, and the _guessed_tree midpoints after that row. Grid rows below
-    them (the rest of that chunk, then each chunk further down) and a
-    midpoint the guess did not cover, with every midpoint of its next
-    _BISECT_LEVELS levels, are searched as one part each when the walk or
-    bisection reaches them. A row's search never reads another row, so
-    this returns exactly what probing one midpoint at a time would, whether
-    or not the rate falls monotonically, and whatever k' is.
+    end, and the guess: every bisection midpoint of the next _BISECT_LEVELS
+    levels after that row. Grid rows below them (the rest of that chunk,
+    then each chunk further down) and a midpoint the guess did not cover,
+    with every midpoint of its next _BISECT_LEVELS levels, are searched as
+    one part each when the walk or bisection reaches them. A row's search
+    never reads another row, so this returns exactly what probing one
+    midpoint at a time would, whether or not the rate falls monotonically,
+    and whatever k' is.
     """
     jobs = [(source_kind, False)]
     src = _source(cfg, source_kind)
@@ -660,9 +656,11 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
         scanned.insert(0, part)
         if _last_positive(part.best_f[0]) >= 0:
             break
-    coarse_rates = np.concatenate([part.best_f[0] for part in scanned])
-    k = max(0, _last_positive(coarse_rates))  # a row of scanned[0]; 0 when no rate is positive
-    tree = _guessed_tree([d for part in scanned for d in part.distances], coarse_rates)
+    last = _last_positive(np.concatenate([part.best_f[0] for part in scanned]))  # a row of scanned[0], or -1
+    rows = [d for part in scanned for d in part.distances]
+    # the bisection midpoints of the bracket after the last positive coarse row
+    tree = _bisection_tree(rows[last], rows[last + 1], _BISECT_LEVELS) if 0 <= last < len(rows) - 1 else []
+    k = max(0, last)  # 0 when no rate is positive
     parts = [_slice(scanned[0], slice(k, None))] + scanned[1:]
     if tree:
         parts.append(_part(cfg, tree, jobs))

@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from decoy_hsps.bounds import _e1_mass
+from decoy_hsps.channel import ChannelParams
 from decoy_hsps.numerics import FLOATS, binary_entropy
 from decoy_hsps.optimizer import ARRAYS, EXACT
-from decoy_hsps.sources import triggered_source
+from decoy_hsps.sources import COHERENT, triggered_source
 
 
 def test_arrays_exp_is_numpys():
@@ -88,3 +90,22 @@ def test_exact_square_is_pythons_pow():
         assert ARRAYS.square(np.asarray([1e200])).tolist() == [math.inf]
     with pytest.raises(OverflowError):
         FLOATS.square(1e200)
+
+
+@pytest.mark.parametrize("ch", [ChannelParams(), ChannelParams(d_b=0.0), ChannelParams(e_0=1.0)],
+                         ids=["default", "d_b 0", "e_0 1"])
+@pytest.mark.parametrize("src", [triggered_source(0.8, 1e-5), COHERENT], ids=["hsps", "wcs"])
+@pytest.mark.parametrize("mu", [1e-10, 0.05, 0.99])
+def test_exact_signal_column_is_floats_row_by_row(mu, src, ch):
+    # a sweep's part takes each source's signal triple at mu, and its e1 mass, in one
+    # EXACT call over the eta column: each row has the bits of the float call at its
+    # eta, NaN included (d_b = 0 leaves no yield at eta = 0), and e_0 = 1 meets the cap
+    etas = [0.0, 5e-324, 1e-300, 1e-16, 0.045, 1.0]
+    w = src.weights(FLOATS, mu)
+    with np.errstate(all="ignore"):
+        p, ty, e = np.broadcast_arrays(*src.signal(EXACT, mu, np.array(etas)[:, None], ch))
+        mass = _e1_mass(w, e, ty, ch.d_b, ch.e_0)
+    rows = [src.signal(FLOATS, mu, eta, ch) for eta in etas]
+    for got, want in zip((p, ty, e), zip(*rows)):
+        assert _bits(got.ravel()) == _bits(want)
+    assert _bits(mass.ravel()) == _bits([_e1_mass(w, e, ty, ch.d_b, ch.e_0) for _, ty, e in rows])

@@ -3,17 +3,17 @@
 sweep_distances, key_rate_point and max_secure_distance are checked
 against the slow reference searches of tests/oracles.py. Counts come from
 the sources' public signal method: each rate call of the search evaluates
-each source's signal once on arrays (xp is ARRAYS; the report's calls on
-EXACT and the scalar chain's on FLOATS are counted apart), the broadcast
-shape of (mu', eta) is the call's rows and columns, a (rows, 2) mu' is
-a golden-section opening, and a (2, 1, 1) mu' is a cut-off's seed. Three
-private names stay as levers: _BLOCK_CELLS shrinks chunks, _last_positive
-forces the cut-off's seed, walk and missed guesses, and _record_scan takes
-the tie rule on synthetic tables. A cut-off's judge and a sweep's report
-run one row text, bounds._row, with the scalar chain's plain-case test,
-clamp test and rate clamp: the judge (bounds._positive_at, on floats) is
-checked against bounds._point_at row by row, and every point of the
-EDGE_SWEEPS against evaluate.
+each source's signal once on arrays (xp is ARRAYS; the calls on EXACT, a
+part's decoy columns and the report's, and the scalar chain's on FLOATS
+are counted apart), the broadcast shape of (mu', eta) is the call's rows
+and columns, a (rows, 2) mu' is a golden-section opening, and a (2, 1, 1)
+mu' is a cut-off's seed. Three private names stay as levers: _BLOCK_CELLS
+shrinks chunks, _last_positive forces the cut-off's seed, walk and missed
+guesses, and _record_scan takes the tie rule on synthetic tables. A
+cut-off's judge and a sweep's report run one row text, bounds._row, with
+the scalar chain's plain-case test, clamp test and rate clamp: the judge
+(bounds._positive_at, on floats) is checked against bounds._point_at row
+by row, and every point of the EDGE_SWEEPS against evaluate.
 """
 import math
 from collections import Counter
@@ -725,8 +725,8 @@ def _count_exact(monkeypatch):
 
 
 def test_figure2_sweep_computes_each_row_term_once(spy, monkeypatch):
-    # the exact terms and decoy triples once per distance, one array signal per source
-    # and rate call, and no channel per distance
+    # the exact terms once per distance, the decoy columns in one exact signal call per
+    # source, one array signal per source and rate call, and no channel per distance
     calls = _count_exact(monkeypatch)
     built = []
     at_distance = ChannelParams.at_distance
@@ -735,8 +735,9 @@ def test_figure2_sweep_computes_each_row_term_once(spy, monkeypatch):
     assert len(points) == 2 * 181
     assert calls["exact"] == 181 and built == []
     for kind in ("hsps", "wcs"):
-        assert spy.floats[kind] == 181  # the decoy triple per distance
-        assert spy.exact[kind] == 2  # the report's signal at the bounded and the ideal mu', one chunk
+        assert spy.floats[kind] == 0
+        # the decoy columns, then the report's signal at the bounded and the ideal mu', one chunk
+        assert spy.exact[kind] == 3
         assert len(_calls(spy, kind)) == 16  # rate calls
         assert _openings(spy, kind) == [2 * 181]
     assert [c.kind for c in spy.arrays] == ["hsps", "wcs"] * 16
