@@ -46,14 +46,20 @@ floats (the scalar chain: .numerics.FLOATS) and numpy arrays (the mu'
 search passes ARRAYS, a sweep's report EXACT on plain arrays; no numpy
 import here). The elimination squares v with xp.square: Python's ** on
 FLOATS, which raises on overflow, numpy's on ARRAYS, and Python's,
-saturating at inf, on EXACT.
+saturating at inf, on EXACT. u^2 at the decoy intensity is always
+Python's, taken on floats, so a search of several decoy intensities at
+once rates each as alone. The exact single-photon terms of the ideal
+benchmark run on a namespace too, so a sweep takes them for every
+distance in one EXACT call.
 A raw Y1 that is not positive certifies nothing: compute_bounds returns
 zero bounds before dividing by it, and on arrays Y1 clamps to 0 there, so
 no rate is positive.
 
 Each judgement of a point is written once as well: the clamp test, with
 the clamps in _single_photon_bounds; the rate formula with its clamp at 0
-and its feasibility, _rate; and the plain-case test of _row, which derives
+and its feasibility, _rate, split from its terms of the signal alone
+(_rate_terms: tY'/2 and -f H2(E'), which a search takes once for a source's
+bounded and ideal rows); and the plain-case test of _row, which derives
 one row of the chain from its signal terms. Where a row is plain, every
 bound is plainly defined and _row's values have the chain's bits.
 compute_bounds and rate_and_feasibility apply the tests on floats, after
@@ -73,9 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import (
-    DARK_COUNT_E_0, ChannelParams, _click_probability, _error_rate, overall_transmittance,
-)
+from .channel import DARK_COUNT_E_0, _NO_CLICKS, ChannelParams, overall_transmittance
 from .numerics import FLOATS, binary_entropy
 from .observables import ObservedStatistics, _check_ordering, _forecast_row
 from .sources import COHERENT, triggered_source
@@ -157,15 +161,16 @@ class KeyRatePoint:
 # ---------------------------------------------------------------------------
 # single-photon bounds
 
-def _raw_y1(xp, w_mu, w_mu_prime, y0, ty_mu, ty_mu_prime):
+def _raw_y1(xp, w_mu, u2, w_mu_prime, y0, ty_mu, ty_mu_prime):
     """Unclamped Y1 bound from the decoy and signal constraints, at the source's weights there.
 
-    u, taken at mu on floats, is a float or a joined search's column; v is
-    of namespace xp, which squares it.
+    u, taken at mu on floats, and u2, its square by Python's **, are floats
+    or a joined search's columns of them, so a joined row has a lone row's
+    bits; v is of namespace xp, which squares it.
     """
     _, inv_g, k0, k1, u = w_mu
     _, inv_g_prime, _, _, v = w_mu_prime
-    u2, v2 = u**2, xp.square(v)
+    v2 = xp.square(v)
     num = v2 * (ty_mu * inv_g) - u2 * (ty_mu_prime * inv_g_prime) - k0 * y0 * (v2 - u2)
     return num / (k1 * u * v * (v - u))
 
@@ -195,9 +200,10 @@ def _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty_mu_prime, ju
     error mass. A search reads no flag and passes judge False.
     """
     y1 = xp.clip(raw_y1, 0.0, 1.0)
-    raw_d1 = _delta1(y1, w_mu_prime, ty_mu_prime)
-    _, _, _, k1, u = w_mu
-    raw_e1 = e1_mass / (y1 * k1 * u)
+    g, _, _, k1, v = w_mu_prime
+    y1_k1 = y1 * k1
+    raw_d1 = y1_k1 * v * g / ty_mu_prime  # _delta1's, with Y1 * k1 formed once
+    raw_e1 = e1_mass / (y1_k1 * w_mu[4])
     unclamped = (raw_y1 <= 1.0) & (raw_d1 <= 1.0) & (0.0 <= raw_e1) & (raw_e1 <= 0.5) if judge else None
     return y1, xp.minimum(raw_d1, 1.0), xp.clip(raw_e1, 0.0, 0.5), raw_e1, unclamped
 
@@ -221,7 +227,7 @@ def compute_bounds(
     # intensities, and k1 u v (v - u) underflows to 0 at vanishing ones. No
     # bound is defined there
     try:
-        raw_y1 = (_raw_y1(FLOATS, w_mu, w_mu_prime, obs.y0, obs.ty_mu, obs.ty_mu_prime)
+        raw_y1 = (_raw_y1(FLOATS, w_mu, w_mu[4] ** 2, w_mu_prime, obs.y0, obs.ty_mu, obs.ty_mu_prime)
                   if w_mu[4] < w_mu_prime[4] else math.nan)
     except ArithmeticError:
         raw_y1 = math.nan
@@ -252,17 +258,27 @@ def compute_wcs_bounds(
 # ---------------------------------------------------------------------------
 # key rates
 
-def _rate(xp, ty, h_e, f, delta1, h_e1, feasible=None):
-    """The rate formula R clamped at 0, and whether the point stays feasible.
+def _rate_terms(ty, h_e, f):
+    """The rate formula's terms of the signal alone, tY'/2 and -f H2(E'), from tY' = ty and H2(E') = h_e.
 
-    ty is the signal yield tY'; the entropies h_e = H2(E') of its QBER and
-    h_e1 = H2(e1) are already taken, so a search takes H2(E') once for all
-    its rows at a mu'. A NaN R is 0. Given the bounds' flag feasible, the
-    point stays feasible where it holds and R >= 0; a search, which reads
-    only the rate, passes none and gets None.
+    Every job at a signal intensity shares them, so a search takes them once
+    for a source's bounded and ideal rows at a mu'.
     """
-    raw = ty / 2.0 * (-f * h_e + delta1 * (1.0 - h_e1))
-    return xp.where(raw > 0.0, raw, 0.0), None if feasible is None else feasible & (raw >= 0.0)
+    return ty / 2.0, -f * h_e
+
+
+def _rate(xp, terms, delta1, h_e1, feasible=None):
+    """The rate formula R at the signal's _rate_terms clamped at 0, and whether the point stays feasible.
+
+    R = tY'/2 * (-f H2(E') + Delta1 (1 - H2(e1))), with h_e1 = H2(e1) already
+    taken; Python evaluates R in that grouping, so taking the signal's terms
+    apart keeps its bits. xp.positive clamps it, a NaN R at 0. Given the
+    bounds' flag feasible, the point stays feasible where it holds and
+    R >= 0; a search, which reads only the rate, passes none and gets None.
+    """
+    half_ty, leak = terms
+    raw = half_ty * (leak + delta1 * (1.0 - h_e1))
+    return xp.positive(raw), None if feasible is None else feasible & (raw >= 0.0)
 
 
 _NO_E1 = "the key rate needs an e1 bound, and e1 needs the QBER at the decoy intensity"
@@ -282,8 +298,8 @@ def rate_and_feasibility(
         raise ValueError(_NO_SIGNAL_QBER)
     if bounds.e1_upper is None:
         raise ValueError(_NO_E1)
-    return _rate(FLOATS, obs.ty_mu_prime, binary_entropy(obs.e_mu_prime), f_ec, bounds.delta1,
-                 binary_entropy(bounds.e1_upper), bounds.feasible)
+    terms = _rate_terms(obs.ty_mu_prime, binary_entropy(obs.e_mu_prime), f_ec)
+    return _rate(FLOATS, terms, bounds.delta1, binary_entropy(bounds.e1_upper), bounds.feasible)
 
 
 def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT_F_EC) -> float:
@@ -297,19 +313,19 @@ def key_rate(obs: ObservedStatistics, bounds: SecurityBounds, f: float = DEFAULT
 key_rate_hsps = key_rate_wcs = key_rate
 
 
-def _search_rate(xp, w_mu, w_mu_prime, y0, ty_mu, e1_mass, ty, h_e, f):
+def _search_rate(xp, w_mu, u2, w_mu_prime, y0, ty_mu, e1_mass, ty, terms):
     """The clamped key rate of compute_bounds and key_rate, on arrays of namespace xp.
 
     Rows hold the decoy columns ty_mu and e1_mass (each row's scalar
-    values) and the source's signal yield ty, its QBER's entropy h_e and
-    its weights w_mu_prime at mu', which broadcast against them; the
-    weights w_mu, taken on floats, are floats or columns alike. A cell
-    whose raw Y1 is not positive rates 0, as compute_bounds' zero bounds
-    do, so the caller decides what numpy does on it.
+    values) and the source's signal yield ty, its _rate_terms and its
+    weights w_mu_prime at mu', which broadcast against them; the weights
+    w_mu and u2 (_raw_y1's), taken on floats, are floats or columns alike.
+    A cell whose raw Y1 is not positive rates 0, as compute_bounds' zero
+    bounds do, so the caller decides what numpy does on it.
     """
-    raw_y1 = _raw_y1(xp, w_mu, w_mu_prime, y0, ty_mu, ty)
+    raw_y1 = _raw_y1(xp, w_mu, u2, w_mu_prime, y0, ty_mu, ty)
     _, delta1, e1, _, _ = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty, judge=False)
-    return _rate(xp, ty, h_e, f, delta1, xp.entropy(e1))[0]
+    return _rate(xp, terms, delta1, xp.entropy(e1))[0]
 
 
 def _signal_at(xp, src, x, eta, ch):
@@ -322,15 +338,15 @@ def _signal_at(xp, src, x, eta, ch):
     return p, ty, e, (ty > 0.0) & (0.0 <= e) & (e <= 1.0), xp.entropy(e)
 
 
-def _row(xp, src, mu: float, mu_prime, eta, ch: ChannelParams, decoy, f: float):
+def _row(xp, src, mu: float, mu_prime, eta, ch: ChannelParams, decoy, e1_mass, f: float):
     """_point_at's terms at overall transmittance eta, on namespace xp, and whether they are plain.
 
-    decoy is src.signal's triple at mu. Returns the signal (P_post, tY',
-    E'), plain, the bounds (Y1, Delta1, e1 and the clamp test) and the rate
-    with its feasibility. A row is plain where every bound is plainly
-    defined: mu and mu' ordered, u < v, positive post-selection
-    probabilities, a positive yield and E' in [0, 1] at mu', a finite raw
-    Y1 and a finite raw e1. A raw Y1 that is not positive, as a zero decoy
+    decoy is src.signal's triple at mu and e1_mass its _e1_mass. Returns
+    the signal (P_post, tY', E'), plain, the bounds (Y1, Delta1, e1 and the
+    clamp test) and the rate with its feasibility. A row is plain where
+    every bound is plainly defined: mu and mu' ordered, u < v, positive
+    post-selection probabilities, a positive yield and E' in [0, 1] at mu',
+    a finite raw Y1 and a finite raw e1. A raw Y1 that is not positive, as a zero decoy
     yield makes it, clamps Y1 to 0 and so leaves raw e1 infinite or NaN.
     Where plain, every value has _point_at's bits; any other row is the
     chain's to judge, which may refuse it, and on floats the text may raise
@@ -339,12 +355,12 @@ def _row(xp, src, mu: float, mu_prime, eta, ch: ChannelParams, decoy, f: float):
     p_mu, ty_mu, e_mu = decoy
     p, ty, e, defined, h_e = _signal_at(xp, src, mu_prime, eta, ch)
     w_mu, w = src.weights(FLOATS, mu), src.weights(xp, mu_prime)
-    raw_y1 = _raw_y1(xp, w_mu, w, ch.d_b, ty_mu, ty)
-    y1, delta1, e1, raw_e1, feasible = _single_photon_bounds(
-        xp, raw_y1, _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0), w_mu, w, ty)
+    raw_y1 = _raw_y1(xp, w_mu, w_mu[4] ** 2, w, ch.d_b, ty_mu, ty)
+    y1, delta1, e1, raw_e1, feasible = _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w, ty)
     plain = (defined & (0.0 < mu) & (mu < mu_prime) & (w_mu[4] < w[4]) & (p_mu > 0.0) & (p > 0.0)
              & (raw_y1 < math.inf) & (-math.inf < raw_e1) & (raw_e1 < math.inf))
-    return (p, ty, e, plain, y1, delta1, e1, feasible) + _rate(xp, ty, h_e, f, delta1, xp.entropy(e1), feasible)
+    rate = _rate(xp, _rate_terms(ty, h_e, f), delta1, xp.entropy(e1), feasible)
+    return (p, ty, e, plain, y1, delta1, e1, feasible) + rate
 
 
 def _point_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, decoy, f: float):
@@ -359,15 +375,16 @@ def _point_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, de
     return (obs, bounds) + rate_and_feasibility(obs, bounds, f)
 
 
-def _positive_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, decoy, f: float) -> bool:
+def _positive_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams, decoy, e1_mass, f: float) -> bool:
     """Whether _point_at's rate is positive, without building its report objects.
 
-    A plain row reads _row's rate on floats, which has _point_at's bits.
-    Any other row, or one the float text cannot evaluate, goes through
-    _point_at itself, so its value or error is the chain's.
+    decoy and e1_mass are _row's. A plain row reads _row's rate on floats,
+    which has _point_at's bits. Any other row, or one the float text cannot
+    evaluate, goes through _point_at itself, so its value or error is the
+    chain's.
     """
     try:
-        _, _, _, plain, _, _, _, _, rate, _ = _row(FLOATS, src, mu, mu_prime, eta, ch, decoy, f)
+        _, _, _, plain, _, _, _, _, rate, _ = _row(FLOATS, src, mu, mu_prime, eta, ch, decoy, e1_mass, f)
     except (ArithmeticError, ValueError):
         plain = False
     return rate > 0.0 if plain else _point_at(src, mu, mu_prime, eta, ch, decoy, f)[2] > 0.0
@@ -376,14 +393,25 @@ def _positive_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams,
 # ---------------------------------------------------------------------------
 # infinite-decoy benchmarks (exact single-photon knowledge)
 
-def _exact_single_photon(ch: ChannelParams, eta: float) -> tuple[float, float]:
-    """True single-photon yield and entropy of its error rate, capped at 1/2."""
-    return _click_probability(1, ch, eta), binary_entropy(min(0.5, _error_rate(1, ch, eta)))
+def _exact_single_photon(xp, ch: ChannelParams, eta):
+    """True single-photon yield and entropy of its error rate, capped at 1/2, at overall transmittance eta.
+
+    _click_probability and _error_rate at n = 1 on namespace xp, so a sweep
+    takes its whole eta column in one call: the transmitted share is
+    at_least_one_probability(eta, 1), whose eta = 1 branch is xp.log1p's
+    -inf at -1. Where nothing can click, it refuses as _error_rate does.
+    """
+    transmitted = -xp.expm1(xp.log1p(-eta))
+    clicks = ch.d_b + transmitted
+    if xp.any(clicks == 0.0):
+        raise ValueError(_NO_CLICKS)
+    error_rate = (ch.e_0 * ch.d_b + ch.e_d * transmitted) / clicks
+    return xp.minimum(1.0, clicks), xp.entropy(xp.minimum(0.5, error_rate))
 
 
-def _benchmark_rate(xp, w, ty, h_e, f, y1, h_e1):
-    """Rate formula at signal ty, its QBER's entropy h_e and weights w, with exact y1 and h_e1; clamped at 0."""
-    return _rate(xp, ty, h_e, f, xp.minimum(_delta1(y1, w, ty), 1.0), h_e1)[0]
+def _benchmark_rate(xp, w, ty, terms, y1, h_e1):
+    """Rate formula at signal ty, its _rate_terms and weights w, with exact y1 and h_e1; clamped at 0."""
+    return _rate(xp, terms, xp.minimum(_delta1(y1, w, ty), 1.0), h_e1)[0]
 
 
 def _ideal_rate_at(xp, src, mu_prime, eta, ch: ChannelParams, exact, f: float):
@@ -393,10 +421,10 @@ def _ideal_rate_at(xp, src, mu_prime, eta, ch: ChannelParams, exact, f: float):
     fails, the chain refuses the signal.
     """
     _, ty, _, defined, h_e = _signal_at(xp, src, mu_prime, eta, ch)
-    return _benchmark_rate(xp, src.weights(xp, mu_prime), ty, h_e, f, *exact), defined
+    return _benchmark_rate(xp, src.weights(xp, mu_prime), ty, _rate_terms(ty, h_e, f), *exact), defined
 
 
 def ideal_rate(src, mu_prime: float, ch: ChannelParams, f: float = DEFAULT_F_EC) -> float:
     """Benchmark key rate of src with exactly known single-photon statistics."""
     eta = overall_transmittance(ch)
-    return _ideal_rate_at(FLOATS, src, mu_prime, eta, ch, _exact_single_photon(ch, eta), f)[0]
+    return _ideal_rate_at(FLOATS, src, mu_prime, eta, ch, _exact_single_photon(FLOATS, ch, eta), f)[0]

@@ -13,6 +13,8 @@ from .sources import at_least_one_probability
 
 DARK_COUNT_E_0 = 0.5  # a dark count's bit value is random
 
+_NO_CLICKS = "n-photon error rate undefined: zero dark counts and zero transmittance mean no clicks can occur"
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -103,8 +105,5 @@ def _error_rate(n: int, ch: ChannelParams, eta: float) -> float:
     transmitted = at_least_one_probability(eta, n)
     denom = ch.d_b + transmitted
     if denom == 0.0:
-        raise ValueError(
-            "n-photon error rate undefined: zero dark counts and zero transmittance "
-            "mean no clicks can occur"
-        )
+        raise ValueError(_NO_CLICKS)
     return (ch.e_0 * ch.d_b + ch.e_d * transmitted) / denom

@@ -6,7 +6,7 @@ functions besides + - * / and comparisons. FLOATS runs them with math and
 Python's ** on Python floats (the scalar chain) and imports no numpy. Its
 array twins live next to the mu' search in .optimizer: ARRAYS, with
 numpy's own functions, for the search, and EXACT, which gives FLOATS' bits
-on plain arrays, for the report of every swept point.
+on plain arrays, for a sweep's columns and the report of every swept point.
 """
 from __future__ import annotations
 
@@ -31,12 +31,18 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _log1p(x: float) -> float:
+    """math.log1p, -inf at -1 as numpy's log1p."""
+    return -math.inf if x == -1.0 else math.log1p(x)
+
+
 # minimum(a, b) is min(a, b), NaN and -0.0 included, at under half the cost
-# of the builtin's two-argument call; clip keeps x unless it lies past a bound.
+# of the builtin's two-argument call; clip keeps x unless it lies past a bound,
+# and positive unless it is not above 0 (a NaN too), where it gives 0.
 # square is Python's x ** 2, which raises OverflowError past the float range.
+# any tells whether a test holds anywhere: on floats, whether it holds.
 FLOATS = SimpleNamespace(
-    exp=_exp, expm1=math.expm1, square=lambda x: x**2, minimum=lambda a, b: b if b < a else a,
-    clip=lambda x, lo, hi: hi if x > hi else (lo if x < lo else x),
-    where=lambda c, a, b: a if c else b, ratio=lambda a, b: a / b if b else math.nan,
-    entropy=binary_entropy,
+    exp=_exp, expm1=math.expm1, log1p=_log1p, square=lambda x: x**2, minimum=lambda a, b: b if b < a else a,
+    clip=lambda x, lo, hi: hi if x > hi else (lo if x < lo else x), positive=lambda x: x if x > 0.0 else 0.0,
+    ratio=lambda a, b: a / b if b else math.nan, entropy=binary_entropy, any=bool,
 )

@@ -14,9 +14,13 @@ runs the search on numpy's own functions, whose exp, log and squares
 round apart from math's and Python's in the last place, so the search's
 rates only pick mu'. EXACT gives FLOATS' bits on arrays (numpy's + - * /
 and comparisons, which round as Python's floats do, and math's functions
-and Python's square element by element), so a part takes each source's
-decoy columns in one call, and a sweep reports its points at the searched
-mu', from whole arrays.
+and Python's square mapped over lists), so a part takes its exact
+benchmark terms and each source's decoy columns in one call each, and a
+sweep reports its points at the searched mu', from whole arrays.
+
+A rate call takes each source's signal, weights and rate terms at mu'
+(bounds._rate_terms: tY'/2 and -f H2(E')) once for the source's bounded
+and ideal jobs, and every job's clamped rates fill one array.
 
 A rate call evaluates at most _BLOCK_CELLS = 2^13 (row, mu') cells, so
 peak memory grows with neither grid.
@@ -48,12 +52,13 @@ from .bounds import (
     _ideal_rate_at,
     _point_at,
     _positive_at,
+    _rate_terms,
     _row,
     _search_rate,
 )
 from .channel import ChannelParams, fiber_transmittance, overall_transmittance
 from .config import _SOURCES, SweepConfig, _grid_count
-from .numerics import FLOATS, _exp, binary_entropy
+from .numerics import FLOATS, _exp, _log1p
 from .observables import ObservedStatistics, _check_ordering
 # Not called here: bench/tracer.py patches this binding by name.
 from .observables import forecast_observables  # noqa: F401
@@ -97,9 +102,12 @@ def _array_entropy(p):
 
 # numerics.FLOATS' twin on broadcasting arrays, for the search alone; the
 # caller sets what numpy does on a zero division. The search takes the
-# weights at mu on FLOATS, so every mu' here is an array.
-ARRAYS = SimpleNamespace(exp=np.exp, expm1=np.expm1, square=np.square, minimum=np.minimum, clip=np.clip,
-                         where=np.where, ratio=np.divide, entropy=_array_entropy)
+# weights at mu on FLOATS, so every mu' here is an array. clip and positive
+# are plain ufuncs (fmax takes a NaN to 0), without np.clip's Python wrapper;
+# they may differ from FLOATS' only in the sign of a zero.
+ARRAYS = SimpleNamespace(exp=np.exp, expm1=np.expm1, square=np.square, minimum=np.minimum,
+                         clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi), positive=lambda x: np.fmax(x, 0.0),
+                         ratio=np.divide, entropy=_array_entropy)
 
 
 def _each(fn):
@@ -108,6 +116,21 @@ def _each(fn):
         a = np.asarray(a, dtype=float)
         return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
     return each
+
+
+_log2 = _each(math.log2)
+
+
+def _exact_entropy(p):
+    """binary_entropy on an array, bit for bit, with math.log2 mapped over lists; NaN outside [0, 1].
+
+    Where binary_entropy takes logs (0 < p < 1), the same expression runs on
+    the logs; it is 0 at 0, -0.0 and 1, and NaN where binary_entropy raises.
+    """
+    inner = (0.0 < p) & (p < 1.0)
+    s = np.where(inner, p, 0.5)
+    q = 1.0 - s
+    return np.where(inner, -s * _log2(s) - q * _log2(q), np.where((p == 0.0) | (p == 1.0), 0.0, math.nan))
 
 
 def _square(x: float) -> float:
@@ -125,16 +148,15 @@ def _square(x: float) -> float:
 # numerics.FLOATS' twin on plain arrays, bit for bit: numpy's + - * / and
 # comparisons round as Python's floats do, the selections keep FLOATS'
 # semantics (b < a picks b, NaN and -0.0 included; a zero divisor gives NaN),
-# and math's functions and Python's square go element by element. Its
+# and math's functions and Python's square are mapped over lists. Its
 # entropy is NaN outside [0, 1], where binary_entropy raises, so a row that
 # is not plain leaves the array to the chain instead of stopping it. The
 # report sets what numpy does on a zero division.
 EXACT = SimpleNamespace(
-    exp=_each(_exp), expm1=_each(math.expm1), square=_each(_square),
+    exp=_each(_exp), expm1=_each(math.expm1), log1p=_each(_log1p), square=_each(_square),
     minimum=lambda a, b: np.where(b < a, b, a),
-    clip=lambda x, lo, hi: np.where(x > hi, hi, np.where(x < lo, lo, x)),
-    where=np.where, ratio=lambda a, b: np.where(b != 0.0, a / b, math.nan),
-    entropy=_each(lambda p: binary_entropy(p) if 0.0 <= p <= 1.0 else math.nan),
+    clip=lambda x, lo, hi: np.where(x > hi, hi, np.where(x < lo, lo, x)), positive=lambda x: np.where(x > 0.0, x, 0.0),
+    ratio=lambda a, b: np.where(b != 0.0, a / b, math.nan), entropy=_exact_entropy, any=np.any,
 )
 
 
@@ -186,8 +208,7 @@ def golden_section_maximize(fn, a, b, tol: float):
         return x, fn(x[:, None])[:, 0]
     c = b - _INVPHI * width
     d = a + _INVPHI * width
-    # fn's points column by column: (k, rows) transposed, so its values' rows are contiguous
-    fc, fd = fn(np.array([c, d]).T).T
+    fc, fd = fn(np.stack([c, d], axis=1)).T
     while True:
         # fc >= fd keeps [a, d]: d takes c's place and a new c is probed;
         # otherwise [c, b] is kept and a new d is probed. bl and ar are the
@@ -209,7 +230,7 @@ def golden_section_maximize(fn, a, b, tol: float):
         if not (far_l.all() and far_r.all()):
             probe_l = np.where(far_l, probe_l, 0.5 * (a + bl))
             probe_r = np.where(far_r, probe_r, 0.5 * (ar + b))
-        f_probe, f_l, f_r = fn(np.array([probe, probe_l, probe_r]).T).T
+        f_probe, f_l, f_r = fn(np.stack([probe, probe_l, probe_r], axis=1)).T
         fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
         left = fc >= fd
         a, b = np.where(left, a, ar), np.where(left, bl, b)
@@ -316,18 +337,14 @@ def evaluate(
     return _point_at(src, cfg.mu, mu_prime, overall_transmittance(ch), ch, None, cfg.f_ec)
 
 
-def _column(values) -> np.ndarray:
-    return np.fromiter(values, float, len(values)).reshape(-1, 1)
-
-
 class _Part(NamedTuple):
     """One configuration's rows at distances: terms a search and its report read, each computed once.
 
     cols holds each row term once, as a (rows, 1) column: eta, exact's
     (Y1, H(e1)) and, per source kind, its signal triple at mu (P_post, tY_mu,
-    E_mu) and e1 mass. weights (the source's at mu, per source kind) and
-    mu_prime_min: floats, or once _join has joined parts that differ in
-    them, (rows, 1) columns and a 1-D array of rows.
+    E_mu) and e1 mass. weights (per source kind, the source's at mu and u**2,
+    _raw_y1's u2) and mu_prime_min: floats, or once _join has joined parts
+    that differ in them, (rows, 1) columns and a 1-D array of rows.
     best_x and best_f: the coarse scan's best mu' and rate, (jobs, rows).
     """
 
@@ -343,21 +360,21 @@ def _part(cfg: SweepConfig, distances, jobs, shared: _Part | None = None) -> _Pa
     """cfg's coarse-scanned _Part at distances for (source kind, ideal) jobs; no ChannelParams is built.
 
     shared, a part of another mu at the same distances, lends eta and exact.
-    Each source kind's signal at mu takes one EXACT call over the eta
-    column, so its columns have the scalar chain's bits.
+    The exact terms and each source kind's signal at mu take one EXACT call
+    each over the eta column, so the columns have the scalar chain's bits.
     """
     ch = cfg.channel
     if shared is None:
-        eta = [fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances]
-        exact = [_exact_single_photon(ch, e) for e in eta] if any(ideal for _, ideal in jobs) else []
-        cols = {"eta": (_column(eta),), "exact": tuple(map(_column, zip(*exact)))}
+        eta = np.array([fiber_transmittance(ch.alpha_db_per_km, d) * ch.eta_b for d in distances])[:, None]
+        cols = {"eta": (eta,), "exact": _exact_single_photon(EXACT, ch, eta) if any(i for _, i in jobs) else ()}
     else:
         cols = {k: shared.cols[k] for k in ("eta", "exact")}
     best = np.empty((2, len(jobs), len(distances)))
     part = _Part(distances, cols, {}, cfg.mu_prime_min, *best)
     for kind in dict.fromkeys(kind for kind, ideal in jobs if not ideal):
         src = _source(cfg, kind)
-        w = part.weights[kind] = src.weights(FLOATS, cfg.mu)
+        w = src.weights(FLOATS, cfg.mu)
+        part.weights[kind] = (*w, w[4] ** 2)
         with np.errstate(all="ignore"):
             p, ty, e = src.signal(EXACT, cfg.mu, cols["eta"][0], ch)  # P_post is a float at a float mu
             cols[kind] = (np.full(ty.shape, p), ty, e, _e1_mass(w, e, ty, ch.d_b, ch.e_0))
@@ -403,14 +420,15 @@ def _jobs_rate(cfg: SweepConfig, part: _Part, jobs, entries: slice):
 
     In the coarse scan every row sees the same (1, k) mu'; in the
     refinement the rows are the jobs' rows of entries, job after job. A
-    call evaluates each source kind's signal, its QBER's entropy and its
-    weights at mu' once for the kind's adjacent jobs, and each job slices
-    its rows. The search sees the scalar rates up to the last place of
-    numpy's exp, log and square.
+    call evaluates each source kind's signal, its weights at mu' and its
+    _rate_terms once for the kind's adjacent jobs, each job slices its rows,
+    and every job's rates, clamped at 0, fill one array. The search sees the
+    scalar rates up to the last place of numpy's exp, log and square, and
+    the sign of a zero.
     """
     ch, f, n = cfg.channel, cfg.f_ec, entries.stop - entries.start
     eta = part.cols["eta"][0][entries]
-    runs = []  # per kind: its source, every job's eta, (ideal, terms) per job and weights at mu
+    runs = []  # per kind: its source, every job's eta, (ideal, terms) per job and weights at mu with u**2
     for kind, run in groupby(jobs, lambda job: job[0]):
         # a bounded job reads its kind's tY_mu and e1 mass, an ideal one exact's terms
         terms = [(ideal, [c[entries] for c in (part.cols["exact"] if ideal else part.cols[kind][1::2])])
@@ -419,20 +437,23 @@ def _jobs_rate(cfg: SweepConfig, part: _Part, jobs, entries: slice):
                      [_take(t, entries) for t in part.weights.get(kind, ())]))
 
     def rate(mu_prime):
-        each, out = mu_prime.shape[0] > 1, []
+        each, start = mu_prime.shape[0] > 1, 0
+        out = np.empty((len(jobs) * n, mu_prime.shape[1]))
         with np.errstate(all="ignore"):
-            for src, every_eta, terms, w_mu in runs:
+            for src, every_eta, terms, (*w_mu, u2) in runs:
                 # refined, each job has n rows, after those of the jobs already in out
-                x = mu_prime[len(out) * n:(len(out) + len(terms)) * n] if each else mu_prime
+                x = mu_prime[start:start + len(terms) * n] if each else mu_prime
                 _, ty, e = src.signal(ARRAYS, x, every_eta if each else eta, ch)
-                signal = (ty, ARRAYS.entropy(e), *src.weights(ARRAYS, x))
+                signal = (ty, *_rate_terms(ty, ARRAYS.entropy(e), f), *src.weights(ARRAYS, x))
                 for i, (ideal, (t1, t2)) in enumerate(terms):
                     # refined jobs read their own rows; coarse ones all read every row
-                    ty_r, h_e, *w_r = ([_take(t, slice(i * n, (i + 1) * n)) for t in signal]
-                                       if each and len(terms) > 1 else signal)
-                    out.append(_benchmark_rate(ARRAYS, w_r, ty_r, h_e, f, t1, t2) if ideal
-                               else _search_rate(ARRAYS, w_mu, w_r, ch.d_b, t1, t2, ty_r, h_e, f))
-        return out[0] if len(out) == 1 else np.concatenate(out)
+                    ty_r, half_ty, leak, *w_r = ([_take(t, slice(i * n, (i + 1) * n)) for t in signal]
+                                                 if each and len(terms) > 1 else signal)
+                    out[start:start + n] = (
+                        _benchmark_rate(ARRAYS, w_r, ty_r, (half_ty, leak), t1, t2) if ideal
+                        else _search_rate(ARRAYS, w_mu, u2, w_r, ch.d_b, t1, t2, ty_r, (half_ty, leak)))
+                    start += n
+        return out
 
     return rate
 
@@ -470,9 +491,10 @@ def _report(cfg: SweepConfig, part: _Part, kind: str, entries: slice, mu_prime, 
     """
     ch, f, mu, src = cfg.channel, cfg.f_ec, cfg.mu, _source(cfg, kind)
     eta = part.cols["eta"][0][entries, 0]
-    decoy = p_mu, ty_mu, e_mu = [c[entries, 0] for c in part.cols[kind][:3]]
+    p_mu, ty_mu, e_mu, e1_mass = [c[entries, 0] for c in part.cols[kind]]
     with np.errstate(all="ignore"):
-        p, ty, e, plain, y1, delta1, e1, clamp_ok, rate, feasible = _row(EXACT, src, mu, mu_prime, eta, ch, decoy, f)
+        p, ty, e, plain, y1, delta1, e1, clamp_ok, rate, feasible = _row(
+            EXACT, src, mu, mu_prime, eta, ch, (p_mu, ty_mu, e_mu), e1_mass, f)
         ideal = math.nan  # one object, so equal points compare equal
         if ideal_mu_prime is not None:
             exact = tuple(c[entries, 0] for c in part.cols["exact"])
@@ -599,8 +621,8 @@ def _seed(cfg: SweepConfig, src, grid: list[float]) -> int:
         with np.errstate(all="ignore"):
             _, (ty_mu, ty), (e_mu, e) = src.signal(ARRAYS, x, eta, ch)
             e1_mass = _e1_mass(w_mu, e_mu, ty_mu, ch.d_b, ch.e_0)
-            rates = _search_rate(ARRAYS, w_mu, src.weights(ARRAYS, x[1]), ch.d_b, ty_mu, e1_mass, ty,
-                                 ARRAYS.entropy(e), cfg.f_ec)
+            rates = _search_rate(ARRAYS, w_mu, w_mu[4] ** 2, src.weights(ARRAYS, x[1]), ch.d_b, ty_mu, e1_mass, ty,
+                                 _rate_terms(ty, ARRAYS.entropy(e), cfg.f_ec))
         k = _last_positive(rates[:, 0])
         if k >= 0:
             return lo + k
@@ -608,11 +630,11 @@ def _seed(cfg: SweepConfig, src, grid: list[float]) -> int:
 
 
 def _searched_rows(cfg: SweepConfig, jobs, parts: list[_Part]) -> dict[float, tuple]:
-    """One search of parts: each distance's (transmittance, decoy triple, searched mu')."""
+    """One search of parts: each distance's (transmittance, decoy triple, e1 mass, searched mu')."""
     searched = {}
     for part, m in zip(parts, _search(cfg, parts, jobs)):
-        eta, *decoy = (c[:, 0].tolist() for c in part.cols["eta"] + part.cols[jobs[0][0]][:3])
-        searched.update(zip(part.distances, zip(eta, zip(*decoy), m[0].tolist())))
+        eta, *decoy, e1_mass = (c[:, 0].tolist() for c in part.cols["eta"] + part.cols[jobs[0][0]])
+        searched.update(zip(part.distances, zip(eta, zip(*decoy), e1_mass, m[0].tolist())))
     return searched
 
 
@@ -668,8 +690,8 @@ def max_secure_distance(cfg: SweepConfig, source_kind: str = "hsps") -> float | 
     below = chain([_slice(scanned[0], slice(k))] if k else [], chunks)
 
     def positive(distance):
-        eta, decoy, mu_prime = searched[distance]
-        return _positive_at(src, cfg.mu, mu_prime, eta, cfg.channel, decoy, cfg.f_ec)
+        eta, decoy, e1_mass, mu_prime = searched[distance]
+        return _positive_at(src, cfg.mu, mu_prime, eta, cfg.channel, decoy, e1_mass, cfg.f_ec)
 
     last = len(grid) - 1
     while last >= 0:

@@ -9,6 +9,7 @@ import pytest
 from decoy_hsps.bounds import (
     SecurityBounds,
     _delta1,
+    _e1_mass,
     _row,
     binary_entropy,
     compute_bounds,
@@ -208,7 +209,8 @@ def _plain_row(mu=0.1, mu_prime=0.5, ch=GYS, **given):
     w_mu, w_mu_prime = (tuple(map(np.float64, COHERENT.weights(FLOATS, x)[:4])) for x in (0.1, 0.5))
     src = _GivenSource((t["p"], t["ty"], t["e"]), w_mu + (t["u"],), w_mu_prime + (t["v"],))
     with np.errstate(all="ignore"):
-        row = _row(EXACT, src, mu, np.float64(mu_prime), eta, ch, (t["p_mu"], t["ty_mu"], t["e_mu"]), 1.2)
+        e1_mass = _e1_mass(w_mu + (t["u"],), t["e_mu"], t["ty_mu"], ch.d_b, ch.e_0)
+        row = _row(EXACT, src, mu, np.float64(mu_prime), eta, ch, (t["p_mu"], t["ty_mu"], t["e_mu"]), e1_mass, 1.2)
     return bool(row[3])
 
 

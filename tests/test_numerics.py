@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from decoy_hsps.bounds import _e1_mass
-from decoy_hsps.channel import ChannelParams
+from decoy_hsps.bounds import _e1_mass, _exact_single_photon
+from decoy_hsps.channel import ChannelParams, _click_probability, _error_rate
 from decoy_hsps.numerics import FLOATS, binary_entropy
 from decoy_hsps.optimizer import ARRAYS, EXACT
 from decoy_hsps.sources import COHERENT, triggered_source
@@ -56,7 +56,7 @@ def _same_elementwise(exact_fn, floats_fn, *columns):
 def test_exact_selections_and_ratio_are_floats_bit_for_bit():
     a, b = zip(*itertools.product(EDGES, repeat=2))
     assert _same_elementwise(EXACT.minimum, FLOATS.minimum, a, b)
-    assert _same_elementwise(lambda x, y: EXACT.where(x > y, x, y), lambda x, y: FLOATS.where(x > y, x, y), a, b)
+    assert _same_elementwise(EXACT.positive, FLOATS.positive, EDGES)
     # a zero divisor, of either sign, gives NaN; 0/0 never reaches a division
     assert _same_elementwise(EXACT.ratio, FLOATS.ratio, a, b)
     for lo, hi in ((0.0, 0.5), (-0.0, 1.0)):
@@ -65,6 +65,9 @@ def test_exact_selections_and_ratio_are_floats_bit_for_bit():
 
 def test_exact_math_is_floats_bit_for_bit():
     assert _same_elementwise(EXACT.entropy, FLOATS.entropy, [0.0, -0.0, 5e-324, 0.11, 0.5, 1.0 - 2**-53, 1.0])
+    # log1p is -inf at -1, where math's raises, as at_least_one_probability's p = 1 branch needs
+    assert _same_elementwise(EXACT.log1p, FLOATS.log1p, [-1.0, -1.0 + 2**-53, -0.5, -1e-300, -5e-324, -0.0, 0.0])
+    assert FLOATS.log1p(-1.0) == -math.inf
     # exp saturates at inf past 709.78, as FLOATS' does
     assert _same_elementwise(EXACT.exp, FLOATS.exp, [709.8, 800.0, -800.0, 709.7, 0.0, -0.0, 5e-324, -745.2])
     with np.errstate(over="ignore"):
@@ -73,6 +76,52 @@ def test_exact_math_is_floats_bit_for_bit():
     near_zero = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-10, -1e-10, 2**-30, -0.2387298371237824, -700.0]
     assert np.expm1(-0.2387298371237824) != math.expm1(-0.2387298371237824)
     assert _same_elementwise(EXACT.expm1, FLOATS.expm1, near_zero)
+
+
+def test_exact_entropy_is_binary_entropy_or_nan_where_it_raises():
+    # EXACT.entropy maps math.log2 over lists: inside [0, 1] it has binary_entropy's
+    # bits, H(0) = H(-0.0) = H(1) = +0.0 included, and where binary_entropy refuses a
+    # probability (NaN, below 0, above 1) it is NaN, in any order within one array
+    inside = [0.0, -0.0, 5e-324, 1.0 - 2**-53, 1.0, 0.11, 0.5, 2**-1074 * 3]
+    outside = [math.nan, -1.0, 1.5, -5e-324, 1.0 + 2**-52, math.inf]
+    for p in outside:
+        with pytest.raises(ValueError, match="probability must be in"):
+            binary_entropy(p)
+    mixed = np.array([x for pair in itertools.zip_longest(inside, outside) for x in pair if x is not None])
+    got = EXACT.entropy(mixed)
+    refused = ~((0.0 <= mixed) & (mixed <= 1.0))
+    assert np.isnan(got[refused]).all() and refused.sum() == len(outside)
+    assert _bits(got[~refused]) == _bits([binary_entropy(p) for p in mixed[~refused].tolist()])
+    assert _bits(EXACT.entropy(np.array(inside).reshape(2, 4)).ravel()) == _bits(list(map(binary_entropy, inside)))
+
+
+@pytest.mark.parametrize("ch", [ChannelParams(), ChannelParams(d_b=0.0), ChannelParams(e_0=1.0),
+                                ChannelParams(e_d=0.5, e_0=0.0), ChannelParams(d_b=0.999)],
+                         ids=["default", "d_b 0", "e_0 1", "e_d 1/2", "d_b 0.999"])
+def test_exact_single_photon_column_is_the_channels_row_by_row(ch):
+    # a sweep's part takes the benchmark's exact (Y1, H(e1)) in one EXACT call over the
+    # eta column: each row has the bits of the channel's n = 1 click probability and
+    # error rate (capped at 1/2) at its eta, eta = 1 and subnormal eta included, and
+    # on floats the same text gives them too
+    etas = [5e-324, 1e-300, 1e-16, 0.045, 0.5, 1.0 - 2**-53, 1.0] + ([0.0] if ch.d_b else [])
+    want = [(_click_probability(1, ch, e), binary_entropy(min(0.5, _error_rate(1, ch, e)))) for e in etas]
+    y1, h_e1 = _exact_single_photon(EXACT, ch, np.array(etas)[:, None])
+    assert y1.shape == h_e1.shape == (len(etas), 1)
+    assert _bits(y1.ravel()) == _bits([w[0] for w in want]) and _bits(h_e1.ravel()) == _bits([w[1] for w in want])
+    assert [_exact_single_photon(FLOATS, ch, e) for e in etas] == want
+
+
+@pytest.mark.parametrize("xp", [FLOATS, EXACT], ids=["floats", "exact"])
+def test_exact_single_photon_refuses_a_channel_that_never_clicks(xp):
+    # no dark counts and no transmission: the exact terms refuse with _error_rate's
+    # message, also when only one row of a column is dead
+    ch = ChannelParams(d_b=0.0)
+    with pytest.raises(ValueError) as chain:
+        _error_rate(1, ch, 0.0)
+    eta = 0.0 if xp is FLOATS else np.array([[0.045], [0.0], [1.0]])
+    with pytest.raises(ValueError) as refused:
+        _exact_single_photon(xp, ch, eta)
+    assert str(refused.value) == str(chain.value) and "no clicks can occur" in str(chain.value)
 
 
 def test_exact_square_is_pythons_pow():

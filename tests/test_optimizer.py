@@ -442,6 +442,12 @@ class TestBatchedCutoff:
                 assert max_secure_distance(cfg, kind) == serial, seed_row
 
 
+def _e1_mass(src, mu, decoy, ch):
+    """The e1 mass of src's signal triple decoy at mu, as a part's column holds it."""
+    _, ty_mu, e_mu = decoy
+    return bounds_module._e1_mass(src.weights(FLOATS, mu), e_mu, ty_mu, ch.d_b, ch.e_0)
+
+
 def _force_guesses(monkeypatch, cfg, seed_row=None, last_row=False):
     """Patch _last_positive: the seed's call over the whole grid returns seed_row (from
     the end when negative) unless it is None, and each later call returns the real last
@@ -471,9 +477,10 @@ def test_cutoff_judge_equals_the_scalar_chain(monkeypatch, overrides, kind):
         eta = overall_transmittance(ch.at_distance(p.distance_km))
         decoy = src.signal(FLOATS, cfg.mu, eta, ch)
         for mu_prime in (p.mu_prime, cfg.mu_prime_min, cfg.mu_prime_max, 800.0):
-            args = (src, cfg.mu, mu_prime, eta, ch, decoy, cfg.f_ec)
-            chain = point_at(*args)[2] > 0.0
-            assert bounds_module._positive_at(*args) == chain, (p.distance_km, mu_prime)
+            args = (src, cfg.mu, mu_prime, eta, ch, decoy)
+            chain = point_at(*args, cfg.f_ec)[2] > 0.0
+            assert bounds_module._positive_at(*args, _e1_mass(src, cfg.mu, decoy, ch), cfg.f_ec) == chain, (
+                p.distance_km, mu_prime)
             judged += 1
     # the rows at mu' = 800, outside the plain case, and only some, go through the chain
     assert 0 < len(handed) < judged or judged == 0
@@ -485,11 +492,14 @@ def test_cutoff_judge_raises_the_chains_error(kind):
     # a channel with neither transmittance nor dark counts never clicks: the judge, the
     # chain and the cut-off all end with the forecast's error
     cfg = _cfg(channel=ChannelParams(eta_b=0.0, d_b=0.0), dist_stop_km=20.0, dist_step_km=10.0)
-    src, ch = source(cfg, kind), cfg.channel
-    args = (src, cfg.mu, cfg.mu_prime_min, 0.0, ch, src.signal(FLOATS, cfg.mu, 0.0, ch), cfg.f_ec)
-    for judge in (bounds_module._point_at, bounds_module._positive_at, lambda *_: max_secure_distance(cfg, kind)):
+    src, ch, f = source(cfg, kind), cfg.channel, cfg.f_ec
+    decoy = src.signal(FLOATS, cfg.mu, 0.0, ch)
+    args = (src, cfg.mu, cfg.mu_prime_min, 0.0, ch, decoy)
+    for judge in (lambda: bounds_module._point_at(*args, f),
+                  lambda: bounds_module._positive_at(*args, _e1_mass(src, cfg.mu, decoy, ch), f),
+                  lambda: max_secure_distance(cfg, kind)):
         with pytest.raises(ValueError, match="^QBER undefined: forecast yield is zero$"):
-            judge(*args)
+            judge()
 
 
 class TestSweepConfigValidation:
@@ -625,6 +635,11 @@ def test_report_leaves_an_undefined_benchmark_signal_to_the_chain(monkeypatch):
         _assert_reference(cfg, sweep_distances(cfg))
 
 
+def _where(xp, c, a, b):
+    """a where c holds, else b, on namespace xp's floats or arrays."""
+    return (a if c else b) if xp is FLOATS else np.where(c, a, b)
+
+
 def _bent_source(mu, signal=None, weights=None):
     """A coherent source whose terms are bent alike on every namespace.
 
@@ -650,22 +665,23 @@ def _bent_source(mu, signal=None, weights=None):
 # range, but raw Y1 < 0 and a negative error mass make raw e1 -inf: the row is
 # not plain, and the chain refuses it.
 SCREEN_BREAKS = {
-    "y_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, ty / 2.0, p), ty, e)), "y_mu must be in"),
-    "y_mu_prime": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, p, ty / 2.0), ty, e)),
+    "y_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (_where(xp, at_mu, ty / 2.0, p), ty, e)), "y_mu must be in"),
+    "y_mu_prime": (dict(signal=lambda xp, at_mu, p, ty, e: (_where(xp, at_mu, p, ty / 2.0), ty, e)),
                    "y_mu_prime must be in"),
-    "ty_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, 1e4 * p, p), xp.where(at_mu, 1e4 * ty, ty), e)),
+    "ty_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (_where(xp, at_mu, 1e4 * p, p),
+                                                       _where(xp, at_mu, 1e4 * ty, ty), e)),
               "ty_mu must be in"),
-    "ty_mu_prime": (dict(signal=lambda xp, at_mu, p, ty, e: (xp.where(at_mu, p, 1e4 * p),
-                                                             xp.where(at_mu, ty, 1e4 * ty), e),
-                         weights=lambda xp, at_mu_prime, g, inv_g: (g, xp.where(at_mu_prime, inv_g / 1e4, inv_g))),
+    "ty_mu_prime": (dict(signal=lambda xp, at_mu, p, ty, e: (_where(xp, at_mu, p, 1e4 * p),
+                                                             _where(xp, at_mu, ty, 1e4 * ty), e),
+                         weights=lambda xp, at_mu_prime, g, inv_g: (g, _where(xp, at_mu_prime, inv_g / 1e4, inv_g))),
                     "ty_mu_prime must be in"),
-    "e_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (p, ty, xp.where(at_mu, 1.5, e))), "e_mu must be in"),
-    "e_mu_prime nan": (dict(signal=lambda xp, at_mu, p, ty, e: (p, ty, xp.where(at_mu, e, math.nan))),
+    "e_mu": (dict(signal=lambda xp, at_mu, p, ty, e: (p, ty, _where(xp, at_mu, 1.5, e))), "e_mu must be in"),
+    "e_mu_prime nan": (dict(signal=lambda xp, at_mu, p, ty, e: (p, ty, _where(xp, at_mu, e, math.nan))),
                        "e_mu_prime must be in"),
     "delta1": (dict(weights=lambda xp, at_mu_prime, g, inv_g: (-g, inv_g)), "delta1 must be in"),
     "delta1 nan": (dict(weights=lambda xp, at_mu_prime, g, inv_g: (g * math.nan, inv_g)), "delta1 must be in"),
     "key_rate": ({}, "key_rate .* exceeds ideal benchmark"),
-    "not plain": (dict(signal=lambda xp, at_mu, p, ty, e: (p, xp.where(at_mu, 0.0 * ty, ty), e)), "QBER undefined"),
+    "not plain": (dict(signal=lambda xp, at_mu, p, ty, e: (p, _where(xp, at_mu, 0.0 * ty, ty), e)), "QBER undefined"),
 }
 
 
@@ -725,7 +741,7 @@ def _count_exact(monkeypatch):
 
 
 def test_figure2_sweep_computes_each_row_term_once(spy, monkeypatch):
-    # the exact terms once per distance, the decoy columns in one exact signal call per
+    # the exact terms in one array call, the decoy columns in one exact signal call per
     # source, one array signal per source and rate call, and no channel per distance
     calls = _count_exact(monkeypatch)
     built = []
@@ -733,7 +749,7 @@ def test_figure2_sweep_computes_each_row_term_once(spy, monkeypatch):
     monkeypatch.setattr(ChannelParams, "at_distance", lambda self, d: built.append(d) or at_distance(self, d))
     points = sweep_distances(_cfg(sources=("hsps", "wcs"), include_ideal=True))
     assert len(points) == 2 * 181
-    assert calls["exact"] == 181 and built == []
+    assert calls["exact"] == 1 and built == []
     for kind in ("hsps", "wcs"):
         assert spy.floats[kind] == 0
         # the decoy columns, then the report's signal at the bounded and the ideal mu', one chunk
@@ -780,19 +796,21 @@ def _split_at_opening(calls):
     return calls[:start], calls[start:]
 
 
-def _assert_joined_search_is_each_mu_alone(spy, cfgs):
-    """A sweep of cfgs together equals one sweep per cfg, and each row of its one search probes as alone."""
-    alone = []
+def _assert_joined_search_is_each_mu_alone(spy, monkeypatch, cfgs):
+    """A sweep of cfgs together equals one sweep per cfg, and each row of its one search probes and rates as alone."""
+    recorded, alone = _record_golden(monkeypatch), []
     for cfg in cfgs:
         spy.arrays.clear()
-        alone.append((sweep_distances(cfg), list(spy.arrays)))
+        recorded.calls.clear()
+        alone.append((sweep_distances(cfg), list(spy.arrays), [rates for _, rates in recorded.calls]))
     spy.arrays.clear()
+    recorded.calls.clear()
     # every field of every point, mu-major: mu, mu', rates, bounds, observables, flags
-    assert sweep_distances(*cfgs) == [p for points, _ in alone for p in points]
+    assert sweep_distances(*cfgs) == [p for points, _, _ in alone for p in points]
     n, jobs = len(distance_grid(cfgs[0])), 1 + cfgs[0].include_ideal
     for kind in cfgs[0].sources:
         coarse, golden = _split_at_opening(_calls(spy, kind))
-        own = [_split_at_opening([c for c in calls if c.kind == kind]) for _, calls in alone]
+        own = [_split_at_opening([c for c in calls if c.kind == kind]) for _, calls, _ in alone]
         # each mu's own coarse scan, then one golden section as long as the longest alone
         own_coarse = [c for calls, _ in own for c in calls]
         assert len(coarse) == len(own_coarse) and all(map(_same_call, coarse, own_coarse))
@@ -801,24 +819,29 @@ def _assert_joined_search_is_each_mu_alone(spy, cfgs):
         for i, (_, own_golden) in enumerate(own):
             rows = np.concatenate([np.arange(n) + (j * len(cfgs) + i) * n for j in range(jobs)])
             assert all(_same_call(got, want, rows) for got, want in zip(golden, own_golden)), cfgs[i].mu
+    # ... and rates as alone, bit for bit, in each call of the golden section
+    for i, (_, _, own_rates) in enumerate(alone):
+        rows = np.concatenate([np.arange(n) + (j * len(cfgs) + i) * n for j in range(len(cfgs[0].sources) * jobs)])
+        assert own_rates and all(got[rows].tobytes() == want.tobytes()
+                                 for (_, got), want in zip(recorded.calls, own_rates)), cfgs[i].mu
 
 
 @pytest.mark.parametrize("include_ideal", [True, False], ids=["ideal", "no ideal"])
 @pytest.mark.parametrize("sources", [("hsps",), ("wcs",), ("hsps", "wcs"), ("wcs", "hsps")],
                          ids=["hsps", "wcs", "hsps+wcs", "wcs+hsps"])
-def test_figure1_sweep_equals_one_sweep_per_mu(spy, sources, include_ideal):
+def test_figure1_sweep_equals_one_sweep_per_mu(spy, monkeypatch, sources, include_ideal):
     cfgs = _mu_cfgs(FIGURE1_MUS, sources=sources, include_ideal=include_ideal)
-    _assert_joined_search_is_each_mu_alone(spy, cfgs)
+    _assert_joined_search_is_each_mu_alone(spy, monkeypatch, cfgs)
     rows = 3 * (1 + include_ideal) * 181
     assert [_openings(spy, kind) for kind in sources] == [[rows]] * len(sources)
 
 
 @pytest.mark.parametrize("sources, include_ideal", [
     (("hsps", "wcs"), True), (("wcs",), True), (("hsps",), False)])
-def test_rounding_sensitive_mus_search_as_each_mu_alone(spy, sources, include_ideal):
+def test_rounding_sensitive_mus_search_as_each_mu_alone(spy, monkeypatch, sources, include_ideal):
     cfgs = _mu_cfgs(ROUNDING_MUS, sources=sources, include_ideal=include_ideal,
                     dist_stop_km=170.0, dist_step_km=2.0)
-    _assert_joined_search_is_each_mu_alone(spy, cfgs)
+    _assert_joined_search_is_each_mu_alone(spy, monkeypatch, cfgs)
 
 
 # at each first mu, Python's u ** 2 and numpy's u * u round apart (as on about 0.08 % of
@@ -828,19 +851,19 @@ SQUARE_ROUNDING_MUS = {"hsps": (0.16152197395728854, 0.05, 0.4207682840057054),
 
 
 @pytest.mark.parametrize("kind", ["hsps", "wcs"])
-def test_mus_whose_squares_round_apart_search_as_each_mu_alone(spy, kind):
+def test_mus_whose_squares_round_apart_search_as_each_mu_alone(spy, monkeypatch, kind):
     mus = SQUARE_ROUNDING_MUS[kind]
     u = source(DEFAULT, kind).weights(FLOATS, mus[0])[4]
     assert u**2 != u * u
-    _assert_joined_search_is_each_mu_alone(spy, _mu_cfgs(mus, sources=(kind,), dist_step_km=0.5))
+    _assert_joined_search_is_each_mu_alone(spy, monkeypatch, _mu_cfgs(mus, sources=(kind,), dist_step_km=0.5))
 
 
 def test_figure1_makes_one_refinement_pass(spy, monkeypatch, tmp_path):
     # 5 coarse blocks per mu and one golden section of 1 + 6 calls, against
-    # 3 x 19 calls and 3 x 181 exact terms for three sweeps
+    # 3 x 19 calls for three sweeps; the three parts share one call of the exact terms
     calls = _count_exact(monkeypatch)
     assert main(["figure", "1", "--out", str(tmp_path)]) == 0
-    assert len(spy.arrays) == 22 and calls["exact"] == 181
+    assert len(spy.arrays) == 22 and calls["exact"] == 1
     assert len(_openings(spy, "hsps")) == 1
 
 
@@ -1019,30 +1042,91 @@ class TestStackedSearch:
 # ---------------------------------------------------------------------------
 # the coarse scan's tie rule, on rates that are finite and >= 0
 
-def test_rate_cores_give_finite_nonnegative_rates_on_extreme_cells():
-    # the search reads no NaN: bounds' two rate cores clamp every cell, also at
-    # zero, subnormal and dark-free signals whose bounds divide 0 by 0
-    mu_prime = np.array([[0.06, 0.3, 1.0, 50.0, 700.0]])
-    etas = [0.0, 5e-324, 1e-300, 1e-9, 0.03, 1.0]
-    for ch in (DEFAULT.channel, ChannelParams(d_b=0.0), ChannelParams(d_b=0.0, e_d=0.0)):
-        exact = [bounds_module._exact_single_photon(ch, e) if e or ch.d_b else (0.0, 1.0) for e in etas]
-        y1, h_e1 = (np.array(c)[:, None] for c in zip(*exact))
-        for kind in ("hsps", "wcs"):
-            src = source(DEFAULT, kind)
-            w_mu = src.weights(FLOATS, DEFAULT.mu)
-            decoy = [src.signal(FLOATS, DEFAULT.mu, e, ch) for e in etas]
-            ty_mu = np.array([[ty] for _, ty, _ in decoy])
-            e1_mass = np.array([[bounds_module._e1_mass(w_mu, e, ty, ch.d_b, ch.e_0)] for _, ty, e in decoy])
-            with np.errstate(all="ignore"):
-                _, ty, e = src.signal(ARRAYS, mu_prime, np.array(etas)[:, None], ch)
-                w = src.weights(ARRAYS, mu_prime)
-                h_e, f = ARRAYS.entropy(e), DEFAULT.f_ec
-                rates = [bounds_module._search_rate(ARRAYS, w_mu, w, ch.d_b, ty_mu, e1_mass, ty, h_e, f),
-                         bounds_module._benchmark_rate(ARRAYS, w, ty, h_e, f, y1, h_e1)]
+# Transmittances 10^(-d) (10 dB/km, eta_b = 1) on a grid from 1 through 0.03, 1e-9,
+# 1e-300 and the subnormal 3e-323 to 0, and a coarse block of mu' up to 700.
+EXTREME_GRID = dict(dist_start_km=0.0, dist_stop_km=330.0, dist_step_km=1.5)
+EXTREME_MU_PRIME = np.array([[0.06, 0.3, 1.0, 50.0, 700.0]])
+EXTREME_CHANNELS = {"default": ChannelParams(alpha_db_per_km=10.0, eta_b=1.0),
+                    "d_b 0": ChannelParams(alpha_db_per_km=10.0, eta_b=1.0, d_b=0.0),
+                    "d_b 0, e_d 0": ChannelParams(alpha_db_per_km=10.0, eta_b=1.0, d_b=0.0, e_d=0.0)}
+
+
+def _record_golden(monkeypatch):
+    """Each golden section's rate callable, and every call of it as (mu', rates), in order."""
+    seen = SimpleNamespace(fns=[], calls=[])
+
+    def golden(fn, *args, _golden=optimizer_module.golden_section_maximize):
+        seen.fns.append(fn)
+        return _golden(lambda mu_prime: seen.calls.append((mu_prime, fn(mu_prime))) or seen.calls[-1][1], *args)
+
+    monkeypatch.setattr(optimizer_module, "golden_section_maximize", golden)
+    return seen
+
+
+# ARRAYS with the report's clamp at 0, where(R > 0, R, 0), in place of the search's fmax
+WHERE_CLAMPED = SimpleNamespace(**{**vars(ARRAYS), "positive": lambda x: np.where(x > 0.0, x, 0.0)})
+
+
+def _extreme_rates(ch, mu_prime):
+    """The rates at mu_prime of the rate callable of a sweep's search over EXTREME_GRID on ch,
+    and each job's rates taken alone from bounds' rate cores on WHERE_CLAMPED, job after job.
+
+    A dark-free channel's exact terms refuse its eta 0 rows, so its sweep goes without
+    benchmarks and ends refusing those rows in its report, after the search.
+    """
+    cfg = _cfg(channel=ch, include_ideal=bool(ch.d_b), **EXTREME_GRID)
+    etas = [overall_transmittance(ch.at_distance(d)) for d in distance_grid(cfg)]
+    assert etas[0] == 1.0 and 0.0 < min(e for e in etas if e) < 1e-322 and etas[-1] == 0.0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        golden = _record_golden(monkeypatch)
+        if ch.d_b:
+            sweep_distances(cfg)
+        else:
+            with pytest.raises(ValueError, match="QBER undefined"):
+                sweep_distances(cfg)
+    n, f, alone = len(etas), cfg.f_ec, []
+    jobs = [(kind, ideal) for kind in cfg.sources for ideal in (False, True)[:1 + cfg.include_ideal]]
+    with np.errstate(all="ignore"):
+        for j, (kind, ideal) in enumerate(jobs):
+            src = source(cfg, kind)
+            x = mu_prime if mu_prime.shape[0] == 1 else mu_prime[j * n:(j + 1) * n]
+            _, ty, e = src.signal(ARRAYS, x, np.array(etas)[:, None], ch)
+            w, terms = src.weights(ARRAYS, x), bounds_module._rate_terms(ty, ARRAYS.entropy(e), f)
+            if ideal:
+                exact = [bounds_module._exact_single_photon(FLOATS, ch, eta) for eta in etas]
+                rates = bounds_module._benchmark_rate(WHERE_CLAMPED, w, ty, terms, *np.array(exact).T[:, :, None])
+            else:
+                decoy = [src.signal(FLOATS, cfg.mu, eta, ch) for eta in etas]
+                ty_mu, e1_mass = (np.array(c)[:, None] for c in
+                                  ([d[1] for d in decoy], [_e1_mass(src, cfg.mu, d, ch) for d in decoy]))
+                w_mu = src.weights(FLOATS, cfg.mu)
+                rates = bounds_module._search_rate(WHERE_CLAMPED, w_mu, w_mu[4] ** 2, w, ch.d_b, ty_mu, e1_mass, ty,
+                                                   terms)
             assert ch.d_b or np.isnan(e).any()  # the dark-free channels' empty cells
-            for rate in rates:
-                assert rate.shape == (len(etas), mu_prime.size)
-                assert np.isfinite(rate).all() and (rate >= 0.0).all(), (kind, ch)
+            alone.append(rates)
+    return golden.fns[0](mu_prime), np.concatenate(alone)
+
+
+def test_rate_cores_give_finite_nonnegative_rates_on_extreme_cells():
+    # the search reads no NaN: its rate call clamps every cell of bounds' two rate
+    # cores, also at zero, subnormal and dark-free signals whose bounds divide 0 by 0
+    for ch in EXTREME_CHANNELS.values():
+        rates, alone = _extreme_rates(ch, EXTREME_MU_PRIME)
+        assert rates.shape == alone.shape == (2 * (1 + bool(ch.d_b)) * 221, EXTREME_MU_PRIME.size)
+        assert np.isfinite(rates).all() and (rates >= 0.0).all(), ch
+
+
+@pytest.mark.parametrize("ch", EXTREME_CHANNELS.values(), ids=EXTREME_CHANNELS)
+def test_rate_call_is_the_rate_cores_up_to_the_sign_of_zero(ch):
+    # a rate call takes each kind's signal, weights and rate terms once for both of its
+    # jobs, slices each job's rows, clamps by fmax and fills one array; at every extreme
+    # cell, coarse and refined, each job's rates are still the rate cores' taken alone
+    # and clamped by where, up to the sign of a zero
+    rows = 2 * (1 + bool(ch.d_b)) * 221
+    refined = np.random.default_rng(11).permuted(np.tile(EXTREME_MU_PRIME, (rows, 1)), axis=1)[:, :3].copy()
+    for mu_prime in (EXTREME_MU_PRIME, refined):
+        got, alone = _extreme_rates(ch, mu_prime)
+        assert got.shape == alone.shape and np.array_equal(got, alone)
 
 
 # Offsets from a row's top rate, in units of RATE_TIE_TOL.
