@@ -79,7 +79,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import DARK_COUNT_E_0, _NO_CLICKS, ChannelParams, overall_transmittance
+from .channel import (
+    DARK_COUNT_E_0, ChannelParams, _click_probability, _error_rate, overall_transmittance,
+)
 from .numerics import FLOATS, binary_entropy
 from .observables import ObservedStatistics, _check_ordering, _forecast_row
 from .sources import COHERENT, triggered_source
@@ -197,7 +199,8 @@ def _single_photon_bounds(xp, raw_y1, e1_mass, w_mu, w_mu_prime, ty_mu_prime, ju
     photons: Y1 and Delta1 are 0 there, so no rate is positive. The clamp
     test holds where no bound needed its clamp; a bound that did makes the
     point infeasible. A NaN fails it, so a missing QBER enters as a zero
-    error mass. A search reads no flag and passes judge False.
+    error mass. A search reads no flag and passes judge False. k1, the same
+    at every intensity (.sources), is read at mu' for both bounds.
     """
     y1 = xp.clip(raw_y1, 0.0, 1.0)
     g, _, _, k1, v = w_mu_prime
@@ -396,17 +399,9 @@ def _positive_at(src, mu: float, mu_prime: float, eta: float, ch: ChannelParams,
 def _exact_single_photon(xp, ch: ChannelParams, eta):
     """True single-photon yield and entropy of its error rate, capped at 1/2, at overall transmittance eta.
 
-    _click_probability and _error_rate at n = 1 on namespace xp, so a sweep
-    takes its whole eta column in one call: the transmitted share is
-    at_least_one_probability(eta, 1), whose eta = 1 branch is xp.log1p's
-    -inf at -1. Where nothing can click, it refuses as _error_rate does.
+    On namespace xp, so a sweep takes its whole eta column in one call.
     """
-    transmitted = -xp.expm1(xp.log1p(-eta))
-    clicks = ch.d_b + transmitted
-    if xp.any(clicks == 0.0):
-        raise ValueError(_NO_CLICKS)
-    error_rate = (ch.e_0 * ch.d_b + ch.e_d * transmitted) / clicks
-    return xp.minimum(1.0, clicks), xp.entropy(xp.minimum(0.5, error_rate))
+    return _click_probability(xp, 1, ch, eta), xp.entropy(xp.minimum(0.5, _error_rate(xp, 1, ch, eta)))
 
 
 def _benchmark_rate(xp, w, ty, terms, y1, h_e1):

@@ -9,11 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .numerics import FLOATS
 from .sources import at_least_one_probability
 
 DARK_COUNT_E_0 = 0.5  # a dark count's bit value is random
-
-_NO_CLICKS = "n-photon error rate undefined: zero dark counts and zero transmittance mean no clicks can occur"
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def n_photon_click_probability(n: int, ch: ChannelParams) -> float:
     Additive dark-count approximation d_b + 1 - (1-eta)^n, clamped to 1 so
     the value stays a probability.
     """
-    return _click_probability(n, ch, overall_transmittance(ch))
+    return _click_probability(FLOATS, n, ch, overall_transmittance(ch))
 
 
 def n_photon_error_rate(n: int, ch: ChannelParams) -> float:
@@ -87,23 +86,27 @@ def n_photon_error_rate(n: int, ch: ChannelParams) -> float:
     Dark counts err half the time; surviving photons err with the
     misalignment probability. Undefined when no click can occur.
     """
-    return _error_rate(n, ch, overall_transmittance(ch))
+    return _error_rate(FLOATS, n, ch, overall_transmittance(ch))
 
 
 # The two helpers below take the overall transmittance eta, computed once
-# by the caller, as the sources' signal terms do.
+# by the caller, as the sources' signal terms do, and a namespace xp
+# (.numerics), so a sweep takes a whole column of eta in one call.
 
-def _click_probability(n: int, ch: ChannelParams, eta: float) -> float:
+def _click_probability(xp, n: int, ch: ChannelParams, eta: float) -> float:
     if n < 1:
         raise ValueError(f"photon number n must be >= 1, got {n}")
-    return min(1.0, ch.d_b + at_least_one_probability(eta, n))
+    return xp.minimum(1.0, ch.d_b + at_least_one_probability(eta, n, xp))
 
 
-def _error_rate(n: int, ch: ChannelParams, eta: float) -> float:
+def _error_rate(xp, n: int, ch: ChannelParams, eta: float) -> float:
     if n < 1:
         raise ValueError(f"photon number n must be >= 1, got {n}")
-    transmitted = at_least_one_probability(eta, n)
+    transmitted = at_least_one_probability(eta, n, xp)
     denom = ch.d_b + transmitted
-    if denom == 0.0:
-        raise ValueError(_NO_CLICKS)
+    if xp.any(denom == 0.0):
+        raise ValueError(
+            "n-photon error rate undefined: zero dark counts and zero transmittance "
+            "mean no clicks can occur"
+        )
     return (ch.e_0 * ch.d_b + ch.e_d * transmitted) / denom

@@ -224,9 +224,8 @@ def emit_csv(rows, path: str | Path, header=CSV_COLUMNS) -> None:
             columns = list(zip(*block))[:len(header)]
             texts = _e17(np.array([columns[j] for j in numbers], np.float64).ravel())
             for j, name in enumerate(header):
-                if name in _CELL:  # each distinct cell formatted once
-                    texts_of = {cell: (_CELL[name] % cell).encode() for cell in set(columns[j])}
-                    columns[j] = list(map(texts_of.__getitem__, columns[j]))
+                if name in _CELL:
+                    columns[j] = [(_CELL[name] % cell).encode() for cell in columns[j]]
             for i, j in enumerate(numbers):
                 columns[j] = texts[i * len(block):(i + 1) * len(block)]
             fh.write(b"\n".join(map(b",".join, zip(*columns))))
@@ -340,14 +339,11 @@ def _cmd_figure(args) -> int:
     # records come configuration-major, then by distance, then by source in cfg.sources order
     kinds = cfgs[0].sources
     n, step = len(records) // len(cfgs), len(kinds)
-    # each column's log10 series, -inf where its rate is 0
-    series = np.full((len(columns), n // step), -math.inf)
-    for logs, (_, k, source, rate) in zip(series, columns):
-        j = CSV_COLUMNS.index(rate)
-        rates = np.array([r[j] for r in records[k * n + kinds.index(source):(k + 1) * n:step]])
-        positive = np.flatnonzero(rates > 0.0)
-        logs[positive] = list(map(math.log10, rates[positive].tolist()))
-    rows = list(zip([r[0] for r in records[:n:step]], *series.tolist()))
+    series = [
+        [math.log10(r[j]) if r[j] > 0.0 else -math.inf for r in records[k * n + kinds.index(source):(k + 1) * n:step]]
+        for _, k, source, rate in columns for j in [CSV_COLUMNS.index(rate)]
+    ]
+    rows = [(r[0], *cells) for r, cells in zip(records[:n:step], zip(*series))]
     intensities = None
     if mus != (None,):
         intensities = {"mu": list(mus), "mu_prime_min": [c.mu_prime_min for c in cfgs]}

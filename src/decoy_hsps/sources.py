@@ -14,7 +14,9 @@ each gives its signal terms at an intensity (signal) and states its
 photon-number law, the weight P_n(x) of the n-photon yield in the
 constraint sum_n P_n(x) Y_n = tY_x that its rescaled yield obeys, in the
 factored form P_n(x) = g(x) * k_n * u(x)^n (weights gives g, 1/g, k0, k1
-and u). The one decoy-state elimination in .bounds derives Y1, Delta1 and
+and u). k_n does not depend on the intensity x: the elimination weighs both
+intensities' constraints with the same k_n, so .bounds reads k0 and k1 at
+either. The one decoy-state elimination in .bounds derives Y1, Delta1 and
 e1 from these alone; the two-photon factor k2 cancels there, so no source
 states it. Each term takes a numeric namespace xp (.numerics), so one
 text serves Python floats and numpy arrays.
@@ -22,8 +24,9 @@ text serves Python floats and numpy arrays.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
+
+from .numerics import FLOATS
 
 
 @dataclass(frozen=True)
@@ -48,19 +51,18 @@ class HeraldedSourceParams:
             raise ValueError(f"d_a must be in [0, 1), got {self.d_a}")
 
 
-def at_least_one_probability(p: float, n: int) -> float:
+def at_least_one_probability(p: float, n: int, xp=FLOATS) -> float:
     """Probability 1 - (1-p)^n that at least one of n tries succeeds.
 
     Uses expm1/log1p so tiny p keeps full relative precision and p = 0
-    gives exactly 0.
+    gives exactly 0; xp.log1p is -inf at -1, so p = 1 gives 1. On an array
+    namespace xp, p is an array whose values the caller keeps in [0, 1].
     """
     if n < 0:
         raise ValueError(f"count n must be >= 0, got {n}")
-    if not 0.0 <= p <= 1.0:
+    if xp is FLOATS and not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p must be in [0, 1], got {p}")
-    if p == 1.0:
-        return 1.0 if n > 0 else 0.0
-    return -math.expm1(n * math.log1p(-p))
+    return -xp.expm1(n * xp.log1p(-p)) if n else 0.0
 
 
 def post_selection_probability(src: HeraldedSourceParams) -> float:

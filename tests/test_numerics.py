@@ -9,7 +9,7 @@ from decoy_hsps.bounds import _e1_mass, _exact_single_photon
 from decoy_hsps.channel import ChannelParams, _click_probability, _error_rate
 from decoy_hsps.numerics import FLOATS, binary_entropy
 from decoy_hsps.optimizer import ARRAYS, EXACT
-from decoy_hsps.sources import COHERENT, triggered_source
+from decoy_hsps.sources import COHERENT, at_least_one_probability, triggered_source
 
 
 def test_arrays_exp_is_numpys():
@@ -65,7 +65,7 @@ def test_exact_selections_and_ratio_are_floats_bit_for_bit():
 
 def test_exact_math_is_floats_bit_for_bit():
     assert _same_elementwise(EXACT.entropy, FLOATS.entropy, [0.0, -0.0, 5e-324, 0.11, 0.5, 1.0 - 2**-53, 1.0])
-    # log1p is -inf at -1, where math's raises, as at_least_one_probability's p = 1 branch needs
+    # log1p is -inf at -1, where math's raises, so at_least_one_probability is 1 at p = 1
     assert _same_elementwise(EXACT.log1p, FLOATS.log1p, [-1.0, -1.0 + 2**-53, -0.5, -1e-300, -5e-324, -0.0, 0.0])
     assert FLOATS.log1p(-1.0) == -math.inf
     # exp saturates at inf past 709.78, as FLOATS' does
@@ -95,16 +95,30 @@ def test_exact_entropy_is_binary_entropy_or_nan_where_it_raises():
     assert _bits(EXACT.entropy(np.array(inside).reshape(2, 4)).ravel()) == _bits(list(map(binary_entropy, inside)))
 
 
+def test_at_least_one_probability_is_the_branch_formula_on_floats_and_arrays():
+    # 1 - (1-p)^n is -expm1(n log1p(-p)) with no branch at p = 1, where log1p's -inf
+    # gives 1; it has the bits of the formula with that branch written out
+    ps = [0.0, -0.0, 5e-324, 1e-300, 1e-16, 0.045, 0.5, 1.0 - 2**-53, 1.0]
+    for n in (1, 2, 7, 200_000):
+        want = [1.0 if p == 1.0 else -math.expm1(n * math.log1p(-p)) for p in ps]
+        assert _bits([at_least_one_probability(p, n) for p in ps]) == _bits(want), n
+        assert _bits(at_least_one_probability(np.array(ps), n, EXACT)) == _bits(want), n
+    assert [at_least_one_probability(p, 0) for p in ps] == [0.0] * len(ps)
+    for p in (-5e-324, 1.0 + 2**-52, math.nan):
+        with pytest.raises(ValueError, match="probability p must be in"):
+            at_least_one_probability(p, 1)
+
+
 @pytest.mark.parametrize("ch", [ChannelParams(), ChannelParams(d_b=0.0), ChannelParams(e_0=1.0),
                                 ChannelParams(e_d=0.5, e_0=0.0), ChannelParams(d_b=0.999)],
                          ids=["default", "d_b 0", "e_0 1", "e_d 1/2", "d_b 0.999"])
 def test_exact_single_photon_column_is_the_channels_row_by_row(ch):
     # a sweep's part takes the benchmark's exact (Y1, H(e1)) in one EXACT call over the
     # eta column: each row has the bits of the channel's n = 1 click probability and
-    # error rate (capped at 1/2) at its eta, eta = 1 and subnormal eta included, and
-    # on floats the same text gives them too
+    # error rate (capped at 1/2) on floats at its eta, eta = 1 and subnormal eta included
     etas = [5e-324, 1e-300, 1e-16, 0.045, 0.5, 1.0 - 2**-53, 1.0] + ([0.0] if ch.d_b else [])
-    want = [(_click_probability(1, ch, e), binary_entropy(min(0.5, _error_rate(1, ch, e)))) for e in etas]
+    want = [(_click_probability(FLOATS, 1, ch, e), binary_entropy(min(0.5, _error_rate(FLOATS, 1, ch, e))))
+            for e in etas]
     y1, h_e1 = _exact_single_photon(EXACT, ch, np.array(etas)[:, None])
     assert y1.shape == h_e1.shape == (len(etas), 1)
     assert _bits(y1.ravel()) == _bits([w[0] for w in want]) and _bits(h_e1.ravel()) == _bits([w[1] for w in want])
@@ -113,11 +127,11 @@ def test_exact_single_photon_column_is_the_channels_row_by_row(ch):
 
 @pytest.mark.parametrize("xp", [FLOATS, EXACT], ids=["floats", "exact"])
 def test_exact_single_photon_refuses_a_channel_that_never_clicks(xp):
-    # no dark counts and no transmission: the exact terms refuse with _error_rate's
-    # message, also when only one row of a column is dead
+    # no dark counts and no transmission: the exact terms refuse with the scalar
+    # _error_rate's message, also when only one row of a column is dead
     ch = ChannelParams(d_b=0.0)
     with pytest.raises(ValueError) as chain:
-        _error_rate(1, ch, 0.0)
+        _error_rate(FLOATS, 1, ch, 0.0)
     eta = 0.0 if xp is FLOATS else np.array([[0.045], [0.0], [1.0]])
     with pytest.raises(ValueError) as refused:
         _exact_single_photon(xp, ch, eta)

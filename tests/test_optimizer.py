@@ -723,8 +723,8 @@ def test_small_mu_sweep_is_sound():
     ch = cfg.channel
     points = sweep_distances(cfg)
     over_ideal = [p for p in points if p.feasible and p.key_rate > p.ideal_rate]
-    over_y1 = [p for p in points
-               if p.bounds.y1_lower > _click_probability(1, ch, overall_transmittance(ch.at_distance(p.distance_km)))]
+    over_y1 = [p for p in points if p.bounds.y1_lower > _click_probability(
+        FLOATS, 1, ch, overall_transmittance(ch.at_distance(p.distance_km)))]
     assert (len(over_ideal), len(over_y1)) == (0, 0)
 
 
@@ -1043,12 +1043,20 @@ class TestStackedSearch:
 # the coarse scan's tie rule, on rates that are finite and >= 0
 
 # Transmittances 10^(-d) (10 dB/km, eta_b = 1) on a grid from 1 through 0.03, 1e-9,
-# 1e-300 and the subnormal 3e-323 to 0, and a coarse block of mu' up to 700.
-EXTREME_GRID = dict(dist_start_km=0.0, dist_stop_km=330.0, dist_step_km=1.5)
+# 1e-300 and the subnormal 3e-323 to 0, and a coarse block of mu' up to 700. A
+# dark-free channel's grid stops at 3e-323: its exact terms refuse eta 0, where
+# nothing clicks.
 EXTREME_MU_PRIME = np.array([[0.06, 0.3, 1.0, 50.0, 700.0]])
 EXTREME_CHANNELS = {"default": ChannelParams(alpha_db_per_km=10.0, eta_b=1.0),
                     "d_b 0": ChannelParams(alpha_db_per_km=10.0, eta_b=1.0, d_b=0.0),
                     "d_b 0, e_d 0": ChannelParams(alpha_db_per_km=10.0, eta_b=1.0, d_b=0.0, e_d=0.0)}
+
+
+def _extreme_cfg(ch):
+    cfg = _cfg(channel=ch, dist_start_km=0.0, dist_stop_km=330.0 if ch.d_b else 322.5, dist_step_km=1.5)
+    etas = [overall_transmittance(ch.at_distance(d)) for d in distance_grid(cfg)]
+    assert etas[0] == 1.0 and 0.0 < min(e for e in etas if e) < 1e-322 and (etas[-1] == 0.0) == bool(ch.d_b)
+    return cfg, etas
 
 
 def _record_golden(monkeypatch):
@@ -1068,15 +1076,13 @@ WHERE_CLAMPED = SimpleNamespace(**{**vars(ARRAYS), "positive": lambda x: np.wher
 
 
 def _extreme_rates(ch, mu_prime):
-    """The rates at mu_prime of the rate callable of a sweep's search over EXTREME_GRID on ch,
+    """The rates at mu_prime of the rate callable of a sweep's search over _extreme_cfg(ch),
     and each job's rates taken alone from bounds' rate cores on WHERE_CLAMPED, job after job.
 
-    A dark-free channel's exact terms refuse its eta 0 rows, so its sweep goes without
-    benchmarks and ends refusing those rows in its report, after the search.
+    A dark-free channel's empty rows, whose yield underflows to 0, are refused in the
+    sweep's report, after the search.
     """
-    cfg = _cfg(channel=ch, include_ideal=bool(ch.d_b), **EXTREME_GRID)
-    etas = [overall_transmittance(ch.at_distance(d)) for d in distance_grid(cfg)]
-    assert etas[0] == 1.0 and 0.0 < min(e for e in etas if e) < 1e-322 and etas[-1] == 0.0
+    cfg, etas = _extreme_cfg(ch)
     with pytest.MonkeyPatch.context() as monkeypatch:
         golden = _record_golden(monkeypatch)
         if ch.d_b:
@@ -1084,8 +1090,8 @@ def _extreme_rates(ch, mu_prime):
         else:
             with pytest.raises(ValueError, match="QBER undefined"):
                 sweep_distances(cfg)
-    n, f, alone = len(etas), cfg.f_ec, []
-    jobs = [(kind, ideal) for kind in cfg.sources for ideal in (False, True)[:1 + cfg.include_ideal]]
+    n, f, alone, empty = len(etas), cfg.f_ec, [], False
+    jobs = [(kind, ideal) for kind in cfg.sources for ideal in (False, True)]
     with np.errstate(all="ignore"):
         for j, (kind, ideal) in enumerate(jobs):
             src = source(cfg, kind)
@@ -1102,17 +1108,40 @@ def _extreme_rates(ch, mu_prime):
                 w_mu = src.weights(FLOATS, cfg.mu)
                 rates = bounds_module._search_rate(WHERE_CLAMPED, w_mu, w_mu[4] ** 2, w, ch.d_b, ty_mu, e1_mass, ty,
                                                    terms)
-            assert ch.d_b or np.isnan(e).any()  # the dark-free channels' empty cells
+            empty |= bool(np.isnan(e).any())
             alone.append(rates)
+    assert ch.d_b or empty  # the dark-free channels' empty cells
     return golden.fns[0](mu_prime), np.concatenate(alone)
 
 
 def test_rate_cores_give_finite_nonnegative_rates_on_extreme_cells():
-    # the search reads no NaN: its rate call clamps every cell of bounds' two rate
-    # cores, also at zero, subnormal and dark-free signals whose bounds divide 0 by 0
+    # the search reads no NaN: bounds' two rate cores clamp every cell, also at
+    # zero, subnormal and dark-free signals whose bounds divide 0 by 0 ...
+    mu_prime = EXTREME_MU_PRIME
+    etas = [0.0, 5e-324, 1e-300, 1e-9, 0.03, 1.0]
+    for ch in (DEFAULT.channel, ChannelParams(d_b=0.0), ChannelParams(d_b=0.0, e_d=0.0)):
+        exact = [bounds_module._exact_single_photon(FLOATS, ch, e) if e or ch.d_b else (0.0, 1.0) for e in etas]
+        y1, h_e1 = (np.array(c)[:, None] for c in zip(*exact))
+        for kind in ("hsps", "wcs"):
+            src = source(DEFAULT, kind)
+            w_mu = src.weights(FLOATS, DEFAULT.mu)
+            decoy = [src.signal(FLOATS, DEFAULT.mu, e, ch) for e in etas]
+            ty_mu = np.array([[ty] for _, ty, _ in decoy])
+            e1_mass = np.array([[_e1_mass(src, DEFAULT.mu, d, ch)] for d in decoy])
+            with np.errstate(all="ignore"):
+                _, ty, e = src.signal(ARRAYS, mu_prime, np.array(etas)[:, None], ch)
+                w = src.weights(ARRAYS, mu_prime)
+                terms = bounds_module._rate_terms(ty, ARRAYS.entropy(e), DEFAULT.f_ec)
+                rates = [bounds_module._search_rate(ARRAYS, w_mu, w_mu[4] ** 2, w, ch.d_b, ty_mu, e1_mass, ty, terms),
+                         bounds_module._benchmark_rate(ARRAYS, w, ty, terms, y1, h_e1)]
+            assert ch.d_b or np.isnan(e).any()  # the dark-free channels' empty cells
+            for rate in rates:
+                assert rate.shape == (len(etas), mu_prime.size)
+                assert np.isfinite(rate).all() and (rate >= 0.0).all(), (kind, ch)
+    # ... and so does a sweep's rate call, every bounded and ideal job of it
     for ch in EXTREME_CHANNELS.values():
-        rates, alone = _extreme_rates(ch, EXTREME_MU_PRIME)
-        assert rates.shape == alone.shape == (2 * (1 + bool(ch.d_b)) * 221, EXTREME_MU_PRIME.size)
+        rates, alone = _extreme_rates(ch, mu_prime)
+        assert rates.shape == alone.shape == (4 * len(_extreme_cfg(ch)[1]), mu_prime.size)
         assert np.isfinite(rates).all() and (rates >= 0.0).all(), ch
 
 
@@ -1122,7 +1151,7 @@ def test_rate_call_is_the_rate_cores_up_to_the_sign_of_zero(ch):
     # jobs, slices each job's rows, clamps by fmax and fills one array; at every extreme
     # cell, coarse and refined, each job's rates are still the rate cores' taken alone
     # and clamped by where, up to the sign of a zero
-    rows = 2 * (1 + bool(ch.d_b)) * 221
+    rows = 4 * len(_extreme_cfg(ch)[1])
     refined = np.random.default_rng(11).permuted(np.tile(EXTREME_MU_PRIME, (rows, 1)), axis=1)[:, :3].copy()
     for mu_prime in (EXTREME_MU_PRIME, refined):
         got, alone = _extreme_rates(ch, mu_prime)
